@@ -14,9 +14,6 @@ import (
 	"runtime"
 	"strconv"
 	"testing"
-
-	"cawa/internal/harness"
-	"cawa/internal/obs/perf"
 )
 
 func benchSession() *Session {
@@ -140,38 +137,15 @@ func BenchmarkParallelSweep(b *testing.B) {
 }
 
 // Raw simulator throughput: simulated cycles per second on a
-// cache-thrashing workload (kmeans) under the full CAWA design.
+// cache-thrashing workload (kmeans) under the full CAWA design, for
+// measuring while you work; cmd/cawaperf is the repository's benchmark
+// and carries the per-layer numbers.
 //
-// Three sub-benchmarks separate the engine dimensions:
-//
-//	serial-2sm   the historical headline number (SmallConfig, serial) —
-//	             scripts/bench.sh -delta tracks this against committed
-//	             baselines, so its body must stay equivalent
-//	serial-15sm  the paper's GTX480 on the serial engine — the
-//	             denominator of the parallel speedup
-//	smpar-15sm   GTX480 on the parallel per-SM engine with one domain
-//	             goroutine per available core — speedup is
-//	             smpar-15sm / serial-15sm at matching GOMAXPROCS
-//
-//	smpar-prof-15sm  the same parallel run with the engine self-profiler
-//	             attached (harness.NewWallProfiler): reports
-//	             barrier_wait_frac (fraction of shard wall-clock spent
-//	             waiting at the epoch barrier), shard_spread (max/mean
-//	             per-shard compute) and barriers_per_kcycle (epochs per
-//	             simulated kilocycle on the one-cycle-epoch engine) so
-//	             scripts/bench.sh can fold shard-imbalance into
-//	             BENCH_*.json. Kept separate from smpar-15sm so the
-//	             delta gate tracks an unprofiled run.
-//
-//	smpar-la-15sm  the profiled parallel run with -lookahead: multi-cycle
-//	             safe-horizon epochs. Its barriers_per_kcycle against
-//	             smpar-prof-15sm's is the amortization headline (the
-//	             lookahead engine targets a >= 5x reduction); its
-//	             sim_cycles/s against smpar-15sm's is the wall-clock win.
-//
-// The go-test name suffix (-N) records GOMAXPROCS; scripts/bench.sh
-// extracts it into the JSON report so deltas only compare like with
-// like.
+//	serial-2sm   SmallConfig on one domain
+//	serial-15sm  the paper's GTX480 on one domain
+//	smpar-15sm   GTX480 with one span domain per available core —
+//	             speedup is smpar-15sm / serial-15sm at matching
+//	             GOMAXPROCS (the go-test name suffix -N records it)
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	bench := func(b *testing.B, cfg Config, smWorkers int) {
 		var cycles int64
@@ -192,34 +166,8 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.Run("smpar-15sm", func(b *testing.B) {
 		workers := runtime.GOMAXPROCS(0)
 		if workers < 2 {
-			workers = 2 // keep the parallel engine engaged on 1-core hosts
+			workers = 2 // keep a helper domain engaged on 1-core hosts
 		}
 		bench(b, GTX480(), workers)
 	})
-	profiled := func(b *testing.B, lookahead bool) {
-		workers := runtime.GOMAXPROCS(0)
-		if workers < 2 {
-			workers = 2
-		}
-		prof := harness.NewWallProfiler(perf.DefaultSampleEvery)
-		var cycles int64
-		for i := 0; i < b.N; i++ {
-			res, err := RunWith(RunOptions{
-				Workload: "kmeans", Params: Params{Scale: 0.125, Seed: 7},
-				System: CAWA(), Config: GTX480(), SMWorkers: workers,
-				Profiler: prof, Lookahead: lookahead,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cycles += res.Agg.Cycles
-		}
-		b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim_cycles/s")
-		rep := prof.Report()
-		b.ReportMetric(rep.BarrierWaitFrac(), "barrier_wait_frac")
-		b.ReportMetric(rep.Spread(), "shard_spread")
-		b.ReportMetric(rep.BarriersPerKcycle, "barriers_per_kcycle")
-	}
-	b.Run("smpar-prof-15sm", func(b *testing.B) { profiled(b, false) })
-	b.Run("smpar-la-15sm", func(b *testing.B) { profiled(b, true) })
 }

@@ -73,12 +73,12 @@ func Run(workload string, p Params, sc SystemConfig, cfg Config) (*Result, error
 }
 
 // RunOptions describes one run in full detail: the workload and design
-// point plus engine switches (fast-forwarding, the parallel per-SM
-// engine via SMWorkers) and instrumentation hooks.
+// point plus the engine's domain count (SMWorkers) and instrumentation
+// hooks.
 type RunOptions = harness.RunOptions
 
-// RunWith executes one run described by opt. All engines produce
-// byte-identical statistics; see RunOptions for the switches.
+// RunWith executes one run described by opt. Statistics are
+// byte-identical at any domain count.
 func RunWith(opt RunOptions) (*Result, error) { return harness.Run(opt) }
 
 // Table is a printable experiment result.

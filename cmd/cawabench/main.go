@@ -12,8 +12,8 @@
 // every experiment declares its run matrix, the matrices are pooled and
 // deduplicated, and the cells simulate in parallel before the tables
 // build sequentially. Tables are byte-identical to a -j 1 run. -smpar N
-// additionally runs each simulation on the parallel per-SM engine with
-// up to N domain goroutines, budgeted from the same -j pool (total
+// additionally lets each simulation share its spans between up to N
+// domains (N-1 helper goroutines), budgeted from the same -j pool (total
 // concurrency never exceeds -j); results stay byte-identical, so use it
 // when runs are scarce (a single figure, the tail of a sweep) rather
 // than to oversubscribe a saturated pool.
@@ -23,12 +23,9 @@
 // a machine-readable JSON summary of per-run and total wall-clock so
 // sweep-throughput regressions are trackable. -perf FILE additionally
 // profiles the engine's own wall-clock phases (domain compute, barrier
-// wait, staged commit, memsys drain, fast-forward planning) across
-// every simulation in the sweep and writes the aggregated PerfReport
-// JSON — results stay byte-identical with it on. -barrier-spins pins
-// the parallel engine's barrier spin budget (default adaptive), and
-// -lookahead batches multi-cycle safe-horizon epochs between barriers
-// (byte-identical results, fewer barriers).
+// wait, staged commit, memsys drain, horizon planning, dead-cycle
+// skipping) across every simulation in the sweep and writes the
+// aggregated PerfReport JSON — results stay byte-identical with it on.
 package main
 
 import (
@@ -76,14 +73,11 @@ func main() {
 		seed    = flag.Int64("seed", 1, "input generator seed")
 		sms     = flag.Int("sms", 0, "override number of SMs")
 		workers = flag.Int("j", 0, "max concurrent simulations (0 = all cores)")
-		smpar   = flag.Int("smpar", 1, "SM-domain goroutines per run, budgeted from the -j pool (byte-identical results; <=1 = serial)")
+		smpar   = flag.Int("smpar", 1, "domains sharing each run's spans, budgeted from the -j pool (byte-identical results; <=1 = the run's own goroutine only)")
 		asJSON  = flag.Bool("json", false, "emit tables as JSON documents")
 		timing  = flag.String("timing", "", "write a JSON timing summary to this file (\"-\" = stderr)")
-		fastfwd = flag.Bool("fastforward", true, "event-driven idle-cycle fast-forwarding (results are byte-identical either way)")
 
-		perfOut      = flag.String("perf", "", "profile the engine's wall-clock phases across the sweep and write the PerfReport JSON to this file (\"-\" = stderr)")
-		barrierSpins = flag.Int("barrier-spins", 0, "pin the parallel-engine barrier spin budget (0 = adaptive)")
-		lookahead    = flag.Bool("lookahead", false, "multi-cycle safe-horizon epochs on the parallel engine (byte-identical results)")
+		perfOut = flag.String("perf", "", "profile the engine's wall-clock phases across the sweep and write the PerfReport JSON to this file (\"-\" = stderr)")
 
 		sampleWarmup   = flag.Int("sample-warmup", 0, "sampled simulation: detailed launches before the first skip window (cache/predictor warmup)")
 		sampleInterval = flag.Int("sample-interval", 0, "sampled simulation: run every Nth launch after the warmup on the timing model, the rest functionally (<=1 = full detail)")
@@ -152,9 +146,6 @@ func main() {
 	}
 	session := harness.NewSession(cfg, workloads.Params{Scale: *scale, Seed: *seed}).
 		SetWorkers(*workers).SMParallel(*smpar)
-	session.DisableFastForward = !*fastfwd
-	session.BarrierSpins = *barrierSpins
-	session.Lookahead = *lookahead
 	session.SampleWarmup = *sampleWarmup
 	session.SampleInterval = *sampleInterval
 	if *perfOut != "" {
@@ -210,7 +201,7 @@ func main() {
 			os.Exit(1)
 		}
 		if len(rep.Shards) > 0 {
-			fmt.Fprintf(os.Stderr, "cawabench: engine profile %d epochs, barrier wait %.1f%%, shard spread %.2fx\n",
+			fmt.Fprintf(os.Stderr, "cawabench: engine profile %d barriers, barrier wait %.1f%%, shard spread %.2fx\n",
 				rep.Epochs, rep.BarrierWaitFrac()*100, rep.Spread())
 		}
 	}

@@ -1,36 +1,38 @@
 // Package gpu is a stub so the engine-loop roots resolve.
 package gpu
 
-import "cawa/internal/sm"
+import (
+	"cawa/internal/memsys"
+	"cawa/internal/sm"
+)
 
 // GPU is the stub engine.
 type GPU struct {
 	sms []*sm.SM
+	sys *memsys.System
 }
 
-func (g *GPU) stepSMs() {
-	for _, s := range g.sms {
-		s.Cycle()
-	}
-}
+// replay is the stub span replay.
+func (g *GPU) replay() { g.sys.Cycle() }
 
 func (g *GPU) fastForward() {}
 
-// planHorizon is the stub lookahead horizon planner.
+// planHorizon is the stub span horizon planner.
 func (g *GPU) planHorizon() int64 { return 1 }
 
-// runBatch is the stub lookahead batch path.
-func (g *GPU) runBatch() {
-	_ = g.planHorizon()
-	g.stepSMs()
+// runSpan is the stub span path.
+func (g *GPU) runSpan() {
+	g.sys.PlanSpanFills(g.planHorizon())
+	(&domainWorker{sms: g.sms}).stepSpan(0, 1)
+	g.replay()
 }
 
-// domainWorker is the stub span worker.
+// domainWorker is the stub span domain.
 type domainWorker struct {
 	sms []*sm.SM
 }
 
-// stepSpan is the stub worker span body.
+// stepSpan is the stub domain span body.
 func (w *domainWorker) stepSpan(from, to int64) {
 	for t := from; t <= to; t++ {
 		for _, s := range w.sms {
@@ -41,8 +43,6 @@ func (w *domainWorker) stepSpan(from, to int64) {
 
 // Run drives the stub engine.
 func (g *GPU) Run() {
-	g.stepSMs()
 	g.fastForward()
-	g.runBatch()
-	(&domainWorker{sms: g.sms}).stepSpan(0, 1)
+	g.runSpan()
 }

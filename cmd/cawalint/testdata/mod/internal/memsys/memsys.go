@@ -8,3 +8,7 @@ type System struct {
 
 // Cycle processes due events (none, in the stub).
 func (s *System) Cycle() { s.n++ }
+
+// PlanSpanFills hands the pending in-span fills to their L1s (none, in
+// the stub).
+func (s *System) PlanSpanFills(horizon int64) {}

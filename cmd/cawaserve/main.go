@@ -46,8 +46,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persistent result-cache directory (empty = memory only)")
 	drainWait := flag.Duration("drain", 2*time.Minute, "graceful-drain deadline on SIGTERM")
 	logFormat := flag.String("log-format", "text", "request log format: text or json")
-	barrierSpins := flag.Int("barrier-spins", 0, "pin the parallel-engine barrier spin budget (0 = adaptive)")
-	lookahead := flag.Bool("lookahead", false, "multi-cycle safe-horizon epochs on the parallel engine (byte-identical results)")
 	flag.Parse()
 
 	var handler slog.Handler
@@ -72,8 +70,6 @@ func main() {
 	params := workloads.Params{Scale: *scale, Seed: *seed}
 
 	sess := harness.NewSession(cfg, params)
-	sess.BarrierSpins = *barrierSpins
-	sess.Lookahead = *lookahead
 	if *workers > 0 {
 		sess.SetWorkers(*workers)
 	}

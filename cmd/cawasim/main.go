@@ -23,16 +23,11 @@
 //
 //	-perf FILE             profile the engine's own wall-clock phases
 //	                       (domain compute, barrier wait, staged commit,
-//	                       memsys drain, fast-forward planning) and write
-//	                       the PerfReport JSON to FILE; simulated results
-//	                       stay byte-identical
+//	                       memsys drain, horizon planning, dead-cycle
+//	                       skipping) and write the PerfReport JSON to
+//	                       FILE; simulated results stay byte-identical
 //	-perf-trace FILE       also write the profile as Chrome trace-event
 //	                       counter tracks (Perfetto / chrome://tracing)
-//	-barrier-spins N       pin the parallel engine's barrier spin budget
-//	                       (0 = adaptive)
-//	-lookahead             multi-cycle safe-horizon epochs on the
-//	                       parallel engine (byte-identical results;
-//	                       fewer barriers per simulated kilocycle)
 //
 // Sampled simulation (see DESIGN.md "Checkpoint/restore + sampled
 // simulation"):
@@ -77,17 +72,14 @@ func main() {
 		sms       = flag.Int("sms", 0, "override number of SMs (default: GTX480's 15)")
 		verbose   = flag.Bool("v", false, "print per-block warp summaries")
 		hotpcs    = flag.Int("hotpcs", 0, "print the N PCs with the most stall time")
-		fastfwd   = flag.Bool("fastforward", true, "event-driven idle-cycle fast-forwarding (results are byte-identical either way)")
-		smpar     = flag.Int("smpar", 1, "SM-domain goroutines for the parallel intra-run engine (byte-identical results; 0 = one per core, <=1 = serial; forced serial when tracing attaches observers)")
+		smpar     = flag.Int("smpar", 1, "domains sharing each span of the engine: 1 runs on this goroutine alone, N adds N-1 helper goroutines, 0 = one per core (byte-identical results; always 1 when tracing attaches observers)")
 
 		traceJSON   = flag.String("trace-json", "", "write a Chrome trace-event file (Perfetto / chrome://tracing)")
 		obsDir      = flag.String("obs-dir", "", "write observability artifacts (trace.json, metrics.csv, metrics.json, manifest.json) into this directory")
 		sampleEvery = flag.Int64("sample-every", 0, fmt.Sprintf("metric sampling interval in cycles (0 = %d when observability is on)", obs.DefaultSampleEvery))
 
-		perfJSON     = flag.String("perf", "", "profile the engine's wall-clock phases and write the PerfReport JSON to this file")
-		perfTrace    = flag.String("perf-trace", "", "write the engine profile as Chrome trace-event counter tracks")
-		barrierSpins = flag.Int("barrier-spins", 0, "pin the parallel-engine barrier spin budget (0 = adaptive)")
-		lookahead    = flag.Bool("lookahead", false, "multi-cycle safe-horizon epochs on the parallel engine (byte-identical results)")
+		perfJSON  = flag.String("perf", "", "profile the engine's wall-clock phases and write the PerfReport JSON to this file")
+		perfTrace = flag.String("perf-trace", "", "write the engine profile as Chrome trace-event counter tracks")
 
 		sampleWarmup   = flag.Int("sample-warmup", 0, "sampled simulation: detailed launches before the first skip window (cache/predictor warmup)")
 		sampleInterval = flag.Int("sample-interval", 0, "sampled simulation: run every Nth launch after the warmup on the timing model, the rest functionally (<=1 = full detail)")
@@ -129,22 +121,19 @@ func main() {
 		smWorkers = runtime.GOMAXPROCS(0)
 	}
 	opt := harness.RunOptions{
-		Workload:           *workload,
-		Params:             workloads.Params{Scale: *scale, Seed: *seed},
-		System:             sc,
-		Config:             cfg,
-		DisableFastForward: !*fastfwd,
-		// The harness forces tracing runs (whose observers share state
-		// across SMs) back onto the serial engine.
+		Workload: *workload,
+		Params:   workloads.Params{Scale: *scale, Seed: *seed},
+		System:   sc,
+		Config:   cfg,
+		// The harness keeps tracing runs (whose observers may share state
+		// across SMs) on one domain.
 		SMWorkers:      smWorkers,
-		BarrierSpins:   *barrierSpins,
-		Lookahead:      *lookahead,
 		SampleWarmup:   *sampleWarmup,
 		SampleInterval: *sampleInterval,
 	}
 
 	// Engine self-profiling: purely observational — the profiler reads
-	// the wall clock at the orchestrator's phase seams and never feeds
+	// the wall clock at the engine's phase seams and never feeds
 	// simulated state, so results stay byte-identical (the equivalence
 	// tests pin this).
 	var prof *perf.Profiler
@@ -285,10 +274,10 @@ func writePerfArtifacts(rep *perf.Report, jsonPath, tracePath string) error {
 		return err
 	}
 	if len(rep.Shards) > 0 {
-		fmt.Printf("engine profile %d epochs, barrier wait %.1f%%, shard spread %.2fx (%s)\n",
+		fmt.Printf("engine profile %d barriers, barrier wait %.1f%%, shard spread %.2fx (%s)\n",
 			rep.Epochs, rep.BarrierWaitFrac()*100, rep.Spread(), jsonPath)
 	} else {
-		fmt.Printf("engine profile serial engine, %s total (%s)\n",
+		fmt.Printf("engine profile one domain, %s total (%s)\n",
 			time.Duration(rep.WallNS), jsonPath)
 	}
 	return nil

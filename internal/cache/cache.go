@@ -101,6 +101,9 @@ type Cache struct {
 	setMask  int64 // power-of-two fast path; -1 when sets is not 2^k
 	nSets    int64
 	tick     uint64 // logical time for LRU stamps
+	// evict is the eviction the policy and the listener are shown by
+	// pointer; a local would escape to the heap on every evicting Fill.
+	evict Eviction
 
 	// EvictListener, when non-nil, observes every eviction after the
 	// policy's OnEvict hook. Used for reuse statistics (Figures 3, 15).
@@ -231,12 +234,13 @@ func (c *Cache) Fill(req Request) Eviction {
 		panic(fmt.Sprintf("cache: policy %s returned invalid victim way %d", c.policy.Name(), way))
 	}
 	if old := c.sets[set][way]; old.Valid {
-		ev = Eviction{Valid: true, Addr: old.Tag, Dirty: old.Dirty, Line: old}
+		c.evict = Eviction{Valid: true, Addr: old.Tag, Dirty: old.Dirty, Line: old}
 		c.Evictions++
-		c.policy.OnEvict(c, set, way, &ev)
+		c.policy.OnEvict(c, set, way, &c.evict)
 		if c.EvictListener != nil {
-			c.EvictListener(&ev)
+			c.EvictListener(&c.evict)
 		}
+		ev = c.evict
 	}
 	c.sets[set][way] = Line{
 		Valid:        true,

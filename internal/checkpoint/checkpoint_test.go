@@ -22,18 +22,20 @@ func testConfig() config.Config {
 	return cfg
 }
 
+// engineVariant is one way to run a launch: the tick-every-cycle oracle
+// or the span engine at some domain count. The names predate the span
+// engine and are kept so the subtest IDs built from them stay stable.
 type engineVariant struct {
 	name      string
+	oracle    bool
 	smWorkers int
-	lookahead bool
-	noFF      bool
 }
 
 var engineVariants = []engineVariant{
-	{name: "serial-ticked", noFF: true},
-	{name: "serial-ff"},
-	{name: "parallel", smWorkers: 4},
-	{name: "parallel-lookahead", smWorkers: 4, lookahead: true},
+	{name: "serial-ticked", oracle: true},
+	{name: "serial-ff", smWorkers: 1},          // one inline domain
+	{name: "parallel", smWorkers: 2},           // inline + one helper
+	{name: "parallel-lookahead", smWorkers: 4}, // one domain per SM
 }
 
 func buildGPU(t *testing.T, sc core.SystemConfig, wl workloads.Workload, v engineVariant) *gpu.GPU {
@@ -43,8 +45,9 @@ func buildGPU(t *testing.T, sc core.SystemConfig, wl workloads.Workload, v engin
 		t.Fatalf("NewGPU: %v", err)
 	}
 	g.SMWorkers = v.smWorkers
-	g.Lookahead = v.lookahead
-	g.DisableFastForward = v.noFF
+	if v.oracle {
+		g.UseTickedOracle()
+	}
 	return g
 }
 
@@ -57,8 +60,8 @@ type refRun struct {
 	t1, t2   int64
 }
 
-// runReference runs the workload uninterrupted on the serial ticked
-// engine, picking two probe cycles inside the last launch: t1 (the
+// runReference runs the workload uninterrupted on the ticked oracle,
+// picking two probe cycles inside the last launch: t1 (the
 // checkpoint cycle) and t2 (a later cycle whose StateHash the resumed
 // run must reproduce).
 func runReference(t *testing.T, workload string, sc core.SystemConfig) refRun {
@@ -159,8 +162,8 @@ func armCapture(t *testing.T, g *gpu.GPU, at int64, hash *string, snap **Snapsho
 	}
 }
 
-// TestRoundTrip checkpoints a run mid-launch on one engine, restores
-// onto another (every pairing of the engine matrix in long mode), and
+// TestRoundTrip checkpoints a run mid-launch on one engine variant,
+// restores onto another (every pairing in long mode), and
 // requires: identical launch statistics for the interrupted launch,
 // identical final memory, a passing workload Verify, and an identical
 // StateHash at a later probe cycle of the resumed run.
@@ -172,8 +175,8 @@ func TestRoundTrip(t *testing.T) {
 	}
 	type pairing struct{ capture, resume engineVariant }
 	pairs := []pairing{
-		{engineVariants[0], engineVariants[3]}, // serial-ticked -> parallel-lookahead
-		{engineVariants[3], engineVariants[1]}, // parallel-lookahead -> serial-ff
+		{engineVariants[0], engineVariants[3]}, // oracle -> one domain per SM
+		{engineVariants[3], engineVariants[1]}, // one domain per SM -> inline
 	}
 	if !testing.Short() {
 		pairs = pairs[:0]
@@ -392,9 +395,9 @@ func TestDecodeRejectsDamage(t *testing.T) {
 
 // TestRoundTripAllWorkloads extends the kmeans matrix of TestRoundTrip
 // to the whole paper catalog: every workload × {lrr, gto, cawa}
-// checkpoints mid-launch on the serial ticked engine and resumes on
-// the parallel lookahead engine (the most adversarial pairing: ticked
-// state restored into batched epoch execution), checking launch stats,
+// checkpoints mid-launch on the ticked oracle and resumes on the span
+// engine with one domain per SM (the most adversarial pairing: ticked
+// state restored into multi-domain span execution), checking launch stats,
 // final memory, Verify, and the later-cycle StateHash. Short mode —
 // what check.sh's GOMAXPROCS race matrix runs — rotates each workload
 // through one of the three systems to bound -race wall clock; full
@@ -425,24 +428,23 @@ func TestRoundTripAllWorkloads(t *testing.T) {
 }
 
 // TestLookaheadMidSpanCheckpoint proves a checkpoint requested at a
-// cycle strictly inside a lookahead span is honored at exactly that
-// cycle with state identical to the serial ticked engine's. Two parts:
-// a probe run with a far-future wake hint (which never clamps the
-// horizon) records the engine's natural span boundaries — PerCycle
-// only fires on engine-clean boundary cycles, so a gap between
-// consecutive observations is a genuine multi-cycle span. A cycle
-// inside the widest gap is then requested as a capture point: the
-// PerCycleWake hint must truncate the planned span at exactly that
-// cycle, and the resulting snapshot must hash identically to the
-// serial engine's capture at the same cycle (and likewise at the
+// cycle strictly inside a span is honored at exactly that cycle with
+// state identical to the ticked oracle's. Two parts: a probe run with a
+// far-future wake hint (which never clamps the horizon) records the
+// engine's natural span boundaries — PerCycle only fires after a span's
+// last cycle, so a gap between consecutive observations is a genuine
+// multi-cycle span. A cycle inside the widest gap is then requested as
+// a capture point: the PerCycleWake hint must end the planned span at
+// exactly that cycle, and the resulting snapshot must hash identically
+// to the oracle's capture at the same cycle (and likewise at the
 // adjacent cycle, so the clamp neither skips nor double-ticks the
-// boundary).
+// boundary) — on one inline domain and on one domain per SM.
 func TestLookaheadMidSpanCheckpoint(t *testing.T) {
 	sc := core.CAWA()
 	const workload = "kmeans"
 	ref := runReference(t, workload, sc)
 
-	// Probe pass: observe the lookahead engine's boundary cycles in the
+	// Probe pass: observe the span engine's boundary cycles in the
 	// target launch without perturbing its planning.
 	wl, err := workloads.New(workload, testParams)
 	if err != nil {
@@ -481,14 +483,16 @@ func TestLookaheadMidSpanCheckpoint(t *testing.T) {
 	t.Logf("probing cycle %d inside a %d-cycle span", at, width)
 
 	for _, c := range []int64{at, at + 1} {
-		sSnap, sHash := snapshotAt(t, workload, sc, engineVariants[0], ref.launchIx, c)
-		lSnap, lHash := snapshotAt(t, workload, sc, engineVariants[3], ref.launchIx, c)
-		if sSnap.Meta.Cycle != c || lSnap.Meta.Cycle != c {
-			t.Errorf("capture cycle drifted: serial %d, lookahead %d, want %d",
-				sSnap.Meta.Cycle, lSnap.Meta.Cycle, c)
-		}
-		if sHash != lHash {
-			t.Errorf("mid-span capture at cycle %d diverged from serial:\n lookahead %s\n serial    %s", c, lHash, sHash)
+		oSnap, oHash := snapshotAt(t, workload, sc, engineVariants[0], ref.launchIx, c)
+		for _, v := range []engineVariant{engineVariants[1], engineVariants[3]} {
+			sSnap, sHash := snapshotAt(t, workload, sc, v, ref.launchIx, c)
+			if oSnap.Meta.Cycle != c || sSnap.Meta.Cycle != c {
+				t.Errorf("capture cycle drifted: oracle %d, %s %d, want %d",
+					oSnap.Meta.Cycle, v.name, sSnap.Meta.Cycle, c)
+			}
+			if oHash != sHash {
+				t.Errorf("mid-span capture at cycle %d on %s diverged from the oracle:\n span   %s\n oracle %s", c, v.name, sHash, oHash)
+			}
 		}
 	}
 }

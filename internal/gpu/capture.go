@@ -10,13 +10,13 @@ import (
 )
 
 // Serializable snapshot of the whole device mid-launch. Capture runs
-// from the PerCycle hook, which every engine variant fires only at a
-// clean cycle boundary: store logs flushed, stage buffers committed,
-// lookahead span plans drained (stepSMs orders those before the hook;
-// fastForward and planHorizon clamp their skips and spans to
-// PerCycleWake). The snapshot is therefore engine-independent — a
-// checkpoint written by the serial ticking engine restores onto the
-// parallel lookahead engine and vice versa.
+// from the PerCycle hook, which fires only between spans: store logs
+// flushed, stage buffers committed, span-fill plans drained, every SM's
+// cycle latch on the hook's cycle (replay orders those before the hook;
+// planHorizon and fastForward end their spans and skips at
+// PerCycleWake). The snapshot is therefore independent of how the
+// launch was run — a checkpoint written by the ticked oracle restores
+// onto the span engine at any domain count and vice versa.
 //
 // Two things are NOT in the snapshot and must be handled by the caller
 // (internal/checkpoint): the criticality providers and L1 replacement
@@ -197,6 +197,7 @@ func (g *GPU) Restore(st State, k *simt.Kernel) error {
 		startL2Miss:   st.Launch.StartL2Miss,
 		retiredBy:     append([]int(nil), st.Launch.RetiredBy...),
 		lastRetire:    append([]int64(nil), st.Launch.LastRetire...),
+		dispatchStall: -1,
 	}
 	for i, snap := range st.Launch.L1Snap {
 		ls.l1snap[i] = l1Snapshot{snap.LoadAcc, snap.StoreAcc, snap.LoadMiss, snap.StoreMiss}

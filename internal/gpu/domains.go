@@ -1,61 +1,48 @@
 package gpu
 
-// Parallel per-SM execution domains.
+// Span domains.
 //
-// The serial engine steps every SM on the caller's goroutine; the
-// parallel engine shards the SMs across a small pool of persistent
-// worker goroutines — the *domain runner* — and advances them in
-// lockstep epochs. PR 6 pinned epochs to exactly one cycle because the
-// orchestrator's serial duties (the shared memory system's event
-// drain, block dispatch, the PerCycle hook, staged-access commit and
-// store-log flush) are interleaved with SM execution at cycle
-// granularity by the serial engine, and the refactor's contract is
-// byte-identical output. The lookahead engine (lookahead.go) keeps
-// that contract while batching many cycles per barrier: an epoch is
-// now a *span* [from, to], and the barrier-time replay re-serializes
-// the span's staged traffic cycle by cycle, so the one-cycle epoch is
-// just the span from == to.
+// A span (span.go) is run by one or more *domains*: contiguous shards
+// of the SMs, each taken across the whole span by one goroutine. The
+// first domain always runs on the engine's own goroutine; a launch with
+// SMWorkers <= 1 has only that one, so it starts no goroutine and meets
+// no barrier. Further domains run on helper goroutines that live for
+// the launch, and the engine joins them at a barrier when its own
+// domain has finished the span.
 //
-// Invariants that make the parallel engine deterministic:
+// Invariants that make any domain count deterministic:
 //
-//  1. Domain isolation. During an epoch a worker only touches the
-//     state of its own SMs: warp slots, scoreboards, schedulers, the
-//     L1D tag array and MSHRs. Shared structures are reached through
-//     two staging channels drained by the orchestrator at the barrier:
-//     outbound memory-system requests (memsys.StageBuffer) and
-//     functional global-memory stores (memory.StoreLog), both stamped
-//     with their emitting cycle. The linter's memsys-mutation rule
-//     enforces the first statically.
-//  2. Deterministic merge. Both staging channels are committed in
-//     (cycle, SM id, program order) — exactly the order the serial
-//     engine generates them — so the event heap's sequence numbers and
+//  1. Domain isolation. During a span a domain only touches the state
+//     of its own SMs: warp slots, scoreboards, schedulers, the L1D tag
+//     array and MSHRs. Shared structures are reached through two
+//     staging channels replayed by the engine after the span: outbound
+//     memory-system requests (memsys.StageBuffer) and functional
+//     global-memory stores (memory.StoreLog), both stamped with their
+//     emitting cycle. The linter's memsys-mutation rule enforces the
+//     first statically.
+//  2. Deterministic merge. Both staging channels are replayed in
+//     (cycle, SM id, program order) — exactly the order ticking every
+//     cycle generates them — so the event heap's sequence numbers and
 //     the functional memory image evolve identically.
-//  3. Serial orchestration. Everything that reads or writes cross-SM
-//     state (System.Cycle with its L1 fill delivery, dispatch, the
-//     PerCycle hook, fast-forward and horizon planning) runs on the
-//     orchestrator between barriers, unchanged from the serial engine.
-//  4. Fill-free spans. A multi-cycle span is only scheduled when the
-//     memory system guarantees no L1 fill can land inside it
-//     (memsys.SafeHorizon), so an SM's evolution across the span
-//     depends on nothing outside its own state.
+//  3. Fill-free spans. A multi-cycle span is only planned when the
+//     memory system guarantees that no L1 fill it has not already
+//     scheduled can land inside it (memsys.SafeHorizon), so an SM's
+//     evolution across the span depends on nothing outside its own
+//     state and its planned fills.
+//
+// Everything that reads or writes cross-SM state (System.Cycle with its
+// L1 fill delivery, dispatch, the PerCycle hook, horizon planning, the
+// dead-cycle skip) runs on the engine's goroutine between spans.
 //
 // The barrier is a hybrid spin/park design: both sides yield-spin for
-// a bounded number of rounds (cheap when all cores are busy advancing
-// SMs) and then park on a buffered signal channel (cheap when a launch
-// idles, e.g. between fast-forward jumps). The signal channels have
-// capacity 1 and are written with non-blocking sends: a stale token
-// costs one spurious wakeup — the waiter re-checks its atomic and
-// parks again — and never a lost one.
-//
-// The spin budget adapts: the orchestrator observes how many yield
-// rounds each barrier took in a small log2 histogram and periodically
-// resets the budget to twice the observed p90 (clamped to
-// [minBarrierSpins, maxBarrierSpins]), so short busy epochs keep
-// spinning while park-heavy phases shrink the wasted yields. A
-// positive GPU.BarrierSpins / -barrier-spins pins the budget instead.
+// barrierSpins rounds (cheap when all cores are busy advancing SMs) and
+// then park on a buffered signal channel (cheap when the machine is
+// oversubscribed). The signal channels have capacity 1 and are written
+// with non-blocking sends: a stale token costs one spurious wakeup —
+// the waiter re-checks its atomic and parks again — and never a lost
+// one.
 
 import (
-	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -64,76 +51,51 @@ import (
 	"cawa/internal/sm"
 )
 
-// DefaultBarrierSpins is the adaptive spin controller's starting
-// budget: how many scheduler yields a waiter burns before parking on
-// its channel. Yield-spinning keeps barrier latency in the tens of
-// nanoseconds while every worker has cycles to run; parking caps the
-// cost when the machine is oversubscribed or the run idles. A positive
-// GPU.BarrierSpins / RunOptions.BarrierSpins pins the budget and
-// disables adaptation. Purely a host-performance knob: results are
-// byte-identical at any setting.
-const DefaultBarrierSpins = 64
+// barrierSpins is how many scheduler yields a barrier waiter burns
+// before parking on its channel. Spans put tens of barriers, not
+// hundreds, into a simulated kilocycle, so the budget is not worth
+// tuning: the measured barrier wait is the imbalance between the
+// domains' shares of the span, which no spin budget changes.
+const barrierSpins = 64
 
-const (
-	// minBarrierSpins / maxBarrierSpins clamp the adaptive budget.
-	minBarrierSpins = 16
-	maxBarrierSpins = 4096
-	// spinRetuneEvery is the observation cadence: the budget is
-	// recomputed from the histogram after this many barriers, and the
-	// window resets.
-	spinRetuneEvery = 64
-	// spinHistBuckets bounds the log2 spin-round histogram; bucket i
-	// holds observations with bit length i, so 16 buckets cover rounds
-	// up to 32768 — far beyond maxBarrierSpins.
-	spinHistBuckets = 16
-)
-
-// domainWorker is one goroutine's share of the SMs plus its epoch
-// output: the minimum wake bound across the SMs it stepped.
+// domainWorker is one domain: its share of the SMs plus its span
+// output, the minimum wake bound across the SMs it stepped.
 type domainWorker struct {
 	id     int // shard index, for per-shard profiling
 	sms    []*sm.SM
 	wake   int64
-	wakeCh chan struct{} // capacity 1; park/wake signal
+	wakeCh chan struct{} // capacity 1; park/wake signal (helpers only)
 }
 
-// domainRunner drives one kernel launch's SM epochs. It is created
-// when a parallel Launch starts and stopped (unconditionally, via
+// domainRunner drives one kernel launch's spans across its domains. It
+// is created when a launch starts and stopped (unconditionally, via
 // defer) when the launch returns, so an aborted launch can never leak
-// its workers.
+// its helper goroutines.
 type domainRunner struct {
+	// workers[0] is the inline domain, run by stepSpan's caller; the
+	// rest are run by one helper goroutine each.
 	workers []*domainWorker
-	// from/to delimit the epoch's cycle span (inclusive); written
-	// before the epoch is published. One-cycle epochs have from == to.
+	// from/to delimit the span (inclusive); written before the span is
+	// published to the helpers.
 	from, to int64
-	// prof, when non-nil, receives each shard's per-epoch compute span
-	// (RecordShardCompute from the shard's own worker; the barrier's
-	// release/acquire pair orders those writes before the
-	// orchestrator's ObserveEpoch fold). Purely observational: no
-	// control flow reads a profiled duration.
+	// prof, when non-nil, receives each domain's per-span compute time
+	// (RecordShardCompute from the domain's own goroutine; the
+	// barrier's release/acquire pair orders those writes before the
+	// engine's ObserveEpoch fold). Purely observational: no control
+	// flow reads a profiled duration.
 	prof *perf.Profiler
 
-	// Adaptive spin controller. spinBudget is read by workers and the
-	// orchestrator each barrier; only the orchestrator writes it, from
-	// the spin-round histogram it alone maintains. fixedSpins > 0 pins
-	// the budget (the -barrier-spins override).
-	fixedSpins int
-	spinBudget atomic.Int64
-	spinHist   [spinHistBuckets]uint32
-	spinObs    int
-
-	epoch   atomic.Int64 // epoch counter; incremented to start an epoch
-	pending atomic.Int64 // workers that have not finished the epoch
+	epoch   atomic.Int64 // span counter; incremented to publish a span
+	pending atomic.Int64 // helpers that have not finished the span
 	stopped atomic.Bool
-	doneCh  chan struct{} // capacity 1; last finisher pings the orchestrator
+	doneCh  chan struct{} // capacity 1; last finisher pings the engine
 	wg      sync.WaitGroup
 }
 
-// newDomainRunner partitions sms contiguously across workers goroutines
-// (workers is clamped to len(sms)) and starts them parked. spins > 0
-// pins the barrier spin budget; <= 0 selects the adaptive controller
-// starting at DefaultBarrierSpins. prof may be nil.
-func newDomainRunner(sms []*sm.SM, workers, spins int, prof *perf.Profiler) *domainRunner {
+// newDomainRunner partitions sms contiguously across workers domains
+// (clamped to [1, len(sms)]) and starts the helpers parked. prof may
+// be nil.
+func newDomainRunner(sms []*sm.SM, workers int, prof *perf.Profiler) *domainRunner {
 	if workers > len(sms) {
 		workers = len(sms)
 	}
@@ -141,13 +103,7 @@ func newDomainRunner(sms []*sm.SM, workers, spins int, prof *perf.Profiler) *dom
 		workers = 1
 	}
 	r := &domainRunner{doneCh: make(chan struct{}, 1), prof: prof}
-	if spins > 0 {
-		r.fixedSpins = spins
-		r.spinBudget.Store(int64(spins))
-	} else {
-		r.spinBudget.Store(DefaultBarrierSpins)
-	}
-	if prof != nil {
+	if prof != nil && workers > 1 {
 		prof.EnsureShards(workers)
 	}
 	for wi := 0; wi < workers; wi++ {
@@ -159,48 +115,43 @@ func newDomainRunner(sms []*sm.SM, workers, spins int, prof *perf.Profiler) *dom
 			wakeCh: make(chan struct{}, 1),
 		})
 	}
-	for _, w := range r.workers {
+	for _, w := range r.workers[1:] {
 		r.wg.Add(1)
 		go r.run(w)
 	}
 	return r
 }
 
-// step runs a one-cycle epoch: every SM executes cycle c, in parallel,
-// and step returns the minimum wake bound across all SMs (the same
-// value the serial engine's min-fold computes).
-func (r *domainRunner) step(c int64) int64 { return r.stepSpan(c, c) }
-
-// stepSpan runs one epoch covering cycles from..to (inclusive): every
-// worker advances its SM shard across the whole span, staging all
-// outbound traffic, and stepSpan returns the minimum wake bound across
-// all SMs after their last cycle. On return all workers have finished,
-// so the orchestrator may touch any SM state until the next epoch.
-// Multi-cycle spans are only legal when no L1 fill, dispatch, or hook
-// can land inside the span — the lookahead planner's contract.
+// stepSpan runs one span covering cycles from..to (inclusive): every
+// domain advances its SMs across the whole span, staging all outbound
+// traffic, and stepSpan returns the minimum wake bound across all SMs
+// after their last cycle. The caller's goroutine runs the first domain
+// itself and then waits for the helpers, if there are any; on return
+// every domain has finished, so the caller may touch any SM state until
+// the next span. Multi-cycle spans are only legal when no unplanned L1
+// fill, dispatch, or hook can land inside the span — the planner's
+// contract.
 func (r *domainRunner) stepSpan(from, to int64) int64 {
-	r.from, r.to = from, to
-	r.pending.Store(int64(len(r.workers)))
-	r.epoch.Add(1)
-	for _, w := range r.workers {
-		select {
-		case w.wakeCh <- struct{}{}:
-		default:
+	helpers := r.workers[1:]
+	if len(helpers) > 0 {
+		r.from, r.to = from, to
+		r.pending.Store(int64(len(helpers)))
+		r.epoch.Add(1)
+		for _, w := range helpers {
+			select {
+			case w.wakeCh <- struct{}{}:
+			default:
+			}
 		}
 	}
-	budget := int(r.spinBudget.Load())
-	spins, parked := 0, false
-	for r.pending.Load() != 0 {
-		if spins < budget {
+	r.step(r.workers[0], from, to)
+	for spins := 0; r.pending.Load() != 0; {
+		if spins < barrierSpins {
 			spins++
 			runtime.Gosched()
 			continue
 		}
-		parked = true
 		<-r.doneCh // park; a stale token just re-checks the counter
-	}
-	if r.fixedSpins == 0 {
-		r.observeSpins(spins, parked, budget)
 	}
 	wake := sm.NoWake
 	for _, w := range r.workers {
@@ -211,52 +162,24 @@ func (r *domainRunner) stepSpan(from, to int64) int64 {
 	return wake
 }
 
-// observeSpins feeds the adaptive controller: one barrier took the
-// given number of yield rounds (a parked wait votes for twice the
-// budget it exhausted — the wait outlasted it by an unknown amount).
-// Every spinRetuneEvery observations the budget resets to twice the
-// window's p90, clamped, and the window restarts.
-func (r *domainRunner) observeSpins(spins int, parked bool, budget int) {
-	v := spins
-	if parked {
-		v = budget * 2
-	}
-	b := bits.Len(uint(v))
-	if b >= spinHistBuckets {
-		b = spinHistBuckets - 1
-	}
-	r.spinHist[b]++
-	r.spinObs++
-	if r.spinObs < spinRetuneEvery {
+// step takes one domain across the span on the calling goroutine.
+func (r *domainRunner) step(w *domainWorker, from, to int64) {
+	if r.prof == nil || len(r.workers) == 1 {
+		w.wake = w.stepSpan(from, to)
 		return
 	}
-	target := (r.spinObs*9 + 9) / 10 // ceil(0.9 * n): the p90 observation
-	seen, bound := 0, 0
-	for i, c := range r.spinHist {
-		seen += int(c)
-		r.spinHist[i] = 0
-		if bound == 0 && seen >= target {
-			bound = 1 << uint(i) // upper edge of the p90 bucket
-		}
-	}
-	r.spinObs = 0
-	next := 2 * bound
-	if next < minBarrierSpins {
-		next = minBarrierSpins
-	}
-	if next > maxBarrierSpins {
-		next = maxBarrierSpins
-	}
-	r.spinBudget.Store(int64(next))
+	t0 := r.prof.Now()
+	w.wake = w.stepSpan(from, to)
+	r.prof.RecordShardCompute(w.id, r.prof.Now()-t0)
 }
 
-// stop terminates the workers and waits for them to exit. Safe to call
+// stop terminates the helpers and waits for them to exit. Safe to call
 // more than once; the runner cannot be restarted.
 func (r *domainRunner) stop() {
 	if r.stopped.Swap(true) {
 		return
 	}
-	for _, w := range r.workers {
+	for _, w := range r.workers[1:] {
 		select {
 		case w.wakeCh <- struct{}{}:
 		default:
@@ -265,19 +188,17 @@ func (r *domainRunner) stop() {
 	r.wg.Wait()
 }
 
-// run is a worker's loop: wait for an epoch (or stop), step the owned
-// SMs across the epoch's span, fold their wake bounds, and report
-// completion.
+// run is a helper's loop: wait for a span (or stop), take the owned SMs
+// across it, and report completion.
 func (r *domainRunner) run(w *domainWorker) {
 	defer r.wg.Done()
 	last := int64(0)
 	for {
-		spins, budget := 0, int(r.spinBudget.Load())
-		for r.epoch.Load() == last {
+		for spins := 0; r.epoch.Load() == last; {
 			if r.stopped.Load() {
 				return
 			}
-			if spins < budget {
+			if spins < barrierSpins {
 				spins++
 				runtime.Gosched()
 				continue
@@ -285,15 +206,7 @@ func (r *domainRunner) run(w *domainWorker) {
 			<-w.wakeCh // park; a stale token just re-checks the epoch
 		}
 		last++
-		from, to := r.from, r.to
-		var t0 int64
-		if r.prof != nil {
-			t0 = r.prof.Now()
-		}
-		w.wake = w.stepSpan(from, to)
-		if r.prof != nil {
-			r.prof.RecordShardCompute(w.id, r.prof.Now()-t0)
-		}
+		r.step(w, r.from, r.to)
 		if r.pending.Add(-1) == 0 {
 			select {
 			case r.doneCh <- struct{}{}:
@@ -304,19 +217,19 @@ func (r *domainRunner) run(w *domainWorker) {
 }
 
 // stepSpan advances every owned SM from cycle from through to
-// (inclusive) and returns the minimum wake bound after the span. The
-// span is dispatch-free by the planner's contract and every fill that
-// lands inside it was planned onto the SM's L1 up front, so each SM
-// evolves on state its worker owns: before an SM's cycle at t the
-// worker delivers the planned fills due at t (the serial engine's
-// System.Cycle-before-SM.Cycle order), exactly while the SM still has
-// resident blocks — a drained SM issues nothing, so its remaining
-// fills are left for the barrier replay (memsys spanfill.go).
+// (inclusive), one SM after the other, and returns the minimum wake
+// bound after the span. The span is dispatch-free by the planner's
+// contract and every fill that lands inside it was planned onto the
+// SM's L1 up front, so each SM evolves on state its domain owns: before
+// an SM's cycle at t the domain delivers the planned fills due at t
+// (the System.Cycle-before-SM.Cycle order of a ticked cycle), exactly
+// while the SM still has resident blocks — a drained SM issues nothing,
+// so its remaining fills are left for the replay (memsys spanfill.go).
 //
 // When an SM reports it cannot act before some future cycle, the dead
 // cycles up to the earlier of that wake and the next planned fill are
 // credited to its stall buckets in bulk (AccountSkipped — the same
-// discipline fastForward applies across globally idle spans) and the
+// discipline fastForward applies across globally idle cycles) and the
 // SM next runs a real cycle there: a fill may unblock a load, so the
 // delivery cycle must be classified for real.
 func (w *domainWorker) stepSpan(from, to int64) int64 {

@@ -39,26 +39,43 @@ func waitGoroutines(t *testing.T, base int) {
 	}
 }
 
-// TestDomainRunnerLifecycle drives the runner through many epochs —
+// TestDomainRunnerLifecycle drives the runner through many spans —
 // enough to exercise both the yield-spin and the parked path of the
-// hybrid barrier on any machine — and checks that stepSMs matches the
-// serial fold, that teardown restores the goroutine count, and that
-// the staging plumbing is uninstalled afterwards.
+// hybrid barrier on any machine — and checks that the wake fold matches
+// the idle SMs', that one domain means zero goroutines, that teardown
+// restores the goroutine count, and that the staging plumbing is
+// uninstalled afterwards.
 func TestDomainRunnerLifecycle(t *testing.T) {
 	g := newIdleGPU(t, 8)
 	base := runtime.NumGoroutine()
 
-	g.startDomains(4)
-	if got := len(g.runner.workers); got != 4 {
-		t.Fatalf("runner has %d workers, want 4", got)
+	g.startDomains()
+	if got := len(g.runner.workers); got != 1 {
+		t.Fatalf("default runner has %d domains, want the one inline domain", got)
 	}
-	for c := int64(1); c <= 500; c++ {
-		if wake := g.stepSMs(c); wake != sm.NoWake {
-			t.Fatalf("idle epoch %d returned wake %d, want NoWake", c, wake)
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("one inline domain started %d goroutines", n-base)
+	}
+	if wake := g.runner.stepSpan(1, 3); wake != sm.NoWake {
+		t.Fatalf("inline idle span returned wake %d, want NoWake", wake)
+	}
+	g.stopDomains()
+
+	g.SMWorkers = 4
+	g.startDomains()
+	if got := len(g.runner.workers); got != 4 {
+		t.Fatalf("runner has %d domains, want 4", got)
+	}
+	if n := runtime.NumGoroutine(); n != base+3 {
+		t.Fatalf("4 domains run on %d helper goroutines, want 3 (the first is inline)", n-base)
+	}
+	for c := int64(4); c <= 500; c++ {
+		if wake := g.runner.stepSpan(c, c); wake != sm.NoWake {
+			t.Fatalf("idle span %d returned wake %d, want NoWake", c, wake)
 		}
 		if c%97 == 0 {
-			// Let workers fall off the spin path and park, so later
-			// epochs exercise the channel wakeup.
+			// Let helpers fall off the spin path and park, so later
+			// spans exercise the channel wakeup.
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
@@ -75,8 +92,9 @@ func TestDomainRunnerLifecycle(t *testing.T) {
 	}
 
 	// The plumbing is reusable: a second launch-scoped start/stop works.
-	g.startDomains(2)
-	if wake := g.stepSMs(501); wake != sm.NoWake {
+	g.SMWorkers = 2
+	g.startDomains()
+	if wake := g.runner.stepSpan(501, 520); wake != sm.NoWake {
 		t.Fatal("restarted runner returned a spurious wake")
 	}
 	g.stopDomains()
@@ -88,7 +106,7 @@ func TestDomainRunnerLifecycle(t *testing.T) {
 func TestDomainRunnerPartition(t *testing.T) {
 	g := newIdleGPU(t, 5)
 	for _, workers := range []int{1, 2, 3, 5, 9} {
-		r := newDomainRunner(g.sms, workers, 0, nil)
+		r := newDomainRunner(g.sms, workers, nil)
 		want := workers
 		if want > len(g.sms) {
 			want = len(g.sms)
@@ -114,20 +132,20 @@ func TestDomainRunnerPartition(t *testing.T) {
 	}
 }
 
-// TestDomainRunnerStopIdempotent: stop before any epoch, stop twice,
-// and stop racing a parked worker must all terminate cleanly.
+// TestDomainRunnerStopIdempotent: stop before any span, stop twice,
+// and stop racing a parked helper must all terminate cleanly.
 func TestDomainRunnerStopIdempotent(t *testing.T) {
 	g := newIdleGPU(t, 4)
 	base := runtime.NumGoroutine()
 
-	r := newDomainRunner(g.sms, 4, 0, nil)
+	r := newDomainRunner(g.sms, 4, nil)
 	r.stop()
 	r.stop() // second call is a no-op
 	waitGoroutines(t, base)
 
-	r = newDomainRunner(g.sms, 4, 0, nil)
-	r.step(1)
-	time.Sleep(2 * time.Millisecond) // workers fall through the spin path and park
+	r = newDomainRunner(g.sms, 4, nil)
+	r.stepSpan(1, 1)
+	time.Sleep(2 * time.Millisecond) // helpers fall through the spin path and park
 	r.stop()
 	r.stop()
 	waitGoroutines(t, base)

@@ -51,56 +51,38 @@ type GPU struct {
 	blockBase int // launch-unique block id offset for statistics
 	rr        int // round-robin SM pointer for block dispatch
 
-	// PerCycle, when set, is called after every simulated cycle
-	// (sampling hooks for timeline figures). Keep it cheap. Setting
-	// PerCycle disables idle-cycle fast-forwarding unless PerCycleWake
-	// also tells the engine when the hook next needs to observe the
-	// GPU, because an arbitrary hook may act on any cycle.
+	// PerCycle, when set, observes the GPU between spans (sampling hooks
+	// for timeline figures, checkpoint capture): it is called after the
+	// last cycle of every span, when staged traffic is committed and the
+	// device state is exactly what ticking through that cycle leaves
+	// behind. Keep it cheap. Without PerCycleWake every span is one
+	// cycle long — the hook sees every cycle — because an arbitrary
+	// hook may act on any of them.
 	PerCycle func(g *GPU, cycle int64)
 
 	// PerCycleWake, when set alongside PerCycle, returns the next cycle
-	// (> now) at which the PerCycle hook must run. The fast-forward
-	// engine clamps every skip to that cycle, so a cadenced sampler
-	// fires at exactly the cycles it fires at under the tick-every-cycle
-	// engine. Returning a value <= now forces ticking.
+	// (> now) at which the PerCycle hook must run. The engine ends a
+	// span (and every dead-cycle skip) at that cycle at the latest, so a
+	// cadenced sampler fires at exactly the cycles it asked for.
+	// Returning a value <= now means the very next cycle.
 	PerCycleWake func(now int64) int64
 
-	// DisableFastForward forces the tick-every-cycle engine. The
-	// event-driven engine (the default) produces byte-identical results
-	// — it only skips cycles in which no scheduler has an issuable warp
-	// and credits the stall accounting in bulk — so this switch exists
-	// for the equivalence tests and for debugging.
-	DisableFastForward bool
-
-	// SMWorkers, when greater than 1, runs each Launch on the parallel
-	// per-SM execution-domain engine: the SMs are sharded across that
-	// many goroutines advancing between single-cycle epoch barriers,
-	// with all shared-state traffic staged per SM and merged
-	// deterministically at each barrier (see domains.go). Results are
-	// byte-identical to the serial engine. Values <= 1 (the default)
-	// select the serial engine; values above NumSMs are clamped.
+	// SMWorkers is the number of domains that share each span: the SMs
+	// are sharded contiguously across that many domains, the first of
+	// which always runs on the caller's goroutine and the rest on
+	// goroutines that live for the launch (see domains.go). Values <= 1
+	// (the default) run every SM on the caller's goroutine with no
+	// barrier; values above NumSMs are clamped. Results are
+	// byte-identical at any setting.
 	//
-	// Callers that attach cross-SM shared observers (profiler taps,
-	// trace collectors) must leave this at 1; the harness gates those
-	// runs automatically.
+	// Callers that attach observers shared between SMs (profiler taps,
+	// trace collectors) must leave this at 1; the harness does so for
+	// them.
 	SMWorkers int
 
-	// BarrierSpins pins the parallel engine's barrier spin budget
-	// (scheduler yields before a waiter parks; see domains.go). Values
-	// <= 0 (the default) select the adaptive controller, which retunes
-	// the budget from observed barrier waits starting at
-	// DefaultBarrierSpins. Purely a host-performance knob: results are
-	// byte-identical at any setting.
-	BarrierSpins int
-
-	// Lookahead enables multi-cycle epochs on the parallel engine: once
-	// dispatch is exhausted, each barrier plans a safe horizon from the
-	// memory system's fill-free guarantee and runs the whole span as one
-	// epoch, replaying the staged traffic cycle by cycle at the barrier
-	// (see lookahead.go). Results stay byte-identical to every other
-	// engine; the switch only changes how often the engine barriers.
-	// Ignored by the serial engine (SMWorkers <= 1).
-	Lookahead bool
+	// ticked selects the tick-every-cycle reference loop (see
+	// UseTickedOracle).
+	ticked bool
 
 	// horizonSlack widens every planned horizon by this many cycles.
 	// Test hook only: a slack of +1 lets a test prove the byte-identity
@@ -108,19 +90,20 @@ type GPU struct {
 	// equivalence breaks).
 	horizonSlack int64
 
-	// Perf, when non-nil, self-profiles the engine: Launch brackets its
-	// orchestrator seams (memsys drain, dispatch, SM stepping, staged
-	// commit, fast-forward planning) with reads of the profiler's
-	// injected clock, and parallel launches additionally record each
-	// shard's per-epoch compute span. The clock is observational only —
+	// Perf, when non-nil, self-profiles the engine: every span brackets
+	// its seams (memsys drain, dispatch, horizon planning, SM stepping,
+	// staged replay, dead-cycle skipping) with reads of the profiler's
+	// injected clock, and multi-domain launches additionally record each
+	// domain's compute time per span. The clock is observational only —
 	// no engine control flow depends on a profiled duration — so
 	// results stay byte-identical with profiling on or off. When nil
 	// (the default) the only cost is one predictable branch per seam
 	// and the cycle path stays allocation-free (TestProfilerOffZeroCost).
 	Perf *perf.Profiler
 
-	// Parallel-engine plumbing, allocated lazily on the first parallel
-	// launch and installed onto the SMs only while one runs.
+	// Span plumbing: per-SM staging for outbound memory requests and
+	// global stores, allocated on the first launch and installed on the
+	// SMs only while one runs, and the launch's domains.
 	stages []*memsys.StageBuffer
 	logs   []*memory.StoreLog
 	runner *domainRunner
@@ -157,15 +140,20 @@ type launchState struct {
 	startL2Acc  uint64
 	startL2Miss uint64
 
-	// Block-retirement counters are per SM: under the parallel engine
-	// each counter is written only by the goroutine stepping its SM,
-	// and the orchestrator folds them between epochs (the barrier
-	// orders the accesses). The serial engine uses the same shape.
+	// Block-retirement counters are per SM: each counter is written
+	// only by the domain running its SM, and the engine folds them
+	// between spans (the span barrier orders the accesses).
 	retiredBy []int
 	// lastRetire records each SM's most recent block-retirement cycle:
-	// when a kernel completes inside a lookahead batch, the replay stops
-	// at the max — the serial engine's final cycle (see lookahead.go).
+	// when a kernel completes inside a span, the replay stops at the max
+	// — the launch's final cycle (see span.go).
 	lastRetire []int64
+
+	// dispatchStall is the retired-block count at the last failed block
+	// placement, -1 when none is remembered (a fresh or restored launch;
+	// not captured). SM capacity only changes when a block retires, so
+	// dispatch skips its scan until the count moves.
+	dispatchStall int
 }
 
 func (ls *launchState) retired() int {
@@ -251,32 +239,18 @@ type l1Snapshot struct {
 	loadAcc, storeAcc, loadMiss, storeMiss uint64
 }
 
-// cancelCheckMask bounds how stale a cancellation can go unnoticed on
-// the ticking path: ctx.Err is polled every cancelCheckMask+1 simulated
-// cycles (and at every fast-forward event boundary), so a cancelled
-// launch returns within that many real cycles of work.
-const cancelCheckMask = 1<<12 - 1
-
 // Launch runs one kernel to completion and returns its statistics.
 // Caches stay warm across launches; the cycle counter keeps advancing.
 //
 // Launch honors ctx: cancellation or deadline expiry aborts the run
-// with ctx's error (wrapped), checked every few thousand cycles on the
-// ticking path and at every event boundary of the fast-forward engine,
-// so a dead client never pins a worker for the rest of a long kernel.
-// A cancelled launch leaves the GPU in an undefined mid-kernel state;
-// callers must discard it (the harness builds a fresh GPU per run).
+// with ctx's error (wrapped), checked before every span and at every
+// event boundary of a dead-cycle skip, so a dead client never pins a
+// worker for the rest of a long kernel. A cancelled launch leaves the
+// GPU in an undefined mid-kernel state; callers must discard it (the
+// harness builds a fresh GPU per run).
 func (g *GPU) Launch(ctx context.Context, k *simt.Kernel) (*stats.Launch, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
-	}
-	// Fail a dead context up front: the in-loop poll only fires every
-	// cancelCheckMask+1 cycles, so a short kernel could otherwise run to
-	// completion under an already-cancelled context.
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("gpu: kernel %s aborted at cycle %d: %w", k.Name, g.cycle, err)
-		}
 	}
 	// Re-verify with the launch context only the GPU knows: the warp
 	// size sharpens the affine %warp/%lane ranges and the memory size
@@ -304,20 +278,15 @@ func (g *GPU) Launch(ctx context.Context, k *simt.Kernel) (*stats.Launch, error)
 	return g.run(ctx, g.initLaunch(k, warpsPerBlock))
 }
 
-// Resume re-enters the cycle loop of a launch restored by Restore. The
-// launch runs to completion on whichever engine this GPU is configured
-// for (the checkpoint boundary is engine-clean, so the restoring engine
-// may differ from the capturing one) and returns the launch statistics
-// exactly as the uninterrupted Launch would have.
+// Resume re-enters the span loop of a launch restored by Restore. The
+// launch runs to completion with whatever domain count this GPU is
+// configured for (a checkpoint is taken between spans, where no staged
+// traffic is pending, so the count may differ from the capturing run's)
+// and returns the launch statistics exactly as the uninterrupted Launch
+// would have.
 func (g *GPU) Resume(ctx context.Context) (*stats.Launch, error) {
 	if g.launch == nil {
 		return nil, fmt.Errorf("gpu: Resume without a restored launch")
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("gpu: kernel %s aborted at cycle %d: %w",
-				g.launch.k.Name, g.cycle, err)
-		}
 	}
 	return g.run(ctx, g.launch)
 }
@@ -333,6 +302,7 @@ func (g *GPU) initLaunch(k *simt.Kernel, warpsPerBlock int) *launchState {
 		l1snap:        make([]l1Snapshot, len(g.sms)),
 		retiredBy:     make([]int, len(g.sms)),
 		lastRetire:    make([]int64, len(g.sms)),
+		dispatchStall: -1,
 	}
 	for i, s := range g.sms {
 		ls.startInstr += s.Instructions
@@ -352,47 +322,38 @@ func (g *GPU) initLaunch(k *simt.Kernel, warpsPerBlock int) *launchState {
 	return ls
 }
 
-// run drives a launch (fresh or restored) to completion.
+// run drives a launch (fresh or restored) to completion, one span per
+// iteration (span.go). ctx is polled before every span: a span is at
+// most a memory round trip long, so a dead context costs that much work
+// at the most.
 func (g *GPU) run(ctx context.Context, ls *launchState) (*stats.Launch, error) {
 	g.launch = ls
 	defer func() { g.launch = nil }()
 	k := ls.k
 
-	if workers := g.smWorkers(); workers > 1 {
-		g.startDomains(workers)
+	if !g.ticked {
+		g.startDomains()
 		// Unconditional teardown: an aborted launch (cancellation,
 		// MaxCycles, a failed verify) must not leak domain goroutines
 		// or leave staging installed on the SMs.
 		defer g.stopDomains()
 	}
 
-	prof := g.Perf
 	for ls.retired() < ls.total {
-		g.cycle++
-		if g.cycle&cancelCheckMask == 0 && ctx != nil {
+		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("gpu: kernel %s aborted at cycle %d: %w", k.Name, g.cycle, err)
 			}
 		}
-		var t0 int64
-		if prof != nil {
-			t0 = prof.Now()
+		// wake is the conservative next cycle at which any SM can act on
+		// its own; sm.NoWake when every SM is idle or fully blocked on
+		// memory.
+		var wake int64
+		if g.ticked {
+			g.tick(ls)
+		} else {
+			wake = g.runSpan(ls)
 		}
-		g.sys.Cycle(g.cycle)
-		if prof != nil {
-			t1 := prof.Now()
-			prof.ObservePhase(perf.PhaseMemsysDrain, t1-t0)
-			t0 = t1
-		}
-		g.dispatch(k, &ls.nextBlock, ls.total, ls.warpsPerBlock)
-		if prof != nil {
-			prof.ObservePhase(perf.PhaseDispatch, prof.Now()-t0)
-		}
-		// wake is the conservative next cycle at which any SM can act
-		// on its own; sm.NoWake when every SM is idle or fully blocked
-		// on memory. Any SM with a ready warp returns g.cycle, pinning
-		// the engine to tick-every-cycle behavior for this cycle.
-		wake := g.stepSMs(g.cycle)
 		if g.PerCycle != nil {
 			g.PerCycle(g, g.cycle)
 		}
@@ -400,40 +361,20 @@ func (g *GPU) run(ctx context.Context, ls *launchState) (*stats.Launch, error) {
 			return nil, fmt.Errorf("gpu: kernel %s exceeded %d cycles (%d/%d blocks retired)",
 				k.Name, g.cfg.MaxCycles, ls.retired(), ls.total)
 		}
-		if wake > g.cycle && !g.DisableFastForward {
-			if prof != nil {
-				t0 = prof.Now()
-			}
+		if wake > g.cycle && ls.retired() < ls.total {
+			t0 := g.clock()
 			err := g.fastForward(ctx, wake, ls.startCycle)
-			if prof != nil {
-				// The whole planning call, including the memsys drains
-				// and real SM cycles it performs at event boundaries
-				// (nested seams record too; the taxonomy is in DESIGN.md).
-				prof.ObservePhase(perf.PhaseFastForward, prof.Now()-t0)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("gpu: kernel %s aborted at cycle %d: %w", k.Name, g.cycle, err)
-			}
-		} else if g.Lookahead && g.runner != nil && ls.nextBlock >= ls.total && ls.retired() < ls.total {
-			// Busy span on the parallel engine with dispatch exhausted:
-			// batch the cycles up to the next safe horizon into one
-			// epoch (lookahead.go). Brackets the whole call, planning
-			// plus epoch plus replay; nested seams record too.
-			if prof != nil {
-				t0 = prof.Now()
-			}
-			err := g.runBatch(ctx, ls.startCycle, ls.lastRetire, ls.retired, ls.total)
-			if prof != nil {
-				prof.ObservePhase(perf.PhaseLookahead, prof.Now()-t0)
-			}
+			// The whole skip, including the memsys drains it performs at
+			// event boundaries.
+			g.lap(perf.PhaseFastForward, &t0)
 			if err != nil {
 				return nil, fmt.Errorf("gpu: kernel %s aborted at cycle %d: %w", k.Name, g.cycle, err)
 			}
 		}
 	}
 
-	if prof != nil {
-		prof.AddSimCycles(g.cycle - ls.startCycle)
+	if g.Perf != nil {
+		g.Perf.AddSimCycles(g.cycle - ls.startCycle)
 	}
 	g.Spans = append(g.Spans, LaunchSpan{Kernel: k.Name, Start: ls.startCycle + 1, End: g.cycle})
 	out := &stats.Launch{Kernel: k.Name, Cycles: g.cycle - ls.startCycle}
@@ -460,28 +401,30 @@ func (g *GPU) run(ctx context.Context, ls *launchState) (*stats.Launch, error) {
 	return out, nil
 }
 
-// fastForward advances the cycle counter across a span in which no SM
+// fastForward advances the cycle counter across cycles in which no SM
 // can act: every scheduler's ready set is empty until smWake at the
 // earliest, so no policy state can change and dispatch is a no-op
-// (block capacity only frees when an SM issues). Dead cycles are
-// accumulated and credited to the warps' stall buckets in bulk
-// (AccountSkipped), keeping the per-warp accounting identities
-// byte-identical to the tick-every-cycle engine.
+// (block capacity only frees when an SM issues). It is what keeps a
+// stalled GPU cheap while blocks wait for dispatch and spans are one
+// cycle long; with dispatch exhausted it merely saves the span its
+// first tick. Dead cycles are accumulated and credited to the warps'
+// stall buckets in bulk (AccountSkipped), keeping the per-warp
+// accounting identities byte-identical to ticking every cycle.
 //
-// Memory-system events landing inside the span are processed at their
-// exact cycles, just as the ticking engine would: the engine jumps to
-// each event time, drains the event heap there, and keeps skipping
-// unless the drain delivered an L1 fill — the only event kind that can
-// change an SM scoreboard. On a fill the SMs run a real cycle at that
-// time (the unblocked warp may issue immediately), exactly mirroring
-// the ticking engine's sys.Cycle-before-sm.Cycle order.
+// Memory-system events landing inside the skip are processed at their
+// exact cycles: the engine jumps to each event time, drains the event
+// heap there, and keeps skipping unless the drain delivered an L1 fill
+// — the only event kind that can change an SM scoreboard. On a fill it
+// returns with the cycle counter just before the fill's cycle, and the
+// next span ticks the SMs there (its own drain of that cycle finds
+// nothing left).
 //
-// The skip horizon is clamped to the PerCycle hook's next observation
-// point and to the MaxCycles guard, so cadenced samplers fire at their
-// exact cycles and the runaway abort triggers at the identical cycle.
+// The skip is clamped to the PerCycle hook's next observation point and
+// to the MaxCycles guard, so cadenced samplers fire at their exact
+// cycles and the runaway abort triggers at the identical cycle.
 //
 // Cancellation is polled once per loop iteration — i.e. at every
-// memory-system event boundary and before every skip — so even a span
+// memory-system event boundary and before every skip — so even a skip
 // that jumps millions of dead cycles in O(1) observes a dead ctx
 // within one event's worth of work.
 func (g *GPU) fastForward(ctx context.Context, smWake, startCycle int64) error {
@@ -490,11 +433,11 @@ func (g *GPU) fastForward(ctx context.Context, smWake, startCycle int64) error {
 		limit = startCycle + g.cfg.MaxCycles + 1
 	}
 	// Dead cycles accumulate in pending and are credited lazily: the
-	// stall classification recorded by the last real SM cycle holds for
-	// the whole run of dead cycles, so one bulk AccountSkipped call
+	// stall classification recorded by each SM's last real cycle holds
+	// for the whole run of dead cycles, so one bulk AccountSkipped call
 	// equals per-cycle accounting.
 	pending := int64(0)
-	flush := func() { //cawalint:alloc-ok one closure per fastForward call, amortized over the skipped span
+	flush := func() { //cawalint:alloc-ok one closure per fastForward call, amortized over the skipped cycles
 		if pending > 0 {
 			for _, s := range g.sms {
 				s.AccountSkipped(pending)
@@ -529,7 +472,7 @@ func (g *GPU) fastForward(ctx context.Context, smWake, startCycle int64) error {
 		t := g.sys.NextEventTime()
 		if t < 0 || t >= horizon {
 			// No memory event before the horizon: skip straight to it.
-			// The main loop ticks the horizon cycle normally.
+			// The next span starts at the horizon cycle.
 			pending += horizon - g.cycle - 1
 			g.cycle = horizon - 1
 			flush()
@@ -537,43 +480,26 @@ func (g *GPU) fastForward(ctx context.Context, smWake, startCycle int64) error {
 		}
 		// Jump to the event cycle and drain the memory system there.
 		pending += t - g.cycle - 1
-		g.cycle = t
+		g.cycle = t - 1
 		fills := g.sys.FillsDelivered
 		g.sys.Cycle(t)
-		if g.sys.FillsDelivered == fills {
-			// Internal memory traffic only (L2/DRAM pipeline): no SM
-			// state changed, cycle t is dead for the SMs too.
-			pending++
-			continue
+		if g.sys.FillsDelivered != fills {
+			// A fill unblocked at least one load: cycle t is real.
+			flush()
+			return nil
 		}
-		// A fill unblocked at least one load: run a real SM cycle at t.
-		flush()
-		smWake = g.stepSMs(t)
-		if smWake <= t {
-			return nil // a warp issued (or could have): resume ticking
-		}
+		// Internal memory traffic only (L2/DRAM pipeline): no SM state
+		// changed, cycle t is dead for the SMs too.
+		pending++
+		g.cycle = t
 	}
 }
 
-// smWorkers resolves the engine choice for a launch: the configured
-// SMWorkers clamped to the SM count, with values <= 1 (and single-SM
-// configurations) selecting the serial engine.
-func (g *GPU) smWorkers() int {
-	w := g.SMWorkers
-	if w > len(g.sms) {
-		w = len(g.sms)
-	}
-	if w < 1 || len(g.sms) < 2 {
-		return 1
-	}
-	return w
-}
-
-// startDomains switches the GPU onto the parallel engine for one
-// launch: every SM gets a private stage buffer for outbound
-// memory-system requests and a private store log for functional
-// global-memory writes, and the domain runner's workers start parked.
-func (g *GPU) startDomains(workers int) {
+// startDomains readies the GPU for one launch of the span engine:
+// every SM gets a private stage buffer for outbound memory-system
+// requests and a private store log for functional global-memory
+// writes, and the launch's domains are built (helpers start parked).
+func (g *GPU) startDomains() {
 	if g.stages == nil {
 		g.stages = make([]*memsys.StageBuffer, len(g.sms))
 		g.logs = make([]*memory.StoreLog, len(g.sms))
@@ -586,84 +512,70 @@ func (g *GPU) startDomains(workers int) {
 		s.L1D().SetStaging(g.stages[i])
 		s.SetStoreLog(g.logs[i])
 	}
-	g.runner = newDomainRunner(g.sms, workers, g.BarrierSpins, g.Perf)
+	g.runner = newDomainRunner(g.sms, g.SMWorkers, g.Perf)
 }
 
-// stopDomains tears the parallel engine down: workers exit, any staged
-// residue is merged (clean exits have none; aborted launches discard
-// the GPU, but the memory system is left consistent either way), and
-// the SMs return to direct execution.
+// stopDomains ends the launch's domains and returns the SMs to direct
+// execution. Every span replays its own staged traffic, so nothing is
+// left to merge.
 func (g *GPU) stopDomains() {
 	g.runner.stop()
 	g.runner = nil
-	for i, s := range g.sms {
-		g.logs[i].Flush()
-		g.sys.Commit(g.stages[i])
+	for _, s := range g.sms {
 		s.L1D().SetStaging(nil)
 		s.SetStoreLog(nil)
 	}
 }
 
-// stepSMs advances every SM one cycle at time c and returns the
-// minimum conservative wake bound, on whichever engine the launch
-// selected. On the parallel engine the per-SM staging channels are
-// merged immediately after the epoch barrier, in SM-id order — the
-// deterministic merge that keeps the event heap's sequence numbers and
-// the functional memory image byte-identical to the serial engine
-// (see domains.go).
-func (g *GPU) stepSMs(c int64) int64 {
-	prof := g.Perf
-	if g.runner == nil {
-		var t0 int64
-		if prof != nil {
-			t0 = prof.Now()
-		}
-		wake := sm.NoWake
-		for _, s := range g.sms {
-			if w := s.Cycle(c); w < wake {
-				wake = w
-			}
-		}
-		if prof != nil {
-			prof.ObservePhase(perf.PhaseDomainCompute, prof.Now()-t0)
-		}
-		return wake
+// UseTickedOracle switches this GPU to the tick-every-cycle reference
+// loop: every cycle drains the memory system, dispatches, and ticks
+// every SM directly against the shared memory system — no spans, no
+// staging, no skipping. It exists so tests can prove the span engine
+// byte-identical to the simplest possible loop; no option, flag or
+// session setting reaches it.
+func (g *GPU) UseTickedOracle() { g.ticked = true }
+
+// tick is the reference loop's one cycle.
+func (g *GPU) tick(ls *launchState) {
+	g.cycle++
+	g.sys.Cycle(g.cycle)
+	g.placeBlocks(ls, g.cycle)
+	for _, s := range g.sms {
+		s.Cycle(g.cycle)
 	}
-	var t0 int64
-	if prof != nil {
-		t0 = prof.Now()
-	}
-	wake := g.runner.step(c)
-	var t1 int64
-	if prof != nil {
-		// One epoch: the barrier span folds into DomainCompute, the
-		// workers' recorded per-shard compute splits it into compute
-		// vs. barrier wait.
-		t1 = prof.Now()
-		prof.ObserveEpoch(t0, t1, len(g.runner.workers))
-	}
-	for i := range g.sms {
-		g.logs[i].Flush()
-		g.sys.Commit(g.stages[i])
-	}
-	if prof != nil {
-		prof.ObservePhase(perf.PhaseStagedCommit, prof.Now()-t1)
-	}
-	return wake
 }
 
-// dispatch hands out blocks breadth-first across SMs with capacity.
-func (g *GPU) dispatch(k *simt.Kernel, nextBlock *int, total, warpsPerBlock int) {
-	for *nextBlock < total {
+// dispatch hands pending blocks to SMs with capacity at cycle now.
+// Capacity only changes when a block retires, so after a failed
+// placement the scan over every SM's slots is skipped until the retired
+// count moves.
+func (g *GPU) dispatch(ls *launchState, now int64) {
+	if ls.nextBlock >= ls.total {
+		return
+	}
+	retired := ls.retired()
+	if retired == ls.dispatchStall {
+		return
+	}
+	g.placeBlocks(ls, now)
+	if ls.nextBlock < ls.total {
+		ls.dispatchStall = retired
+	}
+}
+
+// placeBlocks hands out blocks breadth-first across SMs with capacity
+// until the grid is exhausted or a block finds no room.
+func (g *GPU) placeBlocks(ls *launchState, now int64) {
+	for ls.nextBlock < ls.total {
 		placed := false
 		for i := 0; i < len(g.sms); i++ {
 			s := g.sms[(g.rr+i)%len(g.sms)]
 			if !s.CanAcceptBlock() {
 				continue
 			}
-			s.DispatchBlock(*nextBlock, g.nextGID, g.cycle)
-			g.nextGID += warpsPerBlock
-			*nextBlock++
+			s.DispatchBlock(ls.nextBlock, g.nextGID, now)
+			g.nextGID += ls.warpsPerBlock
+			ls.nextBlock++
 			g.rr = (g.rr + i + 1) % len(g.sms)
 			placed = true
 			break

@@ -48,10 +48,12 @@ func loopKernel(t *testing.T, mem *memory.Memory, iters int64) *simt.Kernel {
 }
 
 // TestProfilerOffZeroCost pins the profiling-off overhead at zero: with
-// g.Perf nil the orchestrator's cycle loop — memsys drain, dispatch, SM
-// stepping — must not allocate. This test drives the same per-cycle
-// sequence Launch runs (Launch itself cannot be stepped from outside)
-// after warming the kernel to steady state.
+// g.Perf nil the span loop on its one inline domain — head drain,
+// dispatch, horizon planning, span-fill delivery, SM stepping with
+// staging, replay — must not allocate. This test drives the same
+// runSpan sequence Launch runs (Launch itself cannot be stepped from
+// outside) after warming the kernel to steady state, first over the
+// planner's natural multi-cycle spans and then over one-cycle spans.
 func TestProfilerOffZeroCost(t *testing.T) {
 	mem := memory.New(1 << 21)
 	k := loopKernel(t, mem, 1<<20)
@@ -59,47 +61,42 @@ func TestProfilerOffZeroCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range g.sms {
-		s.SetKernel(k)
+	ls := g.initLaunch(k, k.WarpsPerBlock(g.cfg.WarpSize))
+	g.startDomains()
+	defer g.stopDomains()
+
+	for g.cycle < 20000 {
+		g.runSpan(ls)
 	}
-	warpsPerBlock := k.WarpsPerBlock(g.cfg.WarpSize)
-	nextBlock := 0
-	retired := 0
-	for _, s := range g.sms {
-		s.OnBlockDone = func(int, int64) { retired++ }
+	if ls.retired() > 0 {
+		t.Fatalf("kernel retired %d blocks during warmup; steady state not reached", ls.retired())
 	}
 
-	for i := 0; i < 20000; i++ {
-		g.cycle++
-		g.sys.Cycle(g.cycle)
-		g.dispatch(k, &nextBlock, k.GridDim, warpsPerBlock)
-		g.stepSMs(g.cycle)
+	issued := func() (n int64) {
+		for _, s := range g.sms {
+			n += s.Instructions
+		}
+		return n
 	}
-	if retired > 0 {
-		t.Fatalf("kernel retired %d blocks during warmup; steady state not reached", retired)
+	for _, mode := range []string{"multi-cycle spans", "one-cycle spans"} {
+		if mode == "one-cycle spans" {
+			g.PerCycle = func(*GPU, int64) {}
+		}
+		before, start := issued(), g.cycle
+		const spans = 2000
+		allocs := testing.AllocsPerRun(spans, func() { g.runSpan(ls) })
+		if allocs != 0 {
+			t.Errorf("%s with profiling off allocated %.2f objects/span, want 0", mode, allocs)
+		}
+		if issued() == before {
+			t.Errorf("%s: no instructions issued during the measured window (vacuous)", mode)
+		}
+		// AllocsPerRun makes one warm-up call on top of the measured runs.
+		if multi := g.cycle-start > spans+1; multi != (g.PerCycle == nil) {
+			t.Errorf("%s: %d spans covered %d cycles", mode, spans+1, g.cycle-start)
+		}
 	}
-
-	issued := int64(0)
-	for _, s := range g.sms {
-		issued += s.Instructions
-	}
-	allocs := testing.AllocsPerRun(2000, func() {
-		g.cycle++
-		g.sys.Cycle(g.cycle)
-		g.dispatch(k, &nextBlock, k.GridDim, warpsPerBlock)
-		g.stepSMs(g.cycle)
-	})
-	if allocs != 0 {
-		t.Errorf("cycle path with profiling off allocated %.2f objects/cycle, want 0", allocs)
-	}
-	after := int64(0)
-	for _, s := range g.sms {
-		after += s.Instructions
-	}
-	if after == issued {
-		t.Error("no instructions issued during the measured window (vacuous)")
-	}
-	if retired > 0 {
+	if ls.retired() > 0 {
 		t.Fatal("kernel finished during measurement; steady state was not sustained")
 	}
 }
@@ -112,10 +109,11 @@ func countingClock() perf.Clock {
 }
 
 // TestProfilerOnByteIdentical proves profiling is observational: the
-// same kernel, with and without a profiler attached, on both engines,
-// produces identical launch statistics and memory images — and the
-// profiled parallel run's report carries the per-shard compute/wait
-// breakdown the tuning workflow needs.
+// same kernel, with and without a profiler attached, on one domain and
+// on two, produces identical launch statistics and memory images — and
+// the profiled two-domain run's report carries the per-shard
+// compute/wait breakdown the tuning workflow needs, while the
+// one-domain run reports no barrier at all.
 func TestProfilerOnByteIdentical(t *testing.T) {
 	run := func(workers int, prof *perf.Profiler) ([]int64, interface{}) {
 		mem := memory.New(1 << 20)
@@ -178,40 +176,8 @@ func TestProfilerOnByteIdentical(t *testing.T) {
 			if len(r.Samples) == 0 {
 				t.Error("sampleEvery=1 parallel run produced no checkpoints")
 			}
-		} else if len(r.Shards) != 0 {
-			t.Errorf("serial run grew %d shards", len(r.Shards))
-		}
-	}
-}
-
-// TestBarrierSpinsKnob proves the spin budget is purely a host
-// performance knob: extreme settings produce byte-identical results.
-func TestBarrierSpinsKnob(t *testing.T) {
-	run := func(spins int) ([]int64, interface{}) {
-		mem := memory.New(1 << 20)
-		const n = 500
-		k, _, _, c := vecAddKernel(t, mem, n)
-		g, err := New(Options{Config: config.Small(), Memory: mem})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.SMWorkers = 2
-		g.BarrierSpins = spins
-		out, err := g.Launch(context.Background(), k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		img := make([]int64, n)
-		for i := range img {
-			img[i] = mem.Load(c + int64(i)*8)
-		}
-		return img, *out
-	}
-	baseImg, baseStats := run(0) // default
-	for _, spins := range []int{1, 100000} {
-		img, stats := run(spins)
-		if !reflect.DeepEqual(baseImg, img) || !reflect.DeepEqual(baseStats, stats) {
-			t.Fatalf("BarrierSpins=%d changed simulation output", spins)
+		} else if len(r.Shards) != 0 || r.Epochs != 0 {
+			t.Errorf("one inline domain reported %d shards and %d barriers", len(r.Shards), r.Epochs)
 		}
 	}
 }

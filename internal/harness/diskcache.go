@@ -16,7 +16,7 @@ import (
 // for persistent-cache keying. Bump it whenever a change can alter any
 // simulated number (timing model, scheduler, cache policy, workload
 // generators); purely structural or performance work that is proven
-// byte-identical (e.g. the fast-forward engine) does not bump it.
+// byte-identical (e.g. the span engine) does not bump it.
 // Stale disk-cache entries from older engine versions simply stop
 // matching and are re-simulated.
 const EngineVersion = "cawa-engine-6"

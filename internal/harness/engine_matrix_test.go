@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -10,16 +11,17 @@ import (
 )
 
 // engineMatrixConfig is the architecture the equivalence matrix runs
-// on: the quick 2-SM configuration widened to 4 SMs so the parallel
-// engine exercises real multi-domain merges (with 2 SMs one barrier
-// joins only two goroutines and the SM-id-ordered commit is trivial).
+// on: the quick 2-SM configuration widened to 4 SMs so the span engine
+// exercises real multi-domain merges (with 2 SMs one barrier joins only
+// two goroutines and the SM-id-ordered replay is trivial).
 func engineMatrixConfig() config.Config {
 	cfg := config.Small()
 	cfg.NumSMs = 4
 	return cfg
 }
 
-// matrixSystems are the design points every engine must agree on.
+// matrixSystems are the design points the engine must agree with the
+// oracle on.
 var matrixSystems = []struct {
 	name string
 	sc   core.SystemConfig
@@ -29,31 +31,35 @@ var matrixSystems = []struct {
 	{"cawa", core.CAWA()},
 }
 
-// TestEngineEquivalenceMatrix proves that every execution engine is a
-// pure wall-clock optimization. For each paper application on the
-// baseline, GTO and full-CAWA design points, every engine combination
-// must produce byte-identical results against the serial-ticked
-// reference:
+// oracleSession builds a session whose every run executes on the
+// tick-every-cycle reference loop (gpu.GPU.UseTickedOracle): one
+// goroutine, every SM ticked every cycle directly against the shared
+// memory system — no spans, no staging, no skipping.
+func oracleSession(cfg config.Config, params workloads.Params) *Session {
+	s := NewSession(cfg, params)
+	s.SetRunFunc(func(ctx context.Context, opt RunOptions) (*Result, error) {
+		opt.tickedOracle = true
+		return RunContext(ctx, opt)
+	})
+	return s
+}
+
+// TestEngineEquivalenceMatrix proves that the span engine is a pure
+// wall-clock optimization. For each paper application on the baseline,
+// GTO and full-CAWA design points, the engine must produce results
+// byte-identical to the ticked oracle at every domain count:
 //
-//	serial-ticked       one goroutine, every cycle stepped (the reference)
-//	serial-ff           event-driven idle-cycle fast-forwarding
-//	serial-la           lookahead requested on a serial session (the
-//	                    switch must be inert without the parallel engine)
-//	parallel-ticked     per-SM execution domains, every cycle stepped
-//	parallel-ff         execution domains + fast-forwarding
-//	parallel-ticked-la  execution domains + multi-cycle lookahead epochs
-//	parallel-ff-la      domains + fast-forwarding + lookahead epochs
+//	span-1  one inline domain: the caller's goroutine, no barrier (what
+//	        every cawabench/cawaserve run uses by default)
+//	span-2  two domains: the inline one plus one helper goroutine
+//	span-N  one domain per SM
 //
 // "Byte-identical" covers cycle counts, launch spans, every aggregate
 // counter, every per-warp record including the stall-cycle buckets
-// (bulk accounting during skipped spans, and the epoch-barrier
-// accounting of the parallel engine, must land each cycle in the same
-// bucket the reference chose), and the per-warp L1 tallies. Session
-// caching relies on this: the run cache is keyed on neither
-// DisableFastForward nor the SM-worker count.
-//
-// This grew out of TestFastForwardEquivalence, which compared only the
-// first two columns.
+// (bulk accounting across each SM's skipped cycles must land each cycle
+// in the same bucket the oracle chose), and the per-warp L1 tallies.
+// Session caching relies on this: the run cache is not keyed on the
+// domain count.
 func TestEngineEquivalenceMatrix(t *testing.T) {
 	apps := PaperApps
 	if testing.Short() {
@@ -62,35 +68,26 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 	if raceDetectorEnabled {
 		// The detector multiplies simulation cost ~20x, and the barrier
 		// and staging synchronization it audits is identical per app:
-		// two applications already drive every engine through thousands
-		// of epochs. The full byte-identity sweep runs without -race.
+		// two applications already drive the engine through thousands
+		// of spans. The full byte-identity sweep runs without -race.
 		apps = apps[:2]
 	}
 	cfg := engineMatrixConfig()
 	params := workloads.Params{Scale: 0.05, Seed: 3}
 
-	newEngineSession := func(ticked, parallel, lookahead bool) *Session {
-		s := NewSession(cfg, params)
-		s.DisableFastForward = ticked
-		s.Lookahead = lookahead
-		if parallel {
-			// Enough pool slots that every run gets NumSMs domains even
-			// on a single-CPU host (NewSession sizes to runtime.NumCPU).
-			s.SetWorkers(cfg.NumSMs).SMParallel(cfg.NumSMs)
-		}
-		return s
+	spanSession := func(domains int) *Session {
+		// Enough pool slots that every run gets its domains even on a
+		// single-CPU host (NewSession sizes to runtime.NumCPU).
+		return NewSession(cfg, params).SetWorkers(domains).SMParallel(domains)
 	}
-	ref := newEngineSession(true, false, false)
+	ref := oracleSession(cfg, params)
 	variants := []struct {
 		name    string
 		session *Session
 	}{
-		{"serial-ff", newEngineSession(false, false, false)},
-		{"serial-la", newEngineSession(true, false, true)},
-		{"parallel-ticked", newEngineSession(true, true, false)},
-		{"parallel-ff", newEngineSession(false, true, false)},
-		{"parallel-ticked-la", newEngineSession(true, true, true)},
-		{"parallel-ff-la", newEngineSession(false, true, true)},
+		{"span-1", spanSession(1)},
+		{"span-2", spanSession(2)},
+		{"span-N", spanSession(cfg.NumSMs)},
 	}
 
 	var keys []RunKey
@@ -127,7 +124,7 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 }
 
 // compareResults asserts the engine variant's result is byte-identical
-// to the serial-ticked reference.
+// to the reference.
 func compareResults(t *testing.T, name string, got, want *Result) {
 	t.Helper()
 	if got.Launches != want.Launches {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"cawa/internal/cache"
 	"cawa/internal/config"
 	"cawa/internal/core"
 	"cawa/internal/gpu"
@@ -31,14 +32,14 @@ func waitGoroutines(t *testing.T, base int) {
 	}
 }
 
-// TestParallelEngineCancel cancels a parallel-engine run from a
-// PerCycle hook mid-kernel and checks that the abort both honors the
-// bounded check cadence and releases every domain goroutine: the
-// runner's deferred stop must park-and-join all workers even though the
-// launch unwinds by error return, not by retiring its blocks.
+// TestParallelEngineCancel cancels a multi-domain run from a PerCycle
+// hook mid-kernel and checks that the abort lands before the next span
+// and releases every helper goroutine: the runner's deferred stop must
+// park-and-join all helpers even though the launch unwinds by error
+// return, not by retiring its blocks.
 func TestParallelEngineCancel(t *testing.T) {
 	const cancelAt = 2000
-	const checkCadence = 4096 // gpu.cancelCheckMask + 1
+	const checkCadence = 1 // ctx is polled before every span; this hook makes them one cycle long
 
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -68,9 +69,10 @@ func TestParallelEngineCancel(t *testing.T) {
 }
 
 // TestParallelSessionCancelThenRerun is TestSessionCancelThenRerun on
-// the parallel engine: a cancelled parallel run must evict its flight,
+// four domains: a cancelled multi-domain run must evict its flight,
 // leak no goroutines, and leave the session producing results
-// byte-identical to a serial session that never saw the cancellation.
+// byte-identical to a one-domain session that never saw the
+// cancellation.
 func TestParallelSessionCancelThenRerun(t *testing.T) {
 	app, sc := "bfs", core.CAWA()
 	cfg := engineMatrixConfig()
@@ -197,20 +199,27 @@ func TestSessionSharedWorkerBudget(t *testing.T) {
 	}
 }
 
-// TestParallelGatedSerialForSharedObservers: runs carrying cross-SM
-// shared observers must land on the serial engine even when the caller
-// asks for SM parallelism — those closures may share mutable state
-// between SMs, which only the serial engine may do. The gate is
-// observable on direct runs through the returned GPU: a gated run never
-// has SMWorkers assigned.
-func TestParallelGatedSerialForSharedObservers(t *testing.T) {
+// TestSharedObserversRunOnInlineDomain: runs carrying observers that
+// may share state between SMs must keep every SM on the caller's
+// goroutine even when the caller asks for several domains — and, being
+// the same engine, must still match the ticked oracle. One domain is
+// observable three ways: the returned GPU's SMWorkers, the goroutine
+// count seen from inside the run, and the taps themselves, which would
+// trip the race detector if two SMs ever ran concurrently.
+func TestSharedObserversRunOnInlineDomain(t *testing.T) {
 	opt := RunOptions{
 		Workload: "bfs", Params: cancelTestParams,
 		System: core.Baseline(), Config: engineMatrixConfig(),
 		SMWorkers: 4,
 	}
+	oracle := opt
+	oracle.tickedOracle = true
+	want, err := Run(oracle)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// No shared observer: the engine choice passes through.
+	// No shared observer: the domain count passes through.
 	plain, err := Run(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -218,32 +227,52 @@ func TestParallelGatedSerialForSharedObservers(t *testing.T) {
 	if plain.GPU.SMWorkers != 4 {
 		t.Errorf("plain run: GPU.SMWorkers = %d, want 4", plain.GPU.SMWorkers)
 	}
+	compareResults(t, "plain", plain, want)
 
-	// An AttachL1 tap forces the serial engine.
+	// An AttachL1 tap: one inline domain. The tap deliberately shares an
+	// unsynchronized counter between all SMs.
 	tapped := opt
-	taps := 0
-	tapped.AttachL1 = func(smID int, l1 *memsys.L1D) { taps++ }
+	base := runtime.NumGoroutine()
+	taps, accesses, peak := 0, 0, 0
+	tapped.AttachL1 = func(smID int, l1 *memsys.L1D) {
+		taps++
+		l1.AccessListener = func(cache.Request, bool) {
+			accesses++
+			if n := runtime.NumGoroutine(); n > peak {
+				peak = n
+			}
+		}
+	}
 	tr, err := Run(tapped)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if taps != tapped.Config.NumSMs {
-		t.Fatalf("tap called %d times, want %d", taps, tapped.Config.NumSMs)
+	if taps != tapped.Config.NumSMs || accesses == 0 {
+		t.Fatalf("tap attached %d times and saw %d accesses, want %d taps and traffic", taps, accesses, tapped.Config.NumSMs)
 	}
-	if tr.GPU.SMWorkers != 0 {
-		t.Errorf("tapped run: GPU.SMWorkers = %d, want 0 (serial gate)", tr.GPU.SMWorkers)
+	if tr.GPU.SMWorkers > 1 {
+		t.Errorf("tapped run: GPU.SMWorkers = %d, want one domain", tr.GPU.SMWorkers)
 	}
-	compareResults(t, "gated-serial", tr, plain)
+	if peak > base {
+		t.Errorf("tapped run had %d goroutines alive mid-span, baseline %d: the inline domain needs none", peak, base)
+	}
+	compareResults(t, "tapped", tr, want)
 
 	// The ccws scheduler auto-wires per-SM providers through shared
-	// closures (a ProviderOverride): also gated.
+	// closures (a ProviderOverride): one inline domain too.
 	ccws := opt
 	ccws.System = core.SystemConfig{Scheduler: "ccws"}
 	cr, err := Run(ccws)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cr.GPU.SMWorkers != 0 {
-		t.Errorf("ccws run: GPU.SMWorkers = %d, want 0 (serial gate)", cr.GPU.SMWorkers)
+	if cr.GPU.SMWorkers > 1 {
+		t.Errorf("ccws run: GPU.SMWorkers = %d, want one domain", cr.GPU.SMWorkers)
 	}
+	ccws.tickedOracle = true
+	cw, err := Run(ccws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareResults(t, "ccws", cr, cw)
 }

@@ -11,18 +11,20 @@ import (
 )
 
 // TestLookaheadSamplerSeriesBytes proves the observability cadence
-// survives multi-cycle epochs: a cadenced obs.Sampler wired through
-// PerCycle/PerCycleWake must produce byte-identical sampled series
-// under the lookahead engine, because the horizon planner clamps every
-// span to the sampler's next wake cycle. A missing clamp would shift
-// or drop samples, not just reorder them, so comparing the marshaled
+// survives multi-cycle spans: a cadenced obs.Sampler wired through
+// PerCycle/PerCycleWake must produce sampled series byte-identical to
+// the ticked oracle's on one domain and on one per SM, because the
+// horizon planner ends every span at the sampler's next wake cycle at
+// the latest and an SM that slept through the sampled cycle still shows
+// the state a real tick would have left. A missing clamp would shift or
+// drop samples, not just reorder them, so comparing the marshaled
 // series bytes is the sharpest check available.
 func TestLookaheadSamplerSeriesBytes(t *testing.T) {
 	cfg := config.Small()
 	cfg.NumSMs = 4
 	params := workloads.Params{Scale: 0.05, Seed: 3}
 
-	sample := func(parallel, lookahead bool) []byte {
+	sample := func(oracle bool, domains int) []byte {
 		t.Helper()
 		s := obs.NewSampler(nil, 50)
 		opt := RunOptions{
@@ -32,10 +34,8 @@ func TestLookaheadSamplerSeriesBytes(t *testing.T) {
 			Config:       cfg,
 			PerCycle:     s.OnCycle,
 			PerCycleWake: s.NextWake,
-			Lookahead:    lookahead,
-		}
-		if parallel {
-			opt.SMWorkers = cfg.NumSMs
+			SMWorkers:    domains,
+			tickedOracle: oracle,
 		}
 		if _, err := Run(opt); err != nil {
 			t.Fatal(err)
@@ -58,15 +58,11 @@ func TestLookaheadSamplerSeriesBytes(t *testing.T) {
 		return b
 	}
 
-	ref := sample(false, false)
-	la := sample(true, true)
-	if string(ref) != string(la) {
-		t.Fatal("sampled series diverge between the serial engine and the lookahead engine")
+	ref := sample(true, 1)
+	if inline := sample(false, 1); string(ref) != string(inline) {
+		t.Fatal("sampled series diverge between the ticked oracle and the span engine on one domain")
 	}
-	// The parallel engine without lookahead must agree too (regression
-	// anchor: the clamp is in the shared planner, not the batch path).
-	par := sample(true, false)
-	if string(ref) != string(par) {
-		t.Fatal("sampled series diverge between the serial and parallel engines")
+	if par := sample(false, cfg.NumSMs); string(ref) != string(par) {
+		t.Fatal("sampled series diverge between the ticked oracle and the span engine on one domain per SM")
 	}
 }

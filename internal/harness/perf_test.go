@@ -3,16 +3,16 @@ package harness
 import (
 	"testing"
 
-	"cawa/internal/config"
 	"cawa/internal/core"
 	"cawa/internal/workloads"
 )
 
 // TestProfilerEquivalence proves engine self-profiling is purely
-// observational at the harness level: a profiled session (serial and
-// parallel engines) produces results byte-identical to an unprofiled
-// reference, while its PerfReport carries the phase breakdown — and,
-// for parallel runs, the per-shard compute/barrier-wait split.
+// observational at the harness level: a profiled session (one domain —
+// "serial" — and one per SM — "parallel") produces results
+// byte-identical to an unprofiled reference, while its PerfReport
+// carries the phase breakdown — and, for multi-domain runs, the
+// per-shard compute/barrier-wait split.
 func TestProfilerEquivalence(t *testing.T) {
 	cfg := engineMatrixConfig()
 	params := workloads.Params{Scale: 0.05, Seed: 3}
@@ -84,27 +84,4 @@ func TestProfilerEquivalence(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestSessionBarrierSpins pins the session-level knob: runs launched
-// with an overridden spin budget stay byte-identical to the default.
-func TestSessionBarrierSpins(t *testing.T) {
-	cfg := config.Small()
-	cfg.NumSMs = 4
-	params := workloads.Params{Scale: 0.05, Seed: 3}
-	sys := core.Baseline()
-
-	ref := NewSession(cfg, params).SetWorkers(4).SMParallel(4)
-	tuned := NewSession(cfg, params).SetWorkers(4).SMParallel(4)
-	tuned.BarrierSpins = 1
-
-	rr, err := ref.Run("bfs", sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := tuned.Run("bfs", sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareResults(t, "barrier-spins-1", tr, rr)
 }

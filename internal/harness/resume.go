@@ -47,7 +47,7 @@ type WarmCheckpoint struct {
 // not checkpointable (e.g. the CCWS baseline) simply never yields a
 // checkpoint; the run itself is unaffected. Resume is exact: the
 // round-trip tests prove a restored run is byte-identical to an
-// uninterrupted one across the whole engine matrix.
+// uninterrupted one at every domain count.
 func RunCheckpointed(ctx context.Context, opt RunOptions, every int64, warm *WarmCheckpoint) (*Result, *WarmCheckpoint, error) {
 	if every <= 0 {
 		every = DefaultCheckpointEvery
@@ -100,7 +100,7 @@ func RunCheckpointed(ctx context.Context, opt RunOptions, every int64, warm *War
 		var w int64
 		if dead {
 			// Capture is off for the rest of the run; stop constraining
-			// the fast-forward engine.
+			// the engine's spans.
 			w = now + (1 << 40)
 		} else if w = nextCap; w <= now {
 			w = now + 1

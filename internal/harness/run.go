@@ -30,36 +30,21 @@ type RunOptions struct {
 	// AttachL1, when set, is called for every SM's L1D before the run
 	// (profiler taps).
 	AttachL1 func(smID int, l1 *memsys.L1D)
-	// PerCycle, when set, samples the GPU every cycle. Setting it
-	// disables idle-cycle fast-forwarding unless PerCycleWake is also
-	// provided (see gpu.GPU.PerCycle).
+	// PerCycle, when set, observes the GPU after every span of the
+	// engine — after every cycle unless PerCycleWake is also provided
+	// (see gpu.GPU.PerCycle).
 	PerCycle func(g *gpu.GPU, cycle int64)
-	// PerCycleWake, when set alongside PerCycle, tells the event-driven
-	// cycle engine the next cycle the hook must observe (for cadenced
-	// samplers: obs.Sampler.NextWake).
+	// PerCycleWake, when set alongside PerCycle, tells the engine the
+	// next cycle the hook must observe, so spans and dead-cycle skips
+	// end there (for cadenced samplers: obs.Sampler.NextWake).
 	PerCycleWake func(now int64) int64
-	// DisableFastForward forces the tick-every-cycle engine. Results
-	// are byte-identical either way; the switch exists for equivalence
-	// tests and debugging (see gpu.GPU.DisableFastForward).
-	DisableFastForward bool
-	// SMWorkers, when greater than 1, runs the simulation on the
-	// parallel per-SM execution-domain engine with that many domain
-	// goroutines (see gpu.GPU.SMWorkers). Results are byte-identical
-	// to the serial engine. Runs that attach cross-SM shared observers
-	// (AttachL1 taps, a ProviderOverride) are forced serial: those
-	// closures may share mutable state between SMs, which only the
-	// serial engine may do.
+	// SMWorkers is the number of domains that share each span of the
+	// engine (see gpu.GPU.SMWorkers): values above 1 run all but the
+	// first on goroutines of their own. Results are byte-identical at
+	// any value. Runs that attach observers which may share state
+	// between SMs (AttachL1 taps, a ProviderOverride) always run on one
+	// domain — the caller's goroutine — whatever this says.
 	SMWorkers int
-	// BarrierSpins pins the parallel engine's epoch-barrier spin
-	// budget (see gpu.GPU.BarrierSpins). 0 keeps the adaptive
-	// controller. Purely a host performance knob; results are
-	// byte-identical at any value.
-	BarrierSpins int
-	// Lookahead enables multi-cycle safe-horizon epochs on the parallel
-	// engine (see gpu.GPU.Lookahead). Results are byte-identical with
-	// it on or off; the switch only changes barrier frequency. Ignored
-	// by serial runs.
-	Lookahead bool
 	// Profiler, when non-nil, self-profiles the engine's wall-clock
 	// phases into the given accumulator (see gpu.GPU.Perf and
 	// internal/obs/perf). Observational only: simulation results are
@@ -67,6 +52,11 @@ type RunOptions struct {
 	Profiler *perf.Profiler
 	// SkipVerify skips the functional check against the Go reference.
 	SkipVerify bool
+
+	// tickedOracle runs the launch loop's tick-every-cycle reference
+	// instead of the span engine (gpu.GPU.UseTickedOracle). Reachable
+	// from this package's tests only.
+	tickedOracle bool
 
 	// SampleWarmup and SampleInterval enable SimPoint-style sampled
 	// simulation over the workload's launch sequence. Sampling is active
@@ -189,7 +179,7 @@ func RunContext(ctx context.Context, opt RunOptions) (*Result, error) {
 }
 
 // setupRun builds the workload, the GPU, and an empty Result for one
-// run, wiring every engine option. Shared by RunContext and the
+// run, wiring the hooks and the domain count. Shared by RunContext and the
 // checkpointed/resumable path (RunCheckpointedContext).
 func setupRun(opt *RunOptions) (workloads.Workload, *gpu.GPU, *Result, error) {
 	if opt.Params == (workloads.Params{}) {
@@ -231,16 +221,16 @@ func setupRun(opt *RunOptions) (workloads.Workload, *gpu.GPU, *Result, error) {
 	}
 	g.PerCycle = opt.PerCycle
 	g.PerCycleWake = opt.PerCycleWake
-	g.DisableFastForward = opt.DisableFastForward
-	g.BarrierSpins = opt.BarrierSpins
-	g.Lookahead = opt.Lookahead
 	g.Perf = opt.Profiler
-	// Engine selection. The serial gate is evaluated here, after the
-	// CCWS auto-wiring above, so a ccws run (whose per-SM providers are
-	// attached through shared closures) lands on the serial engine even
-	// when the caller asked for SM parallelism.
+	// Observers attached through caller closures may share state between
+	// SMs, so those runs keep every SM on the caller's goroutine.
+	// Evaluated after the CCWS auto-wiring above, whose per-SM providers
+	// are attached the same way.
 	if opt.AttachL1 == nil && opt.System.ProviderOverride == nil {
 		g.SMWorkers = opt.SMWorkers
+	}
+	if opt.tickedOracle {
+		g.UseTickedOracle()
 	}
 
 	res := &Result{Workload: opt.Workload, System: opt.System.Label(), GPU: g}

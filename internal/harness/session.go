@@ -70,10 +70,10 @@ type RunTiming struct {
 // on a bounded worker pool (default runtime.NumCPU), caches results,
 // and deduplicates concurrent requests for the same (app, design
 // point) so each cell simulates exactly once (singleflight). All
-// methods are safe for concurrent use. Each simulation is itself
-// single-threaded and fully self-contained (per-instance GPU, memory
-// image and workload RNG), so results are deterministic regardless of
-// worker count or completion order.
+// methods are safe for concurrent use. Each simulation is fully
+// self-contained (per-instance GPU, memory image and workload RNG), so
+// results are deterministic regardless of worker count or completion
+// order.
 type Session struct {
 	// Config is the simulated architecture; defaults to GTX480.
 	Config config.Config
@@ -83,30 +83,15 @@ type Session struct {
 	// iterate over (default: PaperApps). Reduced-scale tests use it to
 	// run a figure on a subset of benchmarks.
 	Apps []string
-	// DisableFastForward forces every run the session launches onto the
-	// tick-every-cycle engine. The event-driven engine produces
-	// byte-identical results (proven by TestEngineEquivalenceMatrix), so
-	// the result cache is deliberately not keyed on this switch.
-	DisableFastForward bool
 	// Disk, when non-nil, backs the in-memory result cache with a
 	// persistent content-addressed store: misses consult it before
 	// simulating, and fresh results are written through, so restarts and
 	// repeated campaigns skip re-simulation (see DiskCache).
 	Disk *DiskCache
-	// BarrierSpins overrides the parallel engine's epoch-barrier spin
-	// budget for every run the session launches (0 = default; see
-	// gpu.GPU.BarrierSpins). Results are byte-identical at any value,
-	// so the result cache is deliberately not keyed on it.
-	BarrierSpins int
-	// Lookahead enables multi-cycle safe-horizon epochs for every
-	// parallel run the session launches (see gpu.GPU.Lookahead).
-	// Results are byte-identical with it on or off, so the result cache
-	// is deliberately not keyed on it.
-	Lookahead bool
 	// SampleWarmup and SampleInterval apply sampled simulation to every
 	// run the session launches (see RunOptions.SampleWarmup). Unlike the
-	// engine switches above, sampling CHANGES the aggregate numbers, so
-	// the disk-cache key is extended with the sampling parameters when
+	// domain count (SMParallel), sampling CHANGES the aggregate numbers,
+	// so the disk-cache key is extended with the sampling parameters when
 	// active — sampled and full-detail campaigns never share entries.
 	// The in-memory cache needs no such keying: these fields are set
 	// before the session's first run and never changed.
@@ -120,7 +105,7 @@ type Session struct {
 	mu       sync.Mutex
 	cache    map[string]*flight
 	sem      chan struct{}
-	smpar    int // target SM-domain goroutines per run (<=1: serial)
+	smpar    int // target span domains per run (<=1: the caller's goroutine only)
 	profile  bool
 	perfAgg  *perf.Profiler // merged profile across runs; nil until profiling enabled
 	records  []obs.RunRecord
@@ -183,18 +168,18 @@ func (s *Session) Workers() int {
 	return cap(s.sem)
 }
 
-// SMParallel asks every run the session launches to use up to n
-// SM-domain goroutines (the parallel intra-run engine; results are
-// byte-identical, see gpu.GPU.SMWorkers). Values <= 1 disable it.
+// SMParallel asks every run the session launches to share its spans
+// between up to n domains (results are byte-identical, see
+// gpu.GPU.SMWorkers). Values <= 1 keep every run on one goroutine.
 //
 // Run-level and SM-level parallelism are budgeted from the same worker
 // pool: a run always holds its base slot and opportunistically claims
-// up to n-1 extra slots for its domain goroutines, returning them when
-// it finishes. Total concurrency therefore never exceeds Workers() —
-// when the pool is saturated by runs, every run degrades gracefully to
-// the serial engine, and when runs are scarce (the tail of a sweep,
-// a single cache-miss request in cawaserve) the idle slots accelerate
-// the runs still in flight.
+// up to n-1 extra slots for its helper domains, returning them when it
+// finishes. Total concurrency therefore never exceeds Workers() — when
+// the pool is saturated by runs, every run degrades gracefully to one
+// domain, and when runs are scarce (the tail of a sweep, a single
+// cache-miss request in cawaserve) the idle slots accelerate the runs
+// still in flight.
 func (s *Session) SMParallel(n int) *Session {
 	s.mu.Lock()
 	s.smpar = n
@@ -293,12 +278,6 @@ func (s *Session) simulateCore(ctx context.Context, opt RunOptions, warm *WarmCh
 	s.mu.Lock()
 	smpar := s.smpar
 	profile := s.profile
-	if opt.BarrierSpins == 0 {
-		opt.BarrierSpins = s.BarrierSpins
-	}
-	if s.Lookahead {
-		opt.Lookahead = true
-	}
 	if opt.SampleInterval == 0 {
 		opt.SampleWarmup = s.SampleWarmup
 		opt.SampleInterval = s.SampleInterval
@@ -313,9 +292,9 @@ func (s *Session) simulateCore(ctx context.Context, opt RunOptions, warm *WarmCh
 		return nil, nil, err
 	}
 	if extra > 0 {
-		// The run's engine width is however many slots the pool could
+		// The run's domain count is however many slots the pool could
 		// spare right now (>= 1). Results are byte-identical at any
-		// width, so the cache never keys on it.
+		// count, so the cache never keys on it.
 		opt.SMWorkers = held
 	}
 	if profile && opt.Profiler == nil {
@@ -449,10 +428,7 @@ func (s *Session) RunContext(ctx context.Context, app string, sc core.SystemConf
 		}
 	}
 
-	opt := RunOptions{
-		Workload: app, Params: s.Params, System: sc, Config: s.Config,
-		DisableFastForward: s.DisableFastForward,
-	}
+	opt := RunOptions{Workload: app, Params: s.Params, System: sc, Config: s.Config}
 	if disk == nil {
 		f.res, f.err = s.simulate(ctx, opt)
 	} else {
@@ -498,9 +474,6 @@ func (s *Session) RunUncached(opt RunOptions) (*Result, error) {
 	}
 	if opt.Config.NumSMs == 0 {
 		opt.Config = s.Config
-	}
-	if s.DisableFastForward {
-		opt.DisableFastForward = true
 	}
 	return s.simulate(context.Background(), opt)
 }

@@ -15,17 +15,20 @@ package lint
 // Root sets (DefaultInterOptions):
 //
 //   - CycleRoots: the per-cycle hot path. SM.Cycle and System.Cycle are
-//     the work of one simulated cycle; GPU.stepSMs and GPU.fastForward
-//     are the engine loops that drive them every cycle. GPU.Launch and
+//     the work of one simulated cycle; the span engine's planner
+//     (GPU.planHorizon, System.PlanSpanFills), span body
+//     (domainWorker.stepSpan), replay (GPU.replay — it visits every
+//     cycle the span covered) and dead-cycle skip (GPU.fastForward) are
+//     the loops that drive them. GPU.Launch, GPU.runSpan and
 //     GPU.dispatch are deliberately NOT roots: launch setup and block
 //     dispatch allocate by design (slices sized to the grid), and the
-//     dynamic witness for the invariant — sm.TestCyclePathAllocFree —
-//     measures exactly sys.Cycle+sm.Cycle in steady state.
-//   - DomainRoots: what a domain worker goroutine executes between
-//     epoch barriers (gpu/domains.go): the SM cycle plus the profiler
-//     taps. The runner machinery itself (channels, atomics, WaitGroup)
-//     is the sanctioned synchronization layer and is not reachable from
-//     these roots.
+//     dynamic witnesses for the invariant — sm.TestCyclePathAllocFree
+//     and gpu.TestProfilerOffZeroCost — measure exactly the cycle and
+//     span paths in steady state.
+//   - DomainRoots: what a domain executes during a span
+//     (gpu/domains.go): the SM cycle plus the profiler taps. The runner
+//     machinery itself (channels, atomics, WaitGroup) is the sanctioned
+//     synchronization layer and is not reachable from these roots.
 //   - StagedRoots: SM-domain code whose memory-system traffic must go
 //     through the L1D's staged interface. Call sites inside the memsys
 //     package are exempt — the L1D legitimately schedules events on the
@@ -86,27 +89,27 @@ func DefaultInterOptions() InterOptions {
 		CycleRoots: []string{
 			"(*cawa/internal/sm.SM).Cycle",
 			"(*cawa/internal/memsys.System).Cycle",
-			"(*cawa/internal/gpu.GPU).stepSMs",
-			"(*cawa/internal/gpu.GPU).fastForward",
-			// The lookahead engine's planner and batched-commit path run
-			// once per span, but a span replays every cycle it covered:
-			// the replay loop is as hot as the serial cycle loop.
 			"(*cawa/internal/gpu.GPU).planHorizon",
-			"(*cawa/internal/gpu.GPU).runBatch",
+			"(*cawa/internal/memsys.System).PlanSpanFills",
+			"(*cawa/internal/gpu.domainWorker).stepSpan",
+			"(*cawa/internal/gpu.GPU).replay",
+			"(*cawa/internal/gpu.GPU).fastForward",
+			// The profiler's per-span fold (runSpan calls it when on).
+			"(*cawa/internal/obs/perf.Profiler).ObserveEpoch",
 		},
 		DomainRoots: []string{
 			"(*cawa/internal/sm.SM).Cycle",
 			"(*cawa/internal/obs/perf.Profiler).Now",
 			"(*cawa/internal/obs/perf.Profiler).RecordShardCompute",
-			// The lookahead span body a worker goroutine executes,
-			// including the in-span fill deliveries it performs.
+			// The span body a domain executes, including the in-span fill
+			// deliveries it performs.
 			"(*cawa/internal/gpu.domainWorker).stepSpan",
 		},
 		StagedRoots: []string{
 			"(*cawa/internal/sm.SM).Cycle",
 			// Horizon planning must stay read-only against the System
-			// (SafeHorizon is the one sanctioned query), and the worker's
-			// span body must defer all System-side effects to the barrier
+			// (SafeHorizon is the one sanctioned query), and a domain's
+			// span body must defer all System-side effects to the span
 			// replay (memsys spanfill.go).
 			"(*cawa/internal/gpu.GPU).planHorizon",
 			"(*cawa/internal/gpu.domainWorker).stepSpan",

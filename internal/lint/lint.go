@@ -21,11 +21,11 @@
 //   - goroutine: `go` statements anywhere outside internal/harness,
 //     internal/serve, and the gpu domain runner (internal/gpu/domains.go,
 //     allowlisted per file) — concurrency lives in the harness
-//     scheduler, the HTTP serving layer, and the epoch-barrier engine,
-//     never elsewhere in the model.
+//     scheduler, the HTTP serving layer, and the span engine's helper
+//     domains, never elsewhere in the model.
 //   - memsys-mutation: direct memsys.System method calls from SM code
-//     (internal/sm). Under the parallel engine SM domains run
-//     concurrently and must reach the shared memory system only through
+//     (internal/sm). SMs run whole spans of cycles one after the
+//     other, or concurrently, and must reach the shared memory system only through
 //     their L1D, whose outbound traffic stages for a deterministic
 //     SM-id-ordered commit (see memsys/stage.go); construction-time
 //     NewL1D wiring is exempt.
@@ -158,10 +158,10 @@ func DefaultOptions() Options {
 
 // allowedSystemMethods are the memsys.System methods SM-domain and
 // span-planning code may call directly: construction-time wiring
-// (NewL1D) and the lookahead planner's read-only horizon query
+// (NewL1D) and the span planner's read-only horizon query
 // (SafeHorizon — it inspects the event heaps and mutates nothing).
 // Everything that runs per cycle must go through the L1D, which stages
-// its outbound traffic during parallel epochs.
+// its outbound traffic during spans.
 var allowedSystemMethods = map[string]bool{"NewL1D": true, "SafeHorizon": true}
 
 func hasPrefix(path string, prefixes []string) bool {

@@ -32,9 +32,12 @@ func (s *System) Cycle() {}
 // Schedule enqueues an event; staged SM-domain code must not reach it.
 func (s *System) Schedule(t int64) { s.n++ }
 
-// SafeHorizon is the read-only horizon query the lookahead planner is
+// SafeHorizon is the read-only horizon query the span planner is
 // allowed to call (allowedSystemMethods).
 func (s *System) SafeHorizon(now int64) int64 { return now + 1 }
+
+// PlanSpanFills hands the pending in-span fills to their L1s.
+func (s *System) PlanSpanFills(horizon int64) {}
 `,
 	"internal/sm/sm.go": `// Package sm is the SM stub for the mutant suite.
 package sm
@@ -87,24 +90,23 @@ type GPU struct {
 	sys *memsys.System
 }
 
-func (g *GPU) stepSMs() {
-	for _, s := range g.sms {
-		s.Cycle()
-	}
-}
+// replay mirrors the real span replay: the System drained cycle by
+// cycle on the engine's goroutine.
+func (g *GPU) replay() { g.sys.Cycle() }
 
 func (g *GPU) fastForward() {}
 
-// planHorizon mirrors the real lookahead planner: read-only against
-// the System through the sanctioned SafeHorizon query.
+// planHorizon mirrors the real span planner: read-only against the
+// System through the sanctioned SafeHorizon query.
 func (g *GPU) planHorizon(now int64) int64 { return g.sys.SafeHorizon(now) }
 
-// runBatch mirrors the real batched-commit path: one span stepped on
-// the workers, then the replay drains the System cycle by cycle.
-func (g *GPU) runBatch(w *domainWorker, now int64) {
+// runSpan mirrors the real span path: plan, one span stepped on the
+// domain, then the replay.
+func (g *GPU) runSpan(w *domainWorker, now int64) {
 	f := g.planHorizon(now)
+	g.sys.PlanSpanFills(f)
 	w.stepSpan(now+1, f-1)
-	g.sys.Cycle()
+	g.replay()
 }
 
 // domainWorker is the stub span executor.
@@ -112,7 +114,7 @@ type domainWorker struct {
 	sms []*sm.SM
 }
 
-// stepSpan advances the owned SMs across one lookahead span.
+// stepSpan advances the owned SMs across one span.
 func (w *domainWorker) stepSpan(from, to int64) {
 	for t := from; t <= to; t++ {
 		for _, s := range w.sms {
@@ -123,9 +125,8 @@ func (w *domainWorker) stepSpan(from, to int64) {
 
 // Run drives the stub engine.
 func (g *GPU) Run() {
-	g.stepSMs()
 	g.fastForward()
-	g.runBatch(&domainWorker{sms: g.sms}, 0)
+	g.runSpan(&domainWorker{sms: g.sms}, 0)
 }
 `,
 	"internal/checkpoint/checkpoint.go": `// Package checkpoint is a stub so the serialization roots resolve.
@@ -169,6 +170,9 @@ func (p *Profiler) Now() int64 { return p.now }
 
 // RecordShardCompute accounts one shard's compute time.
 func (p *Profiler) RecordShardCompute(shard int, cycles int64) { p.now += cycles }
+
+// ObserveEpoch folds one multi-domain span.
+func (p *Profiler) ObserveEpoch(start, end int64, workers int) { p.now = end }
 `,
 }
 
@@ -337,8 +341,8 @@ func (s *SM) Cycle() {
 	assertFindingID(t, findings, "domain-unsafe@cawa/internal/util.Notify#channel send")
 }
 
-// TestMutantPlanHorizonMutation seeds a System mutation in the
-// lookahead horizon planner: planning must stay read-only (SafeHorizon
+// TestMutantPlanHorizonMutation seeds a System mutation in the span
+// horizon planner: planning must stay read-only (SafeHorizon
 // is the one sanctioned query), and a direct Schedule call from gpu
 // code is invisible to the per-file rule (scoped to internal/sm), so
 // only the transitive rule rooted at planHorizon can catch it.
@@ -358,11 +362,9 @@ type GPU struct {
 	sys *memsys.System
 }
 
-func (g *GPU) stepSMs() {
-	for _, s := range g.sms {
-		s.Cycle()
-	}
-}
+// replay mirrors the real span replay: the System drained cycle by
+// cycle on the engine's goroutine.
+func (g *GPU) replay() { g.sys.Cycle() }
 
 func (g *GPU) fastForward() {}
 
@@ -372,11 +374,12 @@ func (g *GPU) planHorizon(now int64) int64 {
 	return g.sys.SafeHorizon(now)
 }
 
-// runBatch mirrors the real batched-commit path.
-func (g *GPU) runBatch(w *domainWorker, now int64) {
+// runSpan mirrors the real span path.
+func (g *GPU) runSpan(w *domainWorker, now int64) {
 	f := g.planHorizon(now)
+	g.sys.PlanSpanFills(f)
 	w.stepSpan(now+1, f-1)
-	g.sys.Cycle()
+	g.replay()
 }
 
 // domainWorker is the stub span executor.
@@ -384,7 +387,7 @@ type domainWorker struct {
 	sms []*sm.SM
 }
 
-// stepSpan advances the owned SMs across one lookahead span.
+// stepSpan advances the owned SMs across one span.
 func (w *domainWorker) stepSpan(from, to int64) {
 	for t := from; t <= to; t++ {
 		for _, s := range w.sms {
@@ -395,9 +398,8 @@ func (w *domainWorker) stepSpan(from, to int64) {
 
 // Run drives the stub engine.
 func (g *GPU) Run() {
-	g.stepSMs()
 	g.fastForward()
-	g.runBatch(&domainWorker{sms: g.sms}, 0)
+	g.runSpan(&domainWorker{sms: g.sms}, 0)
 }
 `,
 	})
@@ -406,9 +408,9 @@ func (g *GPU) Run() {
 }
 
 // TestMutantStepSpanChannel seeds a channel send in the span body a
-// domain worker goroutine executes: the epoch barrier must be the only
-// synchronization, and stepSpan joining the domain-unsafe root set is
-// what makes the gate see worker-side span code at all.
+// domain executes: the span barrier must be the only synchronization,
+// and stepSpan joining the domain-unsafe root set is what makes the
+// gate see domain-side span code at all.
 func TestMutantStepSpanChannel(t *testing.T) {
 	findings := analyzeMutant(t, map[string]string{
 		"internal/gpu/gpu.go": `// Package gpu is a stub so the engine-loop roots resolve.
@@ -425,22 +427,21 @@ type GPU struct {
 	sys *memsys.System
 }
 
-func (g *GPU) stepSMs() {
-	for _, s := range g.sms {
-		s.Cycle()
-	}
-}
+// replay mirrors the real span replay: the System drained cycle by
+// cycle on the engine's goroutine.
+func (g *GPU) replay() { g.sys.Cycle() }
 
 func (g *GPU) fastForward() {}
 
-// planHorizon mirrors the real lookahead planner.
+// planHorizon mirrors the real span planner.
 func (g *GPU) planHorizon(now int64) int64 { return g.sys.SafeHorizon(now) }
 
-// runBatch mirrors the real batched-commit path.
-func (g *GPU) runBatch(w *domainWorker, now int64) {
+// runSpan mirrors the real span path.
+func (g *GPU) runSpan(w *domainWorker, now int64) {
 	f := g.planHorizon(now)
+	g.sys.PlanSpanFills(f)
 	w.stepSpan(now+1, f-1)
-	g.sys.Cycle()
+	g.replay()
 }
 
 // domainWorker is the stub span executor.
@@ -461,9 +462,8 @@ func (w *domainWorker) stepSpan(from, to int64) {
 
 // Run drives the stub engine.
 func (g *GPU) Run() {
-	g.stepSMs()
 	g.fastForward()
-	g.runBatch(&domainWorker{sms: g.sms}, 0)
+	g.runSpan(&domainWorker{sms: g.sms}, 0)
 }
 `,
 	})

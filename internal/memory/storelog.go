@@ -1,23 +1,19 @@
 package memory
 
-// StoreLog defers one SM domain's global-memory stores until the
-// orchestrator's barrier flush. The parallel engine gives every SM a
-// private log: during an epoch SMs only *read* the shared Memory
-// (concurrent reads are safe), stores append here stamped with the
-// emitting cycle, and the orchestrator flushes the logs in SM-id order
-// at the barrier — one-cycle epochs with Flush, multi-cycle lookahead
-// epochs cycle by cycle with FlushThrough — reproducing the serial
-// engine's cycle → SM-id → program write order exactly.
+// StoreLog defers one SM's global-memory stores until the span engine's
+// replay. Every SM gets a private log: while a span runs, SMs only
+// *read* the shared Memory (concurrent reads are safe), stores append
+// here stamped with the emitting cycle, and the replay flushes the logs
+// cycle by cycle, in SM-id order (FlushThrough) — the cycle → SM-id →
+// program write order of a tick-every-cycle run.
 //
 // Loads forward from the log (newest entry first) before falling back
 // to the backing Memory, so a warp observes its own SM's earlier
-// unflushed stores just as it would under the serial engine. Stores
-// from *other* SMs become visible only after the barrier — up to a
-// horizon's worth of cycles later under lookahead; DESIGN.md
-// ("Parallel intra-run engine", "Lookahead epochs") argues why that
-// relaxation is unobservable for the ported workloads, and the
-// engine-equivalence matrix verifies it byte-for-byte on every
-// app × scheduler cell.
+// unflushed stores. Stores from *other* SMs become visible only after
+// the replay — up to a horizon's worth of cycles later; DESIGN.md
+// ("Span engine") argues why that relaxation is unobservable for the
+// ported workloads, and the engine-equivalence matrix verifies it
+// byte-for-byte on every app × scheduler cell.
 type StoreLog struct {
 	mem    *Memory
 	cycle  int64   // stamp applied to subsequent Stores (SetCycle)
@@ -41,16 +37,16 @@ func (l *StoreLog) SetCycle(c int64) { l.cycle = c }
 // word like Memory.Store would, so forwarding matches on the same
 // cells a direct store would have written.
 func (l *StoreLog) Store(addr, v int64) {
-	l.addrs = append(l.addrs, addr&^(WordBytes-1)) //cawalint:alloc-ok amortized: cleared by Flush, capacity reused across epochs
+	l.addrs = append(l.addrs, addr&^(WordBytes-1)) //cawalint:alloc-ok amortized: cleared by FlushThrough, capacity reused across spans
 	l.vals = append(l.vals, v)
-	l.cycles = append(l.cycles, l.cycle) //cawalint:alloc-ok amortized: cleared by Flush, capacity reused across epochs
+	l.cycles = append(l.cycles, l.cycle) //cawalint:alloc-ok amortized: cleared by FlushThrough, capacity reused across spans
 }
 
 // Load returns the value a load at addr observes: the newest deferred
 // store to the same word, or the backing memory's current value. The
 // scan covers the whole log including the flushed prefix — those
 // entries already equal the backing memory, so forwarding from them is
-// harmless — and stays cheap: a log holds at most one epoch's stores
+// harmless — and stays cheap: a log holds at most one span's stores
 // from one SM.
 func (l *StoreLog) Load(addr int64) int64 {
 	a := addr &^ (WordBytes - 1)
@@ -62,19 +58,10 @@ func (l *StoreLog) Load(addr int64) int64 {
 	return l.mem.Load(addr)
 }
 
-// Flush applies all remaining deferred stores to the backing memory in
-// store order and empties the log.
-func (l *StoreLog) Flush() {
-	for i := l.head; i < len(l.addrs); i++ {
-		l.mem.Store(l.addrs[i], l.vals[i])
-	}
-	l.reset()
-}
-
-// FlushThrough applies the deferred stores emitted at cycles <= c and
-// leaves later ones pending. The lookahead engine's barrier replay
-// calls it per simulated cycle, per SM in id order. Once the log
-// drains completely its storage is reset for reuse.
+// FlushThrough applies the deferred stores emitted at cycles <= c to
+// the backing memory in store order and leaves later ones pending. The
+// span replay calls it per simulated cycle, per SM in id order. Once
+// the log drains completely its storage is reset for reuse.
 func (l *StoreLog) FlushThrough(c int64) {
 	for l.head < len(l.addrs) {
 		if l.cycles[l.head] > c {

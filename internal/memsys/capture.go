@@ -271,6 +271,7 @@ func (l *L1D) Restore(st L1DState) error {
 			tokens: append([]int64(nil), ms.Tokens...),
 		}
 	}
+	l.mut++
 	l.plan = l.plan[:0]
 	l.planHead = 0
 	l.recs = l.recs[:0]

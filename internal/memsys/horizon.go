@@ -1,15 +1,15 @@
 package memsys
 
-// Safe-horizon support for the lookahead engine (internal/gpu
-// lookahead.go): the parallel engine batches multiple cycles into one
-// epoch when it can prove the span is safe to run without orchestrator
-// intervention.
+// Safe-horizon support for the span engine (internal/gpu span.go): the
+// engine runs each SM across a multi-cycle span when it can prove no
+// SM needs anything from another SM or from the shared memory system
+// until the span ends.
 //
 // A span is safe when every L1 fill that lands inside it is already
 // pending in the event heap when the span is planned — those fills are
-// extracted up front (PlanSpanFills) and delivered by the domain
-// workers at their exact cycles (spanfill.go), so the only fills the
-// plan must exclude are ones the span itself could *create*:
+// extracted up front (PlanSpanFills) and delivered by the SMs' domains
+// at their exact cycles (spanfill.go), so the only fills the plan must
+// exclude are ones the span itself could *create*:
 //
 //  1. An access issued during the span (earliest: now+1) reaches its
 //     L2 bank after the interconnect hop and can fill no earlier than
@@ -27,7 +27,7 @@ package memsys
 //     (Dirty-victim writebacks are stores and never fill.)
 //
 // The internals heap mirrors the pending non-fill event times so bound
-// 2 is O(1) to read. DESIGN.md ("Lookahead epochs") carries the full
+// 2 is O(1) to read. DESIGN.md ("Span engine") carries the full
 // argument.
 
 // timeHeap is a min-heap of event times. Times are pushed when their
@@ -85,11 +85,13 @@ func (h *timeHeap) popMin() {
 
 // SafeHorizon returns the earliest future cycle at which a fill that
 // is NOT already pending in the event heap could be delivered to an
-// L1, given the state at cycle now with all events due <= now already
-// processed. Cycles now+1 .. SafeHorizon(now)-1 are safe to run as one
-// batched epoch once the already-pending fills have been extracted
-// with PlanSpanFills for in-span delivery by the domain workers; the
-// horizon cycle itself must be ticked normally.
+// L1, given that no SM has issued an access after cycle now and every
+// event due <= now has been processed (processing the events due at
+// now+1 as well, as the span engine does before it plans, only moves
+// bound 2 later). Cycles now+1 .. SafeHorizon(now)-1 are safe to run as
+// one span once the already-pending fills have been extracted with
+// PlanSpanFills for in-span delivery; the horizon cycle starts the
+// next span.
 func (s *System) SafeHorizon(now int64) int64 {
 	h := now + 1 + int64(s.cfg.L2Latency)
 	if len(s.internals) > 0 {

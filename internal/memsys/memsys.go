@@ -167,7 +167,7 @@ type System struct {
 	DRAMWrites uint64
 
 	// FillsDelivered counts L1 fills that completed an outstanding miss
-	// (stale fills excluded). The event-driven cycle engine compares it
+	// (stale fills excluded). The engine's dead-cycle skip compares it
 	// across a Cycle call to learn whether any SM scoreboard may have
 	// changed — every other event kind is internal to the memory system.
 	FillsDelivered uint64
@@ -212,10 +212,10 @@ func (s *System) Cycle(now int64) {
 			s.internals.popMin()
 			s.dramDone(e)
 		case evL1Fill:
-			// A fill a lookahead span already delivered (spanfill.go)
-			// carries a record of its deferred System-side effects;
-			// apply those at exactly this pop position. Everything else
-			// is a full delivery.
+			// A fill a span already delivered (spanfill.go) carries a
+			// record of its deferred System-side effects; apply those at
+			// exactly this pop position. Everything else is a full
+			// delivery.
 			if rec, ok := e.l1.takeSpanFill(e.time, e.addr); ok {
 				s.commitSpanFill(e.l1, rec)
 			} else {
@@ -344,11 +344,16 @@ type L1D struct {
 	free   []*mshrEntry // retired MSHR entries, recycled with their token arrays
 	fill   FillHandler
 	cfgref config.CacheConfig
-	stage  *StageBuffer // parallel-epoch staging; nil schedules directly
+	stage  *StageBuffer // span staging; nil schedules directly
 
-	// Lookahead span-fill state (spanfill.go): fills planned for
-	// in-span delivery by the owning domain worker, and the records of
-	// their deferred System-side effects the barrier replay consumes.
+	// mut counts mutations of the tag array and the MSHR table, the two
+	// structures CanAccept reads: a "no" stays "no" while it stands
+	// still (see Mutations).
+	mut uint64
+
+	// Span-fill state (spanfill.go): fills planned for in-span delivery
+	// by the owning domain, and the records of their deferred
+	// System-side effects the span replay consumes.
 	plan     []plannedFill
 	planHead int
 	recs     []spanFill
@@ -417,6 +422,7 @@ func (l *L1D) AccessLoad(req cache.Request, token int64, now int64) Outcome {
 		l.LoadAccesses++
 		l.WarpAccesses[int32(req.Warp)]++
 		l.LoadMisses++
+		l.mut++
 		entry.tokens = append(entry.tokens, token) //cawalint:alloc-ok amortized growth of the pooled MSHR entry's token buffer
 		if l.AccessListener != nil {
 			l.AccessListener(req, false)
@@ -442,6 +448,7 @@ func (l *L1D) AccessLoad(req cache.Request, token int64, now int64) Outcome {
 		entry.tokens[0] = token
 	}
 	l.mshr[line] = entry
+	l.mut++
 	l.emitL2(now, line, req)
 	if l.AccessListener != nil {
 		l.AccessListener(req, false)
@@ -480,13 +487,14 @@ func (l *L1D) handleFill(lineAddr int64, now int64) {
 		return // stale fill (e.g. store forwarding); nothing waits on it
 	}
 	delete(l.mshr, lineAddr)
+	l.mut++
 	l.sys.FillsDelivered++
 	ev := l.cache.Fill(entry.req)
 	if ev.Valid && ev.Dirty {
 		// Write the dirty victim back to L2 (bandwidth only). Scheduled
 		// directly, never staged: handleFill only runs inside the
-		// orchestrator's serial System.Cycle, and its sequence number
-		// must precede the cycle's SM accesses (see stage.go).
+		// engine's serial System.Cycle, and its sequence number must
+		// precede the cycle's SM accesses (see stage.go).
 		wb := cache.Request{Addr: ev.Addr, Write: true}
 		l.sys.schedule(now+l.sys.icntLat, evL2Arrive, ev.Addr, l, wb)
 	}
@@ -521,6 +529,12 @@ func (l *L1D) CanAccept(lines []int64) bool {
 	}
 	return len(l.mshr)+newEntries <= l.cfgref.MSHRs
 }
+
+// Mutations counts the changes made so far to the tag array and the
+// MSHR table (accepted misses, fills, Restore). CanAccept is a pure
+// function of those two structures, so a caller that got "no" may keep
+// the answer until the count moves instead of probing again.
+func (l *L1D) Mutations() uint64 { return l.mut }
 
 // MSHROccupancy returns the number of in-flight miss lines.
 func (l *L1D) MSHROccupancy() int { return len(l.mshr) }

@@ -115,3 +115,97 @@ func TestLatencyBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestCanAcceptFlipsOnlyWithMutation is the contract the SM's reject
+// memo rests on: CanAccept is a pure function of the tag array and the
+// MSHR table, and Mutations counts every change to either, so a "no"
+// can only turn into a "yes" if the count moved in between. The driver
+// mixes loads, stores and both fill paths (a direct handleFill from
+// System.Cycle, and the span engine's PlanSpanFills / DeliverSpanFills
+// pair) and watches a handful of line groups across every step. A fill
+// path that forgets to bump the counter fails here on the first fill
+// that frees an MSHR entry.
+func TestCanAcceptFlipsOnlyWithMutation(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := config.Small()
+		cfg.L1D.MSHRs = 3
+		cfg.L1D.MSHRTargets = 2
+		s := New(cfg)
+		l1 := s.NewL1D(cache.LRU{}, nil)
+
+		groups := make([][]int64, 12)
+		for i := range groups {
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				groups[i] = append(groups[i], int64(rng.Intn(48))*128)
+			}
+		}
+		type seen struct {
+			ok  bool
+			mut uint64
+		}
+		last := make([]seen, len(groups))
+		flips := 0
+		check := func() bool {
+			for i, g := range groups {
+				now := seen{l1.CanAccept(g), l1.Mutations()}
+				if now.ok && !last[i].ok && now.mut == last[i].mut {
+					t.Logf("seed %d: CanAccept(%v) went from no to yes at mutation count %d", seed, g, now.mut)
+					return false
+				}
+				if now.ok && !last[i].ok {
+					flips++
+				}
+				last[i] = now
+			}
+			return true
+		}
+		for i := range groups {
+			last[i] = seen{l1.CanAccept(groups[i]), l1.Mutations()}
+		}
+
+		now := int64(0)
+		for i := 0; i < 2000; i++ {
+			now++
+			if rng.Intn(8) == 0 {
+				// A short span: planned fills delivered by the "domain",
+				// their System half applied by the replay.
+				end := now + int64(rng.Intn(40))
+				s.PlanSpanFills(end + 1)
+				for ; now <= end; now++ {
+					l1.DeliverSpanFills(now)
+					if !check() {
+						return false
+					}
+				}
+				now = end
+				for c := end - 40; c <= end; c++ {
+					s.Cycle(c)
+				}
+				l1.ResetSpanFills()
+			} else {
+				s.Cycle(now)
+			}
+			if !check() {
+				return false
+			}
+			addr := int64(rng.Intn(48)) * 128
+			if rng.Intn(5) == 0 {
+				l1.AccessStore(cache.Request{Addr: addr, Warp: 1}, now)
+			} else {
+				l1.AccessLoad(cache.Request{Addr: addr, Warp: 1}, int64(i), now)
+			}
+			if !check() {
+				return false
+			}
+		}
+		if flips == 0 {
+			t.Logf("seed %d: no refusal ever lifted; the driver exercised nothing", seed)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -2,33 +2,33 @@ package memsys
 
 import "cawa/internal/cache"
 
-// In-span fill delivery for the lookahead engine.
+// In-span fill delivery for the span engine (internal/gpu).
 //
 // Every fill that lands inside a planned span is already pending in
 // the event heap when the span is planned (horizon.go proves the span
-// cannot create an earlier one), so the orchestrator extracts them up
-// front — PlanSpanFills distributes each onto its target L1's plan —
-// and the domain worker that owns the L1's SM delivers them at their
-// exact cycles while the span runs. Delivery splits handleFill's
-// effects between the two phases:
+// cannot create an earlier one), so the engine extracts them up front —
+// PlanSpanFills distributes each onto its target L1's plan — and the
+// domain that runs the L1's SM delivers them at their exact cycles
+// while the span runs. Delivery splits handleFill's effects between
+// the two phases:
 //
-//   - in-span (worker goroutine, DeliverSpanFills): the L1/SM half —
+//   - in-span (the SM's domain, DeliverSpanFills): the L1/SM half —
 //     MSHR retirement, the tag-array install with its victim choice,
 //     and the scoreboard notification. These feed back into the SM's
 //     own execution within the span, so they cannot wait; they touch
-//     only state the worker's goroutine owns.
-//   - at the barrier (orchestrator, takeSpanFill): the System half —
+//     only state the domain owns.
+//   - at the replay (engine goroutine, takeSpanFill): the System half —
 //     the FillsDelivered counter and the dirty-victim writeback. The
 //     replay consumes one record per popped fill event, so the
-//     writeback's sequence number lands exactly where the serial
-//     engine's handleFill would have put it.
+//     writeback's sequence number lands exactly where a direct
+//     handleFill would have put it.
 //
-// A worker only delivers to an SM that still has resident blocks:
-// once the SM retires its last block it can issue no further accesses,
-// so a fill's L1-side effects stop influencing the span and the replay
+// A domain only delivers to an SM that still has resident blocks: once
+// the SM retires its last block it can issue no further accesses, so a
+// fill's L1-side effects stop influencing the span and the replay
 // applies them whole (handleFill at the event's pop) — or, past the
 // replay window when a kernel completes mid-span, leaves the event
-// pending, exactly matching the serial engine's end-of-launch state.
+// pending, exactly the end-of-launch state of a tick-every-cycle run.
 
 // plannedFill is one pending evL1Fill event copied onto its L1's span
 // plan. The sequence number orders same-cycle fills identically to the
@@ -42,8 +42,8 @@ type plannedFill struct {
 // spanFill records one in-span delivery for the barrier replay. victim
 // is the dirty line address the tag install evicted, or -1. A stale
 // record marks a fill whose MSHR entry had already been retired
-// (store-forwarded lines); the serial engine's handleFill ignores
-// those, so the replay must too.
+// (store-forwarded lines); handleFill ignores those, so the replay
+// must too.
 type spanFill struct {
 	time   int64
 	addr   int64
@@ -52,9 +52,9 @@ type spanFill struct {
 }
 
 // PlanSpanFills copies every pending L1 fill due strictly before
-// horizon onto its L1's span plan for in-span delivery by the domain
-// workers. The events stay in the heap — the barrier replay pops them
-// at their cycles and applies the recorded System-side effects.
+// horizon onto its L1's span plan for in-span delivery by the SM's
+// domain. The events stay in the heap — the span replay pops them at
+// their cycles and applies the recorded System-side effects.
 func (s *System) PlanSpanFills(horizon int64) {
 	for i := range s.events {
 		e := &s.events[i]
@@ -79,8 +79,8 @@ func (l *L1D) planFill(p plannedFill) {
 }
 
 // NextSpanFill returns the due cycle of the next planned in-span fill,
-// or -1 when the plan is exhausted. Domain workers clamp their
-// idle-span jumps to it.
+// or -1 when the plan is exhausted. Domains clamp their dead-cycle
+// jumps to it.
 func (l *L1D) NextSpanFill() int64 {
 	if l.planHead >= len(l.plan) {
 		return -1
@@ -90,9 +90,9 @@ func (l *L1D) NextSpanFill() int64 {
 
 // DeliverSpanFills applies the L1- and SM-side half of every planned
 // fill due at or before now, recording the deferred System-side half
-// for the barrier replay. Called by the owning domain worker before
-// the SM's cycle at now, mirroring the serial engine's
-// System.Cycle-before-SM.Cycle order.
+// for the span replay. Called by the SM's domain before the SM's cycle
+// at now, mirroring the System.Cycle-before-SM.Cycle order of a
+// ticked cycle.
 func (l *L1D) DeliverSpanFills(now int64) {
 	for l.planHead < len(l.plan) && l.plan[l.planHead].time <= now {
 		p := l.plan[l.planHead]
@@ -100,6 +100,7 @@ func (l *L1D) DeliverSpanFills(now int64) {
 		rec := spanFill{time: p.time, addr: p.addr, victim: -1}
 		if entry, ok := l.mshr[p.addr]; ok {
 			delete(l.mshr, p.addr)
+			l.mut++
 			ev := l.cache.Fill(entry.req)
 			if ev.Valid && ev.Dirty {
 				rec.victim = ev.Addr
@@ -107,11 +108,11 @@ func (l *L1D) DeliverSpanFills(now int64) {
 			if l.fill != nil {
 				l.fill(p.addr, entry.tokens)
 			}
-			l.free = append(l.free, entry)
+			l.free = append(l.free, entry) //cawalint:alloc-ok amortized growth of the MSHR free list
 		} else {
 			rec.stale = true
 		}
-		l.recs = append(l.recs, rec)
+		l.recs = append(l.recs, rec) //cawalint:alloc-ok amortized growth of the reused span-fill record buffer
 	}
 }
 
@@ -132,7 +133,7 @@ func (l *L1D) takeSpanFill(time, addr int64) (spanFill, bool) {
 }
 
 // commitSpanFill applies the System-side half of one in-span delivery
-// at the event's pop position during the barrier replay.
+// at the event's pop position during the span replay.
 func (s *System) commitSpanFill(l *L1D, rec spanFill) {
 	if rec.stale {
 		return
@@ -145,13 +146,13 @@ func (s *System) commitSpanFill(l *L1D, rec spanFill) {
 }
 
 // SpanFillsDrained reports whether every in-span delivery record has
-// been consumed by the replay. The lookahead engine asserts this after
-// each batch: a worker only delivers to SMs with resident blocks, so
+// been consumed by the replay. The span engine asserts this after
+// each span: a domain only delivers to SMs with resident blocks, so
 // every delivered fill's event time is at most the last retirement
 // cycle and the replay must have popped it.
 func (l *L1D) SpanFillsDrained() bool { return l.recHead == len(l.recs) }
 
-// ResetSpanFills clears the plan and record buffers after a batch. The
+// ResetSpanFills clears the plan and record buffers after a span. The
 // backing arrays are retained for the next span.
 func (l *L1D) ResetSpanFills() {
 	l.plan, l.planHead = l.plan[:0], 0

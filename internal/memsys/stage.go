@@ -2,38 +2,30 @@ package memsys
 
 import "cawa/internal/cache"
 
-// The parallel engine's two-phase memory interface.
+// The span engine's two-phase memory interface.
 //
-// Under the serial engine every L1 miss schedules its L2-arrive event
-// directly, and the global sequence counter (System.seq) is advanced in
-// the order the engine happens to step the SMs — SM 0's accesses of a
-// cycle before SM 1's, and so on. That sequence order is the
-// determinism linchpin: it tie-breaks same-cycle events in the heap,
-// which decides L2 bank and DRAM channel contention, which decides
-// every downstream latency.
+// When every L1 miss schedules its L2-arrive event directly, the global
+// sequence counter (System.seq) advances in the order the SMs are
+// ticked — SM 0's accesses of a cycle before SM 1's, and so on. That
+// sequence order is the determinism linchpin: it tie-breaks same-cycle
+// events in the heap, which decides L2 bank and DRAM channel
+// contention, which decides every downstream latency.
 //
-// The parallel engine cannot let SM goroutines touch the shared event
-// heap, so each SM *stages* its outbound requests into a private
-// StageBuffer during an epoch, and the orchestrator commits the buffers
-// in SM-id order at the epoch barrier. An SM stages its own requests in
-// program order, and the commit walks SMs 0..N-1, so the sequence
-// numbers assigned at commit are exactly the ones the serial engine
-// would have assigned — the heaps evolve identically, bit for bit
-// (verified by TestStagedCommitEquivalence and the harness
-// engine-equivalence matrix).
-//
-// Each staged access carries the SM cycle that emitted it. One-cycle
-// epochs drain whole buffers with Commit; the lookahead engine runs
-// multi-cycle epochs and replays the barrier cycle by cycle, using
-// CommitThrough to interleave each simulated cycle's accesses with the
-// memory events due that cycle — reproducing the serial engine's
-// cycle → SM-id → program order across the whole batched span.
+// The span engine (internal/gpu) runs each SM across a whole span of
+// cycles before the next SM, possibly on another goroutine, so SMs
+// cannot touch the shared event heap while they run. Each SM *stages*
+// its outbound requests into a private StageBuffer, stamped with the
+// emitting cycle, and the engine replays the span cycle by cycle:
+// System.Cycle(t), then CommitThrough(buf, t) per SM in id order. An SM
+// stages its own requests in program order, so the replay assigns
+// exactly the sequence numbers a tick-every-cycle loop would have — the
+// heaps evolve identically, bit for bit (TestStagedCommitEquivalence
+// and the harness engine-equivalence matrix).
 //
 // Only SM-originated accesses stage. Fill-side traffic — dirty-victim
-// writebacks scheduled by handleFill — runs inside the orchestrator's
-// serial System.Cycle, *before* the cycle's SM accesses, and must keep
-// scheduling directly so its sequence numbers precede theirs just as
-// they do under the serial engine.
+// writebacks scheduled by handleFill — runs inside the engine's serial
+// System.Cycle, *before* the cycle's SM accesses, and keeps scheduling
+// directly so its sequence numbers precede theirs.
 
 // stagedAccess is one captured request. SMs only ever emit L2-arrive
 // events (loads/stores leaving the L1), so the kind is implicit.
@@ -45,10 +37,10 @@ type stagedAccess struct {
 	req   cache.Request
 }
 
-// StageBuffer collects one SM domain's outbound memory-system requests
-// during an epoch. It is owned by a single SM goroutine between
-// barriers and drained by the orchestrator at the barrier; it needs no
-// locking. Accesses are appended in cycle order (an SM's cycles run in
+// StageBuffer collects one SM's outbound memory-system requests during
+// a span. It is owned by the domain running the SM until the span ends
+// and drained by the engine's replay afterwards; it needs no locking.
+// Accesses are appended in cycle order (an SM's cycles run in
 // sequence), so the committed prefix [0, head) is always the entries
 // with the smallest cycle stamps.
 type StageBuffer struct {
@@ -73,40 +65,26 @@ func (b *StageBuffer) reset() {
 // their outbound events instead of touching the shared event heap.
 func (l *L1D) SetStaging(buf *StageBuffer) { l.stage = buf }
 
-// Staged reports whether a staging buffer is installed (the L1 is part
-// of a running parallel epoch).
+// Staged reports whether a staging buffer is installed (the L1 belongs
+// to a running launch of the span engine).
 func (l *L1D) Staged() bool { return l.stage != nil }
 
 // emitL2 sends one L2-arrive request emitted at SM cycle now: staged
-// when a buffer is installed (parallel epoch), scheduled directly
-// otherwise. The event lands at the L2 one interconnect hop later.
+// when a buffer is installed, scheduled directly otherwise. The event lands at the L2 one interconnect hop later.
 func (l *L1D) emitL2(now int64, addr int64, req cache.Request) {
 	t := now + l.sys.icntLat
 	if l.stage != nil {
-		l.stage.pending = append(l.stage.pending, stagedAccess{cycle: now, time: t, addr: addr, l1: l, req: req}) //cawalint:alloc-ok amortized growth of the reused epoch stage buffer
+		l.stage.pending = append(l.stage.pending, stagedAccess{cycle: now, time: t, addr: addr, l1: l, req: req}) //cawalint:alloc-ok amortized growth of the reused span stage buffer
 		return
 	}
 	l.sys.schedule(t, evL2Arrive, addr, l, req)
 }
 
-// Commit replays buf's staged accesses into the event system in
-// capture order, assigning sequence numbers exactly as the serial
-// engine would have, and empties the buffer. The caller must commit
-// the per-SM buffers in SM-id order.
-func (s *System) Commit(buf *StageBuffer) {
-	for i := buf.head; i < len(buf.pending); i++ {
-		a := &buf.pending[i]
-		s.schedule(a.time, evL2Arrive, a.addr, a.l1, a.req)
-	}
-	buf.reset()
-}
-
 // CommitThrough replays the staged accesses emitted at SM cycles <= c
-// and leaves later ones pending. The lookahead engine's barrier replay
-// walks the batched span cycle by cycle, calling System.Cycle(t) and
-// then CommitThrough(buf, t) per SM in id order, so sequence numbers
-// interleave with event processing exactly as under the serial engine.
-// Once the buffer drains completely its storage is reset for reuse.
+// into the event system in capture order and leaves later ones pending.
+// The caller walks the span cycle by cycle and the per-SM buffers in
+// SM-id order. Once the buffer drains completely its storage is reset
+// for reuse.
 func (s *System) CommitThrough(buf *StageBuffer, c int64) {
 	for buf.head < len(buf.pending) {
 		a := &buf.pending[buf.head]

@@ -108,9 +108,9 @@ func TestStagedCommitEquivalence(t *testing.T) {
 		}
 		// ...and the barrier commits in SM-id order.
 		for i := range bufs {
-			staged.sys.Commit(bufs[i])
+			staged.sys.CommitThrough(bufs[i], staged.now)
 			if bufs[i].Len() != 0 {
-				t.Fatalf("buffer %d not drained by Commit: %d pending", i, bufs[i].Len())
+				t.Fatalf("buffer %d not drained by CommitThrough: %d pending", i, bufs[i].Len())
 			}
 		}
 		serial.cycle()
@@ -142,7 +142,7 @@ func TestStagedCommitEquivalence(t *testing.T) {
 
 // TestStagingInstallUninstall: SetStaging(nil) must restore direct
 // scheduling, and a staged access must not touch the shared event heap
-// before Commit.
+// before CommitThrough.
 func TestStagingInstallUninstall(t *testing.T) {
 	cfg := config.Small()
 	sys := New(cfg)
@@ -157,11 +157,15 @@ func TestStagingInstallUninstall(t *testing.T) {
 		t.Fatalf("staged %d accesses, want 1", buf.Len())
 	}
 	if sys.NextEventTime() != -1 {
-		t.Fatal("staged access leaked into the event heap before Commit")
+		t.Fatal("staged access leaked into the event heap before CommitThrough")
 	}
-	sys.Commit(buf)
+	sys.CommitThrough(buf, 0)
+	if buf.Len() != 1 || sys.NextEventTime() != -1 {
+		t.Fatal("CommitThrough moved an access staged at a later cycle")
+	}
+	sys.CommitThrough(buf, 1)
 	if buf.Len() != 0 || sys.NextEventTime() < 0 {
-		t.Fatal("Commit did not move the access into the event heap")
+		t.Fatal("CommitThrough did not move the access into the event heap")
 	}
 
 	l1.SetStaging(nil)

@@ -1,11 +1,11 @@
 // Package perf is the simulator's self-profiling layer: a low-overhead
-// wall-clock phase profiler for the engine's orchestrator seams. Where
-// internal/obs observes the *simulated* machine (IPC, stall counts,
-// cache hit rates on the cycle axis), perf observes the *simulator
-// itself* on the wall-clock axis — where the host nanoseconds of a run
-// go: stepping SM domains, waiting at the epoch barrier, committing
-// staged memory traffic, draining the shared memory system, planning
-// fast-forward jumps.
+// wall-clock phase profiler for the seams of the engine's span loop.
+// Where internal/obs observes the *simulated* machine (IPC, stall
+// counts, cache hit rates on the cycle axis), perf observes the
+// *simulator itself* on the wall-clock axis — where the host
+// nanoseconds of a run go: taking SM domains across a span, waiting at
+// the span barrier, replaying staged memory traffic, draining the
+// shared memory system, planning horizons, skipping dead cycles.
 //
 // The package never reads the host clock. Simulation packages are
 // banned from wall-clock access by cawalint (the cycle counter is the
@@ -17,13 +17,12 @@
 // duration — so profiled runs are byte-identical to unprofiled runs.
 //
 // Overhead budget: with profiling on, the engine performs a handful of
-// clock reads per simulated cycle (two per instrumented phase).
-// Observations land in fixed log2-bucketed histograms — one array
-// increment, no allocation — so the steady-state cost is the clock
-// reads themselves (~5-8% on the event-driven engine, measured in
-// DESIGN.md "Self-profiling"). With profiling off (a nil *Profiler on
-// the GPU) the only cost is one nil check per seam, and the cycle path
-// stays allocation-free (TestProfilerOffZeroCost).
+// clock reads per span (one per seam). Observations land in fixed
+// log2-bucketed histograms — one array increment, no allocation — so
+// the steady-state cost is the clock reads themselves (DESIGN.md
+// "Self-profiling"). With profiling off (a nil *Profiler on the GPU)
+// the only cost is one nil check per seam, and the span path stays
+// allocation-free (TestProfilerOffZeroCost).
 package perf
 
 import (
@@ -34,42 +33,39 @@ import (
 // Clock returns monotonic-enough nanoseconds. Injected so that the
 // deterministic core never links the host clock directly; tests inject
 // counting fakes, harness/CLIs inject time.Now. Implementations must be
-// safe for concurrent use (domain workers read it during parallel
-// epochs).
+// safe for concurrent use (domains read it during multi-domain spans).
 type Clock func() int64
 
-// Phase identifies one orchestrator seam of the engine's cycle loop.
+// Phase identifies one seam of the engine's span loop. The seams are
+// disjoint stretches of an iteration, so phase totals add up.
 type Phase uint8
 
 const (
-	// PhaseDomainCompute is SM stepping: the serial per-SM loop, or the
-	// wall-clock span of one parallel epoch (barrier entry to barrier
-	// exit — the parallel region as the orchestrator experiences it).
+	// PhaseDomainCompute is SM stepping: the domains taking their SMs
+	// across one span — on one inline domain simply that, with several
+	// the wall-clock from barrier entry to barrier exit.
 	PhaseDomainCompute Phase = iota
 	// PhaseBarrierWait is the summed per-shard barrier wait of one
-	// parallel epoch: for each shard, the epoch span minus the time the
-	// shard spent stepping its own SMs. This is the CPU time the epoch
-	// barrier wastes on imbalance — the tuning signal for barrierSpins
-	// and shard granularity.
+	// multi-domain span: for each shard, the span's wall-clock minus the
+	// time the shard spent stepping its own SMs. This is the CPU time
+	// the barrier wastes on imbalance. Never observed on one domain.
 	PhaseBarrierWait
-	// PhaseStagedCommit is the orchestrator's post-barrier merge: store
-	// log flushes plus stage-buffer commits, in SM-id order.
+	// PhaseStagedCommit is the span replay: per cycle of the span, the
+	// memory events due (past the head's) plus store-log flushes and
+	// stage-buffer commits in SM-id order.
 	PhaseStagedCommit
 	// PhaseMemsysDrain is the shared memory system's event drain at the
-	// top of each ticked cycle (System.Cycle).
+	// head of each span (System.Cycle).
 	PhaseMemsysDrain
-	// PhaseFastForward is the event-driven planner: the whole
-	// fastForward call, including the memory-system drains and SM
-	// wake-up cycles it performs at event boundaries (nested seams are
-	// *not* subtracted; the taxonomy is documented in DESIGN.md).
+	// PhaseFastForward is the dead-cycle skip: the whole fastForward
+	// call, including the memory-system drains it performs at event
+	// boundaries.
 	PhaseFastForward
 	// PhaseDispatch is thread-block dispatch.
 	PhaseDispatch
-	// PhaseLookahead is the lookahead engine's batch path: horizon
-	// planning, the multi-cycle batched epoch, and the barrier-time
-	// replay of staged traffic. Like PhaseFastForward it brackets the
-	// whole call — the nested epoch and commit seams it contains also
-	// record under their own phases and are *not* subtracted.
+	// PhaseLookahead is horizon planning: the clamp ladder plus handing
+	// the pending in-span fills to their L1s. Observed only once
+	// dispatch is exhausted (before that a span is one cycle, unplanned).
 	PhaseLookahead
 
 	// NumPhases bounds the phase enum.
@@ -104,8 +100,8 @@ const histBuckets = 40
 
 // Hist is a log2-bucketed duration histogram (nanoseconds). The zero
 // value is ready to use. Not safe for concurrent use; the profiler's
-// ownership discipline (orchestrator-only observation) makes that
-// unnecessary.
+// ownership discipline (observation from the engine's own goroutine
+// only) makes that unnecessary.
 type Hist struct {
 	Buckets [histBuckets]uint64 `json:"-"`
 	Count   uint64              `json:"count"`
@@ -176,9 +172,9 @@ func BucketBoundNS(i int) int64 {
 	return int64(1) << uint(i)
 }
 
-// shard is the per-domain-goroutine slice of a parallel run's profile.
-// computeNS is the cross-goroutine seam: the shard's worker writes it
-// during an epoch and the orchestrator reads it after the barrier —
+// shard is the per-domain slice of a multi-domain run's profile.
+// computeNS is the cross-goroutine seam: the shard's domain writes it
+// during a span and the engine reads it after the barrier —
 // the barrier's release/acquire pair orders the accesses, and the
 // struct's size (two histograms apart) keeps neighbouring shards'
 // hot fields off one cache line.
@@ -190,8 +186,8 @@ type shard struct {
 	waitNS    int64 // cumulative barrier wait
 }
 
-// DefaultSampleEvery is the epoch cadence of the counter-track
-// checkpoints when a caller does not choose one.
+// DefaultSampleEvery is the cadence, in multi-domain spans, of the
+// counter-track checkpoints when a caller does not choose one.
 const DefaultSampleEvery = 4096
 
 // Profiler accumulates one run's (or, after Merge, one session's)
@@ -199,11 +195,11 @@ const DefaultSampleEvery = 4096
 // (gpu.GPU.Perf via harness.RunOptions.Profiler), and call Report when
 // the run finishes.
 //
-// Concurrency: Observe* methods belong to the engine's orchestrator
-// goroutine; RecordShardCompute belongs to the shard's domain worker
-// (each worker touches only its own index, and the epoch barrier
-// orders worker writes before orchestrator reads). Merge and Report
-// must only run after the profiled launch has returned.
+// Concurrency: Observe* methods belong to the engine's own goroutine;
+// RecordShardCompute belongs to the shard's domain (each touches only
+// its own index, and the span barrier orders domain writes before
+// engine reads). Merge and Report must only run after the profiled
+// launch has returned.
 type Profiler struct {
 	clock       Clock
 	sampleEvery int64
@@ -232,8 +228,8 @@ func (p *Profiler) ObservePhase(ph Phase, ns int64) {
 	p.phases[ph].Observe(ns)
 }
 
-// EnsureShards sizes the per-shard accumulators for a parallel launch
-// with n domain goroutines. Existing shard totals are kept (a session
+// EnsureShards sizes the per-shard accumulators for a launch with n
+// domains. Existing shard totals are kept (a session
 // may run several launches through one profiler); growth allocates,
 // so the engine calls this at launch setup, never per cycle.
 func (p *Profiler) EnsureShards(n int) {
@@ -242,9 +238,9 @@ func (p *Profiler) EnsureShards(n int) {
 	}
 }
 
-// RecordShardCompute stores the compute span of shard i for the
-// current epoch. Called by the shard's domain worker between barrier
-// entry and exit; the orchestrator folds it in ObserveEpoch.
+// RecordShardCompute stores the compute time of shard i for the
+// current span. Called by the shard's domain between barrier entry and
+// exit; the engine folds it in ObserveEpoch.
 func (p *Profiler) RecordShardCompute(i int, ns int64) {
 	if ns < 0 {
 		ns = 0
@@ -252,7 +248,7 @@ func (p *Profiler) RecordShardCompute(i int, ns int64) {
 	p.shards[i].computeNS = ns
 }
 
-// ObserveEpoch folds one parallel epoch: the epoch's wall span
+// ObserveEpoch folds one multi-domain span ("epoch": one barrier): the epoch's wall span
 // [startNS, endNS) becomes a PhaseDomainCompute observation, each
 // shard's recorded compute lands in its compute histogram, and the
 // remainder of the epoch span becomes that shard's barrier wait. The
@@ -321,13 +317,12 @@ func (p *Profiler) Merge(o *Profiler) {
 	p.simCycles += o.simCycles
 }
 
-// Epochs returns how many parallel epochs the profiler has folded.
+// Epochs returns how many span barriers the profiler has folded.
 func (p *Profiler) Epochs() int64 { return p.epochs }
 
 // AddSimCycles accounts n simulated cycles to the profile. The engine
 // calls it once per launch with the launch's cycle span; together with
-// the epoch count it yields barriers_per_kcycle — the lookahead
-// engine's headline amortization metric.
+// the epoch count it yields barriers_per_kcycle.
 func (p *Profiler) AddSimCycles(n int64) {
 	if n > 0 {
 		p.simCycles += n

@@ -7,7 +7,7 @@ import (
 )
 
 // ReportSchemaVersion stamps PerfReport JSON so downstream tooling
-// (bench.sh, CI artifacts) can detect shape changes.
+// (cawaperf, CI artifacts) can detect shape changes.
 //
 // Version history:
 //  1. Initial shape (PR 7).
@@ -47,8 +47,8 @@ type ShardStats struct {
 	MeanEpochNS float64 `json:"mean_epoch_compute_ns"`
 }
 
-// Imbalance is the run-level shard-imbalance summary — the headline
-// numbers bench.sh folds into BENCH_*.json.
+// Imbalance is the run-level shard-imbalance summary of a multi-domain
+// run.
 type Imbalance struct {
 	Shards        int   `json:"shards"`
 	MeanComputeNS int64 `json:"mean_compute_ns"`
@@ -57,8 +57,8 @@ type Imbalance struct {
 	// Spread is max/mean shard compute — 1.0 is perfectly balanced.
 	Spread float64 `json:"spread"`
 	// BarrierWaitFrac is total shard wait over total shard wall
-	// (compute+wait): the fraction of domain-goroutine CPU the epoch
-	// barrier burns. The tuning signal for barrierSpins.
+	// (compute+wait): the fraction of domain CPU the span barrier
+	// burns.
 	BarrierWaitFrac float64 `json:"barrier_wait_frac"`
 }
 
@@ -85,11 +85,10 @@ type Report struct {
 	// SimCycles is the simulated cycles covered by the profile
 	// (summed launch spans; see Profiler.AddSimCycles).
 	SimCycles int64 `json:"sim_cycles"`
-	// BarriersPerKcycle is epochs per 1000 simulated cycles — the
-	// lookahead engine's amortization headline. The one-cycle-epoch
-	// engine sits near 1000 on busy spans; lookahead divides it by the
-	// mean horizon length. 0 for serial runs or when no cycles were
-	// accounted.
+	// BarriersPerKcycle is span barriers per 1000 simulated cycles:
+	// near 1000 while blocks wait for dispatch (one-cycle spans), 1000
+	// over the mean span length afterwards. 0 on one inline domain (no
+	// barrier) or when no cycles were accounted.
 	BarriersPerKcycle float64      `json:"barriers_per_kcycle"`
 	Phases            []PhaseStats `json:"phases"`
 	Shards            []ShardStats `json:"shards,omitempty"`
@@ -99,7 +98,7 @@ type Report struct {
 
 // Report snapshots the profiler into its serializable artifact. Phases
 // with zero observations are omitted; shard stats and the imbalance
-// summary appear only for parallel runs (EnsureShards > 0).
+// summary appear only for multi-domain runs (EnsureShards > 0).
 func (p *Profiler) Report() *Report {
 	r := &Report{
 		SchemaVersion: ReportSchemaVersion,

@@ -74,9 +74,9 @@ func (s *Sampler) OnCycle(g *gpu.GPU, cycle int64) {
 
 // NextWake reports the next cycle at which OnCycle needs to observe
 // the GPU, for gpu.PerCycleWake (or harness.RunOptions.PerCycleWake):
-// with the wake hint wired up, the event-driven cycle engine can skip
-// idle spans while still firing the sampler at exactly the cycles it
-// would fire at under a tick-every-cycle engine. Before the first
+// with the wake hint wired up, the engine can run multi-cycle spans
+// and skip dead cycles while still firing the sampler at exactly the
+// cycles it would fire at if every cycle were ticked. Before the first
 // OnCycle call the sampler is unbound and must observe the next cycle.
 func (s *Sampler) NextWake(now int64) int64 {
 	if !s.bound {

@@ -83,10 +83,10 @@ type ExecContext struct {
 	Mem *memory.Memory
 	// Log, when non-nil, intercepts global-memory traffic: stores are
 	// deferred into the log and loads forward from it before falling
-	// back to Mem. The parallel engine installs one log per SM domain
-	// so concurrent domains never write Mem directly (the orchestrator
-	// flushes the logs in SM-id order at each epoch barrier). Nil — the
-	// serial engine — executes directly against Mem.
+	// back to Mem. The span engine (internal/gpu) installs one log per
+	// SM for the length of a launch, so SMs running a span never write
+	// Mem directly (the replay flushes the logs in cycle → SM-id order).
+	// Nil executes directly against Mem.
 	Log *memory.StoreLog
 	// Shared is the owning block's shared memory.
 	Shared []int64

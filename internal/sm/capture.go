@@ -22,8 +22,9 @@ import (
 //   - The criticality provider and L1 replacement policy: their
 //     concrete types (internal/core) sit above this package, so the
 //     checkpoint layer captures them via type switch.
-//   - The memoized coalescing peek (peekPC/peekInstr/peekBuf): purely
-//     derived from warp registers, recomputed on the next issue. Restore
+//   - The memoized coalescing peek (peekPC/peekInstr/peekBuf, and the
+//     L1D refusal remembered beside it): purely derived from warp
+//     registers and L1D state, recomputed on the next issue. Restore
 //     leaves peekBuf empty, which invalidates the memo by construction.
 
 // WBState is one pending register writeback.
@@ -57,9 +58,9 @@ type SlotState struct {
 
 // BlockCapture is the snapshot of one resident block. The execution
 // context is not serialized: it is rebuilt at restore time from the
-// kernel and the restoring engine's store-log wiring (serial and
-// parallel engines bind Log differently, and a checkpoint must restore
-// onto either).
+// kernel and the restoring launch's store-log wiring (the span engine
+// binds a log per SM, the ticked oracle none, and a checkpoint must
+// restore onto either).
 type BlockCapture struct {
 	ID        int // grid-local block id
 	Shared    []int64

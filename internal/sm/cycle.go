@@ -14,25 +14,26 @@ import (
 // again without external input" (a memory fill or a block dispatch).
 const NoWake int64 = math.MaxInt64
 
-// Cycle advances the SM by one cycle. The GPU calls memsys.Cycle first,
-// so load fills for this cycle have already been delivered.
+// Cycle advances the SM by one cycle. The caller delivers the load
+// fills due this cycle first (memsys.System.Cycle, or the span's
+// planned fills).
 //
-// The return value is a conservative wakeup cycle for the event-driven
-// fast-forward in gpu.Launch: the earliest future cycle at which this
-// SM's state can change on its own (a writeback retiring, the fetch or
-// load-store path freeing). A return of now means the SM had at least
-// one issuable warp this cycle — its schedulers must run every cycle,
-// so no cycles may be skipped. NoWake means the SM is idle or blocked
-// entirely on external events. Skipping to the minimum returned wake
-// (clamped by the memory system's next event) and crediting the
-// skipped span in bulk (AccountSkipped) is byte-identical to ticking
-// every cycle, because a cycle in which no scheduler has a ready warp
-// mutates nothing except the stall counters.
+// The return value is a conservative wakeup cycle for the span engine's
+// dead-cycle skipping (internal/gpu): the earliest future cycle at
+// which this SM's state can change on its own (a writeback retiring,
+// the fetch or load-store path freeing). A return of now means the SM
+// had at least one issuable warp this cycle — its schedulers must run
+// the next cycle too. NoWake means the SM is idle or blocked entirely
+// on external events. Skipping to the returned wake (clamped by the
+// SM's next fill) and crediting the skipped span in bulk
+// (AccountSkipped) is byte-identical to ticking every cycle, because a
+// cycle in which no scheduler has a ready warp mutates nothing except
+// the stall counters.
 func (m *SM) Cycle(now int64) int64 {
 	m.cycle = now
 	if m.storeLog != nil {
-		// Stamp deferred stores with their emitting cycle so the
-		// lookahead engine's barrier replay can flush them per-cycle.
+		// Stamp deferred stores with their emitting cycle so the span
+		// replay can flush them per cycle.
 		m.storeLog.SetCycle(now)
 	}
 	m.retireWritebacks(now)
@@ -53,8 +54,8 @@ func (m *SM) Cycle(now int64) int64 {
 // state changes: a compute writeback retiring, the instruction-fetch
 // path unblocking, or the load-store unit freeing. Barrier releases
 // and load completions need no timer — the former requires an issue
-// (so some warp must be ready first) and the latter rides a memsys
-// event, which the GPU folds into the skip horizon separately.
+// (so some warp must be ready first) and the latter rides a fill, which
+// the engine folds into the skip separately.
 func (m *SM) nextWake(now int64) int64 {
 	wake := NoWake
 	if m.icBusy > now {
@@ -69,21 +70,23 @@ func (m *SM) nextWake(now int64) int64 {
 	return wake
 }
 
-// AccountSkipped credits span cycles of stall time to every resident
-// live warp, reproducing in one call what accountStalls would have
-// recorded over span consecutive cycles in which no scheduler had a
-// ready warp. Each warp's classification is the one computed by the
+// AccountSkipped lives through span dead cycles at once: it credits
+// span cycles of stall time to every resident live warp, reproducing
+// what accountStalls would have recorded over span consecutive cycles
+// in which no scheduler had a ready warp, and advances the cycle latch
+// past them. Each warp's classification is the one computed by the
 // last readiness evaluation; it cannot change during the skipped span
-// because nothing issues, fills, or retires in it (the GPU clamps the
-// span to the next writeback, fetch/LSU release, and memory event).
-// No other SM state needs touching: readiness probes the I-cache only
+// because nothing issues, fills, or retires in it (the engine clamps
+// the span to the next writeback, fetch/LSU release, and fill). No
+// other SM state needs touching: readiness probes the I-cache only
 // after the operand checks pass, and a warp whose operands clear or
-// whose fetch path opens ends the span, so a ticking engine performs
-// zero I-cache probes across these cycles too.
+// whose fetch path opens ends the span, so ticking performs zero
+// I-cache probes across these cycles too.
 func (m *SM) AccountSkipped(span int64) {
 	if span <= 0 {
 		return
 	}
+	m.cycle += span
 	for i := range m.slots {
 		s := &m.slots[i]
 		if !s.valid || s.done {
@@ -147,8 +150,8 @@ func (m *SM) pushWB(s *slot, t int64, reg isa.Reg) {
 //
 // The instruction fetch is checked last, after the operand and LSU
 // hazards: an operand-blocked warp performs no I-cache probe. This
-// ordering is what lets the fast-forward engine skip stalled spans
-// without touching the I-cache — any warp that would probe during the
+// ordering is what lets the engine skip stalled spans without touching
+// the I-cache — any warp that would probe during the
 // span either becomes ready (ending the span) or takes an I-miss,
 // which sets icBusy and therefore bounds the span at its own cycle.
 func (m *SM) readiness(i int, now int64) bool {
@@ -253,14 +256,21 @@ func (m *SM) tryIssue(i int, now int64) bool {
 	in := m.prog.At(pc)
 	if m.meta[pc].GlobalLoad {
 		if s.peekPC == pc && s.peekInstr == s.rec.Instructions && len(s.peekBuf) > 0 {
+			if s.rejectedAt == m.l1d.Mutations()+1 {
+				// Same lines, same tag array, same MSHR table as when
+				// CanAccept last said no: it would say no again.
+				return false
+			}
 			m.lineBuf = append(m.lineBuf[:0], s.peekBuf...) //cawalint:alloc-ok reuses lineBuf's backing array in place
 		} else {
 			m.peekLines(s, in)
 			s.peekPC = pc
 			s.peekInstr = s.rec.Instructions
 			s.peekBuf = append(s.peekBuf[:0], m.lineBuf...) //cawalint:alloc-ok reuses peekBuf's backing array in place
+			s.rejectedAt = 0
 		}
 		if !m.l1d.CanAccept(m.lineBuf) {
+			s.rejectedAt = m.l1d.Mutations() + 1
 			return false
 		}
 	}

@@ -103,9 +103,14 @@ type slot struct {
 
 	// Memoized memory-coalescing peek: valid while the warp has not
 	// issued since it was computed (registers cannot change underneath).
-	peekPC    int32
-	peekInstr int64
-	peekBuf   []int64
+	// rejectedAt rides on it: when the L1D last refused the peeked lines,
+	// its mutation count at that moment plus one (0: not refused). While
+	// the count stands still the refusal stands too, so an MSHR-blocked
+	// warp retries for one compare, not one probe per line.
+	peekPC     int32
+	peekInstr  int64
+	peekBuf    []int64
+	rejectedAt uint64
 }
 
 type blockState struct {
@@ -150,7 +155,7 @@ type SM struct {
 	cfg config.Config
 
 	mem      *memory.Memory
-	storeLog *memory.StoreLog // non-nil only while a parallel launch runs
+	storeLog *memory.StoreLog // non-nil only while a span-engine launch runs
 	l1d      *memsys.L1D
 	l1i      *cache.Cache // instruction cache (tag state only)
 	icBusy   int64        // cycle until which an I-miss blocks fetch
@@ -262,13 +267,13 @@ func (m *SM) L1D() *memsys.L1D { return m.l1d }
 
 // SetStoreLog installs (nil: removes) the deferred store log that
 // blocks dispatched from now on execute global-memory traffic against.
-// The parallel engine gives each SM domain a private log and flushes
-// them in SM-id order at every epoch barrier; the serial engine leaves
-// it nil and warps write global memory directly.
+// The span engine (internal/gpu) gives each SM a private log for the
+// length of a launch and flushes them in cycle → SM-id order after
+// every span; without one, warps write global memory directly.
 //
 // Resident blocks (possible only after a checkpoint restore — normal
-// launches install the log before any dispatch) are rebound so a launch
-// captured on one engine resumes correctly on the other.
+// launches install the log before any dispatch) are rebound to the log
+// of the launch that resumes them.
 func (m *SM) SetStoreLog(l *memory.StoreLog) {
 	m.storeLog = l
 	for i := range m.slots {

@@ -13,22 +13,21 @@
 #   cawadis -lint the twelve workload kernels verify clean
 #   go build      everything compiles
 #   go test       full unit + experiment smoke suite
-#   go test -race the concurrency audit of the parallel simulation
-#                 engine: harness (session scheduler, parallel
-#                 experiments) and workloads (per-instance RNG) under
-#                 the race detector. -short skips the slow sequential
-#                 experiment sweep but keeps every parallel-path test
-#                 (singleflight, prewarm, parallel-vs-sequential golden).
-#   GOMAXPROCS race matrix: the parallel per-SM engine's tests (epoch
-#                 barrier, staged commit, lookahead batching, span-fill
-#                 delivery, cancellation, worker budget,
-#                 engine-equivalence, checkpoint round-trips across the
-#                 workload catalog) re-run under -race at GOMAXPROCS=2
-#                 (forced goroutine multiplexing — exercises the barrier
-#                 park path) and GOMAXPROCS=8 (real interleaving on CI's
-#                 multi-core runners).
-#   bench delta   shell-level test of scripts/bench.sh's -delta gating
-#                 (flat-name fallback only gates at matching GOMAXPROCS)
+#   go test -race the concurrency audit of the session scheduler:
+#                 harness (worker pool, parallel experiments) and
+#                 workloads (per-instance RNG) under the race detector.
+#                 -short skips the slow sequential experiment sweep but
+#                 keeps every parallel-path test (singleflight, prewarm,
+#                 parallel-vs-sequential golden).
+#   GOMAXPROCS race matrix: the span engine's multi-domain tests (span
+#                 barrier, staged replay, horizon clamps, span-fill
+#                 delivery, cancellation, worker budget, shared
+#                 observers on the inline domain, engine-equivalence,
+#                 checkpoint round-trips across the workload catalog)
+#                 re-run under -race at GOMAXPROCS=2 (forced goroutine
+#                 multiplexing — exercises the barrier park path) and
+#                 GOMAXPROCS=8 (real interleaving on CI's multi-core
+#                 runners).
 set -e
 cd "$(dirname "$0")/.."
 
@@ -51,12 +50,10 @@ echo "== go test =="
 go test ./...
 echo "== go test -race (harness, workloads) =="
 go test -race -short ./internal/harness/... ./internal/workloads/...
-echo "== go test -race parallel engine (GOMAXPROCS=2, GOMAXPROCS=8) =="
+echo "== go test -race span engine domains (GOMAXPROCS=2, GOMAXPROCS=8) =="
 for procs in 2 8; do
     GOMAXPROCS=$procs go test -race -short \
-        -run 'TestParallel|TestDomain|TestStaged|TestStaging|TestLookahead|TestSpanFill|TestSessionSharedWorkerBudget|TestEngineEquivalenceMatrix|TestRoundTrip' \
+        -run 'TestParallel|TestDomain|TestStaged|TestStaging|TestLookahead|TestSpanFill|TestSessionSharedWorkerBudget|TestSharedObservers|TestEngineEquivalenceMatrix|TestRoundTrip' \
         ./internal/gpu/... ./internal/memsys/... ./internal/harness/... ./internal/checkpoint/...
 done
-echo "== bench.sh delta logic =="
-./scripts/test_bench_delta.sh
 echo "ALL CHECKS PASSED"
