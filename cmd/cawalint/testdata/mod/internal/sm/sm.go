@@ -13,3 +13,6 @@ type SM struct {
 func (s *SM) Cycle() {
 	s.buf = append(s.buf, 1)
 }
+
+// handleFill receives completed miss lines (a cycle and domain root).
+func (s *SM) handleFill(now int64, tokens []int64) {}

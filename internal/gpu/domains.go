@@ -231,7 +231,13 @@ func (r *domainRunner) run(w *domainWorker) {
 // credited to its stall buckets in bulk (AccountSkipped — the same
 // discipline fastForward applies across globally idle cycles) and the
 // SM next runs a real cycle there: a fill may unblock a load, so the
-// delivery cycle must be classified for real.
+// delivery cycle must be classified for real. The contract with the SM
+// is that no cycle goes missing: every cycle of the span reaches it as
+// a Cycle or inside an AccountSkipped, in order. The SM charges its
+// parked warps by the distance between the cycles it sees and only the
+// warps it still evaluates by the calls themselves (sm/readiness.go),
+// so a cycle that reached it by neither path would be charged to some
+// warps and not to others.
 func (w *domainWorker) stepSpan(from, to int64) int64 {
 	wake := sm.NoWake
 	for _, s := range w.sms {

@@ -15,7 +15,11 @@ package lint
 // Root sets (DefaultInterOptions):
 //
 //   - CycleRoots: the per-cycle hot path. SM.Cycle and System.Cycle are
-//     the work of one simulated cycle; the span engine's planner
+//     the work of one simulated cycle, and SM.handleFill is the SM's
+//     other entry point — fills reach it through a callback value, from
+//     the engine's head drain and from a domain's in-span delivery, and
+//     it wakes parked warps, so it is named rather than left to the
+//     call graph's func-value matching; the span engine's planner
 //     (GPU.planHorizon, System.PlanSpanFills), span body
 //     (domainWorker.stepSpan), replay (GPU.replay — it visits every
 //     cycle the span covered) and dead-cycle skip (GPU.fastForward) are
@@ -88,6 +92,7 @@ func DefaultInterOptions() InterOptions {
 		Options: DefaultOptions(),
 		CycleRoots: []string{
 			"(*cawa/internal/sm.SM).Cycle",
+			"(*cawa/internal/sm.SM).handleFill",
 			"(*cawa/internal/memsys.System).Cycle",
 			"(*cawa/internal/gpu.GPU).planHorizon",
 			"(*cawa/internal/memsys.System).PlanSpanFills",
@@ -99,6 +104,7 @@ func DefaultInterOptions() InterOptions {
 		},
 		DomainRoots: []string{
 			"(*cawa/internal/sm.SM).Cycle",
+			"(*cawa/internal/sm.SM).handleFill",
 			"(*cawa/internal/obs/perf.Profiler).Now",
 			"(*cawa/internal/obs/perf.Profiler).RecordShardCompute",
 			// The span body a domain executes, including the in-span fill

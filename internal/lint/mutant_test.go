@@ -61,6 +61,20 @@ func (s *SM) Cycle() {
 	core.Note()
 }
 `,
+	"internal/sm/fill.go": `package sm
+
+// handleFill receives completed miss lines and wakes the warps parked
+// on them. Fills arrive through a callback value, so it is a root of
+// its own.
+func (s *SM) handleFill(now int64, tokens []int64) {
+	for range tokens {
+		s.wake()
+	}
+}
+
+// wake returns a parked warp to the candidate set.
+func (s *SM) wake() { s.n++ }
+`,
 	"internal/util/util.go": `// Package util holds helpers outside the sim-path scope.
 package util
 
@@ -298,6 +312,30 @@ func pad(n int) []int { return make([]int, n) }
 `,
 	})
 	assertFindingID(t, findings, "hotpath-alloc@cawa/internal/util.pad#make")
+}
+
+// TestMutantFillWakeAlloc seeds an allocation in the wake helper, which
+// only the fill path reaches: SM.handleFill -> SM.wake -> append. Fills
+// arrive through a callback value, outside SM.Cycle's call tree, so this
+// is the proof that the hot-path rule covers the SM's second entry
+// point.
+func TestMutantFillWakeAlloc(t *testing.T) {
+	findings := analyzeMutant(t, map[string]string{
+		"internal/sm/fill.go": `package sm
+
+// handleFill receives completed miss lines and wakes the warps parked
+// on them.
+func (s *SM) handleFill(now int64, tokens []int64) {
+	for range tokens {
+		s.wake()
+	}
+}
+
+// wake now builds a list per woken warp (seeded violation).
+func (s *SM) wake() []int { return append([]int(nil), s.n) }
+`,
+	})
+	assertFindingID(t, findings, "hotpath-alloc@(*cawa/internal/sm.SM).wake#append")
 }
 
 // TestMutantDomainChannel seeds a channel send in code a domain worker

@@ -26,6 +26,13 @@ import (
 //     L1D refusal remembered beside it): purely derived from warp
 //     registers and L1D state, recomputed on the next issue. Restore
 //     leaves peekBuf empty, which invalidates the memo by construction.
+//   - The event-driven readiness state (readiness.go): the live,
+//     candidate and writeback sets, which warps are parked, and the
+//     stall cycles parked warps are owed. Capture settles the debt into
+//     the warp records first, so the snapshot holds what ticking every
+//     warp every cycle would have written; Restore rebuilds the sets
+//     from the slots with every resident warp an unparked candidate,
+//     and the first tick after it parks the blocked ones again.
 
 // WBState is one pending register writeback.
 type WBState struct {
@@ -104,6 +111,7 @@ type State struct {
 
 // Capture snapshots the SM's pipeline state.
 func (m *SM) Capture() (State, error) {
+	m.settleStalls()
 	st := State{
 		Slots:          make([]SlotState, len(m.slots)),
 		Units:          make([]UnitState, len(m.units)),
@@ -230,10 +238,14 @@ func (m *SM) Restore(st State, k *simt.Kernel) error {
 		blocks[i] = blk
 	}
 
+	m.live.clear()
+	m.cand.clear()
+	m.wbPending.clear()
+	m.freeSlots = len(m.slots)
 	for i := range m.slots {
 		in := &st.Slots[i]
 		s := &m.slots[i]
-		*s = slot{gen: in.Gen}
+		*s = slot{gen: in.Gen, since: notAccruing}
 		if !in.Valid {
 			continue
 		}
@@ -251,9 +263,9 @@ func (m *SM) Restore(st State, k *simt.Kernel) error {
 		s.age = in.Age
 		s.busyALU = in.BusyALU
 		s.busyMem = in.BusyMem
-		s.wb = make([]wbEvent, len(in.WB))
-		for j, e := range in.WB {
-			s.wb[j] = wbEvent{time: e.Time, reg: e.Reg}
+		s.wb = make([]wbEvent, 0, len(in.WB))
+		for _, e := range in.WB {
+			m.pushWB(i, s, e.Time, e.Reg)
 		}
 		s.loadRem = in.LoadRem
 		s.lastIssue = in.LastIssue
@@ -263,6 +275,14 @@ func (m *SM) Restore(st State, k *simt.Kernel) error {
 		s.reason = stallReason(in.Reason)
 		s.readyCycle = in.ReadyCycle
 		s.issuedCycle = in.IssuedCycle
+
+		// A finished warp is a candidate too until the next tick clears
+		// its classification (readiness).
+		m.freeSlots--
+		m.cand.add(i)
+		if !s.done {
+			m.live.add(i)
+		}
 	}
 
 	for i := range m.units {

@@ -3,6 +3,7 @@ package sm
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"cawa/internal/cache"
 	"cawa/internal/isa"
@@ -71,82 +72,101 @@ func (m *SM) nextWake(now int64) int64 {
 }
 
 // AccountSkipped lives through span dead cycles at once: it credits
-// span cycles of stall time to every resident live warp, reproducing
-// what accountStalls would have recorded over span consecutive cycles
-// in which no scheduler had a ready warp, and advances the cycle latch
+// span cycles of stall time to every candidate warp, reproducing what
+// accountStalls would have recorded over span consecutive cycles in
+// which no scheduler had a ready warp, and advances the cycle latch
 // past them. Each warp's classification is the one computed by the
 // last readiness evaluation; it cannot change during the skipped span
 // because nothing issues, fills, or retires in it (the engine clamps
-// the span to the next writeback, fetch/LSU release, and fill). No
-// other SM state needs touching: readiness probes the I-cache only
-// after the operand checks pass, and a warp whose operands clear or
-// whose fetch path opens ends the span, so ticking performs zero
-// I-cache probes across these cycles too.
+// the span to the next writeback, fetch/LSU release, and fill). Parked
+// warps need nothing, nor does a warp a fill has just woken (the global
+// skip delivers the fill that ends it before it credits the cycles that
+// led up to it): those cycles are part of the debt the warp's next
+// evaluation settles. No other SM state needs touching: readiness
+// probes the I-cache only after the operand checks pass, and a warp
+// whose operands clear or whose fetch path opens ends the span, so
+// ticking performs zero I-cache probes across these cycles too.
 func (m *SM) AccountSkipped(span int64) {
 	if span <= 0 {
 		return
 	}
 	m.cycle += span
-	for i := range m.slots {
-		s := &m.slots[i]
-		if !s.valid || s.done {
-			continue
-		}
-		switch s.reason {
-		case reasonBarrier:
-			s.rec.BarrierStall += span
-		case reasonMemData, reasonMemStruct:
-			s.rec.MemStall += span
-		case reasonALU:
-			s.rec.ALUStall += span
-		default:
-			s.rec.EmptyStall += span
+	for w, word := range m.cand {
+		for ; word != 0; word &= word - 1 {
+			s := &m.slots[w<<6|bits.TrailingZeros64(word)]
+			if s.since < 0 {
+				s.creditStall(s.reason, span)
+			}
 		}
 	}
 }
 
-// retireWritebacks clears scoreboard bits whose compute results are due.
-// m.wbNext caches a lower bound on the earliest pending writeback, so
-// cycles with nothing due skip the slot scan with one compare.
+// retireWritebacks clears scoreboard bits whose compute results are due
+// and wakes the warps that were parked on them. m.wbNext caches a lower
+// bound on the earliest pending writeback, so cycles with nothing due
+// cost one compare; a due cycle visits only the slots with a queue and
+// filters only the queues with something due (slot.wbMin).
 func (m *SM) retireWritebacks(now int64) {
 	if m.wbNext > now {
 		return
 	}
 	next := NoWake
-	for i := range m.slots {
-		s := &m.slots[i]
-		if !s.valid || len(s.wb) == 0 {
-			continue
-		}
-		kept := s.wb[:0]
-		for _, e := range s.wb {
-			if e.time <= now {
-				s.busyALU &^= 1 << e.reg
-			} else {
-				kept = append(kept, e) //cawalint:alloc-ok in-place filter within the writeback queue's existing capacity
-				if e.time < next {
-					next = e.time
+	for w, word := range m.wbPending {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			s := &m.slots[i]
+			if s.wbMin > now {
+				if s.wbMin < next {
+					next = s.wbMin
+				}
+				continue
+			}
+			// Filter the queue in place, keeping the pending entries in
+			// order (the order a checkpoint serializes).
+			earliest, kept := NoWake, 0
+			for _, e := range s.wb {
+				if e.time <= now {
+					s.busyALU &^= 1 << e.reg
+					continue
+				}
+				s.wb[kept] = e
+				kept++
+				if e.time < earliest {
+					earliest = e.time
 				}
 			}
+			s.wb, s.wbMin = s.wb[:kept], earliest
+			if kept == 0 {
+				m.wbPending.remove(i)
+			} else if earliest < next {
+				next = earliest
+			}
+			if s.parked && s.reason == reasonALU && m.meta[s.pc].RegMask&s.busyALU == 0 {
+				m.wake(i, s)
+			}
 		}
-		s.wb = kept
 	}
 	m.wbNext = next
 }
 
 // pushWB schedules a register writeback and keeps the earliest-pending
 // cache current.
-func (m *SM) pushWB(s *slot, t int64, reg isa.Reg) {
+func (m *SM) pushWB(i int, s *slot, t int64, reg isa.Reg) {
+	if len(s.wb) == 0 || t < s.wbMin {
+		s.wbMin = t
+	}
 	s.wb = append(s.wb, wbEvent{time: t, reg: reg}) //cawalint:alloc-ok amortized growth of the per-slot writeback queue (bounded by pipe depth)
+	m.wbPending.add(i)
 	if t < m.wbNext {
 		m.wbNext = t
 	}
 }
 
-// readiness evaluates whether slot i can issue at now and records the
-// stall classification. MSHR capacity is not checked here (it is
-// checked once at issue time); a rejected issue demotes the slot to a
-// structural memory stall for the cycle.
+// readiness evaluates whether candidate slot i can issue at now and
+// records the stall classification. A warp that fails an
+// operand check is parked (readiness.go). MSHR capacity is not checked
+// here (it is checked once at issue time); a rejected issue demotes the
+// slot to a structural memory stall for the cycle.
 //
 // The instruction fetch is checked last, after the operand and LSU
 // hazards: an operand-blocked warp performs no I-cache probe. This
@@ -156,21 +176,29 @@ func (m *SM) pushWB(s *slot, t int64, reg isa.Reg) {
 // which sets icBusy and therefore bounds the span at its own cycle.
 func (m *SM) readiness(i int, now int64) bool {
 	s := &m.slots[i]
-	s.reason = reasonNone
 	if !s.valid || s.done {
+		// The warp finished at its last issue. It leaves the set here,
+		// one tick later, because this is where its classification
+		// clears — and a checkpoint in between serializes the old one.
+		s.reason = reasonNone
+		m.cand.remove(i)
 		return false
 	}
+	if s.since >= 0 {
+		s.creditStall(s.reason, now-s.since)
+		s.since = notAccruing
+	}
 	if s.warp.AtBarrier {
-		s.reason = reasonBarrier
+		m.park(i, s, reasonBarrier, now)
 		return false
 	}
 	md := &m.meta[s.pc]
 	if md.RegMask&s.busyMem != 0 {
-		s.reason = reasonMemData
+		m.park(i, s, reasonMemData, now)
 		return false
 	}
 	if md.RegMask&s.busyALU != 0 {
-		s.reason = reasonALU
+		m.park(i, s, reasonALU, now)
 		return false
 	}
 	if md.LSUGated && m.lsuBusyUntil > now {
@@ -193,9 +221,12 @@ func (m *SM) readiness(i int, now int64) bool {
 // count.
 func (m *SM) issueFrom(u *schedUnit, now int64) bool {
 	u.ready = u.ready[:0]
-	for _, i := range u.slots {
-		if m.readiness(i, now) {
-			u.ready = append(u.ready, i) //cawalint:alloc-ok amortized growth of the reused ready buffer
+	for w, own := range u.owned {
+		for word := own & m.cand[w]; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			if m.readiness(i, now) {
+				u.ready = append(u.ready, i) //cawalint:alloc-ok amortized growth of the reused ready buffer
+			}
 		}
 	}
 	if len(u.ready) == 0 {
@@ -297,11 +328,11 @@ func (m *SM) tryIssue(i int, now int64) bool {
 	case simt.StepCompute:
 		if st.Instr.Op.HasDst() {
 			s.busyALU |= 1 << st.Instr.Dst
-			m.pushWB(s, now+m.classLat[m.meta[pc].Class], st.Instr.Dst)
+			m.pushWB(i, s, now+m.classLat[m.meta[pc].Class], st.Instr.Dst)
 		}
 
 	case simt.StepSMem:
-		m.issueShared(s, st, now)
+		m.issueShared(i, s, st, now)
 
 	case simt.StepMem:
 		m.issueGlobal(i, s, st, now)
@@ -326,7 +357,7 @@ func (m *SM) tryIssue(i int, now int64) bool {
 // issueShared models shared-memory latency and bank conflicts: the LSU
 // is occupied for one cycle per maximum bank-conflict degree across the
 // 32 banks.
-func (m *SM) issueShared(s *slot, st *simt.Step, now int64) {
+func (m *SM) issueShared(i int, s *slot, st *simt.Step, now int64) {
 	const banks = 32
 	var bankWord [banks]int64
 	var bankCnt [banks]int
@@ -345,7 +376,7 @@ func (m *SM) issueShared(s *slot, st *simt.Step, now int64) {
 	m.lsuBusyUntil = now + int64(degree)
 	if st.IsLoad {
 		s.busyALU |= 1 << st.Instr.Dst
-		m.pushWB(s, now+int64(m.cfg.SharedMemLatency)+int64(degree)-1, st.Instr.Dst)
+		m.pushWB(i, s, now+int64(m.cfg.SharedMemLatency)+int64(degree)-1, st.Instr.Dst)
 	}
 }
 
@@ -415,7 +446,7 @@ func (m *SM) issueGlobal(slotIdx int, s *slot, st *simt.Step, now int64) {
 		}
 		if remaining == 0 {
 			s.busyALU |= 1 << st.Instr.Dst
-			m.pushWB(s, now+int64(m.cfg.L1HitLatency), st.Instr.Dst)
+			m.pushWB(slotIdx, s, now+int64(m.cfg.L1HitLatency), st.Instr.Dst)
 		} else {
 			s.busyMem |= 1 << st.Instr.Dst
 			s.loadRem[st.Instr.Dst] = remaining
@@ -428,10 +459,12 @@ func (m *SM) issueGlobal(slotIdx int, s *slot, st *simt.Step, now int64) {
 	}
 }
 
-// handleFill receives completed L1 miss lines and unblocks loads. A
-// token whose slot generation no longer matches belongs to a warp that
-// exited (or a block that retired) with the load still in flight; its
-// fill is dropped, as the old occupant's scoreboard died with it.
+// handleFill receives completed L1 miss lines and unblocks loads,
+// waking a warp parked on the data once the last register its next
+// instruction waits for has arrived. A token whose slot generation no
+// longer matches belongs to a warp that exited (or a block that
+// retired) with the load still in flight; its fill is dropped, as the
+// old occupant's scoreboard died with it.
 func (m *SM) handleFill(_ int64, tokens []int64) {
 	for _, t := range tokens {
 		slotIdx, gen, reg := splitToken(t)
@@ -442,12 +475,15 @@ func (m *SM) handleFill(_ int64, tokens []int64) {
 		s.loadRem[reg]--
 		if s.loadRem[reg] == 0 {
 			s.busyMem &^= 1 << reg
+			if s.parked && s.reason == reasonMemData && m.meta[s.pc].RegMask&s.busyMem == 0 {
+				m.wake(slotIdx, s)
+			}
 		}
 	}
 }
 
 // maybeReleaseBarrier opens the block barrier once every live warp has
-// arrived.
+// arrived, waking the ones parked at it.
 func (m *SM) maybeReleaseBarrier(blk *blockState) {
 	if blk.atBarrier < blk.live || blk.atBarrier == 0 {
 		return
@@ -457,6 +493,9 @@ func (m *SM) maybeReleaseBarrier(blk *blockState) {
 		s := &m.slots[si]
 		if s.valid && s.block == blk {
 			s.warp.AtBarrier = false
+			if s.parked {
+				m.wake(si, s)
+			}
 		}
 	}
 }
@@ -470,6 +509,7 @@ func (m *SM) maybeReleaseBarrier(blk *blockState) {
 func (m *SM) finishWarp(i int, now int64) {
 	s := &m.slots[i]
 	s.done = true
+	m.live.remove(i)
 	s.rec.FinishCycle = now
 	m.Finished = append(m.Finished, s.rec) //cawalint:alloc-ok bounded by warps per launch; drained and reused at launch end
 	blk := s.block
@@ -498,6 +538,8 @@ func (m *SM) retireBlock(blk *blockState, now int64) {
 		s.block = nil
 		s.busyALU, s.busyMem = 0, 0
 		s.wb = s.wb[:0] // keep the backing array for the next occupant
+		m.wbPending.remove(i)
+		m.freeSlots++
 	}
 	m.residentBlocks--
 	m.sharedInUse -= len(blk.shared) * 8
@@ -509,26 +551,21 @@ func (m *SM) retireBlock(blk *blockState, now int64) {
 	}
 }
 
-// accountStalls classifies this cycle for every resident warp that did
+// accountStalls classifies this cycle for every candidate warp that did
 // not issue (Figures 2c and 4; CPL's stall term sees the same cycles
-// via the per-issue stall delta).
+// via the per-issue stall delta). Parked warps, and a warp woken after
+// its unit's turn this tick, are owed the cycle instead (slot.since).
 func (m *SM) accountStalls(now int64) {
-	for i := range m.slots {
-		s := &m.slots[i]
-		if !s.valid || s.issuedCycle == now || s.done {
-			continue
-		}
-		switch {
-		case s.readyCycle == now:
-			s.rec.SchedStall++
-		case s.reason == reasonBarrier:
-			s.rec.BarrierStall++
-		case s.reason == reasonMemData || s.reason == reasonMemStruct:
-			s.rec.MemStall++
-		case s.reason == reasonALU:
-			s.rec.ALUStall++
-		default:
-			s.rec.EmptyStall++
+	for w, word := range m.cand {
+		for ; word != 0; word &= word - 1 {
+			s := &m.slots[w<<6|bits.TrailingZeros64(word)]
+			switch {
+			case s.since >= 0 || s.issuedCycle == now:
+			case s.readyCycle == now:
+				s.rec.SchedStall++
+			default:
+				s.creditStall(s.reason, 1)
+			}
 		}
 	}
 }

@@ -19,14 +19,7 @@ func (m *SM) CanAcceptBlock() bool {
 	if m.residentBlocks >= m.cfg.MaxBlocksPerSM {
 		return false
 	}
-	need := k.WarpsPerBlock(m.cfg.WarpSize)
-	free := 0
-	for i := range m.slots {
-		if !m.slots[i].valid {
-			free++
-		}
-	}
-	if free < need {
+	if m.freeSlots < k.WarpsPerBlock(m.cfg.WarpSize) {
 		return false
 	}
 	if m.sharedInUse+k.SharedWords*8 > m.cfg.SharedMemPerSM {
@@ -40,7 +33,8 @@ func (m *SM) CanAcceptBlock() bool {
 
 // DispatchBlock places block blockID of the installed kernel onto the
 // SM. gidBase numbers the block's warps globally. The caller must have
-// checked CanAcceptBlock.
+// checked CanAcceptBlock. The block's warps start as candidates: their
+// first evaluation classifies them.
 func (m *SM) DispatchBlock(blockID, gidBase int, now int64) {
 	k := m.kernel
 	if k == nil || !m.CanAcceptBlock() {
@@ -86,6 +80,7 @@ func (m *SM) DispatchBlock(blockID, gidBase int, now int64) {
 			wb:        s.wb[:0],      // recycle the previous occupant's
 			peekBuf:   s.peekBuf[:0], // backing arrays (steady-state
 			lastIssue: now - 1,       // allocation-free dispatch)
+			since:     notAccruing,
 			rec: stats.WarpRecord{
 				GID:           w.GID,
 				SM:            m.ID,
@@ -96,6 +91,9 @@ func (m *SM) DispatchBlock(blockID, gidBase int, now int64) {
 		}
 		blk.slots = append(blk.slots, i)
 		blk.live++
+		m.live.add(i)
+		m.cand.add(i)
+		m.freeSlots--
 		m.units[i%len(m.units)].policy.OnWarpArrived(i)
 		m.crit.OnWarpArrived(i, w)
 		placed++

@@ -7,6 +7,7 @@ package sm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cawa/internal/cache"
 	"cawa/internal/config"
@@ -71,35 +72,41 @@ const (
 	reasonReady     // issuable (a non-issue then means scheduler delay)
 )
 
-// slot holds one resident warp and its pipeline state.
+// slot holds one resident warp and its pipeline state. The fields a tick
+// reads while it evaluates, accounts and wakes come first, so they share
+// a cache line; the bulky per-warp tables follow.
 type slot struct {
 	valid bool
-	gen   int64 // incremented per occupancy; guards stale load tokens
-	warp  *simt.Warp
-	block *blockState
-	age   int64 // dispatch sequence, for GTO/age tie-breaks
+	// done and pc mirror warp.Done() and warp.PC(): both can only change
+	// when the warp issues, so caching them here keeps readiness free of
+	// pointer chases into the warp's reconvergence stack.
+	done bool
+	// parked: the warp failed an operand check and sits outside the
+	// candidate set until an event that can lift the check wakes it;
+	// reason then holds the verdict a re-evaluation would reach
+	// (readiness.go).
+	parked bool
+	reason stallReason // last readiness classification
+	pc     int32
 
 	busyALU uint64 // registers awaiting compute writeback
 	busyMem uint64 // registers awaiting load data
-	wb      []wbEvent
-	// loadRem counts, per destination register, the line fills still
-	// outstanding for the load that set the register's busyMem bit. The
-	// scoreboard guarantees at most one in-flight load per register.
-	loadRem [isa.NumRegs]int32
 
-	lastIssue int64 // cycle of the previous issue (or dispatch)
-	rec       stats.WarpRecord
+	// since >= 0: the warp's stall cycles from cycle since onward are
+	// owed to reason's bucket and not yet credited to rec. notAccruing:
+	// rec is current, the warp is charged tick by tick.
+	since       int64
+	readyCycle  int64 // cycle readiness last evaluated true
+	issuedCycle int64 // cycle of the last issue
+	lastIssue   int64 // cycle of the previous issue (or dispatch)
+	wbMin       int64 // earliest time in wb (meaningless while wb is empty)
 
-	// pc and done mirror warp.PC() and warp.Done(): both can only
-	// change when the warp issues, so caching them here keeps the
-	// per-cycle readiness scan free of pointer chases into the warp's
-	// reconvergence stack.
-	pc   int32
-	done bool
-
-	reason      stallReason // last readiness classification
-	readyCycle  int64       // cycle readiness last evaluated true
-	issuedCycle int64       // cycle of the last issue
+	warp  *simt.Warp
+	block *blockState
+	gen   int64 // incremented per occupancy; guards stale load tokens
+	age   int64 // dispatch sequence, for GTO/age tie-breaks
+	wb    []wbEvent
+	rec   stats.WarpRecord
 
 	// Memoized memory-coalescing peek: valid while the warp has not
 	// issued since it was computed (registers cannot change underneath).
@@ -111,6 +118,11 @@ type slot struct {
 	peekInstr  int64
 	peekBuf    []int64
 	rejectedAt uint64
+
+	// loadRem counts, per destination register, the line fills still
+	// outstanding for the load that set the register's busyMem bit. The
+	// scoreboard guarantees at most one in-flight load per register.
+	loadRem [isa.NumRegs]int32
 }
 
 type blockState struct {
@@ -143,8 +155,8 @@ func splitToken(t int64) (slot int, gen int64, reg isa.Reg) {
 
 type schedUnit struct {
 	policy sched.Policy
-	slots  []int // slot indices owned by this scheduler
-	ready  []int // per-cycle scratch, reused
+	owned  slotSet // the slots this scheduler issues from (i % units), fixed
+	ready  []int   // per-cycle scratch, reused
 	ctx    sched.Context
 	issued int64 // instructions this unit has issued (pick distribution)
 }
@@ -169,6 +181,13 @@ type SM struct {
 	// classLat maps a functional-unit class to its writeback latency,
 	// precomputed from the configuration (indexed by isa.Class).
 	classLat [isa.ClassCtrl + 1]int64
+
+	// Sets maintained at the events that change them (readiness.go);
+	// all derived from the slots, none serialized.
+	live      slotSet // valid and not finished
+	cand      slotSet // evaluated every tick: the unparked (readiness.go)
+	wbPending slotSet // non-empty writeback queue
+	freeSlots int     // slots not valid
 
 	cycle        int64
 	lsuBusyUntil int64
@@ -228,6 +247,10 @@ func New(opt Options) *SM {
 		slots:  make([]slot, opt.Config.MaxWarpsPerSM),
 		wbNext: NoWake,
 	}
+	m.live = newSlotSet(len(m.slots))
+	m.cand = newSlotSet(len(m.slots))
+	m.wbPending = newSlotSet(len(m.slots))
+	m.freeSlots = len(m.slots)
 	for c := range m.classLat {
 		switch isa.Class(c) {
 		case isa.ClassFPU:
@@ -252,12 +275,12 @@ func New(opt Options) *SM {
 			},
 		}
 	}
-	for s := range m.slots {
-		u := s % len(m.units)
-		m.units[u].slots = append(m.units[u].slots, s)
-	}
 	for i := range m.units {
-		m.units[i].ready = make([]int, 0, len(m.units[i].slots))
+		m.units[i].owned = newSlotSet(len(m.slots))
+		m.units[i].ready = make([]int, 0, (len(m.slots)+len(m.units)-1)/len(m.units))
+	}
+	for s := range m.slots {
+		m.units[s%len(m.units)].owned.add(s)
 	}
 	return m
 }
@@ -333,17 +356,9 @@ func (m *SM) SetKernel(k *simt.Kernel) {
 // Idle reports whether no warps are resident.
 func (m *SM) Idle() bool { return m.residentBlocks == 0 }
 
-// ResidentWarps returns the number of live warps (tests, occupancy
-// statistics).
-func (m *SM) ResidentWarps() int {
-	n := 0
-	for i := range m.slots {
-		if m.slots[i].valid {
-			n++
-		}
-	}
-	return n
-}
+// ResidentWarps returns the number of occupied warp slots (tests,
+// occupancy statistics).
+func (m *SM) ResidentWarps() int { return len(m.slots) - m.freeSlots }
 
 // Slot gives providers access to a slot's warp (nil when free).
 func (m *SM) Slot(i int) *simt.Warp {
@@ -380,44 +395,46 @@ func (o ObsState) Active() int {
 func (o ObsState) Stalled() int { return o.StallMem + o.StallALU + o.StallBarrier }
 
 // ObsState classifies every resident warp by its latest readiness
-// evaluation (sampling hook; see internal/obs).
+// evaluation (sampling hook; see internal/obs). A parked warp's latest
+// evaluation is the one that parked it — still the verdict of the
+// sampled cycle, or the warp would have been woken — so the sampler
+// needs nothing settled first: it reads classifications, not the stall
+// buckets that accrue lazily.
 func (m *SM) ObsState() ObsState {
 	var o ObsState
 	var minC, maxC float64
 	first := true
-	for i := range m.slots {
-		s := &m.slots[i]
-		if !s.valid {
-			continue
+	o.Resident = m.ResidentWarps()
+	for w, word := range m.live {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			s := &m.slots[i]
+			switch {
+			case s.issuedCycle == m.cycle:
+				o.Issued++
+			case s.reason == reasonReady:
+				o.Ready++
+			case s.reason == reasonMemData || s.reason == reasonMemStruct:
+				o.StallMem++
+			case s.reason == reasonALU:
+				o.StallALU++
+			case s.reason == reasonBarrier:
+				o.StallBarrier++
+			default:
+				o.Ready++ // not yet evaluated this cycle
+			}
+			c := m.crit.Criticality(i)
+			if first || c < minC {
+				minC = c
+			}
+			if first || c > maxC {
+				maxC = c
+			}
+			first = false
 		}
-		o.Resident++
-		if s.warp.Done() {
-			o.Idle++
-			continue
-		}
-		switch {
-		case s.issuedCycle == m.cycle:
-			o.Issued++
-		case s.reason == reasonReady:
-			o.Ready++
-		case s.reason == reasonMemData || s.reason == reasonMemStruct:
-			o.StallMem++
-		case s.reason == reasonALU:
-			o.StallALU++
-		case s.reason == reasonBarrier:
-			o.StallBarrier++
-		default:
-			o.Ready++ // not yet evaluated this cycle
-		}
-		c := m.crit.Criticality(i)
-		if first || c < minC {
-			minC = c
-		}
-		if first || c > maxC {
-			maxC = c
-		}
-		first = false
 	}
+	// Finished warps hold their slot until the block exits.
+	o.Idle = o.Resident - o.Active()
 	if !first {
 		o.CritSpread = maxC - minC
 	}

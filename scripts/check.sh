@@ -23,7 +23,12 @@
 #                 barrier, staged replay, horizon clamps, span-fill
 #                 delivery, cancellation, worker budget, shared
 #                 observers on the inline domain, engine-equivalence,
-#                 checkpoint round-trips across the workload catalog)
+#                 checkpoint round-trips across the workload catalog) and
+#                 the SM's event-driven readiness tests (the from-scratch
+#                 oracle over the catalog, where fills wake parked warps
+#                 from the engine's head drain and from helper domains'
+#                 in-span deliveries; the directed wake cases; the
+#                 allocation budget at full occupancy)
 #                 re-run under -race at GOMAXPROCS=2 (forced goroutine
 #                 multiplexing — exercises the barrier park path) and
 #                 GOMAXPROCS=8 (real interleaving on CI's multi-core
@@ -52,8 +57,8 @@ echo "== go test -race (harness, workloads) =="
 go test -race -short ./internal/harness/... ./internal/workloads/...
 echo "== go test -race span engine domains (GOMAXPROCS=2, GOMAXPROCS=8) =="
 for procs in 2 8; do
-    GOMAXPROCS=$procs go test -race -short \
-        -run 'TestParallel|TestDomain|TestStaged|TestStaging|TestLookahead|TestSpanFill|TestSessionSharedWorkerBudget|TestSharedObservers|TestEngineEquivalenceMatrix|TestRoundTrip' \
-        ./internal/gpu/... ./internal/memsys/... ./internal/harness/... ./internal/checkpoint/...
+    GOMAXPROCS=$procs go test -race -short -count=1 \
+        -run 'TestParallel|TestDomain|TestStaged|TestStaging|TestLookahead|TestSpanFill|TestSessionSharedWorkerBudget|TestSharedObservers|TestEngineEquivalenceMatrix|TestRoundTrip|TestReadinessOracle|TestBarrierWake|TestFillWakes|TestWritebackWakes|TestMemDataReparks|TestStaleFill|TestCyclePathAllocFree' \
+        ./internal/gpu/... ./internal/memsys/... ./internal/harness/... ./internal/checkpoint/... ./internal/sm/...
 done
 echo "ALL CHECKS PASSED"
