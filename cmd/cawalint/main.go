@@ -1,26 +1,23 @@
 // Command cawalint enforces the simulator's determinism invariants
 // over its Go source (see internal/lint).
 //
-// The default per-file mode checks each package in isolation: no
-// wall-clock reads or global math/rand in simulation packages, no raw
-// map iteration feeding simulation state or output, no goroutines
-// outside the sanctioned packages, and no direct memsys.System
-// mutation from SM-domain code.
-//
-// With -interproc the tool type-checks the whole module, builds a
-// CHA-style call graph, and additionally enforces the transitive
-// rules: the 0-allocs/cycle budget on everything the cycle roots
-// reach, the staged-memsys discipline across helper chains, the
-// no-synchronization rule for domain-goroutine-reachable code, the
-// package-global write ban, and the reachability-based wall-clock
-// ban. Accepted findings live in a committed baseline keyed by stable
-// finding IDs; -baseline applies it, -update-baseline regenerates it.
+// It type-checks the whole module and runs every rule in one pass. The
+// rules that look at one statement: no wall-clock reads or global
+// math/rand in simulation packages, no raw map iteration feeding
+// simulation state or output, no goroutines outside the sanctioned
+// packages, and no direct memsys.System mutation from SM-domain code.
+// The rules that follow a CHA-style call graph: the 0-allocs/cycle
+// budget on everything the cycle roots reach, the staged-memsys
+// discipline across helper chains, the no-synchronization rule for
+// domain-goroutine-reachable code, the package-global write ban, and
+// the reachability-based wall-clock ban. Accepted findings live in a
+// committed baseline keyed by stable finding IDs; -baseline applies it,
+// -update-baseline regenerates it.
 //
 // Usage:
 //
-//	cawalint [dirs...]                 # per-file mode (default ./internal)
-//	cawalint -interproc [-dir root] [-json out.json] [-baseline file]
-//	cawalint -interproc -baseline file -update-baseline
+//	cawalint [-dir root] [-json out.json] [-baseline file]
+//	cawalint -baseline file -update-baseline
 //
 // Findings print as file:line:col: rule: message; the exit status is
 // 0 when clean, 1 when any finding exists, 2 on usage, load, or I/O
@@ -31,10 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"cawa/internal/lint"
 )
@@ -43,47 +37,37 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is the testable entry point: it parses args, executes the
-// requested mode, and returns the process exit code (0 clean, 1
-// findings, 2 usage/load errors).
+// run is the testable entry point: it parses args, loads the whole
+// module, runs AnalyzeModule, applies or regenerates the baseline, and
+// returns the process exit code (0 clean, 1 findings, 2 usage/load
+// errors).
 func run(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("cawalint", flag.ContinueOnError)
 	fl.SetOutput(stderr)
-	interproc := fl.Bool("interproc", false, "whole-module interprocedural analysis (call-graph rules + baseline)")
-	dir := fl.String("dir", ".", "module root directory (must contain go.mod)")
-	jsonOut := fl.String("json", "", "write findings as JSON to this file ('-' for stdout); requires -interproc")
-	baselinePath := fl.String("baseline", "", "baseline file of accepted finding IDs; requires -interproc")
-	updateBaseline := fl.Bool("update-baseline", false, "rewrite -baseline accepting all current findings, then exit 0; requires -interproc and -baseline")
+	var (
+		dir, jsonOut, baselinePath string
+		updateBaseline             bool
+	)
+	fl.StringVar(&dir, "dir", ".", "module root directory (must contain go.mod)")
+	fl.StringVar(&jsonOut, "json", "", "write findings as JSON to this file ('-' for stdout)")
+	fl.StringVar(&baselinePath, "baseline", "", "baseline file of accepted finding IDs")
+	fl.BoolVar(&updateBaseline, "update-baseline", false, "rewrite -baseline accepting all current findings, then exit 0")
 	fl.Usage = func() {
-		fmt.Fprintln(stderr, "usage: cawalint [dirs...]                  (per-file mode, default ./internal)")
-		fmt.Fprintln(stderr, "       cawalint -interproc [-dir root] [-json out] [-baseline file] [-update-baseline]")
+		fmt.Fprintln(stderr, "usage: cawalint [-dir root] [-json out] [-baseline file] [-update-baseline]")
 		fl.PrintDefaults()
 	}
 	if err := fl.Parse(args); err != nil {
 		return 2
 	}
-
-	if !*interproc {
-		if *jsonOut != "" || *baselinePath != "" || *updateBaseline {
-			fmt.Fprintln(stderr, "cawalint: -json, -baseline and -update-baseline require -interproc")
-			return 2
-		}
-		return runPerFile(fl.Args(), *dir, stdout, stderr)
-	}
 	if fl.NArg() > 0 {
-		fmt.Fprintln(stderr, "cawalint: -interproc analyzes the whole module; positional directories are per-file mode only")
+		fmt.Fprintln(stderr, "cawalint: the whole module is analyzed; positional directories are not accepted (use -dir for another module root)")
 		return 2
 	}
-	if *updateBaseline && *baselinePath == "" {
+	if updateBaseline && baselinePath == "" {
 		fmt.Fprintln(stderr, "cawalint: -update-baseline requires -baseline to name the file to write")
 		return 2
 	}
-	return runInterproc(*dir, *jsonOut, *baselinePath, *updateBaseline, stdout, stderr)
-}
 
-// runInterproc loads the whole module, runs AnalyzeModule, and applies
-// or regenerates the baseline.
-func runInterproc(dir, jsonOut, baselinePath string, updateBaseline bool, stdout, stderr io.Writer) int {
 	m, err := lint.LoadModule(dir)
 	if err != nil {
 		fmt.Fprintf(stderr, "cawalint: %v\n", err)
@@ -159,84 +143,4 @@ func plural(n int, one, many string) string {
 		return one
 	}
 	return many
-}
-
-// runPerFile is the original single-package mode: lint each directory's
-// package in isolation, with types resolved per file only.
-func runPerFile(roots []string, dir string, stdout, stderr io.Writer) int {
-	if len(roots) == 0 {
-		roots = []string{"internal"}
-	}
-	module, err := moduleName(dir)
-	if err != nil {
-		fmt.Fprintf(stderr, "cawalint: %v\n", err)
-		return 2
-	}
-	opts := lint.DefaultOptions()
-
-	total := 0
-	for _, root := range roots {
-		dirs, err := goDirs(filepath.Join(dir, root))
-		if err != nil {
-			fmt.Fprintf(stderr, "cawalint: %v\n", err)
-			return 2
-		}
-		for _, d := range dirs {
-			rel, err := filepath.Rel(dir, d)
-			if err != nil {
-				rel = d
-			}
-			pkgPath := module + "/" + filepath.ToSlash(filepath.Clean(rel))
-			findings, err := lint.Dir(d, pkgPath, opts)
-			if err != nil {
-				fmt.Fprintf(stderr, "cawalint: %s: %v\n", d, err)
-				return 2
-			}
-			for _, f := range findings {
-				fmt.Fprintln(stdout, f)
-			}
-			total += len(findings)
-		}
-	}
-	if total > 0 {
-		fmt.Fprintf(stderr, "cawalint: %d finding(s)\n", total)
-		return 1
-	}
-	return 0
-}
-
-// moduleName reads the module path from go.mod under dir.
-func moduleName(dir string) (string, error) {
-	data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
-	if err != nil {
-		return "", err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
-			return strings.TrimSpace(rest), nil
-		}
-	}
-	return "", fmt.Errorf("go.mod has no module directive")
-}
-
-// goDirs returns every directory under root containing at least one
-// non-test .go file, in sorted walk order.
-func goDirs(root string) ([]string, error) {
-	seen := map[string]bool{}
-	var out []string
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		dir := filepath.Dir(path)
-		if !seen[dir] {
-			seen[dir] = true
-			out = append(out, dir)
-		}
-		return nil
-	})
-	return out, err
 }

@@ -39,17 +39,15 @@ func TestExitCodes(t *testing.T) {
 		args []string
 		want int
 	}{
-		{"clean under baseline", []string{"-interproc", "-dir", "testdata/mod", "-baseline", "testdata/baseline.json"}, 0},
-		{"findings", []string{"-interproc", "-dir", "testdata/mod"}, 1},
-		{"stale baseline entry", []string{"-interproc", "-dir", "testdata/mod", "-baseline", "testdata/baseline_stale.json"}, 1},
-		{"json without interproc", []string{"-json", "out.json", "internal"}, 2},
-		{"baseline without interproc", []string{"-baseline", "testdata/baseline.json", "internal"}, 2},
-		{"update-baseline without baseline", []string{"-interproc", "-update-baseline", "-dir", "testdata/mod"}, 2},
-		{"positional dirs with interproc", []string{"-interproc", "internal"}, 2},
+		{"clean under baseline", []string{"-dir", "testdata/mod", "-baseline", "testdata/baseline.json"}, 0},
+		{"findings", []string{"-dir", "testdata/mod"}, 1},
+		{"stale baseline entry", []string{"-dir", "testdata/mod", "-baseline", "testdata/baseline_stale.json"}, 1},
+		{"update-baseline without baseline", []string{"-update-baseline", "-dir", "testdata/mod"}, 2},
+		{"positional dirs", []string{"-dir", "testdata/mod", "internal"}, 2},
 		{"unknown flag", []string{"-no-such-flag"}, 2},
-		{"syntax error in module", []string{"-interproc", "-dir", badSyntaxModule(t)}, 2},
-		{"module without the engine roots", []string{"-interproc", "-dir", "testdata/notcawa"}, 2},
-		{"missing module dir", []string{"-interproc", "-dir", "testdata/no-such-dir"}, 2},
+		{"syntax error in module", []string{"-dir", badSyntaxModule(t)}, 2},
+		{"module without the engine roots", []string{"-dir", "testdata/notcawa"}, 2},
+		{"missing module dir", []string{"-dir", "testdata/no-such-dir"}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -64,7 +62,7 @@ func TestExitCodes(t *testing.T) {
 // TestFindingsOutput checks the human-readable mode names the rule and
 // carries the witness path.
 func TestFindingsOutput(t *testing.T) {
-	code, stdout, stderr := runCLI(t, "-interproc", "-dir", "testdata/mod")
+	code, stdout, stderr := runCLI(t, "-dir", "testdata/mod")
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1 (stderr: %s)", code, stderr)
 	}
@@ -82,7 +80,7 @@ func TestFindingsOutput(t *testing.T) {
 // TestStaleBaselineSurfaces checks an unmatched baseline entry comes
 // back as a stale-baseline finding rather than being ignored.
 func TestStaleBaselineSurfaces(t *testing.T) {
-	code, stdout, _ := runCLI(t, "-interproc", "-dir", "testdata/mod", "-baseline", "testdata/baseline_stale.json")
+	code, stdout, _ := runCLI(t, "-dir", "testdata/mod", "-baseline", "testdata/baseline_stale.json")
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1", code)
 	}
@@ -100,7 +98,7 @@ func TestStaleBaselineSurfaces(t *testing.T) {
 var updateGolden = os.Getenv("CAWALINT_UPDATE_GOLDEN") != ""
 
 func TestJSONGolden(t *testing.T) {
-	code, stdout, stderr := runCLI(t, "-interproc", "-dir", "testdata/mod", "-json", "-")
+	code, stdout, stderr := runCLI(t, "-dir", "testdata/mod", "-json", "-")
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1 (stderr: %s)", code, stderr)
 	}
@@ -122,8 +120,8 @@ func TestJSONGolden(t *testing.T) {
 // TestJSONDeterministic runs the analysis twice and requires identical
 // bytes: map iteration anywhere in the pipeline would flake here.
 func TestJSONDeterministic(t *testing.T) {
-	_, first, _ := runCLI(t, "-interproc", "-dir", "testdata/mod", "-json", "-")
-	_, second, _ := runCLI(t, "-interproc", "-dir", "testdata/mod", "-json", "-")
+	_, first, _ := runCLI(t, "-dir", "testdata/mod", "-json", "-")
+	_, second, _ := runCLI(t, "-dir", "testdata/mod", "-json", "-")
 	if first != second {
 		t.Errorf("two runs produced different JSON:\n%s\nvs:\n%s", first, second)
 	}
@@ -135,7 +133,7 @@ func TestJSONDeterministic(t *testing.T) {
 func TestUpdateBaselineRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "baseline.json")
 
-	code, _, stderr := runCLI(t, "-interproc", "-dir", "testdata/mod", "-baseline", path, "-update-baseline")
+	code, _, stderr := runCLI(t, "-dir", "testdata/mod", "-baseline", path, "-update-baseline")
 	if code != 0 {
 		t.Fatalf("update-baseline exit code = %d (stderr: %s)", code, stderr)
 	}
@@ -147,7 +145,7 @@ func TestUpdateBaselineRoundTrip(t *testing.T) {
 		t.Errorf("new baseline entry missing placeholder reason:\n%s", data)
 	}
 
-	code, stdout, stderr := runCLI(t, "-interproc", "-dir", "testdata/mod", "-baseline", path)
+	code, stdout, stderr := runCLI(t, "-dir", "testdata/mod", "-baseline", path)
 	if code != 0 {
 		t.Fatalf("run under fresh baseline: exit code = %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}
@@ -157,7 +155,7 @@ func TestUpdateBaselineRoundTrip(t *testing.T) {
 		[]byte("TODO: justify this acceptance"), []byte("a real reviewed reason"), 1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, _, stderr = runCLI(t, "-interproc", "-dir", "testdata/mod", "-baseline", path, "-update-baseline")
+	code, _, stderr = runCLI(t, "-dir", "testdata/mod", "-baseline", path, "-update-baseline")
 	if code != 0 {
 		t.Fatalf("second update-baseline exit code = %d (stderr: %s)", code, stderr)
 	}
@@ -167,14 +165,5 @@ func TestUpdateBaselineRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "a real reviewed reason") {
 		t.Errorf("update-baseline dropped the reviewed reason:\n%s", data)
-	}
-}
-
-// TestPerFileModeStillWorks runs the legacy mode against the fixture
-// module (whose packages are clean under the per-file rules).
-func TestPerFileModeStillWorks(t *testing.T) {
-	code, stdout, stderr := runCLI(t, "-dir", "testdata/mod", "internal")
-	if code != 0 {
-		t.Fatalf("exit code = %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}
 }

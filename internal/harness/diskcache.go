@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -66,17 +67,47 @@ type entry struct {
 	Result *Result `json:"result"`
 }
 
+// Artifact extensions: results and warm checkpoints are two populations
+// of one content-addressed store, told apart by extension so Len (which
+// counts results) and operators see them separately.
+const (
+	resultExt = ".json"
+	ckptExt   = ".ckpt"
+)
+
 // path maps a key to its content-addressed file.
-func (d *DiskCache) path(key string) string {
+func (d *DiskCache) path(key, ext string) string {
 	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(d.dir, hex.EncodeToString(sum[:])+".json")
+	return filepath.Join(d.dir, hex.EncodeToString(sum[:])+ext)
+}
+
+// write stores one artifact under key atomically: encode fills a temp
+// file in the cache directory, which is then renamed into place, so
+// readers never observe a partially written artifact.
+func (d *DiskCache) write(key, ext string, encode func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(d.dir, ".tmp-*")
+	if err != nil {
+		return fmt.Errorf("harness: disk cache: %w", err)
+	}
+	err = encode(tmp)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), d.path(key, ext))
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("harness: disk cache: %w", err)
+	}
+	return nil
 }
 
 // Load returns the cached result for key, or (nil, false) on any kind
 // of miss — absent, unreadable, corrupt, or keyed to a different
 // identity. It never fails hard.
 func (d *DiskCache) Load(key string) (*Result, bool) {
-	data, err := os.ReadFile(d.path(key))
+	data, err := os.ReadFile(d.path(key, resultExt))
 	if err != nil {
 		return nil, false
 	}
@@ -87,32 +118,18 @@ func (d *DiskCache) Load(key string) (*Result, bool) {
 	return e.Result, true
 }
 
-// Store writes the result under key atomically (temp file + rename).
-// The result must already be GPU-free serializable state; Result.GPU
-// is excluded from encoding either way.
+// Store writes the result under key atomically. The result must
+// already be GPU-free serializable state; Result.GPU is excluded from
+// encoding either way.
 func (d *DiskCache) Store(key string, r *Result) error {
 	data, err := json.Marshal(entry{Key: key, Result: r})
 	if err != nil {
 		return fmt.Errorf("harness: disk cache: %w", err)
 	}
-	tmp, err := os.CreateTemp(d.dir, ".entry-*")
-	if err != nil {
-		return fmt.Errorf("harness: disk cache: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: disk cache: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: disk cache: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), d.path(key)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: disk cache: %w", err)
-	}
-	return nil
+	return d.write(key, resultExt, func(out io.Writer) error {
+		_, err := out.Write(data)
+		return err
+	})
 }
 
 // CheckpointKey derives the warm-checkpoint identity from a run's full
@@ -124,21 +141,13 @@ func (d *DiskCache) CheckpointKey(entryKey string) string {
 	return entryKey + "|checkpoint"
 }
 
-// ckptPath maps a checkpoint key to its content-addressed file. The
-// extension differs from result entries so Len (which counts *.json)
-// and operators see the two populations apart.
-func (d *DiskCache) ckptPath(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(d.dir, hex.EncodeToString(sum[:])+".ckpt")
-}
-
 // LoadCheckpoint returns the persisted warm checkpoint for key, or
 // (nil, false) on any kind of miss — absent, truncated, corrupt,
 // mis-keyed, or written by an incompatible checkpoint format. Like
 // Load, it never fails hard: a bad artifact costs a cold start, never
 // an error.
 func (d *DiskCache) LoadCheckpoint(key string) (*WarmCheckpoint, bool) {
-	f, err := os.Open(d.ckptPath(key))
+	f, err := os.Open(d.path(key, ckptExt))
 	if err != nil {
 		return nil, false
 	}
@@ -150,39 +159,22 @@ func (d *DiskCache) LoadCheckpoint(key string) (*WarmCheckpoint, bool) {
 	return w, true
 }
 
-// StoreCheckpoint persists a warm checkpoint under key atomically
-// (temp file + rename), replacing any previous one.
+// StoreCheckpoint persists a warm checkpoint under key atomically,
+// replacing any previous one.
 func (d *DiskCache) StoreCheckpoint(key string, w *WarmCheckpoint) error {
-	tmp, err := os.CreateTemp(d.dir, ".ckpt-*")
-	if err != nil {
-		return fmt.Errorf("harness: disk cache: %w", err)
-	}
-	if err := w.encode(tmp, key); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: disk cache: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), d.ckptPath(key)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: disk cache: %w", err)
-	}
-	return nil
+	return d.write(key, ckptExt, func(out io.Writer) error { return w.encode(out, key) })
 }
 
 // RemoveCheckpoint drops the warm checkpoint for key, if any. A
 // completed run's final result supersedes its checkpoint; removing the
 // blob is pure hygiene, so errors are not reported.
 func (d *DiskCache) RemoveCheckpoint(key string) {
-	os.Remove(d.ckptPath(key)) //nolint:errcheck
+	os.Remove(d.path(key, ckptExt)) //nolint:errcheck
 }
 
 // Len counts the committed entries on disk (operational visibility).
 func (d *DiskCache) Len() int {
-	matches, err := filepath.Glob(filepath.Join(d.dir, "*.json"))
+	matches, err := filepath.Glob(filepath.Join(d.dir, "*"+resultExt))
 	if err != nil {
 		return 0
 	}

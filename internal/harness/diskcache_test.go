@@ -1,12 +1,19 @@
 package harness
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"cawa/internal/checkpoint"
 	"cawa/internal/config"
 	"cawa/internal/core"
 	"cawa/internal/workloads"
@@ -194,5 +201,258 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 	}
 	if s3.DiskHits() != 0 {
 		t.Error("different architecture hit the small-config cache entry")
+	}
+}
+
+// cutRun runs opt to completion for reference, then again cancelled
+// halfway, and returns the reference result and the cut run's latest
+// checkpoint.
+func cutRun(tb testing.TB, opt RunOptions) (*Result, *WarmCheckpoint) {
+	tb.Helper()
+	ref, err := Run(opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hooked, ctx := cancelAt(opt, ref.Agg.Cycles/2)
+	_, last, err := RunCheckpointed(ctx, hooked, 2_000, nil)
+	if err == nil || last == nil {
+		tb.Fatalf("cancelled run: err=%v checkpoint=%v", err, last != nil)
+	}
+	ref.ReleaseGPU()
+	return ref, last
+}
+
+// parentLayout spells out the on-disk layout of the parent commit
+// (engine cawa-engine-6) without calling any DiskCache code: the identity
+// key, the SHA-256 file name, the {"key","result"} document and the
+// length-prefixed warm-checkpoint header.
+type parentLayout struct{ dir string }
+
+func (parentLayout) entryKey(app, sysKey string, p workloads.Params, cfg config.Config) string {
+	return fmt.Sprintf("%s|%s|scale=%g|seed=%d|arch=%+v|cawa-engine-6", app, sysKey, p.Scale, p.Seed, cfg)
+}
+
+func (l parentLayout) file(key, ext string) string {
+	sum := sha256.Sum256([]byte(key))
+	return filepath.Join(l.dir, hex.EncodeToString(sum[:])+ext)
+}
+
+func (l parentLayout) writeResult(tb testing.TB, key string, r *Result) {
+	tb.Helper()
+	doc, err := json.Marshal(map[string]any{"key": key, "result": r})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := os.WriteFile(l.file(key, ".json"), doc, 0o644); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+func (l parentLayout) writeCheckpoint(tb testing.TB, key string, w *WarmCheckpoint) {
+	tb.Helper()
+	hdr, err := json.Marshal(map[string]any{"key": key, "partial": &w.Partial})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	binary.Write(&buf, binary.BigEndian, uint32(len(hdr))) //nolint:errcheck
+	buf.Write(hdr)
+	if _, err := checkpoint.Encode(&buf, w.Snap); err != nil {
+		tb.Fatal(err)
+	}
+	if err := os.WriteFile(l.file(key, ".ckpt"), buf.Bytes(), 0o644); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestServesParentCommitCacheLayout: a cache directory written with the
+// parent commit's layout is served without one re-simulation, and its
+// warm checkpoint resumes.
+func TestServesParentCommitCacheLayout(t *testing.T) {
+	cfg, params := resumeConfig(), resumeParams
+	layout := parentLayout{dir: t.TempDir()}
+	cells := []RunKey{
+		{App: "bfs", System: core.Baseline()},
+		{App: "bfs", System: core.SystemConfig{Scheduler: "gto"}},
+		{App: "needle", System: core.CAWA()},
+	}
+	want := make([]*Result, len(cells))
+	for i, c := range cells {
+		r, err := Run(RunOptions{Workload: c.App, Params: params, System: c.System, Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.ReleaseGPU()
+		want[i] = r
+		sysKey, _ := c.System.Key()
+		layout.writeResult(t, layout.entryKey(c.App, sysKey, params, cfg), r)
+	}
+	cawaKey, _ := core.CAWA().Key()
+	ref, last := cutRun(t, RunOptions{Workload: "bfs", Params: params, System: core.CAWA(), Config: cfg})
+	ckptKey := layout.entryKey("bfs", cawaKey, params, cfg) + "|checkpoint"
+	layout.writeCheckpoint(t, ckptKey, last)
+
+	d, err := OpenDiskCache(layout.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Len() != len(cells) {
+		t.Fatalf("cache counts %d results, want %d", d.Len(), len(cells))
+	}
+	s := NewSession(cfg, params)
+	s.Disk = d
+	for i, c := range cells {
+		got, err := s.Run(c.App, c.System)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("%s on %s: served result differs from the stored one", c.App, c.System.Label())
+		}
+	}
+	if n := len(s.Timings()); n != 0 {
+		t.Fatalf("%d simulations over a parent-layout cache, want 0", n)
+	}
+	if got := s.DiskHits(); got != uint64(len(cells)) {
+		t.Fatalf("DiskHits = %d, want %d", got, len(cells))
+	}
+
+	w, ok := d.LoadCheckpoint(ckptKey)
+	if !ok {
+		t.Fatal("parent-layout checkpoint did not load")
+	}
+	if !reflect.DeepEqual(w.Partial, last.Partial) || w.Snap.Meta != last.Snap.Meta {
+		t.Fatal("parent-layout checkpoint loaded back different")
+	}
+	got, err := s.Run("bfs", core.CAWA())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.WarmResumes() != 1 || !reflect.DeepEqual(got.Agg, ref.Agg) {
+		t.Fatalf("warm resumes = %d, aggregate equal = %v", s.WarmResumes(), reflect.DeepEqual(got.Agg, ref.Agg))
+	}
+
+	// And the other direction: what this code writes is what the parent
+	// layout names, byte for byte.
+	out := parentLayout{dir: t.TempDir()}
+	d2, err := OpenDiskCache(out.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sysKey, _ := cells[0].System.Key()
+	key := d2.EntryKey(cells[0].App, sysKey, params, cfg)
+	if key != out.entryKey(cells[0].App, sysKey, params, cfg) {
+		t.Fatalf("EntryKey = %q", key)
+	}
+	if err := d2.Store(key, want[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := d2.StoreCheckpoint(d2.CheckpointKey(key), last); err != nil {
+		t.Fatal(err)
+	}
+	a, errA := os.ReadFile(out.file(key, ".json"))
+	b, errB := os.ReadFile(layout.file(key, ".json"))
+	if errA != nil || errB != nil || !bytes.Equal(a, b) {
+		t.Fatalf("stored result differs from the parent layout's document (%v, %v)", errA, errB)
+	}
+	if _, err := os.Stat(out.file(key+"|checkpoint", ".ckpt")); err != nil {
+		t.Fatalf("checkpoint not stored under the parent layout's name: %v", err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(out.dir, ".*")); len(left) != 0 {
+		t.Fatalf("temp files left behind: %v", left)
+	}
+}
+
+// FuzzDiskCacheArtifacts feeds arbitrary bytes to both artifact
+// loaders. Property: a load is a miss, or a hit whose stored key is the
+// requested one — never a panic. The seed corpus (run by plain go test)
+// is one real result entry, one real checkpoint, and the damage cases
+// of TestCheckpointArtifactDamageIsCleanMiss.
+func FuzzDiskCacheArtifacts(f *testing.F) {
+	const key = "fuzz|key"
+	ref, last := cutRun(f, RunOptions{
+		Workload: "bfs", Params: resumeParams, System: core.Baseline(), Config: resumeConfig(),
+	})
+	seedDir := parentLayout{dir: f.TempDir()}
+	seedDir.writeResult(f, key, ref)
+	seedDir.writeCheckpoint(f, key, last)
+	for _, ext := range []string{resultExt, ckptExt} {
+		blob, err := os.ReadFile(seedDir.file(key, ext))
+		if err != nil {
+			f.Fatal(err)
+		}
+		flipped := append([]byte(nil), blob...)
+		flipped[len(flipped)-1] ^= 1
+		for _, data := range [][]byte{blob, blob[:len(blob)/2], flipped, blob[:3], nil, {0x3f, 0xff, 0xff, 0xff}} {
+			f.Add(data, ext == ckptExt)
+		}
+	}
+
+	d, err := OpenDiskCache(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, ckpt bool) {
+		var stored struct {
+			Key string `json:"key"`
+		}
+		if ckpt {
+			if err := os.WriteFile(d.path(key, ckptExt), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			w, ok := d.LoadCheckpoint(key)
+			if !ok {
+				return
+			}
+			if w.Snap == nil {
+				t.Fatal("hit without a snapshot")
+			}
+			n := binary.BigEndian.Uint32(data)
+			json.Unmarshal(data[4:4+n], &stored) //nolint:errcheck
+		} else {
+			if err := os.WriteFile(d.path(key, resultExt), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := d.Load(key); !ok {
+				return
+			}
+			json.Unmarshal(data, &stored) //nolint:errcheck
+		}
+		if stored.Key != key {
+			t.Fatalf("hit on an artifact keyed %q", stored.Key)
+		}
+	})
+}
+
+// TestDiskBackedSessionRunsCCWS: the CCWS baseline's providers are wired
+// into the design point by setupRun, after which it has no stable key —
+// the checkpoint identity must be read before that, or every disk-backed
+// ccws run fails (as it did on the parent commit). The run completes
+// without ever yielding a checkpoint (CCWS declines capture) and is
+// served from disk afterwards.
+func TestDiskBackedSessionRunsCCWS(t *testing.T) {
+	d, err := OpenDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccws := core.SystemConfig{Scheduler: "ccws"}
+	want, err := Run(RunOptions{Workload: "bfs", Params: resumeParams, System: ccws, Config: resumeConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, wantHits := range []uint64{0, 1} {
+		s := NewSession(resumeConfig(), resumeParams)
+		s.Disk = d
+		s.CheckpointEvery = 2_000
+		got, err := s.Run("bfs", ccws)
+		if err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got.Agg, want.Agg) {
+			t.Fatalf("session %d: disk-backed ccws run differs from the direct one", i)
+		}
+		if s.DiskHits() != wantHits {
+			t.Fatalf("session %d: DiskHits = %d, want %d", i, s.DiskHits(), wantHits)
+		}
 	}
 }

@@ -4,46 +4,38 @@ import (
 	"fmt"
 
 	"cawa/internal/core"
-	"cawa/internal/stats"
 )
 
+// The ablations are transposed grids: one row per design point, holding
+// the geometric-mean IPC speedup over the RR baseline across the Sens
+// applications.
+
 func init() {
-	registerExpReq("abl-cpl", "Ablation: CPL counter terms (Equation 1)",
-		sensMatrixOf(ablCPLSystems), ablCPL)
-	registerExpReq("abl-greedy", "Ablation: greedy vs re-ranking criticality scheduling",
-		sensMatrixOf(ablGreedySystems), ablGreedy)
-	registerExpReq("abl-partition", "Ablation: CACP critical-partition size sweep",
-		sensMatrixOf(ablPartitionSystems), ablPartition)
-	registerExpReq("abl-signature", "Ablation: CACP signature composition",
-		sensMatrixOf(ablSignatureSystems), ablSignature)
-	registerExpReq("abl-dynpart", "Extension: UCP-style dynamic partition tuning (Section 3.3)",
-		sensMatrixOf(ablDynPartSystems), ablDynPart)
+	registerGrid(ablation("abl-cpl", "Ablation: CPL counter terms (Equation 1)",
+		"CPL term ablation (gCAWS, GMEAN speedup over RR, Sens apps)", "variant", ablCPLCols))
+	registerGrid(ablation("abl-greedy", "Ablation: greedy vs re-ranking criticality scheduling",
+		"Greedy hold vs per-cycle re-ranking (GMEAN speedup over RR, Sens apps)", "variant", ablGreedyCols))
+	registerGrid(ablation("abl-partition", "Ablation: CACP critical-partition size sweep",
+		"CACP critical ways sweep (GMEAN speedup over RR, Sens apps)", "critical_ways", ablPartitionCols()))
+	registerGrid(ablation("abl-signature", "Ablation: CACP signature composition",
+		"CACP signature composition (GMEAN speedup over RR, Sens apps)", "signature", ablSignatureCols()))
+	registerGrid(ablation("abl-dynpart", "Extension: UCP-style dynamic partition tuning (Section 3.3)",
+		"Static vs dynamic CACP partition (GMEAN speedup over RR, Sens apps)", "variant", ablDynPartCols()))
 }
 
-// sensMatrixOf declares a run matrix of the given design points plus
-// the RR baseline over the Sens applications.
-func sensMatrixOf(systems func() []core.SystemConfig) func(s *Session) []RunKey {
-	return func(s *Session) []RunKey {
-		return matrix(s.sensApps(), append([]core.SystemConfig{core.Baseline()}, systems()...)...)
+func ablation(id, title, caption, labelColumn string, cols []gridCol) *grid {
+	return &grid{
+		id: id, title: title, caption: caption,
+		sens: true, cols: cols, metric: ipc, norm: &rrSystem, transposed: labelColumn,
 	}
 }
 
-// gmeanSpeedup runs the design point over the Sens apps and returns the
-// geometric-mean IPC speedup over the RR baseline.
-func gmeanSpeedup(s *Session, sc core.SystemConfig) (float64, error) {
-	var sp []float64
-	for _, app := range s.sensApps() {
-		base, err := s.Baseline(app)
-		if err != nil {
-			return 0, err
-		}
-		r, err := s.Run(app, sc)
-		if err != nil {
-			return 0, err
-		}
-		sp = append(sp, r.Agg.IPC()/base.Agg.IPC())
-	}
-	return stats.GeoMean(sp), nil
+// cacpWith is the full CAWA design point with a tweaked CACP
+// configuration.
+func cacpWith(tweak func(cfg *core.CACPConfig)) core.SystemConfig {
+	cfg := core.DefaultCACPConfig()
+	tweak(&cfg)
+	return core.SystemConfig{Scheduler: "gcaws", CPL: true, CACP: true, CACPConfig: &cfg}
 }
 
 // Stable tweak funcs; the Variant labels give the design points a
@@ -53,158 +45,58 @@ var (
 	tweakStallOnly = func(c *core.CPL) { c.DisableInstTerm = true }
 )
 
-// ablCPLVariants pairs each Equation-1 ablation with its table label.
-var ablCPLVariants = []struct {
-	name string
-	sc   core.SystemConfig
-}{
-	{"inst+stall (paper)", core.SystemConfig{Scheduler: "gcaws", CPL: true}},
-	{"inst-only", core.SystemConfig{Scheduler: "gcaws", CPL: true, CPLTweak: tweakInstOnly, Variant: "cpl-inst-only"}},
-	{"stall-only", core.SystemConfig{Scheduler: "gcaws", CPL: true, CPLTweak: tweakStallOnly, Variant: "cpl-stall-only"}},
-}
-
-func ablCPLSystems() []core.SystemConfig {
-	out := make([]core.SystemConfig, len(ablCPLVariants))
-	for i, v := range ablCPLVariants {
-		out[i] = v.sc
-	}
-	return out
-}
-
-// ablCPL compares the full Equation-1 criticality counter against
+// ablCPLCols compares the full Equation-1 criticality counter against
 // instruction-disparity-only and stall-only predictors, under gCAWS.
-func ablCPL(s *Session) (*Table, error) {
-	t := NewTable("abl-cpl", "CPL term ablation (gCAWS, GMEAN speedup over RR, Sens apps)",
-		"variant", "gmean_speedup")
-	for _, v := range ablCPLVariants {
-		g, err := gmeanSpeedup(s, v.sc)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(v.name, g)
-	}
-	return t, nil
+var ablCPLCols = []gridCol{
+	{label: "inst+stall (paper)", sc: core.SystemConfig{Scheduler: "gcaws", CPL: true}},
+	{label: "inst-only", sc: core.SystemConfig{Scheduler: "gcaws", CPL: true, CPLTweak: tweakInstOnly, Variant: "cpl-inst-only"}},
+	{label: "stall-only", sc: core.SystemConfig{Scheduler: "gcaws", CPL: true, CPLTweak: tweakStallOnly, Variant: "cpl-stall-only"}},
 }
 
-func ablGreedySystems() []core.SystemConfig {
-	return []core.SystemConfig{
-		{Scheduler: "gcaws", CPL: true},
-		{Scheduler: "caws", CPL: true},
-	}
+// ablGreedyCols compares gCAWS's greedy hold of the selected critical
+// warp against re-ranking by criticality every cycle (the caws policy
+// driven by CPL instead of an oracle).
+var ablGreedyCols = []gridCol{
+	{label: "greedy (gCAWS)", sc: core.SystemConfig{Scheduler: "gcaws", CPL: true}},
+	{label: "re-rank each cycle", sc: core.SystemConfig{Scheduler: "caws", CPL: true}},
 }
 
-// ablGreedy compares gCAWS's greedy hold of the selected critical warp
-// against re-ranking by criticality every cycle (the caws policy driven
-// by CPL instead of an oracle).
-func ablGreedy(s *Session) (*Table, error) {
-	t := NewTable("abl-greedy", "Greedy hold vs per-cycle re-ranking (GMEAN speedup over RR, Sens apps)",
-		"variant", "gmean_speedup")
-	systems := ablGreedySystems()
-	g1, err := gmeanSpeedup(s, systems[0])
-	if err != nil {
-		return nil, err
-	}
-	g2, err := gmeanSpeedup(s, systems[1])
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("greedy (gCAWS)", g1)
-	t.AddRow("re-rank each cycle", g2)
-	return t, nil
-}
-
-// ablPartitionWays are the sweep points of the critical-way ablation.
-var ablPartitionWays = []int{2, 4, 8, 12, 14}
-
-func ablPartitionSystems() []core.SystemConfig {
-	out := make([]core.SystemConfig, 0, len(ablPartitionWays))
-	for _, ways := range ablPartitionWays {
-		cfg := core.DefaultCACPConfig()
-		cfg.CriticalWays = ways
-		out = append(out, core.SystemConfig{
-			Scheduler: "gcaws", CPL: true, CACP: true, CACPConfig: &cfg,
-		})
-	}
-	return out
-}
-
-// ablPartition sweeps the number of L1D ways reserved for critical
+// ablPartitionCols sweeps the number of L1D ways reserved for critical
 // lines (paper: 8 of 16 is best).
-func ablPartition(s *Session) (*Table, error) {
-	t := NewTable("abl-partition", "CACP critical ways sweep (GMEAN speedup over RR, Sens apps)",
-		"critical_ways", "gmean_speedup")
-	for i, sc := range ablPartitionSystems() {
-		g, err := gmeanSpeedup(s, sc)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%d/16", ablPartitionWays[i]), g)
-	}
-	return t, nil
-}
-
-func ablDynPartSystems() []core.SystemConfig {
-	dcfg := core.DefaultCACPConfig()
-	dcfg.DynamicPartition = true
-	return []core.SystemConfig{
-		core.CAWA(),
-		{Scheduler: "gcaws", CPL: true, CACP: true, CACPConfig: &dcfg},
-	}
-}
-
-// ablDynPart compares the paper's static 8/16 split against the
-// runtime utility-driven boundary the paper suggests as future work.
-func ablDynPart(s *Session) (*Table, error) {
-	t := NewTable("abl-dynpart", "Static vs dynamic CACP partition (GMEAN speedup over RR, Sens apps)",
-		"variant", "gmean_speedup")
-	systems := ablDynPartSystems()
-	static, err := gmeanSpeedup(s, systems[0])
-	if err != nil {
-		return nil, err
-	}
-	dynamic, err := gmeanSpeedup(s, systems[1])
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("static 8/16 (paper)", static)
-	t.AddRow("dynamic (UCP-style)", dynamic)
-	return t, nil
-}
-
-// ablSignatureKinds pairs each predictor indexing scheme with its
-// table label.
-var ablSignatureKinds = []struct {
-	name string
-	kind core.SignatureKind
-}{
-	{"pc^addr (paper)", core.SigPCXorAddr},
-	{"pc-only", core.SigPCOnly},
-	{"addr-only", core.SigAddrOnly},
-}
-
-func ablSignatureSystems() []core.SystemConfig {
-	out := make([]core.SystemConfig, 0, len(ablSignatureKinds))
-	for _, k := range ablSignatureKinds {
-		cfg := core.DefaultCACPConfig()
-		cfg.Signature = k.kind
-		out = append(out, core.SystemConfig{
-			Scheduler: "gcaws", CPL: true, CACP: true, CACPConfig: &cfg,
+func ablPartitionCols() []gridCol {
+	var cols []gridCol
+	for _, ways := range []int{2, 4, 8, 12, 14} {
+		cols = append(cols, gridCol{
+			label: fmt.Sprintf("%d/16", ways),
+			sc:    cacpWith(func(cfg *core.CACPConfig) { cfg.CriticalWays = ways }),
 		})
 	}
-	return out
+	return cols
 }
 
-// ablSignature compares the paper's PC-xor-address signature with
-// PC-only and address-only predictor indexing.
-func ablSignature(s *Session) (*Table, error) {
-	t := NewTable("abl-signature", "CACP signature composition (GMEAN speedup over RR, Sens apps)",
-		"signature", "gmean_speedup")
-	for i, sc := range ablSignatureSystems() {
-		g, err := gmeanSpeedup(s, sc)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(ablSignatureKinds[i].name, g)
+// ablDynPartCols compares the paper's static 8/16 split against the
+// runtime utility-driven boundary the paper suggests as future work.
+func ablDynPartCols() []gridCol {
+	return []gridCol{
+		{label: "static 8/16 (paper)", sc: core.CAWA()},
+		{label: "dynamic (UCP-style)", sc: cacpWith(func(cfg *core.CACPConfig) { cfg.DynamicPartition = true })},
 	}
-	return t, nil
+}
+
+// ablSignatureCols compares the paper's PC-xor-address signature with
+// PC-only and address-only predictor indexing.
+func ablSignatureCols() []gridCol {
+	kinds := []struct {
+		name string
+		kind core.SignatureKind
+	}{
+		{"pc^addr (paper)", core.SigPCXorAddr},
+		{"pc-only", core.SigPCOnly},
+		{"addr-only", core.SigAddrOnly},
+	}
+	var cols []gridCol
+	for _, k := range kinds {
+		cols = append(cols, gridCol{label: k.name, sc: cacpWith(func(cfg *core.CACPConfig) { cfg.Signature = k.kind })})
+	}
+	return cols
 }

@@ -11,82 +11,36 @@ import (
 )
 
 func init() {
-	registerExpReq("fig9", "IPC speedup over the RR baseline: 2-level, GTO, CAWA", evalMatrix, fig9)
-	registerExpReq("fig10", "L1D MPKI: baseline RR, 2-level, GTO, CAWA", evalMatrix, fig10)
+	registerGrid(&fig9)
+	registerGrid(&fig10)
 	registerExp("fig11", "CPL warp criticality prediction accuracy", fig11)
 	registerExpReq("fig12", "Critical warp scheduling priority over time, RR vs gCAWS (bfs)",
 		func(s *Session) []RunKey { return matrix([]string{"bfs"}, core.Baseline()) }, fig12)
-	registerExpReq("fig13", "Speedup of oracle CAWS, gCAWS, and CAWA over RR (Sens apps)", fig13Requests, fig13)
-	registerExpReq("fig14", "Critical-warp L1D hit rate, normalized to the RR baseline",
-		func(s *Session) []RunKey {
-			return matrix(s.sensApps(), core.Baseline(), core.SystemConfig{Scheduler: "gto"}, core.CAWA())
-		}, fig14)
+	registerGrid(&fig13)
+	registerGrid(&fig14)
 	registerExp("fig15", "Zero-reuse critical-warp lines: baseline vs CAWA", fig15)
-	registerExpReq("fig16", "L1D MPKI with CACP applied to RR/GTO/2-level schedulers", cacpMatrix, fig16)
-	registerExpReq("fig17", "IPC with CACP applied to RR/GTO/2-level schedulers", cacpMatrix, fig17)
+	registerGrid(&fig16)
+	registerGrid(&fig17)
 }
 
-// evalMatrix is the shared run matrix of Figures 9 and 10: baseline
-// plus every evaluated scheduler, across the full application set.
-func evalMatrix(s *Session) []RunKey {
-	systems := []core.SystemConfig{core.Baseline()}
-	for _, sys := range evalSystems {
-		systems = append(systems, sys.sc)
-	}
-	return matrix(s.paperApps(), systems...)
-}
-
-// cacpMatrix is the shared run matrix of Figures 16 and 17.
-func cacpMatrix(s *Session) []RunKey {
-	systems := make([]core.SystemConfig, 0, len(cacpSystems))
-	for _, sys := range cacpSystems {
-		systems = append(systems, sys.sc)
-	}
-	return matrix(s.sensApps(), systems...)
-}
-
-var evalSystems = []struct {
-	label string
-	sc    core.SystemConfig
-}{
-	{"2lvl", core.SystemConfig{Scheduler: "2lvl"}},
-	{"gto", core.SystemConfig{Scheduler: "gto"}},
-	{"cawa", core.CAWA()},
+// evalCols are the evaluated schedulers of Figures 9 and 10.
+var evalCols = []gridCol{
+	{label: "2lvl", sc: core.SystemConfig{Scheduler: "2lvl"}},
+	{label: "gto", sc: gtoSystem},
+	{label: "cawa", sc: core.CAWA()},
 }
 
 // fig9: IPC speedup over the RR baseline for the 2-level scheduler,
 // GTO, and the full CAWA design (paper: CAWA +23% on Sens, GTO +16%,
 // 2-level -2%; kmeans up to 3.13x under CAWA).
-func fig9(s *Session) (*Table, error) {
-	t := NewTable("fig9", "IPC speedup over baseline RR",
-		"app", "2lvl", "gto", "cawa")
-	perSys := map[string][]float64{}
-	perSysSens := map[string][]float64{}
-	for _, app := range s.paperApps() {
-		base, err := s.Baseline(app)
-		if err != nil {
-			return nil, err
-		}
-		row := make([]float64, 0, len(evalSystems))
-		for _, sys := range evalSystems {
-			r, err := s.Run(app, sys.sc)
-			if err != nil {
-				return nil, err
-			}
-			sp := r.Agg.IPC() / base.Agg.IPC()
-			row = append(row, sp)
-			perSys[sys.label] = append(perSys[sys.label], sp)
-			if isSens(app) {
-				perSysSens[sys.label] = append(perSysSens[sys.label], sp)
-			}
-		}
-		t.AddRow(app, row...)
-	}
-	t.AddRow("GMEAN(sens)",
-		stats.GeoMean(perSysSens["2lvl"]), stats.GeoMean(perSysSens["gto"]), stats.GeoMean(perSysSens["cawa"]))
-	t.AddRow("GMEAN(all)",
-		stats.GeoMean(perSys["2lvl"]), stats.GeoMean(perSys["gto"]), stats.GeoMean(perSys["cawa"]))
-	return t, nil
+var fig9 = grid{
+	id:        "fig9",
+	title:     "IPC speedup over the RR baseline: 2-level, GTO, CAWA",
+	caption:   "IPC speedup over baseline RR",
+	cols:      evalCols,
+	metric:    ipc,
+	norm:      &rrSystem,
+	summaries: []gridSummary{{label: "GMEAN(sens)", sensOnly: true}, {label: "GMEAN(all)"}},
 }
 
 func isSens(app string) bool {
@@ -101,71 +55,41 @@ func isSens(app string) bool {
 // fig10: absolute L1D MPKI under each scheduler (paper: CAWA reduces
 // MPKI the most on cache-thrashing apps; heartwall and strcltr_small
 // may rise while IPC still improves).
-func fig10(s *Session) (*Table, error) {
-	t := NewTable("fig10", "L1D MPKI", "app", "rr", "2lvl", "gto", "cawa")
-	for _, app := range s.paperApps() {
-		base, err := s.Baseline(app)
-		if err != nil {
-			return nil, err
+var fig10 = grid{
+	id:      "fig10",
+	title:   "L1D MPKI: baseline RR, 2-level, GTO, CAWA",
+	caption: "L1D MPKI",
+	cols:    append([]gridCol{{label: "rr", sc: rrSystem}}, evalCols...),
+	metric:  mpki,
+}
+
+// cplSampling builds the PerCycle / PerCycleWake pair of a run that
+// visits every occupied CPL slot of every SM on multiples of `every`
+// cycles (spans and dead-cycle skips end there). visit returns true to
+// end the cycle's sweep early.
+func cplSampling(every int64, visit func(cycle int64, cpl *core.CPL, slot, gid int) (done bool)) (func(*gpu.GPU, int64), func(int64) int64) {
+	hook := func(g *gpu.GPU, cycle int64) {
+		if cycle%every != 0 {
+			return
 		}
-		row := []float64{base.Agg.MPKI()}
-		for _, sys := range evalSystems {
-			r, err := s.Run(app, sys.sc)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, r.Agg.MPKI())
-		}
-		t.AddRow(app, row...)
-	}
-	return t, nil
-}
-
-// cplSampler periodically snapshots every SM's CPL "slow warp"
-// predictions, attributing them to global warp ids.
-type cplSampler struct {
-	every   int64
-	samples map[int]*samplePair // gid -> counts
-}
-
-type samplePair struct{ slow, total int64 }
-
-func newCPLSampler(every int64) *cplSampler {
-	return &cplSampler{every: every, samples: make(map[int]*samplePair)}
-}
-
-// nextWake clamps fast-forward skips to the sampling cadence
-// (RunOptions.PerCycleWake): the hook only acts on multiples of every.
-func (cs *cplSampler) nextWake(now int64) int64 {
-	return now + cs.every - now%cs.every
-}
-
-func (cs *cplSampler) hook(g *gpu.GPU, cycle int64) {
-	if cycle%cs.every != 0 {
-		return
-	}
-	for _, m := range g.SMs() {
-		cpl, ok := m.Crit().(*core.CPL)
-		if !ok {
-			continue
-		}
-		for slot := 0; slot < g.Config().MaxWarpsPerSM; slot++ {
-			gid := cpl.GID(slot)
-			if gid < 0 {
+		for _, m := range g.SMs() {
+			cpl, ok := m.Crit().(*core.CPL)
+			if !ok {
 				continue
 			}
-			p := cs.samples[gid]
-			if p == nil {
-				p = &samplePair{}
-				cs.samples[gid] = p
-			}
-			p.total++
-			if cpl.IsCritical(slot) {
-				p.slow++
+			for slot := 0; slot < g.Config().MaxWarpsPerSM; slot++ {
+				if gid := cpl.GID(slot); gid >= 0 && visit(cycle, cpl, slot, gid) {
+					return
+				}
 			}
 		}
 	}
+	return hook, func(now int64) int64 { return now + every - now%every }
 }
+
+// samplePair counts how often a warp was sampled, and how often CPL had
+// it flagged as a slow warp.
+type samplePair struct{ slow, total int64 }
 
 // fig11: CPL prediction accuracy, measured as the frequency with which
 // the post-hoc critical (slowest) warp of each block was flagged as a
@@ -179,12 +103,24 @@ func fig11(s *Session) (*Table, error) {
 	accs := make([]float64, len(apps))
 	err := s.Fanout(len(apps), func(i int) error {
 		app := apps[i]
-		sampler := newCPLSampler(50)
+		samples := map[int]*samplePair{} // by global warp id
+		hook, wake := cplSampling(50, func(_ int64, cpl *core.CPL, slot, gid int) bool {
+			p := samples[gid]
+			if p == nil {
+				p = &samplePair{}
+				samples[gid] = p
+			}
+			p.total++
+			if cpl.IsCritical(slot) {
+				p.slow++
+			}
+			return false
+		})
 		r, err := s.RunUncached(RunOptions{
 			Workload:     app,
 			System:       core.SystemConfig{Scheduler: "gcaws", CPL: true},
-			PerCycle:     sampler.hook,
-			PerCycleWake: sampler.nextWake,
+			PerCycle:     hook,
+			PerCycleWake: wake,
 		})
 		if err != nil {
 			return err
@@ -195,7 +131,7 @@ func fig11(s *Session) (*Table, error) {
 				continue
 			}
 			cw := stats.CriticalWarp(ws)
-			if p := sampler.samples[cw.GID]; p != nil && p.total > 0 {
+			if p := samples[cw.GID]; p != nil && p.total > 0 {
 				num += float64(p.slow)
 				den += float64(p.total)
 			}
@@ -224,44 +160,11 @@ func fig11(s *Session) (*Table, error) {
 	return t, nil
 }
 
-// rankSampler traces the criticality rank of one warp over time.
-type rankSampler struct {
-	target int
-	every  int64
-	points []rankPoint
-}
-
+// rankPoint is one sample of a warp's criticality rank among its peers.
 type rankPoint struct {
 	cycle int64
 	rank  int
 	peers int
-}
-
-// nextWake clamps fast-forward skips to the sampling cadence.
-func (rs *rankSampler) nextWake(now int64) int64 {
-	return now + rs.every - now%rs.every
-}
-
-func (rs *rankSampler) hook(g *gpu.GPU, cycle int64) {
-	if cycle%rs.every != 0 {
-		return
-	}
-	for _, m := range g.SMs() {
-		cpl, ok := m.Crit().(*core.CPL)
-		if !ok {
-			continue
-		}
-		for slot := 0; slot < g.Config().MaxWarpsPerSM; slot++ {
-			if cpl.GID(slot) != rs.target {
-				continue
-			}
-			rank, peers := cpl.Rank(slot)
-			if peers > 1 { // a lone survivor has no meaningful rank
-				rs.points = append(rs.points, rankPoint{cycle, rank, peers})
-			}
-			return
-		}
-	}
 }
 
 // fig12: the critical warp's priority rank within its block over its
@@ -281,14 +184,22 @@ func fig12(s *Session) (*Table, error) {
 	schedulers := []string{"lrr", "gcaws"}
 	traces := make([][]rankPoint, len(schedulers))
 	err = s.Fanout(len(schedulers), func(i int) error {
-		rs := &rankSampler{target: target, every: 10}
+		hook, wake := cplSampling(10, func(cycle int64, cpl *core.CPL, slot, gid int) bool {
+			if gid != target {
+				return false
+			}
+			rank, peers := cpl.Rank(slot)
+			if peers > 1 { // a lone survivor has no meaningful rank
+				traces[i] = append(traces[i], rankPoint{cycle, rank, peers})
+			}
+			return true
+		})
 		_, err := s.RunUncached(RunOptions{
 			Workload:     "bfs",
 			System:       core.SystemConfig{Scheduler: schedulers[i], CPL: true},
-			PerCycle:     rs.hook,
-			PerCycleWake: rs.nextWake,
+			PerCycle:     hook,
+			PerCycleWake: wake,
 		})
-		traces[i] = rs.points
 		return err
 	})
 	if err != nil {
@@ -336,60 +247,24 @@ func binRanks(points []rankPoint, bins int) []float64 {
 // fig13: speedups of the oracle CAWS scheduler, gCAWS alone, and the
 // full CAWA over RR on the Sens applications (paper: oracle CAWS best
 // on small kernels; gCAWS/CAWA win on large kernels and kmeans; CAWA
-// ~5% above gCAWS overall).
-// fig13Requests declares fig13's matrix. The oracle design points
-// depend on baseline profiles, so the baselines prewarm first (in
-// parallel), then the oracle-keyed runs join the matrix.
-func fig13Requests(s *Session) []RunKey {
-	apps := s.sensApps()
-	if err := s.Prewarm(matrix(apps, core.Baseline())); err != nil {
-		return nil // the error resurfaces in fig13's sequential pass
-	}
-	keys := matrix(apps,
-		core.SystemConfig{Scheduler: "gcaws", CPL: true}, core.CAWA())
-	for _, app := range apps {
-		oracle, err := s.OracleFor(app)
-		if err != nil {
-			return nil
-		}
-		keys = append(keys, RunKey{App: app, System: core.SystemConfig{Scheduler: "caws", Oracle: oracle}})
-	}
-	return keys
-}
-
-func fig13(s *Session) (*Table, error) {
-	t := NewTable("fig13", "Speedup over RR: oracle CAWS, gCAWS, CAWA",
-		"app", "caws_oracle", "gcaws", "cawa")
-	var sp1, sp2, sp3 []float64
-	for _, app := range s.sensApps() {
-		base, err := s.Baseline(app)
-		if err != nil {
-			return nil, err
-		}
-		oracle, err := s.OracleFor(app)
-		if err != nil {
-			return nil, err
-		}
-		rCAWS, err := s.Run(app, core.SystemConfig{Scheduler: "caws", Oracle: oracle})
-		if err != nil {
-			return nil, err
-		}
-		rG, err := s.Run(app, core.SystemConfig{Scheduler: "gcaws", CPL: true})
-		if err != nil {
-			return nil, err
-		}
-		rC, err := s.Run(app, core.CAWA())
-		if err != nil {
-			return nil, err
-		}
-		a := rCAWS.Agg.IPC() / base.Agg.IPC()
-		b := rG.Agg.IPC() / base.Agg.IPC()
-		c := rC.Agg.IPC() / base.Agg.IPC()
-		t.AddRow(app, a, b, c)
-		sp1, sp2, sp3 = append(sp1, a), append(sp2, b), append(sp3, c)
-	}
-	t.AddRow("GMEAN", stats.GeoMean(sp1), stats.GeoMean(sp2), stats.GeoMean(sp3))
-	return t, nil
+// ~5% above gCAWS overall). The oracle design point is keyed by each
+// app's baseline profile.
+var fig13 = grid{
+	id:      "fig13",
+	title:   "Speedup of oracle CAWS, gCAWS, and CAWA over RR (Sens apps)",
+	caption: "Speedup over RR: oracle CAWS, gCAWS, CAWA",
+	sens:    true,
+	cols: []gridCol{
+		{label: "caws_oracle", perApp: func(s *Session, app string) (core.SystemConfig, error) {
+			oracle, err := s.OracleFor(app)
+			return core.SystemConfig{Scheduler: "caws", Oracle: oracle}, err
+		}},
+		{label: "gcaws", sc: core.SystemConfig{Scheduler: "gcaws", CPL: true}},
+		{label: "cawa", sc: core.CAWA()},
+	},
+	metric:    ipc,
+	norm:      &rrSystem,
+	summaries: gmeanRow,
 }
 
 // criticalHitRate pools L1D hits/accesses of the post-hoc critical
@@ -413,33 +288,15 @@ func criticalHitRate(r *Result) float64 {
 // fig14: the L1D hit rate received by critical-warp requests, under
 // GTO and CAWA, normalized to the RR baseline (paper: CAWA 2.46x on
 // average, 7.22x for kmeans).
-func fig14(s *Session) (*Table, error) {
-	t := NewTable("fig14", "Critical-warp L1D hit rate normalized to RR baseline",
-		"app", "gto", "cawa")
-	var g, c []float64
-	for _, app := range s.sensApps() {
-		base, err := s.Baseline(app)
-		if err != nil {
-			return nil, err
-		}
-		rG, err := s.Run(app, core.SystemConfig{Scheduler: "gto"})
-		if err != nil {
-			return nil, err
-		}
-		rC, err := s.Run(app, core.CAWA())
-		if err != nil {
-			return nil, err
-		}
-		b := criticalHitRate(base)
-		if b == 0 {
-			b = 1e-9
-		}
-		gv, cv := criticalHitRate(rG)/b, criticalHitRate(rC)/b
-		t.AddRow(app, gv, cv)
-		g, c = append(g, gv), append(c, cv)
-	}
-	t.AddRow("GMEAN", stats.GeoMean(g), stats.GeoMean(c))
-	return t, nil
+var fig14 = grid{
+	id:        "fig14",
+	title:     "Critical-warp L1D hit rate, normalized to the RR baseline",
+	caption:   "Critical-warp L1D hit rate normalized to RR baseline",
+	sens:      true,
+	cols:      []gridCol{{label: "gto", sc: gtoSystem}, {label: "cawa", sc: core.CAWA()}},
+	metric:    criticalHitRate,
+	norm:      &rrSystem,
+	summaries: gmeanRow,
 }
 
 // zeroReuseShare runs app with an eviction listener and returns the
@@ -503,73 +360,38 @@ func fig15(s *Session) (*Table, error) {
 	return t, nil
 }
 
-// cacpSystems are the design points of Figures 16 and 17: each
+// cacpCols are the design points of Figures 16 and 17: each
 // state-of-the-art scheduler with and without CACP, plus CAWA.
-var cacpSystems = []struct {
-	label string
-	sc    core.SystemConfig
-}{
-	{"rr", core.Baseline()},
-	{"rr+cacp", core.SystemConfig{Scheduler: "lrr", CPL: true, CACP: true}},
-	{"gto", core.SystemConfig{Scheduler: "gto"}},
-	{"gto+cacp", core.SystemConfig{Scheduler: "gto", CPL: true, CACP: true}},
-	{"2lvl", core.SystemConfig{Scheduler: "2lvl"}},
-	{"2lvl+cacp", core.SystemConfig{Scheduler: "2lvl", CPL: true, CACP: true}},
-	{"cawa", core.CAWA()},
+var cacpCols = []gridCol{
+	{label: "rr", sc: rrSystem},
+	{label: "rr+cacp", sc: core.SystemConfig{Scheduler: "lrr", CPL: true, CACP: true}},
+	{label: "gto", sc: gtoSystem},
+	{label: "gto+cacp", sc: core.SystemConfig{Scheduler: "gto", CPL: true, CACP: true}},
+	{label: "2lvl", sc: core.SystemConfig{Scheduler: "2lvl"}},
+	{label: "2lvl+cacp", sc: core.SystemConfig{Scheduler: "2lvl", CPL: true, CACP: true}},
+	{label: "cawa", sc: core.CAWA()},
 }
 
 // fig16: L1D MPKI when CACP is applied underneath each scheduler
 // (paper: CACP helps every scheduler; the coordinated CAWA is best).
-func fig16(s *Session) (*Table, error) {
-	cols := []string{"app"}
-	for _, sys := range cacpSystems {
-		cols = append(cols, sys.label)
-	}
-	t := NewTable("fig16", "L1D MPKI with CACP under different schedulers", cols...)
-	for _, app := range s.sensApps() {
-		row := make([]float64, 0, len(cacpSystems))
-		for _, sys := range cacpSystems {
-			r, err := s.Run(app, sys.sc)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, r.Agg.MPKI())
-		}
-		t.AddRow(app, row...)
-	}
-	return t, nil
+var fig16 = grid{
+	id:      "fig16",
+	title:   "L1D MPKI with CACP applied to RR/GTO/2-level schedulers",
+	caption: "L1D MPKI with CACP under different schedulers",
+	sens:    true,
+	cols:    cacpCols,
+	metric:  mpki,
 }
 
 // fig17: IPC speedup over RR for the same design points (paper: CACP
 // adds 2%-16.5% on top of the schedulers; CAWA remains best).
-func fig17(s *Session) (*Table, error) {
-	cols := []string{"app"}
-	for _, sys := range cacpSystems[1:] {
-		cols = append(cols, sys.label)
-	}
-	t := NewTable("fig17", "IPC speedup over RR with CACP under different schedulers", cols...)
-	gmeans := make([][]float64, len(cacpSystems)-1)
-	for _, app := range s.sensApps() {
-		base, err := s.Baseline(app)
-		if err != nil {
-			return nil, err
-		}
-		row := make([]float64, 0, len(cacpSystems)-1)
-		for i, sys := range cacpSystems[1:] {
-			r, err := s.Run(app, sys.sc)
-			if err != nil {
-				return nil, err
-			}
-			sp := r.Agg.IPC() / base.Agg.IPC()
-			row = append(row, sp)
-			gmeans[i] = append(gmeans[i], sp)
-		}
-		t.AddRow(app, row...)
-	}
-	g := make([]float64, len(gmeans))
-	for i, xs := range gmeans {
-		g[i] = stats.GeoMean(xs)
-	}
-	t.AddRow("GMEAN", g...)
-	return t, nil
+var fig17 = grid{
+	id:        "fig17",
+	title:     "IPC with CACP applied to RR/GTO/2-level schedulers",
+	caption:   "IPC speedup over RR with CACP under different schedulers",
+	sens:      true,
+	cols:      cacpCols[1:],
+	metric:    ipc,
+	norm:      &rrSystem,
+	summaries: gmeanRow,
 }

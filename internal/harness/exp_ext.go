@@ -1,60 +1,26 @@
 package harness
 
-import (
-	"cawa/internal/core"
-	"cawa/internal/stats"
-)
+import "cawa/internal/core"
 
-func init() {
-	registerExpReq("ext-ccws", "Extension: CCWS locality-aware throttling vs GTO and CAWA",
-		func(s *Session) []RunKey {
-			return matrix(s.sensApps(),
-				core.Baseline(), core.SystemConfig{Scheduler: "gto"}, core.CAWA())
-		}, extCCWS)
-}
+func init() { registerGrid(&extCCWS) }
 
 // extCCWS compares the CCWS-style baseline (reference [34] of the
 // paper) against GTO and the full CAWA design on the Sens applications.
-// CCWS needs its per-SM providers attached to the L1Ds, so its runs
-// bypass the session cache; they still fan out across the worker pool.
-func extCCWS(s *Session) (*Table, error) {
-	t := NewTable("ext-ccws", "Speedup over RR: CCWS, GTO, CAWA (Sens apps)",
-		"app", "ccws", "gto", "cawa")
-	apps := s.sensApps()
-	ccwsRuns := make([]*Result, len(apps))
-	err := s.Fanout(len(apps), func(i int) error {
-		sc, attach := core.CCWSSystem()
-		r, err := s.RunUncached(RunOptions{
-			Workload: apps[i],
-			System:   sc,
-			AttachL1: attach,
-		})
-		ccwsRuns[i] = r
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	var sp1, sp2, sp3 []float64
-	for i, app := range apps {
-		base, err := s.Baseline(app)
-		if err != nil {
-			return nil, err
-		}
-		rGTO, err := s.Run(app, core.SystemConfig{Scheduler: "gto"})
-		if err != nil {
-			return nil, err
-		}
-		rCAWA, err := s.Run(app, core.CAWA())
-		if err != nil {
-			return nil, err
-		}
-		a := ccwsRuns[i].Agg.IPC() / base.Agg.IPC()
-		b := rGTO.Agg.IPC() / base.Agg.IPC()
-		c := rCAWA.Agg.IPC() / base.Agg.IPC()
-		t.AddRow(app, a, b, c)
-		sp1, sp2, sp3 = append(sp1, a), append(sp2, b), append(sp3, c)
-	}
-	t.AddRow("GMEAN", stats.GeoMean(sp1), stats.GeoMean(sp2), stats.GeoMean(sp3))
-	return t, nil
+// CCWS needs per-SM providers attached to the L1Ds; setupRun wires them
+// for any design point whose scheduler is "ccws"
+// (TestCCWSAutoWiringPrecedence), so the column is an ordinary cacheable
+// cell.
+var extCCWS = grid{
+	id:      "ext-ccws",
+	title:   "Extension: CCWS locality-aware throttling vs GTO and CAWA",
+	caption: "Speedup over RR: CCWS, GTO, CAWA (Sens apps)",
+	sens:    true,
+	cols: []gridCol{
+		{label: "ccws", sc: core.SystemConfig{Scheduler: "ccws"}},
+		{label: "gto", sc: gtoSystem},
+		{label: "cawa", sc: core.CAWA()},
+	},
+	metric:    ipc,
+	norm:      &rrSystem,
+	summaries: gmeanRow,
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"sort"
 
 	"cawa/internal/core"
 	"cawa/internal/memsys"
@@ -52,7 +53,31 @@ func fig1(s *Session) (*Table, error) {
 // fig2a: sorted per-warp execution times of the highest-disparity bfs
 // block (paper: ~20% gap between fastest and slowest).
 func fig2a(s *Session) (*Table, error) {
-	return warpTimeTable(s, "bfs", "fig2a")
+	warps, err := slowBlock(s, "bfs", "fig2a")
+	if err != nil {
+		return nil, err
+	}
+	t := NewTable("fig2a", "bfs: sorted per-warp execution time (highest-disparity block)",
+		"warp", "exec_cycles", "norm_time")
+	slowest := float64(warps[len(warps)-1].ExecTime())
+	for i, w := range warps {
+		t.AddRow(fmt.Sprintf("w%02d", i), float64(w.ExecTime()), float64(w.ExecTime())/slowest)
+	}
+	return t, nil
+}
+
+// slowBlock returns the warps of app's highest-disparity block under the
+// RR baseline, fastest first.
+func slowBlock(s *Session, app, id string) ([]stats.WarpRecord, error) {
+	r, err := s.Baseline(app)
+	if err != nil {
+		return nil, err
+	}
+	warps := pickBlock(&r.Agg, 8)
+	if warps == nil {
+		return nil, fmt.Errorf("%s: no block found", id)
+	}
+	return warps, nil
 }
 
 // fig2b: the balanced-tree bfs still shows warp time disparity, caused
@@ -60,13 +85,9 @@ func fig2a(s *Session) (*Table, error) {
 // reported alongside (paper: ~40% time gap, up to ~20% instruction
 // gap).
 func fig2b(s *Session) (*Table, error) {
-	r, err := s.Baseline("bfs-balanced")
+	warps, err := slowBlock(s, "bfs-balanced", "fig2b")
 	if err != nil {
 		return nil, err
-	}
-	warps := pickBlock(&r.Agg, 8)
-	if warps == nil {
-		return nil, fmt.Errorf("fig2b: no block found")
 	}
 	t := NewTable("fig2b", "Balanced-tree bfs: per-warp time and instructions",
 		"warp", "exec_cycles", "norm_time", "thread_instrs", "norm_instrs")
@@ -89,13 +110,9 @@ func fig2b(s *Session) (*Table, error) {
 // memory subsystem, slowest warps last (paper: slower warps see larger
 // memory shares).
 func fig2c(s *Session) (*Table, error) {
-	r, err := s.Baseline("bfs")
+	warps, err := slowBlock(s, "bfs", "fig2c")
 	if err != nil {
 		return nil, err
-	}
-	warps := pickBlock(&r.Agg, 8)
-	if warps == nil {
-		return nil, fmt.Errorf("fig2c: no block found")
 	}
 	t := NewTable("fig2c", "bfs: memory share of warp execution time",
 		"warp", "exec_cycles", "mem_stall_cycles", "mem_share")
@@ -106,39 +123,12 @@ func fig2c(s *Session) (*Table, error) {
 	return t, nil
 }
 
-func warpTimeTable(s *Session, app, id string) (*Table, error) {
-	r, err := s.Baseline(app)
-	if err != nil {
-		return nil, err
-	}
-	warps := pickBlock(&r.Agg, 8)
-	if warps == nil {
-		return nil, fmt.Errorf("%s: no block found", id)
-	}
-	t := NewTable(id, app+": sorted per-warp execution time (highest-disparity block)",
-		"warp", "exec_cycles", "norm_time")
-	slowest := float64(warps[len(warps)-1].ExecTime())
-	for i, w := range warps {
-		t.AddRow(fmt.Sprintf("w%02d", i), float64(w.ExecTime()), float64(w.ExecTime())/slowest)
-	}
-	return t, nil
-}
-
 // fig3: reuse distances of the lines referenced by critical warps in a
 // 16KB 4-way L1D geometry (32 sets of 128B lines). The paper reports
 // that over 60% of would-be reuses are evicted before the critical warp
 // re-references them.
 func fig3(s *Session) (*Table, error) {
-	// The footnote geometry: 16KB, 4-way, 128B lines -> 32 sets.
-	profilers := make([]*reuse.Profiler, s.Config.NumSMs)
-	r, err := s.RunUncached(RunOptions{
-		Workload: "bfs",
-		System:   core.SystemConfig{Scheduler: "lrr", CPL: true},
-		AttachL1: func(smID int, l1 *memsys.L1D) {
-			profilers[smID] = reuse.NewProfiler(32, 128, 128, 2048)
-			l1.AccessListener = profilers[smID].Record
-		},
-	})
+	r, profilers, err := reuseProfiledBFS(s)
 	if err != nil {
 		return nil, err
 	}
@@ -172,6 +162,22 @@ func fig3(s *Session) (*Table, error) {
 	t.AddRow("frac_dist>=16", critHist.FracBeyond(16), allHist.FracBeyond(16))
 	t.Note = "frac_evicted_before_reuse = per-set stack distance >= 4 ways"
 	return t, nil
+}
+
+// reuseProfiledBFS runs bfs with a reuse-distance profiler on every
+// SM's L1D, in Figure 3's footnote geometry: 16KB, 4-way, 128B lines ->
+// 32 sets; capacities in lines: 16KB = 128, 256KB = 2048.
+func reuseProfiledBFS(s *Session) (*Result, []*reuse.Profiler, error) {
+	profilers := make([]*reuse.Profiler, s.Config.NumSMs)
+	r, err := s.RunUncached(RunOptions{
+		Workload: "bfs",
+		System:   core.SystemConfig{Scheduler: "lrr", CPL: true},
+		AttachL1: func(smID int, l1 *memsys.L1D) {
+			profilers[smID] = reuse.NewProfiler(32, 128, 128, 2048)
+			l1.AccessListener = profilers[smID].Record
+		},
+	})
+	return r, profilers, err
 }
 
 // frac returns the share of reuses whose distance lies in [lo, hi].
@@ -214,16 +220,7 @@ func fig4(s *Session) (*Table, error) {
 // versus the real (16KB) cache. Some PCs stream (no reuse at either
 // size), motivating the signature-based predictors.
 func fig8(s *Session) (*Table, error) {
-	profilers := make([]*reuse.Profiler, s.Config.NumSMs)
-	_, err := s.RunUncached(RunOptions{
-		Workload: "bfs",
-		System:   core.SystemConfig{Scheduler: "lrr", CPL: true},
-		AttachL1: func(smID int, l1 *memsys.L1D) {
-			// Capacities in 128B lines: 16KB = 128, 256KB = 2048.
-			profilers[smID] = reuse.NewProfiler(32, 128, 128, 2048)
-			l1.AccessListener = profilers[smID].Record
-		},
-	})
+	_, profilers, err := reuseProfiledBFS(s)
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +246,7 @@ func fig8(s *Session) (*Table, error) {
 	for pc := range merged {
 		pcs = append(pcs, pc)
 	}
-	sortInt32(pcs)
+	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
 	t := NewTable("fig8", "bfs: per-PC reuse under 256KB vs 16KB caches",
 		"pc", "accesses", "reuse_256KB", "reuse_16KB", "zero_reuse")
 	for _, pc := range pcs {
@@ -272,11 +269,3 @@ func fig8(s *Session) (*Table, error) {
 }
 
 func reusesOf(st *reuse.PCStat) uint64 { return st.Accesses - st.Cold }
-
-func sortInt32(xs []int32) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}

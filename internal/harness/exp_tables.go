@@ -4,19 +4,13 @@ import (
 	"strings"
 
 	"cawa/internal/core"
-	"cawa/internal/stats"
 	"cawa/internal/workloads"
 )
 
 func init() {
 	registerExp("tab1", "GPGPU-sim configuration (Table 1)", tab1)
 	registerExp("tab2", "Benchmarks and data-set classification (Table 2)", tab2)
-	registerExpReq("sec552", "CPL-guided scheduling on top of GTO (Section 5.5.2)",
-		func(s *Session) []RunKey {
-			return matrix(s.sensApps(),
-				core.SystemConfig{Scheduler: "gto"},
-				core.SystemConfig{Scheduler: "gcaws", CPL: true})
-		}, sec552)
+	registerGrid(&sec552)
 }
 
 // tab1 renders the architectural configuration in the paper's format.
@@ -59,22 +53,13 @@ func tab2(s *Session) (*Table, error) {
 // scheduling on top of GTO improves the Sens applications by ~7%; in
 // this design space that is gCAWS (criticality-first, GTO tie-break,
 // greedy) versus plain GTO.
-func sec552(s *Session) (*Table, error) {
-	t := NewTable("sec552", "gCAWS (CPL on GTO) vs plain GTO", "app", "speedup_vs_gto")
-	var sp []float64
-	for _, app := range s.sensApps() {
-		gto, err := s.Run(app, core.SystemConfig{Scheduler: "gto"})
-		if err != nil {
-			return nil, err
-		}
-		g, err := s.Run(app, core.SystemConfig{Scheduler: "gcaws", CPL: true})
-		if err != nil {
-			return nil, err
-		}
-		v := g.Agg.IPC() / gto.Agg.IPC()
-		t.AddRow(app, v)
-		sp = append(sp, v)
-	}
-	t.AddRow("GMEAN", stats.GeoMean(sp))
-	return t, nil
+var sec552 = grid{
+	id:        "sec552",
+	title:     "CPL-guided scheduling on top of GTO (Section 5.5.2)",
+	caption:   "gCAWS (CPL on GTO) vs plain GTO",
+	sens:      true,
+	cols:      []gridCol{{label: "speedup_vs_gto", sc: core.SystemConfig{Scheduler: "gcaws", CPL: true}}},
+	metric:    ipc,
+	norm:      &gtoSystem,
+	summaries: gmeanRow,
 }

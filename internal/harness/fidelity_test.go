@@ -111,3 +111,15 @@ func TestFig9SampledScalePinned(t *testing.T) {
 		t.Errorf("sampled bfs speedup under CAWA = %.4f, pinned at %.4f ± %.3f", bfs, pinBFS, band)
 	}
 }
+
+// gmeanSpeedup is the Sens geometric-mean IPC speedup of sc over the RR
+// baseline, read through the grid interpreter that builds fig9 and the
+// ablation tables — so the pins above cover it too.
+func gmeanSpeedup(s *Session, sc core.SystemConfig) (float64, error) {
+	g := ablation("pin", "", "", "design", []gridCol{{sc: sc}})
+	vals, err := g.values(s)
+	if err != nil {
+		return 0, err
+	}
+	return g.gmeans(s, vals, false)[0], nil
+}

@@ -161,3 +161,32 @@ func TestCCWSAutoWiringPrecedence(t *testing.T) {
 		}
 	}
 }
+
+// TestDeclaredMatrixCoversRun: for every experiment, the declared run
+// matrix covers everything the table pass reads from the session cache —
+// after Prewarm(Requests), Run adds not one cache miss. A cell missing
+// from the matrix would still produce the right table, only serialised
+// behind the sequential pass, so nothing else would notice.
+func TestDeclaredMatrixCoversRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	for _, id := range ExperimentIDs() {
+		// A fresh session each, so one figure's matrix cannot cover for
+		// a hole in another's.
+		s := NewSession(config.Small(), workloads.Params{Scale: 0.05, Seed: 7})
+		e, _ := LookupExperiment(id)
+		if e.Requests != nil {
+			if err := s.Prewarm(e.Requests(s)); err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+		}
+		_, before := s.CacheStats()
+		if _, err := e.Run(s); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if _, after := s.CacheStats(); after != before {
+			t.Errorf("%s: table pass missed the session cache %d times; its run matrix is incomplete", id, after-before)
+		}
+	}
+}

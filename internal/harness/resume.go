@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 
 	"cawa/internal/checkpoint"
@@ -49,175 +48,118 @@ type WarmCheckpoint struct {
 // round-trip tests prove a restored run is byte-identical to an
 // uninterrupted one at every domain count.
 func RunCheckpointed(ctx context.Context, opt RunOptions, every int64, warm *WarmCheckpoint) (*Result, *WarmCheckpoint, error) {
+	ck := newCheckpointer(every)
+	r, err := runLaunches(ctx, opt, ck, warm)
+	if err != nil {
+		return nil, ck.last, err
+	}
+	return r, nil, nil
+}
+
+// checkpointer is the periodic capture hook of a checkpointed run,
+// chained in front of any caller-supplied per-cycle sampler. Its fields
+// are touched only from the launch loop and the engine's hook boundary
+// (both the caller's goroutine), never concurrently.
+type checkpointer struct {
+	every   int64
+	nextCap int64           // next cycle to capture at
+	dead    bool            // first capture failure disables further attempts
+	meta    checkpoint.Meta // run identity; LaunchIndex tracks the in-flight launch
+	res     *Result         // the live result captures snapshot
+	last    *WarmCheckpoint // most recent capture
+
+	userPC   func(g *gpu.GPU, cycle int64)
+	userWake func(now int64) int64
+}
+
+// newCheckpointer builds a checkpointer capturing every `every` cycles
+// (<= 0 means DefaultCheckpointEvery).
+func newCheckpointer(every int64) *checkpointer {
 	if every <= 0 {
 		every = DefaultCheckpointEvery
 	}
-	wl, g, res, err := setupRun(&opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	sysKey, err := opt.System.Key()
-	if err != nil {
-		return nil, nil, err
-	}
-	meta := checkpoint.Meta{
+	return &checkpointer{every: every, nextCap: every}
+}
+
+// attach fills in the run's identity and installs the capture hook on g.
+func (c *checkpointer) attach(g *gpu.GPU, res *Result, opt *RunOptions, sysKey string) {
+	c.meta = checkpoint.Meta{
 		EngineVersion: EngineVersion,
 		Workload:      opt.Workload,
 		Scale:         opt.Params.Scale,
 		Seed:          opt.Params.Seed,
 		SystemKey:     sysKey,
 	}
-
-	// Periodic capture hook, chained in front of any caller-supplied
-	// per-cycle sampler. curIx tracks the in-flight launch index for
-	// Meta; both it and last are touched only from the engine's hook
-	// boundary (caller goroutine), never concurrently.
-	var (
-		last    *WarmCheckpoint
-		curIx   int
-		nextCap = every
-		dead    bool // first capture failure disables further attempts
-	)
-	userPC, userWake := g.PerCycle, g.PerCycleWake
-	g.PerCycle = func(gg *gpu.GPU, cycle int64) {
-		if userPC != nil {
-			userPC(gg, cycle)
-		}
-		if dead || cycle < nextCap {
-			return
-		}
-		nextCap = cycle + every
-		m := meta
-		m.LaunchIndex = curIx
-		snap, err := checkpoint.Capture(gg, m)
-		if err != nil {
-			dead = true
-			return
-		}
-		last = &WarmCheckpoint{Partial: clonePartial(res), Snap: snap}
-	}
-	g.PerCycleWake = func(now int64) int64 {
-		var w int64
-		if dead {
-			// Capture is off for the rest of the run; stop constraining
-			// the engine's spans.
-			w = now + (1 << 40)
-		} else if w = nextCap; w <= now {
-			w = now + 1
-		}
-		if userPC != nil {
-			if userWake == nil {
-				return now + 1
-			}
-			if uw := userWake(now); uw < w {
-				w = uw
-			}
-		}
-		return w
-	}
-
-	// An incompatible checkpoint (different workload, params, design
-	// point, or engine version) is ignored rather than reported: a warm
-	// start is an optimization, and a confused artifact must cost at
-	// most a cold start — never a failed run. Disk-cache users cannot
-	// reach this (the identity is folded into the key); it guards
-	// hand-fed snapshots.
-	if warm != nil && warm.compatible(meta) != nil {
-		warm = nil
-	}
-
-	ix := 0
-	if warm != nil {
-		for ; ix < warm.Snap.Meta.LaunchIndex; ix++ {
-			k, ok := wl.Next()
-			if !ok {
-				return nil, nil, fmt.Errorf("harness: %s: checkpoint launch index %d beyond workload launch count %d",
-					opt.Workload, warm.Snap.Meta.LaunchIndex, ix)
-			}
-			if err := checkpoint.FunctionalLaunch(k, wl.Mem(), opt.Config.WarpSize); err != nil {
-				return nil, nil, fmt.Errorf("harness: %s: checkpoint replay: %w", opt.Workload, err)
-			}
-		}
-		k, ok := wl.Next()
-		if !ok {
-			return nil, nil, fmt.Errorf("harness: %s: checkpoint launch index %d beyond workload launch count",
-				opt.Workload, warm.Snap.Meta.LaunchIndex)
-		}
-		if err := checkpoint.Restore(warm.Snap, g, k); err != nil {
-			return nil, nil, fmt.Errorf("harness: %s: checkpoint restore: %w", opt.Workload, err)
-		}
-		res.Agg = cloneAgg(warm.Partial.Agg)
-		res.Launches = warm.Partial.Launches
-		res.Detailed = warm.Partial.Detailed
-		curIx = ix
-		nextCap = warm.Snap.Meta.Cycle + every
-		launch, err := g.Resume(ctx)
-		if err != nil {
-			return nil, last, fmt.Errorf("harness: %s on %s: %w", opt.Workload, opt.System.Label(), err)
-		}
-		res.Agg.Merge(launch)
-		res.Launches++
-		res.Detailed++
-		ix++
-	}
-
-	for ; ; ix++ {
-		k, ok := wl.Next()
-		if !ok {
-			break
-		}
-		curIx = ix
-		if !sampleDetailed(ix, opt.SampleWarmup, opt.SampleInterval) {
-			if err := ctx.Err(); err != nil {
-				return nil, last, err
-			}
-			if err := checkpoint.FunctionalLaunch(k, wl.Mem(), opt.Config.WarpSize); err != nil {
-				return nil, nil, fmt.Errorf("harness: %s on %s: %w", opt.Workload, opt.System.Label(), err)
-			}
-			res.Launches++
-			continue
-		}
-		launch, err := g.Launch(ctx, k)
-		if err != nil {
-			return nil, last, fmt.Errorf("harness: %s on %s: %w", opt.Workload, opt.System.Label(), err)
-		}
-		res.Agg.Merge(launch)
-		res.Launches++
-		res.Detailed++
-	}
-	r, err := finishRun(wl, g, res, &opt)
-	return r, nil, err
+	c.res = res
+	c.userPC, c.userWake = g.PerCycle, g.PerCycleWake
+	g.PerCycle, g.PerCycleWake = c.hook, c.wake
 }
 
-// compatible checks a checkpoint against the identity of the run about
-// to resume from it. Callers keying checkpoints through the disk cache
-// never see a mismatch (the identity is folded into the key); this is
-// the defense for hand-fed snapshots.
-func (w *WarmCheckpoint) compatible(meta checkpoint.Meta) error {
+func (c *checkpointer) hook(g *gpu.GPU, cycle int64) {
+	if c.userPC != nil {
+		c.userPC(g, cycle)
+	}
+	if c.dead || cycle < c.nextCap {
+		return
+	}
+	c.nextCap = cycle + c.every
+	snap, err := checkpoint.Capture(g, c.meta)
+	if err != nil {
+		c.dead = true
+		return
+	}
+	c.last = &WarmCheckpoint{Partial: clonePartial(c.res), Snap: snap}
+}
+
+// wake tells the engine the next cycle the hook must observe, so spans
+// run up to the capture cadence instead of one cycle at a time.
+func (c *checkpointer) wake(now int64) int64 {
+	var w int64
+	if c.dead {
+		// Capture is off for the rest of the run; stop constraining
+		// the engine's spans.
+		w = now + (1 << 40)
+	} else if w = c.nextCap; w <= now {
+		w = now + 1
+	}
+	if c.userPC != nil {
+		if c.userWake == nil {
+			return now + 1
+		}
+		if uw := c.userWake(now); uw < w {
+			w = uw
+		}
+	}
+	return w
+}
+
+// compatible reports whether the checkpoint was captured by a run of the
+// same identity as the one about to resume from it. A mismatch
+// (different workload, params, design point or engine version) is
+// ignored rather than reported: a warm start is an optimization, and a
+// confused artifact must cost at most a cold start — never a failed
+// run. Callers keying checkpoints through the disk cache never see one
+// (the identity is folded into the key); this guards hand-fed
+// snapshots.
+func (w *WarmCheckpoint) compatible(meta checkpoint.Meta) bool {
 	if w.Snap == nil {
-		return errors.New("harness: warm checkpoint has no snapshot")
+		return false
 	}
 	m := w.Snap.Meta
-	if m.EngineVersion != meta.EngineVersion || m.Workload != meta.Workload ||
-		m.Scale != meta.Scale || m.Seed != meta.Seed || m.SystemKey != meta.SystemKey {
-		return fmt.Errorf("harness: checkpoint identity mismatch (snapshot %s/%s scale=%g seed=%d engine=%s, run %s/%s scale=%g seed=%d engine=%s)",
-			m.Workload, m.SystemKey, m.Scale, m.Seed, m.EngineVersion,
-			meta.Workload, meta.SystemKey, meta.Scale, meta.Seed, meta.EngineVersion)
-	}
-	return nil
+	return m.EngineVersion == meta.EngineVersion && m.Workload == meta.Workload &&
+		m.Scale == meta.Scale && m.Seed == meta.Seed && m.SystemKey == meta.SystemKey
 }
 
 // clonePartial snapshots the run's statistics so far into a detached
 // Result (the live one keeps being mutated as launches complete).
 func clonePartial(res *Result) Result {
-	p := Result{
+	return Result{
 		Workload: res.Workload,
 		System:   res.System,
 		Agg:      cloneAgg(res.Agg),
 		Launches: res.Launches,
 		Detailed: res.Detailed,
 	}
-	return p
 }
 
 // cloneAgg deep-copies a launch aggregate (Warps is the only reference
@@ -243,20 +185,18 @@ type warmHeader struct {
 func (w *WarmCheckpoint) encode(out io.Writer, key string) error {
 	hdr, err := json.Marshal(warmHeader{Key: key, Partial: &w.Partial})
 	if err != nil {
-		return fmt.Errorf("harness: warm checkpoint: %w", err)
+		return err
 	}
 	var n [4]byte
 	binary.BigEndian.PutUint32(n[:], uint32(len(hdr)))
 	if _, err := out.Write(n[:]); err != nil {
-		return fmt.Errorf("harness: warm checkpoint: %w", err)
-	}
-	if _, err := out.Write(hdr); err != nil {
-		return fmt.Errorf("harness: warm checkpoint: %w", err)
-	}
-	if _, err := checkpoint.Encode(out, w.Snap); err != nil {
 		return err
 	}
-	return nil
+	if _, err := out.Write(hdr); err != nil {
+		return err
+	}
+	_, err = checkpoint.Encode(out, w.Snap)
+	return err
 }
 
 // decodeWarm reads a persisted checkpoint back, verifying the stored
@@ -264,22 +204,20 @@ func (w *WarmCheckpoint) encode(out io.Writer, key string) error {
 func decodeWarm(in io.Reader, key string) (*WarmCheckpoint, error) {
 	var n [4]byte
 	if _, err := io.ReadFull(in, n[:]); err != nil {
-		return nil, fmt.Errorf("harness: warm checkpoint: short length: %w", err)
+		return nil, err
 	}
-	size := binary.BigEndian.Uint32(n[:])
-	if size > 1<<30 {
-		return nil, fmt.Errorf("harness: warm checkpoint: implausible header size %d", size)
-	}
-	hdrBytes := make([]byte, size)
-	if _, err := io.ReadFull(in, hdrBytes); err != nil {
-		return nil, fmt.Errorf("harness: warm checkpoint: short header: %w", err)
+	// The prefix is untrusted: read up to it incrementally rather than
+	// allocating it, so a damaged or hostile length costs no more memory
+	// than the file actually holds.
+	size := int64(binary.BigEndian.Uint32(n[:]))
+	hdrBytes, err := io.ReadAll(io.LimitReader(in, size))
+	if err != nil {
+		return nil, err
 	}
 	var hdr warmHeader
-	if err := json.Unmarshal(hdrBytes, &hdr); err != nil {
-		return nil, fmt.Errorf("harness: warm checkpoint: %w", err)
-	}
-	if hdr.Key != key || hdr.Partial == nil {
-		return nil, errors.New("harness: warm checkpoint: key mismatch")
+	if int64(len(hdrBytes)) != size || json.Unmarshal(hdrBytes, &hdr) != nil ||
+		hdr.Key != key || hdr.Partial == nil {
+		return nil, errors.New("harness: warm checkpoint: damaged or mis-keyed header")
 	}
 	snap, err := checkpoint.Decode(in)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -232,6 +233,23 @@ func TestCheckpointArtifactDamageIsCleanMiss(t *testing.T) {
 	damage("short-header", func(b []byte) []byte { return b[:3] })
 	damage("empty", func(b []byte) []byte { return nil })
 
+	// Four hostile bytes claiming a ~1 GiB header: the length prefix is
+	// bounded by what the file holds, so the miss allocates next to
+	// nothing (the parent commit allocated the full 1024 MiB here).
+	if err := os.WriteFile(files[0], []byte{0x3f, 0xff, 0xff, 0xff}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, ok := d.LoadCheckpoint(key)
+	runtime.ReadMemStats(&after)
+	if ok {
+		t.Fatal("huge-length artifact unexpectedly loaded")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("huge-length artifact allocated %d bytes before missing, want < 1 MiB", grew)
+	}
+
 	// Restore the intact artifact: it must still load, and the full
 	// key-verification still rejects a hand-renamed file.
 	if err := os.WriteFile(files[0], blob, 0o644); err != nil {
@@ -241,7 +259,7 @@ func TestCheckpointArtifactDamageIsCleanMiss(t *testing.T) {
 		t.Fatal("intact artifact stopped loading")
 	}
 	otherKey := d.CheckpointKey(d.EntryKey("bfs", "other-key", resumeParams, resumeConfig()))
-	if err := os.Rename(files[0], d.ckptPath(otherKey)); err != nil {
+	if err := os.Rename(files[0], d.path(otherKey, ckptExt)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := d.LoadCheckpoint(otherKey); ok {
@@ -341,5 +359,49 @@ func TestSessionPersistsCheckpointOnDeadline(t *testing.T) {
 	}
 	if got := s.WarmResumes(); got != 1 {
 		t.Fatalf("WarmResumes = %d, want 1", got)
+	}
+}
+
+// TestUncheckpointedRunsKeepCallerHooks: only a run that was asked to
+// checkpoint touches the engine's per-cycle hooks. RunContext and a
+// session without a disk leave gpu.GPU.PerCycle and PerCycleWake exactly
+// as the caller set them — nil stays nil, so span lengths on
+// uninstrumented runs are the engine's own — and a checkpointed run
+// never installs a hook without its wake, which would clamp every span
+// to one cycle.
+func TestUncheckpointedRunsKeepCallerHooks(t *testing.T) {
+	opt := RunOptions{Workload: "needle", Params: diskTestParams, System: core.Baseline(), Config: config.Small()}
+	hooked := opt
+	hooked.PerCycle = func(*gpu.GPU, int64) {}
+	hooked.PerCycleWake = func(now int64) int64 { return now + 1000 }
+	same := func(a, b any) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
+
+	s := NewSession(config.Small(), diskTestParams) // no Disk: Run and RunUncached share simulate
+	runners := map[string]func(RunOptions) (*Result, error){
+		"RunContext":          func(o RunOptions) (*Result, error) { return RunContext(context.Background(), o) },
+		"Session.RunUncached": s.RunUncached,
+	}
+	for name, run := range runners {
+		r, err := run(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.GPU.PerCycle != nil || r.GPU.PerCycleWake != nil {
+			t.Errorf("%s installed a per-cycle hook on an uninstrumented run", name)
+		}
+		if r, err = run(hooked); err != nil {
+			t.Fatal(err)
+		}
+		if !same(r.GPU.PerCycle, hooked.PerCycle) || !same(r.GPU.PerCycleWake, hooked.PerCycleWake) {
+			t.Errorf("%s replaced the caller's hooks", name)
+		}
+	}
+
+	r, _, err := RunCheckpointed(context.Background(), opt, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.GPU.PerCycle == nil || r.GPU.PerCycleWake == nil {
+		t.Error("checkpointed run must install its capture hook together with a wake")
 	}
 }

@@ -148,39 +148,99 @@ func Run(opt RunOptions) (*Result, error) {
 // mid-kernel (checked cheaply inside gpu.Launch) and returns ctx's
 // error. A cancelled run's partial state is discarded entirely.
 func RunContext(ctx context.Context, opt RunOptions) (*Result, error) {
+	return runLaunches(ctx, opt, nil, nil)
+}
+
+// runLaunches is the one launch loop behind Run, RunContext and
+// RunCheckpointed. Every launch of the workload takes exactly one of
+// three paths: functional replay (the prefix a warm checkpoint already
+// covers, and the launches sampled simulation skips), restore-and-resume
+// (the launch warm was captured in), or a detailed launch from cycle
+// zero.
+//
+// ck, when non-nil, captures periodic checkpoints (the caller reads
+// ck.last after an error) and enables resuming from warm. A nil ck leaves
+// g.PerCycle and g.PerCycleWake exactly as the caller set them, so an
+// uninstrumented run's spans are never clamped by a hook.
+func runLaunches(ctx context.Context, opt RunOptions, ck *checkpointer, warm *WarmCheckpoint) (*Result, error) {
+	var sysKey string
+	if ck != nil {
+		// The design point's identity as requested: setupRun's CCWS
+		// auto-wiring adds a ProviderOverride, which has no stable key.
+		var err error
+		if sysKey, err = opt.System.Key(); err != nil {
+			return nil, err
+		}
+	}
 	wl, g, res, err := setupRun(&opt)
 	if err != nil {
 		return nil, err
 	}
-	for ix := 0; ; ix++ {
+	resumeAt := -1
+	if ck != nil {
+		ck.attach(g, res, &opt, sysKey)
+		if warm != nil && warm.compatible(ck.meta) {
+			resumeAt = warm.Snap.Meta.LaunchIndex
+		}
+	}
+	fail := func(err error) (*Result, error) {
+		return nil, fmt.Errorf("harness: %s on %s: %w", opt.Workload, opt.System.Label(), err)
+	}
+
+	ix := 0
+	for ; ; ix++ {
 		k, ok := wl.Next()
 		if !ok {
 			break
 		}
-		if !sampleDetailed(ix, opt.SampleWarmup, opt.SampleInterval) {
+		if ck != nil {
+			ck.meta.LaunchIndex = ix
+		}
+		var launch *stats.Launch
+		switch {
+		case ix < resumeAt || !sampleDetailed(ix, opt.SampleWarmup, opt.SampleInterval):
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 			if err := checkpoint.FunctionalLaunch(k, wl.Mem(), opt.Config.WarpSize); err != nil {
-				return nil, fmt.Errorf("harness: %s on %s: %w", opt.Workload, opt.System.Label(), err)
+				return fail(err)
 			}
 			res.Launches++
 			continue
+		case ix == resumeAt:
+			// The completed launches' statistics come from the
+			// checkpoint, replacing whatever the replayed prefix counted.
+			if err := checkpoint.Restore(warm.Snap, g, k); err != nil {
+				return fail(fmt.Errorf("checkpoint restore: %w", err))
+			}
+			res.Agg = cloneAgg(warm.Partial.Agg)
+			res.Launches, res.Detailed = warm.Partial.Launches, warm.Partial.Detailed
+			ck.nextCap = warm.Snap.Meta.Cycle + ck.every
+			launch, err = g.Resume(ctx)
+		default:
+			launch, err = g.Launch(ctx, k)
 		}
-		launch, err := g.Launch(ctx, k)
 		if err != nil {
-			return nil, fmt.Errorf("harness: %s on %s: %w", opt.Workload, opt.System.Label(), err)
+			return fail(err)
 		}
 		res.Agg.Merge(launch)
 		res.Launches++
 		res.Detailed++
 	}
-	return finishRun(wl, g, res, &opt)
+	if ix <= resumeAt {
+		return fail(fmt.Errorf("checkpoint launch index %d beyond workload launch count %d", resumeAt, ix))
+	}
+	if !opt.SkipVerify {
+		if err := wl.Verify(); err != nil {
+			return fail(fmt.Errorf("verification failed: %w", err))
+		}
+	}
+	res.snapshotGPU(g)
+	return res, nil
 }
 
 // setupRun builds the workload, the GPU, and an empty Result for one
-// run, wiring the hooks and the domain count. Shared by RunContext and the
-// checkpointed/resumable path (RunCheckpointedContext).
+// run, wiring the hooks and the domain count.
 func setupRun(opt *RunOptions) (workloads.Workload, *gpu.GPU, *Result, error) {
 	if opt.Params == (workloads.Params{}) {
 		opt.Params = workloads.DefaultParams()
@@ -236,16 +296,4 @@ func setupRun(opt *RunOptions) (workloads.Workload, *gpu.GPU, *Result, error) {
 	res := &Result{Workload: opt.Workload, System: opt.System.Label(), GPU: g}
 	res.Agg.Kernel = opt.Workload
 	return wl, g, res, nil
-}
-
-// finishRun verifies and snapshots a completed run.
-func finishRun(wl workloads.Workload, g *gpu.GPU, res *Result, opt *RunOptions) (*Result, error) {
-	if !opt.SkipVerify {
-		if err := wl.Verify(); err != nil {
-			return nil, fmt.Errorf("harness: %s on %s: verification failed: %w",
-				opt.Workload, opt.System.Label(), err)
-		}
-	}
-	res.snapshotGPU(g)
-	return res, nil
 }

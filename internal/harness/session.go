@@ -259,22 +259,16 @@ func (s *Session) acquire(ctx context.Context, extra int) (held int, release fun
 
 // simulate executes one run under the worker-pool bound and records a
 // manifest entry with its wall-clock cost and outcome.
-func (s *Session) simulate(ctx context.Context, opt RunOptions) (*Result, error) {
-	r, _, err := s.simulateCore(ctx, opt, nil, false)
-	return r, err
-}
-
-// simulateResumable is simulate with warm-start checkpointing: the run
-// captures periodic in-memory checkpoints, resumes from warm when
-// non-nil instead of re-simulating its prefix, and on a ctx-cut run
-// returns the latest checkpoint so the caller can persist it. A
-// SetRunFunc seam disables checkpointing (the seam replaces the engine
-// entirely), degrading to plain simulation.
-func (s *Session) simulateResumable(ctx context.Context, opt RunOptions, warm *WarmCheckpoint) (*Result, *WarmCheckpoint, error) {
-	return s.simulateCore(ctx, opt, warm, true)
-}
-
-func (s *Session) simulateCore(ctx context.Context, opt RunOptions, warm *WarmCheckpoint, resumable bool) (*Result, *WarmCheckpoint, error) {
+//
+// Checkpointing is on exactly when there is a disk to persist to: with
+// disk non-nil the run warm-starts from the checkpoint an earlier cut
+// run left under ckptKey (stale engine versions and damaged blobs read
+// back as misses), captures periodic in-memory checkpoints, and — when
+// ctx cuts it short — persists the latest one so the next attempt
+// resumes there. With disk nil the engine's hooks stay exactly as opt
+// set them. A SetRunFunc seam replaces the engine entirely, so it runs
+// without checkpointing either way.
+func (s *Session) simulate(ctx context.Context, opt RunOptions, disk *DiskCache, ckptKey string) (*Result, error) {
 	s.mu.Lock()
 	smpar := s.smpar
 	profile := s.profile
@@ -289,7 +283,7 @@ func (s *Session) simulateCore(ctx context.Context, opt RunOptions, warm *WarmCh
 	}
 	held, release, err := s.acquire(ctx, extra)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if extra > 0 {
 		// The run's domain count is however many slots the pool could
@@ -308,19 +302,32 @@ func (s *Session) simulateCore(ctx context.Context, opt RunOptions, warm *WarmCh
 	s.mu.Unlock()
 	var (
 		r    *Result
-		last *WarmCheckpoint
+		ck   *checkpointer
+		warm *WarmCheckpoint
 	)
-	start := time.Now()
-	if run == nil && resumable {
-		r, last, err = RunCheckpointed(ctx, opt, s.CheckpointEvery, warm)
-	} else {
-		if run == nil {
-			run = RunContext
+	if disk != nil && run == nil {
+		ck = newCheckpointer(s.CheckpointEvery)
+		var ok bool
+		if warm, ok = disk.LoadCheckpoint(ckptKey); ok {
+			s.mu.Lock()
+			s.warmResumes++
+			s.mu.Unlock()
 		}
+	}
+	start := time.Now()
+	if run != nil {
 		r, err = run(ctx, opt)
+	} else {
+		r, err = runLaunches(ctx, opt, ck, warm)
 	}
 	elapsed := time.Since(start)
 	release()
+	if err != nil && ck != nil && ck.last != nil && ctx.Err() != nil {
+		// The run was cut short; persist its progress so the next
+		// attempt resumes here. Best-effort like the result
+		// write-through.
+		disk.StoreCheckpoint(ckptKey, ck.last) //nolint:errcheck
+	}
 	if profile && opt.Profiler != nil {
 		s.mu.Lock()
 		if s.perfAgg != nil {
@@ -351,7 +358,7 @@ func (s *Session) simulateCore(ctx context.Context, opt RunOptions, warm *WarmCh
 	s.mu.Lock()
 	s.records = append(s.records, rec)
 	s.mu.Unlock()
-	return r, last, err
+	return r, err
 }
 
 // Run simulates (or returns the cached) application run on the design
@@ -401,11 +408,7 @@ func (s *Session) RunContext(ctx context.Context, app string, sc core.SystemConf
 	disk := s.Disk
 	s.mu.Unlock()
 
-	var (
-		warm     *WarmCheckpoint
-		entryKey string
-		ckptKey  string
-	)
+	var entryKey, ckptKey string
 	if disk != nil {
 		entryKey = s.diskEntryKey(disk, app, sysKey)
 		if res, ok := disk.Load(entryKey); ok {
@@ -416,31 +419,11 @@ func (s *Session) RunContext(ctx context.Context, app string, sc core.SystemConf
 			close(f.done)
 			return f.res, f.err
 		}
-		// Warm start: a checkpoint persisted by an earlier cancelled or
-		// deadline-cut run resumes instead of re-simulating its prefix.
-		// Stale engine versions or damaged blobs read back as misses.
 		ckptKey = disk.CheckpointKey(entryKey)
-		if w, ok := disk.LoadCheckpoint(ckptKey); ok {
-			warm = w
-			s.mu.Lock()
-			s.warmResumes++
-			s.mu.Unlock()
-		}
 	}
 
 	opt := RunOptions{Workload: app, Params: s.Params, System: sc, Config: s.Config}
-	if disk == nil {
-		f.res, f.err = s.simulate(ctx, opt)
-	} else {
-		var last *WarmCheckpoint
-		f.res, last, f.err = s.simulateResumable(ctx, opt, warm)
-		if f.err != nil && last != nil && ctx.Err() != nil {
-			// The run was cut short; persist its progress so the next
-			// attempt resumes here. Best-effort like the result
-			// write-through.
-			disk.StoreCheckpoint(ckptKey, last) //nolint:errcheck
-		}
-	}
+	f.res, f.err = s.simulate(ctx, opt, disk, ckptKey)
 	if f.err != nil {
 		// Evict before releasing waiters: a retry must re-simulate
 		// rather than observe the stale error as a cache "hit".
@@ -475,7 +458,7 @@ func (s *Session) RunUncached(opt RunOptions) (*Result, error) {
 	if opt.Config.NumSMs == 0 {
 		opt.Config = s.Config
 	}
-	return s.simulate(context.Background(), opt)
+	return s.simulate(context.Background(), opt, nil, "")
 }
 
 // Prewarm simulates every key of the run matrix across the worker
@@ -599,13 +582,9 @@ func (s *Session) sensApps() []string {
 	if s.Apps == nil {
 		return SensApps()
 	}
-	sens := make(map[string]bool, len(SensApps()))
-	for _, a := range SensApps() {
-		sens[a] = true
-	}
 	var out []string
 	for _, a := range s.Apps {
-		if sens[a] {
+		if isSens(a) {
 			out = append(out, a)
 		}
 	}

@@ -30,26 +30,23 @@
 //     SM-id-ordered commit (see memsys/stage.go); construction-time
 //     NewL1D wiring is exempt.
 //
-// The engine is stdlib-only (go/ast, go/parser, go/types). Cross-
-// package types resolve against stub packages, so map detection is
-// best-effort for expressions whose type lives in another package;
-// every map ranged over in the simulation core today is package-local.
+// These rules look at one statement at a time; interproc.go adds the
+// rules that follow call chains. Both run in one pass over a fully
+// type-checked module (LoadModule, AnalyzeModule) — the engine is
+// stdlib-only (go/ast, go/parser, go/types).
 package lint
 
 import (
 	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 )
 
-// Rules reported by the per-file linter.
+// Rules that look at one file at a time (lintFile).
 const (
 	RuleWallClock       = "wall-clock"
 	RuleGlobalRand      = "global-rand"
@@ -86,7 +83,7 @@ type Finding struct {
 	// ID is a stable identifier for interprocedural findings, of the
 	// form rule@function#detail (plus ~N for repeats). It names the
 	// function and the kind of violation rather than the line, so it
-	// survives unrelated edits; per-file findings have no ID.
+	// survives unrelated edits; per-file findings are rule@file#Lline.
 	ID string
 }
 
@@ -191,48 +188,10 @@ var allowedRand = map[string]bool{
 	"ChaCha8": true, "PCG": true,
 }
 
-// Dir lints every non-test .go file in dir as the package with import
-// path pkgPath.
-func Dir(dir, pkgPath string, opts Options) ([]Finding, error) {
-	fset := token.NewFileSet()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, nil
-	}
-	return Files(fset, pkgPath, files, opts), nil
-}
-
-// Files lints already-parsed files (parsed with parser.ParseComments)
-// belonging to the package with import path pkgPath.
-func Files(fset *token.FileSet, pkgPath string, files []*ast.File, opts Options) []Finding {
-	info := typeInfo(fset, pkgPath, files)
-	var out []Finding
-	for _, f := range files {
-		dirs, bare := scanDirectives(fset, f)
-		out = append(out, lintFile(fset, pkgPath, f, opts, info, dirs, bare)...)
-	}
-	sortFindings(out)
-	return out
-}
-
-// lintFile runs the per-file rules over one file. The directives are
-// shared with the caller so interprocedural mode can account usage
-// across both passes before deciding staleness.
+// lintFile runs the per-file rules over one file of a type-checked
+// package. The directives are shared with the caller so the
+// interprocedural rules can account usage across both passes before
+// deciding staleness.
 func lintFile(fset *token.FileSet, pkgPath string, f *ast.File, opts Options, info *types.Info, dirs []*directive, bare []int) []Finding {
 	fl := &fileLinter{
 		fset:    fset,
@@ -271,46 +230,6 @@ func sortFindings(out []Finding) {
 	})
 }
 
-// typeInfo type-checks the files against stub imports so that
-// package-local map types resolve. Type errors are expected (stubs
-// export nothing) and ignored; the partial Info is still useful.
-func typeInfo(fset *token.FileSet, pkgPath string, files []*ast.File) *types.Info {
-	info := &types.Info{
-		Types: map[ast.Expr]types.TypeAndValue{},
-		Uses:  map[*ast.Ident]types.Object{},
-	}
-	conf := types.Config{
-		Importer:         stubImporter{cache: map[string]*types.Package{}},
-		Error:            func(error) {},
-		IgnoreFuncBodies: false,
-	}
-	conf.Check(pkgPath, fset, files, info) //nolint:errcheck // best-effort
-	return info
-}
-
-// stubImporter satisfies imports with empty, complete packages. It
-// falls back to the compiler's export data when available so stdlib
-// types sharpen the analysis, but never fails.
-type stubImporter struct{ cache map[string]*types.Package }
-
-func (s stubImporter) Import(path string) (*types.Package, error) {
-	if p, ok := s.cache[path]; ok {
-		return p, nil
-	}
-	if p, err := importer.Default().Import(path); err == nil {
-		s.cache[path] = p
-		return p, nil
-	}
-	base := path
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		base = path[i+1:]
-	}
-	p := types.NewPackage(path, base)
-	p.MarkComplete()
-	s.cache[path] = p
-	return p, nil
-}
-
 // importNames maps the local identifier of each import to its path.
 func importNames(f *ast.File) map[string]string {
 	out := map[string]string{}
@@ -337,7 +256,7 @@ const (
 // directive is one suppression comment. It covers its own line and the
 // next (so both trailing and standalone placements work) and records
 // whether anything was actually suppressed — a directive that outlives
-// its finding becomes a stale-ignore finding in interprocedural mode.
+// its finding becomes a stale-ignore finding.
 type directive struct {
 	file   string // position filename, as the fset renders it
 	line   int
@@ -393,9 +312,8 @@ type fileLinter struct {
 	info     *types.Info
 	imports  map[string]string
 	dirs     []*directive
-	sim      bool            // full determinism rule set applies
-	wall     bool            // at least the wall-clock rule applies
-	sysNames map[string]bool // identifiers declared with type memsys.System
+	sim      bool // full determinism rule set applies
+	wall     bool // at least the wall-clock rule applies
 	findings []Finding
 }
 
@@ -415,9 +333,6 @@ func (l *fileLinter) file(f *ast.File) {
 	l.sim = sim
 	l.wall = sim || hasPrefix(l.pkgPath, l.opts.WallClockPaths)
 	staged := hasPrefix(l.pkgPath, l.opts.StagedMemsysPaths)
-	if staged {
-		l.collectSystemNames(f)
-	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
@@ -465,77 +380,6 @@ func (l *fileLinter) fileAllowsGoroutines(pos token.Pos) bool {
 	return false
 }
 
-// memsysImportNames returns the local identifiers under which this file
-// imports the memsys package.
-func (l *fileLinter) memsysImportNames() map[string]bool {
-	out := map[string]bool{}
-	for name, path := range l.imports {
-		if path == "cawa/internal/memsys" || strings.HasSuffix(path, "/internal/memsys") {
-			out[name] = true
-		}
-	}
-	return out
-}
-
-// collectSystemNames gathers every identifier the file declares with
-// type memsys.System or *memsys.System: struct fields, function
-// parameters and results, variable declarations, and short declarations
-// initialized from memsys.New. The stub importer cannot resolve the
-// repository's own packages, so this is a syntactic census — it misses
-// untyped aliased copies, which the repository's style does not use.
-func (l *fileLinter) collectSystemNames(f *ast.File) {
-	pkgs := l.memsysImportNames()
-	if len(pkgs) == 0 {
-		return
-	}
-	l.sysNames = map[string]bool{}
-	isSystemType := func(expr ast.Expr) bool {
-		if star, ok := expr.(*ast.StarExpr); ok {
-			expr = star.X
-		}
-		sel, ok := expr.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "System" {
-			return false
-		}
-		id, ok := sel.X.(*ast.Ident)
-		return ok && pkgs[id.Name]
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.Field: // struct fields, params, results, receivers
-			if isSystemType(n.Type) {
-				for _, name := range n.Names {
-					l.sysNames[name.Name] = true
-				}
-			}
-		case *ast.ValueSpec:
-			if n.Type != nil && isSystemType(n.Type) {
-				for _, name := range n.Names {
-					l.sysNames[name.Name] = true
-				}
-			}
-		case *ast.AssignStmt: // sys := memsys.New(cfg)
-			if len(n.Lhs) != 1 || len(n.Rhs) != 1 {
-				return true
-			}
-			call, ok := n.Rhs[0].(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "New" {
-				return true
-			}
-			if pkg, ok := sel.X.(*ast.Ident); ok && pkgs[pkg.Name] {
-				if id, ok := n.Lhs[0].(*ast.Ident); ok {
-					l.sysNames[id.Name] = true
-				}
-			}
-		}
-		return true
-	})
-}
-
 // systemCall flags method calls on memsys.System values from SM-domain
 // code. During a parallel epoch an SM goroutine must never touch the
 // shared event heap or sequence counter; the sanctioned route is the
@@ -543,23 +387,16 @@ func (l *fileLinter) collectSystemNames(f *ast.File) {
 // SM-id-ordered commit (see memsys/stage.go). Construction-time wiring
 // (NewL1D) is exempt.
 func (l *fileLinter) systemCall(call *ast.CallExpr) {
-	if len(l.sysNames) == 0 {
-		return
-	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || allowedSystemMethods[sel.Sel.Name] {
 		return
 	}
-	var base string
-	switch x := sel.X.(type) {
-	case *ast.Ident: // sys.Cycle(...)
-		base = x.Name
-	case *ast.SelectorExpr: // m.sys.Cycle(...), opt.MemSys.Cycle(...)
-		base = x.Sel.Name
-	default:
+	method, ok := l.info.Selections[sel]
+	if !ok || method.Kind() != types.MethodVal || recvTypeName(method.Recv()) != "System" {
 		return
 	}
-	if !l.sysNames[base] {
+	pkg := method.Obj().Pkg()
+	if pkg == nil || (pkg.Path() != "cawa/internal/memsys" && !strings.HasSuffix(pkg.Path(), "/internal/memsys")) {
 		return
 	}
 	l.add(call.Pos(), RuleMemsysMutation,

@@ -1,22 +1,27 @@
 package lint
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"strings"
 	"testing"
 )
 
-// lintSrc runs the engine over one synthetic file belonging to pkgPath.
+// lintSrc runs the analyzer over the mutant suite's fixture module plus
+// one synthetic file in a package of its own below pkgPath, so the
+// path-scoped rules see it as part of pkgPath's tree and its names
+// cannot collide with the fixture's.
 func lintSrc(t *testing.T, pkgPath, src string) []Finding {
 	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "test.go", src, parser.ParseComments)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	return Files(fset, pkgPath, []*ast.File{f}, DefaultOptions())
+	return lintNamed(t, pkgPath+"/probe", "probe.go", src)
+}
+
+// lintNamed adds the file to the fixture package pkgPath itself, under
+// a caller-chosen name, for rules whose scope is a file path rather
+// than a package.
+func lintNamed(t *testing.T, pkgPath, filename, src string) []Finding {
+	t.Helper()
+	return analyzeMutant(t, map[string]string{
+		strings.TrimPrefix(pkgPath, "cawa/") + "/" + filename: src,
+	})
 }
 
 func rulesOf(fs []Finding) []string {
@@ -260,36 +265,24 @@ func f() { go func() {}() }
 }
 
 // TestRepoIsClean runs the production configuration over the real
-// simulation packages — the linter must hold on the code it guards.
+// module under the committed baseline — the gate scripts/check.sh and
+// CI run, and the linter must hold on the code it guards.
 func TestRepoIsClean(t *testing.T) {
-	dirs := map[string]string{
-		"../sm": "cawa/internal/sm", "../gpu": "cawa/internal/gpu",
-		"../sched": "cawa/internal/sched", "../core": "cawa/internal/core",
-		"../cache": "cawa/internal/cache", "../memsys": "cawa/internal/memsys",
-		"../stats": "cawa/internal/stats", "../workloads": "cawa/internal/workloads",
-		"../obs": "cawa/internal/obs", "../obs/perf": "cawa/internal/obs/perf",
-	}
-	for dir, pkg := range dirs {
-		fs, err := Dir(dir, pkg, DefaultOptions())
-		if err != nil {
-			t.Fatalf("%s: %v", dir, err)
-		}
-		for _, f := range fs {
-			t.Errorf("%s: %s", pkg, f)
-		}
-	}
-}
-
-// lintNamed is lintSrc with a caller-chosen filename, for rules whose
-// scope is a file path rather than a package.
-func lintNamed(t *testing.T, pkgPath, filename, src string) []Finding {
-	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, filename, src, parser.ParseComments)
+	m, err := LoadModule("../..")
 	if err != nil {
-		t.Fatalf("parse: %v", err)
+		t.Fatal(err)
 	}
-	return Files(fset, pkgPath, []*ast.File{f}, DefaultOptions())
+	findings, err := AnalyzeModule(m, DefaultInterOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := LoadBaseline("../../.cawalint-baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range b.Apply(findings) {
+		t.Error(f)
+	}
 }
 
 // TestGoroutineAllowedInDomainRunner: the gpu domain runner is the one
@@ -300,19 +293,15 @@ func TestGoroutineAllowedInDomainRunner(t *testing.T) {
 	src := `package gpu
 func f() { go func() {}() }
 `
-	fs := lintNamed(t, "cawa/internal/gpu", "internal/gpu/domains.go", src)
+	fs := lintNamed(t, "cawa/internal/gpu", "domains.go", src)
 	if len(fs) != 0 {
 		t.Fatalf("domain-runner goroutine flagged: %v", fs)
 	}
-	fs = lintNamed(t, "cawa/internal/gpu", "/abs/path/repo/internal/gpu/domains.go", src)
-	if len(fs) != 0 {
-		t.Fatalf("domain-runner goroutine flagged under absolute path: %v", fs)
-	}
-	fs = lintNamed(t, "cawa/internal/gpu", "internal/gpu/gpu.go", src)
+	fs = lintNamed(t, "cawa/internal/gpu", "other.go", src)
 	wantOnly(t, fs, RuleGoroutine, 1)
 	// A file merely named like the allowlisted one, in another package,
 	// stays banned (the allowlist pairs import path with file name).
-	fs = lintNamed(t, "cawa/internal/sm", "internal/sm/domains.go", src)
+	fs = lintNamed(t, "cawa/internal/sm", "domains.go", strings.Replace(src, "package gpu", "package sm", 1))
 	wantOnly(t, fs, RuleGoroutine, 1)
 }
 
@@ -325,10 +314,9 @@ func TestMemsysMutationFlagged(t *testing.T) {
 	src := `package sm
 import "cawa/internal/memsys"
 type SM struct{ sys *memsys.System }
-func (m *SM) bad(now int64) { m.sys.Cycle(now) }
-func alsoBad(s *memsys.System) { s.Cycle(1) }
-func local(cfg Config) { sys := memsys.New(cfg); sys.Commit(nil) }
-type Config struct{}
+func (m *SM) bad() { m.sys.Cycle() }
+func alsoBad(s *memsys.System) { s.Schedule(1) }
+func local() { sys := memsys.New(); sys.Schedule(2) }
 `
 	fs := lintSrc(t, simPkg, src)
 	wantOnly(t, fs, RuleMemsysMutation, 3)
@@ -349,11 +337,10 @@ type Options struct{ MemSys *memsys.System }
 type SM struct{ l1d *memsys.L1D }
 func New(opt Options) *SM {
 	m := &SM{}
-	m.l1d = opt.MemSys.NewL1D(nil, nil)
+	m.l1d = opt.MemSys.NewL1D()
 	return m
 }
-func (m *SM) issue(now int64) { m.l1d.AccessLoad(req(), 0, now) }
-func req() (r struct{}) { return }
+func (m *SM) issue(now int64) { m.l1d.AccessLoad(now) }
 `)
 	if len(fs) != 0 {
 		t.Fatalf("sanctioned memsys uses flagged: %v", fs)
@@ -367,7 +354,7 @@ func TestMemsysMutationIgnoreDirective(t *testing.T) {
 import "cawa/internal/memsys"
 func f(s *memsys.System) {
 	//cawalint:ignore test-only drain helper
-	s.Cycle(1)
+	s.Cycle()
 }
 `)
 	if len(fs) != 0 {

@@ -38,6 +38,18 @@ func (s *System) SafeHorizon(now int64) int64 { return now + 1 }
 
 // PlanSpanFills hands the pending in-span fills to their L1s.
 func (s *System) PlanSpanFills(horizon int64) {}
+
+// New builds the shared system (construction time, off every root).
+func New() *System { return &System{} }
+
+// L1D is the per-SM front end SM code is meant to go through.
+type L1D struct{ sys *System }
+
+// NewL1D is the sanctioned construction-time wiring.
+func (s *System) NewL1D() *L1D { return &L1D{sys: s} }
+
+// AccessLoad is the staged route to the System.
+func (l *L1D) AccessLoad(now int64) {}
 `,
 	"internal/sm/sm.go": `// Package sm is the SM stub for the mutant suite.
 package sm

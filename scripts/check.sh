@@ -3,15 +3,19 @@
 #
 #   gofmt -l      every file is gofmt-clean
 #   go vet        static checks
-#   cawalint      whole-module determinism analysis: per-file rules
-#                 (no wall clock / global rand / raw map iteration in
-#                 simulation packages, goroutines only in sanctioned
-#                 packages) plus the interprocedural rules (hot-path
-#                 allocations, staged-memsys discipline, domain-safe
-#                 synchronization, global writes) against the committed
-#                 baseline .cawalint-baseline.json
+#   cawalint      whole-module determinism analysis (its only mode):
+#                 the statement-level rules (no wall clock / global rand
+#                 / raw map iteration in simulation packages, goroutines
+#                 only in sanctioned packages) plus the call-graph rules
+#                 (hot-path allocations, staged-memsys discipline,
+#                 domain-safe synchronization, global writes) against the
+#                 committed baseline .cawalint-baseline.json
 #   cawadis -lint the twelve workload kernels verify clean
 #   go build      everything compiles
+#   cawaperf      the benchmark is a Go module of its own
+#                 (cmd/cawaperf), which ./... above never reaches: vet
+#                 and build it so an internal signature change cannot
+#                 break the registered benchmark unnoticed
 #   go test       full unit + experiment smoke suite
 #   go test -race the concurrency audit of the session scheduler:
 #                 harness (worker pool, parallel experiments) and
@@ -45,12 +49,14 @@ if [ -n "$unformatted" ]; then
 fi
 echo "== go vet =="
 go vet ./...
-echo "== cawalint (whole-module, interprocedural) =="
-go run ./cmd/cawalint -interproc -baseline .cawalint-baseline.json
+echo "== cawalint (whole module) =="
+go run ./cmd/cawalint -baseline .cawalint-baseline.json
 echo "== cawadis -lint (workload kernels) =="
 go run ./cmd/cawadis -lint -workload all
 echo "== go build =="
 go build ./...
+echo "== cmd/cawaperf (benchmark module): go vet, go build =="
+(cd cmd/cawaperf && go vet ./... && go build -o /dev/null ./...)
 echo "== go test =="
 go test ./...
 echo "== go test -race (harness, workloads) =="
