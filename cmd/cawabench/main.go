@@ -23,9 +23,9 @@
 // a machine-readable JSON summary of per-run and total wall-clock so
 // sweep-throughput regressions are trackable. -perf FILE additionally
 // profiles the engine's own wall-clock phases (domain compute, barrier
-// wait, staged commit, memsys drain, horizon planning, dead-cycle
-// skipping) across every simulation in the sweep and writes the
-// aggregated PerfReport JSON — results stay byte-identical with it on.
+// wait, staged commit, memsys drain, dispatch, horizon planning) across
+// every simulation in the sweep and writes the aggregated PerfReport
+// JSON — results stay byte-identical with it on.
 package main
 
 import (

@@ -10,14 +10,13 @@
 // budget on everything the cycle roots reach, the staged-memsys
 // discipline across helper chains, the no-synchronization rule for
 // domain-goroutine-reachable code, the package-global write ban, and
-// the reachability-based wall-clock ban. Accepted findings live in a
-// committed baseline keyed by stable finding IDs; -baseline applies it,
-// -update-baseline regenerates it.
+// the reachability-based wall-clock ban. An accepted finding is excused
+// where it occurs, by a //cawalint:ignore <reason> (or alloc-ok)
+// directive; one that no longer excuses anything is itself a finding.
 //
 // Usage:
 //
-//	cawalint [-dir root] [-json out.json] [-baseline file]
-//	cawalint -baseline file -update-baseline
+//	cawalint [-dir root] [-json out.json]
 //
 // Findings print as file:line:col: rule: message; the exit status is
 // 0 when clean, 1 when any finding exists, 2 on usage, load, or I/O
@@ -38,22 +37,16 @@ func main() {
 }
 
 // run is the testable entry point: it parses args, loads the whole
-// module, runs AnalyzeModule, applies or regenerates the baseline, and
-// returns the process exit code (0 clean, 1 findings, 2 usage/load
-// errors).
+// module, runs AnalyzeModule, and returns the process exit code (0
+// clean, 1 findings, 2 usage/load errors).
 func run(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("cawalint", flag.ContinueOnError)
 	fl.SetOutput(stderr)
-	var (
-		dir, jsonOut, baselinePath string
-		updateBaseline             bool
-	)
+	var dir, jsonOut string
 	fl.StringVar(&dir, "dir", ".", "module root directory (must contain go.mod)")
 	fl.StringVar(&jsonOut, "json", "", "write findings as JSON to this file ('-' for stdout)")
-	fl.StringVar(&baselinePath, "baseline", "", "baseline file of accepted finding IDs")
-	fl.BoolVar(&updateBaseline, "update-baseline", false, "rewrite -baseline accepting all current findings, then exit 0")
 	fl.Usage = func() {
-		fmt.Fprintln(stderr, "usage: cawalint [-dir root] [-json out] [-baseline file] [-update-baseline]")
+		fmt.Fprintln(stderr, "usage: cawalint [-dir root] [-json out]")
 		fl.PrintDefaults()
 	}
 	if err := fl.Parse(args); err != nil {
@@ -61,10 +54,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if fl.NArg() > 0 {
 		fmt.Fprintln(stderr, "cawalint: the whole module is analyzed; positional directories are not accepted (use -dir for another module root)")
-		return 2
-	}
-	if updateBaseline && baselinePath == "" {
-		fmt.Fprintln(stderr, "cawalint: -update-baseline requires -baseline to name the file to write")
 		return 2
 	}
 
@@ -77,34 +66,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintf(stderr, "cawalint: %v\n", err)
 		return 2
-	}
-
-	if updateBaseline {
-		var prev *lint.Baseline
-		if _, statErr := os.Stat(baselinePath); statErr == nil {
-			prev, err = lint.LoadBaseline(baselinePath)
-			if err != nil {
-				fmt.Fprintf(stderr, "cawalint: %v\n", err)
-				return 2
-			}
-		}
-		b := lint.UpdateBaseline(findings, prev)
-		if err := lint.SaveBaseline(baselinePath, b); err != nil {
-			fmt.Fprintf(stderr, "cawalint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "cawalint: wrote %d baseline entr%s to %s\n",
-			len(b.Entries), plural(len(b.Entries), "y", "ies"), baselinePath)
-		return 0
-	}
-
-	if baselinePath != "" {
-		b, err := lint.LoadBaseline(baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "cawalint: %v\n", err)
-			return 2
-		}
-		findings = b.Apply(findings)
 	}
 
 	if jsonOut != "" {
@@ -136,11 +97,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }

@@ -39,10 +39,8 @@ func TestExitCodes(t *testing.T) {
 		args []string
 		want int
 	}{
-		{"clean under baseline", []string{"-dir", "testdata/mod", "-baseline", "testdata/baseline.json"}, 0},
+		{"clean", []string{"-dir", "../.."}, 0}, // this repository, as CI runs it
 		{"findings", []string{"-dir", "testdata/mod"}, 1},
-		{"stale baseline entry", []string{"-dir", "testdata/mod", "-baseline", "testdata/baseline_stale.json"}, 1},
-		{"update-baseline without baseline", []string{"-update-baseline", "-dir", "testdata/mod"}, 2},
 		{"positional dirs", []string{"-dir", "testdata/mod", "internal"}, 2},
 		{"unknown flag", []string{"-no-such-flag"}, 2},
 		{"syntax error in module", []string{"-dir", badSyntaxModule(t)}, 2},
@@ -77,23 +75,8 @@ func TestFindingsOutput(t *testing.T) {
 	}
 }
 
-// TestStaleBaselineSurfaces checks an unmatched baseline entry comes
-// back as a stale-baseline finding rather than being ignored.
-func TestStaleBaselineSurfaces(t *testing.T) {
-	code, stdout, _ := runCLI(t, "-dir", "testdata/mod", "-baseline", "testdata/baseline_stale.json")
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1", code)
-	}
-	if !strings.Contains(stdout, "stale-baseline") {
-		t.Errorf("stdout missing stale-baseline finding:\n%s", stdout)
-	}
-	if strings.Contains(stdout, "hotpath-alloc:") {
-		t.Errorf("baselined finding leaked through:\n%s", stdout)
-	}
-}
-
 // TestJSONGolden pins the -json byte format: sorted, indented,
-// stable IDs, module-relative paths. Regenerate with
+// module-relative paths. Regenerate with
 // CAWALINT_UPDATE_GOLDEN=1 go test cawa/cmd/cawalint -run TestJSONGolden.
 var updateGolden = os.Getenv("CAWALINT_UPDATE_GOLDEN") != ""
 
@@ -124,46 +107,5 @@ func TestJSONDeterministic(t *testing.T) {
 	_, second, _ := runCLI(t, "-dir", "testdata/mod", "-json", "-")
 	if first != second {
 		t.Errorf("two runs produced different JSON:\n%s\nvs:\n%s", first, second)
-	}
-}
-
-// TestUpdateBaselineRoundTrip regenerates a baseline into a temp file
-// and checks the next run is clean under it, with reasons carried over
-// from a previous baseline and placeholders for new entries.
-func TestUpdateBaselineRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline.json")
-
-	code, _, stderr := runCLI(t, "-dir", "testdata/mod", "-baseline", path, "-update-baseline")
-	if code != 0 {
-		t.Fatalf("update-baseline exit code = %d (stderr: %s)", code, stderr)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "TODO: justify this acceptance") {
-		t.Errorf("new baseline entry missing placeholder reason:\n%s", data)
-	}
-
-	code, stdout, stderr := runCLI(t, "-dir", "testdata/mod", "-baseline", path)
-	if code != 0 {
-		t.Fatalf("run under fresh baseline: exit code = %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
-	}
-
-	// Updating again over the existing file must keep its reasons.
-	if err := os.WriteFile(path, bytes.Replace(data,
-		[]byte("TODO: justify this acceptance"), []byte("a real reviewed reason"), 1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, _, stderr = runCLI(t, "-dir", "testdata/mod", "-baseline", path, "-update-baseline")
-	if code != 0 {
-		t.Fatalf("second update-baseline exit code = %d (stderr: %s)", code, stderr)
-	}
-	data, err = os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "a real reviewed reason") {
-		t.Errorf("update-baseline dropped the reviewed reason:\n%s", data)
 	}
 }

@@ -15,8 +15,6 @@ type GPU struct {
 // replay is the stub span replay.
 func (g *GPU) replay() { g.sys.Cycle() }
 
-func (g *GPU) fastForward() {}
-
 // planHorizon is the stub span horizon planner.
 func (g *GPU) planHorizon() int64 { return 1 }
 
@@ -43,6 +41,5 @@ func (w *domainWorker) stepSpan(from, to int64) {
 
 // Run drives the stub engine.
 func (g *GPU) Run() {
-	g.fastForward()
 	g.runSpan()
 }

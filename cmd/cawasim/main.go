@@ -23,9 +23,9 @@
 //
 //	-perf FILE             profile the engine's own wall-clock phases
 //	                       (domain compute, barrier wait, staged commit,
-//	                       memsys drain, horizon planning, dead-cycle
-//	                       skipping) and write the PerfReport JSON to
-//	                       FILE; simulated results stay byte-identical
+//	                       memsys drain, dispatch, horizon planning) and
+//	                       write the PerfReport JSON to FILE; simulated
+//	                       results stay byte-identical
 //	-perf-trace FILE       also write the profile as Chrome trace-event
 //	                       counter tracks (Perfetto / chrome://tracing)
 //
@@ -62,40 +62,55 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entry point: it parses args, simulates, prints the
+// summary to stdout and returns the process exit code (0 ok, 1 on a
+// failed run, 2 on usage errors).
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("cawasim", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "cawasim:", err)
+		return 1
+	}
 	var (
-		workload  = flag.String("workload", "bfs", "workload name ("+strings.Join(workloads.Names(), ", ")+")")
-		scheduler = flag.String("scheduler", "lrr", "warp scheduler ("+strings.Join(sched.Names(), ", ")+")")
-		cpl       = flag.Bool("cpl", false, "attach the CPL criticality predictor")
-		cacp      = flag.Bool("cacp", false, "enable criticality-aware cache prioritization (implies -cpl)")
-		scale     = flag.Float64("scale", 1, "workload size multiplier")
-		seed      = flag.Int64("seed", 1, "input generator seed")
-		sms       = flag.Int("sms", 0, "override number of SMs (default: GTX480's 15)")
-		verbose   = flag.Bool("v", false, "print per-block warp summaries")
-		hotpcs    = flag.Int("hotpcs", 0, "print the N PCs with the most stall time")
-		smpar     = flag.Int("smpar", 1, "domains sharing each span of the engine: 1 runs on this goroutine alone, N adds N-1 helper goroutines, 0 = one per core (byte-identical results; always 1 when tracing attaches observers)")
+		workload  = fl.String("workload", "bfs", "workload name ("+strings.Join(workloads.Names(), ", ")+")")
+		scheduler = fl.String("scheduler", "lrr", "warp scheduler ("+strings.Join(sched.Names(), ", ")+")")
+		cpl       = fl.Bool("cpl", false, "attach the CPL criticality predictor")
+		cacp      = fl.Bool("cacp", false, "enable criticality-aware cache prioritization (implies -cpl)")
+		scale     = fl.Float64("scale", 1, "workload size multiplier")
+		seed      = fl.Int64("seed", 1, "input generator seed")
+		sms       = fl.Int("sms", 0, "override number of SMs (default: GTX480's 15)")
+		verbose   = fl.Bool("v", false, "print per-block warp summaries")
+		hotpcs    = fl.Int("hotpcs", 0, "print the N PCs with the most stall time")
+		smpar     = fl.Int("smpar", 1, "domains sharing each span of the engine: 1 runs on this goroutine alone, N adds N-1 helper goroutines, 0 = one per core (byte-identical results; always 1 when tracing attaches observers)")
 
-		traceJSON   = flag.String("trace-json", "", "write a Chrome trace-event file (Perfetto / chrome://tracing)")
-		obsDir      = flag.String("obs-dir", "", "write observability artifacts (trace.json, metrics.csv, metrics.json, manifest.json) into this directory")
-		sampleEvery = flag.Int64("sample-every", 0, fmt.Sprintf("metric sampling interval in cycles (0 = %d when observability is on)", obs.DefaultSampleEvery))
+		traceJSON   = fl.String("trace-json", "", "write a Chrome trace-event file (Perfetto / chrome://tracing)")
+		obsDir      = fl.String("obs-dir", "", "write observability artifacts (trace.json, metrics.csv, metrics.json, manifest.json) into this directory")
+		sampleEvery = fl.Int64("sample-every", 0, fmt.Sprintf("metric sampling interval in cycles (0 = %d when observability is on)", obs.DefaultSampleEvery))
 
-		perfJSON  = flag.String("perf", "", "profile the engine's wall-clock phases and write the PerfReport JSON to this file")
-		perfTrace = flag.String("perf-trace", "", "write the engine profile as Chrome trace-event counter tracks")
+		perfJSON  = fl.String("perf", "", "profile the engine's wall-clock phases and write the PerfReport JSON to this file")
+		perfTrace = fl.String("perf-trace", "", "write the engine profile as Chrome trace-event counter tracks")
 
-		sampleWarmup   = flag.Int("sample-warmup", 0, "sampled simulation: detailed launches before the first skip window (cache/predictor warmup)")
-		sampleInterval = flag.Int("sample-interval", 0, "sampled simulation: run every Nth launch after the warmup on the timing model, the rest functionally (<=1 = full detail)")
+		sampleWarmup   = fl.Int("sample-warmup", 0, "sampled simulation: detailed launches before the first skip window (cache/predictor warmup)")
+		sampleInterval = fl.Int("sample-interval", 0, "sampled simulation: run every Nth launch after the warmup on the timing model, the rest functionally (<=1 = full detail)")
 
-		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file")
+		cpuprofile = fl.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		memprofile = fl.String("memprofile", "", "write a pprof heap profile to this file")
 	)
-	flag.Parse()
+	if err := fl.Parse(args); err != nil {
+		return 2
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		defer pprof.StopCPUProfile()
@@ -107,11 +122,11 @@ func main() {
 	}
 	sc := core.SystemConfig{Scheduler: *scheduler, CPL: *cpl || *cacp, CACP: *cacp}
 	if *scheduler == "caws" {
-		fmt.Fprintln(os.Stderr, "cawasim: profiling baseline run for oracle criticality...")
+		fmt.Fprintln(stderr, "cawasim: profiling baseline run for oracle criticality...")
 		s := harness.NewSession(cfg, workloads.Params{Scale: *scale, Seed: *seed})
 		oracle, err := s.OracleFor(*workload)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		sc.Oracle = oracle
 	}
@@ -172,8 +187,8 @@ func main() {
 	if wantTrace {
 		sampler = obs.NewSampler(nil, *sampleEvery)
 		opt.PerCycle = sampler.OnCycle
-		// The wake hint keeps fast-forwarding effective with sampling on:
-		// skips clamp to the sampler's cadence instead of being disabled.
+		// The wake hint keeps spans effective with sampling on: they end
+		// on the sampler's cadence instead of shrinking to one cycle.
 		opt.PerCycleWake = sampler.NextWake
 	}
 
@@ -181,35 +196,35 @@ func main() {
 	res, err := harness.Run(opt)
 	elapsed := time.Since(start)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	a := &res.Agg
-	fmt.Printf("workload       %s (verified against Go reference)\n", res.Workload)
-	fmt.Printf("design point   %s\n", res.System)
+	fmt.Fprintf(stdout, "workload       %s (verified against Go reference)\n", res.Workload)
+	fmt.Fprintf(stdout, "design point   %s\n", res.System)
 	if res.Detailed != res.Launches {
-		fmt.Printf("launches       %d (%d detailed, %d functional)\n",
+		fmt.Fprintf(stdout, "launches       %d (%d detailed, %d functional)\n",
 			res.Launches, res.Detailed, res.Launches-res.Detailed)
 	} else {
-		fmt.Printf("launches       %d\n", res.Launches)
+		fmt.Fprintf(stdout, "launches       %d\n", res.Launches)
 	}
-	fmt.Printf("cycles         %d\n", a.Cycles)
-	fmt.Printf("warp instrs    %d\n", a.Instructions)
-	fmt.Printf("thread instrs  %d\n", a.ThreadInstrs)
-	fmt.Printf("IPC            %.3f\n", a.IPC())
-	fmt.Printf("L1D accesses   %d\n", a.L1DAccesses)
-	fmt.Printf("L1D misses     %d (%.2f%% miss rate, %.2f MPKI)\n",
+	fmt.Fprintf(stdout, "cycles         %d\n", a.Cycles)
+	fmt.Fprintf(stdout, "warp instrs    %d\n", a.Instructions)
+	fmt.Fprintf(stdout, "thread instrs  %d\n", a.ThreadInstrs)
+	fmt.Fprintf(stdout, "IPC            %.3f\n", a.IPC())
+	fmt.Fprintf(stdout, "L1D accesses   %d\n", a.L1DAccesses)
+	fmt.Fprintf(stdout, "L1D misses     %d (%.2f%% miss rate, %.2f MPKI)\n",
 		a.L1DMisses, a.L1DMissRate()*100, a.MPKI())
-	fmt.Printf("L2 accesses    %d (misses %d)\n", a.L2Accesses, a.L2Misses)
-	fmt.Printf("coalescing     %.2f transactions per memory instruction\n", a.CoalescingFactor())
-	fmt.Printf("warps          %d\n", len(a.Warps))
-	fmt.Printf("max disparity  %.3f\n", a.MaxDisparity(2))
-	fmt.Printf("mean disparity %.3f\n", a.MeanDisparity(2))
+	fmt.Fprintf(stdout, "L2 accesses    %d (misses %d)\n", a.L2Accesses, a.L2Misses)
+	fmt.Fprintf(stdout, "coalescing     %.2f transactions per memory instruction\n", a.CoalescingFactor())
+	fmt.Fprintf(stdout, "warps          %d\n", len(a.Warps))
+	fmt.Fprintf(stdout, "max disparity  %.3f\n", a.MaxDisparity(2))
+	fmt.Fprintf(stdout, "mean disparity %.3f\n", a.MeanDisparity(2))
 
 	if *verbose {
 		for block, ws := range a.BlockGroup() {
 			cw := stats.CriticalWarp(ws)
-			fmt.Printf("block %4d: %2d warps, disparity %.3f, critical gid %d (%d cycles)\n",
+			fmt.Fprintf(stdout, "block %4d: %2d warps, disparity %.3f, critical gid %d (%d cycles)\n",
 				block, len(ws), stats.BlockDisparity(ws), cw.GID, cw.ExecTime())
 		}
 	}
@@ -217,42 +232,43 @@ func main() {
 	var perfReport *perf.Report
 	if prof != nil {
 		perfReport = prof.Report()
-		if err := writePerfArtifacts(perfReport, *perfJSON, *perfTrace); err != nil {
-			fatal(err)
+		if err := writePerfArtifacts(stdout, perfReport, *perfJSON, *perfTrace); err != nil {
+			return fail(err)
 		}
 	}
 
 	if wantTrace {
-		if err := writeObsArtifacts(res, collector, sampler, elapsed, *traceJSON, *obsDir, cfg, opt.Params, sysKey, perfReport); err != nil {
-			fatal(err)
+		if err := writeObsArtifacts(stdout, stderr, res, collector, sampler, elapsed, *traceJSON, *obsDir, cfg, opt.Params, sysKey, perfReport); err != nil {
+			return fail(err)
 		}
 	}
 
 	if *hotpcs > 0 {
-		fmt.Printf("\nhottest PCs by accumulated stall (last kernel's retained trace):\n")
-		fmt.Println("  pc    op          issues      stall_cycles")
+		fmt.Fprintf(stdout, "\nhottest PCs by accumulated stall (last kernel's retained trace):\n")
+		fmt.Fprintln(stdout, "  pc    op          issues      stall_cycles")
 		for _, p := range collector.HotPCs(*hotpcs) {
-			fmt.Printf("  %-5d %-10s %9d  %12d\n", p.PC, p.Op, p.Issues, p.Stall)
+			fmt.Fprintf(stdout, "  %-5d %-10s %9d  %12d\n", p.PC, p.Op, p.Issues, p.Stall)
 		}
 	}
 
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		f.Close()
 	}
+	return 0
 }
 
 // writePerfArtifacts renders the engine self-profile: the PerfReport
 // JSON and, when requested, its Chrome-trace counter tracks. A one-line
 // summary of where the engine spent its wall clock goes to stdout.
-func writePerfArtifacts(rep *perf.Report, jsonPath, tracePath string) error {
+func writePerfArtifacts(stdout io.Writer, rep *perf.Report, jsonPath, tracePath string) error {
 	write := func(path string, render func(io.Writer) error) error {
 		if path == "" {
 			return nil
@@ -274,10 +290,10 @@ func writePerfArtifacts(rep *perf.Report, jsonPath, tracePath string) error {
 		return err
 	}
 	if len(rep.Shards) > 0 {
-		fmt.Printf("engine profile %d barriers, barrier wait %.1f%%, shard spread %.2fx (%s)\n",
+		fmt.Fprintf(stdout, "engine profile %d barriers, barrier wait %.1f%%, shard spread %.2fx (%s)\n",
 			rep.Epochs, rep.BarrierWaitFrac()*100, rep.Spread(), jsonPath)
 	} else {
-		fmt.Printf("engine profile one domain, %s total (%s)\n",
+		fmt.Fprintf(stdout, "engine profile one domain, %s total (%s)\n",
 			time.Duration(rep.WallNS), jsonPath)
 	}
 	return nil
@@ -285,12 +301,12 @@ func writePerfArtifacts(rep *perf.Report, jsonPath, tracePath string) error {
 
 // writeObsArtifacts renders the Chrome trace and, under -obs-dir, the
 // metric time series and the run manifest.
-func writeObsArtifacts(res *harness.Result, collector *obs.Collector, sampler *obs.Sampler,
+func writeObsArtifacts(stdout, stderr io.Writer, res *harness.Result, collector *obs.Collector, sampler *obs.Sampler,
 	elapsed time.Duration, traceJSON, obsDir string, cfg config.Config, params workloads.Params, sysKey string,
 	perfReport *perf.Report) error {
 	events := collector.Events()
 	if total := collector.Total(); total > uint64(len(events)) {
-		fmt.Fprintf(os.Stderr, "cawasim: trace rings overwrote %d of %d events; only the most recent are exported\n",
+		fmt.Fprintf(stderr, "cawasim: trace rings overwrote %d of %d events; only the most recent are exported\n",
 			total-uint64(len(events)), total)
 	}
 	ct := obs.BuildChromeTrace(obs.TraceInput{
@@ -303,7 +319,7 @@ func writeObsArtifacts(res *harness.Result, collector *obs.Collector, sampler *o
 		if err := ct.WriteFile(traceJSON); err != nil {
 			return err
 		}
-		fmt.Printf("trace          %s (open in Perfetto or chrome://tracing)\n", traceJSON)
+		fmt.Fprintf(stdout, "trace          %s (open in Perfetto or chrome://tracing)\n", traceJSON)
 	}
 	if obsDir == "" {
 		return nil
@@ -344,7 +360,7 @@ func writeObsArtifacts(res *harness.Result, collector *obs.Collector, sampler *o
 	if err := m.WriteFile(filepath.Join(obsDir, "manifest.json")); err != nil {
 		return err
 	}
-	fmt.Printf("observability  %s (trace.json, metrics.csv, metrics.json, manifest.json)\n", obsDir)
+	fmt.Fprintf(stdout, "observability  %s (trace.json, metrics.csv, metrics.json, manifest.json)\n", obsDir)
 	return nil
 }
 
@@ -359,9 +375,4 @@ func writeSeries(path string, sampler *obs.Sampler, export func(w io.Writer, ser
 		return err
 	}
 	return f.Close()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cawasim:", err)
-	os.Exit(1)
 }

@@ -52,13 +52,6 @@ type CACPConfig struct {
 	// (internal/core/dynpart.go); CriticalWays becomes the initial
 	// boundary.
 	DynamicPartition bool
-	// UseSRRIP selects 2-bit SRRIP aging within partitions, the
-	// replacement family the SHiP paper assumes. The default is
-	// partitioned LRU with SHiP-guided dead-on-arrival insertion, which
-	// performs better on this simulator's workloads (see the
-	// abl-replacement bench); both honor Algorithm 4's insertion and
-	// promotion rules.
-	UseSRRIP bool
 }
 
 // DefaultCACPConfig returns the paper's configuration for a 16-way L1D
@@ -71,7 +64,8 @@ func DefaultCACPConfig() CACPConfig {
 // (Section 3.3, Algorithm 4). It partitions the L1D into critical and
 // non-critical ways, steers fills with the critical cache block
 // predictor (CCBP), and picks insertion ages with a signature-based hit
-// predictor (SHiP) on top of SRRIP replacement within each partition.
+// predictor (SHiP) on top of LRU replacement within each partition: a
+// predicted-dead fill is inserted as the partition's next victim.
 //
 // CACP implements cache.Policy and cache.WayChooser; one instance
 // serves one SM's L1D.
@@ -210,14 +204,7 @@ func (c *CACP) FillWay(ca *cache.Cache, set int, req cache.Request) int {
 				return w
 			}
 		}
-		return c.victimAmong(ca, set, nil)
-	}
-	return c.victimAmong(ca, set, ways)
-}
-
-func (c *CACP) victimAmong(ca *cache.Cache, set int, ways []int) int {
-	if c.cfg.UseSRRIP {
-		return cache.SRRIPVictimAmong(ca, set, ways)
+		return cache.LRUVictimAmong(ca, set, nil)
 	}
 	return cache.LRUVictimAmong(ca, set, ways)
 }

@@ -13,10 +13,10 @@ import (
 // from the PerCycle hook, which fires only between spans: store logs
 // flushed, stage buffers committed, span-fill plans drained, every SM's
 // cycle latch on the hook's cycle (replay orders those before the hook;
-// planHorizon and fastForward end their spans and skips at
-// PerCycleWake). The snapshot is therefore independent of how the
-// launch was run — a checkpoint written by the ticked oracle restores
-// onto the span engine at any domain count and vice versa.
+// planHorizon ends its span at PerCycleWake). The snapshot is therefore
+// independent of how the launch was run — a checkpoint written by the
+// ticked oracle restores onto the span engine at any domain count and
+// vice versa.
 //
 // Two things are NOT in the snapshot and must be handled by the caller
 // (internal/checkpoint): the criticality providers and L1 replacement

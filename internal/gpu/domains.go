@@ -31,8 +31,8 @@ package gpu
 //     state and its planned fills.
 //
 // Everything that reads or writes cross-SM state (System.Cycle with its
-// L1 fill delivery, dispatch, the PerCycle hook, horizon planning, the
-// dead-cycle skip) runs on the engine's goroutine between spans.
+// L1 fill delivery, dispatch, the PerCycle hook, horizon planning) runs
+// on the engine's goroutine between spans.
 //
 // The barrier is a hybrid spin/park design: both sides yield-spin for
 // barrierSpins rounds (cheap when all cores are busy advancing SMs) and
@@ -58,12 +58,10 @@ import (
 // domains' shares of the span, which no spin budget changes.
 const barrierSpins = 64
 
-// domainWorker is one domain: its share of the SMs plus its span
-// output, the minimum wake bound across the SMs it stepped.
+// domainWorker is one domain: its share of the SMs.
 type domainWorker struct {
 	id     int // shard index, for per-shard profiling
 	sms    []*sm.SM
-	wake   int64
 	wakeCh chan struct{} // capacity 1; park/wake signal (helpers only)
 }
 
@@ -124,14 +122,12 @@ func newDomainRunner(sms []*sm.SM, workers int, prof *perf.Profiler) *domainRunn
 
 // stepSpan runs one span covering cycles from..to (inclusive): every
 // domain advances its SMs across the whole span, staging all outbound
-// traffic, and stepSpan returns the minimum wake bound across all SMs
-// after their last cycle. The caller's goroutine runs the first domain
-// itself and then waits for the helpers, if there are any; on return
-// every domain has finished, so the caller may touch any SM state until
-// the next span. Multi-cycle spans are only legal when no unplanned L1
-// fill, dispatch, or hook can land inside the span — the planner's
-// contract.
-func (r *domainRunner) stepSpan(from, to int64) int64 {
+// traffic. The caller's goroutine runs the first domain itself and then
+// waits for the helpers, if there are any; on return every domain has
+// finished, so the caller may touch any SM state until the next span.
+// Multi-cycle spans are only legal when no unplanned L1 fill, dispatch,
+// or hook can land inside the span — the planner's contract.
+func (r *domainRunner) stepSpan(from, to int64) {
 	helpers := r.workers[1:]
 	if len(helpers) > 0 {
 		r.from, r.to = from, to
@@ -153,23 +149,16 @@ func (r *domainRunner) stepSpan(from, to int64) int64 {
 		}
 		<-r.doneCh // park; a stale token just re-checks the counter
 	}
-	wake := sm.NoWake
-	for _, w := range r.workers {
-		if w.wake < wake {
-			wake = w.wake
-		}
-	}
-	return wake
 }
 
 // step takes one domain across the span on the calling goroutine.
 func (r *domainRunner) step(w *domainWorker, from, to int64) {
 	if r.prof == nil || len(r.workers) == 1 {
-		w.wake = w.stepSpan(from, to)
+		w.stepSpan(from, to)
 		return
 	}
 	t0 := r.prof.Now()
-	w.wake = w.stepSpan(from, to)
+	w.stepSpan(from, to)
 	r.prof.RecordShardCompute(w.id, r.prof.Now()-t0)
 }
 
@@ -217,20 +206,19 @@ func (r *domainRunner) run(w *domainWorker) {
 }
 
 // stepSpan advances every owned SM from cycle from through to
-// (inclusive), one SM after the other, and returns the minimum wake
-// bound after the span. The span is dispatch-free by the planner's
-// contract and every fill that lands inside it was planned onto the
-// SM's L1 up front, so each SM evolves on state its domain owns: before
-// an SM's cycle at t the domain delivers the planned fills due at t
-// (the System.Cycle-before-SM.Cycle order of a ticked cycle), exactly
-// while the SM still has resident blocks — a drained SM issues nothing,
-// so its remaining fills are left for the replay (memsys spanfill.go).
+// (inclusive), one SM after the other. The span is dispatch-free by the
+// planner's contract and every fill that lands inside it was planned
+// onto the SM's L1 up front, so each SM evolves on state its domain
+// owns: before an SM's cycle at t the domain delivers the planned fills
+// due at t (the System.Cycle-before-SM.Cycle order of a ticked cycle),
+// exactly while the SM still has resident blocks — a drained SM issues
+// nothing, so its remaining fills are left for the replay (memsys
+// spanfill.go).
 //
 // When an SM reports it cannot act before some future cycle, the dead
 // cycles up to the earlier of that wake and the next planned fill are
-// credited to its stall buckets in bulk (AccountSkipped — the same
-// discipline fastForward applies across globally idle cycles) and the
-// SM next runs a real cycle there: a fill may unblock a load, so the
+// credited to its stall buckets in bulk (AccountSkipped) and the SM
+// next runs a real cycle there: a fill may unblock a load, so the
 // delivery cycle must be classified for real. The contract with the SM
 // is that no cycle goes missing: every cycle of the span reaches it as
 // a Cycle or inside an AccountSkipped, in order. The SM charges its
@@ -238,8 +226,7 @@ func (r *domainRunner) run(w *domainWorker) {
 // warps it still evaluates by the calls themselves (sm/readiness.go),
 // so a cycle that reached it by neither path would be charged to some
 // warps and not to others.
-func (w *domainWorker) stepSpan(from, to int64) int64 {
-	wake := sm.NoWake
+func (w *domainWorker) stepSpan(from, to int64) {
 	for _, s := range w.sms {
 		l1 := s.L1D()
 		live := !s.Idle()
@@ -250,7 +237,6 @@ func (w *domainWorker) stepSpan(from, to int64) int64 {
 			}
 		}
 		t := from
-		var v int64
 		for {
 			if nf <= t {
 				l1.DeliverSpanFills(t)
@@ -259,13 +245,12 @@ func (w *domainWorker) stepSpan(from, to int64) int64 {
 					nf = f
 				}
 			}
-			v = s.Cycle(t)
+			next := s.Cycle(t)
 			if live && s.Idle() {
 				// The last resident block retired during cycle t: stop
 				// delivering — the replay owns the rest of the plan.
 				live, nf = false, sm.NoWake
 			}
-			next := v
 			if nf < next {
 				next = nf
 			}
@@ -287,9 +272,5 @@ func (w *domainWorker) stepSpan(from, to int64) int64 {
 			s.AccountSkipped(next - t - 1)
 			t = next
 		}
-		if v < wake {
-			wake = v
-		}
 	}
-	return wake
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // newIdleGPU builds a GPU with n SMs and no kernel resident: every SM
-// cycle is a pure scheduler pass returning sm.NoWake, which makes the
-// runner's barrier mechanics observable without simulating a workload
-// (the harness engine-equivalence matrix covers loaded behavior).
+// cycle is a pure scheduler pass, which makes the runner's barrier
+// mechanics observable without simulating a workload (the harness
+// engine-equivalence matrix covers loaded behavior).
 func newIdleGPU(t *testing.T, n int) *GPU {
 	t.Helper()
 	cfg := config.Small()
@@ -41,13 +41,26 @@ func waitGoroutines(t *testing.T, base int) {
 
 // TestDomainRunnerLifecycle drives the runner through many spans —
 // enough to exercise both the yield-spin and the parked path of the
-// hybrid barrier on any machine — and checks that the wake fold matches
-// the idle SMs', that one domain means zero goroutines, that teardown
-// restores the goroutine count, and that the staging plumbing is
-// uninstalled afterwards.
+// hybrid barrier on any machine — and checks that stepSpan returns with
+// every SM of every domain at the span's last cycle, that one domain
+// means zero goroutines, that teardown restores the goroutine count, and
+// that the staging plumbing is uninstalled afterwards.
 func TestDomainRunnerLifecycle(t *testing.T) {
 	g := newIdleGPU(t, 8)
 	base := runtime.NumGoroutine()
+	span := func(from, to int64) {
+		t.Helper()
+		g.runner.stepSpan(from, to)
+		for i, s := range g.sms {
+			st, err := s.Capture()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Cycle != to {
+				t.Fatalf("span %d..%d returned with SM %d at cycle %d", from, to, i, st.Cycle)
+			}
+		}
+	}
 
 	g.startDomains()
 	if got := len(g.runner.workers); got != 1 {
@@ -56,9 +69,7 @@ func TestDomainRunnerLifecycle(t *testing.T) {
 	if n := runtime.NumGoroutine(); n != base {
 		t.Fatalf("one inline domain started %d goroutines", n-base)
 	}
-	if wake := g.runner.stepSpan(1, 3); wake != sm.NoWake {
-		t.Fatalf("inline idle span returned wake %d, want NoWake", wake)
-	}
+	span(1, 3)
 	g.stopDomains()
 
 	g.SMWorkers = 4
@@ -70,9 +81,7 @@ func TestDomainRunnerLifecycle(t *testing.T) {
 		t.Fatalf("4 domains run on %d helper goroutines, want 3 (the first is inline)", n-base)
 	}
 	for c := int64(4); c <= 500; c++ {
-		if wake := g.runner.stepSpan(c, c); wake != sm.NoWake {
-			t.Fatalf("idle span %d returned wake %d, want NoWake", c, wake)
-		}
+		span(c, c)
 		if c%97 == 0 {
 			// Let helpers fall off the spin path and park, so later
 			// spans exercise the channel wakeup.
@@ -94,9 +103,7 @@ func TestDomainRunnerLifecycle(t *testing.T) {
 	// The plumbing is reusable: a second launch-scoped start/stop works.
 	g.SMWorkers = 2
 	g.startDomains()
-	if wake := g.runner.stepSpan(501, 520); wake != sm.NoWake {
-		t.Fatal("restarted runner returned a spurious wake")
-	}
+	span(501, 520)
 	g.stopDomains()
 	waitGoroutines(t, base)
 }

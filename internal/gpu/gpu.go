@@ -62,8 +62,8 @@ type GPU struct {
 
 	// PerCycleWake, when set alongside PerCycle, returns the next cycle
 	// (> now) at which the PerCycle hook must run. The engine ends a
-	// span (and every dead-cycle skip) at that cycle at the latest, so a
-	// cadenced sampler fires at exactly the cycles it asked for.
+	// span at that cycle at the latest, so a cadenced sampler fires at
+	// exactly the cycles it asked for.
 	// Returning a value <= now means the very next cycle.
 	PerCycleWake func(now int64) int64
 
@@ -92,13 +92,13 @@ type GPU struct {
 
 	// Perf, when non-nil, self-profiles the engine: every span brackets
 	// its seams (memsys drain, dispatch, horizon planning, SM stepping,
-	// staged replay, dead-cycle skipping) with reads of the profiler's
-	// injected clock, and multi-domain launches additionally record each
-	// domain's compute time per span. The clock is observational only —
-	// no engine control flow depends on a profiled duration — so
-	// results stay byte-identical with profiling on or off. When nil
-	// (the default) the only cost is one predictable branch per seam
-	// and the cycle path stays allocation-free (TestProfilerOffZeroCost).
+	// staged replay) with reads of the profiler's injected clock, and
+	// multi-domain launches additionally record each domain's compute
+	// time per span. The clock is observational only — no engine control
+	// flow depends on a profiled duration — so results stay
+	// byte-identical with profiling on or off. When nil (the default)
+	// the only cost is one predictable branch per seam and the cycle
+	// path stays allocation-free (TestProfilerOffZeroCost).
 	Perf *perf.Profiler
 
 	// Span plumbing: per-SM staging for outbound memory requests and
@@ -243,11 +243,10 @@ type l1Snapshot struct {
 // Caches stay warm across launches; the cycle counter keeps advancing.
 //
 // Launch honors ctx: cancellation or deadline expiry aborts the run
-// with ctx's error (wrapped), checked before every span and at every
-// event boundary of a dead-cycle skip, so a dead client never pins a
-// worker for the rest of a long kernel. A cancelled launch leaves the
-// GPU in an undefined mid-kernel state; callers must discard it (the
-// harness builds a fresh GPU per run).
+// with ctx's error (wrapped), checked before every span, so a dead
+// client never pins a worker for the rest of a long kernel. A cancelled
+// launch leaves the GPU in an undefined mid-kernel state; callers must
+// discard it (the harness builds a fresh GPU per run).
 func (g *GPU) Launch(ctx context.Context, k *simt.Kernel) (*stats.Launch, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
@@ -345,14 +344,10 @@ func (g *GPU) run(ctx context.Context, ls *launchState) (*stats.Launch, error) {
 				return nil, fmt.Errorf("gpu: kernel %s aborted at cycle %d: %w", k.Name, g.cycle, err)
 			}
 		}
-		// wake is the conservative next cycle at which any SM can act on
-		// its own; sm.NoWake when every SM is idle or fully blocked on
-		// memory.
-		var wake int64
 		if g.ticked {
 			g.tick(ls)
 		} else {
-			wake = g.runSpan(ls)
+			g.runSpan(ls)
 		}
 		if g.PerCycle != nil {
 			g.PerCycle(g, g.cycle)
@@ -360,16 +355,6 @@ func (g *GPU) run(ctx context.Context, ls *launchState) (*stats.Launch, error) {
 		if g.cfg.MaxCycles > 0 && g.cycle-ls.startCycle > g.cfg.MaxCycles {
 			return nil, fmt.Errorf("gpu: kernel %s exceeded %d cycles (%d/%d blocks retired)",
 				k.Name, g.cfg.MaxCycles, ls.retired(), ls.total)
-		}
-		if wake > g.cycle && ls.retired() < ls.total {
-			t0 := g.clock()
-			err := g.fastForward(ctx, wake, ls.startCycle)
-			// The whole skip, including the memsys drains it performs at
-			// event boundaries.
-			g.lap(perf.PhaseFastForward, &t0)
-			if err != nil {
-				return nil, fmt.Errorf("gpu: kernel %s aborted at cycle %d: %w", k.Name, g.cycle, err)
-			}
 		}
 	}
 
@@ -399,100 +384,6 @@ func (g *GPU) run(ctx context.Context, ls *launchState) (*stats.Launch, error) {
 	out.L2Accesses = l2.Accesses - ls.startL2Acc
 	out.L2Misses = l2.Misses - ls.startL2Miss
 	return out, nil
-}
-
-// fastForward advances the cycle counter across cycles in which no SM
-// can act: every scheduler's ready set is empty until smWake at the
-// earliest, so no policy state can change and dispatch is a no-op
-// (block capacity only frees when an SM issues). It is what keeps a
-// stalled GPU cheap while blocks wait for dispatch and spans are one
-// cycle long; with dispatch exhausted it merely saves the span its
-// first tick. Dead cycles are accumulated and credited to the warps'
-// stall buckets in bulk (AccountSkipped), keeping the per-warp
-// accounting identities byte-identical to ticking every cycle.
-//
-// Memory-system events landing inside the skip are processed at their
-// exact cycles: the engine jumps to each event time, drains the event
-// heap there, and keeps skipping unless the drain delivered an L1 fill
-// — the only event kind that can change an SM scoreboard. On a fill it
-// returns with the cycle counter just before the fill's cycle, and the
-// next span ticks the SMs there (its own drain of that cycle finds
-// nothing left).
-//
-// The skip is clamped to the PerCycle hook's next observation point and
-// to the MaxCycles guard, so cadenced samplers fire at their exact
-// cycles and the runaway abort triggers at the identical cycle.
-//
-// Cancellation is polled once per loop iteration — i.e. at every
-// memory-system event boundary and before every skip — so even a skip
-// that jumps millions of dead cycles in O(1) observes a dead ctx
-// within one event's worth of work.
-func (g *GPU) fastForward(ctx context.Context, smWake, startCycle int64) error {
-	limit := sm.NoWake
-	if g.cfg.MaxCycles > 0 {
-		limit = startCycle + g.cfg.MaxCycles + 1
-	}
-	// Dead cycles accumulate in pending and are credited lazily: the
-	// stall classification recorded by each SM's last real cycle holds
-	// for the whole run of dead cycles, so one bulk AccountSkipped call
-	// equals per-cycle accounting.
-	pending := int64(0)
-	flush := func() { //cawalint:alloc-ok one closure per fastForward call, amortized over the skipped cycles
-		if pending > 0 {
-			for _, s := range g.sms {
-				s.AccountSkipped(pending)
-			}
-			pending = 0
-		}
-	}
-	for {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				flush()
-				return err
-			}
-		}
-		horizon := smWake
-		if limit < horizon {
-			horizon = limit
-		}
-		if g.PerCycle != nil {
-			if g.PerCycleWake == nil {
-				flush()
-				return nil // the hook may act on any cycle: never skip
-			}
-			if t := g.PerCycleWake(g.cycle); t < horizon {
-				horizon = t
-			}
-		}
-		if horizon <= g.cycle+1 {
-			flush()
-			return nil
-		}
-		t := g.sys.NextEventTime()
-		if t < 0 || t >= horizon {
-			// No memory event before the horizon: skip straight to it.
-			// The next span starts at the horizon cycle.
-			pending += horizon - g.cycle - 1
-			g.cycle = horizon - 1
-			flush()
-			return nil
-		}
-		// Jump to the event cycle and drain the memory system there.
-		pending += t - g.cycle - 1
-		g.cycle = t - 1
-		fills := g.sys.FillsDelivered
-		g.sys.Cycle(t)
-		if g.sys.FillsDelivered != fills {
-			// A fill unblocked at least one load: cycle t is real.
-			flush()
-			return nil
-		}
-		// Internal memory traffic only (L2/DRAM pipeline): no SM state
-		// changed, cycle t is dead for the SMs too.
-		pending++
-		g.cycle = t
-	}
 }
 
 // startDomains readies the GPU for one launch of the span engine:

@@ -85,11 +85,10 @@ func (g *GPU) planHorizon(startCycle int64) int64 {
 	return f
 }
 
-// runSpan advances the launch by one span and returns the minimum
-// conservative wake bound across the SMs after it. The cycle counter
-// lands on the span's last cycle, or on the launch's final cycle when
-// the kernel completes inside the span.
-func (g *GPU) runSpan(ls *launchState) int64 {
+// runSpan advances the launch by one span. The cycle counter lands on
+// the span's last cycle, or on the launch's final cycle when the kernel
+// completes inside the span.
+func (g *GPU) runSpan(ls *launchState) {
 	from := g.cycle + 1
 	t0 := g.clock()
 	g.sys.Cycle(from)
@@ -106,7 +105,7 @@ func (g *GPU) runSpan(ls *launchState) int64 {
 		g.lap(perf.PhaseLookahead, &t0)
 	}
 
-	wake := g.runner.stepSpan(from, end)
+	g.runner.stepSpan(from, end)
 	if n := len(g.runner.workers); n > 1 && g.Perf != nil {
 		// One barrier: the span's wall time folds into DomainCompute,
 		// the domains' recorded compute splits it into compute vs. wait.
@@ -119,7 +118,6 @@ func (g *GPU) runSpan(ls *launchState) int64 {
 
 	g.replay(ls, from, end, planned)
 	g.lap(perf.PhaseStagedCommit, &t0)
-	return wake
 }
 
 // clock reads the profiler's clock; 0 with profiling off.

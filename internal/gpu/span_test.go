@@ -43,14 +43,12 @@ func thrashKernel(t *testing.T, mem *memory.Memory, grid, block int) *simt.Kerne
 }
 
 // asymKernel builds the slack-divergence witness: block 0 spins a long
-// compute loop (its SM always has an issuable warp, so the engine never
-// takes the dead-cycle skip and every cycle belongs to a planned span)
-// while block 1 loops
-// dependent strided loads. Every in-flight load leaves an internal
-// event at the plan time of some span, and that event derives a fill
-// at exactly internals[0]+L2Latency-icntLat — SafeHorizon's second
-// bound — so a one-cycle-wide horizon pulls that fill into the span
-// unplanned and the replay delivers it a cycle late.
+// compute loop while block 1 loops dependent strided loads. Every
+// in-flight load leaves an internal event at the plan time of some
+// span, and that event derives a fill at exactly
+// internals[0]+L2Latency-icntLat — SafeHorizon's second bound — so a
+// one-cycle-wide horizon pulls that fill into the span unplanned and
+// the replay delivers it a cycle late.
 func asymKernel(t *testing.T, mem *memory.Memory) *simt.Kernel {
 	t.Helper()
 	buf := mem.Alloc(4096)
@@ -231,9 +229,11 @@ func TestLookaheadZeroSpanNoOp(t *testing.T) {
 // TestLookaheadMaxCyclesTruncation proves the runaway guard fires at
 // the identical cycle under spans: the horizon clamp ends the span at
 // the abort cycle, so a spinning kernel dies with the same error and
-// the same final cycle counter as on the ticked oracle.
+// the same final cycle counter as on the ticked oracle — with every
+// block resident (one long span to the abort cycle) and with blocks
+// still queued for dispatch (one-cycle spans all the way to it).
 func TestLookaheadMaxCyclesTruncation(t *testing.T) {
-	run := func(workers int) (string, int64) {
+	run := func(workers, grid int) (string, int64) {
 		mem := memory.New(1 << 16)
 		cfg := config.Small()
 		cfg.MaxCycles = 100
@@ -249,61 +249,93 @@ func TestLookaheadMaxCyclesTruncation(t *testing.T) {
 		b.Label("head")
 		b.Bra("head")
 		b.Exit()
-		k := &simt.Kernel{Name: "spin", Program: b.MustBuild(), GridDim: 1, BlockDim: 32}
+		k := &simt.Kernel{Name: "spin", Program: b.MustBuild(), GridDim: grid, BlockDim: 32}
 		_, err = g.Launch(context.Background(), k)
 		if err == nil {
 			t.Fatal("runaway kernel not aborted")
 		}
 		return err.Error(), g.Cycle()
 	}
-	oracleMsg, oracleCycle := run(0)
-	for _, workers := range []int{1, 2} {
-		msg, cycle := run(workers)
-		if msg != oracleMsg {
-			t.Fatalf("%d domains: abort errors diverge:\noracle: %s\nspan:   %s", workers, oracleMsg, msg)
-		}
-		if cycle != oracleCycle {
-			t.Fatalf("%d domains: abort cycles diverge: oracle %d, span %d", workers, oracleCycle, cycle)
+	cfg := config.Small()
+	queued := cfg.NumSMs*cfg.MaxBlocksPerSM + 1
+	for _, grid := range []int{1, queued} {
+		oracleMsg, oracleCycle := run(0, grid)
+		for _, workers := range []int{1, 2} {
+			msg, cycle := run(workers, grid)
+			if msg != oracleMsg {
+				t.Fatalf("grid %d, %d domains: abort errors diverge:\noracle: %s\nspan:   %s", grid, workers, oracleMsg, msg)
+			}
+			if cycle != oracleCycle {
+				t.Fatalf("grid %d, %d domains: abort cycles diverge: oracle %d, span %d", grid, workers, oracleCycle, cycle)
+			}
 		}
 	}
 }
 
 // flipCtx is a context whose Err flips to Canceled after a fixed
-// number of polls — it measures how often the engine actually checks,
-// with no wall-clock involved.
+// number of polls, with no wall-clock involved. It records the cycle
+// counter at every poll so a test can tell how much simulated work
+// separated two of them.
 type flipCtx struct {
 	context.Context
-	polls int
+	g     *GPU
 	after int
+	seen  []int64
 }
 
 func (c *flipCtx) Err() error {
-	c.polls++
-	if c.polls > c.after {
+	c.seen = append(c.seen, c.g.Cycle())
+	if len(c.seen) > c.after {
 		return context.Canceled
 	}
 	return nil
 }
 
 // TestLookaheadCancellationPolledInBatch proves spans do not starve
-// cancellation: the loop polls ctx before every span, so a context that
-// dies mid-kernel aborts the launch within a few spans — a few hundred
-// cycles — of the flip.
+// cancellation: the loop polls ctx once before every span and nowhere
+// else, so a context that dies while span n runs is seen by the poll
+// that follows it — the launch returns context.Canceled without
+// starting span n+1, at most a memory round trip of simulated work
+// after the last poll that found the context alive.
 func TestLookaheadCancellationPolledInBatch(t *testing.T) {
-	for _, workers := range []int{1, 2} {
+	launch := func(workers, after int) (*flipCtx, error) {
 		mem := memory.New(1 << 20)
 		g, err := New(Options{Config: config.Small(), Memory: mem})
 		if err != nil {
 			t.Fatal(err)
 		}
 		g.SMWorkers = workers
-		ctx := &flipCtx{Context: context.Background(), after: 8}
+		ctx := &flipCtx{Context: context.Background(), g: g, after: after}
 		_, err = g.Launch(ctx, thrashKernel(t, mem, 6, 128))
+		return ctx, err
+	}
+	for _, workers := range []int{1, 2} {
+		full, err := launch(workers, 1<<30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spans := len(full.seen) // one poll per span
+		if spans < 4 {
+			t.Fatalf("the kernel ran in %d spans: too few to die in the middle of", spans)
+		}
+		after := spans / 2
+		ctx, err := launch(workers, after)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled launch returned %v", err)
 		}
-		if g.Cycle() >= 4096 {
-			t.Fatalf("abort only at cycle %d: spans are not polling ctx", g.Cycle())
+		if len(ctx.seen) != after+1 {
+			t.Fatalf("launch polled ctx %d times, want %d: it kept running after the flip", len(ctx.seen), after+1)
+		}
+		if !reflect.DeepEqual(ctx.seen, full.seen[:after+1]) {
+			t.Fatalf("polls at cycles %v, want the uncancelled run's span boundaries %v", ctx.seen, full.seen[:after+1])
+		}
+		if got := ctx.g.Cycle(); got != ctx.seen[after] {
+			t.Fatalf("abort at cycle %d, want %d: work ran after the poll that saw the dead context", got, ctx.seen[after])
+		}
+		// A span is at most the fill-free horizon long (memsys.SafeHorizon).
+		longest := int64(ctx.g.cfg.L2Latency)
+		if d := ctx.seen[after] - ctx.seen[after-1]; d <= 0 || d > longest {
+			t.Fatalf("%d cycles between the last live poll and the abort, want one span (1..%d)", d, longest)
 		}
 	}
 }

@@ -443,7 +443,7 @@ func TestDiskBackedSessionRunsCCWS(t *testing.T) {
 	for i, wantHits := range []uint64{0, 1} {
 		s := NewSession(resumeConfig(), resumeParams)
 		s.Disk = d
-		s.CheckpointEvery = 2_000
+		s.checkpointEvery = 2_000
 		got, err := s.Run("bfs", ccws)
 		if err != nil {
 			t.Fatalf("session %d: %v", i, err)

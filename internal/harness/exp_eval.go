@@ -65,7 +65,7 @@ var fig10 = grid{
 
 // cplSampling builds the PerCycle / PerCycleWake pair of a run that
 // visits every occupied CPL slot of every SM on multiples of `every`
-// cycles (spans and dead-cycle skips end there). visit returns true to
+// cycles (spans end there). visit returns true to
 // end the cycle's sweep early.
 func cplSampling(every int64, visit func(cycle int64, cpl *core.CPL, slot, gid int) (done bool)) (func(*gpu.GPU, int64), func(int64) int64) {
 	hook := func(g *gpu.GPU, cycle int64) {

@@ -341,7 +341,7 @@ func TestSessionPersistsCheckpointOnDeadline(t *testing.T) {
 	}
 	s := NewSession(resumeConfig(), workloads.Params{Scale: 0.5, Seed: 5})
 	s.Disk = d
-	s.CheckpointEvery = 2_000
+	s.checkpointEvery = 2_000
 	sc := core.CAWA()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)

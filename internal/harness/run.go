@@ -35,8 +35,8 @@ type RunOptions struct {
 	// (see gpu.GPU.PerCycle).
 	PerCycle func(g *gpu.GPU, cycle int64)
 	// PerCycleWake, when set alongside PerCycle, tells the engine the
-	// next cycle the hook must observe, so spans and dead-cycle skips
-	// end there (for cadenced samplers: obs.Sampler.NextWake).
+	// next cycle the hook must observe, so spans end there (for
+	// cadenced samplers: obs.Sampler.NextWake).
 	PerCycleWake func(now int64) int64
 	// SMWorkers is the number of domains that share each span of the
 	// engine (see gpu.GPU.SMWorkers): values above 1 run all but the
@@ -50,8 +50,6 @@ type RunOptions struct {
 	// internal/obs/perf). Observational only: simulation results are
 	// byte-identical with or without it (TestProfilerEquivalence).
 	Profiler *perf.Profiler
-	// SkipVerify skips the functional check against the Go reference.
-	SkipVerify bool
 
 	// tickedOracle runs the launch loop's tick-every-cycle reference
 	// instead of the span engine (gpu.GPU.UseTickedOracle). Reachable
@@ -230,10 +228,8 @@ func runLaunches(ctx context.Context, opt RunOptions, ck *checkpointer, warm *Wa
 	if ix <= resumeAt {
 		return fail(fmt.Errorf("checkpoint launch index %d beyond workload launch count %d", resumeAt, ix))
 	}
-	if !opt.SkipVerify {
-		if err := wl.Verify(); err != nil {
-			return fail(fmt.Errorf("verification failed: %w", err))
-		}
+	if err := wl.Verify(); err != nil {
+		return fail(fmt.Errorf("verification failed: %w", err))
 	}
 	res.snapshotGPU(g)
 	return res, nil

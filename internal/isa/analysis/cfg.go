@@ -1,8 +1,6 @@
 package analysis
 
-import (
-	"cawa/internal/isa"
-)
+import "cawa/internal/isa"
 
 // Block is one basic block: a maximal straight-line instruction run
 // [Start, End) entered only at Start and left only at End-1.
@@ -32,8 +30,7 @@ type cfg struct {
 	ipdom []int32
 }
 
-// bitset is a fixed-capacity bit set, mirroring the machinery
-// internal/isa uses for its post-dominator solve.
+// bitset is a fixed-capacity bit set for the block-level dominator solve.
 type bitset []uint64
 
 func newBitset(n int) bitset       { return make(bitset, (n+63)/64) }
@@ -73,16 +70,6 @@ func (b bitset) isSubset(o bitset) bool {
 		}
 	}
 	return true
-}
-
-func (b bitset) count() int {
-	n := 0
-	for _, w := range b {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
 }
 
 // succsOf returns the successors of pc with the virtual exit node n
@@ -166,7 +153,7 @@ func buildCFG(p *isa.Program) *cfg {
 	}
 
 	c.computeDominators()
-	c.computePostdominators()
+	c.ipdom = p.ImmediatePostDominators()
 	return c
 }
 
@@ -244,58 +231,6 @@ func (c *cfg) computeDominators() {
 		for _, s := range c.blocks[i].Succs {
 			if dom[i].has(s) {
 				c.blocks[s].LoopHead = true
-			}
-		}
-	}
-}
-
-// computePostdominators solves instruction-level post-dominators (the
-// same fixpoint internal/isa runs when assigning reconvergence PCs) and
-// records each instruction's immediate post-dominator. Node n is the
-// virtual exit.
-func (c *cfg) computePostdominators() {
-	n := c.n
-	total := n + 1
-	pdom := make([]bitset, total)
-	for i := range pdom {
-		pdom[i] = newBitset(total)
-	}
-	for i := 0; i < n; i++ {
-		pdom[i].fill(total)
-	}
-	pdom[n].set(n)
-
-	succs := make([][]int32, n)
-	for pc := 0; pc < n; pc++ {
-		succs[pc] = c.succsOf(int32(pc))
-	}
-
-	tmp := newBitset(total)
-	for changed := true; changed; {
-		changed = false
-		for pc := n - 1; pc >= 0; pc-- {
-			tmp.fill(total)
-			for _, s := range succs[pc] {
-				tmp.intersect(pdom[s])
-			}
-			tmp.set(pc)
-			if !tmp.equal(pdom[pc]) {
-				pdom[pc].copyFrom(tmp)
-				changed = true
-			}
-		}
-	}
-
-	c.ipdom = make([]int32, n)
-	for pc := 0; pc < n; pc++ {
-		c.ipdom[pc] = int32(n)
-		strict := newBitset(total)
-		strict.copyFrom(pdom[pc])
-		strict.clear(pc)
-		for d := 0; d < total; d++ {
-			if strict.has(d) && strict.isSubset(pdom[d]) {
-				c.ipdom[pc] = int32(d)
-				break
 			}
 		}
 	}

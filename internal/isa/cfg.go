@@ -77,34 +77,50 @@ func (b bitset) isSubset(o bitset) bool {
 // this PC to pop their SIMT stack (Section 2.1 of the paper; the standard
 // PDOM mechanism GPGPU-sim implements).
 func computeReconvergence(p *Program) error {
+	for pc := range p.Instrs {
+		for _, t := range p.Successors(int32(pc)) {
+			if t < 0 || int(t) >= len(p.Instrs) {
+				return fmt.Errorf("branch at pc %d targets out-of-range pc %d", pc, t)
+			}
+		}
+	}
+	ipdom := p.ImmediatePostDominators()
+	for pc := range p.Instrs {
+		if in := &p.Instrs[pc]; in.Op.IsCondBranch() {
+			in.Rpc = ipdom[pc]
+		}
+	}
+	return nil
+}
+
+// ImmediatePostDominators returns, for every instruction, the PC of its
+// immediate post-dominator: the closest instruction every path from it
+// to thread exit passes through, or ReconvAtExit when the paths only
+// rejoin at exit. The builder stores a conditional branch's entry as its
+// Rpc and the static verifier (internal/isa/analysis) checks Rpc against
+// it. Every successor must be in range or one past the last instruction,
+// as Build, NewProgram and the verifier's preflight have checked.
+func (p *Program) ImmediatePostDominators() []int32 {
 	n := len(p.Instrs)
 	exit := n // virtual exit node
 	total := n + 1
 
-	// Post-dominator sets, one bitset per node.
+	// Post-dominator sets, one bitset per node: pdom(exit) = {exit}; all
+	// others start full.
 	pdom := make([]bitset, total)
 	for i := range pdom {
 		pdom[i] = newBitset(total)
-	}
-	// pdom(exit) = {exit}; all others start full.
-	for i := 0; i < n; i++ {
-		pdom[i].fill(total)
+		if i != exit {
+			pdom[i].fill(total)
+		}
 	}
 	pdom[exit].set(exit)
 
 	succs := make([][]int32, n)
-	for pc := 0; pc < n; pc++ {
-		s := p.Successors(int32(pc))
-		if s == nil {
+	for pc := range succs {
+		if succs[pc] = p.Successors(int32(pc)); succs[pc] == nil {
 			succs[pc] = []int32{int32(exit)}
-			continue
 		}
-		for _, t := range s {
-			if t < 0 || t >= int32(n) {
-				return fmt.Errorf("branch at pc %d targets out-of-range pc %d", pc, t)
-			}
-		}
-		succs[pc] = s
 	}
 
 	tmp := newBitset(total)
@@ -123,31 +139,22 @@ func computeReconvergence(p *Program) error {
 		}
 	}
 
-	// Immediate post-dominator of a branch: the strict post-dominator d
-	// whose own post-dominator set contains every other strict
-	// post-dominator (i.e. the closest one).
-	for pc := 0; pc < n; pc++ {
-		in := &p.Instrs[pc]
-		if !in.Op.IsCondBranch() {
-			continue
-		}
-		strict := newBitset(total)
+	// The immediate post-dominator is the strict post-dominator d whose
+	// own post-dominator set contains every other strict post-dominator
+	// (i.e. the closest one). An instruction no path leads from to exit
+	// other than through itself has none and keeps the exit node.
+	ipdom := make([]int32, n)
+	strict := newBitset(total)
+	for pc := range ipdom {
+		ipdom[pc] = int32(exit)
 		strict.copyFrom(pdom[pc])
 		strict[pc/64] &^= 1 << (uint(pc) % 64)
-		ip := -1
 		for d := 0; d < total; d++ {
-			if !strict.has(d) {
-				continue
-			}
-			if strict.isSubset(pdom[d]) {
-				ip = d
+			if strict.has(d) && strict.isSubset(pdom[d]) {
+				ipdom[pc] = int32(d)
 				break
 			}
 		}
-		if ip < 0 {
-			return fmt.Errorf("no immediate post-dominator for branch at pc %d", pc)
-		}
-		in.Rpc = int32(ip) // ip == exit means ReconvAtExit
 	}
-	return nil
+	return ipdom
 }

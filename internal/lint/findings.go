@@ -1,28 +1,14 @@
 package lint
 
-// Findings serialization and the accepted-findings baseline.
-//
-// The baseline is the contract that keeps the interprocedural gate
-// adoptable without weakening it: every pre-existing finding the team
-// accepts is recorded by its stable ID together with a written reason,
-// and committed. The analyzer then fails only on findings NOT in the
-// baseline — new regressions — while entries whose finding has
-// disappeared surface as stale-baseline findings so the file can only
-// shrink over time, never silently rot. Meta findings (bare directives,
-// stale suppressions, stale baseline entries) are never baselinable:
-// they are complaints about the suppression machinery itself.
+// Findings serialization.
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"os"
-	"sort"
 )
 
 // FindingJSON is the serialized form of one finding.
 type FindingJSON struct {
-	ID   string `json:"id,omitempty"`
 	Rule string `json:"rule"`
 	File string `json:"file"`
 	Line int    `json:"line"`
@@ -39,7 +25,7 @@ func WriteFindingsJSON(w io.Writer, findings []Finding) error {
 	out := make([]FindingJSON, 0, len(sorted))
 	for _, f := range sorted {
 		out = append(out, FindingJSON{
-			ID: f.ID, Rule: f.Rule, File: f.Pos.Filename,
+			Rule: f.Rule, File: f.Pos.Filename,
 			Line: f.Pos.Line, Col: f.Pos.Column, Msg: f.Msg,
 		})
 	}
@@ -47,124 +33,4 @@ func WriteFindingsJSON(w io.Writer, findings []Finding) error {
 	enc.SetIndent("", "  ")
 	enc.SetEscapeHTML(false)
 	return enc.Encode(out)
-}
-
-// BaselineEntry is one accepted finding. File and line are
-// informational (they drift as code moves); the ID is the identity.
-type BaselineEntry struct {
-	ID     string `json:"id"`
-	Rule   string `json:"rule"`
-	File   string `json:"file"`
-	Line   int    `json:"line"`
-	Reason string `json:"reason"`
-}
-
-// Baseline is the committed set of accepted findings.
-type Baseline struct {
-	Entries []BaselineEntry `json:"entries"`
-}
-
-// LoadBaseline reads a baseline file. Every entry must carry a reason:
-// an acceptance without a justification is a config error.
-func LoadBaseline(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	seen := map[string]bool{}
-	for _, e := range b.Entries {
-		if e.ID == "" || e.Reason == "" {
-			return nil, fmt.Errorf("%s: baseline entry %q must have both id and reason", path, e.ID)
-		}
-		if seen[e.ID] {
-			return nil, fmt.Errorf("%s: duplicate baseline entry %q", path, e.ID)
-		}
-		seen[e.ID] = true
-	}
-	return &b, nil
-}
-
-// SaveBaseline writes a baseline with entries sorted by file, line, ID.
-func SaveBaseline(path string, b *Baseline) error {
-	sort.Slice(b.Entries, func(i, j int) bool {
-		a, c := b.Entries[i], b.Entries[j]
-		if a.File != c.File {
-			return a.File < c.File
-		}
-		if a.Line != c.Line {
-			return a.Line < c.Line
-		}
-		return a.ID < c.ID
-	})
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// Apply filters findings through the baseline: baselined findings drop
-// out, unmatched baseline entries come back as stale-baseline findings,
-// and everything left is a failure. Meta findings pass through
-// untouched.
-func (b *Baseline) Apply(findings []Finding) []Finding {
-	byID := map[string]BaselineEntry{}
-	matched := map[string]bool{}
-	for _, e := range b.Entries {
-		byID[e.ID] = e
-	}
-	var out []Finding
-	for _, f := range findings {
-		if f.ID != "" && !metaRules[f.Rule] {
-			if _, ok := byID[f.ID]; ok {
-				matched[f.ID] = true
-				continue
-			}
-		}
-		out = append(out, f)
-	}
-	for _, e := range b.Entries {
-		if matched[e.ID] {
-			continue
-		}
-		out = append(out, Finding{
-			Pos:  positionAt(e.File, e.Line),
-			Rule: RuleStaleBaseline,
-			Msg: fmt.Sprintf("baseline entry %s matches no finding; the code it excused is gone — remove the entry (reason was: %q)",
-				e.ID, e.Reason),
-		})
-	}
-	sortFindings(out)
-	return out
-}
-
-// UpdateBaseline builds a baseline accepting every non-meta finding,
-// carrying reasons over from prev where the ID survives. New entries
-// get a placeholder reason that LoadBaseline accepts but a reviewer
-// should replace.
-func UpdateBaseline(findings []Finding, prev *Baseline) *Baseline {
-	prevReason := map[string]string{}
-	if prev != nil {
-		for _, e := range prev.Entries {
-			prevReason[e.ID] = e.Reason
-		}
-	}
-	b := &Baseline{}
-	for _, f := range findings {
-		if f.ID == "" || metaRules[f.Rule] {
-			continue
-		}
-		reason, ok := prevReason[f.ID]
-		if !ok {
-			reason = "TODO: justify this acceptance"
-		}
-		b.Entries = append(b.Entries, BaselineEntry{
-			ID: f.ID, Rule: f.Rule, File: f.Pos.Filename, Line: f.Pos.Line, Reason: reason,
-		})
-	}
-	return b
 }

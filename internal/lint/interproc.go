@@ -21,14 +21,13 @@ package lint
 //     it wakes parked warps, so it is named rather than left to the
 //     call graph's func-value matching; the span engine's planner
 //     (GPU.planHorizon, System.PlanSpanFills), span body
-//     (domainWorker.stepSpan), replay (GPU.replay — it visits every
-//     cycle the span covered) and dead-cycle skip (GPU.fastForward) are
-//     the loops that drive them. GPU.Launch, GPU.runSpan and
-//     GPU.dispatch are deliberately NOT roots: launch setup and block
-//     dispatch allocate by design (slices sized to the grid), and the
-//     dynamic witnesses for the invariant — sm.TestCyclePathAllocFree
-//     and gpu.TestProfilerOffZeroCost — measure exactly the cycle and
-//     span paths in steady state.
+//     (domainWorker.stepSpan) and replay (GPU.replay — it visits every
+//     cycle the span covered) are the loops that drive them.
+//     GPU.Launch, GPU.runSpan and GPU.dispatch are deliberately NOT
+//     roots: launch setup and block dispatch allocate by design (slices
+//     sized to the grid), and the dynamic witnesses for the invariant —
+//     sm.TestCyclePathAllocFree and gpu.TestProfilerOffZeroCost —
+//     measure exactly the cycle and span paths in steady state.
 //   - DomainRoots: what a domain executes during a span
 //     (gpu/domains.go): the SM cycle plus the profiler taps. The runner
 //     machinery itself (channels, atomics, WaitGroup) is the sanctioned
@@ -98,7 +97,6 @@ func DefaultInterOptions() InterOptions {
 			"(*cawa/internal/memsys.System).PlanSpanFills",
 			"(*cawa/internal/gpu.domainWorker).stepSpan",
 			"(*cawa/internal/gpu.GPU).replay",
-			"(*cawa/internal/gpu.GPU).fastForward",
 			// The profiler's per-span fold (runSpan calls it when on).
 			"(*cawa/internal/obs/perf.Profiler).ObserveEpoch",
 		},
@@ -149,16 +147,7 @@ func AnalyzeModule(m *Module, opts InterOptions) ([]Finding, error) {
 		for _, f := range pkg.Files {
 			dirs, bare := scanDirectives(m.Fset, f)
 			a.dirs = append(a.dirs, dirs...)
-			found := lintFile(m.Fset, pkg.Path, f, opts.Options, pkg.Info, dirs, bare)
-			for i := range found {
-				// Per-file findings get positional IDs in module mode so
-				// the baseline can carry them if they are ever accepted.
-				if !metaRules[found[i].Rule] {
-					found[i].ID = fmt.Sprintf("%s@%s#L%d",
-						found[i].Rule, a.relFile(found[i].Pos.Filename), found[i].Pos.Line)
-				}
-			}
-			a.findings = append(a.findings, found...)
+			a.findings = append(a.findings, lintFile(m.Fset, pkg.Path, f, opts.Options, pkg.Info, dirs, bare)...)
 		}
 	}
 
@@ -192,7 +181,7 @@ func AnalyzeModule(m *Module, opts InterOptions) ([]Finding, error) {
 			continue
 		}
 		a.findings = append(a.findings, Finding{
-			Pos:  positionAt(d.file, d.line),
+			Pos:  token.Position{Filename: d.file, Line: d.line},
 			Rule: RuleStaleIgnore,
 			Msg: fmt.Sprintf("cawalint:%s directive suppresses no finding; remove it (reason given: %q)",
 				d.kind, d.reason),
@@ -201,10 +190,6 @@ func AnalyzeModule(m *Module, opts InterOptions) ([]Finding, error) {
 
 	a.finalize()
 	return a.findings, nil
-}
-
-func positionAt(file string, line int) token.Position {
-	return token.Position{Filename: file, Line: line}
 }
 
 type analysis struct {
@@ -216,8 +201,7 @@ type analysis struct {
 }
 
 // relFile renders a fset filename relative to the module root with
-// forward slashes, the stable spelling used in IDs, JSON, and the
-// baseline.
+// forward slashes, the stable spelling findings and their JSON use.
 func (a *analysis) relFile(name string) string {
 	if rel, err := filepath.Rel(a.m.Dir, name); err == nil && !strings.HasPrefix(rel, "..") {
 		return filepath.ToSlash(rel)
@@ -238,7 +222,6 @@ func (a *analysis) report(rule string, node *cgNode, s site, reach map[*cgNode]*
 		Pos:  pos,
 		Rule: rule,
 		Msg:  msg + " [" + witness(reach, node) + "]",
-		ID:   rule + "@" + node.name + "#" + s.detail,
 	})
 }
 
@@ -432,38 +415,10 @@ func (a *analysis) globalWrites(cycle, domain map[*cgNode]*cgNode) {
 	}
 }
 
-// finalize normalizes file names to module-relative form, disambiguates
-// repeated IDs positionally, and sorts.
+// finalize normalizes file names to module-relative form and sorts.
 func (a *analysis) finalize() {
 	for i := range a.findings {
 		a.findings[i].Pos.Filename = a.relFile(a.findings[i].Pos.Filename)
-	}
-	byID := map[string][]int{}
-	for i, f := range a.findings {
-		if f.ID != "" {
-			byID[f.ID] = append(byID[f.ID], i)
-		}
-	}
-	for _, idxs := range byID {
-		if len(idxs) < 2 {
-			continue
-		}
-		sort.Slice(idxs, func(x, y int) bool {
-			fx, fy := a.findings[idxs[x]], a.findings[idxs[y]]
-			if fx.Pos.Filename != fy.Pos.Filename {
-				return fx.Pos.Filename < fy.Pos.Filename
-			}
-			if fx.Pos.Line != fy.Pos.Line {
-				return fx.Pos.Line < fy.Pos.Line
-			}
-			return fx.Pos.Column < fy.Pos.Column
-		})
-		// The first occurrence keeps the bare ID; later ones count up
-		// from ~2, so a function's single violation never wears a
-		// suffix.
-		for k := 1; k < len(idxs); k++ {
-			a.findings[idxs[k]].ID += fmt.Sprintf("~%d", k+1)
-		}
 	}
 	sortFindings(a.findings)
 }

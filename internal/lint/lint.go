@@ -64,27 +64,13 @@ const (
 	RuleGlobalWrite      = "global-write"
 	RuleWallClockTrans   = "wall-clock-transitive"
 	RuleStaleIgnore      = "stale-ignore"
-	RuleStaleBaseline    = "stale-baseline"
 )
-
-// metaRules are findings about the lint configuration itself, not the
-// analyzed code; they can never be baselined away.
-var metaRules = map[string]bool{
-	RuleIgnoreDirective: true,
-	RuleStaleIgnore:     true,
-	RuleStaleBaseline:   true,
-}
 
 // Finding is one determinism violation.
 type Finding struct {
 	Pos  token.Position
 	Rule string
 	Msg  string
-	// ID is a stable identifier for interprocedural findings, of the
-	// form rule@function#detail (plus ~N for repeats). It names the
-	// function and the kind of violation rather than the line, so it
-	// survives unrelated edits; per-file findings are rule@file#Lline.
-	ID string
 }
 
 func (f Finding) String() string {

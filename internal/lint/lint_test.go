@@ -265,8 +265,8 @@ func f() { go func() {}() }
 }
 
 // TestRepoIsClean runs the production configuration over the real
-// module under the committed baseline — the gate scripts/check.sh and
-// CI run, and the linter must hold on the code it guards.
+// module — the gate scripts/check.sh and CI run, and the linter must
+// hold on the code it guards.
 func TestRepoIsClean(t *testing.T) {
 	m, err := LoadModule("../..")
 	if err != nil {
@@ -276,11 +276,7 @@ func TestRepoIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := LoadBaseline("../../.cawalint-baseline.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range b.Apply(findings) {
+	for _, f := range findings {
 		t.Error(f)
 	}
 }

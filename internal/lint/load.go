@@ -17,16 +17,14 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -158,12 +156,17 @@ func parsePackage(fset *token.FileSet, d, pkgPath string) (*Pkg, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
+		// The default build: host OS and architecture, gc, the race
+		// detector off — exactly one file of a constraint pair like
+		// race_on.go / race_off.go loads.
+		if ok, err := build.Default.MatchFile(d, name); err != nil {
+			return nil, err
+		} else if !ok {
+			continue
+		}
 		f, err := parser.ParseFile(fset, filepath.Join(d, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
-		}
-		if !fileIncluded(name, f) {
-			continue // excluded by build constraints for the default tag set
 		}
 		if pkgName == "" {
 			pkgName = f.Name.Name
@@ -176,89 +179,6 @@ func parsePackage(fset *token.FileSet, d, pkgPath string) (*Pkg, error) {
 		return nil, nil
 	}
 	return pkg, nil
-}
-
-// fileIncluded evaluates a file's build constraints (the //go:build
-// line and GOOS/GOARCH name suffixes) against the default build: host
-// OS and architecture, gc, the race detector off. Exactly one file of
-// a constraint pair like race_on.go / race_off.go loads, matching what
-// `go build` would compile without -race.
-func fileIncluded(name string, f *ast.File) bool {
-	if !suffixIncluded(name) {
-		return false
-	}
-	for _, cg := range f.Comments {
-		if cg.Pos() >= f.Package {
-			break // constraints must precede the package clause
-		}
-		for _, c := range cg.List {
-			if !constraint.IsGoBuild(c.Text) {
-				continue
-			}
-			expr, err := constraint.Parse(c.Text)
-			if err != nil {
-				continue
-			}
-			return expr.Eval(buildTagOK)
-		}
-	}
-	return true
-}
-
-// buildTagOK reports whether a build tag holds for the analyzer's
-// default configuration.
-func buildTagOK(tag string) bool {
-	switch tag {
-	case runtime.GOOS, runtime.GOARCH, "gc", "unix":
-		return true
-	}
-	// Language-version tags go1.N hold up to the running toolchain.
-	if rest, ok := strings.CutPrefix(tag, "go1."); ok {
-		n, err := strconv.Atoi(rest)
-		if err != nil {
-			return false
-		}
-		verParts := strings.SplitN(runtime.Version(), ".", 3) // "go1.24.0"
-		if len(verParts) < 2 {
-			return false
-		}
-		cur, err := strconv.Atoi(verParts[1])
-		return err == nil && n <= cur
-	}
-	return false
-}
-
-// suffixIncluded applies GOOS/GOARCH file-name constraints
-// (name_linux.go, name_amd64.go, name_linux_amd64.go).
-func suffixIncluded(name string) bool {
-	base := strings.TrimSuffix(name, ".go")
-	parts := strings.Split(base, "_")
-	isOS := func(s string) bool {
-		switch s {
-		case "linux", "darwin", "windows", "freebsd", "openbsd", "netbsd", "js", "wasip1", "plan9", "solaris", "aix", "android", "ios":
-			return true
-		}
-		return false
-	}
-	isArch := func(s string) bool {
-		switch s {
-		case "amd64", "arm64", "386", "arm", "wasm", "ppc64", "ppc64le", "mips", "mipsle", "mips64", "mips64le", "riscv64", "s390x", "loong64":
-			return true
-		}
-		return false
-	}
-	n := len(parts)
-	if n >= 2 && isArch(parts[n-1]) {
-		if parts[n-1] != runtime.GOARCH {
-			return false
-		}
-		parts = parts[:n-1]
-		n--
-	}
-	if n >= 2 && isOS(parts[n-1]) {
-		return parts[n-1] == runtime.GOOS
-	}
-	return true
 }
 
 // moduleImports lists pkg's imports that live inside the module, in

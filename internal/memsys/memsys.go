@@ -167,9 +167,8 @@ type System struct {
 	DRAMWrites uint64
 
 	// FillsDelivered counts L1 fills that completed an outstanding miss
-	// (stale fills excluded). The engine's dead-cycle skip compares it
-	// across a Cycle call to learn whether any SM scoreboard may have
-	// changed — every other event kind is internal to the memory system.
+	// (stale fills excluded): the only event kind that can change an SM
+	// scoreboard — every other is internal to the memory system.
 	FillsDelivered uint64
 }
 

@@ -26,8 +26,8 @@ type stageHarness struct {
 	now   int64
 	fills []fillTrace
 	// nexts and delivered sample NextEventTime and FillsDelivered after
-	// every cycle: the exact signals the fast-forward engine steers by,
-	// so they must be bit-identical between serial and staged schedules.
+	// every cycle; they must be bit-identical between serial and staged
+	// schedules.
 	nexts     []int64
 	delivered []uint64
 }

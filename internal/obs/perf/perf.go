@@ -5,7 +5,7 @@
 // *simulator itself* on the wall-clock axis — where the host
 // nanoseconds of a run go: taking SM domains across a span, waiting at
 // the span barrier, replaying staged memory traffic, draining the
-// shared memory system, planning horizons, skipping dead cycles.
+// shared memory system, planning horizons.
 //
 // The package never reads the host clock. Simulation packages are
 // banned from wall-clock access by cawalint (the cycle counter is the
@@ -57,10 +57,6 @@ const (
 	// PhaseMemsysDrain is the shared memory system's event drain at the
 	// head of each span (System.Cycle).
 	PhaseMemsysDrain
-	// PhaseFastForward is the dead-cycle skip: the whole fastForward
-	// call, including the memory-system drains it performs at event
-	// boundaries.
-	PhaseFastForward
 	// PhaseDispatch is thread-block dispatch.
 	PhaseDispatch
 	// PhaseLookahead is horizon planning: the clamp ladder plus handing
@@ -78,7 +74,6 @@ var phaseNames = [NumPhases]string{
 	"barrier_wait",
 	"staged_commit",
 	"memsys_drain",
-	"fast_forward",
 	"dispatch",
 	"lookahead",
 }

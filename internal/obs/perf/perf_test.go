@@ -242,7 +242,7 @@ func TestWriteChromeTrace(t *testing.T) {
 }
 
 func TestPhaseNamesStable(t *testing.T) {
-	want := []string{"domain_compute", "barrier_wait", "staged_commit", "memsys_drain", "fast_forward", "dispatch", "lookahead"}
+	want := []string{"domain_compute", "barrier_wait", "staged_commit", "memsys_drain", "dispatch", "lookahead"}
 	for i, w := range want {
 		if got := Phase(i).String(); got != w {
 			t.Errorf("Phase(%d) = %q, want %q", i, got, w)

@@ -20,8 +20,8 @@ const NoWake int64 = math.MaxInt64
 // planned fills).
 //
 // The return value is a conservative wakeup cycle for the span engine's
-// dead-cycle skipping (internal/gpu): the earliest future cycle at
-// which this SM's state can change on its own (a writeback retiring,
+// per-SM dead-cycle skipping (gpu/domains.go): the earliest future cycle
+// at which this SM's state can change on its own (a writeback retiring,
 // the fetch or load-store path freeing). A return of now means the SM
 // had at least one issuable warp this cycle — its schedulers must run
 // the next cycle too. NoWake means the SM is idle or blocked entirely
@@ -56,7 +56,7 @@ func (m *SM) Cycle(now int64) int64 {
 // path unblocking, or the load-store unit freeing. Barrier releases
 // and load completions need no timer — the former requires an issue
 // (so some warp must be ready first) and the latter rides a fill, which
-// the engine folds into the skip separately.
+// the domain folds into the skip separately (the SM's next planned fill).
 func (m *SM) nextWake(now int64) int64 {
 	wake := NoWake
 	if m.icBusy > now {
@@ -79,13 +79,12 @@ func (m *SM) nextWake(now int64) int64 {
 // last readiness evaluation; it cannot change during the skipped span
 // because nothing issues, fills, or retires in it (the engine clamps
 // the span to the next writeback, fetch/LSU release, and fill). Parked
-// warps need nothing, nor does a warp a fill has just woken (the global
-// skip delivers the fill that ends it before it credits the cycles that
-// led up to it): those cycles are part of the debt the warp's next
-// evaluation settles. No other SM state needs touching: readiness
-// probes the I-cache only after the operand checks pass, and a warp
-// whose operands clear or whose fetch path opens ends the span, so
-// ticking performs zero I-cache probes across these cycles too.
+// warps need nothing, nor does a candidate still owed cycles from a park
+// (slot.since, as in accountStalls): those cycles are part of the debt
+// the warp's next evaluation settles. No other SM state needs touching:
+// readiness probes the I-cache only after the operand checks pass, and
+// a warp whose operands clear or whose fetch path opens ends the span,
+// so ticking performs zero I-cache probes across these cycles too.
 func (m *SM) AccountSkipped(span int64) {
 	if span <= 0 {
 		return
