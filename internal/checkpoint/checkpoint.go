@@ -4,303 +4,168 @@
 // metadata, MSHRs, in-flight memory-system events, scheduler state
 // (GTO/age, CAWA criticality counters), and the functional memory.
 //
-// The package sits above every simulator layer (it imports core, gpu,
-// sm, and the leaves), because the concrete types of the criticality
-// providers and L1 replacement policies live in internal/core while
-// the device that owns them lives in internal/gpu — only a layer above
-// both can type-switch them into serializable form.
+// The byte stream is the only representation of that state besides the
+// live one. Every component walks its own fields through a state.Archive
+// (one Archive method serving both directions); Capture runs the walk
+// over the live GPU in save mode, Restore in load mode over a freshly
+// built one. Providers and policies take part by being state.Archivers;
+// one that is not fails the capture, nothing is dropped silently.
 //
 // Wire format (Encode/Decode):
 //
 //	magic   "CAWACKPT"                  8 bytes
 //	version uint32 big-endian           format version (FormatVersion)
 //	digest  SHA-256 over the payload    32 bytes
-//	payload gob(Snapshot)
+//	payload the walk: Meta, then the device (gpu.GPU.Archive)
 //
-// Every captured structure is map-free plain data (maps are flattened
-// to sorted slices by the owning packages), so the gob payload — and
-// therefore the digest — is a deterministic function of simulator
-// state. Two runs that agree on the digest agree on every architectural
-// and timing bit the simulator carries.
+// The walk writes maps in key order and heaps in their own total order,
+// so the payload — and the digest — is a deterministic function of
+// simulator state. Decode checks the envelope and reads Meta; it cannot
+// know the geometry a payload must fit. Restore checks the rest as it
+// walks: section tags, SM/slot/line/word counts against the GPU it
+// fills, index ranges, and that the walk ends where the payload does.
 package checkpoint
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 
-	"cawa/internal/core"
 	"cawa/internal/gpu"
+	"cawa/internal/isa"
 	"cawa/internal/simt"
-	"cawa/internal/sm"
+	"cawa/internal/state"
 )
 
 // FormatVersion is the checkpoint wire-format version. Bump it on any
-// change to the Snapshot schema or to the capture semantics of any
-// layer below; stale checkpoints then fail Decode with ErrIncompatible
-// and callers fall back to a full run (clean cache miss, never an
-// error).
-const FormatVersion = 1
+// change to the payload layout or to what a component's Archive walks;
+// stale checkpoints then fail Decode with ErrIncompatible (a clean miss).
+const FormatVersion = 2
 
 var magic = [8]byte{'C', 'A', 'W', 'A', 'C', 'K', 'P', 'T'}
 
-// ErrIncompatible marks a checkpoint from a different format version
-// (or a file that is not a checkpoint at all). Callers treat it as a
-// cache miss.
+// ErrIncompatible marks a checkpoint of another format version (or a
+// file that is not a checkpoint at all). Callers treat it as a miss.
 var ErrIncompatible = errors.New("checkpoint: incompatible format")
 
 // ErrCorrupt marks a truncated or bit-damaged checkpoint (digest
-// mismatch, short read). Callers treat it as a cache miss.
+// mismatch, short read). Callers treat it as a miss.
 var ErrCorrupt = errors.New("checkpoint: corrupt")
 
 // Meta identifies what a snapshot belongs to. It rides inside the
 // digest-protected payload so a checkpoint can never be resumed against
 // the wrong run.
 type Meta struct {
-	// EngineVersion is the harness engine fingerprint the snapshot was
-	// produced by (harness.EngineVersion).
-	EngineVersion string
-	// Workload and Params identity.
-	Workload string
-	Scale    float64
-	Seed     int64
-	// SystemKey is the design point's stable identity (SystemConfig.Key).
-	SystemKey string
-	// LaunchIndex is the index of the in-flight launch (how many
-	// launches completed before the checkpoint).
-	LaunchIndex int
-	// Cycle is the global cycle the snapshot was taken at.
-	Cycle int64
+	EngineVersion string  // harness.EngineVersion of the producing build
+	Workload      string  // workload name
+	Scale         float64 // workloads.Params.Scale
+	Seed          int64   // workloads.Params.Seed
+	SystemKey     string  // the design point's stable identity (SystemConfig.Key)
+	LaunchIndex   int     // the in-flight launch: how many completed before it
+	Cycle         int64   // the global cycle the snapshot was taken at
 }
 
-// ProviderState is the serialized form of one SM's criticality
-// provider, keyed by concrete type.
-type ProviderState struct {
-	Kind   string // "null", "cpl", "oracle"
-	CPL    core.CPLState
-	Oracle core.OracleState
+func (m *Meta) archive(a *state.Archive) {
+	a.Tag("meta")
+	a.String(&m.EngineVersion)
+	a.String(&m.Workload)
+	a.String(&m.SystemKey)
+	a.Float64(&m.Scale)
+	state.Int(a, &m.Seed, &m.Cycle)
+	state.Int(a, &m.LaunchIndex)
 }
 
-// PolicyState is the serialized form of one SM's L1D replacement
-// policy, keyed by concrete type. LRU and SRRIP keep all their state in
-// the cache lines (captured with the tag arrays), so only CACP carries
-// a payload.
-type PolicyState struct {
-	Kind string // "lru", "srrip", "cacp"
-	CACP core.CACPState
-}
-
-// Snapshot is the complete serialized state of a mid-launch GPU.
+// Snapshot is the complete serialized state of a mid-launch GPU: the
+// walk's bytes, with the Meta they begin with parsed out.
 type Snapshot struct {
-	Meta      Meta
-	GPU       gpu.State
-	Providers []ProviderState // per SM
-	Policies  []PolicyState   // per SM
+	Meta    Meta
+	payload []byte
 }
 
-// Capture snapshots a mid-launch GPU, including the criticality
-// providers and L1 policies the device layer cannot see into.
+// Capture serializes a mid-launch GPU (normally from the PerCycle hook).
 func Capture(g *gpu.GPU, meta Meta) (*Snapshot, error) {
-	st, err := g.Capture()
-	if err != nil {
-		return nil, err
-	}
-	meta.Cycle = st.Cycle
-	s := &Snapshot{Meta: meta, GPU: st}
+	meta.Cycle = g.Cycle()
+	// Nearly all of a payload is the register files and the used part of
+	// the memory image; a low guess costs one regrowth of the buffer.
+	size := int(g.Memory().Size()) / 4
 	for _, m := range g.SMs() {
-		ps, err := captureProvider(m.Crit())
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: sm %d: %w", m.ID, err)
-		}
-		ls, err := capturePolicy(m.L1D().Cache().Policy())
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: sm %d: %w", m.ID, err)
-		}
-		s.Providers = append(s.Providers, ps)
-		s.Policies = append(s.Policies, ls)
+		size += m.ResidentWarps() * g.Config().WarpSize * isa.NumRegs * 8
 	}
-	return s, nil
+	a := state.NewSaver(size + size/16)
+	meta.archive(a)
+	g.Archive(a, nil)
+	if err := a.Err(); err != nil {
+		return nil, fmt.Errorf("checkpoint: capture: %w", err)
+	}
+	return &Snapshot{Meta: meta, payload: a.Bytes()}, nil
 }
 
 // Restore applies a snapshot onto a freshly built GPU (same
-// configuration, same design point, same workload memory shape) and
-// arms it for gpu.Resume. k must be the kernel the snapshot was
-// captured inside.
+// configuration, design point and workload memory shape) and arms it
+// for gpu.Resume. k must be the kernel the snapshot was captured inside.
+// On error the GPU and its memory are partly overwritten: discard them.
 func Restore(s *Snapshot, g *gpu.GPU, k *simt.Kernel) error {
-	if len(s.Providers) != len(g.SMs()) || len(s.Policies) != len(g.SMs()) {
-		return fmt.Errorf("checkpoint: restore SM count mismatch (have %d, snapshot %d/%d)",
-			len(g.SMs()), len(s.Providers), len(s.Policies))
+	a := state.NewLoader(s.payload)
+	var meta Meta // s.Meta again
+	meta.archive(a)
+	g.Archive(a, k)
+	if a.Err() == nil && len(a.Bytes()) != 0 {
+		a.Failf("%d bytes left over after the device", len(a.Bytes()))
 	}
-	if err := g.Restore(s.GPU, k); err != nil {
-		return err
-	}
-	for i, m := range g.SMs() {
-		if err := restoreProvider(m.Crit(), s.Providers[i]); err != nil {
-			return fmt.Errorf("checkpoint: sm %d: %w", i, err)
-		}
-		if err := restorePolicy(m.L1D().Cache().Policy(), s.Policies[i]); err != nil {
-			return fmt.Errorf("checkpoint: sm %d: %w", i, err)
-		}
+	if err := a.Err(); err != nil {
+		return fmt.Errorf("checkpoint: restore: %w", err)
 	}
 	return nil
 }
 
-func captureProvider(p sm.CriticalityProvider) (ProviderState, error) {
-	switch p := p.(type) {
-	case sm.NullCriticality:
-		return ProviderState{Kind: "null"}, nil
-	case *core.CPL:
-		return ProviderState{Kind: "cpl", CPL: p.Capture()}, nil
-	case *core.Oracle:
-		return ProviderState{Kind: "oracle", Oracle: p.Capture()}, nil
-	default:
-		return ProviderState{}, fmt.Errorf("criticality provider %T is not checkpointable", p)
-	}
+// StateHash returns the hex SHA-256 of the snapshot's payload: the state
+// fingerprint tests compare between interrupted and uninterrupted runs.
+func StateHash(s *Snapshot) string {
+	sum := sha256.Sum256(s.payload)
+	return hex.EncodeToString(sum[:])
 }
 
-func restoreProvider(p sm.CriticalityProvider, st ProviderState) error {
-	switch p := p.(type) {
-	case sm.NullCriticality:
-		if st.Kind != "null" {
-			return providerMismatch("null", st.Kind)
-		}
-	case *core.CPL:
-		if st.Kind != "cpl" {
-			return providerMismatch("cpl", st.Kind)
-		}
-		p.Restore(st.CPL)
-	case *core.Oracle:
-		if st.Kind != "oracle" {
-			return providerMismatch("oracle", st.Kind)
-		}
-		p.Restore(st.Oracle)
-	default:
-		return fmt.Errorf("criticality provider %T is not checkpointable", p)
-	}
-	return nil
-}
-
-func capturePolicy(p interface{ Name() string }) (PolicyState, error) {
-	switch p := p.(type) {
-	case *core.CACP:
-		return PolicyState{Kind: "cacp", CACP: p.Capture()}, nil
-	default:
-		switch p.Name() {
-		case "LRU":
-			return PolicyState{Kind: "lru"}, nil
-		case "SRRIP":
-			return PolicyState{Kind: "srrip"}, nil
-		}
-		return PolicyState{}, fmt.Errorf("L1 policy %T is not checkpointable", p)
-	}
-}
-
-func restorePolicy(p interface{ Name() string }, st PolicyState) error {
-	switch p := p.(type) {
-	case *core.CACP:
-		if st.Kind != "cacp" {
-			return fmt.Errorf("L1 policy restore kind mismatch (policy cacp, snapshot %s)", st.Kind)
-		}
-		return p.Restore(st.CACP)
-	default:
-		want := ""
-		switch p.Name() {
-		case "LRU":
-			want = "lru"
-		case "SRRIP":
-			want = "srrip"
-		default:
-			return fmt.Errorf("L1 policy %T is not checkpointable", p)
-		}
-		if st.Kind != want {
-			return fmt.Errorf("L1 policy restore kind mismatch (policy %s, snapshot %s)", want, st.Kind)
-		}
-		return nil
-	}
-}
-
-func providerMismatch(have, got string) error {
-	return fmt.Errorf("provider restore kind mismatch (provider %s, snapshot %s)", have, got)
-}
-
-// payload gob-encodes a snapshot.
-func payload(s *Snapshot) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		return nil, fmt.Errorf("checkpoint: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// StateHash returns the hex SHA-256 digest of the snapshot's canonical
-// serialized payload — the state fingerprint the round-trip tests
-// compare between interrupted and uninterrupted runs.
-func StateHash(s *Snapshot) (string, error) {
-	p, err := payload(s)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(p)
-	return hex.EncodeToString(sum[:]), nil
-}
-
-// Encode writes the versioned, digest-protected checkpoint and returns
-// the payload's hex digest.
+// Encode writes the versioned, digest-protected checkpoint; it returns StateHash.
 func Encode(w io.Writer, s *Snapshot) (string, error) {
-	p, err := payload(s)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(p)
-	var hdr [12]byte
-	copy(hdr[:8], magic[:])
-	binary.BigEndian.PutUint32(hdr[8:], FormatVersion)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return "", fmt.Errorf("checkpoint: write header: %w", err)
-	}
-	if _, err := w.Write(sum[:]); err != nil {
-		return "", fmt.Errorf("checkpoint: write digest: %w", err)
-	}
-	if _, err := w.Write(p); err != nil {
-		return "", fmt.Errorf("checkpoint: write payload: %w", err)
+	sum := sha256.Sum256(s.payload)
+	hdr := binary.BigEndian.AppendUint32(magic[:], FormatVersion)
+	for _, part := range [][]byte{hdr, sum[:], s.payload} {
+		if _, err := w.Write(part); err != nil {
+			return "", fmt.Errorf("checkpoint: write: %w", err)
+		}
 	}
 	return hex.EncodeToString(sum[:]), nil
 }
 
 // Decode reads a checkpoint, verifying the magic, format version, and
-// payload digest. A wrong magic or version returns ErrIncompatible; a
-// short read or digest mismatch returns ErrCorrupt (both wrapped).
-// Callers map either to a clean cache miss.
+// payload digest, and parses Meta. A wrong magic or version returns
+// ErrIncompatible; a short read, digest mismatch or unreadable Meta
+// returns ErrCorrupt (both wrapped).
 func Decode(r io.Reader) (*Snapshot, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
+	const envelope = len(magic) + 4 + sha256.Size
+	var buf bytes.Buffer // grows by doubling; io.ReadAll would copy a payload several times over
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("%w: read: %v", ErrCorrupt, err)
 	}
-	if !bytes.Equal(hdr[:8], magic[:]) {
+	b := buf.Bytes()
+	switch {
+	case len(b) < len(magic)+4:
+		return nil, fmt.Errorf("%w: short header (%d bytes)", ErrCorrupt, len(b))
+	case !bytes.Equal(b[:len(magic)], magic[:]):
 		return nil, fmt.Errorf("%w: bad magic", ErrIncompatible)
-	}
-	if v := binary.BigEndian.Uint32(hdr[8:]); v != FormatVersion {
-		return nil, fmt.Errorf("%w: format version %d (want %d)", ErrIncompatible, v, FormatVersion)
-	}
-	var sum [sha256.Size]byte
-	if _, err := io.ReadFull(r, sum[:]); err != nil {
-		return nil, fmt.Errorf("%w: short digest: %v", ErrCorrupt, err)
-	}
-	p, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: read payload: %v", ErrCorrupt, err)
-	}
-	if got := sha256.Sum256(p); got != sum {
+	case binary.BigEndian.Uint32(b[len(magic):]) != FormatVersion:
+		return nil, fmt.Errorf("%w: format version %d (want %d)", ErrIncompatible, binary.BigEndian.Uint32(b[len(magic):]), FormatVersion)
+	case len(b) < envelope || sha256.Sum256(b[envelope:]) != [sha256.Size]byte(b[len(magic)+4:envelope]):
 		return nil, fmt.Errorf("%w: digest mismatch", ErrCorrupt)
 	}
-	var s Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&s); err != nil {
-		return nil, fmt.Errorf("%w: decode: %v", ErrCorrupt, err)
+	s := &Snapshot{payload: b[envelope:]}
+	a := state.NewLoader(s.payload)
+	if s.Meta.archive(a); a.Err() != nil {
+		return nil, fmt.Errorf("%w: meta: %v", ErrCorrupt, a.Err())
 	}
-	return &s, nil
+	return s, nil
 }

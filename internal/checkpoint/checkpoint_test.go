@@ -3,13 +3,13 @@ package checkpoint
 import (
 	"bytes"
 	"context"
-	"errors"
 	"reflect"
 	"testing"
 
 	"cawa/internal/config"
 	"cawa/internal/core"
 	"cawa/internal/gpu"
+	"cawa/internal/memory"
 	"cawa/internal/stats"
 	"cawa/internal/workloads"
 )
@@ -38,7 +38,7 @@ var engineVariants = []engineVariant{
 	{name: "parallel-lookahead", smWorkers: 4}, // one domain per SM
 }
 
-func buildGPU(t *testing.T, sc core.SystemConfig, wl workloads.Workload, v engineVariant) *gpu.GPU {
+func buildGPU(t testing.TB, sc core.SystemConfig, wl workloads.Workload, v engineVariant) *gpu.GPU {
 	t.Helper()
 	g, err := sc.NewGPU(testConfig(), wl.Mem())
 	if err != nil {
@@ -49,6 +49,12 @@ func buildGPU(t *testing.T, sc core.SystemConfig, wl workloads.Workload, v engin
 		g.UseTickedOracle()
 	}
 	return g
+}
+
+// memWords copies the workload's whole memory image.
+func memWords(wl workloads.Workload) []int64 {
+	m := wl.Mem()
+	return m.ReadWords(0, int(m.Size()/memory.WordBytes))
 }
 
 type refRun struct {
@@ -91,7 +97,7 @@ func runReference(t *testing.T, workload string, sc core.SystemConfig) refRun {
 	if len(g.Spans) == 0 {
 		t.Fatal("no launch spans")
 	}
-	r := refRun{launches: launches, words: wl.Mem().Capture().Words}
+	r := refRun{launches: launches, words: memWords(wl)}
 	r.launchIx = len(g.Spans) - 1
 	r.span = g.Spans[r.launchIx]
 	if r.span.End-r.span.Start < 8 {
@@ -144,11 +150,7 @@ func armCapture(t *testing.T, g *gpu.GPU, at int64, hash *string, snap **Snapsho
 			g.PerCycle, g.PerCycleWake = nil, nil
 			return
 		}
-		h, err := StateHash(s)
-		if err != nil {
-			t.Errorf("hash at %d: %v", cycle, err)
-		}
-		*hash = h
+		*hash = StateHash(s)
 		if snap != nil {
 			*snap = s
 		}
@@ -311,85 +313,8 @@ func resumeRun(t *testing.T, workload string, sc core.SystemConfig, v engineVari
 	if err := wl.Verify(); err != nil {
 		t.Errorf("verify after resume: %v", err)
 	}
-	if got := wl.Mem().Capture().Words; !reflect.DeepEqual(got, ref.words) {
+	if got := memWords(wl); !reflect.DeepEqual(got, ref.words) {
 		t.Errorf("final memory image differs from uninterrupted run")
-	}
-}
-
-// TestDecodeRejectsDamage covers the cache-miss paths: truncation, bit
-// damage, wrong magic, and a stale format version must all fail Decode
-// with the right sentinel, never a panic or a silent success.
-func TestDecodeRejectsDamage(t *testing.T) {
-	wl, err := workloads.New("vectoradd", workloads.Params{Scale: 0.05, Seed: 1})
-	if err != nil {
-		// vectoradd may not exist in the catalog; fall back to any.
-		wl, err = workloads.New(workloads.Names()[0], workloads.Params{Scale: 0.05, Seed: 1})
-		if err != nil {
-			t.Fatalf("workload: %v", err)
-		}
-	}
-	sc := core.SystemConfig{Scheduler: "lrr"}
-	g := buildGPU(t, sc, wl, engineVariants[0])
-	var snap *Snapshot
-	var hash string
-	k, ok := wl.Next()
-	if !ok {
-		t.Fatal("no kernel")
-	}
-	g.PerCycle = func(g *gpu.GPU, cycle int64) {
-		if snap != nil {
-			return
-		}
-		s, err := Capture(g, Meta{Workload: wl.Name()})
-		if err != nil {
-			// Too early (e.g. first cycles): keep trying.
-			return
-		}
-		snap = s
-		hash, _ = StateHash(s)
-		g.PerCycle, g.PerCycleWake = nil, nil
-	}
-	g.PerCycleWake = func(now int64) int64 { return now + 1 }
-	if _, err := g.Launch(context.Background(), k); err != nil {
-		t.Fatalf("launch: %v", err)
-	}
-	if snap == nil || hash == "" {
-		t.Fatal("never captured")
-	}
-
-	var buf bytes.Buffer
-	digest, err := Encode(&buf, snap)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	if digest != hash {
-		t.Errorf("Encode digest %s != StateHash %s", digest, hash)
-	}
-	blob := buf.Bytes()
-
-	if _, err := Decode(bytes.NewReader(blob)); err != nil {
-		t.Fatalf("clean decode: %v", err)
-	}
-	if _, err := Decode(bytes.NewReader(blob[:len(blob)/2])); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("truncated: want ErrCorrupt, got %v", err)
-	}
-	damaged := append([]byte(nil), blob...)
-	damaged[len(damaged)-1] ^= 0x40
-	if _, err := Decode(bytes.NewReader(damaged)); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("bit damage: want ErrCorrupt, got %v", err)
-	}
-	wrongMagic := append([]byte(nil), blob...)
-	wrongMagic[0] = 'X'
-	if _, err := Decode(bytes.NewReader(wrongMagic)); !errors.Is(err, ErrIncompatible) {
-		t.Errorf("bad magic: want ErrIncompatible, got %v", err)
-	}
-	staleVersion := append([]byte(nil), blob...)
-	staleVersion[11]++ // bump the big-endian version's low byte
-	if _, err := Decode(bytes.NewReader(staleVersion)); !errors.Is(err, ErrIncompatible) {
-		t.Errorf("stale version: want ErrIncompatible, got %v", err)
-	}
-	if _, err := Decode(bytes.NewReader(nil)); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("empty: want ErrCorrupt, got %v", err)
 	}
 }
 

@@ -52,12 +52,8 @@ func TestDomainRunnerLifecycle(t *testing.T) {
 		t.Helper()
 		g.runner.stepSpan(from, to)
 		for i, s := range g.sms {
-			st, err := s.Capture()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Cycle != to {
-				t.Fatalf("span %d..%d returned with SM %d at cycle %d", from, to, i, st.Cycle)
+			if s.Now() != to {
+				t.Fatalf("span %d..%d returned with SM %d at cycle %d", from, to, i, s.Now())
 			}
 		}
 	}

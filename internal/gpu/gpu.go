@@ -114,8 +114,8 @@ type GPU struct {
 	Spans []LaunchSpan
 
 	// launch is the in-flight launch's progress state. Non-nil only
-	// while run executes (or between Restore and Resume); Capture
-	// serializes it so a restored GPU can re-enter the cycle loop
+	// while run executes (or between a checkpoint restore and Resume);
+	// Archive walks it so a restored GPU can re-enter the cycle loop
 	// exactly where the checkpoint left it.
 	launch *launchState
 }
@@ -154,6 +154,17 @@ type launchState struct {
 	// not captured). SM capacity only changes when a block retires, so
 	// dispatch skips its scan until the count moves.
 	dispatchStall int
+}
+
+// newLaunchState returns the zero progress of a launch of k on sms SMs.
+func newLaunchState(k *simt.Kernel, sms int) *launchState {
+	return &launchState{
+		k:             k,
+		l1snap:        make([]l1Snapshot, sms),
+		retiredBy:     make([]int, sms),
+		lastRetire:    make([]int64, sms),
+		dispatchStall: -1,
+	}
 }
 
 func (ls *launchState) retired() int {
@@ -277,12 +288,12 @@ func (g *GPU) Launch(ctx context.Context, k *simt.Kernel) (*stats.Launch, error)
 	return g.run(ctx, g.initLaunch(k, warpsPerBlock))
 }
 
-// Resume re-enters the span loop of a launch restored by Restore. The
-// launch runs to completion with whatever domain count this GPU is
-// configured for (a checkpoint is taken between spans, where no staged
-// traffic is pending, so the count may differ from the capturing run's)
-// and returns the launch statistics exactly as the uninterrupted Launch
-// would have.
+// Resume re-enters the span loop of a launch a loading Archive
+// restored. The launch runs to completion with whatever domain count
+// this GPU is configured for (a checkpoint is taken between spans, where
+// no staged traffic is pending, so the count may differ from the
+// capturing run's) and returns the launch statistics exactly as the
+// uninterrupted Launch would have.
 func (g *GPU) Resume(ctx context.Context) (*stats.Launch, error) {
 	if g.launch == nil {
 		return nil, fmt.Errorf("gpu: Resume without a restored launch")
@@ -293,16 +304,8 @@ func (g *GPU) Resume(ctx context.Context) (*stats.Launch, error) {
 // initLaunch snapshots the per-launch counters, installs the kernel on
 // every SM, and wires the block-retirement callbacks.
 func (g *GPU) initLaunch(k *simt.Kernel, warpsPerBlock int) *launchState {
-	ls := &launchState{
-		k:             k,
-		warpsPerBlock: warpsPerBlock,
-		total:         k.GridDim,
-		startCycle:    g.cycle,
-		l1snap:        make([]l1Snapshot, len(g.sms)),
-		retiredBy:     make([]int, len(g.sms)),
-		lastRetire:    make([]int64, len(g.sms)),
-		dispatchStall: -1,
-	}
+	ls := newLaunchState(k, len(g.sms))
+	ls.warpsPerBlock, ls.total, ls.startCycle = warpsPerBlock, k.GridDim, g.cycle
 	for i, s := range g.sms {
 		ls.startInstr += s.Instructions
 		ls.startTInstr += s.ThreadInstrs

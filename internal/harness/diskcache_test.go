@@ -427,9 +427,10 @@ func FuzzDiskCacheArtifacts(f *testing.F) {
 // TestDiskBackedSessionRunsCCWS: the CCWS baseline's providers are wired
 // into the design point by setupRun, after which it has no stable key —
 // the checkpoint identity must be read before that, or every disk-backed
-// ccws run fails (as it did on the parent commit). The run completes
-// without ever yielding a checkpoint (CCWS declines capture) and is
-// served from disk afterwards.
+// ccws run fails. The run completes and is served from disk afterwards;
+// and since the CCWS provider and policy archive their state like every
+// other design point's, a run cut mid-flight resumes to the
+// uninterrupted aggregate.
 func TestDiskBackedSessionRunsCCWS(t *testing.T) {
 	d, err := OpenDiskCache(t.TempDir())
 	if err != nil {
@@ -454,5 +455,22 @@ func TestDiskBackedSessionRunsCCWS(t *testing.T) {
 		if s.DiskHits() != wantHits {
 			t.Fatalf("session %d: DiskHits = %d, want %d", i, s.DiskHits(), wantHits)
 		}
+	}
+
+	opt := RunOptions{Workload: "bfs", Params: resumeParams, System: ccws, Config: resumeConfig()}
+	hooked, ctx := cancelAt(opt, want.Agg.Cycles/2)
+	_, last, err := RunCheckpointed(ctx, hooked, 2_000, nil)
+	if err == nil || last == nil {
+		t.Fatalf("cut ccws run: err=%v checkpoint=%v", err, last != nil)
+	}
+	if at := last.Snap.Meta.Cycle; at <= 0 || at > want.Agg.Cycles/2 {
+		t.Fatalf("ccws checkpoint at cycle %d, want inside (0, %d]", at, want.Agg.Cycles/2)
+	}
+	got, _, err := RunCheckpointed(context.Background(), opt, 2_000, last)
+	if err != nil {
+		t.Fatalf("resumed ccws run: %v", err)
+	}
+	if !reflect.DeepEqual(got.Agg, want.Agg) {
+		t.Fatalf("resumed ccws run differs from the uninterrupted one:\n got %+v\nwant %+v", got.Agg, want.Agg)
 	}
 }

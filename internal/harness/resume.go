@@ -13,10 +13,11 @@ import (
 )
 
 // DefaultCheckpointEvery is the periodic capture cadence, in simulated
-// cycles, used when a checkpointed run does not pin one. Captures are
-// in-memory struct copies (gob encoding happens only when a checkpoint
-// is persisted), so the cadence trades a little host time for how much
-// simulated work a cancelled run can lose.
+// cycles, used when a checkpointed run does not pin one. A capture is
+// one walk of the device into a byte buffer (about a millisecond; only
+// the digest and the file write wait until a checkpoint is persisted),
+// so the cadence trades a little host time for how much simulated work
+// a cancelled run can lose.
 const DefaultCheckpointEvery = 50_000
 
 // WarmCheckpoint pairs a mid-launch engine snapshot with the statistics
@@ -42,11 +43,13 @@ type WarmCheckpoint struct {
 // returns the most recent checkpoint alongside the error so the caller
 // can persist it. On success the checkpoint return is nil.
 //
-// Capture is best-effort: a design point whose provider or policy is
-// not checkpointable (e.g. the CCWS baseline) simply never yields a
-// checkpoint; the run itself is unaffected. Resume is exact: the
-// round-trip tests prove a restored run is byte-identical to an
-// uninterrupted one at every domain count.
+// Capture is best-effort: a design point with a provider or policy that
+// is not a state.Archiver (none in this repository) simply never yields
+// a checkpoint, and neither does a capture that finds an engine
+// invariant broken (an unflushed store log, undrained span fills); the
+// run itself is unaffected. Resume is exact: the round-trip tests prove
+// a restored run is byte-identical to an uninterrupted one at every
+// domain count.
 func RunCheckpointed(ctx context.Context, opt RunOptions, every int64, warm *WarmCheckpoint) (*Result, *WarmCheckpoint, error) {
 	ck := newCheckpointer(every)
 	r, err := runLaunches(ctx, opt, ck, warm)

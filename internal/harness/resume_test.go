@@ -1,11 +1,15 @@
 package harness
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -232,6 +236,15 @@ func TestCheckpointArtifactDamageIsCleanMiss(t *testing.T) {
 	damage("bit-flipped", func(b []byte) []byte { b[len(b)-1] ^= 1; return b })
 	damage("short-header", func(b []byte) []byte { return b[:3] })
 	damage("empty", func(b []byte) []byte { return nil })
+	// The checkpoint stream (magic, version, digest, payload) follows the
+	// length-prefixed JSON header. A gob-era version-1 stream is a miss,
+	// and so is a payload cut inside its Meta even when the digest is
+	// recomputed to match.
+	damage("format-v1", func(b []byte) []byte { binary.BigEndian.PutUint32(ckptStream(b)[8:], 1); return b })
+	damage("cut-in-meta", func(b []byte) []byte { return redigest(b, func(p []byte) []byte { return p[:10] }) })
+	if blob2 := redigest(append([]byte(nil), blob...), func(p []byte) []byte { return p }); !bytes.Equal(blob2, blob) {
+		t.Fatal("redigest of an untouched payload changed the artifact; the case above is vacuous")
+	}
 
 	// Four hostile bytes claiming a ~1 GiB header: the length prefix is
 	// bounded by what the file holds, so the miss allocates next to
@@ -265,6 +278,22 @@ func TestCheckpointArtifactDamageIsCleanMiss(t *testing.T) {
 	if _, ok := d.LoadCheckpoint(otherKey); ok {
 		t.Fatal("mis-keyed (renamed) artifact unexpectedly hit")
 	}
+}
+
+// ckptStream returns the checkpoint stream inside a persisted artifact.
+func ckptStream(artifact []byte) []byte {
+	return artifact[4+binary.BigEndian.Uint32(artifact):]
+}
+
+// redigest rewrites an artifact's checkpoint payload and recomputes the
+// stream's digest, so the damage passes Decode's SHA check.
+func redigest(artifact []byte, mutate func(payload []byte) []byte) []byte {
+	const envelope = 8 + 4 + sha256.Size
+	stream := ckptStream(artifact)
+	payload := mutate(stream[envelope:])
+	sum := sha256.Sum256(payload)
+	copy(stream[12:], sum[:])
+	return append(artifact[:len(artifact)-len(stream)+envelope], payload...)
 }
 
 // TestSessionWarmStart seeds the disk cache with a checkpoint from an
@@ -324,6 +353,109 @@ func TestSessionWarmStart(t *testing.T) {
 	}
 	if got := s2.WarmResumes(); got != 0 {
 		t.Fatalf("fresh session WarmResumes = %d, want 0", got)
+	}
+}
+
+// TestWarmStartFailureCostsAColdStart: an artifact that passes every
+// check Decode can make (key, digest, version, identity) but does not
+// fit the run fails Restore — a checkpoint of the same design point on
+// a GPU with another SM count stored under the right key, or one whose
+// payload lost its tail before the digest was computed. The run must
+// still succeed with the uninterrupted aggregate, from a cold start,
+// and the artifact must be gone so no retry meets it again.
+func TestWarmStartFailureCostsAColdStart(t *testing.T) {
+	sc := core.CAWA()
+	sysKey, err := sc.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := RunOptions{Workload: "bfs", Params: resumeParams, System: sc, Config: resumeConfig()}
+	ref, err := Run(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := func(opt RunOptions) *WarmCheckpoint {
+		hooked, ctx := cancelAt(opt, ref.Agg.Cycles/2)
+		_, last, err := RunCheckpointed(ctx, hooked, 2_000, nil)
+		if err == nil || last == nil {
+			t.Fatalf("cancelled run: err=%v checkpoint=%v", err, last != nil)
+		}
+		return last
+	}
+	twoSMs := opt
+	twoSMs.Config.NumSMs = 2
+	cases := map[string]struct {
+		warm   *WarmCheckpoint
+		mutate func(payload []byte) []byte
+	}{
+		"another geometry":  {cut(twoSMs), func(p []byte) []byte { return p }},
+		"payload cut short": {cut(opt), func(p []byte) []byte { return p[:len(p)*3/4] }},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			d, err := OpenDiskCache(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := NewSession(resumeConfig(), resumeParams)
+			s.Disk = d
+			ckptKey := d.CheckpointKey(s.diskEntryKey(d, "bfs", sysKey))
+			if err := d.StoreCheckpoint(ckptKey, c.warm); err != nil {
+				t.Fatal(err)
+			}
+			file := d.path(ckptKey, ckptExt)
+			blob, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(file, redigest(blob, c.mutate), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			warm, ok := d.LoadCheckpoint(ckptKey)
+			if !ok {
+				t.Fatal("the artifact does not load; the case is vacuous")
+			}
+			if _, _, err := RunCheckpointed(context.Background(), opt, 2_000, warm); err == nil {
+				t.Fatal("the artifact restores; the case is vacuous")
+			}
+
+			res, err := s.RunContext(context.Background(), "bfs", sc)
+			if err != nil {
+				t.Fatalf("run over an unrestorable artifact: %v", err)
+			}
+			if !reflect.DeepEqual(res.Agg, ref.Agg) {
+				t.Fatalf("result differs from the uninterrupted run:\nres %+v\nref %+v", res.Agg, ref.Agg)
+			}
+			if got := s.WarmResumes(); got != 1 {
+				t.Fatalf("WarmResumes = %d, want 1 (the artifact was loaded)", got)
+			}
+			if _, err := os.Stat(file); !os.IsNotExist(err) {
+				t.Fatalf("unrestorable artifact survived (stat: %v)", err)
+			}
+		})
+	}
+}
+
+// TestSimulationPanicFailsOneFlight: a panic on the simulating goroutine
+// is that run's error. The flight is evicted like any failed one, so the
+// next request for the key simulates.
+func TestSimulationPanicFailsOneFlight(t *testing.T) {
+	s := NewSession(resumeConfig(), resumeParams)
+	calls := 0
+	s.SetRunFunc(func(ctx context.Context, opt RunOptions) (*Result, error) {
+		if calls++; calls == 1 {
+			panic("boom")
+		}
+		return RunContext(ctx, opt)
+	})
+	if _, err := s.Run("bfs", core.Baseline()); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("panicking run returned err=%v, want one naming the panic", err)
+	}
+	if _, err := s.Run("bfs", core.Baseline()); err != nil {
+		t.Fatalf("run after a panicked flight: %v", err)
+	}
+	if calls != 2 {
+		t.Fatalf("executor ran %d times, want 2 (the failed flight must not be cached)", calls)
 	}
 }
 

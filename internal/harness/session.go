@@ -269,9 +269,16 @@ func (s *Session) acquire(ctx context.Context, extra int) (held int, release fun
 // run left under ckptKey (stale engine versions and damaged blobs read
 // back as misses), captures periodic in-memory checkpoints, and — when
 // ctx cuts it short — persists the latest one so the next attempt
-// resumes there. With disk nil the engine's hooks stay exactly as opt
-// set them. A SetRunFunc seam replaces the engine entirely, so it runs
-// without checkpointing either way.
+// resumes there. A warm start that fails for any reason but ctx costs
+// a cold start, never the run: the artifact is removed and the run
+// repeated once from cycle zero. With disk nil the engine's hooks stay
+// exactly as opt set them. A SetRunFunc seam replaces the engine
+// entirely, so it runs without checkpointing either way.
+//
+// A panic on the simulating goroutine — the engine's or a SetRunFunc
+// function's — becomes the run's error: the flight fails and is
+// evicted like any other, the process lives. Goroutines the engine
+// starts itself (helper domains, -smpar > 1) are out of its reach.
 func (s *Session) simulate(ctx context.Context, opt RunOptions, disk *DiskCache, ckptKey string) (*Result, error) {
 	s.mu.Lock()
 	smpar := s.smpar
@@ -305,7 +312,6 @@ func (s *Session) simulate(ctx context.Context, opt RunOptions, disk *DiskCache,
 	run := s.runFn
 	s.mu.Unlock()
 	var (
-		r    *Result
 		ck   *checkpointer
 		warm *WarmCheckpoint
 	)
@@ -318,11 +324,30 @@ func (s *Session) simulate(ctx context.Context, opt RunOptions, disk *DiskCache,
 			s.mu.Unlock()
 		}
 	}
+	// attempt runs the simulation once. A panic on this goroutine ends
+	// the attempt with an error instead of the process.
+	attempt := func() (r *Result, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				r, err = nil, fmt.Errorf("harness: %s on %s: simulation panicked: %v", opt.Workload, opt.System.Label(), p)
+			}
+		}()
+		if run != nil {
+			return run(ctx, opt)
+		}
+		return runLaunches(ctx, opt, ck, warm)
+	}
 	start := time.Now()
-	if run != nil {
-		r, err = run(ctx, opt)
-	} else {
-		r, err = runLaunches(ctx, opt, ck, warm)
+	r, err := attempt()
+	if err != nil && warm != nil && ctx.Err() == nil {
+		// The warm start failed and the caller did not cut it short: the
+		// artifact is the suspect (it passed its digest but does not fit
+		// this run). It must cost a cold start, never the run — drop it
+		// and run again from cycle zero, on a fresh workload and GPU (the
+		// failed attempt replayed launches into the old memory).
+		disk.RemoveCheckpoint(ckptKey)
+		ck, warm = newCheckpointer(s.checkpointEvery), nil
+		r, err = attempt()
 	}
 	elapsed := time.Since(start)
 	release()

@@ -40,7 +40,7 @@ package lint
 //     paths plus the functional-replay launcher. A snapshot digest must
 //     be a pure function of simulated state, so nothing these reach may
 //     read the host clock; map-order nondeterminism is banned per-file
-//     (internal/checkpoint sits in SimPaths).
+//     (internal/checkpoint and internal/state sit in SimPaths).
 //
 // A root name that fails to resolve is a load error, not an empty
 // result: a rename must not silently turn the gate vacuous.
@@ -73,8 +73,9 @@ type InterOptions struct {
 	// checkpoint encode/decode paths: a snapshot digest must be a pure
 	// function of simulated state, so nothing reachable from
 	// serialization may read the host clock. (Map-order nondeterminism
-	// is covered per-file: internal/checkpoint is in SimPaths, so the
-	// map-range rule bans iteration the gob stream could observe.)
+	// is covered per-file: internal/checkpoint and internal/state are in
+	// SimPaths, so the map-range rule bans iteration the byte stream
+	// could observe.)
 	SerializationRoots []string
 	// MemsysPath is the package whose System type the staged rule
 	// protects.

@@ -123,10 +123,11 @@ func DefaultOptions() Options {
 			"cawa/internal/stats",
 			// Checkpoint serialization is part of the deterministic core:
 			// a state hash must be a pure function of simulated state, so
-			// encode/decode may not read the clock, use the global rand
-			// source, or range maps (gob would bake the random iteration
-			// order into the byte stream and break digest comparisons).
-			"cawa/internal/checkpoint",
+			// the archive walk may not read the clock, use the global rand
+			// source, or range maps (the iteration order would end up in
+			// the byte stream and break digest comparisons; state.Map
+			// walks them in key order).
+			"cawa/internal/checkpoint", "cawa/internal/state",
 		},
 		// Prefix-matches cawa/internal/obs/perf too: the profiler's
 		// injected-clock seam is the only way wall time reaches it.

@@ -143,6 +143,9 @@ type System struct {
 
 	l2     *cache.Cache
 	l2mshr map[int64][]l2Waiter
+	// l1s lists the attached L1Ds in creation order — SM order — so a
+	// checkpoint can name one by index (L1D.id).
+	l1s []*L1D
 	// waiterPool recycles the per-miss waiter slices: dramDone returns
 	// each drained slice here and l2Arrive reuses one on the next miss,
 	// so steady-state L2 misses allocate nothing (the same discipline
@@ -338,6 +341,7 @@ func (s *System) putWaiters(ws []l2Waiter) {
 // L1D is one SM's L1 data cache with its MSHRs.
 type L1D struct {
 	sys    *System
+	id     int // index in sys.l1s
 	cache  *cache.Cache
 	mshr   map[int64]*mshrEntry
 	free   []*mshrEntry // retired MSHR entries, recycled with their token arrays
@@ -382,6 +386,7 @@ type L1D struct {
 func (s *System) NewL1D(policy cache.Policy, fill FillHandler) *L1D {
 	l := &L1D{
 		sys:          s,
+		id:           len(s.l1s),
 		cache:        cache.New(s.cfg.L1D, policy),
 		mshr:         make(map[int64]*mshrEntry),
 		fill:         fill,
@@ -389,6 +394,7 @@ func (s *System) NewL1D(policy cache.Policy, fill FillHandler) *L1D {
 		WarpAccesses: make(map[int32]uint64),
 		WarpHits:     make(map[int32]uint64),
 	}
+	s.l1s = append(s.l1s, l)
 	return l
 }
 
@@ -530,7 +536,7 @@ func (l *L1D) CanAccept(lines []int64) bool {
 }
 
 // Mutations counts the changes made so far to the tag array and the
-// MSHR table (accepted misses, fills, Restore). CanAccept is a pure
+// MSHR table (accepted misses, fills, a restore). CanAccept is a pure
 // function of those two structures, so a caller that got "no" may keep
 // the answer until the count moves instead of probing again.
 func (l *L1D) Mutations() uint64 { return l.mut }

@@ -31,6 +31,20 @@ func (m *SM) CanAcceptBlock() bool {
 	return true
 }
 
+// blockContext builds a block's execution context against the installed
+// kernel and the SM's current memory and store-log wiring.
+func (m *SM) blockContext(blk *blockState) simt.ExecContext {
+	return simt.ExecContext{
+		Mem:      m.mem,
+		Log:      m.storeLog,
+		Shared:   blk.shared,
+		Params:   m.kernel.Params,
+		BlockID:  blk.id,
+		GridDim:  m.kernel.GridDim,
+		BlockDim: m.kernel.BlockDim,
+	}
+}
+
 // DispatchBlock places block blockID of the installed kernel onto the
 // SM. gidBase numbers the block's warps globally. The caller must have
 // checked CanAcceptBlock. The block's warps start as candidates: their
@@ -44,15 +58,7 @@ func (m *SM) DispatchBlock(blockID, gidBase int, now int64) {
 		id:     blockID,
 		shared: make([]int64, k.SharedWords),
 	}
-	blk.ctx = simt.ExecContext{
-		Mem:      m.mem,
-		Log:      m.storeLog,
-		Shared:   blk.shared,
-		Params:   k.Params,
-		BlockID:  blockID,
-		GridDim:  k.GridDim,
-		BlockDim: k.BlockDim,
-	}
+	blk.ctx = m.blockContext(blk)
 
 	warps := k.WarpsPerBlock(m.cfg.WarpSize)
 	progLen := int32(k.Program.Len())

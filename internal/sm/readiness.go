@@ -13,7 +13,7 @@ package sm
 //	handleFill clears the last busyMem bit the warp waits on   MemData
 //	retireWritebacks clears the last busyALU bit it waits on   ALU
 //	maybeReleaseBarrier opens its block's barrier              Barrier
-//	DispatchBlock, Restore                                     (start unparked)
+//	DispatchBlock, a loading Archive                           (start unparked)
 //
 // The checks that depend on SM-wide state moving every cycle — the
 // load-store unit, the fetch path, MSHR capacity — never park: a warp
@@ -34,7 +34,7 @@ package sm
 // the cycle it parked in slot.since and is owed every cycle from there
 // to its next evaluation, all to the bucket of its recorded verdict;
 // the evaluation settles the debt before it reclassifies the warp. The
-// one reader of a live warp's buckets, Capture, settles every debt
+// one reader of a live warp's buckets, a saving Archive, settles every debt
 // first (settleStalls). A finishing warp has just been evaluated, so
 // its record is complete when it is filed.
 

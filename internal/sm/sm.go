@@ -353,6 +353,9 @@ func (m *SM) SetKernel(k *simt.Kernel) {
 	m.meta = k.Program.Meta()
 }
 
+// Now returns the last cycle the SM ticked or skipped through.
+func (m *SM) Now() int64 { return m.cycle }
+
 // Idle reports whether no warps are resident.
 func (m *SM) Idle() bool { return m.residentBlocks == 0 }
 

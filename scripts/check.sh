@@ -17,6 +17,10 @@
 #                 and build it so an internal signature change cannot
 #                 break the registered benchmark unnoticed
 #   go test       full unit + experiment smoke suite
+#   go test -fuzz the two decoders of disk bytes (checkpoint payloads
+#                 through Decode + Restore, disk-cache artifacts), ten
+#                 seconds each beyond their committed seeds; a crasher is
+#                 written under the package's testdata/fuzz
 #   go test -race the concurrency audit of the session scheduler:
 #                 harness (worker pool, parallel experiments) and
 #                 workloads (per-instance RNG) under the race detector.
@@ -59,6 +63,9 @@ echo "== cmd/cawaperf (benchmark module): go vet, go build =="
 (cd cmd/cawaperf && go vet ./... && go build -o /dev/null ./...)
 echo "== go test =="
 go test ./...
+echo "== go test -fuzz (10s each) =="
+go test -run '^$' -fuzz '^FuzzDecodeRestore$' -fuzztime 10s -fuzzminimizetime 1s ./internal/checkpoint
+go test -run '^$' -fuzz '^FuzzDiskCacheArtifacts$' -fuzztime 10s -fuzzminimizetime 1s ./internal/harness
 echo "== go test -race (harness, workloads) =="
 go test -race -short ./internal/harness/... ./internal/workloads/...
 echo "== go test -race span engine domains (GOMAXPROCS=2, GOMAXPROCS=8) =="
