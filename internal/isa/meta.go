@@ -1,10 +1,10 @@
 package isa
 
 // InstrMeta is per-instruction issue metadata precomputed once at
-// Program construction, so the SM's per-cycle readiness check is a few
-// mask tests instead of re-deriving operand sets from the opcode tables
-// (the scoreboard probe runs for every resident warp every cycle — it
-// is the hottest loop in the simulator).
+// Program construction, so the SM's readiness check is a few mask tests
+// instead of re-deriving operand sets from the opcode tables. The SM
+// runs it only for warps whose state changed (internal/sm/readiness.go);
+// the simulator's hottest loop is simt's execute, not this probe.
 type InstrMeta struct {
 	// RegMask has a bit set for every register the instruction reads or
 	// writes (the scoreboard hazard set).

@@ -7,6 +7,8 @@ import (
 
 // Archive walks one warp's architectural state: identity, registers and
 // reconvergence stack. A loader starts from a zero Warp, sized by Size.
+// Registers travel lane-major (one lane's NumRegs words at a time), the
+// order the format has always had, by transposing the register-major file.
 func (w *Warp) Archive(a *state.Archive) {
 	state.Int(a, &w.GID, &w.Block, &w.IndexInBlock, &w.Size)
 	if a.Loading() {
@@ -14,10 +16,17 @@ func (w *Warp) Archive(a *state.Archive) {
 			a.Failf("simt: warp gid=%d has bad width %d", w.GID, w.Size)
 			return
 		}
-		w.regs = make([][isa.NumRegs]int64, w.Size)
+		w.regs = make([]int64, isa.NumRegs*w.Size)
 	}
-	for i := range w.regs {
-		a.Words(w.regs[i][:])
+	var lane [isa.NumRegs]int64
+	for l := 0; l < w.Size; l++ {
+		for r := range lane {
+			lane[r] = w.regs[r*w.Size+l]
+		}
+		a.Words(lane[:])
+		for r := range lane {
+			w.regs[r*w.Size+l] = lane[r]
+		}
 	}
 	state.Slice(a, &w.stack, (*StackEntry).Archive)
 	state.Int(a, &w.exited, &w.initial)

@@ -85,14 +85,12 @@ func ExecInto(w *Warp, prog *isa.Program, ctx *ExecContext, out *Step) {
 
 	case isa.OpCBra, isa.OpCBraZ:
 		st.CondBranch = true
+		a := w.row(in.A)
 		var taken uint64
-		for lane := 0; lane < w.Size; lane++ {
-			if mask&(1<<uint(lane)) == 0 {
-				continue
-			}
-			v := w.regs[lane][in.A]
-			if (in.Op == isa.OpCBra) == (v != 0) {
-				taken |= 1 << uint(lane)
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			if (a[l] != 0) == (in.Op == isa.OpCBra) {
+				taken |= 1 << uint(l)
 			}
 		}
 		st.TakenMask = taken
@@ -123,21 +121,29 @@ func ExecInto(w *Warp, prog *isa.Program, ctx *ExecContext, out *Step) {
 	case isa.OpLd, isa.OpSt:
 		st.Kind = StepMem
 		st.IsLoad = in.Op == isa.OpLd
-		for lane := 0; lane < w.Size; lane++ {
-			if mask&(1<<uint(lane)) == 0 {
-				continue
+		// Ascending lanes: Accesses order is the L1D access order, and the last lane wins a store collision.
+		a, acc := w.row(in.A), st.Accesses
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			acc = append(acc, MemAccess{Lane: l, Addr: a[l] + in.Imm}) //cawalint:alloc-ok amortized growth of the reused per-slot access buffer
+		}
+		st.Accesses = acc
+		switch d, b := w.row(in.Dst), w.row(in.B); {
+		case st.IsLoad && ctx.Log != nil:
+			for _, x := range acc {
+				d[x.Lane] = ctx.Log.Load(x.Addr)
 			}
-			addr := w.regs[lane][in.A] + in.Imm
-			st.Accesses = append(st.Accesses, MemAccess{Lane: lane, Addr: addr}) //cawalint:alloc-ok amortized growth of the reused per-slot access buffer
-			switch {
-			case st.IsLoad && ctx.Log != nil:
-				w.regs[lane][in.Dst] = ctx.Log.Load(addr)
-			case st.IsLoad:
-				w.regs[lane][in.Dst] = ctx.Mem.Load(addr)
-			case ctx.Log != nil:
-				ctx.Log.Store(addr, w.regs[lane][in.B])
-			default:
-				ctx.Mem.Store(addr, w.regs[lane][in.B])
+		case st.IsLoad:
+			for _, x := range acc {
+				d[x.Lane] = ctx.Mem.Load(x.Addr)
+			}
+		case ctx.Log != nil:
+			for _, x := range acc {
+				ctx.Log.Store(x.Addr, b[x.Lane])
+			}
+		default:
+			for _, x := range acc {
+				ctx.Mem.Store(x.Addr, b[x.Lane])
 			}
 		}
 		e.PC = pc + 1
@@ -145,32 +151,29 @@ func ExecInto(w *Warp, prog *isa.Program, ctx *ExecContext, out *Step) {
 	case isa.OpLdS, isa.OpStS:
 		st.Kind = StepSMem
 		st.IsLoad = in.Op == isa.OpLdS
-		for lane := 0; lane < w.Size; lane++ {
-			if mask&(1<<uint(lane)) == 0 {
-				continue
-			}
-			addr := w.regs[lane][in.A] + in.Imm
+		a, v := w.row(in.A), w.row(in.B)
+		if st.IsLoad {
+			v = w.row(in.Dst)
+		}
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			addr := a[l] + in.Imm
 			idx := addr / 8
 			if idx < 0 || idx >= int64(len(ctx.Shared)) {
 				panic(fmt.Sprintf("simt: %s: shared-memory address %#x out of range (block %d, lane %d, pc %d)",
-					prog.Name, addr, ctx.BlockID, lane, pc))
+					prog.Name, addr, ctx.BlockID, l, pc))
 			}
-			st.Accesses = append(st.Accesses, MemAccess{Lane: lane, Addr: addr}) //cawalint:alloc-ok amortized growth of the reused per-slot access buffer
+			st.Accesses = append(st.Accesses, MemAccess{Lane: l, Addr: addr}) //cawalint:alloc-ok amortized growth of the reused per-slot access buffer
 			if st.IsLoad {
-				w.regs[lane][in.Dst] = ctx.Shared[idx]
+				v[l] = ctx.Shared[idx]
 			} else {
-				ctx.Shared[idx] = w.regs[lane][in.B]
+				ctx.Shared[idx] = v[l]
 			}
 		}
 		e.PC = pc + 1
 
 	default:
-		for lane := 0; lane < w.Size; lane++ {
-			if mask&(1<<uint(lane)) == 0 {
-				continue
-			}
-			execALU(w, lane, in, ctx)
-		}
+		execALU(w, mask, in, ctx)
 		e.PC = pc + 1
 	}
 
@@ -181,152 +184,290 @@ func ExecInto(w *Warp, prog *isa.Program, ctx *ExecContext, out *Step) {
 	}
 }
 
-// execALU computes one lane's result for a non-memory, non-control
-// instruction.
-func execALU(w *Warp, lane int, in isa.Instr, ctx *ExecContext) {
-	r := &w.regs[lane]
-	a := r[in.A]
-	var b int64
+// execALU computes a non-memory, non-control instruction: one opcode dispatch, then
+// one loop over the set bits of mask, so a lane outside it is never written.
+func execALU(w *Warp, mask uint64, in isa.Instr, ctx *ExecContext) {
+	a, b, d := w.row(in.A), w.row(in.B), w.row(in.Dst)
 	if in.BImm {
-		b = in.Imm
-	} else {
-		b = r[in.B]
+		var imm [MaxWarpSize]int64 // a broadcast row gives the immediate form the register form's loop
+		b = imm[:w.Size]
+		for i := range b {
+			b[i] = in.Imm
+		}
 	}
 
 	switch in.Op {
 	case isa.OpNop:
 	case isa.OpMov:
-		r[in.Dst] = a
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = a[l]
+		}
 	case isa.OpMovI:
-		r[in.Dst] = in.Imm
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = in.Imm
+		}
 	case isa.OpSReg:
-		r[in.Dst] = specialReg(w, lane, isa.SpecialReg(in.Imm), ctx)
+		var base, step int64 // every special register is base + step*lane
+		switch sr := isa.SpecialReg(in.Imm); sr {
+		case isa.SRTid:
+			base, step = int64(w.IndexInBlock*w.Size), 1
+		case isa.SRNtid:
+			base = int64(ctx.BlockDim)
+		case isa.SRCtaid:
+			base = int64(ctx.BlockID)
+		case isa.SRNctaid:
+			base = int64(ctx.GridDim)
+		case isa.SRLane:
+			step = 1
+		case isa.SRWarp:
+			base = int64(w.IndexInBlock)
+		case isa.SRGTid:
+			base, step = int64(ctx.BlockID)*int64(ctx.BlockDim)+int64(w.IndexInBlock*w.Size), 1
+		default:
+			panic(fmt.Sprintf("simt: unknown special register %d", int64(sr)))
+		}
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = base + step*int64(l)
+		}
 	case isa.OpParam:
 		idx := int(in.Imm)
 		if idx >= len(ctx.Params) {
 			panic(fmt.Sprintf("simt: parameter index %d out of range (have %d)", idx, len(ctx.Params)))
 		}
-		r[in.Dst] = ctx.Params[idx]
+		v := ctx.Params[idx]
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = v
+		}
 	case isa.OpAdd:
-		r[in.Dst] = a + b
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = a[l] + b[l]
+		}
 	case isa.OpSub:
-		r[in.Dst] = a - b
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = a[l] - b[l]
+		}
 	case isa.OpMul:
-		r[in.Dst] = a * b
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = a[l] * b[l]
+		}
 	case isa.OpMad:
-		r[in.Dst] = a*b + r[in.Dst]
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = a[l]*b[l] + d[l]
+		}
 	case isa.OpDiv:
-		if b == 0 {
-			r[in.Dst] = 0
-		} else {
-			r[in.Dst] = a / b
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			var v int64
+			if y := b[l]; y != 0 {
+				v = a[l] / y
+			}
+			d[l] = v
 		}
 	case isa.OpRem:
-		if b == 0 {
-			r[in.Dst] = 0
-		} else {
-			r[in.Dst] = a % b
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			var v int64
+			if y := b[l]; y != 0 {
+				v = a[l] % y
+			}
+			d[l] = v
 		}
 	case isa.OpMin:
-		r[in.Dst] = min(a, b)
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = min(a[l], b[l])
+		}
 	case isa.OpMax:
-		r[in.Dst] = max(a, b)
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = max(a[l], b[l])
+		}
 	case isa.OpAnd:
-		r[in.Dst] = a & b
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = a[l] & b[l]
+		}
 	case isa.OpOr:
-		r[in.Dst] = a | b
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = a[l] | b[l]
+		}
 	case isa.OpXor:
-		r[in.Dst] = a ^ b
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = a[l] ^ b[l]
+		}
 	case isa.OpShl:
-		r[in.Dst] = a << clampShift(b)
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = a[l] << clampShift(b[l])
+		}
 	case isa.OpShr:
-		r[in.Dst] = a >> clampShift(b)
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = a[l] >> clampShift(b[l])
+		}
 	case isa.OpAbs:
-		if a < 0 {
-			r[in.Dst] = -a
-		} else {
-			r[in.Dst] = a
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = max(a[l], -a[l])
 		}
 	case isa.OpSetLT:
-		r[in.Dst] = b2i(a < b)
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = b2i(a[l] < b[l])
+		}
 	case isa.OpSetLE:
-		r[in.Dst] = b2i(a <= b)
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = b2i(a[l] <= b[l])
+		}
 	case isa.OpSetEQ:
-		r[in.Dst] = b2i(a == b)
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = b2i(a[l] == b[l])
+		}
 	case isa.OpSetNE:
-		r[in.Dst] = b2i(a != b)
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = b2i(a[l] != b[l])
+		}
 	case isa.OpSetGT:
-		r[in.Dst] = b2i(a > b)
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = b2i(a[l] > b[l])
+		}
 	case isa.OpSetGE:
-		r[in.Dst] = b2i(a >= b)
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = b2i(a[l] >= b[l])
+		}
 	case isa.OpSel:
-		if r[in.Dst] != 0 {
-			r[in.Dst] = a
-		} else {
-			r[in.Dst] = b
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			if d[l] != 0 {
+				d[l] = a[l]
+			} else {
+				d[l] = b[l]
+			}
 		}
 	case isa.OpFAdd:
-		r[in.Dst] = isa.F2B(isa.B2F(a) + isa.B2F(b))
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = isa.F2B(isa.B2F(a[l]) + isa.B2F(b[l]))
+		}
 	case isa.OpFSub:
-		r[in.Dst] = isa.F2B(isa.B2F(a) - isa.B2F(b))
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = isa.F2B(isa.B2F(a[l]) - isa.B2F(b[l]))
+		}
 	case isa.OpFMul:
-		r[in.Dst] = isa.F2B(isa.B2F(a) * isa.B2F(b))
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = isa.F2B(isa.B2F(a[l]) * isa.B2F(b[l]))
+		}
 	case isa.OpFMad:
-		r[in.Dst] = isa.F2B(isa.B2F(a)*isa.B2F(b) + isa.B2F(r[in.Dst]))
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = isa.F2B(isa.B2F(a[l])*isa.B2F(b[l]) + isa.B2F(d[l]))
+		}
 	case isa.OpFDiv:
-		r[in.Dst] = isa.F2B(isa.B2F(a) / isa.B2F(b))
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = isa.F2B(isa.B2F(a[l]) / isa.B2F(b[l]))
+		}
 	case isa.OpFSqrt:
-		r[in.Dst] = isa.F2B(math.Sqrt(isa.B2F(a)))
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = isa.F2B(math.Sqrt(isa.B2F(a[l])))
+		}
 	case isa.OpFMin:
-		r[in.Dst] = isa.F2B(math.Min(isa.B2F(a), isa.B2F(b)))
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = isa.F2B(math.Min(isa.B2F(a[l]), isa.B2F(b[l])))
+		}
 	case isa.OpFMax:
-		r[in.Dst] = isa.F2B(math.Max(isa.B2F(a), isa.B2F(b)))
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = isa.F2B(math.Max(isa.B2F(a[l]), isa.B2F(b[l])))
+		}
 	case isa.OpFAbs:
-		r[in.Dst] = isa.F2B(math.Abs(isa.B2F(a)))
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = isa.F2B(math.Abs(isa.B2F(a[l])))
+		}
 	case isa.OpFNeg:
-		r[in.Dst] = isa.F2B(-isa.B2F(a))
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = isa.F2B(-isa.B2F(a[l]))
+		}
 	case isa.OpFExp:
-		r[in.Dst] = isa.F2B(math.Exp(isa.B2F(a)))
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = isa.F2B(math.Exp(isa.B2F(a[l])))
+		}
 	case isa.OpFLog:
-		r[in.Dst] = isa.F2B(math.Log(isa.B2F(a)))
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = isa.F2B(math.Log(isa.B2F(a[l])))
+		}
 	case isa.OpCvtIF:
-		r[in.Dst] = isa.F2B(float64(a))
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = isa.F2B(float64(a[l]))
+		}
 	case isa.OpCvtFI:
-		r[in.Dst] = int64(isa.B2F(a))
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = cvtFI(isa.B2F(a[l]))
+		}
 	case isa.OpFSetLT:
-		r[in.Dst] = b2i(isa.B2F(a) < isa.B2F(b))
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = b2i(isa.B2F(a[l]) < isa.B2F(b[l]))
+		}
 	case isa.OpFSetLE:
-		r[in.Dst] = b2i(isa.B2F(a) <= isa.B2F(b))
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = b2i(isa.B2F(a[l]) <= isa.B2F(b[l]))
+		}
 	case isa.OpFSetGT:
-		r[in.Dst] = b2i(isa.B2F(a) > isa.B2F(b))
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = b2i(isa.B2F(a[l]) > isa.B2F(b[l]))
+		}
 	case isa.OpFSetGE:
-		r[in.Dst] = b2i(isa.B2F(a) >= isa.B2F(b))
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = b2i(isa.B2F(a[l]) >= isa.B2F(b[l]))
+		}
 	case isa.OpFSetEQ:
-		r[in.Dst] = b2i(isa.B2F(a) == isa.B2F(b))
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			d[l] = b2i(isa.B2F(a[l]) == isa.B2F(b[l]))
+		}
 	default:
 		panic(fmt.Sprintf("simt: unimplemented opcode %s", in.Op))
 	}
 }
 
-func specialReg(w *Warp, lane int, sr isa.SpecialReg, ctx *ExecContext) int64 {
-	tid := int64(w.IndexInBlock*w.Size + lane)
-	switch sr {
-	case isa.SRTid:
-		return tid
-	case isa.SRNtid:
-		return int64(ctx.BlockDim)
-	case isa.SRCtaid:
-		return int64(ctx.BlockID)
-	case isa.SRNctaid:
-		return int64(ctx.GridDim)
-	case isa.SRLane:
-		return int64(lane)
-	case isa.SRWarp:
-		return int64(w.IndexInBlock)
-	case isa.SRGTid:
-		return int64(ctx.BlockID)*int64(ctx.BlockDim) + tid
+// cvtFI is cvt.fi: truncation toward zero, and math.MinInt64 for NaN,
+// ±Inf and anything outside [-2^63, 2^63). Go leaves those conversions
+// to the host (amd64 yields MinInt64, arm64 saturates and maps NaN to
+// 0); pinning the amd64 answer keeps memory and digests host-independent.
+func cvtFI(f float64) int64 {
+	if !(f >= -0x1p63 && f < 0x1p63) {
+		return math.MinInt64
 	}
-	panic(fmt.Sprintf("simt: unknown special register %d", int64(sr)))
+	return int64(f)
 }
 
 func b2i(b bool) int64 {

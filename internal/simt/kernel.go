@@ -1,8 +1,8 @@
 // Package simt implements the functional side of SIMT execution: warps
-// with PDOM reconvergence stacks, per-thread register files, and the
-// semantics of every ISA instruction. The timing model (internal/sm)
-// drives Step and decides *when* instructions issue; this package
-// decides *what* they do.
+// with PDOM reconvergence stacks and register-major register files, and
+// the semantics of every ISA instruction, executed a warp at a time. The
+// timing model (internal/sm) drives Step and decides *when* instructions
+// issue; this package decides *what* they do.
 package simt
 
 import (

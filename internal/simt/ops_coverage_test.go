@@ -124,11 +124,29 @@ func TestFloatComparisonsAndSelect(t *testing.T) {
 }
 
 func TestCvtTruncates(t *testing.T) {
-	got := evalOne(t, func(b *isa.Builder) {
-		b.MovF(isa.R1, -2.9)
-		b.CvtFI(isa.R15, isa.R1)
-	})
-	if got != -2 {
-		t.Fatalf("cvt.fi(-2.9) = %d (truncation toward zero expected)", got)
+	cvt := func(f float64) int64 {
+		return evalOne(t, func(b *isa.Builder) {
+			b.MovF(isa.R1, f)
+			b.CvtFI(isa.R15, isa.R1)
+		})
+	}
+	// In range: truncation toward zero. Everything else — NaN, the
+	// infinities, |x| >= 2^63 — is MinInt64 on every host (cvtFI).
+	cases := []struct {
+		f    float64
+		want int64
+	}{
+		{-2.9, -2}, {2.9, 2}, {-0.5, 0},
+		{math.Nextafter(0x1p63, 0), math.MaxInt64 - 1023},
+		{-0x1p63, math.MinInt64}, // exactly representable: the one in-range MinInt64
+		{0x1p63, math.MinInt64},
+		{math.Nextafter(-0x1p63, math.Inf(-1)), math.MinInt64},
+		{1e19, math.MinInt64}, {-1e19, math.MinInt64},
+		{math.Inf(1), math.MinInt64}, {math.Inf(-1), math.MinInt64}, {math.NaN(), math.MinInt64},
+	}
+	for _, c := range cases {
+		if got := cvt(c.f); got != c.want {
+			t.Errorf("cvt.fi(%v) = %d, want %d", c.f, got, c.want)
+		}
 	}
 }

@@ -72,9 +72,13 @@ func randProgram(rng *rand.Rand) *isa.Program {
 	return p
 }
 
-// TestWarpEqualsPerLaneExecution is the SIMT correctness property: a
-// 8-lane warp executing a divergent program must produce, per lane,
-// exactly the registers of a 1-lane warp running the same program.
+// TestWarpEqualsPerLaneExecution is the SIMT lane-independence property:
+// a 8-lane warp executing a divergent program must produce, per lane,
+// exactly the registers of a 1-lane warp running the same program. Both
+// sides run the same warp-wide execute, so this checks that divergence,
+// reconvergence and masking keep lanes from affecting each other — not
+// what an opcode computes; TestExecMatchesPerLaneReference checks that
+// against the per-lane interpreter.
 func TestWarpEqualsPerLaneExecution(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

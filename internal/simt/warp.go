@@ -17,8 +17,8 @@ type StackEntry struct {
 	Mask uint64 // active lanes
 }
 
-// Warp holds the architectural state of one warp: per-thread registers
-// and the SIMT reconvergence stack.
+// Warp holds the architectural state of one warp: the register file and
+// the SIMT reconvergence stack.
 type Warp struct {
 	// GID is the warp's global identifier (unique across the launch).
 	GID int
@@ -29,7 +29,8 @@ type Warp struct {
 	// Size is the warp width in threads.
 	Size int
 
-	regs    [][isa.NumRegs]int64
+	// regs is register-major, regs[r*Size+lane]: an instruction streams three contiguous rows.
+	regs    []int64
 	stack   []StackEntry
 	exited  uint64 // lanes that have executed OpExit
 	initial uint64 // lanes that exist (partial last warp has fewer)
@@ -55,7 +56,7 @@ func NewWarp(gid, block, indexInBlock, lanes, size int, progLen int32) *Warp {
 		Block:        block,
 		IndexInBlock: indexInBlock,
 		Size:         size,
-		regs:         make([][isa.NumRegs]int64, size),
+		regs:         make([]int64, isa.NumRegs*size),
 		stack:        []StackEntry{{PC: 0, RPC: progLen, Mask: mask}},
 		initial:      mask,
 	}
@@ -87,10 +88,13 @@ func (w *Warp) ActiveCount() int { return bits.OnesCount64(w.ActiveMask()) }
 func (w *Warp) StackDepth() int { return len(w.stack) }
 
 // Reg returns the value of register r in the given lane.
-func (w *Warp) Reg(lane int, r isa.Reg) int64 { return w.regs[lane][r] }
+func (w *Warp) Reg(lane int, r isa.Reg) int64 { return w.row(r)[lane] }
 
 // SetReg sets register r in the given lane.
-func (w *Warp) SetReg(lane int, r isa.Reg, v int64) { w.regs[lane][r] = v }
+func (w *Warp) SetReg(lane int, r isa.Reg, v int64) { w.row(r)[lane] = v }
+
+// row returns the Size lanes of register r.
+func (w *Warp) row(r isa.Reg) []int64 { return w.regs[int(r)*w.Size:][:w.Size] }
 
 func (w *Warp) top() *StackEntry { return &w.stack[len(w.stack)-1] }
 

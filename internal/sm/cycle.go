@@ -383,14 +383,10 @@ func (m *SM) issueShared(i int, s *slot, st *simt.Step, now int64) {
 // memory instruction of slot s will access, without executing it.
 func (m *SM) peekLines(s *slot, in isa.Instr) {
 	w := s.warp
-	mask := w.ActiveMask()
 	lineSize := int64(m.cfg.L1D.LineBytes)
 	m.lineBuf = m.lineBuf[:0]
-	for lane := 0; lane < w.Size; lane++ {
-		if mask&(1<<uint(lane)) == 0 {
-			continue
-		}
-		addr := (w.Reg(lane, in.A) + in.Imm) &^ (lineSize - 1)
+	for mask := w.ActiveMask(); mask != 0; mask &= mask - 1 {
+		addr := (w.Reg(bits.TrailingZeros64(mask), in.A) + in.Imm) &^ (lineSize - 1)
 		// Fast path: consecutive lanes usually touch the same line.
 		if n := len(m.lineBuf); n > 0 && m.lineBuf[n-1] == addr {
 			continue

@@ -18,9 +18,11 @@
 #                 break the registered benchmark unnoticed
 #   go test       full unit + experiment smoke suite
 #   go test -fuzz the two decoders of disk bytes (checkpoint payloads
-#                 through Decode + Restore, disk-cache artifacts), ten
-#                 seconds each beyond their committed seeds; a crasher is
-#                 written under the package's testdata/fuzz
+#                 through Decode + Restore, disk-cache artifacts) and
+#                 simt's warp-wide execute against the per-lane
+#                 interpreter it replaced, ten seconds each beyond their
+#                 committed seeds; a crasher is written under the
+#                 package's testdata/fuzz
 #   go test -race the concurrency audit of the session scheduler:
 #                 harness (worker pool, parallel experiments) and
 #                 workloads (per-instance RNG) under the race detector.
@@ -66,6 +68,7 @@ go test ./...
 echo "== go test -fuzz (10s each) =="
 go test -run '^$' -fuzz '^FuzzDecodeRestore$' -fuzztime 10s -fuzzminimizetime 1s ./internal/checkpoint
 go test -run '^$' -fuzz '^FuzzDiskCacheArtifacts$' -fuzztime 10s -fuzzminimizetime 1s ./internal/harness
+go test -run '^$' -fuzz '^FuzzExecAgainstPerLane$' -fuzztime 10s -fuzzminimizetime 1s ./internal/simt
 echo "== go test -race (harness, workloads) =="
 go test -race -short ./internal/harness/... ./internal/workloads/...
 echo "== go test -race span engine domains (GOMAXPROCS=2, GOMAXPROCS=8) =="
