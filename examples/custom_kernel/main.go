@@ -70,7 +70,7 @@ func main() {
 	input := mem.Alloc(threads * perThread)
 	hist := mem.Alloc(threads * bins)
 	for i := 0; i < threads*perThread; i++ {
-		mem.Store(input+int64(i)*8, int64(i*2654435761)>>8&0x7FFFFFFF)
+		mem.Store(input+int64(i)*8, int64(i)*2654435761>>8&0x7FFFFFFF)
 	}
 	kernel := &simt.Kernel{
 		Name:     "histogram",

@@ -193,12 +193,20 @@ func (c *Cache) Probe(addr int64) (set, way int, hit bool) {
 // returns hit=true; on miss it only counts the miss (the caller is
 // responsible for fetching the line and calling Fill).
 func (c *Cache) Access(req Request) (hit bool) {
-	c.Accesses++
 	set, way, ok := c.Probe(req.Addr)
 	if !ok {
+		c.Accesses++
 		c.Misses++
 		return false
 	}
+	c.Touch(set, way, req)
+	return true
+}
+
+// Touch is the hit half of Access for a line Probe already found at
+// (set, way): it counts the hit and applies the policy's hit update.
+func (c *Cache) Touch(set, way int, req Request) {
+	c.Accesses++
 	c.Hits++
 	l := &c.sets[set][way]
 	l.Refs++
@@ -206,7 +214,6 @@ func (c *Cache) Access(req Request) (hit bool) {
 		l.Dirty = true
 	}
 	c.policy.OnHit(c, set, way, req)
-	return true
 }
 
 // Fill installs the line for req, evicting if needed, and returns the

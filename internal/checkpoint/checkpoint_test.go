@@ -10,6 +10,7 @@ import (
 	"cawa/internal/core"
 	"cawa/internal/gpu"
 	"cawa/internal/memory"
+	"cawa/internal/state"
 	"cawa/internal/stats"
 	"cawa/internal/workloads"
 )
@@ -62,7 +63,7 @@ type refRun struct {
 	words    []int64
 	span     gpu.LaunchSpan // span of the launch the checkpoint targets
 	launchIx int            // its index
-	hashAt2  string         // StateHash at cycle t2 inside that launch
+	at2      probe          // the capture at cycle t2 inside that launch
 	t1, t2   int64
 }
 
@@ -122,23 +123,31 @@ func runReference(t *testing.T, workload string, sc core.SystemConfig) refRun {
 			break
 		}
 		if ix == r.launchIx {
-			armCapture(t, g2, r.t2, &r.hashAt2, nil)
+			armCapture(t, g2, r.t2, &r.at2)
 		}
 		if _, err := g2.Launch(context.Background(), k); err != nil {
 			t.Fatalf("launch %s: %v", k.Name, err)
 		}
 		ix++
 	}
-	if r.hashAt2 == "" {
+	if r.at2.hash == "" {
 		t.Fatalf("reference run never reached probe cycle %d", r.t2)
 	}
 	return r
 }
 
+// probe is what armCapture records at its cycle: the snapshot, its
+// StateHash, and the device's walk by a saver of its own, which
+// state.Diff reads to name where two captures part.
+type probe struct {
+	hash string
+	snap *Snapshot
+	walk *state.Archive
+}
+
 // armCapture installs a PerCycle hook that captures the GPU at cycle
-// at, stores the snapshot's StateHash into hash (and the snapshot into
-// snap when non-nil), then disarms itself.
-func armCapture(t *testing.T, g *gpu.GPU, at int64, hash *string, snap **Snapshot) {
+// at into p, then disarms itself.
+func armCapture(t *testing.T, g *gpu.GPU, at int64, p *probe) {
 	t.Helper()
 	g.PerCycle = func(g *gpu.GPU, cycle int64) {
 		if cycle != at {
@@ -150,10 +159,8 @@ func armCapture(t *testing.T, g *gpu.GPU, at int64, hash *string, snap **Snapsho
 			g.PerCycle, g.PerCycleWake = nil, nil
 			return
 		}
-		*hash = StateHash(s)
-		if snap != nil {
-			*snap = s
-		}
+		p.hash, p.snap, p.walk = StateHash(s), s, state.NewSaver(0)
+		g.Archive(p.walk, nil)
 		g.PerCycle, g.PerCycleWake = nil, nil
 	}
 	g.PerCycleWake = func(now int64) int64 {
@@ -214,8 +221,7 @@ func snapshotAt(t *testing.T, workload string, sc core.SystemConfig, v engineVar
 		t.Fatalf("workload: %v", err)
 	}
 	g := buildGPU(t, sc, wl, v)
-	var snap *Snapshot
-	var hash string
+	var p probe
 	ix := 0
 	for {
 		k, ok := wl.Next()
@@ -223,17 +229,17 @@ func snapshotAt(t *testing.T, workload string, sc core.SystemConfig, v engineVar
 			break
 		}
 		if ix == launchIx {
-			armCapture(t, g, at, &hash, &snap)
+			armCapture(t, g, at, &p)
 		}
 		if _, err := g.Launch(context.Background(), k); err != nil {
 			t.Fatalf("launch %s: %v", k.Name, err)
 		}
 		ix++
 	}
-	if snap == nil {
+	if p.snap == nil {
 		t.Fatalf("%s run never reached cycle %d of launch %d", v.name, at, launchIx)
 	}
-	return snap, hash
+	return p.snap, p.hash
 }
 
 // captureRun re-runs the workload on the capture engine, snapshots it
@@ -280,15 +286,15 @@ func resumeRun(t *testing.T, workload string, sc core.SystemConfig, v engineVari
 	if err := Restore(snap, g, k); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	var hash2 string
-	armCapture(t, g, ref.t2, &hash2, nil)
+	var at2 probe
+	armCapture(t, g, ref.t2, &at2)
 	out, err := g.Resume(context.Background())
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	if hash2 != ref.hashAt2 {
-		t.Errorf("state hash at cycle %d diverged after restore:\n resumed %s\n reference %s",
-			ref.t2, hash2, ref.hashAt2)
+	if at2.hash != ref.at2.hash {
+		t.Errorf("state hash at cycle %d diverged after restore:\n resumed %s\n reference %s\n%s",
+			ref.t2, at2.hash, ref.at2.hash, state.Diff(at2.walk, ref.at2.walk))
 	}
 	if !reflect.DeepEqual(out, ref.launches[ref.launchIx]) {
 		t.Errorf("resumed launch stats differ from uninterrupted run:\n got  %+v\n want %+v",

@@ -89,7 +89,7 @@ func (l *L1D) Archive(a *state.Archive) {
 		state.Slice(a, &(*p).tokens, state.IntElem[int64])
 	})
 	if a.Loading() {
-		l.mut++
+		l.fills++
 	}
 	state.Int(a, &l.LoadAccesses, &l.StoreAccesses, &l.LoadMisses, &l.StoreMisses, &l.Rejects)
 	state.Map(a, &l.WarpAccesses, state.IntElem[int32], state.IntElem[uint64])

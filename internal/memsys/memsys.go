@@ -349,10 +349,7 @@ type L1D struct {
 	cfgref config.CacheConfig
 	stage  *StageBuffer // span staging; nil schedules directly
 
-	// mut counts mutations of the tag array and the MSHR table, the two
-	// structures CanAccept reads: a "no" stays "no" while it stands
-	// still (see Mutations).
-	mut uint64
+	fills uint64 // retired MSHR entries (see Deficit)
 
 	// Span-fill state (spanfill.go): fills planned for in-span delivery
 	// by the owning domain, and the records of their deferred
@@ -406,8 +403,8 @@ func (l *L1D) Cache() *cache.Cache { return l.cache }
 func (l *L1D) AccessLoad(req cache.Request, token int64, now int64) Outcome {
 	req.Write = false
 	line := l.cache.BlockAddr(req.Addr)
-	if _, _, hit := l.cache.Probe(req.Addr); hit {
-		l.cache.Access(req)
+	if set, way, hit := l.cache.Probe(req.Addr); hit {
+		l.cache.Touch(set, way, req)
 		l.LoadAccesses++
 		l.WarpAccesses[int32(req.Warp)]++
 		l.WarpHits[int32(req.Warp)]++
@@ -427,7 +424,6 @@ func (l *L1D) AccessLoad(req cache.Request, token int64, now int64) Outcome {
 		l.LoadAccesses++
 		l.WarpAccesses[int32(req.Warp)]++
 		l.LoadMisses++
-		l.mut++
 		entry.tokens = append(entry.tokens, token) //cawalint:alloc-ok amortized growth of the pooled MSHR entry's token buffer
 		if l.AccessListener != nil {
 			l.AccessListener(req, false)
@@ -453,7 +449,6 @@ func (l *L1D) AccessLoad(req cache.Request, token int64, now int64) Outcome {
 		entry.tokens[0] = token
 	}
 	l.mshr[line] = entry
-	l.mut++
 	l.emitL2(now, line, req)
 	if l.AccessListener != nil {
 		l.AccessListener(req, false)
@@ -492,7 +487,7 @@ func (l *L1D) handleFill(lineAddr int64, now int64) {
 		return // stale fill (e.g. store forwarding); nothing waits on it
 	}
 	delete(l.mshr, lineAddr)
-	l.mut++
+	l.fills++
 	l.sys.FillsDelivered++
 	ev := l.cache.Fill(entry.req)
 	if ev.Valid && ev.Dirty {
@@ -510,36 +505,43 @@ func (l *L1D) handleFill(lineAddr int64, now int64) {
 	l.free = append(l.free, entry) //cawalint:alloc-ok amortized growth of the MSHR free list
 }
 
-// CanAccept reports whether a load touching the given (deduplicated)
-// lines could be accepted right now: every missing line either merges
-// into an existing MSHR entry with target room or fits a free MSHR.
-func (l *L1D) CanAccept(lines []int64) bool {
+// CanAccept reports whether a load touching the given (distinct) lines
+// could be accepted right now.
+func (l *L1D) CanAccept(lines []int64) bool { return l.Deficit(lines) == 0 }
+
+// Deficit is how far a load touching the given (distinct) lines is from
+// acceptance (0: accepted): the new MSHR entries it needs beyond the free
+// ones, or 1 if a line it merges onto has no target room if larger.
+// Between fills it can only grow — an accepted miss takes a free entry
+// and turns at most one needed line into a merge, a merge only fills a
+// target, hits and stores move no tag or entry — and a fill (one entry
+// freed, one line evicted) lowers it by at most one. So a refusal with
+// deficit D at fill count F stands while Fills() < F+D.
+func (l *L1D) Deficit(lines []int64) int {
 	// Fast path: with no outstanding misses there is nothing to merge
 	// into, so acceptance only needs free MSHR entries.
 	if len(l.mshr) == 0 && len(lines) <= l.cfgref.MSHRs {
-		return true
+		return 0
 	}
-	newEntries := 0
+	newEntries, full := 0, 0
 	for _, la := range lines {
 		if _, _, hit := l.cache.Probe(la); hit {
 			continue
 		}
 		if entry, ok := l.mshr[la]; ok {
 			if len(entry.tokens) >= l.cfgref.MSHRTargets {
-				return false
+				full = 1
 			}
 			continue
 		}
 		newEntries++
 	}
-	return len(l.mshr)+newEntries <= l.cfgref.MSHRs
+	return max(len(l.mshr)+newEntries-l.cfgref.MSHRs, full, 0)
 }
 
-// Mutations counts the changes made so far to the tag array and the
-// MSHR table (accepted misses, fills, a restore). CanAccept is a pure
-// function of those two structures, so a caller that got "no" may keep
-// the answer until the count moves instead of probing again.
-func (l *L1D) Mutations() uint64 { return l.mut }
+// Fills counts retired MSHR entries, the clock of Deficit. A loading
+// Archive advances it too (the SM's loader drops its refusals anyway).
+func (l *L1D) Fills() uint64 { return l.fills }
 
 // MSHROccupancy returns the number of in-flight miss lines.
 func (l *L1D) MSHROccupancy() int { return len(l.mshr) }

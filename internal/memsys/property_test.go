@@ -7,6 +7,7 @@ import (
 
 	"cawa/internal/cache"
 	"cawa/internal/config"
+	"cawa/internal/state"
 )
 
 // TestAllAcceptedLoadsComplete is the memory-system liveness property:
@@ -116,16 +117,35 @@ func TestLatencyBounds(t *testing.T) {
 	}
 }
 
-// TestCanAcceptFlipsOnlyWithMutation is the contract the SM's reject
-// memo rests on: CanAccept is a pure function of the tag array and the
-// MSHR table, and Mutations counts every change to either, so a "no"
-// can only turn into a "yes" if the count moved in between. The driver
-// mixes loads, stores and both fill paths (a direct handleFill from
-// System.Cycle, and the span engine's PlanSpanFills / DeliverSpanFills
-// pair) and watches a handful of line groups across every step. A fill
-// path that forgets to bump the counter fails here on the first fill
-// that frees an MSHR entry.
-func TestCanAcceptFlipsOnlyWithMutation(t *testing.T) {
+// rawDeficit is Deficit restated from the raw tag array and MSHR table:
+// the new entries the missing lines need beyond the free ones, or 1 if
+// a pending line has no target room, whichever is larger.
+func rawDeficit(l *L1D, lines []int64) int {
+	need, full := 0, 0
+	for _, la := range lines {
+		if _, _, hit := l.cache.Probe(la); hit {
+			continue
+		}
+		if e, pending := l.mshr[la]; !pending {
+			need++
+		} else if len(e.tokens) == l.cfgref.MSHRTargets {
+			full = 1
+		}
+	}
+	return max(need-(l.cfgref.MSHRs-len(l.mshr)), full, 0)
+}
+
+// TestRefusalStandsUntilFills is the contract the SM's reject memo
+// rests on: when a group of distinct lines gets deficit D at fill count
+// F, CanAccept stays false for it at every later step while
+// Fills() < F+D, and D is the shortfall counted from the raw structures.
+// The driver mixes loads, stores, both fill paths (a direct handleFill
+// from System.Cycle, and the span engine's PlanSpanFills /
+// DeliverSpanFills pair) and a mid-run Archive save and load, and
+// watches a dozen groups across every step. A fill path that forgets
+// to count lets a refusal lift early; a deficit one too high, or one
+// that ignores full merge targets, disagrees with the raw count.
+func TestRefusalStandsUntilFills(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := config.Small()
@@ -136,32 +156,39 @@ func TestCanAcceptFlipsOnlyWithMutation(t *testing.T) {
 
 		groups := make([][]int64, 12)
 		for i := range groups {
-			for n := 1 + rng.Intn(3); n > 0; n-- {
-				groups[i] = append(groups[i], int64(rng.Intn(48))*128)
+			for _, line := range rng.Perm(48)[:1+rng.Intn(4)] {
+				groups[i] = append(groups[i], int64(line)*128)
 			}
 		}
-		type seen struct {
-			ok  bool
-			mut uint64
-		}
-		last := make([]seen, len(groups))
-		flips := 0
+		// until[i]: the largest F+D over the group's refusals so far.
+		until := make([]uint64, len(groups))
+		lifted, deep := 0, 0
 		check := func() bool {
 			for i, g := range groups {
-				now := seen{l1.CanAccept(g), l1.Mutations()}
-				if now.ok && !last[i].ok && now.mut == last[i].mut {
-					t.Logf("seed %d: CanAccept(%v) went from no to yes at mutation count %d", seed, g, now.mut)
+				d, fills := l1.Deficit(g), l1.Fills()
+				if want := rawDeficit(l1, g); d != want {
+					t.Logf("seed %d: Deficit(%v) = %d, raw count %d", seed, g, d, want)
 					return false
 				}
-				if now.ok && !last[i].ok {
-					flips++
+				if l1.CanAccept(g) != (d == 0) {
+					t.Logf("seed %d: CanAccept(%v) disagrees with deficit %d", seed, g, d)
+					return false
 				}
-				last[i] = now
+				switch {
+				case d == 0 && fills < until[i]:
+					t.Logf("seed %d: CanAccept(%v) said yes at fill count %d, a refusal stands until %d", seed, g, fills, until[i])
+					return false
+				case d == 0 && until[i] > 0:
+					lifted++
+					until[i] = 0
+				case d > 0:
+					if d > 1 {
+						deep++ // a refusal a single fill cannot lift
+					}
+					until[i] = max(until[i], fills+uint64(d))
+				}
 			}
 			return true
-		}
-		for i := range groups {
-			last[i] = seen{l1.CanAccept(groups[i]), l1.Mutations()}
 		}
 
 		now := int64(0)
@@ -186,6 +213,20 @@ func TestCanAcceptFlipsOnlyWithMutation(t *testing.T) {
 			} else {
 				s.Cycle(now)
 			}
+			if i == 1000 {
+				// Save and reload the whole memory system in place.
+				a := state.NewSaver(0)
+				s.Archive(a)
+				if err := a.Err(); err != nil {
+					t.Log(err)
+					return false
+				}
+				ld := state.NewLoader(a.Bytes())
+				if s.Archive(ld); ld.Err() != nil || len(ld.Bytes()) != 0 {
+					t.Logf("reload: %v (%d bytes left)", ld.Err(), len(ld.Bytes()))
+					return false
+				}
+			}
 			if !check() {
 				return false
 			}
@@ -199,8 +240,8 @@ func TestCanAcceptFlipsOnlyWithMutation(t *testing.T) {
 				return false
 			}
 		}
-		if flips == 0 {
-			t.Logf("seed %d: no refusal ever lifted; the driver exercised nothing", seed)
+		if lifted == 0 || deep == 0 {
+			t.Logf("seed %d: %d refusals lifted, %d deficits above one; the driver exercised nothing", seed, lifted, deep)
 			return false
 		}
 		return true

@@ -100,7 +100,7 @@ func (l *L1D) DeliverSpanFills(now int64) {
 		rec := spanFill{time: p.time, addr: p.addr, victim: -1}
 		if entry, ok := l.mshr[p.addr]; ok {
 			delete(l.mshr, p.addr)
-			l.mut++
+			l.fills++
 			ev := l.cache.Fill(entry.req)
 			if ev.Valid && ev.Dirty {
 				rec.victim = ev.Addr

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -18,6 +19,7 @@ import (
 //
 //	POST /v1/jobs             submit a RunRequest; 202 + JobStatus,
 //	                          429 (+Retry-After) when the queue is full,
+//	                          413 for a body over maxBodyBytes,
 //	                          503 while draining
 //	GET  /v1/jobs             list all jobs, newest first
 //	GET  /v1/jobs/{id}        poll one job's JobStatus
@@ -108,13 +110,19 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, apiError{Error: err.Error()})
 }
 
+const maxBodyBytes = 64 << 10 // a submit body's bound; a RunRequest is under 1 kB
+
 // admit decodes and enqueues a submit request, translating admission
 // failures to their HTTP verdicts. Returns nil after writing the
 // response when admission failed.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request) *job {
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("bad request body: %w", err))
 		return nil
 	}
 	j, err := s.submit(req, requestIDFrom(r.Context()))

@@ -484,6 +484,35 @@ func TestServeValidation(t *testing.T) {
 	}
 }
 
+// TestServeOversizedBody: a submit body past maxBodyBytes is refused with
+// 413 on both submit routes without being decoded whole, and the server
+// goes on admitting ordinary requests.
+func TestServeOversizedBody(t *testing.T) {
+	release := make(chan struct{})
+	srv := New(Config{Session: blockingSession(release)})
+	defer srv.Drain(context.Background())
+	defer close(release)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	huge := `{"app":"` + strings.Repeat("a", 4*maxBodyBytes) + `"}`
+	for _, route := range []string{"/v1/jobs", "/v1/run"} {
+		resp, err := ts.Client().Post(ts.URL+route, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: status %d, want 413", route, len(huge), resp.StatusCode)
+		}
+	}
+	resp := postJSON(t, ts.Client(), ts.URL+"/v1/jobs", RunRequest{App: "bfs"})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Errorf("ordinary submit after the oversized ones: status %d, want 202", resp.StatusCode)
+	}
+}
+
 // TestServeMetricsAndApps: /metrics speaks the Prometheus text format
 // and reflects job counters; /v1/apps lists the registered workloads.
 func TestServeMetricsAndApps(t *testing.T) {

@@ -25,6 +25,8 @@ import (
 //     the warp records first, so the stream holds what ticking every
 //     warp every cycle would have written; a loader makes every resident
 //     warp an unparked candidate and the first tick re-parks the blocked.
+//     Nor are the standing verdicts: a loader's SetKernel counts an
+//     event, so every unit's first tick runs a full readiness pass.
 //   - Block execution contexts: a loader rebuilds them against the SM's
 //     current memory and store-log wiring (the span engine binds a log
 //     per SM, the ticked oracle none; a checkpoint restores onto either).
@@ -92,6 +94,7 @@ func (m *SM) Archive(a *state.Archive, k *simt.Kernel) {
 			s.block, s.warp = blocks[bi], &simt.Warp{}
 		}
 		s.warp.Archive(a)
+		s.atBarrier = s.warp.AtBarrier
 		s.rec.Archive(a)
 		state.Int(a, &s.busyALU, &s.busyMem)
 		state.Int(a, &s.age, &s.lastIssue, &s.readyCycle, &s.issuedCycle)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"cawa/internal/cache"
 	"cawa/internal/isa"
@@ -38,9 +39,12 @@ func (m *SM) Cycle(now int64) int64 {
 		m.storeLog.SetCycle(now)
 	}
 	m.retireWritebacks(now)
+	// issueFrom's time condition: no skipped cycle, no busy time expiring.
+	steady := m.ticked == now-1 && m.lsuBusyUntil != now && m.icBusy != now
+	m.ticked = now
 	anyReady := false
 	for u := range m.units {
-		if m.issueFrom(&m.units[u], now) {
+		if m.issueFrom(&m.units[u], now, steady) {
 			anyReady = true
 		}
 	}
@@ -181,13 +185,14 @@ func (m *SM) readiness(i int, now int64) bool {
 		// clears — and a checkpoint in between serializes the old one.
 		s.reason = reasonNone
 		m.cand.remove(i)
+		m.events++
 		return false
 	}
 	if s.since >= 0 {
 		s.creditStall(s.reason, now-s.since)
 		s.since = notAccruing
 	}
-	if s.warp.AtBarrier {
+	if s.atBarrier {
 		m.park(i, s, reasonBarrier, now)
 		return false
 	}
@@ -204,7 +209,7 @@ func (m *SM) readiness(i int, now int64) bool {
 		s.reason = reasonMemStruct
 		return false
 	}
-	if !m.fetch(s.pc, now) {
+	if !m.fetch(s, now) {
 		s.reason = reasonMemStruct
 		return false
 	}
@@ -218,26 +223,42 @@ func (m *SM) readiness(i int, now int64) bool {
 // memory access cannot be accepted (MSHR full) is removed from the
 // ready set and the policy re-selects, bounding retries by the ready
 // count.
-func (m *SM) issueFrom(u *schedUnit, now int64) bool {
-	u.ready = u.ready[:0]
-	for w, own := range u.owned {
-		for word := own & m.cand[w]; word != 0; word &= word - 1 {
-			i := w<<6 | bits.TrailingZeros64(word)
-			if m.readiness(i, now) {
-				u.ready = append(u.ready, i) //cawalint:alloc-ok amortized growth of the reused ready buffer
+//
+// While the SM is steady and its event count has not moved since the
+// unit's last readiness pass began, that pass's verdicts stand
+// (readiness.go): the unit re-offers its ready list with the pass's side
+// effects, the ready stamps and each warp's L1I hit in slot order.
+func (m *SM) issueFrom(u *schedUnit, now int64, steady bool) bool {
+	if u.stood = steady && u.seen == m.events; u.stood {
+		for _, i := range u.stand {
+			s := &m.slots[i]
+			s.reason = reasonReady
+			s.readyCycle = now
+			m.l1i.Touch(int(s.icSet), int(s.icWay), cache.Request{Addr: int64(s.pc) * instrBytes})
+		}
+	} else {
+		u.seen = m.events
+		u.stand = u.stand[:0]
+		for w, own := range u.owned {
+			for word := own & m.cand[w]; word != 0; word &= word - 1 {
+				i := w<<6 | bits.TrailingZeros64(word)
+				if m.readiness(i, now) {
+					u.stand = append(u.stand, i) //cawalint:alloc-ok amortized growth of the reused ready buffer
+				}
 			}
 		}
 	}
-	if len(u.ready) == 0 {
+	ready := u.stand
+	if len(ready) == 0 {
 		return false
 	}
 	// Bound MSHR-reject retries: once the miss path is saturated,
 	// further loads this cycle will almost surely reject too, and
 	// probing them all is wasted work.
 	const maxRejects = 2
-	for rejects := 0; len(u.ready) > 0 && rejects <= maxRejects; rejects++ {
+	for rejects := 0; len(ready) > 0 && rejects <= maxRejects; rejects++ {
 		u.ctx.Cycle = now
-		u.ctx.Ready = u.ready
+		u.ctx.Ready = ready
 		pick := u.policy.Select(&u.ctx)
 		if pick < 0 {
 			return true
@@ -246,33 +267,18 @@ func (m *SM) issueFrom(u *schedUnit, now int64) bool {
 			u.issued++
 			return true
 		}
-		// Structural reject: reclassify and let the policy try again.
+		// Structural reject: reclassify and let the policy try again, on
+		// a copy (stand must outlive the tick).
 		s := &m.slots[pick]
 		s.reason = reasonMemStruct
 		s.readyCycle = -1
-		u.ready = removeSlot(u.ready, pick)
+		if rejects == 0 {
+			ready = u.ready[:copy(u.ready[:cap(u.ready)], ready)]
+		}
+		j := slices.Index(ready, pick)
+		ready = slices.Delete(ready, j, j+1)
 	}
 	return true
-}
-
-// removeSlot deletes v from the ready list, which readiness builds in
-// ascending slot order: binary-search the position and close the gap,
-// rather than filtering the whole list per rejected pick.
-func removeSlot(xs []int, v int) []int {
-	lo, hi := 0, len(xs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if xs[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(xs) || xs[lo] != v {
-		return xs
-	}
-	copy(xs[lo:], xs[lo+1:])
-	return xs[:len(xs)-1]
 }
 
 // tryIssue executes one instruction from the warp in slot i, unless its
@@ -286,10 +292,8 @@ func (m *SM) tryIssue(i int, now int64) bool {
 	in := m.prog.At(pc)
 	if m.meta[pc].GlobalLoad {
 		if s.peekPC == pc && s.peekInstr == s.rec.Instructions && len(s.peekBuf) > 0 {
-			if s.rejectedAt == m.l1d.Mutations()+1 {
-				// Same lines, same tag array, same MSHR table as when
-				// CanAccept last said no: it would say no again.
-				return false
+			if m.l1d.Fills() < s.rejectedAt {
+				return false // too few fills to close the deficit yet
 			}
 			m.lineBuf = append(m.lineBuf[:0], s.peekBuf...) //cawalint:alloc-ok reuses lineBuf's backing array in place
 		} else {
@@ -299,11 +303,12 @@ func (m *SM) tryIssue(i int, now int64) bool {
 			s.peekBuf = append(s.peekBuf[:0], m.lineBuf...) //cawalint:alloc-ok reuses peekBuf's backing array in place
 			s.rejectedAt = 0
 		}
-		if !m.l1d.CanAccept(m.lineBuf) {
-			s.rejectedAt = m.l1d.Mutations() + 1
+		if d := m.l1d.Deficit(m.lineBuf); d > 0 {
+			s.rejectedAt = m.l1d.Fills() + uint64(d)
 			return false
 		}
 	}
+	m.events++
 
 	stall := now - s.lastIssue - 1
 	if stall < 0 {
@@ -350,6 +355,7 @@ func (m *SM) tryIssue(i int, now int64) bool {
 	} else {
 		s.pc = w.PC()
 	}
+	s.atBarrier = w.AtBarrier
 	return true
 }
 
@@ -391,19 +397,10 @@ func (m *SM) peekLines(s *slot, in isa.Instr) {
 		if n := len(m.lineBuf); n > 0 && m.lineBuf[n-1] == addr {
 			continue
 		}
-		if !containsInt64(m.lineBuf, addr) {
+		if !slices.Contains(m.lineBuf, addr) {
 			m.lineBuf = append(m.lineBuf, addr) //cawalint:alloc-ok amortized growth of the reused line-coalescing buffer
 		}
 	}
-}
-
-func containsInt64(xs []int64, v int64) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // issueGlobal coalesces a global access into line transactions and
@@ -416,7 +413,7 @@ func (m *SM) issueGlobal(slotIdx int, s *slot, st *simt.Step, now int64) {
 		m.lineBuf = m.lineBuf[:0]
 		for _, a := range st.Accesses {
 			la := a.Addr &^ (lineSize - 1)
-			if !containsInt64(m.lineBuf, la) {
+			if !slices.Contains(m.lineBuf, la) {
 				m.lineBuf = append(m.lineBuf, la) //cawalint:alloc-ok amortized growth of the reused line-coalescing buffer
 			}
 		}
@@ -487,7 +484,7 @@ func (m *SM) maybeReleaseBarrier(blk *blockState) {
 	for _, si := range blk.slots {
 		s := &m.slots[si]
 		if s.valid && s.block == blk {
-			s.warp.AtBarrier = false
+			s.warp.AtBarrier, s.atBarrier = false, false
 			if s.parked {
 				m.wake(si, s)
 			}

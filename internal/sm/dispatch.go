@@ -107,6 +107,7 @@ func (m *SM) DispatchBlock(blockID, gidBase int, now int64) {
 	if placed != warps {
 		panic(fmt.Sprintf("sm %d: placed %d of %d warps", m.ID, placed, warps))
 	}
+	m.events++
 	m.residentBlocks++
 	m.sharedInUse += k.SharedWords * 8
 	if k.RegsPerThread > 0 {

@@ -15,12 +15,16 @@ package sm
 //	maybeReleaseBarrier opens its block's barrier              Barrier
 //	DispatchBlock, a loading Archive                           (start unparked)
 //
-// The checks that depend on SM-wide state moving every cycle — the
-// load-store unit, the fetch path, MSHR capacity — never park: a warp
-// past the operand checks stays a candidate and is evaluated, I-cache
-// probe included, every tick, in ascending slot order. That is the
-// order the rescan evaluated in, and the probe's LRU and hit/miss
-// side effects are observable.
+// The checks that depend on SM-wide state — the load-store unit, the
+// fetch path, MSHR capacity — never park: a warp past the operand
+// checks stays a candidate, and its fetch hit is replayed every tick,
+// in ascending slot order. That is the order the rescan evaluated in,
+// and the fetch's LRU and hit counters are observable.
+//
+// A unit's verdicts stand until an input moves (issueFrom): operand
+// state, pc, barrier flag, cand, busy times, L1I tags and kernel change
+// only at an issue, park, wake, finished warp leaving cand, I-miss,
+// dispatch or SetKernel, each counted in SM.events, or by time.
 //
 // A wake in the middle of a tick (a barrier released by another warp's
 // issue) needs no special case. Units evaluate in index order, each
@@ -79,6 +83,7 @@ func (m *SM) park(i int, s *slot, reason stallReason, now int64) {
 	s.parked = true
 	s.since = now
 	m.cand.remove(i)
+	m.events++
 }
 
 // wake returns parked slot i to the candidate set. The stall cycles it
@@ -88,6 +93,7 @@ func (m *SM) park(i int, s *slot, reason stallReason, now int64) {
 func (m *SM) wake(i int, s *slot) {
 	s.parked = false
 	m.cand.add(i)
+	m.events++
 }
 
 // settleStalls credits every lazily accruing warp the stall cycles it

@@ -2,6 +2,7 @@ package sm
 
 import (
 	"fmt"
+	"slices"
 
 	"cawa/internal/stats"
 )
@@ -10,8 +11,9 @@ import (
 // readiness state. The ticked engine oracle calls the same SM.Cycle as
 // the span engine, so no engine-equivalence test can see a bug inside
 // the SM; this checker can. After a tick it recomputes, from the raw
-// slot state alone (scoreboards, barrier flag, writeback queues — no
-// I-cache probe), everything the SM maintains incrementally, and it
+// slot state alone (scoreboards, barrier flag, writeback queues, and a
+// read-only L1I Probe for standing verdicts), everything the SM
+// maintains incrementally, and it
 // keeps a shadow of the per-warp stall buckets advanced the way the
 // all-slot accountStalls/AccountSkipped advanced them before readiness
 // became event-driven: one bucket per warp per cycle.
@@ -29,6 +31,9 @@ type ReadinessChecker struct {
 	// dispatches them (not when a test dispatches at cycle 0 and first
 	// ticks at 1).
 	Residency bool
+
+	// Standing counts the re-offered ready lists checkStanding rebuilt.
+	Standing int
 }
 
 func (b slotSet) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
@@ -147,6 +152,9 @@ func (c *ReadinessChecker) Invariants() error {
 			return fmt.Errorf("sm %d slot %d: live, not a candidate and not parked (raw verdict %d)",
 				m.ID, i, m.operandVerdict(s))
 		}
+		if s.valid && s.atBarrier != s.warp.AtBarrier {
+			return fmt.Errorf("sm %d slot %d: atBarrier mirror %v, warp says %v", m.ID, i, s.atBarrier, s.warp.AtBarrier)
+		}
 		if s.valid && s.since > m.cycle+1 {
 			return fmt.Errorf("sm %d slot %d: accrues from cycle %d, SM is at %d", m.ID, i, s.since, m.cycle)
 		}
@@ -200,7 +208,65 @@ func (c *ReadinessChecker) AfterTick(now int64) error {
 	if err := c.checkFinished(); err != nil {
 		return err
 	}
+	if err := c.checkStanding(now); err != nil {
+		return err
+	}
 	return c.Invariants()
+}
+
+// checkStanding rebuilds, for every unit whose last readiness pass
+// would stand at the next cycle — the SM's event count has not moved
+// since the pass began, and neither busy time crosses that cycle — the
+// ready list a full pass at that cycle would build, from the raw slot
+// state: the operand checks, the LSU gate, the fetch path's busy time,
+// and L1I residency of each warp's next instruction at the (set, way)
+// the standing verdict would replay, checked with Probe. It must equal
+// the list the unit would re-offer. Nothing a standing unit reads can
+// change between this tick's end and its next turn without counting an
+// event (fills and writebacks that lift no check change no verdict), so
+// this covers every re-offer.
+func (c *ReadinessChecker) checkStanding(now int64) error {
+	m := c.m
+	next := now + 1
+	if m.lsuBusyUntil == next || m.icBusy == next {
+		return nil
+	}
+	for ui := range m.units {
+		u := &m.units[ui]
+		if u.seen != m.events {
+			continue
+		}
+		var want []int
+		for i := range m.slots {
+			if !u.owned.has(i) || !m.cand.has(i) {
+				continue
+			}
+			s := &m.slots[i]
+			if !s.valid || s.done {
+				return fmt.Errorf("sm %d unit %d cycle %d: finished slot %d would stand as a candidate", m.ID, ui, now, i)
+			}
+			if v := m.operandVerdict(s); v != reasonNone {
+				return fmt.Errorf("sm %d unit %d cycle %d: slot %d would stand as a candidate, raw state parks it for reason %d", m.ID, ui, now, i, v)
+			}
+			if m.meta[s.pc].LSUGated && m.lsuBusyUntil > next || m.icBusy > next {
+				continue
+			}
+			set, way, hit := m.l1i.Probe(int64(s.pc) * instrBytes)
+			if !hit {
+				return fmt.Errorf("sm %d unit %d cycle %d: slot %d would stand while its fetch misses", m.ID, ui, now, i)
+			}
+			if slices.Contains(u.stand, i) && (int32(set) != s.icSet || int32(way) != s.icWay) {
+				return fmt.Errorf("sm %d unit %d cycle %d: slot %d would replay its fetch at (%d, %d), the line is at (%d, %d)",
+					m.ID, ui, now, i, s.icSet, s.icWay, set, way)
+			}
+			want = append(want, i)
+		}
+		if !slices.Equal(u.stand, want) {
+			return fmt.Errorf("sm %d unit %d cycle %d: standing ready list %v, a full pass at the next cycle builds %v", m.ID, ui, now, u.stand, want)
+		}
+		c.Standing++
+	}
+	return nil
 }
 
 // Skipped must accompany every SM.AccountSkipped(span): the all-slot

@@ -43,6 +43,7 @@ func TestReadinessOracleAllWorkloads(t *testing.T) {
 		{"gto", core.SystemConfig{Scheduler: "gto"}},
 		{"cawa", core.CAWA()},
 	}
+	standing := 0 // re-offered ready lists the checkers rebuilt
 	for _, app := range workloads.Names() {
 		for _, sys := range systems {
 			for _, eng := range readinessEngines {
@@ -97,6 +98,9 @@ func TestReadinessOracleAllWorkloads(t *testing.T) {
 					if failed != nil {
 						t.Fatal(failed)
 					}
+					for _, c := range checkers {
+						standing += c.Standing
+					}
 					if err := wl.Verify(); err != nil {
 						t.Fatal(err)
 					}
@@ -104,4 +108,8 @@ func TestReadinessOracleAllWorkloads(t *testing.T) {
 			}
 		}
 	}
+	if standing == 0 {
+		t.Error("no unit ever re-offered a standing ready list on a checked tick: the standing check witnessed nothing")
+	}
+	t.Logf("%d standing ready lists rebuilt and matched", standing)
 }

@@ -46,15 +46,15 @@ func (m *SM) refused() int {
 	return -1
 }
 
-// TestRejectMemoFollowsL1DMutations pins the reject memo's contract
-// from the SM's side. While the L1D stands still a refused warp retries
-// without probing (the memo answers); once a fill moves the L1D's
-// mutation count the warp probes again and issues. And the invalidation
-// is load-bearing: with the refusal re-stamped to the post-fill count —
-// exactly what a fill path that forgot to bump the counter would leave
-// behind — the warp stays refused although the L1D would now accept
-// it, and the kernel wedges.
-func TestRejectMemoFollowsL1DMutations(t *testing.T) {
+// TestRejectMemoFollowsL1DFills pins the reject memo's contract from
+// the SM's side. A refusal is stamped with the L1D's fill count plus
+// the load's deficit; until the count reaches the stamp the refused
+// warp retries without probing and does not issue, and once it does the
+// warp probes again and the block drains. The invalidation is
+// load-bearing: with the refusal re-stamped past every fill — what a
+// fill path that forgot to count would leave behind — the warp stays
+// refused although the L1D would now accept it, and the kernel wedges.
+func TestRejectMemoFollowsL1DFills(t *testing.T) {
 	for _, mutant := range []bool{false, true} {
 		r, k := scatterRig(t)
 		r.sm.SetKernel(k)
@@ -74,39 +74,44 @@ func TestRejectMemoFollowsL1DMutations(t *testing.T) {
 		}
 		i := r.sm.refused()
 		s := &r.sm.slots[i]
-		if l1.CanAccept(s.peekBuf) {
+		d := l1.Deficit(s.peekBuf)
+		if d == 0 {
 			t.Fatal("memoised refusal for lines the L1D accepts")
 		}
-
-		// L1D standing still: the refusal stands, stamped with the same count.
-		stamp, issued := s.rejectedAt, s.rec.Instructions
-		for s.rejectedAt == l1.Mutations()+1 {
-			if tick(); now > 5000 {
-				t.Fatal("the L1D never changed under a refused warp")
-			}
-			if s.rec.Instructions != issued {
-				t.Fatal("refused warp issued while the L1D stood still")
-			}
+		if s.rejectedAt != l1.Fills()+uint64(d) {
+			t.Fatalf("refusal stamped %d, want fill count %d + deficit %d", s.rejectedAt, l1.Fills(), d)
 		}
-		if l1.Mutations()+1 <= stamp {
-			t.Fatalf("mutation count went from %d to %d", stamp-1, l1.Mutations())
+
+		// Too few fills to close the deficit: the refusal stands unprobed.
+		stamp, issued := s.rejectedAt, s.rec.Instructions
+		for l1.Fills() < stamp {
+			if tick(); now > 5000 {
+				t.Fatal("the L1D never retired an MSHR entry under a refused warp")
+			}
+			if s.rec.Instructions != issued || s.rejectedAt != stamp {
+				t.Fatal("refused warp issued or re-probed before the deficit could close")
+			}
 		}
 
 		if !mutant {
-			// The fill invalidated the memo: the block drains.
-			r.run(t, 1, 50000)
+			// The fills invalidated the memo: the block drains.
+			for r.done == 0 {
+				if tick(); now > 50000 {
+					t.Fatal("block never drained after the refusal lifted")
+				}
+			}
 			continue
 		}
-		// Mutant: every time the L1D moves, pretend it did not.
+		// Mutant: every time the L1D retires an entry, pretend it did not.
 		wedged := false
 		for n := 0; n < 20000 && r.done == 0; n++ {
 			if s.valid && s.rejectedAt != 0 {
-				s.rejectedAt = l1.Mutations() + 1
+				s.rejectedAt = l1.Fills() + 1
 			}
 			tick()
 			if s.valid && s.rejectedAt != 0 && l1.MSHROccupancy() == 0 && r.sys.Drained() {
-				// Nothing in flight, so nothing will ever bump the count
-				// again; the L1D would take the load, the memo says no.
+				// Nothing in flight, so nothing will ever fill again; the
+				// L1D would take the load, the memo says no.
 				if !l1.CanAccept(s.peekBuf) {
 					t.Fatal("idle L1D refuses the load for real")
 				}

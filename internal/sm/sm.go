@@ -77,10 +77,11 @@ const (
 // a cache line; the bulky per-warp tables follow.
 type slot struct {
 	valid bool
-	// done and pc mirror warp.Done() and warp.PC(): both can only change
-	// when the warp issues, so caching them here keeps readiness free of
-	// pointer chases into the warp's reconvergence stack.
-	done bool
+	// done, pc and atBarrier mirror warp.Done(), warp.PC() and
+	// warp.AtBarrier, which change only at an issue or a barrier release:
+	// readiness then reads no *simt.Warp.
+	done      bool
+	atBarrier bool
 	// parked: the warp failed an operand check and sits outside the
 	// candidate set until an event that can lift the check wakes it;
 	// reason then holds the verdict a re-evaluation would reach
@@ -98,8 +99,10 @@ type slot struct {
 	since       int64
 	readyCycle  int64 // cycle readiness last evaluated true
 	issuedCycle int64 // cycle of the last issue
-	lastIssue   int64 // cycle of the previous issue (or dispatch)
 	wbMin       int64 // earliest time in wb (meaningless while wb is empty)
+
+	lastIssue    int64 // cycle of the previous issue (or dispatch)
+	icSet, icWay int32 // L1I set and way of the last fetch hit (issueFrom)
 
 	warp  *simt.Warp
 	block *blockState
@@ -111,8 +114,8 @@ type slot struct {
 	// Memoized memory-coalescing peek: valid while the warp has not
 	// issued since it was computed (registers cannot change underneath).
 	// rejectedAt rides on it: when the L1D last refused the peeked lines,
-	// its mutation count at that moment plus one (0: not refused). While
-	// the count stands still the refusal stands too, so an MSHR-blocked
+	// its fill count then plus the refusal's deficit (0: not refused).
+	// The refusal stands while L1D.Fills() is below it, so an MSHR-blocked
 	// warp retries for one compare, not one probe per line.
 	peekPC     int32
 	peekInstr  int64
@@ -156,9 +159,12 @@ func splitToken(t int64) (slot int, gen int64, reg isa.Reg) {
 type schedUnit struct {
 	policy sched.Policy
 	owned  slotSet // the slots this scheduler issues from (i % units), fixed
-	ready  []int   // per-cycle scratch, reused
+	ready  []int   // scratch: the offered list minus rejected picks
 	ctx    sched.Context
-	issued int64 // instructions this unit has issued (pick distribution)
+	issued int64  // instructions this unit has issued (pick distribution)
+	stand  []int  // the ready list of the last readiness pass (issueFrom)
+	seen   uint64 // SM.events when that pass began
+	stood  bool   // this tick re-offered stand
 }
 
 // SM is one streaming multiprocessor.
@@ -188,6 +194,8 @@ type SM struct {
 	cand      slotSet // evaluated every tick: the unparked (readiness.go)
 	wbPending slotSet // non-empty writeback queue
 	freeSlots int     // slots not valid
+	events    uint64  // verdict-changing events (readiness.go)
+	ticked    int64   // the last cycle ticked, not skipped through
 
 	cycle        int64
 	lsuBusyUntil int64
@@ -278,6 +286,7 @@ func New(opt Options) *SM {
 	for i := range m.units {
 		m.units[i].owned = newSlotSet(len(m.slots))
 		m.units[i].ready = make([]int, 0, (len(m.slots)+len(m.units)-1)/len(m.units))
+		m.units[i].stand = make([]int, 0, cap(m.units[i].ready))
 	}
 	for s := range m.slots {
 		m.units[s%len(m.units)].owned.add(s)
@@ -317,16 +326,20 @@ const instrBytes = 8
 // fetch models the instruction cache: a hit is free (fetch is ahead of
 // issue); a miss blocks the warp and occupies the fetch path while the
 // line streams in from the (always-hitting) L2.
-func (m *SM) fetch(pc int32, now int64) bool {
+func (m *SM) fetch(s *slot, now int64) bool {
 	if m.icBusy > now {
 		return false
 	}
-	addr := int64(pc) * instrBytes
-	if m.l1i.Access(cache.Request{Addr: addr}) {
+	req := cache.Request{Addr: int64(s.pc) * instrBytes}
+	if set, way, hit := m.l1i.Probe(req.Addr); hit {
+		m.l1i.Touch(set, way, req)
+		s.icSet, s.icWay = int32(set), int32(way)
 		return true
 	}
-	m.l1i.Fill(cache.Request{Addr: addr})
+	m.l1i.Access(req) // counts the miss
+	m.l1i.Fill(req)
 	m.icBusy = now + int64(m.cfg.L2Latency)/4
+	m.events++
 	return false
 }
 
@@ -351,6 +364,7 @@ func (m *SM) SetKernel(k *simt.Kernel) {
 	m.kernel = k
 	m.prog = k.Program
 	m.meta = k.Program.Meta()
+	m.events++
 }
 
 // Now returns the last cycle the SM ticked or skipped through.

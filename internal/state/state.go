@@ -41,6 +41,14 @@ type Archive struct {
 	buf     []byte // saver: bytes written so far; loader: bytes not yet read
 	loading bool
 	err     error
+	marks   []mark // a saver's section boundaries, for Diff
+}
+
+// mark: where a saver's Tag (name) or Part (name, part) begins, or a Part ends.
+type mark struct {
+	off  int
+	name string
+	part bool
 }
 
 // NewSaver returns an archive that writes (sizeHint presizes its
@@ -156,19 +164,63 @@ func (a *Archive) String(p *string) {
 // Tag starts a section: a saver writes the name, a loader fails unless
 // the same name comes next (a policy of another kind, a walk out of step).
 func (a *Archive) Tag(name string) {
+	a.mark(name, false)
 	got := name
 	if a.String(&got); got != name && a.err == nil {
 		a.Failf("state: tag %q where %q was expected", got, name)
 	}
 }
 
+// mark notes a section boundary in a saver's stream.
+func (a *Archive) mark(name string, part bool) {
+	if !a.loading {
+		a.marks = append(a.marks, mark{len(a.buf), name, part})
+	}
+}
+
 // Part archives a pluggable part, checkpointable iff it is an Archiver.
 func (a *Archive) Part(what string, part any) {
-	if p, ok := part.(Archiver); ok {
-		p.Archive(a)
-	} else {
+	p, ok := part.(Archiver)
+	if !ok {
 		a.Failf("state: %s %T is not checkpointable", what, part)
+		return
 	}
+	a.mark(what, true)
+	p.Archive(a)
+	a.mark("", false)
+}
+
+// Diff names the first byte at which two savers' streams differ: its
+// offset, the Part/Tag path of the section holding it (Tags numbered per
+// name, so "sm[3] > scheduler policy: gto[3]" is the fourth SM's policy)
+// and each stream's bytes from there; "" if the streams are equal.
+func Diff(a, b *Archive) string {
+	x, y, i := a.buf, b.buf, 0
+	for i < min(len(x), len(y)) && x[i] == y[i] {
+		i++
+	}
+	if len(x) == len(y) && i == len(x) {
+		return ""
+	}
+	type level struct{ prefix, path string } // an open Part: its path, then its latest Tag
+	levels, seen, at := []level{{"", "the stream"}}, map[string]int{}, 0
+	for _, m := range a.marks {
+		if m.off > i {
+			break
+		}
+		top := &levels[len(levels)-1]
+		switch at = m.off; {
+		case m.part:
+			levels = append(levels, level{top.path + " > " + m.name + ": ", top.path + " > " + m.name})
+		case m.name == "":
+			levels = levels[:len(levels)-1]
+		default:
+			top.path = fmt.Sprintf("%s%s[%d]", top.prefix, m.name, seen[m.name])
+			seen[m.name]++
+		}
+	}
+	return fmt.Sprintf("first difference at byte %d, %d bytes into %s: % x vs % x",
+		i, i-at, levels[len(levels)-1].path, x[i:min(len(x), i+8)], y[i:min(len(y), i+8)])
 }
 
 // Table archives a table whose size the restoring side fixes (cache

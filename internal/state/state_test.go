@@ -100,7 +100,8 @@ func TestTagMismatchNamesBothTags(t *testing.T) {
 // there are bytes left fails before anything is allocated for it.
 func TestLengthPrefixIsNotTrusted(t *testing.T) {
 	huge := NewSaver(0)
-	huge.Len(1 << 40)
+	n := int64(1 << 40) // Len's varint, built where int is 32 bits too
+	Int(huge, &n)
 	blob := append(huge.Bytes(), 1, 2, 3)
 	loads := map[string]func(a *Archive){
 		"Slice":  func(a *Archive) { var s []int; Slice(a, &s, IntElem[int]) },
@@ -161,5 +162,54 @@ func TestStickyError(t *testing.T) {
 	}
 	if a.Err().Error() != "first" {
 		t.Errorf("sticky error = %q, want the first", a.Err())
+	}
+}
+
+// parted is a component with a pluggable part, for Diff's paths.
+type parted struct {
+	n    int
+	part everything
+}
+
+func (p *parted) Archive(a *Archive) {
+	a.Tag("outer")
+	Int(a, &p.n)
+	a.Part("inner part", archiverFunc(p.part.archive))
+	Int(a, &p.n)
+}
+
+type archiverFunc func(*Archive)
+
+func (f archiverFunc) Archive(a *Archive) { f(a) }
+
+// TestDiffNamesTheSection: Diff finds the first differing byte and names
+// the section holding it by its Part/Tag path, numbering repeated tags;
+// bytes after a Part belong to the enclosing section again.
+func TestDiffNamesTheSection(t *testing.T) {
+	walk := func(ps ...parted) *Archive {
+		a := NewSaver(0)
+		for i := range ps {
+			ps[i].Archive(a)
+		}
+		return a
+	}
+	base := parted{n: 1, part: sample()}
+	if d := Diff(walk(base, base), walk(base, base)); d != "" {
+		t.Fatalf("equal streams: Diff = %q", d)
+	}
+	inner := base
+	inner.part.u16 = 7
+	if d := Diff(walk(base, base), walk(base, inner)); !strings.Contains(d, "outer[1] > inner part: everything[1]") {
+		t.Errorf("difference inside the second part: %s", d)
+	}
+	// n = 1 vs 2 as zigzag varints, just past the tag's six bytes.
+	if d := Diff(walk(base), walk(parted{n: 2, part: sample()})); !strings.Contains(d, "6 bytes into outer[0]: 02 14") ||
+		!strings.Contains(d, "vs 04 14") {
+		t.Errorf("difference in the outer section's first field: %s", d)
+	}
+	tail := walk(base)
+	Int(tail, &base.n)
+	if d := Diff(walk(base), tail); !strings.Contains(d, "into outer[0]:") {
+		t.Errorf("difference after the part returned: %s", d)
 	}
 }

@@ -2,7 +2,8 @@
 # Tier-1 gate: run this before every merge.
 #
 #   gofmt -l      every file is gofmt-clean
-#   go vet        static checks
+#   go vet        static checks, also as GOARCH=386: constants and
+#                 conversions must fit a 32-bit int
 #   cawalint      whole-module determinism analysis (its only mode):
 #                 the statement-level rules (no wall clock / global rand
 #                 / raw map iteration in simulation packages, goroutines
@@ -37,8 +38,9 @@
 #                 the SM's event-driven readiness tests (the from-scratch
 #                 oracle over the catalog, where fills wake parked warps
 #                 from the engine's head drain and from helper domains'
-#                 in-span deliveries; the directed wake cases; the
-#                 allocation budget at full occupancy)
+#                 in-span deliveries; the directed wake and standing-
+#                 verdict cases; the refusal contract; the allocation
+#                 budget at full occupancy)
 #                 re-run under -race at GOMAXPROCS=2 (forced goroutine
 #                 multiplexing — exercises the barrier park path) and
 #                 GOMAXPROCS=8 (real interleaving on CI's multi-core
@@ -55,6 +57,7 @@ if [ -n "$unformatted" ]; then
 fi
 echo "== go vet =="
 go vet ./...
+GOARCH=386 go vet ./...
 echo "== cawalint (whole module) =="
 go run ./cmd/cawalint
 echo "== cawadis -lint (workload kernels) =="
@@ -73,7 +76,7 @@ echo "== go test -race (harness, workloads) =="
 go test -race -short ./internal/harness/... ./internal/workloads/...
 echo "== go test -race span engine domains (GOMAXPROCS=2, GOMAXPROCS=8) =="
 race_pkgs="./internal/gpu/... ./internal/memsys/... ./internal/harness/... ./internal/checkpoint/... ./internal/sm/..."
-race_run='TestParallel|TestDomain|TestStaged|TestStaging|TestLookahead|TestSpanFill|TestSessionSharedWorkerBudget|TestSharedObservers|TestEngineEquivalenceMatrix|TestRoundTrip|TestReadinessOracle|TestBarrierWake|TestFillWakes|TestWritebackWakes|TestMemDataReparks|TestStaleFill|TestCyclePathAllocFree'
+race_run='TestParallel|TestDomain|TestStaged|TestStaging|TestLookahead|TestSpanFill|TestSessionSharedWorkerBudget|TestSharedObservers|TestEngineEquivalenceMatrix|TestRoundTrip|TestReadinessOracle|TestBarrierWake|TestFillWakes|TestWritebackWakes|TestMemDataReparks|TestStaleFill|TestCyclePathAllocFree|TestStanding|TestRefusalStandsUntilFills|TestRejectMemoFollowsL1DFills'
 # A -run alternative that matches nothing passes silently: a renamed or
 # deleted test would drop out of the matrix unnoticed.
 listed=$(go test -list "$race_run" $race_pkgs)
