@@ -1,17 +1,12 @@
 // Command cawalint enforces the simulator's determinism invariants
 // over its Go source (see internal/lint).
 //
-// It type-checks the whole module and runs every rule in one pass. The
-// rules that look at one statement: no wall-clock reads or global
-// math/rand in simulation packages, no raw map iteration feeding
-// simulation state or output, no goroutines outside the sanctioned
-// packages, and no direct memsys.System mutation from SM-domain code.
-// The rules that follow a CHA-style call graph: the 0-allocs/cycle
-// budget on everything the cycle roots reach, the staged-memsys
-// discipline across helper chains, the no-synchronization rule for
-// domain-goroutine-reachable code, the package-global write ban, and
-// the reachability-based wall-clock ban. An accepted finding is excused
-// where it occurs, by a //cawalint:ignore <reason> (or alloc-ok)
+// It type-checks the whole module and runs every rule in one pass. Each
+// rule looks at one statement: no wall-clock reads or global math/rand
+// in simulation packages (the engine's whole import closure), no raw
+// map iteration there, no goroutines outside the sanctioned packages,
+// and no direct memsys.System mutation from SM-domain code. An accepted
+// finding is excused where it occurs, by a //cawalint:ignore <reason>
 // directive; one that no longer excuses anything is itself a finding.
 //
 // Usage:
@@ -62,11 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "cawalint: %v\n", err)
 		return 2
 	}
-	findings, err := lint.AnalyzeModule(m, lint.DefaultInterOptions())
-	if err != nil {
-		fmt.Fprintf(stderr, "cawalint: %v\n", err)
-		return 2
-	}
+	findings := lint.AnalyzeModule(m)
 
 	if jsonOut != "" {
 		w := stdout

@@ -1,18 +1,17 @@
-// Package sm is a stub of the real engine layout, just large enough
-// for cawalint's default root set to resolve. The deliberate append in
-// Cycle is the fixture's one finding.
+// Package sm is the CLI tests' one-file module. The map range in Cycle
+// is the fixture's one finding.
 package sm
 
 // SM is the stub streaming multiprocessor.
 type SM struct {
-	buf []int
+	pending map[int64]int
+	n       int
 }
 
-// Cycle simulates one cycle; the append is a deliberate hot-path
-// allocation the CLI tests assert on.
+// Cycle simulates one cycle; ranging the map is a deliberate map-range
+// finding the CLI tests assert on.
 func (s *SM) Cycle() {
-	s.buf = append(s.buf, 1)
+	for _, v := range s.pending {
+		s.n += v
+	}
 }
-
-// handleFill receives completed miss lines (a cycle and domain root).
-func (s *SM) handleFill(now int64, tokens []int64) {}

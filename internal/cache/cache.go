@@ -94,8 +94,12 @@ type WayChooser interface {
 // Cache is a set-associative tag/state array. It has no notion of
 // latency or miss handling; internal/memsys drives it.
 type Cache struct {
-	cfg      config.CacheConfig
-	policy   Policy
+	cfg    config.CacheConfig
+	policy Policy
+	// chooser is policy as a WayChooser, nil if it is not one. It is
+	// resolved once: a type assertion per Fill can allocate, because the
+	// runtime grows its per-site assertion cache at random moments.
+	chooser  WayChooser
 	sets     [][]Line
 	setShift uint
 	setMask  int64 // power-of-two fast path; -1 when sets is not 2^k
@@ -130,9 +134,11 @@ func New(cfg config.CacheConfig, policy Policy) *Cache {
 	if cfg.Sets&(cfg.Sets-1) == 0 {
 		mask = int64(cfg.Sets - 1)
 	}
+	chooser, _ := policy.(WayChooser)
 	return &Cache{
 		cfg:      cfg,
 		policy:   policy,
+		chooser:  chooser,
 		sets:     sets,
 		setShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		setMask:  mask,
@@ -223,8 +229,8 @@ func (c *Cache) Fill(req Request) Eviction {
 	tag := c.BlockAddr(req.Addr)
 	set := c.SetIndex(req.Addr)
 	way := -1
-	if wc, ok := c.policy.(WayChooser); ok {
-		way = wc.FillWay(c, set, req)
+	if c.chooser != nil {
+		way = c.chooser.FillWay(c, set, req)
 	} else {
 		for w := range c.sets[set] {
 			if !c.sets[set][w].Valid {

@@ -164,7 +164,7 @@ func (c *CACP) waysOf(cacheWays int, critical bool) []int {
 	}
 	out := c.wayBuf[:0]
 	for w := lo; w < hi; w++ {
-		out = append(out, w) //cawalint:alloc-ok amortized growth of the reused way-index scratch buffer
+		out = append(out, w)
 	}
 	c.wayBuf = out
 	return out

@@ -79,7 +79,7 @@ func (p *CCWSProvider) onEvict(gid int, lineAddr int64) {
 		return
 	}
 	if len(w.victims) >= ccwsVTAEntries {
-		w.victims = w.victims[1:]
+		w.victims = w.victims[:copy(w.victims, w.victims[1:])] // keep the front capacity
 	}
 	w.victims = append(w.victims, lineAddr)
 }
@@ -95,7 +95,7 @@ func (p *CCWSProvider) onMiss(gid int, addr int64) {
 			// Lost locality detected: the warp re-references a line it
 			// recently lost.
 			w.lls += ccwsHitGain
-			w.victims = append(w.victims[:i], w.victims[i+1:]...) //cawalint:alloc-ok in-place removal within the victim ring's existing capacity
+			w.victims = append(w.victims[:i], w.victims[i+1:]...)
 			return
 		}
 	}
@@ -193,7 +193,7 @@ func (p *CCWSPolicy) Select(ctx *sched.Context) int {
 }
 
 func topKByScore(ctx *sched.Context, k int, scratch []int) []int {
-	out := append(scratch, ctx.Ready...) //cawalint:alloc-ok amortized growth of the caller's reused scratch buffer
+	out := append(scratch, ctx.Ready...)
 	// Partial selection sort: small n (<=24 per scheduler).
 	for i := 0; i < k; i++ {
 		best := i

@@ -91,7 +91,7 @@ func (c *CPL) OnWarpFinished(slot int) {
 	peers := c.blocks[wc.block]
 	for i, p := range peers {
 		if p == wc {
-			peers = append(peers[:i], peers[i+1:]...) //cawalint:alloc-ok in-place removal within the block peer list's existing capacity
+			peers = append(peers[:i], peers[i+1:]...)
 			break
 		}
 	}

@@ -27,7 +27,6 @@ var wallBase = time.Now()
 // reads in the simulation packages; the harness is the outermost layer
 // allowed to know what time it is, and injects it downward.
 func WallClock() int64 {
-	//cawalint:ignore the sanctioned injected-clock seam: wall time enters the profiler only through the perf.Clock value the harness constructs here; the engine itself never reads time
 	return int64(time.Since(wallBase))
 }
 

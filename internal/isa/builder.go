@@ -2,6 +2,7 @@ package isa
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -301,11 +302,7 @@ func (b *Builder) Build() (*Program, error) {
 		return nil, fmt.Errorf("isa: program %q has no exit instruction", b.name)
 	}
 
-	labels := make(map[string]int32, len(b.labels))
-	for k, v := range b.labels {
-		labels[k] = v
-	}
-	p := &Program{Name: b.name, Instrs: instrs, labels: labels}
+	p := &Program{Name: b.name, Instrs: instrs, labels: maps.Clone(b.labels)}
 	if err := computeReconvergence(p); err != nil {
 		return nil, fmt.Errorf("isa: program %q: %w", b.name, err)
 	}

@@ -3,6 +3,7 @@ package isa
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 )
 
@@ -104,11 +105,17 @@ func (p *Program) LabelPC(name string) (int32, bool) {
 	return pc, ok
 }
 
-// Disasm renders the whole program with PCs and label annotations.
+// Disasm renders the whole program with PCs and label annotations;
+// labels that share a PC print in name order.
 func (p *Program) Disasm() string {
+	names := make([]string, 0, len(p.labels))
+	for name := range p.labels {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	byPC := make(map[int32][]string)
-	for name, pc := range p.labels {
-		byPC[pc] = append(byPC[pc], name)
+	for _, name := range names {
+		byPC[p.labels[name]] = append(byPC[p.labels[name]], name)
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "// program %s (%d instrs)\n", p.Name, len(p.Instrs))

@@ -249,6 +249,29 @@ func TestDisasmRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDisasmSharedPCLabelsOrdered: labels that resolve to one PC print
+// in name order, identically on every call (tpacf's corr kernel has
+// done: and exit: on one instruction).
+func TestDisasmSharedPCLabelsOrdered(t *testing.T) {
+	b := NewBuilder("shared")
+	b.MovI(R1, 1)
+	b.CBraZ(R1, "zeta")
+	b.CBraZ(R1, "alpha")
+	b.Label("zeta")
+	b.Label("alpha")
+	b.Exit()
+	p := b.MustBuild()
+	first := p.Disasm()
+	if !strings.Contains(first, "alpha:\nzeta:\n") {
+		t.Fatalf("labels at one PC not in name order:\n%s", first)
+	}
+	for i := 0; i < 20; i++ {
+		if d := p.Disasm(); d != first {
+			t.Fatalf("call %d differs:\n%s\nvs\n%s", i, d, first)
+		}
+	}
+}
+
 func TestFloatBits(t *testing.T) {
 	for _, f := range []float64{0, 1, -1, math.Pi, math.Inf(1), 1e-300} {
 		if got := B2F(F2B(f)); got != f {

@@ -30,10 +30,14 @@
 //     SM-id-ordered commit (see memsys/stage.go); construction-time
 //     NewL1D wiring is exempt.
 //
-// These rules look at one statement at a time; interproc.go adds the
-// rules that follow call chains. Both run in one pass over a fully
-// type-checked module (LoadModule, AnalyzeModule) — the engine is
-// stdlib-only (go/ast, go/parser, go/types).
+// Every rule looks at one statement at a time. The simulation scope is
+// the engine's whole in-module import closure, so nothing the engine
+// runs escapes the rules by living in a helper package
+// (TestScopesCoverEngineClosure). The transitive invariants — no
+// steady-state allocation, no shared writes from a domain — are measured
+// at run time instead (DESIGN.md "Determinism linter"). The rules run in
+// one pass over a fully type-checked module (LoadModule, AnalyzeModule);
+// the engine is stdlib-only (go/ast, go/parser, go/types).
 package lint
 
 import (
@@ -46,7 +50,7 @@ import (
 	"strings"
 )
 
-// Rules that look at one file at a time (lintFile).
+// Rules.
 const (
 	RuleWallClock       = "wall-clock"
 	RuleGlobalRand      = "global-rand"
@@ -54,16 +58,7 @@ const (
 	RuleGoroutine       = "goroutine"
 	RuleMemsysMutation  = "memsys-mutation"
 	RuleIgnoreDirective = "ignore-directive"
-)
-
-// Rules reported by the interprocedural analyzer (interproc.go).
-const (
-	RuleHotPathAlloc     = "hotpath-alloc"
-	RuleMemsysTransitive = "memsys-mutation-transitive"
-	RuleDomainUnsafe     = "domain-unsafe"
-	RuleGlobalWrite      = "global-write"
-	RuleWallClockTrans   = "wall-clock-transitive"
-	RuleStaleIgnore      = "stale-ignore"
+	RuleStaleIgnore     = "stale-ignore"
 )
 
 // Finding is one determinism violation.
@@ -77,75 +72,51 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Rule, f.Msg)
 }
 
-// Options scopes the rules to import paths.
-type Options struct {
-	// SimPaths are import-path prefixes where the wall-clock,
-	// global-rand, and map-range rules apply.
-	SimPaths []string
-	// WallClockPaths are import-path prefixes where ONLY the wall-clock
-	// rule applies. The observability tree lives here: it may range
-	// maps and allocate freely (it is outside the simulated-timing
-	// core), but it must never read the host clock itself — profiling
-	// time enters exclusively through an injected perf.Clock, so that
-	// the engine equivalence tests can drive the profiler with a
-	// counting fake and the sim packages' time.Now ban stays airtight.
-	WallClockPaths []string
-	// GoroutineAllowed are import-path prefixes where `go` statements
-	// are permitted.
-	GoroutineAllowed []string
-	// GoroutineAllowedFiles are single files where `go` statements are
-	// permitted even though their package is not in GoroutineAllowed,
-	// named as "<import path>/<file base name>" so the match is stable
-	// no matter which directory the linter was invoked from. The only
-	// entry today is the gpu domain runner, whose worker goroutines are
-	// proven deterministic by the epoch barrier (see
-	// internal/gpu/domains.go) — everything else in the model stays
-	// single-threaded.
-	GoroutineAllowedFiles []string
-	// StagedMemsysPaths are import-path prefixes where the
-	// memsys-mutation rule applies: code there runs inside parallel SM
-	// domains and must reach the shared memory system only through its
-	// staged two-phase interface (the per-SM L1D), never by calling
-	// memsys.System methods directly.
-	StagedMemsysPaths []string
-}
-
-// DefaultOptions matches this repository's layout: determinism rules
-// over the simulation core, goroutines confined to the harness run
-// scheduler, the HTTP serving layer (which sits entirely outside
-// the deterministic core and talks to it only through harness.Session)
-// and the gpu domain runner.
-func DefaultOptions() Options {
-	return Options{
-		SimPaths: []string{
-			"cawa/internal/sm", "cawa/internal/gpu", "cawa/internal/sched",
-			"cawa/internal/core", "cawa/internal/cache", "cawa/internal/memsys",
-			"cawa/internal/stats",
-			// Checkpoint serialization is part of the deterministic core:
-			// a state hash must be a pure function of simulated state, so
-			// the archive walk may not read the clock, use the global rand
-			// source, or range maps (the iteration order would end up in
-			// the byte stream and break digest comparisons; state.Map
-			// walks them in key order).
-			"cawa/internal/checkpoint", "cawa/internal/state",
-		},
-		// Prefix-matches cawa/internal/obs/perf too: the profiler's
-		// injected-clock seam is the only way wall time reaches it.
-		WallClockPaths: []string{"cawa/internal/obs"},
-		// CLIs sit outside the deterministic core (cawaserve hosts the
-		// HTTP server in a goroutine); whole-module mode scans them too.
-		GoroutineAllowed:      []string{"cawa/internal/harness", "cawa/internal/serve", "cawa/cmd"},
-		GoroutineAllowedFiles: []string{"cawa/internal/gpu/domains.go"},
-		StagedMemsysPaths:     []string{"cawa/internal/sm"},
+// The rules' scopes, as import-path prefixes (or, for the goroutine
+// file allowlist, "<import path>/<file base name>").
+var (
+	// simPaths get the wall-clock, global-rand and map-range rules: the
+	// engine's in-module import closure (go list -deps ./internal/gpu
+	// ./internal/checkpoint ./internal/core) minus the observability
+	// tree. Checkpoint serialization belongs here too: a state hash must
+	// be a pure function of simulated state, so a map's iteration order
+	// must never reach the byte stream (state.Map walks maps in key
+	// order).
+	simPaths = []string{
+		"cawa/internal/sm", "cawa/internal/gpu", "cawa/internal/sched",
+		"cawa/internal/core", "cawa/internal/cache", "cawa/internal/memsys",
+		"cawa/internal/stats", "cawa/internal/checkpoint", "cawa/internal/state",
+		"cawa/internal/config", "cawa/internal/isa", "cawa/internal/memory",
+		"cawa/internal/simt",
 	}
-}
+	// wallClockPaths get only the wall-clock rule. The observability
+	// tree may range maps and allocate freely (it is outside the
+	// simulated-timing core), but it must never read the host clock
+	// itself: profiling time enters only through an injected perf.Clock,
+	// so the engine equivalence tests can drive the profiler with a
+	// counting fake.
+	wallClockPaths = []string{"cawa/internal/obs"}
+	// goroutineAllowed are where `go` statements are permitted: the
+	// harness run scheduler, the HTTP serving layer (entirely outside the
+	// deterministic core; it talks to it only through harness.Session)
+	// and the CLIs.
+	goroutineAllowed = []string{"cawa/internal/harness", "cawa/internal/serve", "cawa/cmd"}
+	// goroutineAllowedFiles are single files where `go` statements are
+	// permitted although their package is not: the gpu domain runner,
+	// whose worker goroutines the epoch barrier makes deterministic (see
+	// internal/gpu/domains.go).
+	goroutineAllowedFiles = []string{"cawa/internal/gpu/domains.go"}
+	// stagedMemsysPaths get the memsys-mutation rule: code there runs
+	// inside parallel SM domains and must reach the shared memory system
+	// only through its staged two-phase interface (the per-SM L1D).
+	stagedMemsysPaths = []string{"cawa/internal/sm"}
+)
 
-// allowedSystemMethods are the memsys.System methods SM-domain and
-// span-planning code may call directly: construction-time wiring
-// (NewL1D) and the span planner's read-only horizon query
-// (SafeHorizon — it inspects the event heaps and mutates nothing).
-// Everything that runs per cycle must go through the L1D, which stages
-// its outbound traffic during spans.
+// allowedSystemMethods are the memsys.System methods SM-domain code may
+// call directly: construction-time wiring (NewL1D) and the read-only
+// horizon query (SafeHorizon — it inspects the event heaps and mutates
+// nothing). Everything that runs per cycle must go through the L1D,
+// which stages its outbound traffic during spans.
 var allowedSystemMethods = map[string]bool{"NewL1D": true, "SafeHorizon": true}
 
 func hasPrefix(path string, prefixes []string) bool {
@@ -175,15 +146,43 @@ var allowedRand = map[string]bool{
 	"ChaCha8": true, "PCG": true,
 }
 
-// lintFile runs the per-file rules over one file of a type-checked
-// package. The directives are shared with the caller so the
-// interprocedural rules can account usage across both passes before
-// deciding staleness.
-func lintFile(fset *token.FileSet, pkgPath string, f *ast.File, opts Options, info *types.Info, dirs []*directive, bare []int) []Finding {
+// AnalyzeModule runs every rule over every package of m and reports
+// the suppression directives that suppressed nothing. Findings come
+// back sorted by file, line, rule, with module-relative file names.
+func AnalyzeModule(m *Module) []Finding {
+	var findings []Finding
+	for _, pkg := range m.Sorted {
+		for _, f := range pkg.Files {
+			dirs, bare := scanDirectives(m.Fset, f)
+			findings = append(findings, lintFile(m.Fset, pkg.Path, f, pkg.Info, dirs, bare)...)
+			for _, d := range dirs {
+				if !d.used {
+					findings = append(findings, Finding{
+						Pos:  token.Position{Filename: d.file, Line: d.line},
+						Rule: RuleStaleIgnore,
+						Msg:  fmt.Sprintf("cawalint:ignore directive suppresses no finding; remove it (reason given: %q)", d.reason),
+					})
+				}
+			}
+		}
+	}
+	for i := range findings {
+		name := findings[i].Pos.Filename
+		if rel, err := filepath.Rel(m.Dir, name); err == nil && !strings.HasPrefix(rel, "..") {
+			name = rel
+		}
+		findings[i].Pos.Filename = filepath.ToSlash(name)
+	}
+	sortFindings(findings)
+	return findings
+}
+
+// lintFile runs the rules over one file of a type-checked package,
+// marking the directives it consumes.
+func lintFile(fset *token.FileSet, pkgPath string, f *ast.File, info *types.Info, dirs []*directive, bare []int) []Finding {
 	fl := &fileLinter{
 		fset:    fset,
 		pkgPath: pkgPath,
-		opts:    opts,
 		info:    info,
 		imports: importNames(f),
 		dirs:    dirs,
@@ -234,33 +233,15 @@ func importNames(f *ast.File) map[string]string {
 	return out
 }
 
-// Directive kinds.
-const (
-	dirIgnore  = "ignore"   // //cawalint:ignore <reason>: suppresses any rule
-	dirAllocOK = "alloc-ok" // //cawalint:alloc-ok <reason>: suppresses only hotpath-alloc
-)
-
-// directive is one suppression comment. It covers its own line and the
-// next (so both trailing and standalone placements work) and records
-// whether anything was actually suppressed — a directive that outlives
-// its finding becomes a stale-ignore finding.
+// directive is one `//cawalint:ignore <reason>` comment. It covers its
+// own line and the next (so both trailing and standalone placements
+// work) and records whether anything was actually suppressed — a
+// directive that outlives its finding becomes a stale-ignore finding.
 type directive struct {
 	file   string // position filename, as the fset renders it
 	line   int
-	kind   string
 	reason string
 	used   bool
-}
-
-// covers reports whether the directive suppresses rule at file:line.
-func (d *directive) covers(file string, line int, rule string) bool {
-	if d.file != file || (line != d.line && line != d.line+1) {
-		return false
-	}
-	if d.kind == dirAllocOK {
-		return rule == RuleHotPathAlloc
-	}
-	return true
 }
 
 // scanDirectives collects the suppression directives of one file.
@@ -269,13 +250,8 @@ func (d *directive) covers(file string, line int, rule string) bool {
 func scanDirectives(fset *token.FileSet, f *ast.File) (dirs []*directive, bare []int) {
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			kind := ""
-			rest := ""
-			if r, ok := strings.CutPrefix(c.Text, "//cawalint:ignore"); ok {
-				kind, rest = dirIgnore, r
-			} else if r, ok := strings.CutPrefix(c.Text, "//cawalint:alloc-ok"); ok {
-				kind, rest = dirAllocOK, r
-			} else {
+			rest, ok := strings.CutPrefix(c.Text, "//cawalint:ignore")
+			if !ok {
 				continue
 			}
 			pos := fset.Position(c.Pos())
@@ -284,9 +260,7 @@ func scanDirectives(fset *token.FileSet, f *ast.File) (dirs []*directive, bare [
 				bare = append(bare, pos.Line)
 				continue
 			}
-			dirs = append(dirs, &directive{
-				file: pos.Filename, line: pos.Line, kind: kind, reason: reason,
-			})
+			dirs = append(dirs, &directive{file: pos.Filename, line: pos.Line, reason: reason})
 		}
 	}
 	return dirs, bare
@@ -295,7 +269,6 @@ func scanDirectives(fset *token.FileSet, f *ast.File) (dirs []*directive, bare [
 type fileLinter struct {
 	fset     *token.FileSet
 	pkgPath  string
-	opts     Options
 	info     *types.Info
 	imports  map[string]string
 	dirs     []*directive
@@ -307,7 +280,7 @@ type fileLinter struct {
 func (l *fileLinter) add(pos token.Pos, rule, msg string) {
 	p := l.fset.Position(pos)
 	for _, d := range l.dirs {
-		if d.kind == dirIgnore && d.covers(p.Filename, p.Line, rule) {
+		if d.file == p.Filename && (p.Line == d.line || p.Line == d.line+1) {
 			d.used = true
 			return
 		}
@@ -316,14 +289,14 @@ func (l *fileLinter) add(pos token.Pos, rule, msg string) {
 }
 
 func (l *fileLinter) file(f *ast.File) {
-	sim := hasPrefix(l.pkgPath, l.opts.SimPaths)
+	sim := hasPrefix(l.pkgPath, simPaths)
 	l.sim = sim
-	l.wall = sim || hasPrefix(l.pkgPath, l.opts.WallClockPaths)
-	staged := hasPrefix(l.pkgPath, l.opts.StagedMemsysPaths)
+	l.wall = sim || hasPrefix(l.pkgPath, wallClockPaths)
+	staged := hasPrefix(l.pkgPath, stagedMemsysPaths)
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
-			if !hasPrefix(l.pkgPath, l.opts.GoroutineAllowed) && !l.fileAllowsGoroutines(n.Pos()) {
+			if !hasPrefix(l.pkgPath, goroutineAllowed) && !l.fileAllowsGoroutines(n.Pos()) {
 				l.add(n.Pos(), RuleGoroutine,
 					"goroutine creation outside internal/harness breaks deterministic replay")
 			}
@@ -359,7 +332,7 @@ func (l *fileLinter) file(f *ast.File) {
 // or an absolute path.
 func (l *fileLinter) fileAllowsGoroutines(pos token.Pos) bool {
 	key := l.pkgPath + "/" + filepath.Base(l.fset.Position(pos).Filename)
-	for _, entry := range l.opts.GoroutineAllowedFiles {
+	for _, entry := range goroutineAllowedFiles {
 		if key == entry {
 			return true
 		}
@@ -390,9 +363,20 @@ func (l *fileLinter) systemCall(call *ast.CallExpr) {
 		fmt.Sprintf("memsys.System.%s called from SM-domain code; route memory traffic through the L1D's staged interface (memsys/stage.go)", sel.Sel.Name))
 }
 
+// recvTypeName names a method receiver's type without its pointer.
+func recvTypeName(t types.Type) string {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return strings.TrimPrefix(types.TypeString(t, nil), "*")
+}
+
 // selector flags wall-clock and global-rand references. The receiver
 // must resolve to the imported package, not a shadowing local. In
-// packages covered only by WallClockPaths (l.wall without l.sim) the
+// packages covered only by wallClockPaths (l.wall without l.sim) the
 // global-rand half is skipped.
 func (l *fileLinter) selector(sel *ast.SelectorExpr) {
 	id, ok := sel.X.(*ast.Ident)

@@ -1,27 +1,62 @@
 package lint
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// lintSrc runs the analyzer over the mutant suite's fixture module plus
-// one synthetic file in a package of its own below pkgPath, so the
-// path-scoped rules see it as part of pkgPath's tree and its names
-// cannot collide with the fixture's.
+// fixtureFiles is the minimal module the rule tests lint: just enough
+// of memsys for the memsys-mutation tests to type-check against.
+var fixtureFiles = map[string]string{
+	"go.mod": "module cawa\n\ngo 1.22\n",
+	"internal/memsys/memsys.go": `package memsys
+
+type System struct{ n int }
+type L1D struct{ sys *System }
+
+func New() *System { return &System{} }
+func (s *System) Cycle() {}
+func (s *System) Schedule(t int64) { s.n++ }
+func (s *System) NewL1D() *L1D { return &L1D{sys: s} }
+func (l *L1D) AccessLoad(now int64) {}
+`,
+}
+
+// lintSrc lints the fixture module plus one synthetic file in a package
+// of its own below pkgPath, so the path-scoped rules see it as part of
+// pkgPath's tree.
 func lintSrc(t *testing.T, pkgPath, src string) []Finding {
 	t.Helper()
 	return lintNamed(t, pkgPath+"/probe", "probe.go", src)
 }
 
-// lintNamed adds the file to the fixture package pkgPath itself, under
-// a caller-chosen name, for rules whose scope is a file path rather
-// than a package.
+// lintNamed adds the file to package pkgPath itself, under a
+// caller-chosen name, for rules whose scope is a file path rather than
+// a package.
 func lintNamed(t *testing.T, pkgPath, filename, src string) []Finding {
 	t.Helper()
-	return analyzeMutant(t, map[string]string{
-		strings.TrimPrefix(pkgPath, "cawa/") + "/" + filename: src,
-	})
+	dir := t.TempDir()
+	files := map[string]string{strings.TrimPrefix(pkgPath, "cawa/") + "/" + filename: src}
+	for name, src := range fixtureFiles {
+		files[name] = src
+	}
+	for name, src := range files {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := LoadModule(dir)
+	if err != nil {
+		t.Fatalf("LoadModule: %v", err)
+	}
+	return AnalyzeModule(m)
 }
 
 func rulesOf(fs []Finding) []string {
@@ -264,21 +299,68 @@ func f() { go func() {}() }
 	}
 }
 
-// TestRepoIsClean runs the production configuration over the real
-// module — the gate scripts/check.sh and CI run, and the linter must
-// hold on the code it guards.
+var repo struct {
+	once sync.Once
+	m    *Module
+	err  error
+}
+
+// repoModule loads this repository's module once for the tests that
+// need the real code.
+func repoModule(t *testing.T) *Module {
+	t.Helper()
+	repo.once.Do(func() { repo.m, repo.err = LoadModule("../..") })
+	if repo.err != nil {
+		t.Fatal(repo.err)
+	}
+	return repo.m
+}
+
+// TestRepoIsClean runs the rules over the real module — the gate
+// scripts/check.sh and CI run, and the linter must hold on the code it
+// guards.
 func TestRepoIsClean(t *testing.T) {
-	m, err := LoadModule("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings, err := AnalyzeModule(m, DefaultInterOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
+	for _, f := range AnalyzeModule(repoModule(t)) {
 		t.Error(f)
 	}
+}
+
+// TestScopesCoverEngineClosure keeps the rules from going vacuous: every
+// module package the engine imports, directly or not, from its three
+// roots (gpu, checkpoint, core) must sit in a rule scope. A new helper
+// package the engine starts importing fails here until it is scoped,
+// and a renamed root fails instead of shrinking the walk.
+func TestScopesCoverEngineClosure(t *testing.T) {
+	m := repoModule(t)
+	queue := []string{"cawa/internal/gpu", "cawa/internal/checkpoint", "cawa/internal/core"}
+	seen := map[string]bool{}
+	for len(queue) > 0 {
+		path := queue[0]
+		queue = queue[1:]
+		if seen[path] {
+			continue
+		}
+		seen[path] = true
+		pkg, ok := m.Pkgs[path]
+		if !ok {
+			t.Fatalf("engine package %s is not in the module", path)
+		}
+		if !hasPrefix(path, simPaths) && !hasPrefix(path, wallClockPaths) {
+			t.Errorf("%s is in the engine's import closure but in no rule scope", path)
+		}
+		queue = append(queue, moduleImports(m, pkg)...)
+	}
+}
+
+// TestStaleIgnoreFlagged proves a directive that suppresses nothing is
+// itself a finding.
+func TestStaleIgnoreFlagged(t *testing.T) {
+	fs := lintSrc(t, simPkg, `package sm
+func f(s []int) int {
+	return len(s) //cawalint:ignore nothing here is nondeterministic
+}
+`)
+	wantOnly(t, fs, RuleStaleIgnore, 1)
 }
 
 // TestGoroutineAllowedInDomainRunner: the gpu domain runner is the one

@@ -1,18 +1,15 @@
 package lint
 
-// Whole-module loading for the interprocedural analyzer.
+// Whole-module loading.
 //
-// The per-file engine (lint.go) type-checks each package against stub
-// imports: cheap, but cross-package types degrade to empty named types,
-// so it can only see what is syntactically local. The interprocedural
-// passes need the real thing — exact method sets to resolve interface
-// calls, exact signatures to resolve calls through function values, and
-// exact receiver identities to recognize memsys.System no matter how a
-// value reached the callee. LoadModule therefore parses every non-test
-// package under the module root and type-checks them in dependency
-// order: module-internal imports resolve to the already-checked
-// packages, and standard-library imports resolve through the compiler's
-// export data (with a from-source fallback), all stdlib-only.
+// The rules need exact types: a map range is recognized by the ranged
+// expression's type, and memsys.System by its receiver's identity no
+// matter how the value was named. LoadModule therefore parses every
+// non-test package under the module root and type-checks them in
+// dependency order: module-internal imports resolve to the
+// already-checked packages, and standard-library imports resolve
+// through the compiler's export data (with a from-source fallback), all
+// stdlib-only.
 
 import (
 	"fmt"
@@ -50,10 +47,9 @@ type Module struct {
 }
 
 // LoadModule loads and type-checks the module rooted at dir. Any parse
-// or type error fails the load: the interprocedural analysis is only
-// meaningful over code the compiler would accept, and a broken tree
-// must fail the lint gate loudly (exit 2 in the CLI), not silently
-// shrink the call graph.
+// or type error fails the load: the rules are only meaningful over code
+// the compiler would accept, and a broken tree must fail the lint gate
+// loudly (exit 2 in the CLI), not silently lose type information.
 func LoadModule(dir string) (*Module, error) {
 	modPath, err := readModulePath(filepath.Join(dir, "go.mod"))
 	if err != nil {

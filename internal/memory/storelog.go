@@ -37,9 +37,9 @@ func (l *StoreLog) SetCycle(c int64) { l.cycle = c }
 // word like Memory.Store would, so forwarding matches on the same
 // cells a direct store would have written.
 func (l *StoreLog) Store(addr, v int64) {
-	l.addrs = append(l.addrs, addr&^(WordBytes-1)) //cawalint:alloc-ok amortized: cleared by FlushThrough, capacity reused across spans
+	l.addrs = append(l.addrs, addr&^(WordBytes-1))
 	l.vals = append(l.vals, v)
-	l.cycles = append(l.cycles, l.cycle) //cawalint:alloc-ok amortized: cleared by FlushThrough, capacity reused across spans
+	l.cycles = append(l.cycles, l.cycle)
 }
 
 // Load returns the value a load at addr observes: the newest deferred

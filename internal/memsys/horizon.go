@@ -67,7 +67,7 @@ func (h timeHeap) down(i int) {
 }
 
 func (h *timeHeap) push(t int64) {
-	*h = append(*h, t) //cawalint:alloc-ok amortized growth of the horizon heap's backing array
+	*h = append(*h, t)
 	h.up(len(*h) - 1)
 }
 

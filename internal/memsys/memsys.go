@@ -107,7 +107,7 @@ func (h eventHeap) down(i int) {
 }
 
 func (h *eventHeap) push(e event) {
-	*h = append(*h, e) //cawalint:alloc-ok amortized growth of the event heap's backing array
+	*h = append(*h, e)
 	h.up(len(*h) - 1)
 }
 
@@ -276,10 +276,10 @@ func (s *System) l2Arrive(e event) {
 
 	// L2 miss: merge into the L2 MSHR or start a DRAM read.
 	if waiters, ok := s.l2mshr[e.addr]; ok {
-		s.l2mshr[e.addr] = append(waiters, l2Waiter{e.l1, e.req}) //cawalint:alloc-ok amortized growth of a pooled waiter slice
+		s.l2mshr[e.addr] = append(waiters, l2Waiter{e.l1, e.req})
 		return
 	}
-	s.l2mshr[e.addr] = append(s.takeWaiters(), l2Waiter{e.l1, e.req}) //cawalint:alloc-ok first miss per pool slot; recycled by dramDone thereafter
+	s.l2mshr[e.addr] = append(s.takeWaiters(), l2Waiter{e.l1, e.req})
 	ch := s.chanOf(e.addr)
 	dramStart := start
 	if s.chanFree[ch] > dramStart {
@@ -335,7 +335,7 @@ func (s *System) putWaiters(ws []l2Waiter) {
 	if ws == nil {
 		return
 	}
-	s.waiterPool = append(s.waiterPool, ws[:0]) //cawalint:alloc-ok amortized growth of the pool's own backing array
+	s.waiterPool = append(s.waiterPool, ws[:0])
 }
 
 // L1D is one SM's L1 data cache with its MSHRs.
@@ -424,7 +424,7 @@ func (l *L1D) AccessLoad(req cache.Request, token int64, now int64) Outcome {
 		l.LoadAccesses++
 		l.WarpAccesses[int32(req.Warp)]++
 		l.LoadMisses++
-		entry.tokens = append(entry.tokens, token) //cawalint:alloc-ok amortized growth of the pooled MSHR entry's token buffer
+		entry.tokens = append(entry.tokens, token)
 		if l.AccessListener != nil {
 			l.AccessListener(req, false)
 		}
@@ -443,9 +443,9 @@ func (l *L1D) AccessLoad(req cache.Request, token int64, now int64) Outcome {
 		entry = l.free[n-1]
 		l.free = l.free[:n-1]
 		entry.req = req
-		entry.tokens = append(entry.tokens[:0], token) //cawalint:alloc-ok reuses the pooled entry's token buffer in place
+		entry.tokens = append(entry.tokens[:0], token)
 	} else {
-		entry = &mshrEntry{req: req, tokens: make([]int64, 1, 8)} //cawalint:alloc-ok one-time pool growth; entries recycle through the free list
+		entry = &mshrEntry{req: req, tokens: make([]int64, 1, 8)} // pool growth; entries recycle through the free list
 		entry.tokens[0] = token
 	}
 	l.mshr[line] = entry
@@ -502,7 +502,7 @@ func (l *L1D) handleFill(lineAddr int64, now int64) {
 		l.fill(lineAddr, entry.tokens)
 	}
 	// Fill handlers do not retain tokens, so the entry can be recycled.
-	l.free = append(l.free, entry) //cawalint:alloc-ok amortized growth of the MSHR free list
+	l.free = append(l.free, entry)
 }
 
 // CanAccept reports whether a load touching the given (distinct) lines

@@ -68,7 +68,7 @@ func (s *System) PlanSpanFills(horizon int64) {
 // sorted — the heap iteration order of PlanSpanFills is arbitrary, and
 // in-span fills per L1 are few, so an insertion step beats sorting.
 func (l *L1D) planFill(p plannedFill) {
-	l.plan = append(l.plan, p) //cawalint:alloc-ok amortized growth of the reused span-fill plan
+	l.plan = append(l.plan, p)
 	i := len(l.plan) - 1
 	for i > 0 && (l.plan[i-1].time > p.time ||
 		(l.plan[i-1].time == p.time && l.plan[i-1].seq > p.seq)) {
@@ -108,11 +108,11 @@ func (l *L1D) DeliverSpanFills(now int64) {
 			if l.fill != nil {
 				l.fill(p.addr, entry.tokens)
 			}
-			l.free = append(l.free, entry) //cawalint:alloc-ok amortized growth of the MSHR free list
+			l.free = append(l.free, entry)
 		} else {
 			rec.stale = true
 		}
-		l.recs = append(l.recs, rec) //cawalint:alloc-ok amortized growth of the reused span-fill record buffer
+		l.recs = append(l.recs, rec)
 	}
 }
 

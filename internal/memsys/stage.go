@@ -74,7 +74,7 @@ func (l *L1D) Staged() bool { return l.stage != nil }
 func (l *L1D) emitL2(now int64, addr int64, req cache.Request) {
 	t := now + l.sys.icntLat
 	if l.stage != nil {
-		l.stage.pending = append(l.stage.pending, stagedAccess{cycle: now, time: t, addr: addr, l1: l, req: req}) //cawalint:alloc-ok amortized growth of the reused span stage buffer
+		l.stage.pending = append(l.stage.pending, stagedAccess{cycle: now, time: t, addr: addr, l1: l, req: req})
 		return
 	}
 	l.sys.schedule(t, evL2Arrive, addr, l, req)

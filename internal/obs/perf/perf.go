@@ -284,12 +284,12 @@ func (p *Profiler) checkpoint(nowNS int64) {
 		s.PhaseNS[i] = p.phases[i].SumNS
 	}
 	for i := range p.shards {
-		s.Shards = append(s.Shards, ShardSample{ //cawalint:alloc-ok sampling cadence: one sample per checkpoint interval, not per cycle
+		s.Shards = append(s.Shards, ShardSample{
 			ComputeNS: p.shards[i].totalNS,
 			WaitNS:    p.shards[i].waitNS,
 		})
 	}
-	p.samples = append(p.samples, s) //cawalint:alloc-ok sampling cadence: one sample per checkpoint interval, not per cycle
+	p.samples = append(p.samples, s) // one sample per checkpoint interval, not per cycle
 }
 
 // Merge folds another profiler's accumulation into p (histograms add,

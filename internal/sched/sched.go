@@ -197,27 +197,27 @@ func (p *TwoLevel) Select(ctx *Context) int {
 	kept := p.active[:0]
 	for _, s := range p.active {
 		if ctx.WaitingMem(s) {
-			p.pending = append(p.pending, s) //cawalint:alloc-ok amortized growth of the persistent pending set (bounded by warp slots)
+			p.pending = append(p.pending, s)
 		} else {
-			kept = append(kept, s) //cawalint:alloc-ok in-place filter within the active set's existing capacity
+			kept = append(kept, s)
 		}
 	}
 	p.active = kept
 	for scan := len(p.pending); scan > 0 && len(p.active) < p.groupSize && len(p.pending) > 0; scan-- {
 		s := p.pending[0]
-		p.pending = p.pending[1:]
+		p.pending = p.pending[:copy(p.pending, p.pending[1:])] // keep the front capacity
 		if ctx.WaitingMem(s) {
-			p.pending = append(p.pending, s) //cawalint:alloc-ok amortized growth of the persistent pending set (bounded by warp slots)
+			p.pending = append(p.pending, s)
 			continue
 		}
-		p.active = append(p.active, s) //cawalint:alloc-ok amortized growth of the persistent active set (bounded by warp slots)
+		p.active = append(p.active, s)
 	}
 	// Round-robin among ready warps restricted to the active set,
 	// collected into the policy's reused scratch buffer.
 	readyActive := p.ready[:0]
 	for _, s := range ctx.Ready {
 		if p.inActive(s) {
-			readyActive = append(readyActive, s) //cawalint:alloc-ok amortized growth of the reused ready-scratch buffer
+			readyActive = append(readyActive, s)
 		}
 	}
 	p.ready = readyActive
@@ -254,7 +254,7 @@ func remove(s []int, v int) []int {
 	out := s[:0]
 	for _, x := range s {
 		if x != v {
-			out = append(out, x) //cawalint:alloc-ok in-place filter within the slice's existing capacity
+			out = append(out, x)
 		}
 	}
 	return out

@@ -103,7 +103,7 @@ func ExecInto(w *Warp, prog *isa.Program, ctx *ExecContext, out *Step) {
 			st.Divergent = true
 			rpc := in.Rpc
 			e.PC = rpc
-			w.stack = append(w.stack, //cawalint:alloc-ok amortized growth of the reconvergence stack (depth bounded by divergence nesting)
+			w.stack = append(w.stack, // depth bounded by divergence nesting
 				StackEntry{PC: pc + 1, RPC: rpc, Mask: mask &^ taken},
 				StackEntry{PC: in.Target(), RPC: rpc, Mask: taken},
 			)
@@ -125,7 +125,7 @@ func ExecInto(w *Warp, prog *isa.Program, ctx *ExecContext, out *Step) {
 		a, acc := w.row(in.A), st.Accesses
 		for m := mask; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
-			acc = append(acc, MemAccess{Lane: l, Addr: a[l] + in.Imm}) //cawalint:alloc-ok amortized growth of the reused per-slot access buffer
+			acc = append(acc, MemAccess{Lane: l, Addr: a[l] + in.Imm})
 		}
 		st.Accesses = acc
 		switch d, b := w.row(in.Dst), w.row(in.B); {
@@ -163,7 +163,7 @@ func ExecInto(w *Warp, prog *isa.Program, ctx *ExecContext, out *Step) {
 				panic(fmt.Sprintf("simt: %s: shared-memory address %#x out of range (block %d, lane %d, pc %d)",
 					prog.Name, addr, ctx.BlockID, l, pc))
 			}
-			st.Accesses = append(st.Accesses, MemAccess{Lane: l, Addr: addr}) //cawalint:alloc-ok amortized growth of the reused per-slot access buffer
+			st.Accesses = append(st.Accesses, MemAccess{Lane: l, Addr: addr})
 			if st.IsLoad {
 				v[l] = ctx.Shared[idx]
 			} else {

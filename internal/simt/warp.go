@@ -116,7 +116,7 @@ func (w *Warp) exitLanes(mask uint64) {
 	for _, e := range w.stack {
 		e.Mask &^= mask
 		if e.Mask != 0 {
-			kept = append(kept, e) //cawalint:alloc-ok in-place filter within the stack's existing capacity
+			kept = append(kept, e)
 		}
 	}
 	w.stack = kept

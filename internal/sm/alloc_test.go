@@ -1,6 +1,7 @@
 package sm
 
 import (
+	"runtime"
 	"testing"
 
 	"cawa/internal/isa"
@@ -47,6 +48,8 @@ func streamKernel(t *testing.T, r *rig, iters int64) *simt.Kernel {
 // heap and MSHR pools have warmed up, driving the SM and memory system
 // forward must not allocate at all. This is what keeps the simulator's
 // throughput GC-free at steady state (see BenchmarkSimulatorThroughput).
+// The 2000-cycle window is counted as one run (AllocsPerRun divides by
+// its run count), so an allocation on even one cycle in it fails.
 func TestCyclePathAllocFree(t *testing.T) {
 	r := newRig(t, nil)
 	k := streamKernel(t, r, 1<<20)
@@ -67,13 +70,18 @@ func TestCyclePathAllocFree(t *testing.T) {
 
 	issued := r.sm.SchedulerIssued(0) + r.sm.SchedulerIssued(1)
 	misses := r.sm.L1D().LoadMisses
-	allocs := testing.AllocsPerRun(2000, func() {
-		now++
-		r.sys.Cycle(now)
-		r.sm.Cycle(now)
+	// Collect first: the run's first GC cycle starting inside the window
+	// would count its mark workers' goroutines as mallocs.
+	runtime.GC()
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 2000; i++ {
+			now++
+			r.sys.Cycle(now)
+			r.sm.Cycle(now)
+		}
 	})
 	if allocs != 0 {
-		t.Errorf("cycle path allocated %.2f objects per cycle at steady state, want 0", allocs)
+		t.Errorf("cycle path allocated %.0f objects in a 2000-cycle steady-state window, want 0", allocs)
 	}
 	// Guard against a vacuous pass: the measured window must have kept
 	// issuing instructions and missing in the L1D.
@@ -166,19 +174,25 @@ func TestCyclePathAllocFreeFullOccupancy(t *testing.T) {
 	misses := r.sm.L1D().LoadMisses
 	stalls := barrierStalls()
 	parkedSeen := 0
-	allocs := testing.AllocsPerRun(2000, func() {
-		now++
-		r.sys.Cycle(now)
-		r.sm.Cycle(now)
-		r.sm.settleStalls()
-		for i := range r.sm.slots {
-			if r.sm.slots[i].parked {
-				parkedSeen++
+	const window = 2000
+	// Collect first: the run's first GC cycle starting inside the window
+	// would count its mark workers' goroutines as mallocs.
+	runtime.GC()
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < window; i++ {
+			now++
+			r.sys.Cycle(now)
+			r.sm.Cycle(now)
+			r.sm.settleStalls()
+			for i := range r.sm.slots {
+				if r.sm.slots[i].parked {
+					parkedSeen++
+				}
 			}
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("cycle path allocated %.2f objects per cycle at full occupancy, want 0", allocs)
+		t.Errorf("cycle path allocated %.0f objects in a %d-cycle window at full occupancy, want 0", allocs, window)
 	}
 	// Guard against a vacuous pass: the window must have issued, missed,
 	// waited at barriers, and kept a good share of the slots parked (the
@@ -192,7 +206,8 @@ func TestCyclePathAllocFreeFullOccupancy(t *testing.T) {
 	if d := barrierStalls() - stalls; d == 0 {
 		t.Error("no barrier stalls accrued during the measured window")
 	}
-	if avg := parkedSeen / 2001; avg < r.cfg.MaxWarpsPerSM/4 {
+	// AllocsPerRun makes one warm-up call on top of the measured run.
+	if avg := parkedSeen / (2 * window); avg < r.cfg.MaxWarpsPerSM/4 {
 		t.Errorf("on average %d of %d warps parked; the kernel is not barrier-bound", avg, r.cfg.MaxWarpsPerSM)
 	}
 	if r.done > 0 || r.sm.ResidentWarps() != r.cfg.MaxWarpsPerSM {

@@ -158,7 +158,7 @@ func (m *SM) pushWB(i int, s *slot, t int64, reg isa.Reg) {
 	if len(s.wb) == 0 || t < s.wbMin {
 		s.wbMin = t
 	}
-	s.wb = append(s.wb, wbEvent{time: t, reg: reg}) //cawalint:alloc-ok amortized growth of the per-slot writeback queue (bounded by pipe depth)
+	s.wb = append(s.wb, wbEvent{time: t, reg: reg})
 	m.wbPending.add(i)
 	if t < m.wbNext {
 		m.wbNext = t
@@ -243,7 +243,7 @@ func (m *SM) issueFrom(u *schedUnit, now int64, steady bool) bool {
 			for word := own & m.cand[w]; word != 0; word &= word - 1 {
 				i := w<<6 | bits.TrailingZeros64(word)
 				if m.readiness(i, now) {
-					u.stand = append(u.stand, i) //cawalint:alloc-ok amortized growth of the reused ready buffer
+					u.stand = append(u.stand, i)
 				}
 			}
 		}
@@ -295,12 +295,12 @@ func (m *SM) tryIssue(i int, now int64) bool {
 			if m.l1d.Fills() < s.rejectedAt {
 				return false // too few fills to close the deficit yet
 			}
-			m.lineBuf = append(m.lineBuf[:0], s.peekBuf...) //cawalint:alloc-ok reuses lineBuf's backing array in place
+			m.lineBuf = append(m.lineBuf[:0], s.peekBuf...)
 		} else {
 			m.peekLines(s, in)
 			s.peekPC = pc
 			s.peekInstr = s.rec.Instructions
-			s.peekBuf = append(s.peekBuf[:0], m.lineBuf...) //cawalint:alloc-ok reuses peekBuf's backing array in place
+			s.peekBuf = append(s.peekBuf[:0], m.lineBuf...)
 			s.rejectedAt = 0
 		}
 		if d := m.l1d.Deficit(m.lineBuf); d > 0 {
@@ -398,7 +398,7 @@ func (m *SM) peekLines(s *slot, in isa.Instr) {
 			continue
 		}
 		if !slices.Contains(m.lineBuf, addr) {
-			m.lineBuf = append(m.lineBuf, addr) //cawalint:alloc-ok amortized growth of the reused line-coalescing buffer
+			m.lineBuf = append(m.lineBuf, addr)
 		}
 	}
 }
@@ -414,7 +414,7 @@ func (m *SM) issueGlobal(slotIdx int, s *slot, st *simt.Step, now int64) {
 		for _, a := range st.Accesses {
 			la := a.Addr &^ (lineSize - 1)
 			if !slices.Contains(m.lineBuf, la) {
-				m.lineBuf = append(m.lineBuf, la) //cawalint:alloc-ok amortized growth of the reused line-coalescing buffer
+				m.lineBuf = append(m.lineBuf, la)
 			}
 		}
 	}
@@ -503,7 +503,7 @@ func (m *SM) finishWarp(i int, now int64) {
 	s.done = true
 	m.live.remove(i)
 	s.rec.FinishCycle = now
-	m.Finished = append(m.Finished, s.rec) //cawalint:alloc-ok bounded by warps per launch; drained and reused at launch end
+	m.Finished = append(m.Finished, s.rec) // one per warp per launch; reused across launches
 	blk := s.block
 
 	m.units[i%len(m.units)].policy.OnWarpFinished(i)

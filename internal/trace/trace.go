@@ -75,7 +75,7 @@ func (r *Recorder) OnIssue(slot int, st *simt.Step, stallCycles, cycle int64) {
 	}
 	ev := Event{Cycle: cycle, GID: gid, PC: st.PC, Op: st.Instr.Op, Lanes: st.Lanes, Stall: stallCycles}
 	if len(r.ring) < cap(r.ring) {
-		r.ring = append(r.ring, ev) //cawalint:alloc-ok bounded ring fill: grows only until the ring reaches capacity
+		r.ring = append(r.ring, ev)
 	} else {
 		r.ring[r.next] = ev
 		r.next = (r.next + 1) % cap(r.ring)
