@@ -222,6 +222,33 @@ func (c *Cache) Touch(set, way int, req Request) {
 	c.policy.OnHit(c, set, way, req)
 }
 
+// Ref names a resident line by its position in the tag array.
+type Ref struct{ Set, Way int32 }
+
+// TouchRepeat has the effect of n passes of Touch over seq, in order,
+// each a read hit, at the cost of one: the counters grow by n·len(seq),
+// each line's Refs by n per appearance, and the LRU clock by
+// n·len(seq), with each line stamped as its last touch in the last
+// pass. LRU only: another policy's hit update is not a stamp.
+func (c *Cache) TouchRepeat(seq []Ref, n uint64) {
+	if _, ok := c.policy.(LRU); !ok {
+		panic(fmt.Sprintf("cache: TouchRepeat under policy %s", c.policy.Name()))
+	}
+	if n == 0 {
+		return
+	}
+	k := uint64(len(seq))
+	last := c.tick + (n-1)*k // the clock before the last pass
+	for j, r := range seq {
+		l := &c.sets[r.Set][r.Way]
+		l.Refs += uint32(n)
+		l.LRU = last + uint64(j) + 1
+	}
+	c.tick += n * k
+	c.Accesses += n * k
+	c.Hits += n * k
+}
+
 // Fill installs the line for req, evicting if needed, and returns the
 // eviction record (Valid=false if an empty way was used). Fill must only
 // be called when the line is absent.

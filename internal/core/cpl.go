@@ -34,7 +34,10 @@ func (w *warpCrit) criticality(now int64) float64 {
 	if w.issues > 0 && w.lastSeen > w.arrive {
 		cpi = float64(w.lastSeen-w.arrive) / float64(w.issues)
 	}
-	return w.nInst*cpi + w.nStall
+	// The conversion rounds the product before the sum: no target may
+	// fuse it into one multiply-add, whose single rounding would move
+	// the value gCAWS ranks warps by (scripts/check.sh checks arm64).
+	return float64(w.nInst*cpi) + w.nStall
 }
 
 // CPL is the per-SM criticality prediction logic. It maintains one

@@ -6,6 +6,7 @@ import (
 
 	"cawa/internal/config"
 	"cawa/internal/core"
+	"cawa/internal/gpu"
 	"cawa/internal/isa"
 	"cawa/internal/memory"
 	"cawa/internal/memsys"
@@ -82,8 +83,9 @@ func designPoints() []designPoint {
 // TestDesignPointsAllocFree pins the span loop's allocation budget on
 // every design point the experiments evaluate: once a long kernel is in
 // steady state, a window of 2000 spans — head drain, planning, SM
-// stepping with its scheduler, criticality provider and L1D policy, and
-// replay — must not allocate once. The window is counted as one run, so
+// stepping with its scheduler, criticality provider and L1D policy,
+// sleeping through refused ticks and settling them, and replay — must
+// not allocate once. The window is counted as one run, so
 // an allocation that fires on only some spans still fails. Per-block
 // work (dispatch, retirement) is outside the budget: the window retires
 // no block.
@@ -95,7 +97,11 @@ func TestDesignPointsAllocFree(t *testing.T) {
 			}
 			mem := memory.New(1 << 21)
 			k := reuseKernel(mem, 1<<20)
-			g, err := dp.sc.NewGPU(config.Small(), mem)
+			// Two MSHRs: the strided loads keep most warps refused, so
+			// the window also sleeps through refused ticks and settles.
+			cfg := config.Small()
+			cfg.L1D.MSHRs = 2
+			g, err := dp.sc.NewGPU(cfg, mem)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,6 +130,7 @@ func TestDesignPointsAllocFree(t *testing.T) {
 				return
 			}
 			issued, hits, misses := counters()
+			settled := gpu.SettledTicks(g)
 			// Collect first: the run's first GC cycle starting inside the window
 			// would count its mark workers' goroutines as mallocs.
 			runtime.GC()
@@ -146,6 +153,9 @@ func TestDesignPointsAllocFree(t *testing.T) {
 			}
 			if m2 == misses {
 				t.Error("no L1D misses during the measured window")
+			}
+			if gpu.SettledTicks(g) == settled {
+				t.Error("no SM slept through and settled a refused tick during the measured window")
 			}
 			if n := retired(); n > 0 {
 				t.Fatalf("%d blocks retired during the measured window", n)

@@ -215,17 +215,20 @@ func (r *domainRunner) run(w *domainWorker) {
 // nothing, so its remaining fills are left for the replay (memsys
 // spanfill.go).
 //
-// When an SM reports it cannot act before some future cycle, the dead
-// cycles up to the earlier of that wake and the next planned fill are
-// credited to its stall buckets in bulk (AccountSkipped) and the SM
-// next runs a real cycle there: a fill may unblock a load, so the
-// delivery cycle must be classified for real. The contract with the SM
-// is that no cycle goes missing: every cycle of the span reaches it as
-// a Cycle or inside an AccountSkipped, in order. The SM charges its
-// parked warps by the distance between the cycles it sees and only the
-// warps it still evaluates by the calls themselves (sm/readiness.go),
-// so a cycle that reached it by neither path would be charged to some
-// warps and not to others.
+// When an SM reports it cannot act before some future cycle, the
+// cycles up to the earlier of that wake and the next planned fill reach
+// it in bulk (AccountSkipped) and the SM next gets a Cycle call there:
+// a fill may unblock a load or lapse a refusal, so the delivery cycle
+// must be classified for real. Those cycles are dead (no warp ready:
+// their stalls are credited at once) or refused (the SM sleeps, every
+// pick refused by the MSHRs, and owes them as ticks it settles later,
+// sm/sleep.go); the domain cannot tell and need not. The contract with
+// the SM is that no cycle goes missing: every cycle of the span reaches
+// it as a Cycle or inside an AccountSkipped, in order. The SM charges
+// its parked warps by the distance between the cycles it sees, and the
+// warps it still evaluates, or the refused ticks it owes, by the calls
+// themselves (sm/readiness.go), so a cycle that reached it by neither
+// path would be charged to some warps and not to others.
 func (w *domainWorker) stepSpan(from, to int64) {
 	for _, s := range w.sms {
 		l1 := s.L1D()

@@ -11,3 +11,13 @@ func (g *GPU) BeginLaunch(k *simt.Kernel) (step func(), retired func() int, stop
 	g.startDomains()
 	return func() { g.runSpan(ls) }, ls.retired, g.stopDomains
 }
+
+// SettledTicks counts the refused ticks g's SMs have slept through and
+// settled (sm.SM.SettledTicks).
+func SettledTicks(g *GPU) int64 {
+	n := int64(0)
+	for _, s := range g.sms {
+		n += s.SettledTicks()
+	}
+	return n
+}

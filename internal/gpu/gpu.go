@@ -424,7 +424,9 @@ func (g *GPU) stopDomains() {
 // UseTickedOracle switches this GPU to the tick-every-cycle reference
 // loop: every cycle drains the memory system, dispatches, and ticks
 // every SM directly against the shared memory system — no spans, no
-// staging, no skipping. It exists so tests can prove the span engine
+// staging, no skipping. Its SMs run without a store log, so they never
+// sleep through refused ticks either (sm.SM.SetStoreLog): every tick
+// runs for real. It exists so tests can prove the span engine
 // byte-identical to the simplest possible loop; no option, flag or
 // session setting reaches it.
 func (g *GPU) UseTickedOracle() { g.ticked = true }

@@ -141,6 +141,9 @@ func parseOperand(tok string) (operand, error) {
 		return operand{kind: 'l', str: tok[1:]}, nil
 	case strings.HasPrefix(tok, "["):
 		inner := strings.TrimSuffix(strings.TrimPrefix(tok, "["), "]")
+		if inner == "" {
+			return operand{}, fmt.Errorf("empty memory operand %q", tok)
+		}
 		base, off := inner, "0"
 		if i := strings.IndexAny(inner[1:], "+-"); i >= 0 {
 			base, off = inner[:i+1], inner[i+1:]

@@ -19,6 +19,8 @@ import (
 //     L1D refusal remembered beside it): derived from warp registers and
 //     L1D state, recomputed on the next issue. A loader resets each
 //     slot, which invalidates the memo by construction.
+//   - A sleeping SM's owed refused ticks (sleep.go): a saver settles
+//     them first, a loader wakes and ticks for real.
 //   - The event-driven readiness state (readiness.go): the live,
 //     candidate and writeback sets, which warps are parked, and the
 //     stall cycles parked warps are owed. A saver settles the debt into
@@ -44,7 +46,9 @@ func (m *SM) Archive(a *state.Archive, k *simt.Kernel) {
 	var blocks []*blockState
 	if loading {
 		m.SetKernel(k)
+		m.asleep, m.owed = false, 0
 	} else {
+		m.settle()
 		m.settleStalls()
 		for i := range m.slots {
 			if s := &m.slots[i]; s.valid && !slices.Contains(blocks, s.block) {

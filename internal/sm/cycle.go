@@ -21,17 +21,31 @@ const NoWake int64 = math.MaxInt64
 // planned fills).
 //
 // The return value is a conservative wakeup cycle for the span engine's
-// per-SM dead-cycle skipping (gpu/domains.go): the earliest future cycle
-// at which this SM's state can change on its own (a writeback retiring,
-// the fetch or load-store path freeing). A return of now means the SM
-// had at least one issuable warp this cycle — its schedulers must run
-// the next cycle too. NoWake means the SM is idle or blocked entirely
-// on external events. Skipping to the returned wake (clamped by the
-// SM's next fill) and crediting the skipped span in bulk
-// (AccountSkipped) is byte-identical to ticking every cycle, because a
-// cycle in which no scheduler has a ready warp mutates nothing except
-// the stall counters.
+// per-SM skipping (gpu/domains.go): the earliest future cycle at which
+// the SM must run a real tick again — a writeback retiring, the fetch
+// or load-store path freeing — folded by the caller with the SM's next
+// fill. A return of now means the SM had an issuable warp whose issue
+// nothing yet rules out: the next cycle must tick too. NoWake means the
+// SM is idle or blocked entirely on external events (a fill, a block
+// dispatch).
+//
+// A later return means every cycle up to it is either dead — no
+// scheduler has a ready warp, so nothing but the stall counters moves —
+// or refused: the SM sleeps (sleep.go), every pick the MSHRs would
+// refuse, and owes the ticks. Either way the caller may deliver those
+// cycles one Cycle call at a time or in bulk through AccountSkipped,
+// but in order and none missing; a sleeping SM counts each at O(1) and
+// settles the debt before its next real tick or its next reader.
 func (m *SM) Cycle(now int64) int64 {
+	if m.asleep {
+		if m.events == m.sleepEvents && m.wbNext > now && m.lsuBusyUntil != now &&
+			m.icBusy != now && m.refusalsHold() {
+			m.cycle = now
+			m.owed++
+			return m.nextWake(now)
+		}
+		m.wakeUp()
+	}
 	m.cycle = now
 	if m.storeLog != nil {
 		// Stamp deferred stores with their emitting cycle so the span
@@ -42,17 +56,22 @@ func (m *SM) Cycle(now int64) int64 {
 	// issueFrom's time condition: no skipped cycle, no busy time expiring.
 	steady := m.ticked == now-1 && m.lsuBusyUntil != now && m.icBusy != now
 	m.ticked = now
-	anyReady := false
+	anyReady, events := false, m.events
 	for u := range m.units {
 		if m.issueFrom(&m.units[u], now, steady) {
 			anyReady = true
 		}
 	}
 	m.accountStalls(now)
-	if anyReady {
-		return now
+	if !anyReady {
+		return m.nextWake(now)
 	}
-	return m.nextWake(now)
+	// A tick that moved the event count (an issue, a park) leaves some
+	// unit's pass behind it: it cannot be slept after.
+	if m.sleeps && m.events == events && m.fallAsleep(now) {
+		return m.nextWake(now)
+	}
+	return now
 }
 
 // nextWake returns the earliest future cycle at which the SM's own
@@ -75,15 +94,18 @@ func (m *SM) nextWake(now int64) int64 {
 	return wake
 }
 
-// AccountSkipped lives through span dead cycles at once: it credits
-// span cycles of stall time to every candidate warp, reproducing what
-// accountStalls would have recorded over span consecutive cycles in
-// which no scheduler had a ready warp, and advances the cycle latch
-// past them. Each warp's classification is the one computed by the
-// last readiness evaluation; it cannot change during the skipped span
-// because nothing issues, fills, or retires in it (the engine clamps
-// the span to the next writeback, fetch/LSU release, and fill). Parked
-// warps need nothing, nor does a candidate still owed cycles from a park
+// AccountSkipped lives through span cycles at once, the cycles after
+// the last one the SM saw, which its last Cycle return allowed the
+// caller to skip. It advances the cycle latch past them and accounts
+// them as ticking would have.
+//
+// A sleeping SM owes them as refused ticks (sleep.go): they join its
+// debt at O(1). Otherwise no scheduler had a ready warp, and the span
+// is credited to every candidate's stall bucket under its last
+// classification, which cannot change during the span because nothing
+// issues, fills, or retires in it (the engine clamps the span to the
+// next writeback, fetch/LSU release, and fill). Parked warps need
+// nothing, nor does a candidate still owed cycles from a park
 // (slot.since, as in accountStalls): those cycles are part of the debt
 // the warp's next evaluation settles. No other SM state needs touching:
 // readiness probes the I-cache only after the operand checks pass, and
@@ -94,6 +116,10 @@ func (m *SM) AccountSkipped(span int64) {
 		return
 	}
 	m.cycle += span
+	if m.asleep {
+		m.owed += span
+		return
+	}
 	for w, word := range m.cand {
 		for ; word != 0; word &= word - 1 {
 			s := &m.slots[w<<6|bits.TrailingZeros64(word)]
@@ -218,11 +244,8 @@ func (m *SM) readiness(i int, now int64) bool {
 	return true
 }
 
-// issueFrom lets one scheduler unit pick and issue a warp, returning
-// whether any of its warps was issuable this cycle. A pick whose
-// memory access cannot be accepted (MSHR full) is removed from the
-// ready set and the policy re-selects, bounding retries by the ready
-// count.
+// issueFrom lets one scheduler unit pick and issue a warp (offer),
+// returning whether any of its warps was issuable this cycle.
 //
 // While the SM is steady and its event count has not moved since the
 // unit's last readiness pass began, that pass's verdicts stand
@@ -248,27 +271,39 @@ func (m *SM) issueFrom(u *schedUnit, now int64, steady bool) bool {
 			}
 		}
 	}
-	ready := u.stand
-	if len(ready) == 0 {
+	if len(u.stand) == 0 {
 		return false
 	}
-	// Bound MSHR-reject retries: once the miss path is saturated,
-	// further loads this cycle will almost surely reject too, and
-	// probing them all is wasted work.
-	const maxRejects = 2
+	m.offer(u, now, false)
+	return true
+}
+
+// maxRejects bounds MSHR-reject retries per unit and tick: once the miss
+// path is saturated, further loads this cycle will almost surely reject
+// too, and probing them all is wasted work.
+const maxRejects = 2
+
+// offer lets the unit's policy pick from its ready list until a pick
+// issues. A pick whose memory access cannot be accepted (MSHR full) is
+// reclassified as a structural stall and struck from a copy of the list
+// (stand must outlive the tick), and the policy re-selects, bounding
+// retries by maxRejects. A replay (sleep.go) issues nothing: it logs
+// each pick in u.pickLog and treats it as refused.
+func (m *SM) offer(u *schedUnit, now int64, replay bool) {
+	ready := u.stand
 	for rejects := 0; len(ready) > 0 && rejects <= maxRejects; rejects++ {
 		u.ctx.Cycle = now
 		u.ctx.Ready = ready
 		pick := u.policy.Select(&u.ctx)
 		if pick < 0 {
-			return true
+			return
 		}
-		if m.tryIssue(pick, now) {
+		if replay {
+			u.pickLog = append(u.pickLog, int32(pick))
+		} else if m.tryIssue(pick, now) {
 			u.issued++
-			return true
+			return
 		}
-		// Structural reject: reclassify and let the policy try again, on
-		// a copy (stand must outlive the tick).
 		s := &m.slots[pick]
 		s.reason = reasonMemStruct
 		s.readyCycle = -1
@@ -278,7 +313,6 @@ func (m *SM) issueFrom(u *schedUnit, now int64, steady bool) bool {
 		j := slices.Index(ready, pick)
 		ready = slices.Delete(ready, j, j+1)
 	}
-	return true
 }
 
 // tryIssue executes one instruction from the warp in slot i, unless its
@@ -289,24 +323,8 @@ func (m *SM) tryIssue(i int, now int64) bool {
 	blk := s.block
 
 	pc := s.pc
-	in := m.prog.At(pc)
-	if m.meta[pc].GlobalLoad {
-		if s.peekPC == pc && s.peekInstr == s.rec.Instructions && len(s.peekBuf) > 0 {
-			if m.l1d.Fills() < s.rejectedAt {
-				return false // too few fills to close the deficit yet
-			}
-			m.lineBuf = append(m.lineBuf[:0], s.peekBuf...)
-		} else {
-			m.peekLines(s, in)
-			s.peekPC = pc
-			s.peekInstr = s.rec.Instructions
-			s.peekBuf = append(s.peekBuf[:0], m.lineBuf...)
-			s.rejectedAt = 0
-		}
-		if d := m.l1d.Deficit(m.lineBuf); d > 0 {
-			s.rejectedAt = m.l1d.Fills() + uint64(d)
-			return false
-		}
+	if m.meta[pc].GlobalLoad && m.loadRefused(s) {
+		return false
 	}
 	m.events++
 
@@ -385,6 +403,32 @@ func (m *SM) issueShared(i int, s *slot, st *simt.Step, now int64) {
 	}
 }
 
+// loadRefused reports whether the L1D would refuse slot s's global load
+// now. It memoizes the load's coalesced lines in s.peekBuf, valid until
+// the warp issues, and a refusal in s.rejectedAt, which stands without
+// a probe while L1D.Fills() is below it; an accepted load leaves its
+// lines in m.lineBuf for issueGlobal. Recording either ahead of an
+// issue attempt changes no outcome (the refusal contract, L1D.Deficit).
+func (m *SM) loadRefused(s *slot) bool {
+	if s.peekPC == s.pc && s.peekInstr == s.rec.Instructions && len(s.peekBuf) > 0 {
+		if m.l1d.Fills() < s.rejectedAt {
+			return true // too few fills to close the deficit yet
+		}
+		m.lineBuf = append(m.lineBuf[:0], s.peekBuf...)
+	} else {
+		m.peekLines(s, m.prog.At(s.pc))
+		s.peekPC = s.pc
+		s.peekInstr = s.rec.Instructions
+		s.peekBuf = append(s.peekBuf[:0], m.lineBuf...)
+		s.rejectedAt = 0
+	}
+	if d := m.l1d.Deficit(m.lineBuf); d > 0 {
+		s.rejectedAt = m.l1d.Fills() + uint64(d)
+		return true
+	}
+	return false
+}
+
 // peekLines fills m.lineBuf with the distinct cache lines the next
 // memory instruction of slot s will access, without executing it.
 func (m *SM) peekLines(s *slot, in isa.Instr) {
@@ -458,6 +502,7 @@ func (m *SM) issueGlobal(slotIdx int, s *slot, st *simt.Step, now int64) {
 // retired) with the load still in flight; its fill is dropped, as the
 // old occupant's scoreboard died with it.
 func (m *SM) handleFill(_ int64, tokens []int64) {
+	m.settle()
 	for _, t := range tokens {
 		slotIdx, gen, reg := splitToken(t)
 		s := &m.slots[slotIdx]

@@ -54,6 +54,7 @@ func (m *SM) DispatchBlock(blockID, gidBase int, now int64) {
 	if k == nil || !m.CanAcceptBlock() {
 		panic(fmt.Sprintf("sm %d: DispatchBlock without capacity", m.ID))
 	}
+	m.wakeUp()
 	blk := &blockState{
 		id:     blockID,
 		shared: make([]int64, k.SharedWords),

@@ -53,8 +53,9 @@ type slotSet []uint64
 
 func newSlotSet(slots int) slotSet { return make(slotSet, (slots+63)/64) }
 
-func (b slotSet) add(i int)    { b[i>>6] |= 1 << (uint(i) & 63) }
-func (b slotSet) remove(i int) { b[i>>6] &^= 1 << (uint(i) & 63) }
+func (b slotSet) add(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
+func (b slotSet) remove(i int)   { b[i>>6] &^= 1 << (uint(i) & 63) }
+func (b slotSet) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 func (b slotSet) clear() {
 	for w := range b {

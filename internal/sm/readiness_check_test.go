@@ -36,8 +36,6 @@ type ReadinessChecker struct {
 	Standing int
 }
 
-func (b slotSet) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
-
 // stallBuckets is the stall-accounting part of a warp record.
 type stallBuckets struct{ Sched, Mem, ALU, Barrier, Empty int64 }
 
@@ -100,9 +98,10 @@ func (m *SM) effective(s *slot) stallBuckets {
 }
 
 // Invariants checks the maintained state against the raw slots. It may
-// be called at any tick boundary.
+// be called at any tick boundary; it settles a sleeping SM first.
 func (c *ReadinessChecker) Invariants() error {
 	m := c.m
+	m.settle()
 	free := 0
 	earliest := NoWake
 	for i := range m.slots {
@@ -181,6 +180,7 @@ func (c *ReadinessChecker) Invariants() error {
 // owed, and checks the invariants.
 func (c *ReadinessChecker) AfterTick(now int64) error {
 	m := c.m
+	m.settle()
 	if m.cycle != now {
 		return fmt.Errorf("sm %d: AfterTick(%d) but the SM is at cycle %d", m.ID, now, m.cycle)
 	}

@@ -16,6 +16,7 @@ import (
 	"cawa/internal/memsys"
 	"cawa/internal/sched"
 	"cawa/internal/simt"
+	"cawa/internal/state"
 	"cawa/internal/stats"
 )
 
@@ -165,6 +166,19 @@ type schedUnit struct {
 	stand  []int  // the ready list of the last readiness pass (issueFrom)
 	seen   uint64 // SM.events when that pass began
 	stood  bool   // this tick re-offered stand
+	// arch is policy's checkpoint walk, nil if it has none (such a unit
+	// never sleeps). While the SM sleeps (sleep.go) the rest records the
+	// unit's foreseen refused ticks, k = 0 the real tick before the
+	// sleep: the policy state after tick k in snap from snapAt[k], the
+	// picks of tick k in pickLog[tickAt[k]:tickAt[k+1]]. The state after
+	// tick loop+period is the one after tick loop, and the ticks from
+	// there repeat for ever.
+	arch         state.Archiver
+	snap         *state.Archive
+	snapAt       []int
+	pickLog      []int32
+	tickAt       []int
+	loop, period int64
 }
 
 // SM is one streaming multiprocessor.
@@ -195,7 +209,25 @@ type SM struct {
 	wbPending slotSet // non-empty writeback queue
 	freeSlots int     // slots not valid
 	events    uint64  // verdict-changing events (readiness.go)
-	ticked    int64   // the last cycle ticked, not skipped through
+	ticked    int64   // the last cycle ticked (or settled), not skipped through
+
+	// Sleeping through refused ticks (sleep.go). None of it is
+	// serialized: a saver settles the debt first, a loader wakes.
+	sleeps      bool           // Cycle may sleep: a span-engine launch runs (SetStoreLog)
+	asleep      bool           // the ticks since sleepAt are refused ticks
+	sleepAt     int64          // the real tick the SM fell asleep after
+	sleepless   uint64         // events at the last failed fallAsleep
+	sleepEvents uint64         // events at sleepAt
+	sleepFills  uint64         // L1D.Fills() when the refusals last held
+	slept       int64          // ticks since sleepAt settled
+	owed        int64          // ticks since sleepAt + slept not yet settled
+	standSet    slotSet        // the slots on the units' ready lists
+	probed      slotSet        // the foreseen picks, each holding a refusal (refuses)
+	touchSeq    []cache.Ref    // their L1I hits in one tick's order
+	picks       []int64        // per slot: refused picks in the ticks a settle covers
+	loader      *state.Archive // restores a policy to a foreseen state
+	settled     int64          // refused ticks settled in bulk (SettledTicks)
+	settleSlack int64          // test hook: settle this many owed ticks short
 
 	cycle        int64
 	lsuBusyUntil int64
@@ -259,6 +291,7 @@ func New(opt Options) *SM {
 	m.cand = newSlotSet(len(m.slots))
 	m.wbPending = newSlotSet(len(m.slots))
 	m.freeSlots = len(m.slots)
+	m.sleepless = ^uint64(0)
 	for c := range m.classLat {
 		switch isa.Class(c) {
 		case isa.ClassFPU:
@@ -287,6 +320,7 @@ func New(opt Options) *SM {
 		m.units[i].owned = newSlotSet(len(m.slots))
 		m.units[i].ready = make([]int, 0, (len(m.slots)+len(m.units)-1)/len(m.units))
 		m.units[i].stand = make([]int, 0, cap(m.units[i].ready))
+		m.units[i].arch, _ = m.units[i].policy.(state.Archiver)
 	}
 	for s := range m.slots {
 		m.units[s%len(m.units)].owned.add(s)
@@ -306,7 +340,14 @@ func (m *SM) L1D() *memsys.L1D { return m.l1d }
 // Resident blocks (possible only after a checkpoint restore — normal
 // launches install the log before any dispatch) are rebound to the log
 // of the launch that resumes them.
+//
+// Only an SM with a log sleeps through refused ticks (Cycle): the span
+// engine's. The ticked reference loop installs none, so its SMs tick
+// every cycle for real and the engine-equivalence tests compare settled
+// runs against ticked ones.
 func (m *SM) SetStoreLog(l *memory.StoreLog) {
+	m.wakeUp()
+	m.sleeps = l != nil
 	m.storeLog = l
 	for i := range m.slots {
 		if m.slots[i].valid {
@@ -315,8 +356,11 @@ func (m *SM) SetStoreLog(l *memory.StoreLog) {
 	}
 }
 
-// L1I exposes the SM's instruction cache (statistics).
-func (m *SM) L1I() *cache.Cache { return m.l1i }
+// L1I exposes the SM's instruction cache (statistics), settled.
+func (m *SM) L1I() *cache.Cache {
+	m.settle()
+	return m.l1i
+}
 
 // instrBytes approximates the encoded size of one instruction in the
 // instruction stream, for L1I footprint modeling (PTX-era encodings are
@@ -348,6 +392,7 @@ func (m *SM) Crit() CriticalityProvider { return m.crit }
 
 // Policies returns the scheduler policies (tests).
 func (m *SM) Policies() []sched.Policy {
+	m.settle()
 	out := make([]sched.Policy, len(m.units))
 	for i := range m.units {
 		out[i] = m.units[i].policy
@@ -389,7 +434,7 @@ func (m *SM) Slot(i int) *simt.Warp {
 // population for the observability sampler: how many warps are
 // resident, what each was doing at the sampled cycle, and the live
 // criticality spread (max-min provider estimate) across unfinished
-// warps. Gathering it is read-only and allocation-free.
+// warps. Gathering it is allocation-free.
 type ObsState struct {
 	Resident     int     // occupied warp slots
 	Issued       int     // issued an instruction at the sampled cycle
@@ -415,9 +460,11 @@ func (o ObsState) Stalled() int { return o.StallMem + o.StallALU + o.StallBarrie
 // evaluation (sampling hook; see internal/obs). A parked warp's latest
 // evaluation is the one that parked it — still the verdict of the
 // sampled cycle, or the warp would have been woken — so the sampler
-// needs nothing settled first: it reads classifications, not the stall
-// buckets that accrue lazily.
+// needs no park debt settled: it reads classifications, not the stall
+// buckets that accrue lazily. A sleeping SM's refused ticks are settled
+// first, for the classifications of the last one.
 func (m *SM) ObsState() ObsState {
+	m.settle()
 	var o ObsState
 	var minC, maxC float64
 	first := true

@@ -56,6 +56,16 @@ type mark struct {
 func NewSaver(sizeHint int) *Archive { return &Archive{buf: make([]byte, 0, sizeHint)} }
 func NewLoader(b []byte) *Archive    { return &Archive{buf: b, loading: true} }
 
+// Reset readies a for another walk, keeping its buffers: a saver
+// empties (b is ignored), a loader reads b.
+func (a *Archive) Reset(b []byte) {
+	if a.loading {
+		a.buf, a.err = b, nil
+		return
+	}
+	a.buf, a.marks, a.err = a.buf[:0], a.marks[:0], nil
+}
+
 // Loading reports whether the walk restores (true) or captures, Bytes
 // what a saver has written (a loader: what is left), Err the walk's
 // first failure.
@@ -165,8 +175,13 @@ func (a *Archive) String(p *string) {
 // the same name comes next (a policy of another kind, a walk out of step).
 func (a *Archive) Tag(name string) {
 	a.mark(name, false)
-	got := name
-	if a.String(&got); got != name && a.err == nil {
+	if !a.loading {
+		a.String(&name)
+		return
+	}
+	// Compared in place: a loader that restores a small part over and
+	// over (a sleeping SM's scheduler policy) allocates nothing.
+	if got := a.take(a.Len(len(name))); string(got) != name && a.err == nil {
 		a.Failf("state: tag %q where %q was expected", got, name)
 	}
 }

@@ -4,6 +4,10 @@
 #   gofmt -l      every file is gofmt-clean
 #   go vet        static checks, also as GOARCH=386: constants and
 #                 conversions must fit a 32-bit int
+#   arm64 FMA     the arm64 assembly of internal/core and internal/sched
+#                 holds no fused multiply-add: it rounds once where
+#                 amd64 rounds twice, and would move the criticality
+#                 gCAWS ranks warps by (core/cpl.go)
 #   cawalint      determinism lint over the whole module, one statement
 #                 at a time: no wall clock / global rand / raw map
 #                 iteration in the engine's import closure, goroutines
@@ -21,11 +25,12 @@
 #                 break the registered benchmark unnoticed
 #   go test       full unit + experiment smoke suite
 #   go test -fuzz the two decoders of disk bytes (checkpoint payloads
-#                 through Decode + Restore, disk-cache artifacts) and
-#                 simt's warp-wide execute against the per-lane
-#                 interpreter it replaced, ten seconds each beyond their
-#                 committed seeds; a crasher is written under the
-#                 package's testdata/fuzz
+#                 through Decode + Restore, disk-cache artifacts), the
+#                 isa text assembler (an error or a program whose
+#                 disassembly parses back to it) and simt's warp-wide
+#                 execute against the per-lane interpreter it replaced,
+#                 ten seconds each beyond their committed seeds; a
+#                 crasher is written under the package's testdata/fuzz
 #   go test -race the concurrency audit of the session scheduler:
 #                 harness (worker pool, parallel experiments) and
 #                 workloads (per-instance RNG) under the race detector.
@@ -61,6 +66,16 @@ fi
 echo "== go vet =="
 go vet ./...
 GOARCH=386 go vet ./...
+echo "== arm64: no fused multiply-add in internal/core, internal/sched =="
+asm=$(GOARCH=arm64 go build -gcflags=-S ./internal/core ./internal/sched 2>&1)
+if ! echo "$asm" | grep -q 'warpCrit).criticality STEXT'; then
+    echo "arm64 FMA check: no assembly listing for internal/core" >&2
+    exit 1
+fi
+if echo "$asm" | grep -E '[[:space:]](FMADDD|FMSUBD|FNMADDD|FNMSUBD)[[:space:]]'; then
+    echo "fused multiply-add in the arm64 build of internal/core or internal/sched" >&2
+    exit 1
+fi
 echo "== cawalint (whole module) =="
 go run ./cmd/cawalint
 echo "== cawadis -lint (workload kernels) =="
@@ -75,6 +90,7 @@ echo "== go test -fuzz (10s each) =="
 go test -run '^$' -fuzz '^FuzzDecodeRestore$' -fuzztime 10s -fuzzminimizetime 1s ./internal/checkpoint
 go test -run '^$' -fuzz '^FuzzDiskCacheArtifacts$' -fuzztime 10s -fuzzminimizetime 1s ./internal/harness
 go test -run '^$' -fuzz '^FuzzExecAgainstPerLane$' -fuzztime 10s -fuzzminimizetime 1s ./internal/simt
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 1s ./internal/isa
 echo "== go test -race (harness, workloads) =="
 go test -race -short ./internal/harness/... ./internal/workloads/...
 echo "== go test -race span engine domains (GOMAXPROCS=2, GOMAXPROCS=8) =="
