@@ -56,7 +56,6 @@ import (
 	"cawa/internal/obs"
 	"cawa/internal/obs/perf"
 	"cawa/internal/sched"
-	"cawa/internal/sm"
 	"cawa/internal/stats"
 	"cawa/internal/workloads"
 )
@@ -171,18 +170,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var collector *obs.Collector
 	var sampler *obs.Sampler
 	if wantTrace || *hotpcs > 0 {
+		// Decorate exactly the providers the untraced run gets, bound to
+		// their L1Ds the same way.
 		collector = obs.NewCollector(1 << 20)
-		needCPL := sc.CPL || sc.CACP || sc.Scheduler == "gcaws"
-		oracle := sc.Oracle
-		opt.System.ProviderOverride = collector.Wrap(func() sm.CriticalityProvider {
-			switch {
-			case oracle != nil:
-				return core.NewOracle(oracle)
-			case needCPL:
-				return core.NewCPL()
-			}
-			return nil
-		})
+		providers, attach := sc.Providers()
+		opt.System.ProviderOverride = collector.Wrap(providers)
+		opt.AttachL1 = attach
 	}
 	if wantTrace {
 		sampler = obs.NewSampler(nil, *sampleEvery)

@@ -5,6 +5,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"cawa/internal/sched"
 )
 
 // TestSmokeCycles runs the CLI end to end on four small cells and pins
@@ -37,6 +39,32 @@ func TestSmokeCycles(t *testing.T) {
 		}
 		if !strings.Contains(stdout.String(), "(verified against Go reference)") {
 			t.Errorf("cawasim %s: summary does not say the run was verified", c.args)
+		}
+	}
+}
+
+// TestTracingKeepsTheDesignPoint: tracing decorates the providers a run
+// already has, so for every registered scheduler a run with -hotpcs
+// prints the cycles of the same run untraced.
+func TestTracingKeepsTheDesignPoint(t *testing.T) {
+	cycles := regexp.MustCompile(`(?m)^cycles +(\d+)$`)
+	run1 := func(args ...string) string {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		args = append(args, "-workload", "bfs", "-scale", "0.05", "-seed", "1", "-sms", "2")
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("cawasim %v: exit %d\n%s", args, code, stderr.String())
+		}
+		m := cycles.FindStringSubmatch(stdout.String())
+		if m == nil {
+			t.Fatalf("cawasim %v: no cycles line in\n%s", args, stdout.String())
+		}
+		return m[1]
+	}
+	for _, name := range sched.Names() {
+		plain := run1("-scheduler", name)
+		if traced := run1("-scheduler", name, "-hotpcs", "3"); traced != plain {
+			t.Errorf("-scheduler %s: %s cycles traced, %s untraced", name, traced, plain)
 		}
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"cawa/internal/memsys"
 	"cawa/internal/sched"
 	"cawa/internal/simt"
-	"cawa/internal/sm"
 )
 
 // CCWS parameters.
@@ -217,24 +216,13 @@ func init() {
 	sched.Register("ccws", func() sched.Policy { return &CCWSPolicy{} })
 }
 
-// CCWSSystem returns the design point for the CCWS baseline: the ccws
-// policy driven by per-SM CCWSProvider instances. The returned attach
-// function must be passed to the run harness (RunOptions.AttachL1) so
-// each provider observes its SM's L1D events.
+// CCWSSystem returns the design point for the CCWS baseline with its
+// providers (SystemConfig.Providers) as an explicit ProviderOverride.
+// The returned attach function must then be passed to the run harness
+// (RunOptions.AttachL1) so each provider observes its SM's L1D events.
 func CCWSSystem() (SystemConfig, func(smID int, l1 *memsys.L1D)) {
-	providers := make(map[int]*CCWSProvider)
-	next := 0
 	sc := SystemConfig{Scheduler: "ccws"}
-	sc.ProviderOverride = func() sm.CriticalityProvider {
-		p := NewCCWSProvider()
-		providers[next] = p
-		next++
-		return p
-	}
-	attach := func(smID int, l1 *memsys.L1D) {
-		if p, ok := providers[smID]; ok {
-			p.Attach(l1)
-		}
-	}
+	var attach func(smID int, l1 *memsys.L1D)
+	sc.ProviderOverride, attach = sc.Providers()
 	return sc, attach
 }

@@ -10,6 +10,7 @@ import (
 	"cawa/internal/config"
 	"cawa/internal/gpu"
 	"cawa/internal/memory"
+	"cawa/internal/memsys"
 	"cawa/internal/sched"
 	"cawa/internal/sm"
 )
@@ -130,32 +131,57 @@ func oracleFingerprint(oracle map[int]float64) uint64 {
 	return h
 }
 
-// BuildOptions assembles gpu.Options for the design point.
-func (sc SystemConfig) BuildOptions(cfg config.Config, mem *memory.Memory) (gpu.Options, error) {
-	factory, ok := sched.Lookup(sc.Scheduler)
-	if !ok {
-		return gpu.Options{}, fmt.Errorf("core: unknown scheduler %q (have %v)", sc.Scheduler, sched.Names())
-	}
-	opt := gpu.Options{Config: cfg, Memory: mem, Policy: factory}
-
-	needProvider := sc.CPL || sc.CACP || sc.Oracle != nil ||
-		sc.Scheduler == "gcaws" || sc.Scheduler == "caws"
-	if sc.ProviderOverride != nil {
-		opt.Criticality = sc.ProviderOverride
-	} else if needProvider {
-		if sc.Oracle != nil {
-			oracle := sc.Oracle
-			opt.Criticality = func() sm.CriticalityProvider { return NewOracle(oracle) }
-		} else {
-			tweak := sc.CPLTweak
-			opt.Criticality = func() sm.CriticalityProvider {
-				c := NewCPL()
-				if tweak != nil {
-					tweak(c)
-				}
-				return c
+// Providers returns the design point's criticality providers: the
+// per-SM factory, nil for a criticality-oblivious point, and — for the
+// ccws scheduler, whose providers observe their SM's L1D — the function
+// that binds SM smID's provider to l1 once the GPU is built. It is the
+// one place a provider is chosen: NewGPU installs and binds these
+// unless ProviderOverride replaces them, and a tracer decorates the
+// factory and binds through RunOptions.AttachL1.
+func (sc SystemConfig) Providers() (func() sm.CriticalityProvider, func(smID int, l1 *memsys.L1D)) {
+	switch {
+	case sc.Scheduler == "ccws":
+		var providers []*CCWSProvider // in SM order: gpu.New builds one per SM
+		factory := func() sm.CriticalityProvider {
+			p := NewCCWSProvider()
+			providers = append(providers, p)
+			return p
+		}
+		attach := func(smID int, l1 *memsys.L1D) {
+			if smID < len(providers) {
+				providers[smID].Attach(l1)
 			}
 		}
+		return factory, attach
+	case sc.Oracle != nil:
+		oracle := sc.Oracle
+		return func() sm.CriticalityProvider { return NewOracle(oracle) }, nil
+	case sc.CPL || sc.CACP || sc.Scheduler == "gcaws" || sc.Scheduler == "caws":
+		tweak := sc.CPLTweak
+		return func() sm.CriticalityProvider {
+			c := NewCPL()
+			if tweak != nil {
+				tweak(c)
+			}
+			return c
+		}, nil
+	}
+	return nil, nil
+}
+
+// NewGPU builds a ready-to-launch GPU for the design point. Its
+// criticality providers are ProviderOverride when set, and binding them
+// is then the caller's; otherwise they are Providers', bound to their
+// L1Ds here.
+func (sc SystemConfig) NewGPU(cfg config.Config, mem *memory.Memory) (*gpu.GPU, error) {
+	factory, ok := sched.Lookup(sc.Scheduler)
+	if !ok {
+		return nil, fmt.Errorf("core: unknown scheduler %q (have %v)", sc.Scheduler, sched.Names())
+	}
+	opt := gpu.Options{Config: cfg, Memory: mem, Policy: factory, Criticality: sc.ProviderOverride}
+	var attach func(smID int, l1 *memsys.L1D)
+	if opt.Criticality == nil {
+		opt.Criticality, attach = sc.Providers()
 	}
 	if sc.CACP {
 		ccfg := DefaultCACPConfig()
@@ -166,19 +192,19 @@ func (sc SystemConfig) BuildOptions(cfg config.Config, mem *memory.Memory) (gpu.
 			ccfg.LineBytes = cfg.L1D.LineBytes
 		}
 		if ccfg.CriticalWays > cfg.L1D.Ways {
-			return gpu.Options{}, fmt.Errorf("core: %d critical ways exceed %d-way L1D",
+			return nil, fmt.Errorf("core: %d critical ways exceed %d-way L1D",
 				ccfg.CriticalWays, cfg.L1D.Ways)
 		}
 		opt.L1Policy = func() cache.Policy { return NewCACP(ccfg) }
 	}
-	return opt, nil
-}
-
-// NewGPU builds a ready-to-launch GPU for the design point.
-func (sc SystemConfig) NewGPU(cfg config.Config, mem *memory.Memory) (*gpu.GPU, error) {
-	opt, err := sc.BuildOptions(cfg, mem)
+	g, err := gpu.New(opt)
 	if err != nil {
 		return nil, err
 	}
-	return gpu.New(opt)
+	if attach != nil {
+		for i, s := range g.SMs() {
+			attach(i, s.L1D())
+		}
+	}
+	return g, nil
 }

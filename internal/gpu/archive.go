@@ -5,22 +5,25 @@ import (
 	"cawa/internal/state"
 )
 
-// The archive walk of the whole device mid-launch. A saver runs from the
-// PerCycle hook, which fires only between spans: store logs flushed,
-// stage buffers committed, span-fill plans drained, every SM's cycle
-// latch on the hook's cycle (replay orders those before the hook;
-// planHorizon ends its span at PerCycleWake). The stream is therefore
-// independent of how the launch was run — a checkpoint written by the
-// ticked oracle restores onto the span engine at any domain count and
-// vice versa. Between launches the harness replays functionally instead.
+// The archive walk of the whole device mid-launch. A saver runs only
+// between spans: from the PerCycle hook, or after a launch returned
+// early, which run does only where it polls ctx or checks MaxCycles —
+// the hook's boundary. There the store logs are flushed, the stage
+// buffers committed, the span-fill plans drained, and every SM's cycle
+// latch is where the last span left it (replay orders those before the
+// hook; planHorizon ends its span at PerCycleWake). The stream is
+// therefore independent of how the launch was run — a checkpoint
+// written by the ticked oracle restores onto the span engine at any
+// domain count and vice versa. Between launches the harness replays functionally instead.
 //
 // The memory's workload identity is NOT in the stream: a loader
 // overwrites the words of a memory the caller rebuilt from the same
 // Params, and k must be the kernel the checkpoint was taken inside,
 // which the caller reaches by replaying the completed launches.
 
-// Archive walks the device: a saver inside a launch (k is ignored), a
-// loader a freshly built GPU of the same configuration, armed for Resume.
+// Archive walks the device: a saver an unfinished launch, running or
+// returned early (k is ignored); a loader a freshly built GPU of the
+// same configuration, which it arms for Resume.
 func (g *GPU) Archive(a *state.Archive, k *simt.Kernel) {
 	a.Tag("gpu")
 	ls := g.launch

@@ -113,17 +113,18 @@ type GPU struct {
 	// spans). One entry per Launch call; never trimmed.
 	Spans []LaunchSpan
 
-	// launch is the in-flight launch's progress state. Non-nil only
-	// while run executes (or between a checkpoint restore and Resume);
-	// Archive walks it so a restored GPU can re-enter the cycle loop
-	// exactly where the checkpoint left it.
+	// launch is the unfinished launch's progress state: set while run
+	// executes, kept when run returns early (a ctx or MaxCycles abort)
+	// and after a checkpoint restore, cleared only when the launch
+	// completes. Archive walks it, and Resume re-enters the cycle loop
+	// exactly where it left off.
 	launch *launchState
 }
 
 // launchState carries one launch's progress: the dispatch cursor, the
 // per-launch counter snapshots the final statistics are deltas against,
-// and the per-SM block-retirement counters. It lives on the GPU for the
-// duration of run so a checkpoint taken from the PerCycle hook can
+// and the per-SM block-retirement counters. It lives on the GPU until
+// the launch completes so a checkpoint taken between spans can
 // serialize it.
 type launchState struct {
 	k             *simt.Kernel
@@ -255,9 +256,11 @@ type l1Snapshot struct {
 //
 // Launch honors ctx: cancellation or deadline expiry aborts the run
 // with ctx's error (wrapped), checked before every span, so a dead
-// client never pins a worker for the rest of a long kernel. A cancelled
-// launch leaves the GPU in an undefined mid-kernel state; callers must
-// discard it (the harness builds a fresh GPU per run).
+// client never pins a worker for the rest of a long kernel. A launch
+// that returns early — by ctx or by MaxCycles — stops between spans and
+// keeps its launch state: the GPU is armed exactly like one restored
+// from a checkpoint, so it can be captured (checkpoint.Capture) or
+// continued (Resume).
 func (g *GPU) Launch(ctx context.Context, k *simt.Kernel) (*stats.Launch, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
@@ -289,14 +292,15 @@ func (g *GPU) Launch(ctx context.Context, k *simt.Kernel) (*stats.Launch, error)
 }
 
 // Resume re-enters the span loop of a launch a loading Archive
-// restored. The launch runs to completion with whatever domain count
-// this GPU is configured for (a checkpoint is taken between spans, where
-// no staged traffic is pending, so the count may differ from the
-// capturing run's) and returns the launch statistics exactly as the
-// uninterrupted Launch would have.
+// restored, or of one that returned early. The launch runs to
+// completion with whatever domain count this GPU is configured for (a
+// checkpoint is taken between spans, where no staged traffic is
+// pending, so the count may differ from the capturing run's) and
+// returns the launch statistics exactly as the uninterrupted Launch
+// would have.
 func (g *GPU) Resume(ctx context.Context) (*stats.Launch, error) {
 	if g.launch == nil {
-		return nil, fmt.Errorf("gpu: Resume without a restored launch")
+		return nil, fmt.Errorf("gpu: Resume without an unfinished launch")
 	}
 	return g.run(ctx, g.launch)
 }
@@ -327,10 +331,9 @@ func (g *GPU) initLaunch(k *simt.Kernel, warpsPerBlock int) *launchState {
 // run drives a launch (fresh or restored) to completion, one span per
 // iteration (span.go). ctx is polled before every span: a span is at
 // most a memory round trip long, so a dead context costs that much work
-// at the most.
+// at the most. An early return leaves g.launch set.
 func (g *GPU) run(ctx context.Context, ls *launchState) (*stats.Launch, error) {
 	g.launch = ls
-	defer func() { g.launch = nil }()
 	k := ls.k
 
 	if !g.ticked {
@@ -361,6 +364,7 @@ func (g *GPU) run(ctx context.Context, ls *launchState) (*stats.Launch, error) {
 		}
 	}
 
+	g.launch = nil
 	if g.Perf != nil {
 		g.Perf.AddSimCycles(g.cycle - ls.startCycle)
 	}

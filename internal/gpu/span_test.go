@@ -296,9 +296,11 @@ func (c *flipCtx) Err() error {
 // else, so a context that dies while span n runs is seen by the poll
 // that follows it — the launch returns context.Canceled without
 // starting span n+1, at most a memory round trip of simulated work
-// after the last poll that found the context alive.
+// after the last poll that found the context alive. The aborted launch
+// stays armed: Resume finishes it exactly as the uncancelled Launch
+// did, and a completed launch leaves nothing to resume.
 func TestLookaheadCancellationPolledInBatch(t *testing.T) {
-	launch := func(workers, after int) (*flipCtx, error) {
+	launch := func(workers, after int) (*flipCtx, *stats.Launch, error) {
 		mem := memory.New(1 << 20)
 		g, err := New(Options{Config: config.Small(), Memory: mem})
 		if err != nil {
@@ -306,20 +308,23 @@ func TestLookaheadCancellationPolledInBatch(t *testing.T) {
 		}
 		g.SMWorkers = workers
 		ctx := &flipCtx{Context: context.Background(), g: g, after: after}
-		_, err = g.Launch(ctx, thrashKernel(t, mem, 6, 128))
-		return ctx, err
+		st, err := g.Launch(ctx, thrashKernel(t, mem, 6, 128))
+		return ctx, st, err
 	}
 	for _, workers := range []int{1, 2} {
-		full, err := launch(workers, 1<<30)
+		full, fullStats, err := launch(workers, 1<<30)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if _, err := full.g.Resume(context.Background()); err == nil {
+			t.Fatal("Resume after a completed launch succeeded")
 		}
 		spans := len(full.seen) // one poll per span
 		if spans < 4 {
 			t.Fatalf("the kernel ran in %d spans: too few to die in the middle of", spans)
 		}
 		after := spans / 2
-		ctx, err := launch(workers, after)
+		ctx, _, err := launch(workers, after)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled launch returned %v", err)
 		}
@@ -336,6 +341,13 @@ func TestLookaheadCancellationPolledInBatch(t *testing.T) {
 		longest := int64(ctx.g.cfg.L2Latency)
 		if d := ctx.seen[after] - ctx.seen[after-1]; d <= 0 || d > longest {
 			t.Fatalf("%d cycles between the last live poll and the abort, want one span (1..%d)", d, longest)
+		}
+		resumed, err := ctx.g.Resume(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(resumed, fullStats) || ctx.g.Cycle() != full.g.Cycle() {
+			t.Fatalf("resumed launch differs from the uncancelled one:\nresumed %+v\nfull    %+v", resumed, fullStats)
 		}
 	}
 }

@@ -205,8 +205,8 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 }
 
 // cutRun runs opt to completion for reference, then again cancelled
-// halfway, and returns the reference result and the cut run's latest
-// checkpoint.
+// halfway, and returns the reference result and the checkpoint of the
+// cut run's stop.
 func cutRun(tb testing.TB, opt RunOptions) (*Result, *WarmCheckpoint) {
 	tb.Helper()
 	ref, err := Run(opt)
@@ -214,7 +214,7 @@ func cutRun(tb testing.TB, opt RunOptions) (*Result, *WarmCheckpoint) {
 		tb.Fatal(err)
 	}
 	hooked, ctx := cancelAt(opt, ref.Agg.Cycles/2)
-	_, last, err := RunCheckpointed(ctx, hooked, 2_000, nil)
+	_, last, err := RunCheckpointed(ctx, hooked, 0, nil)
 	if err == nil || last == nil {
 		tb.Fatalf("cancelled run: err=%v checkpoint=%v", err, last != nil)
 	}
@@ -444,7 +444,6 @@ func TestDiskBackedSessionRunsCCWS(t *testing.T) {
 	for i, wantHits := range []uint64{0, 1} {
 		s := NewSession(resumeConfig(), resumeParams)
 		s.Disk = d
-		s.checkpointEvery = 2_000
 		got, err := s.Run("bfs", ccws)
 		if err != nil {
 			t.Fatalf("session %d: %v", i, err)
@@ -459,14 +458,14 @@ func TestDiskBackedSessionRunsCCWS(t *testing.T) {
 
 	opt := RunOptions{Workload: "bfs", Params: resumeParams, System: ccws, Config: resumeConfig()}
 	hooked, ctx := cancelAt(opt, want.Agg.Cycles/2)
-	_, last, err := RunCheckpointed(ctx, hooked, 2_000, nil)
+	_, last, err := RunCheckpointed(ctx, hooked, 0, nil)
 	if err == nil || last == nil {
 		t.Fatalf("cut ccws run: err=%v checkpoint=%v", err, last != nil)
 	}
-	if at := last.Snap.Meta.Cycle; at <= 0 || at > want.Agg.Cycles/2 {
-		t.Fatalf("ccws checkpoint at cycle %d, want inside (0, %d]", at, want.Agg.Cycles/2)
+	if at := last.Snap.Meta.Cycle; at != want.Agg.Cycles/2 {
+		t.Fatalf("ccws checkpoint at cycle %d, want the cut cycle %d", at, want.Agg.Cycles/2)
 	}
-	got, _, err := RunCheckpointed(context.Background(), opt, 2_000, last)
+	got, _, err := RunCheckpointed(context.Background(), opt, 0, last)
 	if err != nil {
 		t.Fatalf("resumed ccws run: %v", err)
 	}

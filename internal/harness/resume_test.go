@@ -5,6 +5,8 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -72,7 +74,8 @@ func TestSampledRunExactMemory(t *testing.T) {
 }
 
 // cancelAt builds RunOptions whose per-cycle hook cancels the context
-// once the global cycle reaches `at`.
+// once the global cycle reaches `at`. Its wake ends a span there, so the
+// cancel takes effect at exactly that cycle.
 func cancelAt(opt RunOptions, at int64) (RunOptions, context.Context) {
 	ctx, cancel := context.WithCancel(context.Background())
 	opt.PerCycle = func(g *gpu.GPU, cycle int64) {
@@ -80,82 +83,161 @@ func cancelAt(opt RunOptions, at int64) (RunOptions, context.Context) {
 			cancel()
 		}
 	}
+	opt.PerCycleWake = func(now int64) int64 { return max(at, now+1) }
 	return opt, ctx
 }
 
-// TestRunCheckpointedCancelResume cuts a CAWA run mid-flight, persists
-// the returned checkpoint through the disk cache, and resumes it to
-// completion: the resumed result must equal the uninterrupted run's in
-// every snapshotted field.
-func TestRunCheckpointedCancelResume(t *testing.T) {
-	opt := RunOptions{
-		Workload: "bfs", Params: resumeParams, System: core.CAWA(), Config: resumeConfig(),
-	}
-	ref, err := Run(opt)
+// sameResult fails unless got encodes to the very bytes want does: the
+// JSON form is everything a Result carries beyond its GPU.
+func sameResult(t *testing.T, name string, got, want *Result) {
+	t.Helper()
+	gb, err := json.Marshal(got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Agg.Cycles < 10_000 {
-		t.Fatalf("reference too short to interrupt meaningfully: %d cycles", ref.Agg.Cycles)
+	wb, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !bytes.Equal(gb, wb) {
+		compareResults(t, name, got, want)
+		t.Fatalf("%s: resumed result differs from the uninterrupted run", name)
+	}
+}
 
-	hooked, ctx := cancelAt(opt, ref.Agg.Cycles/2)
-	res, last, err := RunCheckpointed(ctx, hooked, 2_000, nil)
-	if err == nil {
-		t.Fatalf("cancelled run returned no error (res=%+v)", res)
+// settledTicks sums the refused ticks g's SMs slept through and settled.
+func settledTicks(g *gpu.GPU) (n int64) {
+	for _, s := range g.SMs() {
+		n += s.SettledTicks()
 	}
-	if last == nil {
-		t.Fatal("cancelled run returned no checkpoint")
-	}
-	if last.Snap.Meta.Workload != "bfs" || last.Snap.Meta.EngineVersion != EngineVersion {
-		t.Fatalf("checkpoint meta: %+v", last.Snap.Meta)
-	}
+	return n
+}
 
-	// Persist and reload through the disk cache's checkpoint namespace.
+// TestRunCheckpointedCancelResume cuts runs at chosen cycles and
+// resumes each from the checkpoint of its stop, persisted and reloaded
+// through the disk cache: the checkpoint must sit at exactly the cut
+// cycle, and the resumed result must be byte-identical to the
+// uninterrupted run's. The cuts: the first cycle; mid-launch; the last
+// cycle of launch 0, where the run stops before launch 1's first span
+// and the checkpoint belongs to launch 1; and a backprop cut while an
+// SM sleeps owing refused ticks (the stop settles them).
+func TestRunCheckpointedCancelResume(t *testing.T) {
+	bfs := RunOptions{
+		Workload: "bfs", Params: resumeParams, System: core.CAWA(), Config: resumeConfig(),
+	}
+	backprop := bfs
+	backprop.Workload = "backprop"
+	refs := map[string]*Result{}
+	for _, opt := range []RunOptions{bfs, backprop} {
+		ref, err := Run(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[opt.Workload] = ref
+	}
+	if n := refs["bfs"].Launches; n < 2 {
+		t.Fatalf("bfs has %d launches; the launch-boundary cut needs two", n)
+	}
+	cases := []struct {
+		name   string
+		opt    RunOptions
+		at     int64
+		launch int  // the checkpoint's in-flight launch
+		asleep bool // an SM owes refused ticks at the cut
+	}{
+		{"cycle 1", bfs, 1, 0, false},
+		{"mid-launch", bfs, refs["bfs"].Agg.Cycles / 2, -1, false},
+		{"last cycle of launch 0", bfs, refs["bfs"].Spans[0].End, 1, false},
+		{"SM asleep", backprop, refs["backprop"].Agg.Cycles / 2, 0, true},
+	}
 	d, err := OpenDiskCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := d.CheckpointKey(d.EntryKey("bfs", "cawa-key", resumeParams, resumeConfig()))
-	if err := d.StoreCheckpoint(key, last); err != nil {
-		t.Fatal(err)
-	}
-	loaded, ok := d.LoadCheckpoint(key)
-	if !ok {
-		t.Fatal("stored checkpoint did not load back")
-	}
-	if loaded.Partial.Launches != last.Partial.Launches ||
-		!reflect.DeepEqual(loaded.Partial.Agg, last.Partial.Agg) {
-		t.Fatalf("partial result changed across persistence:\nstored %+v\nloaded %+v",
-			last.Partial.Agg, loaded.Partial.Agg)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ref := refs[c.opt.Workload]
+			hooked, ctx := cancelAt(c.opt, c.at)
+			var g *gpu.GPU
+			var owed int64
+			cancel := hooked.PerCycle
+			hooked.PerCycle = func(gg *gpu.GPU, cycle int64) {
+				if cycle >= c.at && g == nil {
+					g, owed = gg, -settledTicks(gg)
+				}
+				cancel(gg, cycle)
+			}
+			res, last, err := RunCheckpointed(ctx, hooked, 0, nil)
+			if err == nil {
+				t.Fatalf("cancelled run returned no error (res=%+v)", res)
+			}
+			if last == nil {
+				t.Fatal("cancelled run returned no checkpoint")
+			}
+			m := last.Snap.Meta
+			if m.Workload != c.opt.Workload || m.EngineVersion != EngineVersion {
+				t.Fatalf("checkpoint meta: %+v", m)
+			}
+			if m.Cycle != c.at {
+				t.Fatalf("checkpoint at cycle %d, want the cut cycle %d", m.Cycle, c.at)
+			}
+			if c.launch >= 0 && m.LaunchIndex != c.launch {
+				t.Fatalf("checkpoint inside launch %d, want %d", m.LaunchIndex, c.launch)
+			}
+			if owed += settledTicks(g); c.asleep && owed == 0 {
+				t.Fatal("no SM was asleep owing refused ticks at the cut; the case is vacuous")
+			}
+
+			key := d.CheckpointKey(d.EntryKey(c.opt.Workload, c.name, resumeParams, resumeConfig()))
+			if err := d.StoreCheckpoint(key, last); err != nil {
+				t.Fatal(err)
+			}
+			loaded, ok := d.LoadCheckpoint(key)
+			if !ok {
+				t.Fatal("stored checkpoint did not load back")
+			}
+			if loaded.Partial.Launches != last.Partial.Launches ||
+				!reflect.DeepEqual(loaded.Partial.Agg, last.Partial.Agg) {
+				t.Fatalf("partial result changed across persistence:\nstored %+v\nloaded %+v",
+					last.Partial.Agg, loaded.Partial.Agg)
+			}
+
+			resumed, lastAfter, err := RunCheckpointed(context.Background(), c.opt, 0, loaded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lastAfter != nil {
+				t.Fatal("completed run still returned a checkpoint")
+			}
+			sameResult(t, c.name, resumed, ref)
+		})
 	}
 
-	resumed, lastAfter, err := RunCheckpointed(context.Background(), opt, 2_000, loaded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lastAfter != nil {
-		t.Fatal("completed run still returned a checkpoint")
-	}
-	if !reflect.DeepEqual(resumed.Agg, ref.Agg) {
-		t.Fatalf("resumed aggregate differs from uninterrupted run:\nresumed %+v\nref     %+v",
-			resumed.Agg, ref.Agg)
-	}
-	if resumed.Launches != ref.Launches || resumed.Detailed != ref.Detailed {
-		t.Fatalf("launch counts differ: resumed %d/%d, ref %d/%d",
-			resumed.Detailed, resumed.Launches, ref.Detailed, ref.Launches)
-	}
-	if !reflect.DeepEqual(resumed.Spans, ref.Spans) {
-		t.Fatalf("spans differ:\nresumed %+v\nref     %+v", resumed.Spans, ref.Spans)
-	}
-	if !reflect.DeepEqual(resumed.WarpL1Accesses, ref.WarpL1Accesses) ||
-		!reflect.DeepEqual(resumed.WarpL1Hits, ref.WarpL1Hits) {
-		t.Fatal("per-warp L1 tallies differ between resumed and uninterrupted runs")
+	// A cancel from another goroutine lands wherever the engine next
+	// polls ctx; whenever the run stops inside a launch, resuming from
+	// that checkpoint must be exact too.
+	for _, delay := range []time.Duration{time.Millisecond, 10 * time.Millisecond, 40 * time.Millisecond} {
+		ctx, cancel := context.WithCancel(context.Background())
+		timer := time.AfterFunc(delay, cancel)
+		_, last, err := RunCheckpointed(ctx, bfs, 0, nil)
+		timer.Stop()
+		cancel()
+		if err != nil && last == nil {
+			t.Logf("cancel after %v stopped the run without a checkpoint: %v", delay, err)
+		}
+		if last == nil {
+			continue
+		}
+		resumed, _, err := RunCheckpointed(context.Background(), bfs, 0, last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, fmt.Sprintf("cancel after %v (cycle %d)", delay, last.Snap.Meta.Cycle), resumed, refs["bfs"])
 	}
 }
 
 // TestRunCheckpointedSampledResume is the same interrupted/resumed
-// equality under sampled simulation — the checkpoint must remember
+// identity under sampled simulation — the checkpoint must remember
 // which launches were detailed.
 func TestRunCheckpointedSampledResume(t *testing.T) {
 	opt := RunOptions{
@@ -166,19 +248,20 @@ func TestRunCheckpointedSampledResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hooked, ctx := cancelAt(opt, ref.Agg.Cycles/2)
-	_, last, err := RunCheckpointed(ctx, hooked, 1_000, nil)
+	at := ref.Agg.Cycles / 2
+	hooked, ctx := cancelAt(opt, at)
+	_, last, err := RunCheckpointed(ctx, hooked, 0, nil)
 	if err == nil || last == nil {
 		t.Fatalf("cancelled sampled run: err=%v checkpoint=%v", err, last != nil)
 	}
-	resumed, _, err := RunCheckpointed(context.Background(), opt, 1_000, last)
+	if last.Snap.Meta.Cycle != at {
+		t.Fatalf("checkpoint at cycle %d, want the cut cycle %d", last.Snap.Meta.Cycle, at)
+	}
+	resumed, _, err := RunCheckpointed(context.Background(), opt, 0, last)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(resumed.Agg, ref.Agg) || resumed.Detailed != ref.Detailed {
-		t.Fatalf("sampled resume diverged:\nresumed %+v (detailed %d)\nref     %+v (detailed %d)",
-			resumed.Agg, resumed.Detailed, ref.Agg, ref.Detailed)
-	}
+	sameResult(t, "sampled", resumed, ref)
 }
 
 // TestCheckpointArtifactDamageIsCleanMiss proves satellite semantics:
@@ -193,7 +276,7 @@ func TestCheckpointArtifactDamageIsCleanMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	hooked, ctx := cancelAt(opt, ref.Agg.Cycles/2)
-	_, last, err := RunCheckpointed(ctx, hooked, 2_000, nil)
+	_, last, err := RunCheckpointed(ctx, hooked, 0, nil)
 	if err == nil || last == nil {
 		t.Fatalf("cancelled run: err=%v checkpoint=%v", err, last != nil)
 	}
@@ -319,7 +402,7 @@ func TestSessionWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	hooked, ctx := cancelAt(opt, ref.Agg.Cycles/2)
-	_, last, err := RunCheckpointed(ctx, hooked, 2_000, nil)
+	_, last, err := RunCheckpointed(ctx, hooked, 0, nil)
 	if err == nil || last == nil {
 		t.Fatalf("cancelled run: err=%v checkpoint=%v", err, last != nil)
 	}
@@ -376,7 +459,7 @@ func TestWarmStartFailureCostsAColdStart(t *testing.T) {
 	}
 	cut := func(opt RunOptions) *WarmCheckpoint {
 		hooked, ctx := cancelAt(opt, ref.Agg.Cycles/2)
-		_, last, err := RunCheckpointed(ctx, hooked, 2_000, nil)
+		_, last, err := RunCheckpointed(ctx, hooked, 0, nil)
 		if err == nil || last == nil {
 			t.Fatalf("cancelled run: err=%v checkpoint=%v", err, last != nil)
 		}
@@ -415,7 +498,7 @@ func TestWarmStartFailureCostsAColdStart(t *testing.T) {
 			if !ok {
 				t.Fatal("the artifact does not load; the case is vacuous")
 			}
-			if _, _, err := RunCheckpointed(context.Background(), opt, 2_000, warm); err == nil {
+			if _, _, err := RunCheckpointed(context.Background(), opt, 0, warm); err == nil {
 				t.Fatal("the artifact restores; the case is vacuous")
 			}
 
@@ -473,7 +556,6 @@ func TestSessionPersistsCheckpointOnDeadline(t *testing.T) {
 	}
 	s := NewSession(resumeConfig(), workloads.Params{Scale: 0.5, Seed: 5})
 	s.Disk = d
-	s.checkpointEvery = 2_000
 	sc := core.CAWA()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
@@ -482,8 +564,8 @@ func TestSessionPersistsCheckpointOnDeadline(t *testing.T) {
 		t.Skip("machine fast enough to finish inside the deadline; nothing to persist")
 	}
 	files, _ := filepath.Glob(filepath.Join(dir, "*.ckpt"))
-	if len(files) == 0 {
-		t.Skip("deadline hit before the first capture; nothing persisted")
+	if len(files) != 1 {
+		t.Fatalf("deadline-cut run persisted %d checkpoints, want its stop's", len(files))
 	}
 
 	if _, err := s.RunContext(context.Background(), "bfs", sc); err != nil {
@@ -494,13 +576,13 @@ func TestSessionPersistsCheckpointOnDeadline(t *testing.T) {
 	}
 }
 
-// TestUncheckpointedRunsKeepCallerHooks: only a run that was asked to
-// checkpoint touches the engine's per-cycle hooks. RunContext and a
-// session without a disk leave gpu.GPU.PerCycle and PerCycleWake exactly
-// as the caller set them — nil stays nil, so span lengths on
-// uninstrumented runs are the engine's own — and a checkpointed run
-// never installs a hook without its wake, which would clamp every span
-// to one cycle.
+// TestUncheckpointedRunsKeepCallerHooks: no run touches the engine's
+// per-cycle hooks, checkpointed or not. RunContext, a session's runs
+// with and without a disk, and RunCheckpointed leave gpu.GPU.PerCycle
+// and PerCycleWake exactly as the caller set them — nil stays nil, so
+// span lengths on uninstrumented runs are the engine's own, and a
+// disk-backed run takes its one capture at the stop instead of through
+// a hook.
 func TestUncheckpointedRunsKeepCallerHooks(t *testing.T) {
 	opt := RunOptions{Workload: "needle", Params: diskTestParams, System: core.Baseline(), Config: config.Small()}
 	hooked := opt
@@ -508,10 +590,24 @@ func TestUncheckpointedRunsKeepCallerHooks(t *testing.T) {
 	hooked.PerCycleWake = func(now int64) int64 { return now + 1000 }
 	same := func(a, b any) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
 
+	d, err := OpenDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := NewSession(config.Small(), diskTestParams) // no Disk: Run and RunUncached share simulate
+	ckptKey := d.CheckpointKey(s.diskEntryKey(d, "needle", "lrr-key"))
 	runners := map[string]func(RunOptions) (*Result, error){
 		"RunContext":          func(o RunOptions) (*Result, error) { return RunContext(context.Background(), o) },
 		"Session.RunUncached": s.RunUncached,
+		// What a disk-backed Session.Run executes, minus the cache
+		// that drops the GPU from its result.
+		"disk-backed Session.simulate": func(o RunOptions) (*Result, error) {
+			return s.simulate(context.Background(), o, d, ckptKey)
+		},
+		"RunCheckpointed": func(o RunOptions) (*Result, error) {
+			r, _, err := RunCheckpointed(context.Background(), o, 0, nil)
+			return r, err
+		},
 	}
 	for name, run := range runners {
 		r, err := run(opt)
@@ -527,13 +623,5 @@ func TestUncheckpointedRunsKeepCallerHooks(t *testing.T) {
 		if !same(r.GPU.PerCycle, hooked.PerCycle) || !same(r.GPU.PerCycleWake, hooked.PerCycleWake) {
 			t.Errorf("%s replaced the caller's hooks", name)
 		}
-	}
-
-	r, _, err := RunCheckpointed(context.Background(), opt, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.GPU.PerCycle == nil || r.GPU.PerCycleWake == nil {
-		t.Error("checkpointed run must install its capture hook together with a wake")
 	}
 }

@@ -6,6 +6,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"cawa/internal/checkpoint"
 	"cawa/internal/config"
@@ -42,8 +43,9 @@ type RunOptions struct {
 	// engine (see gpu.GPU.SMWorkers): values above 1 run all but the
 	// first on goroutines of their own. Results are byte-identical at
 	// any value. Runs that attach observers which may share state
-	// between SMs (AttachL1 taps, a ProviderOverride) always run on one
-	// domain — the caller's goroutine — whatever this says.
+	// between SMs (AttachL1 taps, a ProviderOverride, the ccws
+	// scheduler's L1D-bound providers) always run on one domain — the
+	// caller's goroutine — whatever this says.
 	SMWorkers int
 	// Profiler, when non-nil, self-profiles the engine's wall-clock
 	// phases into the given accumulator (see gpu.GPU.Perf and
@@ -146,7 +148,8 @@ func Run(opt RunOptions) (*Result, error) {
 // mid-kernel (checked cheaply inside gpu.Launch) and returns ctx's
 // error. A cancelled run's partial state is discarded entirely.
 func RunContext(ctx context.Context, opt RunOptions) (*Result, error) {
-	return runLaunches(ctx, opt, nil, nil)
+	r, _, err := runLaunches(ctx, opt, false, nil)
+	return r, err
 }
 
 // runLaunches is the one launch loop behind Run, RunContext and
@@ -156,33 +159,35 @@ func RunContext(ctx context.Context, opt RunOptions) (*Result, error) {
 // (the launch warm was captured in), or a detailed launch from cycle
 // zero.
 //
-// ck, when non-nil, captures periodic checkpoints (the caller reads
-// ck.last after an error) and enables resuming from warm. A nil ck leaves
-// g.PerCycle and g.PerCycleWake exactly as the caller set them, so an
-// uninstrumented run's spans are never clamped by a hook.
-func runLaunches(ctx context.Context, opt RunOptions, ck *checkpointer, warm *WarmCheckpoint) (*Result, error) {
-	var sysKey string
-	if ck != nil {
-		// The design point's identity as requested: setupRun's CCWS
-		// auto-wiring adds a ProviderOverride, which has no stable key.
-		var err error
-		if sysKey, err = opt.System.Key(); err != nil {
-			return nil, err
-		}
-	}
+// checkpointed enables resuming from warm and the one capture a run
+// takes: when ctx stops a detailed launch, the GPU still holds that
+// launch's state at the span boundary where the engine polled ctx (see
+// gpu.GPU.Launch), and the returned WarmCheckpoint records it. Nothing
+// mutates res after the stop, so the checkpoint's Partial needs no copy.
+// No run installs a hook of its own: g.PerCycle and g.PerCycleWake stay
+// exactly as the caller set them.
+func runLaunches(ctx context.Context, opt RunOptions, checkpointed bool, warm *WarmCheckpoint) (*Result, *WarmCheckpoint, error) {
 	wl, g, res, err := setupRun(&opt)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	resumeAt := -1
-	if ck != nil {
-		ck.attach(g, res, &opt, sysKey)
-		if warm != nil && warm.compatible(ck.meta) {
-			resumeAt = warm.Snap.Meta.LaunchIndex
+	meta := checkpoint.Meta{
+		EngineVersion: EngineVersion,
+		Workload:      opt.Workload,
+		Scale:         opt.Params.Scale,
+		Seed:          opt.Params.Seed,
+	}
+	if checkpointed {
+		if meta.SystemKey, err = opt.System.Key(); err != nil {
+			return nil, nil, err
 		}
 	}
-	fail := func(err error) (*Result, error) {
-		return nil, fmt.Errorf("harness: %s on %s: %w", opt.Workload, opt.System.Label(), err)
+	resumeAt := -1
+	if checkpointed && warm != nil && warm.compatible(meta) {
+		resumeAt = warm.Snap.Meta.LaunchIndex
+	}
+	fail := func(err error) error {
+		return fmt.Errorf("harness: %s on %s: %w", opt.Workload, opt.System.Label(), err)
 	}
 
 	ix := 0
@@ -191,17 +196,14 @@ func runLaunches(ctx context.Context, opt RunOptions, ck *checkpointer, warm *Wa
 		if !ok {
 			break
 		}
-		if ck != nil {
-			ck.meta.LaunchIndex = ix
-		}
 		var launch *stats.Launch
 		switch {
 		case ix < resumeAt || !sampleDetailed(ix, opt.SampleWarmup, opt.SampleInterval):
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if err := checkpoint.FunctionalLaunch(k, wl.Mem(), opt.Config.WarpSize); err != nil {
-				return fail(err)
+				return nil, nil, fail(err)
 			}
 			res.Launches++
 			continue
@@ -209,30 +211,40 @@ func runLaunches(ctx context.Context, opt RunOptions, ck *checkpointer, warm *Wa
 			// The completed launches' statistics come from the
 			// checkpoint, replacing whatever the replayed prefix counted.
 			if err := checkpoint.Restore(warm.Snap, g, k); err != nil {
-				return fail(fmt.Errorf("checkpoint restore: %w", err))
+				return nil, nil, fail(fmt.Errorf("checkpoint restore: %w", err))
 			}
-			res.Agg = cloneAgg(warm.Partial.Agg)
+			res.Agg = warm.Partial.Agg
+			// Merge appends: never into the checkpoint's array.
+			res.Agg.Warps = slices.Clip(res.Agg.Warps)
 			res.Launches, res.Detailed = warm.Partial.Launches, warm.Partial.Detailed
-			ck.nextCap = warm.Snap.Meta.Cycle + ck.every
 			launch, err = g.Resume(ctx)
 		default:
 			launch, err = g.Launch(ctx, k)
 		}
 		if err != nil {
-			return fail(err)
+			var last *WarmCheckpoint
+			if checkpointed && ctx.Err() != nil {
+				meta.LaunchIndex = ix
+				if snap, cerr := checkpoint.Capture(g, meta); cerr == nil {
+					partial := *res
+					partial.GPU = nil
+					last = &WarmCheckpoint{Partial: partial, Snap: snap}
+				}
+			}
+			return nil, last, fail(err)
 		}
 		res.Agg.Merge(launch)
 		res.Launches++
 		res.Detailed++
 	}
 	if ix <= resumeAt {
-		return fail(fmt.Errorf("checkpoint launch index %d beyond workload launch count %d", resumeAt, ix))
+		return nil, nil, fail(fmt.Errorf("checkpoint launch index %d beyond workload launch count %d", resumeAt, ix))
 	}
 	if err := wl.Verify(); err != nil {
-		return fail(fmt.Errorf("verification failed: %w", err))
+		return nil, nil, fail(fmt.Errorf("verification failed: %w", err))
 	}
 	res.snapshotGPU(g)
-	return res, nil
+	return res, nil, nil
 }
 
 // setupRun builds the workload, the GPU, and an empty Result for one
@@ -248,24 +260,9 @@ func setupRun(opt *RunOptions) (workloads.Workload, *gpu.GPU, *Result, error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// The CCWS baseline needs per-SM providers observing their L1Ds;
-	// wire them automatically unless the caller already supplied a
-	// ProviderOverride. Precedence: an explicit ProviderOverride always
-	// wins (no auto-wiring, no AttachL1 hijack); otherwise only the
-	// provider factory and the L1 attachment are filled in — every
-	// other System field (CACP, CACPConfig, Variant, ...) keeps the
-	// caller's semantics. Documented by TestCCWSAutoWiringPrecedence.
-	if opt.System.Scheduler == "ccws" && opt.System.ProviderOverride == nil {
-		sc, attach := core.CCWSSystem()
-		opt.System.ProviderOverride = sc.ProviderOverride
-		userAttach := opt.AttachL1
-		opt.AttachL1 = func(smID int, l1 *memsys.L1D) {
-			attach(smID, l1)
-			if userAttach != nil {
-				userAttach(smID, l1)
-			}
-		}
-	}
+	// NewGPU binds the CCWS baseline's providers to their L1Ds unless
+	// the caller's ProviderOverride replaces them, before any AttachL1
+	// tap (TestCCWSAutoWiringPrecedence).
 	g, err := opt.System.NewGPU(opt.Config, wl.Mem())
 	if err != nil {
 		return nil, nil, nil, err
@@ -279,10 +276,9 @@ func setupRun(opt *RunOptions) (workloads.Workload, *gpu.GPU, *Result, error) {
 	g.PerCycleWake = opt.PerCycleWake
 	g.Perf = opt.Profiler
 	// Observers attached through caller closures may share state between
-	// SMs, so those runs keep every SM on the caller's goroutine.
-	// Evaluated after the CCWS auto-wiring above, whose per-SM providers
-	// are attached the same way.
-	if opt.AttachL1 == nil && opt.System.ProviderOverride == nil {
+	// SMs, so those runs keep every SM on the caller's goroutine, and so
+	// do the CCWS baseline's providers, bound the same way.
+	if opt.AttachL1 == nil && opt.System.ProviderOverride == nil && opt.System.Scheduler != "ccws" {
 		g.SMWorkers = opt.SMWorkers
 	}
 	if opt.tickedOracle {

@@ -100,11 +100,6 @@ type Session struct {
 	SampleWarmup   int
 	SampleInterval int
 
-	// checkpointEvery is the warm-start capture cadence in simulated
-	// cycles for disk-backed runs (0 = DefaultCheckpointEvery); tests
-	// shorten it. Simulated results are identical at any value.
-	checkpointEvery int64
-
 	mu       sync.Mutex
 	cache    map[string]*flight
 	sem      chan struct{}
@@ -266,13 +261,13 @@ func (s *Session) acquire(ctx context.Context, extra int) (held int, release fun
 // Checkpointing is on exactly when there is a disk to persist to: with
 // disk non-nil the run warm-starts from the checkpoint an earlier cut
 // run left under ckptKey (stale engine versions and damaged blobs read
-// back as misses), captures periodic in-memory checkpoints, and — when
-// ctx cuts it short — persists the latest one so the next attempt
-// resumes there. A warm start that fails for any reason but ctx costs
+// back as misses), and when ctx cuts it short it persists the
+// checkpoint of the stop so the next attempt resumes at that very
+// cycle. A warm start that fails for any reason but ctx costs
 // a cold start, never the run: the artifact is removed and the run
-// repeated once from cycle zero. With disk nil the engine's hooks stay
+// repeated once from cycle zero. Either way the engine's hooks stay
 // exactly as opt set them. A SetRunFunc seam replaces the engine
-// entirely, so it runs without checkpointing either way.
+// entirely, so it runs without checkpointing.
 //
 // A panic on the simulating goroutine — the engine's or a SetRunFunc
 // function's — becomes the run's error: the flight fails and is
@@ -310,12 +305,9 @@ func (s *Session) simulate(ctx context.Context, opt RunOptions, disk *DiskCache,
 	s.mu.Lock()
 	run := s.runFn
 	s.mu.Unlock()
-	var (
-		ck   *checkpointer
-		warm *WarmCheckpoint
-	)
-	if disk != nil && run == nil {
-		ck = newCheckpointer(s.checkpointEvery)
+	checkpointed := disk != nil && run == nil
+	var warm *WarmCheckpoint
+	if checkpointed {
 		var ok bool
 		if warm, ok = disk.LoadCheckpoint(ckptKey); ok {
 			s.mu.Lock()
@@ -325,19 +317,20 @@ func (s *Session) simulate(ctx context.Context, opt RunOptions, disk *DiskCache,
 	}
 	// attempt runs the simulation once. A panic on this goroutine ends
 	// the attempt with an error instead of the process.
-	attempt := func() (r *Result, err error) {
+	attempt := func() (r *Result, last *WarmCheckpoint, err error) {
 		defer func() {
 			if p := recover(); p != nil {
-				r, err = nil, fmt.Errorf("harness: %s on %s: simulation panicked: %v", opt.Workload, opt.System.Label(), p)
+				r, last, err = nil, nil, fmt.Errorf("harness: %s on %s: simulation panicked: %v", opt.Workload, opt.System.Label(), p)
 			}
 		}()
 		if run != nil {
-			return run(ctx, opt)
+			r, err = run(ctx, opt)
+			return r, nil, err
 		}
-		return runLaunches(ctx, opt, ck, warm)
+		return runLaunches(ctx, opt, checkpointed, warm)
 	}
 	start := time.Now()
-	r, err := attempt()
+	r, last, err := attempt()
 	if err != nil && warm != nil && ctx.Err() == nil {
 		// The warm start failed and the caller did not cut it short: the
 		// artifact is the suspect (it passed its digest but does not fit
@@ -345,16 +338,16 @@ func (s *Session) simulate(ctx context.Context, opt RunOptions, disk *DiskCache,
 		// and run again from cycle zero, on a fresh workload and GPU (the
 		// failed attempt replayed launches into the old memory).
 		disk.RemoveCheckpoint(ckptKey)
-		ck, warm = newCheckpointer(s.checkpointEvery), nil
-		r, err = attempt()
+		warm = nil
+		r, last, err = attempt()
 	}
 	elapsed := time.Since(start)
 	release()
-	if err != nil && ck != nil && ck.last != nil && ctx.Err() != nil {
-		// The run was cut short; persist its progress so the next
-		// attempt resumes here. Best-effort like the result
+	if last != nil {
+		// ctx cut the run short; persist where it stopped so the next
+		// attempt resumes there. Best-effort like the result
 		// write-through.
-		disk.StoreCheckpoint(ckptKey, ck.last) //nolint:errcheck
+		disk.StoreCheckpoint(ckptKey, last) //nolint:errcheck
 	}
 	if profile && opt.Profiler != nil {
 		s.mu.Lock()

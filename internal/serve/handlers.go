@@ -21,8 +21,11 @@ import (
 //	                          429 (+Retry-After) when the queue is full,
 //	                          413 for a body over maxBodyBytes,
 //	                          503 while draining
-//	GET  /v1/jobs             list all jobs, newest first
-//	GET  /v1/jobs/{id}        poll one job's JobStatus
+//	GET  /v1/jobs             list the jobs, newest first: every queued
+//	                          and running one, and the last
+//	                          maxFinishedJobs finished ones
+//	GET  /v1/jobs/{id}        poll one job's JobStatus; 404 once the
+//	                          job is forgotten
 //	GET  /v1/jobs/{id}/result fetch a finished job's harness.Result
 //	POST /v1/jobs/{id}/cancel cancel a queued or running job
 //	POST /v1/run              synchronous submit+wait; a client
@@ -153,8 +156,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	st, _ := s.status(j.id)
-	writeJSON(w, http.StatusAccepted, st)
+	writeJSON(w, http.StatusAccepted, s.statusOf(j))
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -190,12 +192,12 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if !s.cancelJob(id) {
+	j := s.cancelJob(id)
+	if j == nil {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 		return
 	}
-	st, _ := s.status(id)
-	writeJSON(w, http.StatusOK, st)
+	writeJSON(w, http.StatusOK, s.statusOf(j))
 }
 
 // handleRunSync runs a job to completion within the request. The job's
@@ -211,12 +213,11 @@ func (s *Server) handleRunSync(w http.ResponseWriter, r *http.Request) {
 	stop := context.AfterFunc(r.Context(), func() { s.cancelJob(j.id) })
 	defer stop()
 	<-j.done
-	res, st, _ := s.result(j.id)
-	if st.State != StateDone {
+	if st := s.statusOf(j); st.State != StateDone {
 		writeError(w, http.StatusConflict, fmt.Errorf("job %s %s: %s", st.ID, st.State, st.Error))
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	writeJSON(w, http.StatusOK, j.result) // written before done closed
 }
 
 func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {

@@ -421,7 +421,7 @@ func TestServeWarmStartResumesCheckpoint(t *testing.T) {
 			cancel()
 		}
 	}
-	_, last, err := harness.RunCheckpointed(ctx, hooked, 1_000, nil)
+	_, last, err := harness.RunCheckpointed(ctx, hooked, 0, nil)
 	if err == nil || last == nil {
 		t.Fatalf("interrupted run: err=%v checkpoint=%v", err, last != nil)
 	}
@@ -738,5 +738,66 @@ func TestServeResultStates(t *testing.T) {
 	close(release)
 	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServeForgetsOldestFinishedJobs: the server remembers at most
+// maxFinishedJobs finished jobs and forgets the oldest first, while a
+// running job is kept however many finish after it.
+func TestServeForgetsOldestFinishedJobs(t *testing.T) {
+	sess := testSession()
+	release := make(chan struct{})
+	sess.SetRunFunc(func(ctx context.Context, opt harness.RunOptions) (*harness.Result, error) {
+		if opt.Workload == "kmeans" {
+			<-release
+		}
+		return &harness.Result{Workload: opt.Workload}, nil
+	})
+	const extra = 3
+	srv := New(Config{Session: sess, Workers: 2, QueueDepth: maxFinishedJobs + extra})
+	defer srv.Drain(context.Background())
+	defer close(release)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	running := submitN(t, ts, "kmeans")[0]
+	waitState(t, ts, running.ID, StateRunning)
+	var ids []string
+	for i := 0; i < maxFinishedJobs+extra; i++ {
+		// One at a time, so jobs finish in submission order.
+		j, err := srv.submit(RunRequest{App: "bfs"}, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.done
+		ids = append(ids, j.id)
+	}
+
+	resp, err := ts.Client().Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if list := decode[[]JobStatus](t, resp); len(list) != maxFinishedJobs+1 {
+		t.Fatalf("/v1/jobs lists %d jobs, want the %d finished ones kept and the running one", len(list), maxFinishedJobs)
+	}
+	code := func(id string) int {
+		resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for i, id := range ids {
+		want := http.StatusOK
+		if i < extra {
+			want = http.StatusNotFound
+		}
+		if got := code(id); got != want {
+			t.Errorf("finished job %d of %d (%s): status %d, want %d", i+1, len(ids), id, got, want)
+		}
+	}
+	if got := code(running.ID); got != http.StatusOK {
+		t.Errorf("running job %s: status %d, want it kept", running.ID, got)
 	}
 }

@@ -103,6 +103,12 @@ func (r RunRequest) Validate() error {
 	return nil
 }
 
+// maxFinishedJobs bounds the finished jobs a Server remembers, results
+// included. Past it the oldest finished job is forgotten, and its id
+// answers 404 like one never issued. Queued and running jobs are never
+// forgotten.
+const maxFinishedJobs = 1024
+
 // Job states.
 const (
 	StateQueued   = "queued"
@@ -182,6 +188,7 @@ type Server struct {
 
 	mu          sync.Mutex
 	jobs        map[string]*job
+	finished    []string // ids of the finished jobs still in jobs, oldest first
 	queue       chan *job
 	nextID      int
 	draining    bool
@@ -387,6 +394,7 @@ func (s *Server) runJob(j *job) {
 		j.err = err.Error()
 		s.failed++
 	}
+	s.retireLocked(j)
 	outcome, errText := j.state, j.err
 	close(j.done)
 	s.mu.Unlock()
@@ -407,15 +415,25 @@ func (s *Server) runJob(j *job) {
 	s.log.Info("job finished", attrs...)
 }
 
+// retireLocked lists j, just finished, and forgets the oldest finished
+// jobs past maxFinishedJobs. s.mu must be held.
+func (s *Server) retireLocked(j *job) {
+	s.finished = append(s.finished, j.id)
+	for len(s.finished) > maxFinishedJobs {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
+	}
+}
+
 // cancelJob requests cancellation. Queued jobs terminate immediately;
 // running jobs terminate as soon as the simulator observes the dead
-// context. Unknown ids return false.
-func (s *Server) cancelJob(id string) bool {
+// context. Unknown ids return nil.
+func (s *Server) cancelJob(id string) *job {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	if !ok {
 		s.mu.Unlock()
-		return false
+		return nil
 	}
 	j.canceled = true
 	queuedCancel := j.state == StateQueued
@@ -424,6 +442,7 @@ func (s *Server) cancelJob(id string) bool {
 		j.err = context.Canceled.Error()
 		j.finished = time.Now()
 		s.canceled++
+		s.retireLocked(j)
 		close(j.done)
 	}
 	s.mu.Unlock()
@@ -439,7 +458,7 @@ func (s *Server) cancelJob(id string) bool {
 	} else {
 		s.log.Info("job cancel requested", jobAttrs(j)...)
 	}
-	return true
+	return j
 }
 
 // status snapshots a job for the poll endpoint.
@@ -451,6 +470,13 @@ func (s *Server) status(id string) (JobStatus, bool) {
 		return JobStatus{}, false
 	}
 	return s.statusLocked(j), true
+}
+
+// statusOf snapshots j, whether or not the server still lists it.
+func (s *Server) statusOf(j *job) JobStatus {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.statusLocked(j)
 }
 
 func (s *Server) statusLocked(j *job) JobStatus {

@@ -26,7 +26,9 @@
 #   go test       full unit + experiment smoke suite
 #   go test -fuzz the two decoders of disk bytes (checkpoint payloads
 #                 through Decode + Restore, disk-cache artifacts), the
-#                 isa text assembler (an error or a program whose
+#                 decoder of cawaserve request bodies (a 4xx or an
+#                 accepted job with a keyable design point), the isa
+#                 text assembler (an error or a program whose
 #                 disassembly parses back to it) and simt's warp-wide
 #                 execute against the per-lane interpreter it replaced,
 #                 ten seconds each beyond their committed seeds; a
@@ -89,6 +91,7 @@ go test ./...
 echo "== go test -fuzz (10s each) =="
 go test -run '^$' -fuzz '^FuzzDecodeRestore$' -fuzztime 10s -fuzzminimizetime 1s ./internal/checkpoint
 go test -run '^$' -fuzz '^FuzzDiskCacheArtifacts$' -fuzztime 10s -fuzzminimizetime 1s ./internal/harness
+go test -run '^$' -fuzz '^FuzzRunRequest$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
 go test -run '^$' -fuzz '^FuzzExecAgainstPerLane$' -fuzztime 10s -fuzzminimizetime 1s ./internal/simt
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 1s ./internal/isa
 echo "== go test -race (harness, workloads) =="
