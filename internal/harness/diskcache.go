@@ -122,12 +122,27 @@ func (d *DiskCache) Load(key string) (*Result, bool) {
 // already be GPU-free serializable state; Result.GPU is excluded from
 // encoding either way.
 func (d *DiskCache) Store(key string, r *Result) error {
-	data, err := json.Marshal(entry{Key: key, Result: r})
+	data, err := json.Marshal(r)
 	if err != nil {
 		return fmt.Errorf("harness: disk cache: %w", err)
 	}
+	return d.storeJSON(key, data)
+}
+
+// storeJSON writes the entry of a result already encoded as result,
+// which must be json.Marshal of the *Result. The file is byte for byte
+// json.Marshal(entry{key, r}): the entry's two fields in declaration
+// order around the result's own bytes.
+func (d *DiskCache) storeJSON(key string, result []byte) error {
+	k, _ := json.Marshal(key) // a string always encodes
+	doc := make([]byte, 0, len(k)+len(result)+len(`{"key":,"result":}`))
+	doc = append(doc, `{"key":`...)
+	doc = append(doc, k...)
+	doc = append(doc, `,"result":`...)
+	doc = append(doc, result...)
+	doc = append(doc, '}')
 	return d.write(key, resultExt, func(out io.Writer) error {
-		_, err := out.Write(data)
+		_, err := out.Write(doc)
 		return err
 	})
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"sort"
@@ -127,6 +128,20 @@ type flight struct {
 	done chan struct{}
 	res  *Result
 	err  error
+
+	// The result's one encoding, json.Marshal(res), made by the first
+	// caller that needs it and shared by every later one: the disk
+	// write-through and every reply of a service send these bytes.
+	encodeOnce sync.Once
+	encoded    []byte
+	encodeErr  error
+}
+
+// encoding returns the successful flight's canonical encoding. The
+// slice is shared; callers must not modify or append to it.
+func (f *flight) encoding() ([]byte, error) {
+	f.encodeOnce.Do(func() { f.encoded, f.encodeErr = json.Marshal(f.res) })
+	return f.encoded, f.encodeErr
 }
 
 // NewSession builds a Session with the given architecture and workload
@@ -404,6 +419,37 @@ func (s *Session) Run(app string, sc core.SystemConfig) (*Result, error) {
 // (Result.ReleaseGPU): a long-running session holds only the
 // snapshotted statistics, never the runs' memory images.
 func (s *Session) RunContext(ctx context.Context, app string, sc core.SystemConfig) (*Result, error) {
+	f, err := s.lookup(ctx, app, sc)
+	if err != nil {
+		return nil, err
+	}
+	return f.res, f.err
+}
+
+// RunJSON is RunContext answering with the result's canonical encoding,
+// json.Marshal of the *Result RunContext returns for the same key. The
+// encoding is made once per cached result and the same slice is handed
+// to every caller: it must not be modified or appended to. A session
+// with a Disk writes exactly these bytes into the entry, and a result
+// loaded from disk is encoded afresh, so a parsable but non-canonical
+// file is never passed on verbatim.
+func (s *Session) RunJSON(ctx context.Context, app string, sc core.SystemConfig) ([]byte, error) {
+	f, err := s.lookup(ctx, app, sc)
+	if err != nil {
+		return nil, err
+	}
+	if f.err != nil {
+		return nil, f.err
+	}
+	return f.encoding()
+}
+
+// lookup returns the finished cache slot for (app, sc): a cached one,
+// one another caller is filling (waited for), or a new one this call
+// fills from the disk cache or a simulation. The error is the caller's
+// own — an invalid design point or ctx dying while it waits — and the
+// flight's outcome is in its res and err.
+func (s *Session) lookup(ctx context.Context, app string, sc core.SystemConfig) (*flight, error) {
 	sysKey, err := sc.Key()
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", app, err)
@@ -418,7 +464,7 @@ func (s *Session) RunContext(ctx context.Context, app string, sc core.SystemConf
 		s.mu.Unlock()
 		select {
 		case <-f.done:
-			return f.res, f.err
+			return f, nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -428,6 +474,7 @@ func (s *Session) RunContext(ctx context.Context, app string, sc core.SystemConf
 	s.misses++
 	disk := s.Disk
 	s.mu.Unlock()
+	defer close(f.done)
 
 	var entryKey, ckptKey string
 	if disk != nil {
@@ -437,8 +484,7 @@ func (s *Session) RunContext(ctx context.Context, app string, sc core.SystemConf
 			s.diskHits++
 			s.mu.Unlock()
 			f.res = res
-			close(f.done)
-			return f.res, f.err
+			return f, nil
 		}
 		ckptKey = disk.CheckpointKey(entryKey)
 	}
@@ -453,18 +499,21 @@ func (s *Session) RunContext(ctx context.Context, app string, sc core.SystemConf
 			delete(s.cache, key)
 		}
 		s.mu.Unlock()
-	} else {
-		f.res.ReleaseGPU()
-		if disk != nil {
-			// Write-through is best-effort: a full or read-only disk
-			// degrades to in-memory caching, never to a failed run.
-			disk.Store(entryKey, f.res) //nolint:errcheck
-			// The final result supersedes any warm checkpoint.
-			disk.RemoveCheckpoint(ckptKey)
-		}
+		return f, nil
 	}
-	close(f.done)
-	return f.res, f.err
+	f.res.ReleaseGPU()
+	if disk != nil {
+		// Write-through is best-effort: a full or read-only disk
+		// degrades to in-memory caching, never to a failed run. The
+		// entry embeds the flight's own encoding, so it costs no
+		// second marshal.
+		if data, err := f.encoding(); err == nil {
+			disk.storeJSON(entryKey, data) //nolint:errcheck
+		}
+		// The final result supersedes any warm checkpoint.
+		disk.RemoveCheckpoint(ckptKey)
+	}
+	return f, nil
 }
 
 // RunUncached executes one run under the session's worker-pool bound

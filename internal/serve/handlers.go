@@ -101,13 +101,26 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// writeJSON replies with v as one line of compact JSON.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // the connection is gone; nothing to do
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // the connection is gone; nothing to do
 }
+
+// writeResult replies 200 with a run's encoded result and the newline
+// writeJSON would end it with. The bytes are the session's shared
+// encoding: they are written as they are, never appended to.
+func writeResult(w http.ResponseWriter, result []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(result)+1))
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(result); err == nil {
+		w.Write(newline) //nolint:errcheck // the connection is gone; nothing to do
+	}
+}
+
+var newline = []byte("\n")
 
 func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, apiError{Error: err.Error()})
@@ -180,7 +193,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	switch st.State {
 	case StateDone:
-		writeJSON(w, http.StatusOK, res)
+		writeResult(w, res)
 	case StateFailed, StateCanceled:
 		writeError(w, http.StatusConflict, fmt.Errorf("job %s %s: %s", st.ID, st.State, st.Error))
 	default:
@@ -217,7 +230,7 @@ func (s *Server) handleRunSync(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, fmt.Errorf("job %s %s: %s", st.ID, st.State, st.Error))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.result) // written before done closed
+	writeResult(w, j.result) // written before done closed
 }
 
 func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -103,7 +104,7 @@ func TestServeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.MarshalIndent(direct, "", "  ")
+	want, err := json.Marshal(direct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -799,5 +800,44 @@ func TestServeForgetsOldestFinishedJobs(t *testing.T) {
 	}
 	if got := code(running.ID); got != http.StatusOK {
 		t.Errorf("running job %s: status %d, want it kept", running.ID, got)
+	}
+}
+
+// TestServeHitRepliesDoNotReencode is the hit path's allocation gate:
+// N cached POST /v1/run replies allocate less in total than a quarter
+// of the N reply bodies they send, which holds only when every reply
+// writes the session's one encoding instead of marshalling the result
+// again.
+func TestServeHitRepliesDoNotReencode(t *testing.T) {
+	srv := New(Config{Session: testSession()})
+	defer srv.Drain(context.Background())
+	h := srv.Handler()
+	body, err := json.Marshal(RunRequest{App: "bfs", Scheduler: "gcaws", CPL: true, CACP: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	post := func() {
+		out.Reset()
+		rec := httptest.NewRecorder()
+		rec.Body = &out // reused: the recorder's own buffer would grow per reply
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("sync run: status %d: %s", rec.Code, out.Bytes())
+		}
+	}
+	post() // the miss: simulates and encodes
+	reply := out.Len()
+	const n = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		post()
+	}
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d hits of a %d-byte reply allocated %d bytes (%d per reply)", n, reply, alloc, alloc/n)
+	if limit := uint64(n * reply / 4); alloc >= limit {
+		t.Errorf("%d hits allocated %d bytes, want under %d (a quarter of the bytes sent)", n, alloc, limit)
 	}
 }

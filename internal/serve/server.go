@@ -8,7 +8,7 @@
 //
 // The package sits entirely outside the deterministic simulation core:
 // it owns goroutines, wall-clock time and request contexts, and talks
-// to the simulator only through harness.Session.RunContext, which
+// to the simulator only through harness.Session.RunJSON, which
 // plumbs cancellation down to the cycle loop. A dead client, an
 // expired per-job deadline, or a drain therefore frees its worker slot
 // within a bounded amount of simulation work.
@@ -130,9 +130,11 @@ type job struct {
 	done     chan struct{} // closed when the job reaches a terminal state
 	canceled bool          // an explicit cancel (client or drain) was requested
 
-	state  string
-	err    string
-	result *harness.Result
+	state string
+	err   string
+	// result is the session's canonical encoding of the run, shared
+	// with every other job of the same key: never modified.
+	result []byte
 
 	submitted time.Time
 	started   time.Time
@@ -375,7 +377,7 @@ func (s *Server) runJob(j *job) {
 	s.queueWait.Observe(wait)
 	s.log.Info("job started", append(jobAttrs(j), slog.Float64("queue_seconds", wait))...)
 
-	res, err := s.sess.RunContext(j.ctx, j.req.App, j.sys)
+	res, err := s.sess.RunJSON(j.ctx, j.req.App, j.sys)
 
 	s.mu.Lock()
 	s.busy--
@@ -528,8 +530,8 @@ func (s *Server) statuses() []JobStatus {
 	return out
 }
 
-// result returns a finished job's result.
-func (s *Server) result(id string) (*harness.Result, JobStatus, bool) {
+// result returns a finished job's encoded result.
+func (s *Server) result(id string) ([]byte, JobStatus, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]

@@ -98,21 +98,34 @@ type integer interface {
 	~int | ~int32 | ~int64 | ~uint8 | ~uint16 | ~uint32 | ~uint64
 }
 
-// Int archives integers of one type, each as a zigzag varint.
+// Int archives integers of one type, each as a zigzag varint. A loader
+// rejects a value its type cannot hold (a uint8 archived as 300, an
+// int above 2^31 where int is 32 bits) instead of truncating it.
 func Int[T integer](a *Archive, ps ...*T) {
 	for _, p := range ps {
 		if !a.loading {
 			a.buf = binary.AppendVarint(a.buf, int64(*p))
 			continue
 		}
-		v, n := binary.Varint(a.buf)
-		if n <= 0 {
-			a.Failf("state: truncated or malformed varint (%d bytes left)", len(a.buf))
-			v, n = 0, 0
+		v := a.varint()
+		if int64(T(v)) != v {
+			a.Failf("state: %d overflows %T", v, *p)
+			v = 0
 		}
-		a.buf = a.buf[n:]
 		*p = T(v)
 	}
+}
+
+// varint consumes one zigzag varint of a loader's input, 0 when it is
+// truncated or malformed.
+func (a *Archive) varint() int64 {
+	v, n := binary.Varint(a.buf)
+	if n <= 0 {
+		a.Failf("state: truncated or malformed varint (%d bytes left)", len(a.buf))
+		return 0
+	}
+	a.buf = a.buf[n:]
+	return v
 }
 
 // Bool archives bools, a byte each.
@@ -153,13 +166,19 @@ func (a *Archive) Words(s []int64) {
 }
 
 // Len archives a length; a loader rejects one larger than the bytes left
-// (every element costs at least one).
+// (every element costs at least one). It reads the full 64 bits first,
+// so a hostile prefix fails the same way whatever the size of int.
 func (a *Archive) Len(n int) int {
-	if Int(a, &n); a.loading && (n < 0 || n > len(a.buf)) {
-		a.Failf("state: length %d exceeds the %d bytes left", n, len(a.buf))
+	if !a.loading {
+		Int(a, &n)
+		return n
+	}
+	v := a.varint()
+	if v < 0 || v > int64(len(a.buf)) {
+		a.Failf("state: length %d exceeds the %d bytes left", v, len(a.buf))
 		return 0
 	}
-	return n
+	return int(v)
 }
 
 // String archives one string.

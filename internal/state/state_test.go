@@ -137,6 +137,31 @@ func TestLengthPrefixIsNotTrusted(t *testing.T) {
 	}
 }
 
+// TestIntRejectsOverflow: a value the loading type cannot hold fails
+// the load instead of truncating — a uint8 archived as 300, an int32 as
+// 2^31 — and the field reads zero.
+func TestIntRejectsOverflow(t *testing.T) {
+	wide := NewSaver(0)
+	v300, v31 := int64(300), int64(math.MaxInt32)+1
+	Int(wide, &v300, &v31)
+	a := NewLoader(wide.Bytes())
+	u8 := uint8(9)
+	if Int(a, &u8); a.Err() == nil || !strings.Contains(a.Err().Error(), "300 overflows uint8") || u8 != 0 {
+		t.Errorf("300 into a uint8: err = %v, value %d", a.Err(), u8)
+	}
+	a = NewLoader(wide.Bytes()[2:])
+	i32 := int32(9)
+	if Int(a, &i32); a.Err() == nil || !strings.Contains(a.Err().Error(), "overflows int32") || i32 != 0 {
+		t.Errorf("2^31 into an int32: err = %v, value %d", a.Err(), i32)
+	}
+	// The largest values of each type still round-trip.
+	blob := save(sample())
+	var got everything
+	if got.archive(NewLoader(blob)); !reflect.DeepEqual(got, sample()) {
+		t.Errorf("extremes round-tripped to %+v", got)
+	}
+}
+
 // TestStickyError: after the first failure every read is zero, every
 // length is 0 — so loops over lengths end — and the first error stays.
 func TestStickyError(t *testing.T) {

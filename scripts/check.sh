@@ -34,10 +34,12 @@
 #                 ten seconds each beyond their committed seeds; a
 #                 crasher is written under the package's testdata/fuzz
 #   go test -race the concurrency audit of the session scheduler:
-#                 harness (worker pool, parallel experiments) and
-#                 workloads (per-instance RNG) under the race detector.
-#                 -short skips the slow sequential experiment sweep but
-#                 keeps every parallel-path test (singleflight, prewarm,
+#                 harness (worker pool, parallel experiments, the one
+#                 encoding a flight shares), serve (concurrent handlers
+#                 writing the same reply bytes) and workloads
+#                 (per-instance RNG) under the race detector. -short
+#                 skips the slow sequential experiment sweep but keeps
+#                 every parallel-path test (singleflight, prewarm,
 #                 parallel-vs-sequential golden).
 #   GOMAXPROCS race matrix: the span engine's multi-domain tests (span
 #                 barrier, staged replay, horizon clamps, span-fill
@@ -94,8 +96,8 @@ go test -run '^$' -fuzz '^FuzzDiskCacheArtifacts$' -fuzztime 10s -fuzzminimizeti
 go test -run '^$' -fuzz '^FuzzRunRequest$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
 go test -run '^$' -fuzz '^FuzzExecAgainstPerLane$' -fuzztime 10s -fuzzminimizetime 1s ./internal/simt
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 1s ./internal/isa
-echo "== go test -race (harness, workloads) =="
-go test -race -short ./internal/harness/... ./internal/workloads/...
+echo "== go test -race (harness, serve, workloads) =="
+go test -race -short ./internal/harness/... ./internal/serve/... ./internal/workloads/...
 echo "== go test -race span engine domains (GOMAXPROCS=2, GOMAXPROCS=8) =="
 race_pkgs="./internal/gpu/... ./internal/memsys/... ./internal/harness/... ./internal/checkpoint/... ./internal/sm/..."
 race_run='TestParallel|TestDomain|TestStaged|TestStaging|TestLookahead|TestSpanFill|TestSessionSharedWorkerBudget|TestSharedObservers|TestEngineEquivalenceMatrix|TestRoundTrip|TestReadinessOracle|TestBarrierWake|TestFillWakes|TestWritebackWakes|TestMemDataReparks|TestStaleFill|TestCyclePathAllocFree|TestDesignPointsAllocFree|TestStanding|TestRefusalStandsUntilFills|TestRejectMemoFollowsL1DFills'
