@@ -79,9 +79,6 @@ func main() {
 
 		perfOut = flag.String("perf", "", "profile the engine's wall-clock phases across the sweep and write the PerfReport JSON to this file (\"-\" = stderr)")
 
-		sampleWarmup   = flag.Int("sample-warmup", 0, "sampled simulation: detailed launches before the first skip window (cache/predictor warmup)")
-		sampleInterval = flag.Int("sample-interval", 0, "sampled simulation: run every Nth launch after the warmup on the timing model, the rest functionally (<=1 = full detail)")
-
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file")
 	)
@@ -146,8 +143,6 @@ func main() {
 	}
 	session := harness.NewSession(cfg, workloads.Params{Scale: *scale, Seed: *seed}).
 		SetWorkers(*workers).SMParallel(*smpar)
-	session.SampleWarmup = *sampleWarmup
-	session.SampleInterval = *sampleInterval
 	if *perfOut != "" {
 		session.EnableProfiling()
 	}

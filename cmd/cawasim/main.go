@@ -28,15 +28,6 @@
 //	                       results stay byte-identical
 //	-perf-trace FILE       also write the profile as Chrome trace-event
 //	                       counter tracks (Perfetto / chrome://tracing)
-//
-// Sampled simulation (see DESIGN.md "Checkpoint/restore + sampled
-// simulation"):
-//
-//	-sample-warmup N       run the first N launches on the timing model
-//	                       (cache/predictor warmup) before sampling
-//	-sample-interval K     after the warmup, run every Kth launch on the
-//	                       timing model and the rest functionally
-//	                       (exact memory, no timing); <=1 = full detail
 package main
 
 import (
@@ -93,9 +84,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		perfJSON  = fl.String("perf", "", "profile the engine's wall-clock phases and write the PerfReport JSON to this file")
 		perfTrace = fl.String("perf-trace", "", "write the engine profile as Chrome trace-event counter tracks")
 
-		sampleWarmup   = fl.Int("sample-warmup", 0, "sampled simulation: detailed launches before the first skip window (cache/predictor warmup)")
-		sampleInterval = fl.Int("sample-interval", 0, "sampled simulation: run every Nth launch after the warmup on the timing model, the rest functionally (<=1 = full detail)")
-
 		cpuprofile = fl.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile = fl.String("memprofile", "", "write a pprof heap profile to this file")
 	)
@@ -141,9 +129,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Config:   cfg,
 		// The harness keeps tracing runs (whose observers may share state
 		// across SMs) on one domain.
-		SMWorkers:      smWorkers,
-		SampleWarmup:   *sampleWarmup,
-		SampleInterval: *sampleInterval,
+		SMWorkers: smWorkers,
 	}
 
 	// Engine self-profiling: purely observational — the profiler reads
@@ -195,12 +181,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	a := &res.Agg
 	fmt.Fprintf(stdout, "workload       %s (verified against Go reference)\n", res.Workload)
 	fmt.Fprintf(stdout, "design point   %s\n", res.System)
-	if res.Detailed != res.Launches {
-		fmt.Fprintf(stdout, "launches       %d (%d detailed, %d functional)\n",
-			res.Launches, res.Detailed, res.Launches-res.Detailed)
-	} else {
-		fmt.Fprintf(stdout, "launches       %d\n", res.Launches)
-	}
+	fmt.Fprintf(stdout, "launches       %d\n", res.Launches)
 	fmt.Fprintf(stdout, "cycles         %d\n", a.Cycles)
 	fmt.Fprintf(stdout, "warp instrs    %d\n", a.Instructions)
 	fmt.Fprintf(stdout, "thread instrs  %d\n", a.ThreadInstrs)

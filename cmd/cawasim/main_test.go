@@ -74,8 +74,10 @@ func TestTracingKeepsTheDesignPoint(t *testing.T) {
 // naming it on stderr).
 func TestUsageErrors(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-fastforward"}, &stdout, &stderr); code != 2 {
-		t.Errorf("unknown flag: exit %d, want 2", code)
+	for _, flag := range [][]string{{"-fastforward"}, {"-sample-interval", "4"}} {
+		if code := run(flag, &stdout, &stderr); code != 2 {
+			t.Errorf("unknown flag %v: exit %d, want 2", flag, code)
+		}
 	}
 	stderr.Reset()
 	if code := run([]string{"-workload", "nosuch"}, &stdout, &stderr); code != 1 {

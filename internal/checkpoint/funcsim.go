@@ -9,11 +9,10 @@ import (
 
 // FunctionalLaunch executes one kernel launch functionally — correct
 // memory effects, no timing model. It is the fast-forward half of
-// checkpoint/restore and sampled simulation: launches that precede a
-// restore point (or fall outside a detailed sample window) replay here
-// in milliseconds, leaving the functional memory exactly as the timed
-// engines would (the workloads are data-race-free across blocks, which
-// the per-workload Verify references check end to end).
+// checkpoint/restore: the launches that precede a restore point replay
+// here in milliseconds, leaving the functional memory exactly as the
+// timed engines would (the workloads are data-race-free across blocks,
+// which the per-workload Verify references check end to end).
 //
 // Blocks run sequentially; within a block, live warps round-robin one
 // instruction at a time and barriers release when every live warp has

@@ -49,34 +49,27 @@ func TestFig9ReducedGmeanPinned(t *testing.T) {
 	}
 }
 
-// TestFig9SampledScalePinned re-measures the fig9 deviation at 4x the
-// reduced pin's input scale, made affordable by sampled simulation
-// (2 detailed warmup launches, then every 4th launch on the timing
-// model). The hypothesis under test was that the CAWA < GTO and
-// bfs < RR directions are artifacts of input scale. The evidence
-// splits by absolute footprint: at GTX480 Scale 4 the bfs direction
-// closes (1.001 >= RR) and the Sens gap collapses to 0.5 points
-// (EXPERIMENTS.md "fig9 at sampled 4x scale"), but that sweep costs
-// ~30 minutes; at this affordable Small/0.4 configuration — still far
-// below GTX480 footprints in absolute terms — the ordering persists
-// (CAWA 0.958 < GTO 0.983, bfs 0.944 < RR 1.000), so per the
-// deviation callout the measured values are pinned here and the
-// full-scale restoration is guarded by the CI fig9 artifact instead.
-// Any change that moves these values must update both pins and the
-// callout.
-func TestFig9SampledScalePinned(t *testing.T) {
+// TestFig9LargerScalePinned re-measures the fig9 deviation at 4x the
+// reduced pin's input scale, in full detail. At this Small/0.4
+// configuration the ordering of the reduced pin persists: CAWA 0.961 <
+// GTO 0.982 on the Sens gmean, and bfs under CAWA 0.966 < RR 1.000.
+// Larger inputs do not settle it either way (EXPERIMENTS.md "fig9 at
+// 4x scale"): at GTX480 Scale 4 bfs still sits below RR (0.997) while
+// CAWA edges 0.2 points ahead of GTO on the Sens gmean, and at the
+// paper's kmeans input size GTO leads again. The measured values are
+// pinned here; the Scale 1 table is the CI fig9 artifact. Any change
+// that moves these values must update both pins and the callout.
+func TestFig9LargerScalePinned(t *testing.T) {
 	if testing.Short() {
-		t.Skip("sampled 4x-scale pin is too slow for -short")
+		t.Skip("4x-scale pin is too slow for -short")
 	}
 	const (
-		pinCAWA = 0.9577 // measured at Small config, Scale 0.4, Seed 7, sampling 2+4
-		pinGTO  = 0.9831
-		pinBFS  = 0.9435 // bfs IPC speedup over RR under CAWA
+		pinCAWA = 0.9613 // measured at Small config, Scale 0.4, Seed 7
+		pinGTO  = 0.9823
+		pinBFS  = 0.9661 // bfs IPC speedup over RR under CAWA
 		band    = 0.005
 	)
 	s := NewSession(config.Small(), workloads.Params{Scale: 0.4, Seed: 7})
-	s.SampleWarmup = 2
-	s.SampleInterval = 4
 	gto := core.SystemConfig{Scheduler: "gto"}
 	if err := s.Prewarm(matrix(s.sensApps(), core.Baseline(), gto, core.CAWA())); err != nil {
 		t.Fatal(err)
@@ -101,14 +94,14 @@ func TestFig9SampledScalePinned(t *testing.T) {
 	bfs := r.Agg.IPC() / base.Agg.IPC()
 
 	if cawa < pinCAWA-band || cawa > pinCAWA+band {
-		t.Errorf("sampled CAWA gmean(sens) = %.4f, pinned at %.4f ± %.3f — if this moved on purpose, update the pin AND the fig9 deviation callout in EXPERIMENTS.md",
+		t.Errorf("CAWA gmean(sens) = %.4f, pinned at %.4f ± %.3f — if this moved on purpose, update the pin AND the fig9 deviation callout in EXPERIMENTS.md",
 			cawa, pinCAWA, band)
 	}
 	if gtoG < pinGTO-band || gtoG > pinGTO+band {
-		t.Errorf("sampled GTO gmean(sens) = %.4f, pinned at %.4f ± %.3f", gtoG, pinGTO, band)
+		t.Errorf("GTO gmean(sens) = %.4f, pinned at %.4f ± %.3f", gtoG, pinGTO, band)
 	}
 	if bfs < pinBFS-band || bfs > pinBFS+band {
-		t.Errorf("sampled bfs speedup under CAWA = %.4f, pinned at %.4f ± %.3f", bfs, pinBFS, band)
+		t.Errorf("bfs speedup under CAWA = %.4f, pinned at %.4f ± %.3f", bfs, pinBFS, band)
 	}
 }
 

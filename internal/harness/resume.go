@@ -17,8 +17,8 @@ import (
 // from Snap and continues on the timing model.
 type WarmCheckpoint struct {
 	// Partial is the run's Result as of the snapshot: Agg merged across
-	// the detailed launches that finished before the in-flight one,
-	// Launches/Detailed counted to match. GPU is nil; Spans and the
+	// the launches that finished before the in-flight one, Launches and
+	// Detailed counted to match. GPU is nil; Spans and the
 	// per-warp L1 tallies are not filled (the resumed GPU regenerates
 	// them at run end from restored state).
 	Partial Result
@@ -34,12 +34,12 @@ type WarmCheckpoint struct {
 // return is nil. The `every` argument has no effect; it stays so that
 // existing callers keep compiling.
 //
-// Capture is best-effort: a stop inside a functional launch (one
-// sampled simulation skips, or the prefix a resume replays), a design
-// point with a provider or policy that is not a state.Archiver (none in this
-// repository), or a capture that finds an engine invariant broken (an
-// unflushed store log, undrained span fills) yields no checkpoint; the
-// run's error is unaffected. Resume is exact: the round-trip tests
+// Capture is best-effort: a stop inside a functional launch (the
+// prefix a resume replays), a design point with a provider or policy
+// that is not a state.Archiver (none in this repository), or a capture
+// that finds an engine invariant broken (an unflushed store log,
+// undrained span fills) yields no checkpoint; the run's error is
+// unaffected. Resume is exact: the round-trip tests
 // prove a restored run is byte-identical to an uninterrupted one at
 // every domain count.
 func RunCheckpointed(ctx context.Context, opt RunOptions, every int64, warm *WarmCheckpoint) (*Result, *WarmCheckpoint, error) {

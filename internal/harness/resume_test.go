@@ -29,50 +29,6 @@ func resumeConfig() config.Config {
 	return c
 }
 
-func TestSampleDetailedGate(t *testing.T) {
-	// Sampling off: everything is detailed.
-	for ix := 0; ix < 5; ix++ {
-		if !sampleDetailed(ix, 0, 0) || !sampleDetailed(ix, 3, 1) {
-			t.Fatalf("launch %d not detailed with sampling off", ix)
-		}
-	}
-	// warmup=2 interval=3: detailed at 0,1 (warmup) then 2,5,8,...
-	want := map[int]bool{0: true, 1: true, 2: true, 3: false, 4: false, 5: true, 6: false, 7: false, 8: true}
-	for ix, w := range want {
-		if got := sampleDetailed(ix, 2, 3); got != w {
-			t.Fatalf("sampleDetailed(%d, 2, 3) = %v, want %v", ix, got, w)
-		}
-	}
-}
-
-// TestSampledRunExactMemory runs a multi-launch iterative workload with
-// sampling on: the functional launches must leave memory exact (Verify
-// inside RunContext), and the detailed count must match the gate.
-func TestSampledRunExactMemory(t *testing.T) {
-	res, err := Run(RunOptions{
-		Workload: "bfs", Params: resumeParams, System: core.CAWA(), Config: resumeConfig(),
-		SampleWarmup: 2, SampleInterval: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Detailed >= res.Launches {
-		t.Fatalf("sampling skipped nothing: %d detailed of %d launches", res.Detailed, res.Launches)
-	}
-	wantDetailed := 0
-	for ix := 0; ix < res.Launches; ix++ {
-		if sampleDetailed(ix, 2, 3) {
-			wantDetailed++
-		}
-	}
-	if res.Detailed != wantDetailed {
-		t.Fatalf("Detailed = %d, want %d of %d launches", res.Detailed, wantDetailed, res.Launches)
-	}
-	if res.Agg.Cycles == 0 || res.Agg.Instructions == 0 {
-		t.Fatalf("empty aggregate from sampled run: %+v", res.Agg)
-	}
-}
-
 // cancelAt builds RunOptions whose per-cycle hook cancels the context
 // once the global cycle reaches `at`. Its wake ends a span there, so the
 // cancel takes effect at exactly that cycle.
@@ -236,34 +192,6 @@ func TestRunCheckpointedCancelResume(t *testing.T) {
 	}
 }
 
-// TestRunCheckpointedSampledResume is the same interrupted/resumed
-// identity under sampled simulation — the checkpoint must remember
-// which launches were detailed.
-func TestRunCheckpointedSampledResume(t *testing.T) {
-	opt := RunOptions{
-		Workload: "bfs", Params: resumeParams, System: core.CAWA(), Config: resumeConfig(),
-		SampleWarmup: 1, SampleInterval: 2,
-	}
-	ref, err := Run(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := ref.Agg.Cycles / 2
-	hooked, ctx := cancelAt(opt, at)
-	_, last, err := RunCheckpointed(ctx, hooked, 0, nil)
-	if err == nil || last == nil {
-		t.Fatalf("cancelled sampled run: err=%v checkpoint=%v", err, last != nil)
-	}
-	if last.Snap.Meta.Cycle != at {
-		t.Fatalf("checkpoint at cycle %d, want the cut cycle %d", last.Snap.Meta.Cycle, at)
-	}
-	resumed, _, err := RunCheckpointed(context.Background(), opt, 0, last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "sampled", resumed, ref)
-}
-
 // TestCheckpointArtifactDamageIsCleanMiss proves satellite semantics:
 // a truncated, bit-flipped, mis-keyed, or stale-engine checkpoint
 // artifact reads back as a miss, never an error or a poisoned entry.
@@ -406,7 +334,7 @@ func TestSessionWarmStart(t *testing.T) {
 	if err == nil || last == nil {
 		t.Fatalf("cancelled run: err=%v checkpoint=%v", err, last != nil)
 	}
-	ckptKey := d.CheckpointKey(s.diskEntryKey(d, "bfs", sysKey))
+	ckptKey := d.CheckpointKey(d.EntryKey("bfs", sysKey, s.Params, s.Config))
 	if err := d.StoreCheckpoint(ckptKey, last); err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +410,7 @@ func TestWarmStartFailureCostsAColdStart(t *testing.T) {
 			}
 			s := NewSession(resumeConfig(), resumeParams)
 			s.Disk = d
-			ckptKey := d.CheckpointKey(s.diskEntryKey(d, "bfs", sysKey))
+			ckptKey := d.CheckpointKey(d.EntryKey("bfs", sysKey, s.Params, s.Config))
 			if err := d.StoreCheckpoint(ckptKey, c.warm); err != nil {
 				t.Fatal(err)
 			}
@@ -595,7 +523,7 @@ func TestUncheckpointedRunsKeepCallerHooks(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewSession(config.Small(), diskTestParams) // no Disk: Run and RunUncached share simulate
-	ckptKey := d.CheckpointKey(s.diskEntryKey(d, "needle", "lrr-key"))
+	ckptKey := d.CheckpointKey(d.EntryKey("needle", "lrr-key", s.Params, s.Config))
 	runners := map[string]func(RunOptions) (*Result, error){
 		"RunContext":          func(o RunOptions) (*Result, error) { return RunContext(context.Background(), o) },
 		"Session.RunUncached": s.RunUncached,

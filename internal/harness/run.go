@@ -57,28 +57,6 @@ type RunOptions struct {
 	// instead of the span engine (gpu.GPU.UseTickedOracle). Reachable
 	// from this package's tests only.
 	tickedOracle bool
-
-	// SampleWarmup and SampleInterval enable SimPoint-style sampled
-	// simulation over the workload's launch sequence. Sampling is active
-	// when SampleInterval > 1: launch index ix runs on the detailed
-	// timing model iff ix < SampleWarmup (the cache/predictor warmup
-	// prefix) or (ix-SampleWarmup)%SampleInterval == 0 (the periodic
-	// sample windows); every other launch executes functionally
-	// (checkpoint.FunctionalLaunch) — exact memory effects, no timing.
-	// Verify stays exact under sampling; Agg covers only the detailed
-	// launches (Result.Detailed counts them). See DESIGN.md for the
-	// sampling error budget.
-	SampleWarmup   int
-	SampleInterval int
-}
-
-// sampleDetailed reports whether launch ix runs on the detailed timing
-// model under the given sampling parameters.
-func sampleDetailed(ix, warmup, interval int) bool {
-	if interval <= 1 {
-		return true
-	}
-	return ix < warmup || (ix-warmup)%interval == 0
 }
 
 // Result is the outcome of one application run. Everything experiments
@@ -93,11 +71,13 @@ func sampleDetailed(ix, warmup, interval int) bool {
 type Result struct {
 	Workload string
 	System   string
-	Agg      stats.Launch // merged across detailed launches
+	Agg      stats.Launch // merged across the run's launches
 	Launches int
-	// Detailed counts the launches that ran on the timing model. Equal
-	// to Launches unless sampled simulation was active (RunOptions
-	// SampleWarmup/SampleInterval); Agg covers only these.
+	// Detailed always equals Launches: every launch runs on the timing
+	// model. It stays in the encoding only because the disk-cache
+	// entries, cawaserve replies and cawaperf's result digests all hash
+	// or serve json.Marshal(Result); drop it at the next EngineVersion
+	// bump.
 	Detailed int
 
 	// Spans are the cycle windows of the run's kernel launches
@@ -155,9 +135,8 @@ func RunContext(ctx context.Context, opt RunOptions) (*Result, error) {
 // runLaunches is the one launch loop behind Run, RunContext and
 // RunCheckpointed. Every launch of the workload takes exactly one of
 // three paths: functional replay (the prefix a warm checkpoint already
-// covers, and the launches sampled simulation skips), restore-and-resume
-// (the launch warm was captured in), or a detailed launch from cycle
-// zero.
+// covers), restore-and-resume (the launch warm was captured in), or a
+// detailed launch from cycle zero.
 //
 // checkpointed enables resuming from warm and the one capture a run
 // takes: when ctx stops a detailed launch, the GPU still holds that
@@ -198,7 +177,7 @@ func runLaunches(ctx context.Context, opt RunOptions, checkpointed bool, warm *W
 		}
 		var launch *stats.Launch
 		switch {
-		case ix < resumeAt || !sampleDetailed(ix, opt.SampleWarmup, opt.SampleInterval):
+		case ix < resumeAt:
 			if err := ctx.Err(); err != nil {
 				return nil, nil, err
 			}

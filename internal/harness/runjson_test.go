@@ -91,7 +91,7 @@ func TestRunJSONReencodesDiskHits(t *testing.T) {
 			t.Errorf("%s: a disk hit simulated", name)
 			return res, nil
 		})
-		key := s.diskEntryKey(d, "bfs", sysKey)
+		key := d.EntryKey("bfs", sysKey, s.Params, s.Config)
 		doc, err := json.MarshalIndent(map[string]any{"key": key, "result": result}, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -131,7 +131,7 @@ func TestSessionWritesParentEntryBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	sysKey, _ := core.CAWA().Key()
-	key := s.diskEntryKey(d, "bfs", sysKey)
+	key := d.EntryKey("bfs", sysKey, s.Params, s.Config)
 	want, err := json.Marshal(entry{Key: key, Result: res})
 	if err != nil {
 		t.Fatal(err)

@@ -91,15 +91,6 @@ type Session struct {
 	// simulating, and fresh results are written through, so restarts and
 	// repeated campaigns skip re-simulation (see DiskCache).
 	Disk *DiskCache
-	// SampleWarmup and SampleInterval apply sampled simulation to every
-	// run the session launches (see RunOptions.SampleWarmup). Unlike the
-	// domain count (SMParallel), sampling CHANGES the aggregate numbers,
-	// so the disk-cache key is extended with the sampling parameters when
-	// active — sampled and full-detail campaigns never share entries.
-	// The in-memory cache needs no such keying: these fields are set
-	// before the session's first run and never changed.
-	SampleWarmup   int
-	SampleInterval int
 
 	mu       sync.Mutex
 	cache    map[string]*flight
@@ -292,10 +283,6 @@ func (s *Session) simulate(ctx context.Context, opt RunOptions, disk *DiskCache,
 	s.mu.Lock()
 	smpar := s.smpar
 	profile := s.profile
-	if opt.SampleInterval == 0 {
-		opt.SampleWarmup = s.SampleWarmup
-		opt.SampleInterval = s.SampleInterval
-	}
 	s.mu.Unlock()
 	extra := 0
 	if smpar > 1 && opt.SMWorkers == 0 {
@@ -478,7 +465,7 @@ func (s *Session) lookup(ctx context.Context, app string, sc core.SystemConfig) 
 
 	var entryKey, ckptKey string
 	if disk != nil {
-		entryKey = s.diskEntryKey(disk, app, sysKey)
+		entryKey = disk.EntryKey(app, sysKey, s.Params, s.Config)
 		if res, ok := disk.Load(entryKey); ok {
 			s.mu.Lock()
 			s.diskHits++
@@ -591,18 +578,6 @@ func (s *Session) DiskHits() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.diskHits
-}
-
-// diskEntryKey is the session's persistent identity for one run:
-// DiskCache.EntryKey extended with the sampling parameters when sampled
-// simulation is active, because sampled aggregates are genuinely
-// different numbers than full-detail ones.
-func (s *Session) diskEntryKey(disk *DiskCache, app, sysKey string) string {
-	key := disk.EntryKey(app, sysKey, s.Params, s.Config)
-	if s.SampleInterval > 1 {
-		key += fmt.Sprintf("|sample=%d+%d", s.SampleWarmup, s.SampleInterval)
-	}
-	return key
 }
 
 // WarmResumes reports how many simulations warm-started from a
