@@ -140,13 +140,8 @@ func characterize(w io.Writer, session *harness.Session, workload, scheduler str
 			continue
 		}
 		for gid, h := range p.ByWarp {
-			if !crit[gid] {
-				continue
-			}
-			pooled.ColdN += h.ColdN
-			pooled.Total += h.Total
-			for i, v := range h.Buckets {
-				pooled.Buckets[i] += v
+			if crit[gid] {
+				pooled.Merge(h)
 			}
 		}
 	}

@@ -41,12 +41,6 @@ type CACPConfig struct {
 	// LineBytes must match the L1D line size (for the address region
 	// bits of the signature).
 	LineBytes int
-	// DisableSHiP inserts every line at the "long" re-reference age
-	// instead of consulting the hit predictor (ablation).
-	DisableSHiP bool
-	// DisablePartition keeps the CCBP/SHiP predictors but lets fills
-	// use any way (ablation: prioritization without isolation).
-	DisablePartition bool
 	// DynamicPartition enables the UCP-style runtime tuning of the
 	// critical-way count the paper suggests as an extension
 	// (internal/core/dynpart.go); CriticalWays becomes the initial
@@ -139,9 +133,6 @@ func (c *CACP) signature(pc int32, addr int64) uint16 {
 // partitions returns the way index ranges [0,k) and [k,W) for the
 // critical and non-critical partitions of a W-way cache.
 func (c *CACP) partitions(ways int) (critEnd int) {
-	if c.cfg.DisablePartition {
-		return ways
-	}
 	k := c.cfg.CriticalWays
 	if c.dyn.enabled {
 		c.dyn.totalWays = ways
@@ -197,7 +188,7 @@ func (c *CACP) FillWay(ca *cache.Cache, set int, req cache.Request) int {
 			return w
 		}
 	}
-	if critical && !c.cfg.DisablePartition {
+	if critical {
 		// Spill: any invalid way, else replace over the whole set.
 		for w := range lines {
 			if !lines[w].Valid {
@@ -220,7 +211,7 @@ func (c *CACP) OnFill(ca *cache.Cache, set, way int, req cache.Request) {
 	l.FillPC = req.PC
 	l.InCritical = way < c.partitions(ca.Ways())
 	c.fills++
-	predictedDead := !c.cfg.DisableSHiP && c.ship[sig] == 0
+	predictedDead := c.ship[sig] == 0
 	// Bimodal escape (as in BIP/BRRIP): every 8th predicted-dead fill
 	// inserts normally so a mistrained signature can demonstrate reuse
 	// and recover — dead-inserted lines are evicted too fast to ever

@@ -54,12 +54,6 @@ type CPL struct {
 	// (DESIGN.md decision 1).
 	DisableInstTerm  bool
 	DisableStallTerm bool
-
-	// CriticalFraction is the share of a block's warps IsCritical
-	// reports as critical ("slow"), ranked by criticality. The paper's
-	// accuracy metric uses the slower half (0.5, the default); smaller
-	// values make the cache-prioritization flag more selective.
-	CriticalFraction float64
 }
 
 // NewCPL returns an empty predictor for one SM.
@@ -192,12 +186,9 @@ func (c *CPL) IsCritical(slot int) bool {
 			below++
 		}
 	}
-	f := c.CriticalFraction
-	if f <= 0 {
-		f = 0.5
-	}
-	// Critical when ranked within the top f fraction of peers.
-	return float64(below) >= float64(len(blk))*(1-f)
+	// Critical when ranked within the slower half of its peers, the
+	// half the paper's accuracy metric counts as critical.
+	return float64(below) >= float64(len(blk))*0.5
 }
 
 // GID returns the warp occupying a slot (-1 when free); used by

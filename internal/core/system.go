@@ -91,11 +91,10 @@ func (sc SystemConfig) Key() (string, error) {
 	fmt.Fprintf(&b, "%s|cpl=%v|cacp=%v", sc.Scheduler, sc.CPL, sc.CACP)
 	if sc.CACPConfig != nil {
 		c := sc.CACPConfig
-		// "|srrip=false" names an option that no longer exists; it stays
-		// so that no disk-cache key moves.
-		fmt.Fprintf(&b, "|ways=%d|sig=%d|line=%d|noship=%v|nopart=%v|dyn=%v|srrip=false",
-			c.CriticalWays, c.Signature, c.LineBytes,
-			c.DisableSHiP, c.DisablePartition, c.DynamicPartition)
+		// "noship", "nopart" and "srrip" name options that no longer
+		// exist; they stay so that no disk-cache key moves.
+		fmt.Fprintf(&b, "|ways=%d|sig=%d|line=%d|noship=false|nopart=false|dyn=%v|srrip=false",
+			c.CriticalWays, c.Signature, c.LineBytes, c.DynamicPartition)
 	}
 	if sc.Oracle != nil {
 		fmt.Fprintf(&b, "|oracle=%016x", oracleFingerprint(sc.Oracle))

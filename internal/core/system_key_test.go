@@ -42,6 +42,19 @@ func TestSystemConfigKeyStable(t *testing.T) {
 	if k3 == k1 {
 		t.Fatal("distinct CACP configurations collided")
 	}
+
+	// The ablation's "dynamic (UCP-style)" point, built as the harness's
+	// cacpWith builds it: its key, and so its disk-cache entries, must
+	// not move when CACP options come and go.
+	dyn := DefaultCACPConfig()
+	dyn.DynamicPartition = true
+	k4, err := SystemConfig{Scheduler: "gcaws", CPL: true, CACP: true, CACPConfig: &dyn}.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "gcaws|cpl=true|cacp=true|ways=8|sig=0|line=128|noship=false|nopart=false|dyn=true|srrip=false"; k4 != want {
+		t.Fatalf("ablation key moved:\n got %s\nwant %s", k4, want)
+	}
 }
 
 // TestSystemConfigKeyVariant: function-valued fields require a Variant

@@ -139,16 +139,9 @@ func fig3(s *Session) (*Table, error) {
 			continue
 		}
 		for gid, h := range p.ByWarp {
-			merge := func(dst *reuse.Histogram) {
-				dst.ColdN += h.ColdN
-				dst.Total += h.Total
-				for i, v := range h.Buckets {
-					dst.Buckets[i] += v
-				}
-			}
-			merge(&allHist)
+			allHist.Merge(h)
 			if crit[gid] {
-				merge(&critHist)
+				critHist.Merge(h)
 			}
 		}
 	}

@@ -147,11 +147,6 @@ func NewSession(cfg config.Config, p workloads.Params) *Session {
 	}
 }
 
-// DefaultSession uses the GTX480 configuration and default scaling.
-func DefaultSession() *Session {
-	return NewSession(config.GTX480(), workloads.DefaultParams())
-}
-
 // SetWorkers bounds the number of simulations in flight (values below 1
 // clamp to 1) and returns the session for chaining. Runs already
 // holding a slot finish under the previous bound.

@@ -41,9 +41,6 @@ func (c *Collector) Wrap(inner func() sm.CriticalityProvider) func() sm.Critical
 	}
 }
 
-// Recorders returns the per-SM recorders created so far.
-func (c *Collector) Recorders() []*trace.Recorder { return c.recs }
-
 // Total returns the number of events observed across all SMs,
 // including ones the bounded rings have since overwritten.
 func (c *Collector) Total() uint64 {

@@ -77,12 +77,3 @@ func (m *Manifest) WriteFile(path string) error {
 	}
 	return f.Close()
 }
-
-// ReadManifest loads a manifest document (round-trip tests, tooling).
-func ReadManifest(r io.Reader) (*Manifest, error) {
-	var m Manifest
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}

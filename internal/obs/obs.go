@@ -1,9 +1,11 @@
-// Package obs is the simulator's observability layer: a registry of
-// named metric probes sampled on a cycle cadence, exporters that turn
-// the sampled series and per-warp issue events into Chrome trace-event
-// JSON (loadable in Perfetto or chrome://tracing) or CSV/JSON time
-// series, and run manifests that make whole harness sessions
-// mechanically comparable.
+// Package obs is the simulator's observability layer on the
+// simulated-cycle axis: a registry of named metric probes sampled on a
+// cycle cadence, exporters that turn the sampled series and per-warp
+// issue events into Chrome trace-event JSON (loadable in Perfetto or
+// chrome://tracing) or CSV/JSON time series, and run manifests that
+// make whole harness sessions mechanically comparable. Wall-clock
+// service metrics are not here: cawaserve renders its own /metrics
+// (internal/serve).
 //
 // The layer is strictly read-only with respect to the simulation:
 // every probe observes counters the pipeline already maintains, so
@@ -30,12 +32,6 @@ const (
 	// (hits over accesses become a hit rate). Intervals where den does
 	// not move sample as zero.
 	Ratio
-	// Histogram is a push-driven latency histogram (fixed log-spaced
-	// buckets, see hist.go): callers Observe values as they happen
-	// instead of the registry polling a probe, and WritePrometheus
-	// renders cumulative _bucket/_sum/_count series. The cycle-cadence
-	// Sampler skips histograms.
-	Histogram
 )
 
 // GPUScope marks a metric as device-wide rather than per-SM.
@@ -49,9 +45,8 @@ type Metric struct {
 	SM   int
 	Kind Kind
 
-	probe    func() float64   // Gauge and Rate
-	num, den func() float64   // Ratio
-	hist     *HistogramMetric // Histogram
+	probe    func() float64 // Gauge and Rate
+	num, den func() float64 // Ratio
 }
 
 // Label renders the canonical series name: "sm3/ipc" or "gpu/ipc".

@@ -301,8 +301,8 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := m.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := obs.ReadManifest(&buf)
-	if err != nil {
+	var got obs.Manifest
+	if err := json.NewDecoder(&buf).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Runs[0].SystemKey != key || got.CacheMisses != 9 || got.Runs[0].Cycles != 87514 {

@@ -126,9 +126,6 @@ func (s *Sampler) sample(cycle int64) {
 	}
 	for i := range s.reg.metrics {
 		m := &s.reg.metrics[i]
-		if m.Kind == Histogram {
-			continue // push-driven; not on the cycle axis
-		}
 		var v float64
 		switch m.Kind {
 		case Gauge:

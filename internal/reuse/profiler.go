@@ -102,14 +102,8 @@ func (p *Profiler) Record(req cache.Request, _ bool) {
 func (p *Profiler) WarpFracBeyond(warps []int, ways int64) float64 {
 	var pooled Histogram
 	for _, w := range warps {
-		h := p.ByWarp[w]
-		if h == nil {
-			continue
-		}
-		pooled.ColdN += h.ColdN
-		pooled.Total += h.Total
-		for i, v := range h.Buckets {
-			pooled.Buckets[i] += v
+		if h := p.ByWarp[w]; h != nil {
+			pooled.Merge(h)
 		}
 	}
 	return pooled.FracBeyond(ways)

@@ -113,6 +113,15 @@ func (h *Histogram) Add(d int64) {
 	h.Buckets[b]++
 }
 
+// Merge adds o's counts to h.
+func (h *Histogram) Merge(o *Histogram) {
+	for i, v := range o.Buckets {
+		h.Buckets[i] += v
+	}
+	h.ColdN += o.ColdN
+	h.Total += o.Total
+}
+
 // Reuses returns the number of non-cold accesses.
 func (h *Histogram) Reuses() uint64 { return h.Total - h.ColdN }
 

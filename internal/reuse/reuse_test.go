@@ -108,6 +108,24 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestHistogramMerge: merging two histograms counts what adding every
+// distance to one would.
+func TestHistogramMerge(t *testing.T) {
+	var a, b, all Histogram
+	for _, d := range []int64{Cold, 0, 5} {
+		a.Add(d)
+		all.Add(d)
+	}
+	for _, d := range []int64{Cold, 3, 1 << 40} {
+		b.Add(d)
+		all.Add(d)
+	}
+	a.Merge(&b)
+	if a != all {
+		t.Fatalf("merged %+v, want %+v", a, all)
+	}
+}
+
 func TestFracBeyond(t *testing.T) {
 	var h Histogram
 	for i := 0; i < 10; i++ {

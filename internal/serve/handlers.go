@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"time"
 
-	"cawa/internal/obs"
 	"cawa/internal/sched"
 	"cawa/internal/workloads"
 )
@@ -246,27 +245,4 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleMetrics exposes the service gauges plus the session manifest's
-// cache counters in the Prometheus text format.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := obs.WritePrometheus(w, "cawa", s.reg); err != nil {
-		return
-	}
-	hits, misses := s.sess.CacheStats()
-	fmt.Fprintf(w, "# TYPE cawa_session_cache_hits_total counter\n")
-	fmt.Fprintf(w, "cawa_session_cache_hits_total %d\n", hits)
-	fmt.Fprintf(w, "# TYPE cawa_session_cache_misses_total counter\n")
-	fmt.Fprintf(w, "cawa_session_cache_misses_total %d\n", misses)
-	fmt.Fprintf(w, "# TYPE cawa_session_disk_hits_total counter\n")
-	fmt.Fprintf(w, "cawa_session_disk_hits_total %d\n", s.sess.DiskHits())
-	fmt.Fprintf(w, "# TYPE cawa_session_warm_resumes_total counter\n")
-	fmt.Fprintf(w, "cawa_session_warm_resumes_total %d\n", s.sess.WarmResumes())
-	m := s.sess.Manifest()
-	fmt.Fprintf(w, "# TYPE cawa_session_runs_total counter\n")
-	fmt.Fprintf(w, "cawa_session_runs_total %d\n", len(m.Runs))
-	fmt.Fprintf(w, "# TYPE cawa_session_wall_seconds_total counter\n")
-	fmt.Fprintf(w, "cawa_session_wall_seconds_total %g\n", m.WallSeconds)
 }

@@ -26,7 +26,6 @@ import (
 
 	"cawa/internal/core"
 	"cawa/internal/harness"
-	"cawa/internal/obs"
 	"cawa/internal/sched"
 	"cawa/internal/workloads"
 )
@@ -172,14 +171,7 @@ type JobStatus struct {
 type Server struct {
 	cfg  Config
 	sess *harness.Session
-	reg  *obs.Registry
 	log  *slog.Logger
-
-	// Latency histograms, observed at job lifecycle transitions and
-	// rendered by /metrics with the full _bucket/_sum/_count contract.
-	queueWait *obs.HistogramMetric // submitted -> started
-	runDur    *obs.HistogramMetric // started -> finished
-	reqDur    *obs.HistogramMetric // submitted -> finished (end-to-end)
 
 	nextReqID atomic.Uint64
 
@@ -196,12 +188,7 @@ type Server struct {
 	draining    bool
 	queueClosed bool
 	busy        int
-
-	submitted uint64
-	rejected  uint64
-	completed uint64
-	failed    uint64
-	canceled  uint64
+	stats       serveStats
 }
 
 // New builds and starts a Server: its workers begin draining the
@@ -233,46 +220,11 @@ func New(cfg Config) *Server {
 		jobs:      make(map[string]*job),
 		queue:     make(chan *job, cfg.QueueDepth),
 	}
-	s.reg = s.buildRegistry()
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
 	return s
-}
-
-// buildRegistry registers the service's operational gauges; /metrics
-// renders them through the obs text exposition alongside the session
-// manifest counters.
-func (s *Server) buildRegistry() *obs.Registry {
-	reg := &obs.Registry{}
-	locked := func(f func() float64) func() float64 {
-		return func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return f()
-		}
-	}
-	reg.Gauge("serve_queue_depth", obs.GPUScope, func() float64 { return float64(len(s.queue)) })
-	reg.Gauge("serve_queue_capacity", obs.GPUScope, func() float64 { return float64(cap(s.queue)) })
-	reg.Gauge("serve_workers", obs.GPUScope, func() float64 { return float64(s.cfg.Workers) })
-	reg.Gauge("serve_workers_busy", obs.GPUScope, locked(func() float64 { return float64(s.busy) }))
-	reg.Gauge("serve_draining", obs.GPUScope, locked(func() float64 {
-		if s.draining {
-			return 1
-		}
-		return 0
-	}))
-	reg.Gauge("serve_uptime_seconds", obs.GPUScope, func() float64 { return time.Since(s.started).Seconds() })
-	reg.Rate("serve_jobs_submitted_total", obs.GPUScope, locked(func() float64 { return float64(s.submitted) }))
-	reg.Rate("serve_jobs_rejected_total", obs.GPUScope, locked(func() float64 { return float64(s.rejected) }))
-	reg.Rate("serve_jobs_completed_total", obs.GPUScope, locked(func() float64 { return float64(s.completed) }))
-	reg.Rate("serve_jobs_failed_total", obs.GPUScope, locked(func() float64 { return float64(s.failed) }))
-	reg.Rate("serve_jobs_canceled_total", obs.GPUScope, locked(func() float64 { return float64(s.canceled) }))
-	s.queueWait = reg.Histogram("serve_queue_wait_seconds", obs.GPUScope)
-	s.runDur = reg.Histogram("serve_run_seconds", obs.GPUScope)
-	s.reqDur = reg.Histogram("serve_request_seconds", obs.GPUScope)
-	return reg
 }
 
 // errQueueFull and errDraining classify admission failures for the
@@ -340,11 +292,11 @@ func (s *Server) submit(req RunRequest, reqID string) (*job, error) {
 	select {
 	case s.queue <- j:
 		s.jobs[j.id] = j
-		s.submitted++
+		s.stats.submitted++
 		s.log.Info("job submitted", jobAttrs(j)...)
 		return j, nil
 	default:
-		s.rejected++
+		s.stats.rejected++
 		j.cancel()
 		s.log.Warn("job rejected", slog.String("request_id", reqID),
 			slog.String("app", req.App), slog.String("reason", errQueueFull.Error()))
@@ -370,11 +322,11 @@ func (s *Server) runJob(j *job) {
 	}
 	j.state = StateRunning
 	j.started = time.Now()
+	wait := j.started.Sub(j.submitted).Seconds()
+	s.stats.queueWait.observe(wait)
 	s.busy++
 	s.mu.Unlock()
 
-	wait := j.started.Sub(j.submitted).Seconds()
-	s.queueWait.Observe(wait)
 	s.log.Info("job started", append(jobAttrs(j), slog.Float64("queue_seconds", wait))...)
 
 	res, err := s.sess.RunJSON(j.ctx, j.req.App, j.sys)
@@ -386,26 +338,26 @@ func (s *Server) runJob(j *job) {
 	case err == nil:
 		j.state = StateDone
 		j.result = res
-		s.completed++
+		s.stats.completed++
 	case j.ctx.Err() != nil:
 		j.state = StateCanceled
 		j.err = err.Error()
-		s.canceled++
+		s.stats.canceled++
 	default:
 		j.state = StateFailed
 		j.err = err.Error()
-		s.failed++
+		s.stats.failed++
 	}
+	run := j.finished.Sub(j.started).Seconds()
+	total := j.finished.Sub(j.submitted).Seconds()
+	s.stats.run.observe(run)
+	s.stats.request.observe(total)
 	s.retireLocked(j)
 	outcome, errText := j.state, j.err
 	close(j.done)
 	s.mu.Unlock()
 	j.cancel() // release the deadline timer
 
-	run := j.finished.Sub(j.started).Seconds()
-	total := j.finished.Sub(j.submitted).Seconds()
-	s.runDur.Observe(run)
-	s.reqDur.Observe(total)
 	attrs := append(jobAttrs(j),
 		slog.String("outcome", outcome),
 		slog.Float64("queue_seconds", wait),
@@ -439,20 +391,21 @@ func (s *Server) cancelJob(id string) *job {
 	}
 	j.canceled = true
 	queuedCancel := j.state == StateQueued
+	var total float64
 	if queuedCancel {
 		j.state = StateCanceled
 		j.err = context.Canceled.Error()
 		j.finished = time.Now()
-		s.canceled++
+		s.stats.canceled++
+		// Never started: the whole request was queue wait.
+		total = j.finished.Sub(j.submitted).Seconds()
+		s.stats.request.observe(total)
 		s.retireLocked(j)
 		close(j.done)
 	}
 	s.mu.Unlock()
 	j.cancel()
 	if queuedCancel {
-		// Never started: the whole request was queue wait.
-		total := j.finished.Sub(j.submitted).Seconds()
-		s.reqDur.Observe(total)
 		s.log.Info("job finished", append(jobAttrs(j),
 			slog.String("outcome", StateCanceled),
 			slog.Float64("queue_seconds", total),

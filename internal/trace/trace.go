@@ -6,9 +6,7 @@
 package trace
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"cawa/internal/isa"
 	"cawa/internal/simt"
@@ -147,14 +145,4 @@ func (r *Recorder) HotPCs() []PCProfile {
 		return out[i].PC < out[j].PC
 	})
 	return out
-}
-
-// Format renders a compact textual timeline of a warp (tests, CLIs).
-func Format(events []Event) string {
-	var b strings.Builder
-	for _, e := range events {
-		fmt.Fprintf(&b, "%8d  w%-5d pc=%-4d %-10s lanes=%-2d stall=%d\n",
-			e.Cycle, e.GID, e.PC, e.Op, e.Lanes, e.Stall)
-	}
-	return b.String()
 }

@@ -1,6 +1,8 @@
 #!/bin/sh
 # Tier-1 gate: run this before every merge.
 #
+#   loc.sh        prints the non-test Go line counts the ROADMAP's code
+#                 diet tracks (informational, never fails the gate)
 #   gofmt -l      every file is gofmt-clean
 #   go vet        static checks, also as GOARCH=386: constants and
 #                 conversions must fit a 32-bit int
@@ -60,6 +62,8 @@
 set -e
 cd "$(dirname "$0")/.."
 
+echo "== lines (informational) =="
+scripts/loc.sh || true
 echo "== gofmt =="
 unformatted=$(gofmt -l cmd internal examples)
 if [ -n "$unformatted" ]; then
