@@ -19,19 +19,22 @@
 // than to oversubscribe a saturated pool.
 //
 // The -scale and -sms flags trade fidelity for speed; EXPERIMENTS.md
-// records the reference results at the default settings. -timing writes
-// a machine-readable JSON summary of per-run and total wall-clock so
-// sweep-throughput regressions are trackable. -perf FILE additionally
-// profiles the engine's own wall-clock phases (domain compute, barrier
-// wait, staged commit, memsys drain, dispatch, horizon planning) across
-// every simulation in the sweep and writes the aggregated PerfReport
-// JSON — results stay byte-identical with it on.
+// records the reference results at the default settings. -timing FILE
+// writes a JSON summary: seconds per experiment, summed simulation
+// seconds, the invocation's total, and the session manifest (workers,
+// cache counters and every simulated run with its full design-point key
+// and seconds), so sweep-throughput regressions are trackable. -perf
+// FILE additionally profiles the engine's own wall-clock phases (domain
+// compute, barrier wait, staged commit, memsys drain, dispatch, horizon
+// planning) across every simulation in the sweep and writes the
+// aggregated PerfReport JSON — results stay byte-identical with it on.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -45,18 +48,15 @@ import (
 )
 
 // timingSummary is the machine-readable wall-clock report (-timing).
-// Manifest carries the session's run manifest: the full design-point
-// key and outcome of every simulation plus the run-cache hit/miss
-// counters, so two sweeps can be compared mechanically.
+// Manifest carries the session's run manifest: the worker count, the
+// run-cache hit/miss counters, and the full design-point key, outcome
+// and seconds of every simulation, so two sweeps can be compared
+// mechanically.
 type timingSummary struct {
-	Workers      int                 `json:"workers"`
-	Experiments  []experimentTiming  `json:"experiments"`
-	Runs         []harness.RunTiming `json:"runs"`
-	CacheHits    uint64              `json:"cache_hits"`
-	CacheMisses  uint64              `json:"cache_misses"`
-	SimSeconds   float64             `json:"sim_seconds"`   // summed simulation time across workers
-	TotalSeconds float64             `json:"total_seconds"` // wall-clock of the whole invocation
-	Manifest     *obs.Manifest       `json:"manifest"`
+	Experiments  []experimentTiming `json:"experiments"`
+	SimSeconds   float64            `json:"sim_seconds"`   // summed simulation time across workers
+	TotalSeconds float64            `json:"total_seconds"` // wall-clock of the whole invocation
+	Manifest     *obs.Manifest      `json:"manifest"`
 }
 
 type experimentTiming struct {
@@ -65,34 +65,53 @@ type experimentTiming struct {
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entry point: it parses args, runs the requested
+// experiments, prints their tables to stdout and returns the process
+// exit code (0 ok, 1 on a failed experiment or artifact, 2 on usage
+// errors).
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("cawabench", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "cawabench:", err)
+		return 1
+	}
 	var (
-		exp     = flag.String("exp", "", "comma-separated experiment ids, or \"all\"")
-		all     = flag.Bool("all", false, "run every experiment")
-		list    = flag.Bool("list", false, "list experiment ids and exit")
-		scale   = flag.Float64("scale", 1, "workload size multiplier")
-		seed    = flag.Int64("seed", 1, "input generator seed")
-		sms     = flag.Int("sms", 0, "override number of SMs")
-		workers = flag.Int("j", 0, "max concurrent simulations (0 = all cores)")
-		smpar   = flag.Int("smpar", 1, "domains sharing each run's spans, budgeted from the -j pool (byte-identical results; <=1 = the run's own goroutine only)")
-		asJSON  = flag.Bool("json", false, "emit tables as JSON documents")
-		timing  = flag.String("timing", "", "write a JSON timing summary to this file (\"-\" = stderr)")
+		exp     = fl.String("exp", "", "comma-separated experiment ids, or \"all\"")
+		all     = fl.Bool("all", false, "run every experiment")
+		list    = fl.Bool("list", false, "list experiment ids and exit")
+		scale   = fl.Float64("scale", 1, "workload size multiplier")
+		seed    = fl.Int64("seed", 1, "input generator seed")
+		sms     = fl.Int("sms", 0, "override number of SMs")
+		workers = fl.Int("j", 0, "max concurrent simulations (0 = all cores)")
+		smpar   = fl.Int("smpar", 1, "domains sharing each run's spans, budgeted from the -j pool (byte-identical results; <=1 = the run's own goroutine only)")
+		asJSON  = fl.Bool("json", false, "emit tables as JSON documents")
+		timing  = fl.String("timing", "", "write a JSON timing summary to this file (\"-\" = stderr)")
 
-		perfOut = flag.String("perf", "", "profile the engine's wall-clock phases across the sweep and write the PerfReport JSON to this file (\"-\" = stderr)")
+		perfOut = fl.String("perf", "", "profile the engine's wall-clock phases across the sweep and write the PerfReport JSON to this file (\"-\" = stderr)")
 
-		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file")
+		cpuprofile = fl.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		memprofile = fl.String("memprofile", "", "write a pprof heap profile to this file")
 	)
-	flag.Parse()
+	if err := fl.Parse(args); err != nil {
+		return 2
+	}
+	if err := workloads.CheckScale(*scale); err != nil {
+		fmt.Fprintln(stderr, "cawabench:", err)
+		fl.Usage()
+		return 2
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cawabench: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cawabench: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer f.Close()
 		defer pprof.StopCPUProfile()
@@ -101,13 +120,13 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "cawabench: %v\n", err)
+				fail(err)
 				return
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "cawabench: %v\n", err)
+				fail(err)
 			}
 		}()
 	}
@@ -115,9 +134,9 @@ func main() {
 	if *list {
 		for _, id := range harness.ExperimentIDs() {
 			e, _ := harness.LookupExperiment(id)
-			fmt.Printf("%-14s %s\n", id, e.Title)
+			fmt.Fprintf(stdout, "%-14s %s\n", id, e.Title)
 		}
-		return
+		return 0
 	}
 
 	var ids []string
@@ -127,8 +146,8 @@ func main() {
 	case *exp != "":
 		ids = strings.Split(*exp, ",")
 	default:
-		fmt.Fprintln(os.Stderr, "cawabench: pass -exp <ids>, -exp all, or -list")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "cawabench: pass -exp <ids>, -exp all, or -list")
+		return 2
 	}
 	for i := range ids {
 		ids[i] = strings.TrimSpace(ids[i])
@@ -151,75 +170,74 @@ func main() {
 	// Pool the declared run matrices of every requested experiment so
 	// independent simulations from different figures share the workers.
 	if err := harness.PrewarmExperiments(session, ids); err != nil {
-		fmt.Fprintf(os.Stderr, "cawabench: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
-	summary := timingSummary{Workers: *workers}
+	var summary timingSummary
 	for _, id := range ids {
 		start := time.Now()
 		tbl, err := harness.RunExperiment(id, session)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cawabench: %s: %v\n", id, err)
-			os.Exit(1)
+			return fail(fmt.Errorf("%s: %w", id, err))
 		}
 		elapsed := time.Since(start).Seconds()
 		summary.Experiments = append(summary.Experiments, experimentTiming{ID: id, Seconds: elapsed})
 		if *asJSON {
 			doc, err := json.MarshalIndent(tbl, "", "  ")
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "cawabench: %s: %v\n", id, err)
-				os.Exit(1)
+				return fail(fmt.Errorf("%s: %w", id, err))
 			}
-			fmt.Println(string(doc))
+			fmt.Fprintln(stdout, string(doc))
 			continue
 		}
-		fmt.Println(tbl)
-		fmt.Printf("(%s in %.1fs)\n\n", id, elapsed)
+		fmt.Fprintln(stdout, tbl)
+		fmt.Fprintf(stdout, "(%s in %.1fs)\n\n", id, elapsed)
 	}
 
 	if *perfOut != "" {
 		rep := session.PerfReport()
-		if rep == nil {
-			fmt.Fprintln(os.Stderr, "cawabench: perf: no runs were profiled")
-			os.Exit(1)
-		}
-		doc, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cawabench: perf: %v\n", err)
-			os.Exit(1)
-		}
-		doc = append(doc, '\n')
-		if *perfOut == "-" {
-			os.Stderr.Write(doc)
-		} else if err := os.WriteFile(*perfOut, doc, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "cawabench: perf: %v\n", err)
-			os.Exit(1)
+		if err := writeArtifact(*perfOut, stderr, rep.WriteJSON); err != nil {
+			return fail(fmt.Errorf("perf: %w", err))
 		}
 		if len(rep.Shards) > 0 {
-			fmt.Fprintf(os.Stderr, "cawabench: engine profile %d barriers, barrier wait %.1f%%, shard spread %.2fx\n",
+			fmt.Fprintf(stderr, "cawabench: engine profile %d barriers, barrier wait %.1f%%, shard spread %.2fx\n",
 				rep.Epochs, rep.BarrierWaitFrac()*100, rep.Spread())
 		}
 	}
 
 	if *timing != "" {
-		summary.Runs = session.Timings()
-		for _, r := range summary.Runs {
+		summary.Manifest = session.Manifest()
+		for _, r := range summary.Manifest.Runs {
 			summary.SimSeconds += r.Seconds
 		}
-		summary.CacheHits, summary.CacheMisses = session.CacheStats()
-		summary.Manifest = session.Manifest()
 		summary.TotalSeconds = time.Since(wallStart).Seconds()
-		doc, err := json.MarshalIndent(summary, "", "  ")
+		err := writeArtifact(*timing, stderr, func(w io.Writer) error {
+			doc, err := json.MarshalIndent(summary, "", "  ")
+			if err != nil {
+				return err
+			}
+			_, err = w.Write(append(doc, '\n'))
+			return err
+		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cawabench: timing: %v\n", err)
-			os.Exit(1)
-		}
-		doc = append(doc, '\n')
-		if *timing == "-" {
-			os.Stderr.Write(doc)
-		} else if err := os.WriteFile(*timing, doc, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "cawabench: timing: %v\n", err)
-			os.Exit(1)
+			return fail(fmt.Errorf("timing: %w", err))
 		}
 	}
+	return 0
+}
+
+// writeArtifact renders one JSON artifact to path, or to stderr when
+// path is "-".
+func writeArtifact(path string, stderr io.Writer, render func(io.Writer) error) error {
+	if path == "-" {
+		return render(stderr)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := render(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

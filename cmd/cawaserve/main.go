@@ -67,6 +67,11 @@ func run(args []string, stderr io.Writer, stop <-chan os.Signal, listening func(
 	if err := fl.Parse(args); err != nil {
 		return 2
 	}
+	if err := workloads.CheckScale(*scale); err != nil {
+		fmt.Fprintln(stderr, "cawaserve:", err)
+		fl.Usage()
+		return 2
+	}
 
 	var handler slog.Handler
 	switch *logFormat {

@@ -146,9 +146,11 @@ func TestSmokeServeHitAndRestart(t *testing.T) {
 	second.drain()
 }
 
-// TestUsage: an unknown flag or log format is a usage error.
+// TestUsage: an unknown flag, an unknown log format or a -scale that
+// is not a positive finite number is a usage error.
 func TestUsage(t *testing.T) {
-	for _, args := range [][]string{{"-no-such-flag"}, {"-log-format", "xml"}} {
+	for _, args := range [][]string{{"-no-such-flag"}, {"-log-format", "xml"},
+		{"-scale", "0"}, {"-scale", "-1"}, {"-scale", "NaN"}} {
 		var stderr syncBuffer
 		if code := run(args, &stderr, nil, nil); code != 2 {
 			t.Errorf("cawaserve %v: exit %d, want 2", args, code)

@@ -24,10 +24,9 @@
 //	-perf FILE             profile the engine's own wall-clock phases
 //	                       (domain compute, barrier wait, staged commit,
 //	                       memsys drain, dispatch, horizon planning) and
-//	                       write the PerfReport JSON to FILE; simulated
-//	                       results stay byte-identical
-//	-perf-trace FILE       also write the profile as Chrome trace-event
-//	                       counter tracks (Perfetto / chrome://tracing)
+//	                       write the PerfReport JSON (phase and shard
+//	                       totals) to FILE; simulated results stay
+//	                       byte-identical
 package main
 
 import (
@@ -81,13 +80,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		obsDir      = fl.String("obs-dir", "", "write observability artifacts (trace.json, metrics.csv, metrics.json, manifest.json) into this directory")
 		sampleEvery = fl.Int64("sample-every", 0, fmt.Sprintf("metric sampling interval in cycles (0 = %d when observability is on)", obs.DefaultSampleEvery))
 
-		perfJSON  = fl.String("perf", "", "profile the engine's wall-clock phases and write the PerfReport JSON to this file")
-		perfTrace = fl.String("perf-trace", "", "write the engine profile as Chrome trace-event counter tracks")
+		perfJSON = fl.String("perf", "", "profile the engine's wall-clock phases and write the PerfReport JSON to this file")
 
 		cpuprofile = fl.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile = fl.String("memprofile", "", "write a pprof heap profile to this file")
 	)
 	if err := fl.Parse(args); err != nil {
+		return 2
+	}
+	if err := workloads.CheckScale(*scale); err != nil {
+		fmt.Fprintln(stderr, "cawasim:", err)
+		fl.Usage()
 		return 2
 	}
 
@@ -137,8 +140,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// simulated state, so results stay byte-identical (the equivalence
 	// tests pin this).
 	var prof *perf.Profiler
-	if *perfJSON != "" || *perfTrace != "" {
-		prof = harness.NewWallProfiler(perf.DefaultSampleEvery)
+	if *perfJSON != "" {
+		prof = harness.NewWallProfiler(0)
 		opt.Profiler = prof
 	}
 
@@ -203,16 +206,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var perfReport *perf.Report
 	if prof != nil {
-		perfReport = prof.Report()
-		if err := writePerfArtifacts(stdout, perfReport, *perfJSON, *perfTrace); err != nil {
+		if err := writePerfReport(stdout, prof.Report(), *perfJSON); err != nil {
 			return fail(err)
 		}
 	}
 
 	if wantTrace {
-		if err := writeObsArtifacts(stdout, stderr, res, collector, sampler, elapsed, *traceJSON, *obsDir, cfg, opt.Params, sysKey, perfReport); err != nil {
+		if err := writeObsArtifacts(stdout, stderr, res, collector, sampler, elapsed, *traceJSON, *obsDir, cfg, opt.Params, sysKey); err != nil {
 			return fail(err)
 		}
 	}
@@ -239,36 +240,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// writePerfArtifacts renders the engine self-profile: the PerfReport
-// JSON and, when requested, its Chrome-trace counter tracks. A one-line
-// summary of where the engine spent its wall clock goes to stdout.
-func writePerfArtifacts(stdout io.Writer, rep *perf.Report, jsonPath, tracePath string) error {
-	write := func(path string, render func(io.Writer) error) error {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := render(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := write(jsonPath, rep.WriteJSON); err != nil {
+// writePerfReport writes the engine self-profile's PerfReport JSON to
+// path and a one-line summary of where the engine spent its wall clock
+// to stdout.
+func writePerfReport(stdout io.Writer, rep *perf.Report, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
 		return err
 	}
-	if err := write(tracePath, rep.WriteChromeTrace); err != nil {
+	if err := rep.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
 		return err
 	}
 	if len(rep.Shards) > 0 {
 		fmt.Fprintf(stdout, "engine profile %d barriers, barrier wait %.1f%%, shard spread %.2fx (%s)\n",
-			rep.Epochs, rep.BarrierWaitFrac()*100, rep.Spread(), jsonPath)
+			rep.Epochs, rep.BarrierWaitFrac()*100, rep.Spread(), path)
 	} else {
 		fmt.Fprintf(stdout, "engine profile one domain, %s total (%s)\n",
-			time.Duration(rep.WallNS), jsonPath)
+			time.Duration(rep.WallNS), path)
 	}
 	return nil
 }
@@ -276,8 +268,7 @@ func writePerfArtifacts(stdout io.Writer, rep *perf.Report, jsonPath, tracePath 
 // writeObsArtifacts renders the Chrome trace and, under -obs-dir, the
 // metric time series and the run manifest.
 func writeObsArtifacts(stdout, stderr io.Writer, res *harness.Result, collector *obs.Collector, sampler *obs.Sampler,
-	elapsed time.Duration, traceJSON, obsDir string, cfg config.Config, params workloads.Params, sysKey string,
-	perfReport *perf.Report) error {
+	elapsed time.Duration, traceJSON, obsDir string, cfg config.Config, params workloads.Params, sysKey string) error {
 	events := collector.Events()
 	if total := collector.Total(); total > uint64(len(events)) {
 		fmt.Fprintf(stderr, "cawasim: trace rings overwrote %d of %d events; only the most recent are exported\n",
@@ -318,7 +309,6 @@ func writeObsArtifacts(stdout, stderr io.Writer, res *harness.Result, collector 
 		Workers:      1,
 		CacheMisses:  1,
 		WallSeconds:  elapsed.Seconds(),
-		Perf:         perfReport,
 		Runs: []obs.RunRecord{{
 			App:       res.Workload,
 			System:    res.System,

@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 
+	"cawa/internal/obs/perf"
 	"cawa/internal/sched"
 )
 
@@ -70,13 +74,15 @@ func TestTracingKeepsTheDesignPoint(t *testing.T) {
 }
 
 // TestUsageErrors pins the exit codes of the two ways a run fails
-// before simulating: an unknown flag (2) and an unknown workload (1,
+// before simulating: a usage error (2) — an unknown flag, or a -scale
+// that is not a positive finite number — and an unknown workload (1,
 // naming it on stderr).
 func TestUsageErrors(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	for _, flag := range [][]string{{"-fastforward"}, {"-sample-interval", "4"}} {
-		if code := run(flag, &stdout, &stderr); code != 2 {
-			t.Errorf("unknown flag %v: exit %d, want 2", flag, code)
+	for _, args := range [][]string{{"-fastforward"}, {"-sample-interval", "4"}, {"-perf-trace", "x"},
+		{"-scale", "0"}, {"-scale", "-1"}, {"-scale", "NaN"}} {
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("cawasim %v: exit %d, want 2", args, code)
 		}
 	}
 	stderr.Reset()
@@ -85,5 +91,63 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "nosuch") {
 		t.Errorf("unknown workload not named on stderr: %q", stderr.String())
+	}
+}
+
+// TestArtifacts runs the full CAWA design point with -perf and -obs-dir
+// and checks what each artifact holds: the engine profile at schema 3
+// with time in its compute and drain phases, the four observability
+// files, and a manifest naming the full design-point key and carrying
+// no engine profile of its own.
+func TestArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	perfPath, obsDir := filepath.Join(dir, "perf.json"), filepath.Join(dir, "obs")
+	var stdout, stderr bytes.Buffer
+	args := []string{"-workload", "bfs", "-scheduler", "gcaws", "-cpl", "-cacp",
+		"-scale", "0.05", "-sms", "2", "-perf", perfPath, "-obs-dir", obsDir}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("cawasim %v: exit %d\n%s", args, code, stderr.String())
+	}
+
+	var rep perf.Report
+	readJSON(t, perfPath, &rep)
+	if rep.SchemaVersion != 3 {
+		t.Errorf("perf schema_version %d, want 3", rep.SchemaVersion)
+	}
+	for _, ph := range []string{"domain_compute", "memsys_drain"} {
+		if rep.PhaseTotalNS(ph) <= 0 {
+			t.Errorf("perf phase %s has no time", ph)
+		}
+	}
+
+	for _, name := range []string{"trace.json", "metrics.csv", "metrics.json", "manifest.json"} {
+		if _, err := os.Stat(filepath.Join(obsDir, name)); err != nil {
+			t.Error(err)
+		}
+	}
+	var manifest map[string]json.RawMessage
+	readJSON(t, filepath.Join(obsDir, "manifest.json"), &manifest)
+	if _, ok := manifest["perf"]; ok {
+		t.Error("manifest carries a perf key")
+	}
+	var runs []struct {
+		SystemKey string `json:"system_key"`
+	}
+	if err := json.Unmarshal(manifest["runs"], &runs); err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 1 || runs[0].SystemKey != "gcaws|cpl=true|cacp=true" {
+		t.Errorf("manifest runs %+v, want one run keyed gcaws|cpl=true|cacp=true", runs)
+	}
+}
+
+func readJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	doc, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(doc, v); err != nil {
+		t.Fatalf("%s: %v", path, err)
 	}
 }

@@ -148,7 +148,7 @@ func TestProfilerOnByteIdentical(t *testing.T) {
 
 	for _, workers := range []int{1, 2} {
 		baseImg, baseStats := run(workers, nil)
-		prof := perf.New(countingClock(), 1)
+		prof := perf.New(countingClock())
 		profImg, profStats := run(workers, prof)
 		if !reflect.DeepEqual(baseImg, profImg) {
 			t.Fatalf("workers=%d: memory image differs with profiling on", workers)
@@ -182,9 +182,6 @@ func TestProfilerOnByteIdentical(t *testing.T) {
 			}
 			if r.Imbalance.BarrierWaitFrac < 0 || r.Imbalance.BarrierWaitFrac >= 1 {
 				t.Errorf("BarrierWaitFrac = %v out of range", r.Imbalance.BarrierWaitFrac)
-			}
-			if len(r.Samples) == 0 {
-				t.Error("sampleEvery=1 parallel run produced no checkpoints")
 			}
 		} else if len(r.Shards) != 0 || r.Epochs != 0 {
 			t.Errorf("one inline domain reported %d shards and %d barriers", len(r.Shards), r.Epochs)

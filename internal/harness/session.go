@@ -31,11 +31,11 @@ func WallClock() int64 {
 	return int64(time.Since(wallBase))
 }
 
-// NewWallProfiler builds a perf.Profiler over the host clock with
-// counter-track checkpoints every sampleEvery epochs (<= 0 disables
-// checkpoints; perf.DefaultSampleEvery is the CLIs' choice).
-func NewWallProfiler(sampleEvery int64) *perf.Profiler {
-	return perf.New(WallClock, sampleEvery)
+// NewWallProfiler builds a perf.Profiler over the host clock. The
+// argument has no effect; it stays so that existing callers keep
+// compiling.
+func NewWallProfiler(int64) *perf.Profiler {
+	return perf.New(WallClock)
 }
 
 // PaperApps lists the twelve benchmarks in the paper's Table 2 order:
@@ -297,7 +297,7 @@ func (s *Session) simulate(ctx context.Context, opt RunOptions, disk *DiskCache,
 		// One private profiler per run: concurrent runs must not share
 		// an accumulator (domain workers write per-shard slots). The
 		// totals merge into the session profile below.
-		opt.Profiler = NewWallProfiler(perf.DefaultSampleEvery)
+		opt.Profiler = NewWallProfiler(0)
 	}
 	s.mu.Lock()
 	run := s.runFn
@@ -589,12 +589,7 @@ func (s *Session) WarmResumes() uint64 {
 func (s *Session) Manifest() *obs.Manifest {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var perfReport *perf.Report
-	if s.perfAgg != nil {
-		perfReport = s.perfAgg.Report()
-	}
 	return &obs.Manifest{
-		Perf:         perfReport,
 		Architecture: s.Config.Name,
 		NumSMs:       s.Config.NumSMs,
 		Scale:        s.Params.Scale,

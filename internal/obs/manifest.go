@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"os"
-
-	"cawa/internal/obs/perf"
 )
 
 // RunRecord is the manifest entry of one simulated application run:
@@ -48,10 +46,6 @@ type Manifest struct {
 	DiskHits    uint64      `json:"disk_hits,omitempty"`
 	WallSeconds float64     `json:"wall_seconds"`
 	Runs        []RunRecord `json:"runs"`
-	// Perf is the session-wide engine self-profile (merged across every
-	// simulation the session executed), present only when the session
-	// ran with profiling enabled (harness.Session.EnableProfiling).
-	Perf *perf.Report `json:"perf,omitempty"`
 }
 
 // Write emits the manifest as JSON.

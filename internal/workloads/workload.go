@@ -13,6 +13,7 @@ package workloads
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -32,6 +33,16 @@ type Params struct {
 
 // DefaultParams returns Scale 1, Seed 1.
 func DefaultParams() Params { return Params{Scale: 1, Seed: 1} }
+
+// CheckScale rejects a command-line -scale that is not a positive
+// finite number: scaled would quietly run Scale 1 for zero or a
+// negative value, and size-1 inputs for NaN or +Inf.
+func CheckScale(scale float64) error {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("-scale %v: want a positive finite number", scale)
+	}
+	return nil
+}
 
 func (p Params) scaled(n int) int {
 	if p.Scale <= 0 {

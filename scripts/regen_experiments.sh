@@ -6,9 +6,9 @@
 #   experiments_scale05.txt      scale 0.5 remaining figures
 #   experiments_fig9_scale4.json scale 4   fig9, fig10
 #
-# The full suite at scale 1 (`cawabench -all`) takes about an hour on a
-# single core; this script reproduces the documented subsets. The
-# scale-4 sweep takes about 7 minutes on two cores.
+# The full suite at scale 1 (`cawabench -all -j 2`) takes about 4
+# minutes on two cores; this script reproduces the documented subsets.
+# The scale-4 sweep takes about 7 minutes on two cores.
 set -e
 go build -o /tmp/cawabench ./cmd/cawabench
 /tmp/cawabench -exp fig1,fig10,abl-cpl,abl-dynpart,abl-greedy,abl-partition,abl-signature \
