@@ -34,15 +34,31 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entry point: it parses args, characterizes the
+// workloads, prints their reports to stdout and returns the process
+// exit code (0 ok, 1 on a failed run, 2 on usage errors).
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("cawachar", flag.ContinueOnError)
+	fl.SetOutput(stderr)
 	var (
-		workload  = flag.String("workload", "bfs", "comma-separated workload names")
-		scheduler = flag.String("scheduler", "lrr", "warp scheduler")
-		scale     = flag.Float64("scale", 1, "workload size multiplier")
-		seed      = flag.Int64("seed", 1, "input generator seed")
-		sms       = flag.Int("sms", 0, "override number of SMs")
-		workers   = flag.Int("j", 0, "max concurrent simulations (0 = all cores)")
+		workload  = fl.String("workload", "bfs", "comma-separated workload names")
+		scheduler = fl.String("scheduler", "lrr", "warp scheduler")
+		scale     = fl.Float64("scale", 1, "workload size multiplier")
+		seed      = fl.Int64("seed", 1, "input generator seed")
+		sms       = fl.Int("sms", 0, "override number of SMs")
+		workers   = fl.Int("j", 0, "max concurrent simulations (0 = all cores)")
 	)
-	flag.Parse()
+	if err := fl.Parse(args); err != nil {
+		return 2
+	}
+	if err := workloads.CheckScale(*scale); err != nil {
+		fmt.Fprintln(stderr, "cawachar:", err)
+		fl.Usage()
+		return 2
+	}
 
 	cfg := config.GTX480()
 	if *sms > 0 {
@@ -65,14 +81,15 @@ func main() {
 	})
 	for i := range reports {
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
-		io.Copy(os.Stdout, &reports[i])
+		io.Copy(stdout, &reports[i])
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cawachar:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "cawachar:", err)
+		return 1
 	}
+	return 0
 }
 
 // characterize runs one workload under the session's worker pool and

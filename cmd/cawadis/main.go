@@ -34,53 +34,67 @@ import (
 )
 
 func main() {
-	lint := flag.Bool("lint", false, "run the static verifier; exit 1 on error findings")
-	jsonOut := flag.Bool("json", false, "with -lint, emit reports as JSON on stdout")
-	workload := flag.String("workload", "", "with -lint, verify a built-in workload's kernel (or 'all')")
-	strict := flag.Bool("strict", false, "with -lint, also flag upper-bound affine escapes")
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: cawadis [-lint [-json] [-strict]] <file.casm...| ->")
-		fmt.Fprintln(os.Stderr, "       cawadis -lint [-json] -workload <name|all>")
-		flag.PrintDefaults()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entry point: it parses args, processes every
+// source, and returns the process exit code (0 clean, 1 for findings
+// or parse errors, 2 for usage errors). A source "-" reads os.Stdin.
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("cawadis", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	lint := fl.Bool("lint", false, "run the static verifier; exit 1 on error findings")
+	jsonOut := fl.Bool("json", false, "with -lint, emit reports as JSON on stdout")
+	workload := fl.String("workload", "", "with -lint, verify a built-in workload's kernel (or 'all')")
+	strict := fl.Bool("strict", false, "with -lint, also flag upper-bound affine escapes")
+	fl.Usage = func() {
+		fmt.Fprintln(stderr, "usage: cawadis [-lint [-json] [-strict]] <file.casm...| ->")
+		fmt.Fprintln(stderr, "       cawadis -lint [-json] -workload <name|all>")
+		fl.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fl.Parse(args); err != nil {
+		return 2
+	}
 
 	if *workload != "" {
 		if !*lint {
-			fmt.Fprintln(os.Stderr, "cawadis: -workload requires -lint")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "cawadis: -workload requires -lint")
+			return 2
 		}
-		os.Exit(lintWorkloads(*workload, *jsonOut, *strict))
+		return lintWorkloads(stdout, stderr, *workload, *jsonOut, *strict)
 	}
-	if flag.NArg() == 0 {
-		flag.Usage()
-		os.Exit(2)
+	if fl.NArg() == 0 {
+		fl.Usage()
+		return 2
 	}
 
 	status := 0
 	var reports []*analysis.Report
-	for _, arg := range flag.Args() {
+	for _, arg := range fl.Args() {
 		prog, err := load(arg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cawadis: %v\n", err)
+			fmt.Fprintf(stderr, "cawadis: %v\n", err)
 			status = 1
 			continue
 		}
 		rep := analysis.Analyze(prog, analysis.Options{StrictBounds: *strict})
 		if *lint {
 			reports = append(reports, rep)
-			if report(arg, rep, *jsonOut) {
+			if report(stdout, stderr, arg, rep, *jsonOut) {
 				status = 1
 			}
 			continue
 		}
-		fmt.Print(prog.Disasm())
-		printStats(prog, rep)
+		fmt.Fprint(stdout, prog.Disasm())
+		printStats(stdout, prog, rep)
 	}
 	if *lint && *jsonOut {
-		emitJSON(reports)
+		if err := emitJSON(stdout, reports); err != nil {
+			fmt.Fprintf(stderr, "cawadis: %v\n", err)
+			return 1
+		}
 	}
-	os.Exit(status)
+	return status
 }
 
 // load reads one source (a path or "-" for stdin) and assembles it.
@@ -111,7 +125,7 @@ func load(arg string) (*isa.Program, error) {
 
 // printStats renders the control-flow, basic-block, and
 // register-pressure summary under the disassembly.
-func printStats(prog *isa.Program, rep *analysis.Report) {
+func printStats(w io.Writer, prog *isa.Program, rep *analysis.Report) {
 	branches, divergable, mem, bar := 0, 0, 0, 0
 	for pc := int32(0); pc < int32(prog.Len()); pc++ {
 		in := prog.At(pc)
@@ -127,9 +141,9 @@ func printStats(prog *isa.Program, rep *analysis.Report) {
 			bar++
 		}
 	}
-	fmt.Printf("\n// %d instructions, %d branches (%d divergable), %d global memory ops, %d barriers\n",
+	fmt.Fprintf(w, "\n// %d instructions, %d branches (%d divergable), %d global memory ops, %d barriers\n",
 		prog.Len(), branches, divergable, mem, bar)
-	fmt.Printf("// %d basic blocks, %d loops, %d registers used, max %d live, stack depth <= %d\n",
+	fmt.Fprintf(w, "// %d basic blocks, %d loops, %d registers used, max %d live, stack depth <= %d\n",
 		len(rep.Blocks), rep.Loops, rep.RegsUsed, rep.MaxLive, rep.StackDepth)
 	for _, b := range rep.Blocks {
 		liveIn := 0
@@ -140,46 +154,44 @@ func printStats(prog *isa.Program, rep *analysis.Report) {
 		if b.LoopHead {
 			loop = " loop-head"
 		}
-		fmt.Printf("//   block %d: pc %d..%d, succs %v, live-in %d%s\n",
+		fmt.Fprintf(w, "//   block %d: pc %d..%d, succs %v, live-in %d%s\n",
 			b.ID, b.Start, b.End-1, b.Succs, liveIn, loop)
 	}
 	for pc := int32(0); pc < int32(prog.Len()); pc++ {
 		in := prog.At(pc)
 		if in.Op.IsCondBranch() {
-			fmt.Printf("//   branch @%d -> %d, reconverges at %d\n", pc, in.Target(), in.Rpc)
+			fmt.Fprintf(w, "//   branch @%d -> %d, reconverges at %d\n", pc, in.Target(), in.Rpc)
 		}
 	}
 }
 
-// report prints one lint report in human form to stderr and returns
-// whether it contains error findings.
-func report(source string, rep *analysis.Report, jsonOut bool) bool {
+// report prints one lint report in human form — findings to stderr, a
+// clean verdict to stdout — and returns whether it contains error
+// findings.
+func report(stdout, stderr io.Writer, source string, rep *analysis.Report, jsonOut bool) bool {
 	failed := len(rep.Errors()) > 0
 	if jsonOut {
 		return failed
 	}
 	for _, f := range rep.Findings {
-		fmt.Fprintf(os.Stderr, "%s: %s\n", source, f)
+		fmt.Fprintf(stderr, "%s: %s\n", source, f)
 	}
 	if len(rep.Findings) == 0 {
-		fmt.Printf("%s: %s: clean (%d instrs, %d blocks, %d regs, max %d live)\n",
+		fmt.Fprintf(stdout, "%s: %s: clean (%d instrs, %d blocks, %d regs, max %d live)\n",
 			source, rep.Program, rep.Instrs, len(rep.Blocks), rep.RegsUsed, rep.MaxLive)
 	}
 	return failed
 }
 
-func emitJSON(reports []*analysis.Report) {
-	enc := json.NewEncoder(os.Stdout)
+func emitJSON(w io.Writer, reports []*analysis.Report) error {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(reports); err != nil {
-		fmt.Fprintf(os.Stderr, "cawadis: %v\n", err)
-		os.Exit(1)
-	}
+	return enc.Encode(reports)
 }
 
 // lintWorkloads verifies the built-in workload kernels with their real
 // launch geometry — the same checks gpu.Launch applies.
-func lintWorkloads(which string, jsonOut, strict bool) int {
+func lintWorkloads(stdout, stderr io.Writer, which string, jsonOut, strict bool) int {
 	names := workloads.Names()
 	if which != "all" {
 		names = []string{which}
@@ -189,23 +201,26 @@ func lintWorkloads(which string, jsonOut, strict bool) int {
 	for _, name := range names {
 		w, err := workloads.New(name, workloads.DefaultParams())
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cawadis: %v\n", err)
+			fmt.Fprintf(stderr, "cawadis: %v\n", err)
 			return 2
 		}
 		k, ok := w.Next()
 		if !ok {
-			fmt.Fprintf(os.Stderr, "cawadis: workload %s yields no kernel\n", name)
+			fmt.Fprintf(stderr, "cawadis: workload %s yields no kernel\n", name)
 			return 2
 		}
 		launch := launchOf(k, w)
 		rep := analysis.Analyze(k.Program, analysis.Options{Launch: launch, StrictBounds: strict})
 		reports = append(reports, rep)
-		if report(name+"/"+k.Name, rep, jsonOut) {
+		if report(stdout, stderr, name+"/"+k.Name, rep, jsonOut) {
 			status = 1
 		}
 	}
 	if jsonOut {
-		emitJSON(reports)
+		if err := emitJSON(stdout, reports); err != nil {
+			fmt.Fprintf(stderr, "cawadis: %v\n", err)
+			return 1
+		}
 	}
 	return status
 }

@@ -51,11 +51,13 @@ func (d *DiskCache) Dir() string { return d.dir }
 
 // EntryKey builds the full identity of one simulation result. sysKey
 // must be the design point's core.SystemConfig.Key(). The architecture
-// is folded in via its complete value (every field of config.Config is
-// comparable scalar state), and EngineVersion ties entries to the
-// simulator behaviour that produced them.
+// is folded in via its complete value — every field of config.Config
+// and its CacheConfigs, written as Go syntax (%#v) because %v would
+// print config.Config.String, the Table 1 summary, which leaves fields
+// out — and EngineVersion ties entries to the simulator behaviour that
+// produced them.
 func (d *DiskCache) EntryKey(app, sysKey string, p workloads.Params, cfg config.Config) string {
-	return fmt.Sprintf("%s|%s|scale=%g|seed=%d|arch=%+v|%s",
+	return fmt.Sprintf("%s|%s|scale=%g|seed=%d|arch=%#v|%s",
 		app, sysKey, p.Scale, p.Seed, cfg, EngineVersion)
 }
 
@@ -107,15 +109,27 @@ func (d *DiskCache) write(key, ext string, encode func(io.Writer) error) error {
 // of miss — absent, unreadable, corrupt, or keyed to a different
 // identity. It never fails hard.
 func (d *DiskCache) Load(key string) (*Result, bool) {
+	r, _, ok := d.load(key)
+	return r, ok
+}
+
+// load is Load that also returns the result's canonical encoding,
+// json.Marshal of the result, when the file is the exact document
+// storeJSON writes (decodeEntry). The encoding is nil when the file was
+// read by encoding/json instead, and the result must be encoded afresh.
+func (d *DiskCache) load(key string) (*Result, []byte, bool) {
 	data, err := os.ReadFile(d.path(key, resultExt))
 	if err != nil {
-		return nil, false
+		return nil, nil, false
+	}
+	if r, encoded, ok := decodeEntry(data, key); ok {
+		return r, encoded, true
 	}
 	var e entry
 	if err := json.Unmarshal(data, &e); err != nil || e.Result == nil || e.Key != key {
-		return nil, false
+		return nil, nil, false
 	}
-	return e.Result, true
+	return e.Result, nil, true
 }
 
 // Store writes the result under key atomically. The result must

@@ -229,6 +229,12 @@ func cutRun(tb testing.TB, opt RunOptions) (*Result, *WarmCheckpoint) {
 type parentLayout struct{ dir string }
 
 func (parentLayout) entryKey(app, sysKey string, p workloads.Params, cfg config.Config) string {
+	return fmt.Sprintf("%s|%s|scale=%g|seed=%d|arch=%#v|cawa-engine-6", app, sysKey, p.Scale, p.Seed, cfg)
+}
+
+// summaryEntryKey is the identity key of builds before the full-config
+// key: arch printed through config.Config.String, the Table 1 summary.
+func summaryEntryKey(app, sysKey string, p workloads.Params, cfg config.Config) string {
 	return fmt.Sprintf("%s|%s|scale=%g|seed=%d|arch=%+v|cawa-engine-6", app, sysKey, p.Scale, p.Seed, cfg)
 }
 
@@ -361,6 +367,28 @@ func TestServesParentCommitCacheLayout(t *testing.T) {
 	if left, _ := filepath.Glob(filepath.Join(out.dir, ".*")); len(left) != 0 {
 		t.Fatalf("temp files left behind: %v", left)
 	}
+
+	// An entry under the summary key of earlier builds is a clean miss:
+	// the cell re-simulates once and is written through under its key.
+	summary := parentLayout{dir: t.TempDir()}
+	summary.writeResult(t, summaryEntryKey(cells[0].App, sysKey, params, cfg), want[0])
+	d3, err := OpenDiskCache(summary.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s3 := NewSession(cfg, params)
+	s3.Disk = d3
+	got, err = s3.Run(cells[0].App, cells[0].System)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s3.DiskHits() != 0 || len(s3.Timings()) != 1 || !reflect.DeepEqual(got, want[0]) {
+		t.Fatalf("summary-keyed entry: DiskHits = %d, simulations = %d, result equal = %v",
+			s3.DiskHits(), len(s3.Timings()), reflect.DeepEqual(got, want[0]))
+	}
+	if _, err := os.Stat(summary.file(key, ".json")); err != nil {
+		t.Fatalf("re-simulated cell not written through under the full-config key: %v", err)
+	}
 }
 
 // FuzzDiskCacheArtifacts feeds arbitrary bytes to both artifact
@@ -471,5 +499,140 @@ func TestDiskBackedSessionRunsCCWS(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Agg, want.Agg) {
 		t.Fatalf("resumed ccws run differs from the uninterrupted one:\n got %+v\nwant %+v", got.Agg, want.Agg)
+	}
+}
+
+// TestEntryKeyCoversEveryConfigField: changing any one field of
+// config.Config, or of one of its CacheConfigs, changes the entry key,
+// so sessions that differ only there never serve each other's results
+// or resume each other's checkpoints.
+func TestEntryKeyCoversEveryConfigField(t *testing.T) {
+	var d DiskCache
+	base := config.Small()
+	ref := d.EntryKey("bfs", "lrr", diskTestParams, base)
+	var walk func(typ reflect.Type, index []int)
+	leaves := 0
+	walk = func(typ reflect.Type, index []int) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			at := append(append([]int(nil), index...), i)
+			if f.Type.Kind() == reflect.Struct {
+				walk(f.Type, at)
+				continue
+			}
+			cfg := base
+			v := reflect.ValueOf(&cfg).Elem().FieldByIndex(at)
+			switch v.Kind() {
+			case reflect.Int, reflect.Int64:
+				v.SetInt(v.Int() + 1)
+			case reflect.String:
+				v.SetString(v.String() + "x")
+			default:
+				t.Fatalf("%s: no perturbation for a %s", f.Name, v.Kind())
+			}
+			leaves++
+			if d.EntryKey("bfs", "lrr", diskTestParams, cfg) == ref {
+				t.Errorf("a change to %v (field %s) leaves the entry key unchanged", at, f.Name)
+			}
+		}
+	}
+	walk(reflect.TypeOf(base), nil)
+	if leaves < 30 {
+		t.Fatalf("perturbed %d fields; config.Config has more", leaves)
+	}
+}
+
+// TestDiskCacheTornEntryIsCleanMiss: an entry cut short anywhere — a
+// crash mid-copy, a full disk under another writer — is a miss. The
+// next RunJSON simulates again and its write-through replaces the torn
+// file with the whole entry.
+func TestDiskCacheTornEntryIsCleanMiss(t *testing.T) {
+	res, err := Run(RunOptions{Workload: "bfs", Params: diskTestParams, System: core.Baseline(), Config: config.Small()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.ReleaseGPU()
+	want, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sysKey, _ := core.Baseline().Key()
+	key := d.EntryKey("bfs", sysKey, diskTestParams, config.Small())
+	if err := d.Store(key, res); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(d.path(key, resultExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{len(whole) / 8, len(whole) / 2, len(whole) - 1} {
+		if err := os.WriteFile(d.path(key, resultExt), whole[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := NewSession(config.Small(), diskTestParams)
+		s.Disk = d
+		sims := 0
+		s.SetRunFunc(func(ctx context.Context, opt RunOptions) (*Result, error) {
+			sims++
+			return res, nil
+		})
+		got, err := s.RunJSON(context.Background(), "bfs", core.Baseline())
+		if err != nil {
+			t.Fatalf("torn at %d: %v", n, err)
+		}
+		if !bytes.Equal(got, want) || s.DiskHits() != 0 || sims != 1 {
+			t.Fatalf("torn at %d of %d bytes: DiskHits = %d, simulations = %d, reply equal = %v",
+				n, len(whole), s.DiskHits(), sims, bytes.Equal(got, want))
+		}
+		if after, err := os.ReadFile(d.path(key, resultExt)); err != nil || !bytes.Equal(after, whole) {
+			t.Fatalf("torn at %d: write-through did not restore the entry (%v)", n, err)
+		}
+	}
+}
+
+// TestDiskCacheDirectoryGone: a cache directory replaced by a regular
+// file after OpenDiskCache (the fault root can inject: a read-only mode
+// does not stop root) leaves the session a memory cache. Run and
+// RunJSON still succeed, nothing is served from or written to disk, and
+// nothing panics.
+func TestDiskCacheDirectoryGone(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	d, err := OpenDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	const stand = "not a directory"
+	if err := os.WriteFile(dir, []byte(stand), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := NewSession(config.Small(), diskTestParams)
+	s.Disk = d
+	res, err := s.Run("bfs", core.Baseline())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.RunJSON(context.Background(), "bfs", core.CAWA())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cawa, _ := s.Run("bfs", core.CAWA())
+	if want, _ := json.Marshal(cawa); !bytes.Equal(got, want) || res.Agg.Cycles == 0 {
+		t.Fatal("RunJSON over a vanished cache directory did not serve the simulated result")
+	}
+	if s.DiskHits() != 0 || len(s.Timings()) != 2 {
+		t.Fatalf("DiskHits = %d, simulations = %d, want 0 and 2", s.DiskHits(), len(s.Timings()))
+	}
+	if b, err := os.ReadFile(dir); err != nil || string(b) != stand {
+		t.Fatalf("the file standing in for the directory changed: %q (%v)", b, err)
+	}
+	if left, _ := os.ReadDir(filepath.Dir(dir)); len(left) != 1 {
+		t.Fatalf("files written beside the cache path: %v", left)
 	}
 }

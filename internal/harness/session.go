@@ -121,7 +121,8 @@ type flight struct {
 	err  error
 
 	// The result's one encoding, json.Marshal(res), made by the first
-	// caller that needs it and shared by every later one: the disk
+	// caller that needs it — or taken from a disk entry that proved it
+	// holds those bytes — and shared by every later one: the disk
 	// write-through and every reply of a service send these bytes.
 	encodeOnce sync.Once
 	encoded    []byte
@@ -412,9 +413,11 @@ func (s *Session) RunContext(ctx context.Context, app string, sc core.SystemConf
 // json.Marshal of the *Result RunContext returns for the same key. The
 // encoding is made once per cached result and the same slice is handed
 // to every caller: it must not be modified or appended to. A session
-// with a Disk writes exactly these bytes into the entry, and a result
-// loaded from disk is encoded afresh, so a parsable but non-canonical
-// file is never passed on verbatim.
+// with a Disk writes exactly these bytes into the entry. A result
+// loaded from disk is served as the entry's own bytes only when the
+// strict entry decoder proved them canonical; any other parsable file
+// is encoded afresh, so a non-canonical file is never passed on
+// verbatim.
 func (s *Session) RunJSON(ctx context.Context, app string, sc core.SystemConfig) ([]byte, error) {
 	f, err := s.lookup(ctx, app, sc)
 	if err != nil {
@@ -461,11 +464,15 @@ func (s *Session) lookup(ctx context.Context, app string, sc core.SystemConfig) 
 	var entryKey, ckptKey string
 	if disk != nil {
 		entryKey = disk.EntryKey(app, sysKey, s.Params, s.Config)
-		if res, ok := disk.Load(entryKey); ok {
+		if res, encoded, ok := disk.load(entryKey); ok {
 			s.mu.Lock()
 			s.diskHits++
 			s.mu.Unlock()
 			f.res = res
+			if encoded != nil {
+				// The entry proved these bytes are json.Marshal(res).
+				f.encodeOnce.Do(func() { f.encoded = encoded })
+			}
 			return f, nil
 		}
 		ckptKey = disk.CheckpointKey(entryKey)

@@ -26,8 +26,10 @@
 #                 and build it so an internal signature change cannot
 #                 break the registered benchmark unnoticed
 #   go test       full unit + experiment smoke suite
-#   go test -fuzz the two decoders of disk bytes (checkpoint payloads
-#                 through Decode + Restore, disk-cache artifacts), the
+#   go test -fuzz the decoders of disk bytes (checkpoint payloads
+#                 through Decode + Restore, disk-cache artifacts, and
+#                 the strict result-entry decoder, whose every accepted
+#                 document must be json.Marshal of what it decoded), the
 #                 decoder of cawaserve request bodies (a 4xx or an
 #                 accepted job with a keyable design point), the isa
 #                 text assembler (an error or a program whose
@@ -97,6 +99,7 @@ go test ./...
 echo "== go test -fuzz (10s each) =="
 go test -run '^$' -fuzz '^FuzzDecodeRestore$' -fuzztime 10s -fuzzminimizetime 1s ./internal/checkpoint
 go test -run '^$' -fuzz '^FuzzDiskCacheArtifacts$' -fuzztime 10s -fuzzminimizetime 1s ./internal/harness
+go test -run '^$' -fuzz '^FuzzDecodeEntry$' -fuzztime 10s -fuzzminimizetime 1s ./internal/harness
 go test -run '^$' -fuzz '^FuzzRunRequest$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
 go test -run '^$' -fuzz '^FuzzExecAgainstPerLane$' -fuzztime 10s -fuzzminimizetime 1s ./internal/simt
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 1s ./internal/isa
