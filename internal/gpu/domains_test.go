@@ -2,6 +2,8 @@ package gpu
 
 import (
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -59,7 +61,7 @@ func TestDomainRunnerLifecycle(t *testing.T) {
 	}
 
 	g.startDomains()
-	if got := len(g.runner.workers); got != 1 {
+	if got := g.runner.domains(); got != 1 {
 		t.Fatalf("default runner has %d domains, want the one inline domain", got)
 	}
 	if n := runtime.NumGoroutine(); n != base {
@@ -70,7 +72,7 @@ func TestDomainRunnerLifecycle(t *testing.T) {
 
 	g.SMWorkers = 4
 	g.startDomains()
-	if got := len(g.runner.workers); got != 4 {
+	if got := g.runner.domains(); got != 4 {
 		t.Fatalf("runner has %d domains, want 4", got)
 	}
 	if n := runtime.NumGoroutine(); n != base+3 {
@@ -79,9 +81,10 @@ func TestDomainRunnerLifecycle(t *testing.T) {
 	for c := int64(4); c <= 500; c++ {
 		span(c, c)
 		if c%97 == 0 {
-			// Let helpers fall off the spin path and park, so later
-			// spans exercise the channel wakeup.
-			time.Sleep(2 * time.Millisecond)
+			// Let helpers fall off the spin path (barrierSpins yields,
+			// about a millisecond) and park, so later spans exercise
+			// the channel wakeup.
+			time.Sleep(20 * time.Millisecond)
 		}
 	}
 	g.stopDomains()
@@ -104,34 +107,104 @@ func TestDomainRunnerLifecycle(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestDomainRunnerPartition: the contiguous shard must cover every SM
-// exactly once, and worker counts above the SM count clamp.
-func TestDomainRunnerPartition(t *testing.T) {
-	g := newIdleGPU(t, 5)
-	for _, workers := range []int{1, 2, 3, 5, 9} {
+// TestDomainRunnerRunsEverySMOnce: whatever the domain count, every
+// span takes every SM across exactly that span's bounds exactly once —
+// no SM skipped by a claim that lost a race, none run twice, none run
+// with another span's bounds by a helper that woke late. Spans vary in
+// length, and every so often the helpers are left idle long enough to
+// park, so later spans find them waking late.
+func TestDomainRunnerRunsEverySMOnce(t *testing.T) {
+	g := newIdleGPU(t, 16)
+	base := runtime.NumGoroutine()
+	// A lost SM never finishes, so its span never ends: fail loudly
+	// instead of hanging until the test binary's timeout.
+	watchdog := time.AfterFunc(time.Minute, func() { panic("a span never ended: an SM was lost") })
+	defer watchdog.Stop()
+	for workers := 1; workers <= 16; workers++ {
 		r := newDomainRunner(g.sms, workers, nil)
-		want := workers
-		if want > len(g.sms) {
-			want = len(g.sms)
+		if got := r.domains(); got != workers {
+			t.Fatalf("workers=%d: runner has %d domains", workers, got)
 		}
-		if len(r.workers) != want {
-			t.Errorf("workers=%d: runner built %d shards, want %d", workers, len(r.workers), want)
-		}
-		seen := make(map[*sm.SM]int)
-		total := 0
-		for _, w := range r.workers {
-			if len(w.sms) == 0 {
-				t.Errorf("workers=%d: empty shard", workers)
+		var runs [16]atomic.Int64
+		var from, to int64
+		var wrongBounds atomic.Int64
+		r.step = func(s *sm.SM, f, l int64) {
+			// The test writes from/to before stepSpan publishes the
+			// span, so a domain reading them after its claim is ordered
+			// after the write.
+			if f != from || l != to {
+				wrongBounds.Add(1)
 			}
-			for _, s := range w.sms {
-				seen[s]++
-				total++
+			runs[s.ID].Add(1)
+			stepSM(s, f, l)
+		}
+		to = g.sms[0].Now()
+		for span := int64(1); span <= 120; span++ {
+			from, to = to+1, to+1+span%3
+			r.stepSpan(from, to)
+			for i := range runs {
+				if n := runs[i].Load(); n != span {
+					t.Fatalf("workers=%d span %d: SM %d ran %d times in %d spans", workers, span, i, n, span)
+				}
+			}
+			if span%40 == 0 {
+				time.Sleep(20 * time.Millisecond) // helpers spin out and park
 			}
 		}
-		if total != len(g.sms) || len(seen) != len(g.sms) {
-			t.Errorf("workers=%d: shards cover %d/%d SMs (%d slots)", workers, len(seen), len(g.sms), total)
+		if n := wrongBounds.Load(); n != 0 {
+			t.Fatalf("workers=%d: %d SM runs saw another span's bounds", workers, n)
 		}
 		r.stop()
+		waitGoroutines(t, base)
+	}
+	// Domain counts above the SM count clamp to it.
+	r := newDomainRunner(g.sms[:5], 9, nil)
+	if got := r.domains(); got != 5 {
+		t.Errorf("9 domains on 5 SMs: runner has %d, want 5", got)
+	}
+	r.stop()
+	waitGoroutines(t, base)
+}
+
+// TestDomainRunnerRecoversHelperPanic: an SM that panics on any domain
+// is recovered there, the span still ends, and the first panic comes
+// back out of stepSpan on the caller's goroutine; the helpers stay
+// stoppable. SM 0, claimed first, is held until another SM has
+// panicked, so the panic is always on a goroutine other than the one
+// running SM 0 — a helper whenever the engine claimed first.
+func TestDomainRunnerRecoversHelperPanic(t *testing.T) {
+	g := newIdleGPU(t, 8)
+	base := runtime.NumGoroutine()
+	for workers := 2; workers <= 4; workers++ {
+		r := newDomainRunner(g.sms, workers, nil)
+		var panicked atomic.Bool
+		r.step = func(s *sm.SM, from, to int64) {
+			switch {
+			case from != 3:
+			case s.ID == 0:
+				deadline := time.Now().Add(10 * time.Second)
+				for !panicked.Load() && time.Now().Before(deadline) {
+					runtime.Gosched()
+				}
+			default:
+				panicked.Store(true)
+				panic("boom")
+			}
+			stepSM(s, from, to)
+		}
+		r.stepSpan(1, 1)
+		r.stepSpan(2, 2)
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			r.stepSpan(3, 3)
+			return nil
+		}()
+		msg, _ := got.(string)
+		if !strings.Contains(msg, "boom") || !strings.Contains(msg, "gpu: sm ") {
+			t.Fatalf("workers=%d: stepSpan re-panicked with %v, want the SM's panic", workers, got)
+		}
+		r.stop()
+		waitGoroutines(t, base)
 	}
 }
 
@@ -148,7 +221,7 @@ func TestDomainRunnerStopIdempotent(t *testing.T) {
 
 	r = newDomainRunner(g.sms, 4, nil)
 	r.stepSpan(1, 1)
-	time.Sleep(2 * time.Millisecond) // helpers fall through the spin path and park
+	time.Sleep(20 * time.Millisecond) // helpers fall through the spin path and park
 	r.stop()
 	r.stop()
 	waitGoroutines(t, base)

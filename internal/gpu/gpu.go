@@ -67,13 +67,12 @@ type GPU struct {
 	// Returning a value <= now means the very next cycle.
 	PerCycleWake func(now int64) int64
 
-	// SMWorkers is the number of domains that share each span: the SMs
-	// are sharded contiguously across that many domains, the first of
-	// which always runs on the caller's goroutine and the rest on
-	// goroutines that live for the launch (see domains.go). Values <= 1
-	// (the default) run every SM on the caller's goroutine with no
-	// barrier; values above NumSMs are clamped. Results are
-	// byte-identical at any setting.
+	// SMWorkers is the number of domains that share each span: that
+	// many goroutines claim the SMs one at a time, the first always
+	// the caller's and the rest helpers that live for the launch (see
+	// domains.go). Values <= 1 (the default) run every SM on the
+	// caller's goroutine with no barrier; values above NumSMs are
+	// clamped. Results are byte-identical at any setting.
 	//
 	// Callers that attach observers shared between SMs (profiler taps,
 	// trace collectors) must leave this at 1; the harness does so for
@@ -89,6 +88,12 @@ type GPU struct {
 	// guard is non-vacuous (the first fill cycle lands in-span and
 	// equivalence breaks).
 	horizonSlack int64
+
+	// claimOrder and panicAt are test hooks only (UseClaimOrder,
+	// PanicInSpanAt): the order in which the domains claim SMs, and a
+	// cycle whose span makes every SM panic.
+	claimOrder []int
+	panicAt    int64
 
 	// Perf, when non-nil, self-profiles the engine: every span brackets
 	// its seams (memsys drain, dispatch, horizon planning, SM stepping,
@@ -410,7 +415,22 @@ func (g *GPU) startDomains() {
 		s.L1D().SetStaging(g.stages[i])
 		s.SetStoreLog(g.logs[i])
 	}
-	g.runner = newDomainRunner(g.sms, g.SMWorkers, g.Perf)
+	sms := g.sms
+	if g.claimOrder != nil {
+		sms = make([]*sm.SM, len(g.sms))
+		for i, id := range g.claimOrder {
+			sms[i] = g.sms[id]
+		}
+	}
+	g.runner = newDomainRunner(sms, g.SMWorkers, g.Perf)
+	if at := g.panicAt; at > 0 {
+		g.runner.step = func(s *sm.SM, from, to int64) {
+			if from <= at && at <= to {
+				panic(fmt.Sprintf("test hook: sm %d panics in span %d..%d", s.ID, from, to))
+			}
+			stepSM(s, from, to)
+		}
+	}
 }
 
 // stopDomains ends the launch's domains and returns the SMs to direct
@@ -434,6 +454,18 @@ func (g *GPU) stopDomains() {
 // byte-identical to the simplest possible loop; no option, flag or
 // session setting reaches it.
 func (g *GPU) UseTickedOracle() { g.ticked = true }
+
+// UseClaimOrder makes this GPU's span domains claim SMs in order, a
+// permutation of the SM ids, instead of ascending. It exists so tests
+// can prove that results do not depend on which SM is taken first; no
+// option, flag or session setting reaches it.
+func (g *GPU) UseClaimOrder(order []int) { g.claimOrder = order }
+
+// PanicInSpanAt makes every SM panic at the start of the span that
+// contains cycle (> 0), on whichever goroutine runs it. It exists so
+// tests can prove a panic on a helper domain costs the run, not the
+// process; no option, flag or session setting reaches it.
+func (g *GPU) PanicInSpanAt(cycle int64) { g.panicAt = cycle }
 
 // tick is the reference loop's one cycle.
 func (g *GPU) tick(ls *launchState) {

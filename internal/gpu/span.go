@@ -19,11 +19,11 @@ package gpu
 //     (capacity frees at a retirement the planner cannot predict). The
 //     fills already pending inside the span are handed to their SMs'
 //     domains for delivery at their exact cycles (memsys.PlanSpanFills).
-//  3. Run. Every domain takes its SMs across the whole span, one SM
-//     after the other (domains.go), staging outbound traffic with
-//     per-cycle stamps and skipping each SM's dead cycles on that SM's
-//     own wake bound — an SM with nothing to issue costs one tick per
-//     span, not one per cycle.
+//  3. Run. The launch's domains claim the SMs one at a time and take
+//     each claimed SM across the whole span (domains.go), staging
+//     outbound traffic with per-cycle stamps and skipping each SM's
+//     dead cycles on that SM's own wake bound — an SM with nothing to
+//     issue costs one tick per span, not one per cycle.
 //  4. Replay. For each cycle t of the span the engine drains the due
 //     memory events (System.Cycle) and commits every SM's staged
 //     accesses and deferred stores emitted at t, in SM-id order. That
@@ -37,7 +37,7 @@ package gpu
 //     writeback) at exactly its pop position; every other event the
 //     replay schedules inside the span is internal by construction.
 //
-// Kernel completion can land mid-span: domains keep cycling their (now
+// Kernel completion can land mid-span: domains keep cycling the (now
 // empty) SMs to the span end, recording each SM's last block-retirement
 // cycle. The replay then stops at the last retirement — later staged
 // traffic cannot exist (empty SMs emit none) and later-due events stay
@@ -106,7 +106,7 @@ func (g *GPU) runSpan(ls *launchState) {
 	}
 
 	g.runner.stepSpan(from, end)
-	if n := len(g.runner.workers); n > 1 && g.Perf != nil {
+	if n := g.runner.domains(); n > 1 && g.Perf != nil {
 		// One barrier: the span's wall time folds into DomainCompute,
 		// the domains' recorded compute splits it into compute vs. wait.
 		t1 := g.clock()

@@ -597,8 +597,8 @@ func TestDiskCacheTornEntryIsCleanMiss(t *testing.T) {
 // TestDiskCacheDirectoryGone: a cache directory replaced by a regular
 // file after OpenDiskCache (the fault root can inject: a read-only mode
 // does not stop root) leaves the session a memory cache. Run and
-// RunJSON still succeed, nothing is served from or written to disk, and
-// nothing panics.
+// RunJSON still succeed, nothing is served from or written to disk,
+// both failed write-throughs are counted, and nothing panics.
 func TestDiskCacheDirectoryGone(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
 	d, err := OpenDiskCache(dir)
@@ -628,6 +628,9 @@ func TestDiskCacheDirectoryGone(t *testing.T) {
 	}
 	if s.DiskHits() != 0 || len(s.Timings()) != 2 {
 		t.Fatalf("DiskHits = %d, simulations = %d, want 0 and 2", s.DiskHits(), len(s.Timings()))
+	}
+	if n, m := s.DiskWriteErrors(), s.Manifest().DiskWriteErrors; n != 2 || m != 2 {
+		t.Fatalf("DiskWriteErrors = %d, manifest %d, want 2", n, m)
 	}
 	if b, err := os.ReadFile(dir); err != nil || string(b) != stand {
 		t.Fatalf("the file standing in for the directory changed: %q (%v)", b, err)

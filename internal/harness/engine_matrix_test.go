@@ -52,6 +52,7 @@ func oracleSession(cfg config.Config, params workloads.Params) *Session {
 //	span-1  one inline domain: the caller's goroutine, no barrier (what
 //	        every cawabench/cawaserve run uses by default)
 //	span-2  two domains: the inline one plus one helper goroutine
+//	span-3  three domains: more goroutines than half the SMs
 //	span-N  one domain per SM
 //
 // "Byte-identical" covers cycle counts, launch spans, every aggregate
@@ -87,6 +88,7 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 	}{
 		{"span-1", spanSession(1)},
 		{"span-2", spanSession(2)},
+		{"span-3", spanSession(3)},
 		{"span-N", spanSession(cfg.NumSMs)},
 	}
 

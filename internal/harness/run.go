@@ -57,6 +57,12 @@ type RunOptions struct {
 	// instead of the span engine (gpu.GPU.UseTickedOracle). Reachable
 	// from this package's tests only.
 	tickedOracle bool
+	// claimOrder and panicAt are the engine's test hooks
+	// (gpu.GPU.UseClaimOrder, gpu.GPU.PanicInSpanAt), reachable from
+	// this package's tests only: the order the span domains claim SMs
+	// in, and a cycle whose span makes every SM panic.
+	claimOrder []int
+	panicAt    int64
 }
 
 // Result is the outcome of one application run. Everything experiments
@@ -263,6 +269,8 @@ func setupRun(opt *RunOptions) (workloads.Workload, *gpu.GPU, *Result, error) {
 	if opt.tickedOracle {
 		g.UseTickedOracle()
 	}
+	g.UseClaimOrder(opt.claimOrder)
+	g.PanicInSpanAt(opt.panicAt)
 
 	res := &Result{Workload: opt.Workload, System: opt.System.Label(), GPU: g}
 	res.Agg.Kernel = opt.Workload

@@ -102,6 +102,9 @@ type Session struct {
 	hits     uint64 // Run requests served from the in-memory cache
 	misses   uint64 // Run requests that missed the in-memory cache
 	diskHits uint64 // misses answered by the disk cache without simulating
+	// diskWriteErrors counts result write-throughs the disk cache
+	// refused (a full or vanished directory): the run still succeeds.
+	diskWriteErrors uint64
 	// warmResumes counts simulations that warm-started from a persisted
 	// checkpoint instead of beginning at cycle zero.
 	warmResumes uint64
@@ -273,8 +276,10 @@ func (s *Session) acquire(ctx context.Context, extra int) (held int, release fun
 //
 // A panic on the simulating goroutine — the engine's or a SetRunFunc
 // function's — becomes the run's error: the flight fails and is
-// evicted like any other, the process lives. Goroutines the engine
-// starts itself (helper domains, -smpar > 1) are out of its reach.
+// evicted like any other, the process lives. That includes a panic on
+// one of the engine's helper domains (-smpar > 1): the engine recovers
+// it there and re-panics it on this goroutine once the span has ended
+// (gpu/domains.go).
 func (s *Session) simulate(ctx context.Context, opt RunOptions, disk *DiskCache, ckptKey string) (*Result, error) {
 	s.mu.Lock()
 	smpar := s.smpar
@@ -497,7 +502,11 @@ func (s *Session) lookup(ctx context.Context, app string, sc core.SystemConfig) 
 		// entry embeds the flight's own encoding, so it costs no
 		// second marshal.
 		if data, err := f.encoding(); err == nil {
-			disk.storeJSON(entryKey, data) //nolint:errcheck
+			if disk.storeJSON(entryKey, data) != nil {
+				s.mu.Lock()
+				s.diskWriteErrors++
+				s.mu.Unlock()
+			}
 		}
 		// The final result supersedes any warm checkpoint.
 		disk.RemoveCheckpoint(ckptKey)
@@ -582,6 +591,15 @@ func (s *Session) DiskHits() uint64 {
 	return s.diskHits
 }
 
+// DiskWriteErrors returns how many result write-throughs to the disk
+// cache failed. Each such result is still served from memory, but a
+// restart will simulate it again.
+func (s *Session) DiskWriteErrors() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.diskWriteErrors
+}
+
 // WarmResumes reports how many simulations warm-started from a
 // persisted checkpoint instead of beginning at cycle zero.
 func (s *Session) WarmResumes() uint64 {
@@ -597,16 +615,17 @@ func (s *Session) Manifest() *obs.Manifest {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return &obs.Manifest{
-		Architecture: s.Config.Name,
-		NumSMs:       s.Config.NumSMs,
-		Scale:        s.Params.Scale,
-		Seed:         s.Params.Seed,
-		Workers:      cap(s.sem),
-		CacheHits:    s.hits,
-		CacheMisses:  s.misses,
-		DiskHits:     s.diskHits,
-		WallSeconds:  time.Since(s.started).Seconds(),
-		Runs:         append([]obs.RunRecord(nil), s.records...),
+		Architecture:    s.Config.Name,
+		NumSMs:          s.Config.NumSMs,
+		Scale:           s.Params.Scale,
+		Seed:            s.Params.Seed,
+		Workers:         cap(s.sem),
+		CacheHits:       s.hits,
+		CacheMisses:     s.misses,
+		DiskHits:        s.diskHits,
+		DiskWriteErrors: s.diskWriteErrors,
+		WallSeconds:     time.Since(s.started).Seconds(),
+		Runs:            append([]obs.RunRecord(nil), s.records...),
 	}
 }
 

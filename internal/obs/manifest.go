@@ -43,9 +43,12 @@ type Manifest struct {
 	CacheMisses uint64 `json:"cache_misses"`
 	// DiskHits counts in-memory misses answered by the persistent disk
 	// cache without simulating (zero when no disk cache is attached).
-	DiskHits    uint64      `json:"disk_hits,omitempty"`
-	WallSeconds float64     `json:"wall_seconds"`
-	Runs        []RunRecord `json:"runs"`
+	DiskHits uint64 `json:"disk_hits,omitempty"`
+	// DiskWriteErrors counts result write-throughs the disk cache
+	// refused; those results will be simulated again after a restart.
+	DiskWriteErrors uint64      `json:"disk_write_errors,omitempty"`
+	WallSeconds     float64     `json:"wall_seconds"`
+	Runs            []RunRecord `json:"runs"`
 }
 
 // Write emits the manifest as JSON.

@@ -17,9 +17,10 @@
 // duration — so profiled runs are byte-identical to unprofiled runs.
 //
 // Overhead budget: with profiling on, the engine performs a handful of
-// clock reads per span (one per seam). An observation adds to a count
-// and a nanosecond sum — no allocation — so the steady-state cost is
-// the clock reads themselves (DESIGN.md "Self-profiling"). With
+// clock reads per span (one per seam), and on several domains one more
+// per SM a domain runs. An observation adds to a count and a
+// nanosecond sum — no allocation — so the steady-state cost is the
+// clock reads themselves (DESIGN.md "Self-profiling"). With
 // profiling off (a nil *Profiler on the GPU) the only cost is one nil
 // check per seam, and the span path stays allocation-free
 // (TestProfilerOffZeroCost).
@@ -43,9 +44,10 @@ const (
 	// the wall-clock from barrier entry to barrier exit.
 	PhaseDomainCompute Phase = iota
 	// PhaseBarrierWait is the summed per-shard barrier wait of one
-	// multi-domain span: for each shard, the span's wall-clock minus the
-	// time the shard spent stepping its own SMs. This is the CPU time
-	// the barrier wastes on imbalance. Never observed on one domain.
+	// multi-domain span: for each shard (one goroutine of the launch),
+	// the span's wall-clock minus the time it spent stepping the SMs it
+	// claimed. This is the CPU time the barrier wastes on imbalance.
+	// Never observed on one domain.
 	PhaseBarrierWait
 	// PhaseStagedCommit is the span replay: per cycle of the span, the
 	// memory events due (past the head's) plus store-log flushes and
@@ -98,13 +100,15 @@ func (t *total) add(ns int64) {
 	t.sumNS += ns
 }
 
-// shard is the per-domain slice of a multi-domain run's profile.
-// computeNS is the cross-goroutine seam: the shard's domain writes it
-// during a span and the engine reads it after the barrier — the
-// barrier's release/acquire pair orders the accesses, and the padding
-// keeps neighbouring shards' computeNS off one cache line.
+// shard is the per-domain slice of a multi-domain run's profile: one
+// goroutine of the launch, whichever SMs it claimed. computeNS is the
+// cross-goroutine seam: the domain adds to it during a span, before
+// each SM it ran counts as finished, and the engine reads and clears it
+// once every SM has — the finished count's release/acquire pair orders
+// the accesses, and the padding keeps neighbouring shards' computeNS
+// off one cache line.
 type shard struct {
-	computeNS int64 // this epoch's compute span; written by the shard's worker
+	computeNS int64 // this epoch's compute so far; written by the shard's domain
 	totalNS   int64 // cumulative compute
 	waitNS    int64 // cumulative barrier wait
 	_         [40]byte
@@ -116,9 +120,9 @@ type shard struct {
 // the run finishes.
 //
 // Concurrency: Observe* methods belong to the engine's own goroutine;
-// RecordShardCompute belongs to the shard's domain (each touches only
-// its own index, and the span barrier orders domain writes before
-// engine reads). Merge and Report must only run after the profiled
+// AddShardCompute belongs to the shard's domain (each touches only its
+// own index, and the span's end orders domain writes before engine
+// reads). Merge and Report must only run after the profiled
 // launch has returned.
 type Profiler struct {
 	clock Clock
@@ -154,40 +158,40 @@ func (p *Profiler) EnsureShards(n int) {
 	}
 }
 
-// RecordShardCompute stores the compute time of shard i for the
-// current span. Called by the shard's domain between barrier entry and
-// exit; the engine folds it in ObserveEpoch.
-func (p *Profiler) RecordShardCompute(i int, ns int64) {
+// AddShardCompute adds ns to shard i's compute time in the current
+// span. Called by the shard's domain, once per SM it ran, before that
+// SM counts as finished; the engine folds and clears it in
+// ObserveEpoch. A domain that ran no SM in a span adds nothing and
+// waits the whole span.
+func (p *Profiler) AddShardCompute(i int, ns int64) {
 	if ns < 0 {
 		ns = 0
 	}
-	p.shards[i].computeNS = ns
+	p.shards[i].computeNS += ns
 }
 
 // ObserveEpoch folds one multi-domain span ("epoch": one barrier): the
 // epoch's wall span [startNS, endNS) becomes a PhaseDomainCompute
-// observation, each shard's recorded compute adds to its compute
+// observation, each shard's compute in the span adds to its compute
 // total, and the remainder of the epoch span to its barrier wait. The
-// summed wait is also recorded under PhaseBarrierWait.
+// summed wait is also recorded under PhaseBarrierWait. The shards'
+// per-span compute is cleared for the next span.
 func (p *Profiler) ObserveEpoch(startNS, endNS int64, workers int) {
-	epochNS := endNS - startNS
-	if epochNS < 0 {
-		epochNS = 0
-	}
+	epochNS := max(endNS-startNS, 0)
 	p.phases[PhaseDomainCompute].add(epochNS)
 	var waitSum int64
 	for i := 0; i < workers && i < len(p.shards); i++ {
 		s := &p.shards[i]
-		c := s.computeNS
-		if c > epochNS {
-			c = epochNS // a straggler shard defines the epoch span
-		}
+		c := min(s.computeNS, epochNS) // a straggler shard defines the epoch span
 		w := epochNS - c
+		s.computeNS = 0
 		s.totalNS += c
 		s.waitNS += w
 		waitSum += w
 	}
-	p.phases[PhaseBarrierWait].add(waitSum)
+	// Each wait is at least 0 (c <= epochNS), so the sum needs no clamp.
+	p.phases[PhaseBarrierWait].count++
+	p.phases[PhaseBarrierWait].sumNS += waitSum
 	p.epochs++
 }
 

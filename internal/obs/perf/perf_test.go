@@ -34,13 +34,13 @@ func TestObserveEpochShardAccounting(t *testing.T) {
 	p.EnsureShards(2)
 
 	// Epoch of 100ns; shard 0 computed 80ns, shard 1 computed 30ns.
-	p.RecordShardCompute(0, 80)
-	p.RecordShardCompute(1, 30)
+	p.AddShardCompute(0, 80)
+	p.AddShardCompute(1, 30)
 	p.ObserveEpoch(0, 100, 2)
 
 	// A shard reporting more compute than the epoch span clamps.
-	p.RecordShardCompute(0, 500)
-	p.RecordShardCompute(1, 200)
+	p.AddShardCompute(0, 500)
+	p.AddShardCompute(1, 200)
 	p.ObserveEpoch(100, 300, 2)
 
 	clk.advance(300)
@@ -87,7 +87,7 @@ func TestProfilerMerge(t *testing.T) {
 	b.ObservePhase(PhaseMemsysDrain, 20)
 	b.ObservePhase(PhaseDispatch, 5)
 	b.EnsureShards(1)
-	b.RecordShardCompute(0, 7)
+	b.AddShardCompute(0, 7)
 	b.ObserveEpoch(0, 10, 1)
 
 	a.Merge(b)
@@ -110,7 +110,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	clk := &fakeClock{}
 	p := New(clk.now)
 	p.EnsureShards(1)
-	p.RecordShardCompute(0, 40)
+	p.AddShardCompute(0, 40)
 	p.ObserveEpoch(0, 50, 1)
 	clk.advance(50)
 	r := p.Report()
@@ -146,13 +146,35 @@ func TestPhaseNamesStable(t *testing.T) {
 	}
 }
 
+// TestShardComputeAddsWithinEpoch: a domain adds the compute of every
+// SM it ran in a span, and the fold clears it, so a domain that claims
+// nothing in the next span waits all of it.
+func TestShardComputeAddsWithinEpoch(t *testing.T) {
+	p := New((&fakeClock{}).now)
+	p.EnsureShards(2)
+	p.AddShardCompute(0, 30)
+	p.AddShardCompute(0, 20)
+	p.ObserveEpoch(0, 100, 2)
+	p.ObserveEpoch(100, 150, 2)
+	r := p.Report()
+	if s := r.Shards[0]; s.ComputeNS != 50 || s.WaitNS != 100 {
+		t.Errorf("shard 0 = %+v, want compute 50 wait 50+50", s)
+	}
+	if s := r.Shards[1]; s.ComputeNS != 0 || s.WaitNS != 150 {
+		t.Errorf("shard 1 = %+v, want compute 0 wait 100+50", s)
+	}
+	if got := r.PhaseTotalNS("barrier_wait"); got != 250 {
+		t.Errorf("barrier_wait = %d, want 250", got)
+	}
+}
+
 func TestObservePhaseAllocFree(t *testing.T) {
 	clk := &fakeClock{}
 	p := New(clk.now)
 	p.EnsureShards(4)
 	allocs := testing.AllocsPerRun(1000, func() {
 		p.ObservePhase(PhaseMemsysDrain, 123)
-		p.RecordShardCompute(2, 50)
+		p.AddShardCompute(2, 50)
 		p.ObserveEpoch(0, 100, 4)
 	})
 	if allocs != 0 {

@@ -89,6 +89,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	count("cawa_session_cache_hits_total", hits)
 	count("cawa_session_cache_misses_total", misses)
 	count("cawa_session_disk_hits_total", s.sess.DiskHits())
+	count("cawa_session_disk_write_errors_total", s.sess.DiskWriteErrors())
 	count("cawa_session_warm_resumes_total", s.sess.WarmResumes())
 	m := s.sess.Manifest()
 	count("cawa_session_runs_total", uint64(len(m.Runs)))

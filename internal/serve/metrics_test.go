@@ -77,6 +77,7 @@ func TestServeMetricsSkeleton(t *testing.T) {
 	family("cawa_session_cache_hits_total", "counter")
 	family("cawa_session_cache_misses_total", "counter")
 	family("cawa_session_disk_hits_total", "counter")
+	family("cawa_session_disk_write_errors_total", "counter")
 	family("cawa_session_warm_resumes_total", "counter")
 	family("cawa_session_runs_total", "counter")
 	family("cawa_session_wall_seconds_total", "counter")
