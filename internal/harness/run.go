@@ -114,12 +114,13 @@ func (r *Result) snapshotGPU(g *gpu.GPU) {
 	r.WarpL1Accesses = make(map[int32]uint64)
 	r.WarpL1Hits = make(map[int32]uint64)
 	for _, s := range g.SMs() {
-		l1 := s.L1D()
-		for gid, a := range l1.WarpAccesses {
-			r.WarpL1Accesses[gid] += a
-		}
-		for gid, h := range l1.WarpHits {
-			r.WarpL1Hits[gid] += h
+		for _, w := range s.L1D().Warps() {
+			if w.Accesses != 0 {
+				r.WarpL1Accesses[w.GID] += w.Accesses
+			}
+			if w.Hits != 0 {
+				r.WarpL1Hits[w.GID] += w.Hits
+			}
 		}
 	}
 }

@@ -81,17 +81,10 @@ func (l *L1D) Archive(a *state.Archive) {
 		return
 	}
 	l.cache.Archive(a)
-	state.Map(a, &l.mshr, state.IntElem[int64], func(p **mshrEntry, a *state.Archive) {
-		if a.Loading() {
-			*p = &mshrEntry{}
-		}
-		(*p).req.Archive(a)
-		state.Slice(a, &(*p).tokens, state.IntElem[int64])
-	})
+	l.mshr.archive(a)
 	if a.Loading() {
 		l.fills++
 	}
 	state.Int(a, &l.LoadAccesses, &l.StoreAccesses, &l.LoadMisses, &l.StoreMisses, &l.Rejects)
-	state.Map(a, &l.WarpAccesses, state.IntElem[int32], state.IntElem[uint64])
-	state.Map(a, &l.WarpHits, state.IntElem[int32], state.IntElem[uint64])
+	l.warps.archive(a)
 }

@@ -188,7 +188,7 @@ func TestSpanFillStaleDelivery(t *testing.T) {
 	// Force staleness the way store forwarding does: the entry retires
 	// before the fill arrives.
 	line := l1.cache.BlockAddr(0x4000)
-	delete(l1.mshr, line)
+	l1.mshr.take(line)
 
 	col.now = ft
 	l1.DeliverSpanFills(ft)

@@ -343,7 +343,7 @@ type L1D struct {
 	sys    *System
 	id     int // index in sys.l1s
 	cache  *cache.Cache
-	mshr   map[int64]*mshrEntry
+	mshr   mshrTable    // in-flight misses by line address (tables.go)
 	free   []*mshrEntry // retired MSHR entries, recycled with their token arrays
 	fill   FillHandler
 	cfgref config.CacheConfig
@@ -367,9 +367,8 @@ type L1D struct {
 	Rejects       uint64
 
 	// Per-warp access/hit counts for critical-warp hit-rate analysis
-	// (Figure 14).
-	WarpAccesses map[int32]uint64
-	WarpHits     map[int32]uint64
+	// (Figure 14; Warps).
+	warps warpTable
 
 	// AccessListener, when non-nil, observes every accepted access
 	// (after hit/miss resolution but before timing). Reuse-distance
@@ -382,14 +381,12 @@ type L1D struct {
 // invoked when outstanding misses complete.
 func (s *System) NewL1D(policy cache.Policy, fill FillHandler) *L1D {
 	l := &L1D{
-		sys:          s,
-		id:           len(s.l1s),
-		cache:        cache.New(s.cfg.L1D, policy),
-		mshr:         make(map[int64]*mshrEntry),
-		fill:         fill,
-		cfgref:       s.cfg.L1D,
-		WarpAccesses: make(map[int32]uint64),
-		WarpHits:     make(map[int32]uint64),
+		sys:    s,
+		id:     len(s.l1s),
+		cache:  cache.New(s.cfg.L1D, policy),
+		mshr:   newMSHRTable(s.cfg.L1D.MSHRs),
+		fill:   fill,
+		cfgref: s.cfg.L1D,
 	}
 	s.l1s = append(s.l1s, l)
 	return l
@@ -406,8 +403,9 @@ func (l *L1D) AccessLoad(req cache.Request, token int64, now int64) Outcome {
 	if set, way, hit := l.cache.Probe(req.Addr); hit {
 		l.cache.Touch(set, way, req)
 		l.LoadAccesses++
-		l.WarpAccesses[int32(req.Warp)]++
-		l.WarpHits[int32(req.Warp)]++
+		c := l.warps.at(int32(req.Warp))
+		c.accesses++
+		c.hits++
 		if l.AccessListener != nil {
 			l.AccessListener(req, true)
 		}
@@ -415,14 +413,14 @@ func (l *L1D) AccessLoad(req cache.Request, token int64, now int64) Outcome {
 	}
 	// Miss path: make sure it can be accepted before counting anything,
 	// so that rejected-and-retried accesses are not double counted.
-	if entry, ok := l.mshr[line]; ok {
+	if entry := l.mshr.get(line); entry != nil {
 		if len(entry.tokens) >= l.cfgref.MSHRTargets {
 			l.Rejects++
 			return Reject
 		}
 		l.cache.Access(req)
 		l.LoadAccesses++
-		l.WarpAccesses[int32(req.Warp)]++
+		l.warps.at(int32(req.Warp)).accesses++
 		l.LoadMisses++
 		entry.tokens = append(entry.tokens, token)
 		if l.AccessListener != nil {
@@ -430,13 +428,13 @@ func (l *L1D) AccessLoad(req cache.Request, token int64, now int64) Outcome {
 		}
 		return Miss
 	}
-	if len(l.mshr) >= l.cfgref.MSHRs {
+	if l.mshr.n >= l.cfgref.MSHRs {
 		l.Rejects++
 		return Reject
 	}
 	l.cache.Access(req)
 	l.LoadAccesses++
-	l.WarpAccesses[int32(req.Warp)]++
+	l.warps.at(int32(req.Warp)).accesses++
 	l.LoadMisses++
 	var entry *mshrEntry
 	if n := len(l.free); n > 0 {
@@ -448,7 +446,7 @@ func (l *L1D) AccessLoad(req cache.Request, token int64, now int64) Outcome {
 		entry = &mshrEntry{req: req, tokens: make([]int64, 1, 8)} // pool growth; entries recycle through the free list
 		entry.tokens[0] = token
 	}
-	l.mshr[line] = entry
+	l.mshr.put(line, entry)
 	l.emitL2(now, line, req)
 	if l.AccessListener != nil {
 		l.AccessListener(req, false)
@@ -463,9 +461,10 @@ func (l *L1D) AccessStore(req cache.Request, now int64) Outcome {
 	req.Write = true
 	line := l.cache.BlockAddr(req.Addr)
 	l.StoreAccesses++
-	l.WarpAccesses[int32(req.Warp)]++
+	c := l.warps.at(int32(req.Warp))
+	c.accesses++
 	if l.cache.Access(req) {
-		l.WarpHits[int32(req.Warp)]++
+		c.hits++
 		if l.AccessListener != nil {
 			l.AccessListener(req, true)
 		}
@@ -482,11 +481,10 @@ func (l *L1D) AccessStore(req cache.Request, now int64) Outcome {
 // handleFill completes an outstanding miss: installs the line and
 // notifies the SM about every merged load.
 func (l *L1D) handleFill(lineAddr int64, now int64) {
-	entry, ok := l.mshr[lineAddr]
-	if !ok {
+	entry := l.mshr.take(lineAddr)
+	if entry == nil {
 		return // stale fill (e.g. store forwarding); nothing waits on it
 	}
-	delete(l.mshr, lineAddr)
 	l.fills++
 	l.sys.FillsDelivered++
 	ev := l.cache.Fill(entry.req)
@@ -520,7 +518,7 @@ func (l *L1D) CanAccept(lines []int64) bool { return l.Deficit(lines) == 0 }
 func (l *L1D) Deficit(lines []int64) int {
 	// Fast path: with no outstanding misses there is nothing to merge
 	// into, so acceptance only needs free MSHR entries.
-	if len(l.mshr) == 0 && len(lines) <= l.cfgref.MSHRs {
+	if l.mshr.n == 0 && len(lines) <= l.cfgref.MSHRs {
 		return 0
 	}
 	newEntries, full := 0, 0
@@ -528,7 +526,7 @@ func (l *L1D) Deficit(lines []int64) int {
 		if _, _, hit := l.cache.Probe(la); hit {
 			continue
 		}
-		if entry, ok := l.mshr[la]; ok {
+		if entry := l.mshr.get(la); entry != nil {
 			if len(entry.tokens) >= l.cfgref.MSHRTargets {
 				full = 1
 			}
@@ -536,7 +534,7 @@ func (l *L1D) Deficit(lines []int64) int {
 		}
 		newEntries++
 	}
-	return max(len(l.mshr)+newEntries-l.cfgref.MSHRs, full, 0)
+	return max(l.mshr.n+newEntries-l.cfgref.MSHRs, full, 0)
 }
 
 // Fills counts retired MSHR entries, the clock of Deficit. A loading
@@ -544,7 +542,11 @@ func (l *L1D) Deficit(lines []int64) int {
 func (l *L1D) Fills() uint64 { return l.fills }
 
 // MSHROccupancy returns the number of in-flight miss lines.
-func (l *L1D) MSHROccupancy() int { return len(l.mshr) }
+func (l *L1D) MSHROccupancy() int { return l.mshr.n }
+
+// Warps returns every warp's L1D access and hit counts, in ascending
+// warp id order; a warp that never accessed the L1D is absent.
+func (l *L1D) Warps() []WarpL1 { return l.warps.sorted() }
 
 // MPKI returns L1D misses per thousand instructions, given the committed
 // instruction count of the owning SM's warps.

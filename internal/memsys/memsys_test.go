@@ -241,8 +241,8 @@ func TestPerWarpCounters(t *testing.T) {
 	l1.Cache().Fill(cache.Request{Addr: 0})
 	l1.AccessLoad(cache.Request{Addr: 0, Warp: 3}, 1, 1)    // hit
 	l1.AccessLoad(cache.Request{Addr: 4096, Warp: 3}, 2, 1) // miss
-	if l1.WarpAccesses[3] != 2 || l1.WarpHits[3] != 1 {
-		t.Fatalf("warp counters: %d/%d", l1.WarpAccesses[3], l1.WarpHits[3])
+	if w := l1.Warps(); len(w) != 1 || w[0] != (WarpL1{GID: 3, Accesses: 2, Hits: 1}) {
+		t.Fatalf("warp counters: %+v, want warp 3 with 2 accesses and 1 hit", w)
 	}
 	if got := l1.MPKI(1000); got != 1 {
 		t.Fatalf("MPKI = %v", got)

@@ -126,13 +126,13 @@ func rawDeficit(l *L1D, lines []int64) int {
 		if _, _, hit := l.cache.Probe(la); hit {
 			continue
 		}
-		if e, pending := l.mshr[la]; !pending {
+		if e := l.mshr.get(la); e == nil {
 			need++
 		} else if len(e.tokens) == l.cfgref.MSHRTargets {
 			full = 1
 		}
 	}
-	return max(need-(l.cfgref.MSHRs-len(l.mshr)), full, 0)
+	return max(need-(l.cfgref.MSHRs-l.mshr.n), full, 0)
 }
 
 // TestRefusalStandsUntilFills is the contract the SM's reject memo

@@ -98,8 +98,7 @@ func (l *L1D) DeliverSpanFills(now int64) {
 		p := l.plan[l.planHead]
 		l.planHead++
 		rec := spanFill{time: p.time, addr: p.addr, victim: -1}
-		if entry, ok := l.mshr[p.addr]; ok {
-			delete(l.mshr, p.addr)
+		if entry := l.mshr.take(p.addr); entry != nil {
 			l.fills++
 			ev := l.cache.Fill(entry.req)
 			if ev.Valid && ev.Dirty {

@@ -28,4 +28,14 @@ func (p *TwoLevel) Archive(a *state.Archive) {
 	state.Int(a, &p.groupSize, &p.rr.last)
 	state.Slice(a, &p.active, state.IntElem[int])
 	state.Slice(a, &p.pending, state.IntElem[int])
+	if a.Loading() {
+		clear(p.member)
+		for _, s := range p.active {
+			if s < 0 || s >= 1<<16 {
+				a.Failf("sched: active slot %d out of range", s)
+				return
+			}
+			p.mark(s, true)
+		}
+	}
 }

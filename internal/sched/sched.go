@@ -171,7 +171,11 @@ const DefaultActiveGroup = 8
 type TwoLevel struct {
 	groupSize int
 	active    []int
-	pending   []int
+	// member holds slot s's bit while s is in active, so Select's
+	// ready∩active filter tests membership in O(1); a loading Archive
+	// rebuilds it.
+	member  []uint64
+	pending []int
 	// ready is the reused scratch buffer for the per-cycle
 	// ready∩active filter; Select would otherwise allocate every call.
 	ready []int
@@ -198,6 +202,7 @@ func (p *TwoLevel) Select(ctx *Context) int {
 	for _, s := range p.active {
 		if ctx.WaitingMem(s) {
 			p.pending = append(p.pending, s)
+			p.mark(s, false)
 		} else {
 			kept = append(kept, s)
 		}
@@ -211,6 +216,7 @@ func (p *TwoLevel) Select(ctx *Context) int {
 			continue
 		}
 		p.active = append(p.active, s)
+		p.mark(s, true)
 	}
 	// Round-robin among ready warps restricted to the active set,
 	// collected into the policy's reused scratch buffer.
@@ -227,18 +233,28 @@ func (p *TwoLevel) Select(ctx *Context) int {
 }
 
 func (p *TwoLevel) inActive(slot int) bool {
-	for _, s := range p.active {
-		if s == slot {
-			return true
-		}
+	w := slot >> 6
+	return w < len(p.member) && p.member[w]&(1<<(uint(slot)&63)) != 0
+}
+
+// mark records whether slot is in the active set.
+func (p *TwoLevel) mark(slot int, in bool) {
+	w := slot >> 6
+	for w >= len(p.member) {
+		p.member = append(p.member, 0)
 	}
-	return false
+	if in {
+		p.member[w] |= 1 << (uint(slot) & 63)
+	} else {
+		p.member[w] &^= 1 << (uint(slot) & 63)
+	}
 }
 
 // OnWarpArrived implements Policy.
 func (p *TwoLevel) OnWarpArrived(slot int) {
 	if len(p.active) < p.groupSize {
 		p.active = append(p.active, slot)
+		p.mark(slot, true)
 	} else {
 		p.pending = append(p.pending, slot)
 	}
@@ -248,6 +264,7 @@ func (p *TwoLevel) OnWarpArrived(slot int) {
 func (p *TwoLevel) OnWarpFinished(slot int) {
 	p.active = remove(p.active, slot)
 	p.pending = remove(p.pending, slot)
+	p.mark(slot, false)
 }
 
 func remove(s []int, v int) []int {

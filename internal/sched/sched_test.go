@@ -1,8 +1,12 @@
 package sched
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"cawa/internal/state"
 )
 
 // mkCtx builds a selection context with fixed ages (slot index = age)
@@ -243,4 +247,60 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 		}
 	}()
 	Register("lrr", func() Policy { return NewLRR() })
+}
+
+// TestTwoLevelMembershipTracksActive drives the two-level policy through
+// random arrivals, finishes and selects, with some warps waiting on
+// memory: its membership bitset must name exactly the active list at
+// every step, and a policy loaded from its Archive must agree too.
+func TestTwoLevelMembershipTracksActive(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	p := NewTwoLevel(4)
+	waiting := map[int]bool{}
+	resident := map[int]bool{}
+	ctx := &Context{
+		Age:         func(s int) int64 { return int64(s) },
+		Criticality: func(int) float64 { return 0 },
+		WaitingMem:  func(s int) bool { return waiting[s] },
+	}
+	check := func(q *TwoLevel, step int) {
+		for s := 0; s < 80; s++ {
+			if got, want := q.inActive(s), slices.Contains(q.active, s); got != want {
+				t.Fatalf("step %d: slot %d member=%v, active %v", step, s, got, q.active)
+			}
+		}
+	}
+	for step := 0; step < 5000; step++ {
+		s := rng.Intn(80)
+		switch r := rng.Intn(4); {
+		case r == 0 && !resident[s]:
+			resident[s] = true
+			p.OnWarpArrived(s)
+		case r == 1 && resident[s]:
+			delete(resident, s)
+			p.OnWarpFinished(s)
+		case r == 2:
+			waiting[s] = !waiting[s]
+		default:
+			ctx.Ready = ctx.Ready[:0]
+			for i := 0; i < 80; i++ {
+				if resident[i] && !waiting[i] {
+					ctx.Ready = append(ctx.Ready, i)
+				}
+			}
+			p.Select(ctx)
+		}
+		check(p, step)
+		if step%500 == 0 {
+			save := state.NewSaver(0)
+			p.Archive(save)
+			q := NewTwoLevel(4)
+			q.OnWarpArrived(79) // stale membership the load must clear
+			load := state.NewLoader(save.Bytes())
+			if q.Archive(load); load.Err() != nil {
+				t.Fatal(load.Err())
+			}
+			check(q, step)
+		}
+	}
 }

@@ -377,7 +377,7 @@ func execALU(w *Warp, mask uint64, in isa.Instr, ctx *ExecContext) {
 	case isa.OpFMad:
 		for m := mask; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
-			d[l] = isa.F2B(isa.B2F(a[l])*isa.B2F(b[l]) + isa.B2F(d[l]))
+			d[l] = isa.F2B(float64(isa.B2F(a[l])*isa.B2F(b[l])) + isa.B2F(d[l]))
 		}
 	case isa.OpFDiv:
 		for m := mask; m != 0; m &= m - 1 {

@@ -26,9 +26,8 @@ import (
 //     stall cycles parked warps are owed. A saver settles the debt into
 //     the warp records first, so the stream holds what ticking every
 //     warp every cycle would have written; a loader makes every resident
-//     warp an unparked candidate and the first tick re-parks the blocked.
-//     Nor are the standing verdicts: a loader's SetKernel counts an
-//     event, so every unit's first tick runs a full readiness pass.
+//     warp an unparked, fresh candidate, so the first tick runs
+//     readiness on every one and re-parks the blocked.
 //   - Block execution contexts: a loader rebuilds them against the SM's
 //     current memory and store-log wiring (the span engine binds a log
 //     per SM, the ticked oracle none; a checkpoint restores onto either).
@@ -70,9 +69,9 @@ func (m *SM) Archive(a *state.Archive, k *simt.Kernel) {
 		a.Words(blk.shared)
 	})
 	if loading {
-		m.live.clear()
-		m.cand.clear()
-		m.wbPending.clear()
+		for _, set := range []slotSet{m.live, m.cand, m.fresh, m.open, m.gated, m.lsuWait, m.fetchWait, m.wbPending} {
+			set.clear()
+		}
 		m.freeSlots = len(m.slots)
 	}
 	if n := a.Len(len(m.slots)); n != len(m.slots) {
@@ -115,6 +114,7 @@ func (m *SM) Archive(a *state.Archive, k *simt.Kernel) {
 			// clears its classification (readiness).
 			m.freeSlots--
 			m.cand.add(i)
+			m.fresh.add(i)
 			if !s.done {
 				m.live.add(i)
 			}

@@ -53,21 +53,18 @@ func (m *SM) Cycle(now int64) int64 {
 		m.storeLog.SetCycle(now)
 	}
 	m.retireWritebacks(now)
-	// issueFrom's time condition: no skipped cycle, no busy time expiring.
-	steady := m.ticked == now-1 && m.lsuBusyUntil != now && m.icBusy != now
-	m.ticked = now
+	m.reopenGates(now)
 	anyReady, events := false, m.events
 	for u := range m.units {
-		if m.issueFrom(&m.units[u], now, steady) {
+		if m.issueFrom(&m.units[u], now) {
 			anyReady = true
 		}
 	}
-	m.accountStalls(now)
 	if !anyReady {
 		return m.nextWake(now)
 	}
-	// A tick that moved the event count (an issue, a park) leaves some
-	// unit's pass behind it: it cannot be slept after.
+	// A tick that moved the event count (an issue, a park, a wake, an
+	// I-miss) leaves some verdict to re-run: it cannot be slept after.
 	if m.sleeps && m.events == events && m.fallAsleep(now) {
 		return m.nextWake(now)
 	}
@@ -96,21 +93,18 @@ func (m *SM) nextWake(now int64) int64 {
 
 // AccountSkipped lives through span cycles at once, the cycles after
 // the last one the SM saw, which its last Cycle return allowed the
-// caller to skip. It advances the cycle latch past them and accounts
-// them as ticking would have.
+// caller to skip. It advances the cycle latch past them.
 //
 // A sleeping SM owes them as refused ticks (sleep.go): they join its
-// debt at O(1). Otherwise no scheduler had a ready warp, and the span
-// is credited to every candidate's stall bucket under its last
-// classification, which cannot change during the span because nothing
-// issues, fills, or retires in it (the engine clamps the span to the
-// next writeback, fetch/LSU release, and fill). Parked warps need
-// nothing, nor does a candidate still owed cycles from a park
-// (slot.since, as in accountStalls): those cycles are part of the debt
-// the warp's next evaluation settles. No other SM state needs touching:
-// readiness probes the I-cache only after the operand checks pass, and
-// a warp whose operands clear or whose fetch path opens ends the span,
-// so ticking performs zero I-cache probes across these cycles too.
+// debt at O(1). Otherwise no scheduler had a ready warp, and every warp
+// keeps its verdict through the span, because nothing issues, fills, or
+// retires in it (the engine clamps the span to the next writeback,
+// fetch/LSU release, and fill): the span joins each warp's lazily
+// accrued debt (readiness.go) with no per-warp work. No other SM state
+// needs touching: readiness probes the I-cache only after the operand
+// checks pass, and a warp whose operands clear or whose fetch path opens
+// ends the span, so ticking performs zero I-cache probes across these
+// cycles too.
 func (m *SM) AccountSkipped(span int64) {
 	if span <= 0 {
 		return
@@ -118,15 +112,6 @@ func (m *SM) AccountSkipped(span int64) {
 	m.cycle += span
 	if m.asleep {
 		m.owed += span
-		return
-	}
-	for w, word := range m.cand {
-		for ; word != 0; word &= word - 1 {
-			s := &m.slots[w<<6|bits.TrailingZeros64(word)]
-			if s.since < 0 {
-				s.creditStall(s.reason, span)
-			}
-		}
 	}
 }
 
@@ -191,11 +176,12 @@ func (m *SM) pushWB(i int, s *slot, t int64, reg isa.Reg) {
 	}
 }
 
-// readiness evaluates whether candidate slot i can issue at now and
-// records the stall classification. A warp that fails an
-// operand check is parked (readiness.go). MSHR capacity is not checked
-// here (it is checked once at issue time); a rejected issue demotes the
-// slot to a structural memory stall for the cycle.
+// readiness evaluates whether fresh candidate slot i can issue at now,
+// records its verdict and files it in the set that verdict belongs to
+// (readiness.go). A warp that fails an operand check is parked. MSHR
+// capacity is not checked here (it is checked once at issue time); a
+// rejected issue demotes the slot to a structural memory stall for the
+// cycle.
 //
 // The instruction fetch is checked last, after the operand and LSU
 // hazards: an operand-blocked warp performs no I-cache probe. This
@@ -204,6 +190,7 @@ func (m *SM) pushWB(i int, s *slot, t int64, reg isa.Reg) {
 // span either becomes ready (ending the span) or takes an I-miss,
 // which sets icBusy and therefore bounds the span at its own cycle.
 func (m *SM) readiness(i int, now int64) bool {
+	m.fresh.remove(i)
 	s := &m.slots[i]
 	if !s.valid || s.done {
 		// The warp finished at its last issue. It leaves the set here,
@@ -213,10 +200,6 @@ func (m *SM) readiness(i int, now int64) bool {
 		m.cand.remove(i)
 		m.events++
 		return false
-	}
-	if s.since >= 0 {
-		s.creditStall(s.reason, now-s.since)
-		s.since = notAccruing
 	}
 	if s.atBarrier {
 		m.park(i, s, reasonBarrier, now)
@@ -232,46 +215,64 @@ func (m *SM) readiness(i int, now int64) bool {
 		return false
 	}
 	if md.LSUGated && m.lsuBusyUntil > now {
-		s.reason = reasonMemStruct
+		s.setVerdict(reasonMemStruct, now)
+		m.lsuWait.add(i)
 		return false
 	}
 	if !m.fetch(s, now) {
-		s.reason = reasonMemStruct
+		s.setVerdict(reasonMemStruct, now)
+		m.fetchWait.add(i)
 		return false
 	}
-	s.reason = reasonReady
+	s.setVerdict(reasonReady, now)
 	s.readyCycle = now
+	m.open.add(i)
+	if md.LSUGated {
+		m.gated.add(i)
+	} else {
+		m.gated.remove(i)
+	}
 	return true
 }
 
 // issueFrom lets one scheduler unit pick and issue a warp (offer),
 // returning whether any of its warps was issuable this cycle.
 //
-// While the SM is steady and its event count has not moved since the
-// unit's last readiness pass began, that pass's verdicts stand
-// (readiness.go): the unit re-offers its ready list with the pass's side
-// effects, the ready stamps and each warp's L1I hit in slot order.
-func (m *SM) issueFrom(u *schedUnit, now int64, steady bool) bool {
-	if u.stood = steady && u.seen == m.events; u.stood {
-		for _, i := range u.stand {
+// The unit's ready list is built in ascending slot order: readiness runs
+// on its fresh warps, and its open warps stand — each is stamped ready
+// and replays its L1I hit — unless the LSU is busy, which moves the
+// LSU-gated ones to lsuWait. A fresh warp's I-miss moves every open warp
+// to fresh (fetch), so the open warps after it in the pass are evaluated
+// too.
+func (m *SM) issueFrom(u *schedUnit, now int64) bool {
+	u.list = u.list[:0]
+	lsuBusy := m.lsuBusyUntil > now
+	for w, own := range u.owned {
+		for word := own & (m.fresh[w] | m.open[w]); word != 0; word &= word - 1 {
+			bit := word & -word
+			i := w<<6 | bits.TrailingZeros64(word)
+			if m.fresh[w]&bit != 0 {
+				if m.readiness(i, now) {
+					u.list = append(u.list, i)
+				}
+				continue
+			}
 			s := &m.slots[i]
-			s.reason = reasonReady
+			if lsuBusy && m.gated[w]&bit != 0 {
+				s.setVerdict(reasonMemStruct, now)
+				m.open[w] &^= bit
+				m.lsuWait[w] |= bit
+				continue
+			}
+			if s.reason != reasonReady {
+				s.setVerdict(reasonReady, now) // refused at its last tick
+			}
 			s.readyCycle = now
 			m.l1i.Touch(int(s.icSet), int(s.icWay), cache.Request{Addr: int64(s.pc) * instrBytes})
-		}
-	} else {
-		u.seen = m.events
-		u.stand = u.stand[:0]
-		for w, own := range u.owned {
-			for word := own & m.cand[w]; word != 0; word &= word - 1 {
-				i := w<<6 | bits.TrailingZeros64(word)
-				if m.readiness(i, now) {
-					u.stand = append(u.stand, i)
-				}
-			}
+			u.list = append(u.list, i)
 		}
 	}
-	if len(u.stand) == 0 {
+	if len(u.list) == 0 {
 		return false
 	}
 	m.offer(u, now, false)
@@ -286,11 +287,12 @@ const maxRejects = 2
 // offer lets the unit's policy pick from its ready list until a pick
 // issues. A pick whose memory access cannot be accepted (MSHR full) is
 // reclassified as a structural stall and struck from a copy of the list
-// (stand must outlive the tick), and the policy re-selects, bounding
-// retries by maxRejects. A replay (sleep.go) issues nothing: it logs
-// each pick in u.pickLog and treats it as refused.
+// (list must outlive the tick: a sleep replays it), and the policy
+// re-selects, bounding retries by maxRejects. A replay (sleep.go) issues
+// nothing and leaves the stall debts alone: it logs each pick in
+// u.pickLog and treats it as refused.
 func (m *SM) offer(u *schedUnit, now int64, replay bool) {
-	ready := u.stand
+	ready := u.list
 	for rejects := 0; len(ready) > 0 && rejects <= maxRejects; rejects++ {
 		u.ctx.Cycle = now
 		u.ctx.Ready = ready
@@ -305,7 +307,11 @@ func (m *SM) offer(u *schedUnit, now int64, replay bool) {
 			return
 		}
 		s := &m.slots[pick]
-		s.reason = reasonMemStruct
+		if replay {
+			s.reason = reasonMemStruct
+		} else {
+			s.setVerdict(reasonMemStruct, now)
+		}
 		s.readyCycle = -1
 		if rejects == 0 {
 			ready = u.ready[:copy(u.ready[:cap(u.ready)], ready)]
@@ -327,6 +333,12 @@ func (m *SM) tryIssue(i int, now int64) bool {
 		return false
 	}
 	m.events++
+	// The issue settles the warp's debt; the issuing cycle is no stall,
+	// and the warp owes nothing more until readiness re-runs on it.
+	s.settleDebt(now)
+	s.since = notAccruing
+	m.fresh.add(i)
+	m.open.remove(i)
 
 	stall := now - s.lastIssue - 1
 	if stall < 0 {
@@ -585,25 +597,6 @@ func (m *SM) retireBlock(blk *blockState, now int64) {
 	}
 	if m.OnBlockDone != nil {
 		m.OnBlockDone(blk.id, now)
-	}
-}
-
-// accountStalls classifies this cycle for every candidate warp that did
-// not issue (Figures 2c and 4; CPL's stall term sees the same cycles
-// via the per-issue stall delta). Parked warps, and a warp woken after
-// its unit's turn this tick, are owed the cycle instead (slot.since).
-func (m *SM) accountStalls(now int64) {
-	for w, word := range m.cand {
-		for ; word != 0; word &= word - 1 {
-			s := &m.slots[w<<6|bits.TrailingZeros64(word)]
-			switch {
-			case s.since >= 0 || s.issuedCycle == now:
-			case s.readyCycle == now:
-				s.rec.SchedStall++
-			default:
-				s.creditStall(s.reason, 1)
-			}
-		}
 	}
 }
 

@@ -100,6 +100,7 @@ func (m *SM) DispatchBlock(blockID, gidBase int, now int64) {
 		blk.live++
 		m.live.add(i)
 		m.cand.add(i)
+		m.fresh.add(i)
 		m.freeSlots--
 		m.units[i%len(m.units)].policy.OnWarpArrived(i)
 		m.crit.OnWarpArrived(i, w)

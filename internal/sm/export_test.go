@@ -21,19 +21,22 @@ func Settle(m *SM) { m.settle() }
 
 // SleepView is what a settle must leave exactly as ticking would.
 type SleepView struct {
-	Stalls   [][5]int64 // per occupied slot: sched, mem, ALU, barrier, empty
+	Stalls   [][5]int64 // per occupied slot: sched, mem, ALU, barrier, empty, owed cycles included
 	Ready    [][2]int64 // per occupied slot: classification, ready stamp
 	L1I      []uint64   // accesses, hits, misses, then each line's LRU stamp and refs
 	Policies [][]byte   // each unit's policy Archive bytes
 }
 
-// ViewSleep returns m's SleepView without settling first.
+// ViewSleep returns m's SleepView without settling its refused ticks
+// first. The stall buckets include the cycles each warp owes lazily
+// (readiness.go), which a ticking SM and a settled one split between
+// record and debt differently.
 func ViewSleep(m *SM) SleepView {
 	var v SleepView
 	for i := range m.slots {
 		if s := &m.slots[i]; s.valid {
-			r := &s.rec
-			v.Stalls = append(v.Stalls, [5]int64{r.SchedStall, r.MemStall, r.ALUStall, r.BarrierStall, r.EmptyStall})
+			b := m.effective(s)
+			v.Stalls = append(v.Stalls, [5]int64{b.Sched, b.Mem, b.ALU, b.Barrier, b.Empty})
 			v.Ready = append(v.Ready, [2]int64{int64(s.reason), s.readyCycle})
 		}
 	}

@@ -2,7 +2,6 @@ package sm
 
 import (
 	"fmt"
-	"slices"
 
 	"cawa/internal/stats"
 )
@@ -13,10 +12,11 @@ import (
 // the SM; this checker can. After a tick it recomputes, from the raw
 // slot state alone (scoreboards, barrier flag, writeback queues, and a
 // read-only L1I Probe for standing verdicts), everything the SM
-// maintains incrementally, and it
-// keeps a shadow of the per-warp stall buckets advanced the way the
-// all-slot accountStalls/AccountSkipped advanced them before readiness
-// became event-driven: one bucket per warp per cycle.
+// maintains incrementally: every verdict that stands into the next tick
+// must equal a fresh readiness run there. It keeps a shadow of the
+// per-warp stall buckets advanced the way an all-slot loop advanced them
+// before readiness became event-driven — one bucket per warp per cycle —
+// and every lazily accrued record, settled, must equal it.
 //
 // It lives in a _test.go file on purpose: the from-scratch classifier is
 // the deleted rescan, and it must not be reachable from the simulator.
@@ -32,7 +32,7 @@ type ReadinessChecker struct {
 	// ticks at 1).
 	Residency bool
 
-	// Standing counts the re-offered ready lists checkStanding rebuilt.
+	// Standing counts the standing verdicts checkStanding re-derived.
 	Standing int
 }
 
@@ -41,6 +41,8 @@ type stallBuckets struct{ Sched, Mem, ALU, Barrier, Empty int64 }
 
 func (b *stallBuckets) credit(reason stallReason, n int64) {
 	switch reason {
+	case reasonReady:
+		b.Sched += n
 	case reasonBarrier:
 		b.Barrier += n
 	case reasonMemData, reasonMemStruct:
@@ -120,6 +122,9 @@ func (c *ReadinessChecker) Invariants() error {
 		if m.wbPending.has(i) != (len(s.wb) > 0) {
 			return fmt.Errorf("sm %d slot %d: wbPending says %v, queue holds %d",
 				m.ID, i, m.wbPending.has(i), len(s.wb))
+		}
+		if err := c.checkSets(i); err != nil {
+			return err
 		}
 		if len(s.wb) > 0 {
 			first := NoWake
@@ -214,55 +219,98 @@ func (c *ReadinessChecker) AfterTick(now int64) error {
 	return c.Invariants()
 }
 
-// checkStanding rebuilds, for every unit whose last readiness pass
-// would stand at the next cycle — the SM's event count has not moved
-// since the pass began, and neither busy time crosses that cycle — the
-// ready list a full pass at that cycle would build, from the raw slot
+// checkSets checks slot i's membership of the candidate partition:
+// a candidate sits in exactly one of fresh, open, lsuWait and fetchWait,
+// and a standing one (not fresh) is live, unparked and accruing.
+func (c *ReadinessChecker) checkSets(i int) error {
+	m := c.m
+	in := 0
+	for _, set := range []slotSet{m.fresh, m.open, m.lsuWait, m.fetchWait} {
+		if set.has(i) {
+			in++
+		}
+	}
+	want := 0
+	if m.cand.has(i) {
+		want = 1
+	}
+	if in != want {
+		return fmt.Errorf("sm %d slot %d: candidate=%v, in %d of fresh/open/lsuWait/fetchWait (%v %v %v %v)",
+			m.ID, i, m.cand.has(i), in, m.fresh.has(i), m.open.has(i), m.lsuWait.has(i), m.fetchWait.has(i))
+	}
+	if s := &m.slots[i]; in == 1 && !m.fresh.has(i) && (!s.valid || s.done || s.parked || s.since < 0) {
+		return fmt.Errorf("sm %d slot %d: standing verdict on valid=%v done=%v parked=%v since=%d",
+			m.ID, i, s.valid, s.done, s.parked, s.since)
+	}
+	return nil
+}
+
+// checkStanding re-derives, for every candidate whose verdict stands
+// into the next tick (every candidate not fresh), the verdict a fresh
+// readiness run would reach at the start of that tick, from the raw slot
 // state: the operand checks, the LSU gate, the fetch path's busy time,
-// and L1I residency of each warp's next instruction at the (set, way)
-// the standing verdict would replay, checked with Probe. It must equal
-// the list the unit would re-offer. Nothing a standing unit reads can
-// change between this tick's end and its next turn without counting an
-// event (fills and writebacks that lift no check change no verdict), so
-// this covers every re-offer.
+// and L1I residency of the warp's next instruction, checked with Probe.
+// It must equal what the standing path gives the warp there: an open
+// warp is ready with its fetch hit replayed at (icSet, icWay) unless it
+// is LSU-gated while the LSU is busy (the pass moves it to lsuWait); a
+// waiting warp is blocked by its gate, or the gate passes at that cycle
+// and the tick makes it fresh. Nothing a standing verdict reads can
+// change before its unit's turn without making it fresh: fills and
+// writebacks that lift no check change no verdict, an earlier unit's
+// issue moves the LSU busy time (which the pass reads) or barrier flags
+// (of parked and fresh warps only), and an I-miss makes open warps fresh.
 func (c *ReadinessChecker) checkStanding(now int64) error {
 	m := c.m
 	next := now + 1
-	if m.lsuBusyUntil == next || m.icBusy == next {
-		return nil
-	}
-	for ui := range m.units {
-		u := &m.units[ui]
-		if u.seen != m.events {
+	for i := range m.slots {
+		if !m.cand.has(i) || m.fresh.has(i) {
 			continue
 		}
-		var want []int
-		for i := range m.slots {
-			if !u.owned.has(i) || !m.cand.has(i) {
-				continue
+		s := &m.slots[i]
+		if v := m.operandVerdict(s); v != reasonNone {
+			return fmt.Errorf("sm %d cycle %d: slot %d has a standing verdict, raw state parks it for reason %d", m.ID, now, i, v)
+		}
+		gated := m.meta[s.pc].LSUGated
+		lsuBlocked := gated && m.lsuBusyUntil > next
+		switch {
+		case m.open.has(i):
+			if m.gated.has(i) != gated {
+				return fmt.Errorf("sm %d cycle %d: open slot %d gated=%v, its instruction LSUGated=%v", m.ID, now, i, m.gated.has(i), gated)
 			}
-			s := &m.slots[i]
-			if !s.valid || s.done {
-				return fmt.Errorf("sm %d unit %d cycle %d: finished slot %d would stand as a candidate", m.ID, ui, now, i)
+			if lsuBlocked {
+				break
 			}
-			if v := m.operandVerdict(s); v != reasonNone {
-				return fmt.Errorf("sm %d unit %d cycle %d: slot %d would stand as a candidate, raw state parks it for reason %d", m.ID, ui, now, i, v)
-			}
-			if m.meta[s.pc].LSUGated && m.lsuBusyUntil > next || m.icBusy > next {
-				continue
+			if m.icBusy > next {
+				return fmt.Errorf("sm %d cycle %d: slot %d stands open while an I-miss blocks fetch until %d", m.ID, now, i, m.icBusy)
 			}
 			set, way, hit := m.l1i.Probe(int64(s.pc) * instrBytes)
 			if !hit {
-				return fmt.Errorf("sm %d unit %d cycle %d: slot %d would stand while its fetch misses", m.ID, ui, now, i)
+				return fmt.Errorf("sm %d cycle %d: slot %d stands open while its fetch misses", m.ID, now, i)
 			}
-			if slices.Contains(u.stand, i) && (int32(set) != s.icSet || int32(way) != s.icWay) {
-				return fmt.Errorf("sm %d unit %d cycle %d: slot %d would replay its fetch at (%d, %d), the line is at (%d, %d)",
-					m.ID, ui, now, i, s.icSet, s.icWay, set, way)
+			if int32(set) != s.icSet || int32(way) != s.icWay {
+				return fmt.Errorf("sm %d cycle %d: slot %d would replay its fetch at (%d, %d), the line is at (%d, %d)",
+					m.ID, now, i, s.icSet, s.icWay, set, way)
 			}
-			want = append(want, i)
-		}
-		if !slices.Equal(u.stand, want) {
-			return fmt.Errorf("sm %d unit %d cycle %d: standing ready list %v, a full pass at the next cycle builds %v", m.ID, ui, now, u.stand, want)
+			if s.reason != reasonReady && s.reason != reasonMemStruct {
+				return fmt.Errorf("sm %d cycle %d: open slot %d has reason %d", m.ID, now, i, s.reason)
+			}
+		case m.lsuWait.has(i):
+			if !gated {
+				return fmt.Errorf("sm %d cycle %d: slot %d waits on the LSU, its instruction does not use it", m.ID, now, i)
+			}
+			if m.lsuBusyUntil <= next {
+				continue // fresh by its unit's turn
+			}
+			if s.reason != reasonMemStruct {
+				return fmt.Errorf("sm %d cycle %d: slot %d waits on the LSU with reason %d", m.ID, now, i, s.reason)
+			}
+		case m.fetchWait.has(i):
+			if m.icBusy <= next {
+				continue // fresh by its unit's turn
+			}
+			if s.reason != reasonMemStruct {
+				return fmt.Errorf("sm %d cycle %d: slot %d waits on fetch with reason %d", m.ID, now, i, s.reason)
+			}
 		}
 		c.Standing++
 	}

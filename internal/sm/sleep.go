@@ -3,9 +3,9 @@ package sm
 // Sleeping through refused ticks.
 //
 // In a memory-bound kernel most ticks are refused: every unit re-offers
-// its standing ready list (issueFrom) and the MSHRs refuse every pick.
-// Such a tick changes little, and all of it is a function of how many
-// refused ticks came before it:
+// its open warps (issueFrom, readiness.go) and the MSHRs refuse every
+// pick. Such a tick changes little, and all of it is a function of how
+// many refused ticks came before it:
 //
 //   - each listed warp's ready stamp and classification, and its stall
 //     bucket: MemStruct for a refused pick, SchedStall for the rest;
@@ -22,9 +22,9 @@ package sm
 //
 // When the SM may fall asleep after a tick (fallAsleep):
 //
-//   - every unit's ready list will stand: the SM's event count has not
-//     moved since each unit's last readiness pass began, so nothing
-//     issued;
+//   - every unit's ready list will stand: the tick moved no event (no
+//     issue, park, wake or I-miss), so no verdict is fresh and each
+//     unit's next pass re-offers the same open warps in the same order;
 //   - every pick is foreseen refused: each is a warp holding a standing
 //     load refusal, its next instruction a global load whose coalescing
 //     peek is memoized at its pc, and the L1D's fill count below its
@@ -57,7 +57,9 @@ package sm
 // refusal only at a fill, and Select reads nothing but the ready list,
 // the slots' ages, criticality (which moves only at an issue or an L1D
 // access) and classifications (reset each tick for the listed warps,
-// constant for the rest).
+// constant for the rest). The warps off the lists keep their verdicts
+// and accrue their stall cycles lazily, so a settle touches only the
+// listed warps.
 
 import (
 	"bytes"
@@ -79,7 +81,7 @@ func (m *SM) fallAsleep(now int64) bool {
 		return false
 	}
 	for u := range m.units {
-		if un := &m.units[u]; un.seen != m.events || len(un.stand) > 0 && un.arch == nil {
+		if un := &m.units[u]; len(un.list) > 0 && un.arch == nil {
 			return false
 		}
 	}
@@ -87,16 +89,14 @@ func (m *SM) fallAsleep(now int64) bool {
 		m.allocSleep()
 	}
 	m.sleepAt, m.slept, m.owed = now, 0, 0
-	m.standSet.clear()
 	m.probed.clear()
 	m.touchSeq = m.touchSeq[:0]
 	periodic := true
 	for u := range m.units {
 		un := &m.units[u]
 		un.pickLog, un.tickAt = un.pickLog[:0], append(un.tickAt[:0], 0)
-		for _, i := range un.stand {
+		for _, i := range un.list {
 			s := &m.slots[i]
-			m.standSet.add(i)
 			m.touchSeq = append(m.touchSeq, cache.Ref{Set: s.icSet, Way: s.icWay})
 			if s.readyCycle < 0 {
 				un.pickLog = append(un.pickLog, int32(i)) // refused this tick
@@ -105,7 +105,7 @@ func (m *SM) fallAsleep(now int64) bool {
 		un.tickAt = append(un.tickAt, len(un.pickLog))
 	}
 	for u := range m.units {
-		if un := &m.units[u]; len(un.stand) > 0 && periodic {
+		if un := &m.units[u]; len(un.list) > 0 && periodic {
 			periodic = m.foresee(un)
 			m.resume(un, 0)
 		}
@@ -124,7 +124,6 @@ func (m *SM) fallAsleep(now int64) bool {
 // allocSleep makes the buffers a sleep reuses, once an SM first tries
 // to sleep: most SMs of an issue-bound kernel never do.
 func (m *SM) allocSleep() {
-	m.standSet = newSlotSet(len(m.slots))
 	m.probed = newSlotSet(len(m.slots))
 	m.touchSeq = make([]cache.Ref, 0, len(m.slots))
 	m.picks = make([]int64, len(m.slots))
@@ -223,7 +222,6 @@ func (m *SM) settle() {
 	m.slept += m.owed
 	m.settled += m.owed
 	m.owed = 0
-	m.ticked = m.sleepAt + m.slept
 	to := m.slept - m.settleSlack
 	if to <= from {
 		return
@@ -232,28 +230,25 @@ func (m *SM) settle() {
 	m.l1i.TouchRepeat(m.touchSeq, uint64(n))
 	for u := range m.units {
 		un := &m.units[u]
-		if len(un.stand) == 0 {
+		if len(un.list) == 0 {
 			continue
 		}
 		m.countPicks(un, to, 1)
 		m.countPicks(un, from, -1)
-		for _, i := range un.stand {
+		for _, i := range un.list {
+			// The listed warp's debt runs through the last tick settled
+			// before; the n ticks after it are credited here, so it owes
+			// nothing before the tick after to.
 			s := &m.slots[i]
+			s.settleDebt(m.sleepAt + from + 1)
 			s.rec.MemStall += m.picks[i]
 			s.rec.SchedStall += n - m.picks[i]
+			s.since = m.sleepAt + to + 1
 			m.picks[i] = 0
 		}
 		m.resume(un, to)
 	}
-	// Candidates off the lists (the LSU or fetch path blocks them) keep
-	// their classification throughout.
-	for w, word := range m.cand {
-		for word &^= m.standSet[w]; word != 0; word &= word - 1 {
-			if s := &m.slots[w<<6|bits.TrailingZeros64(word)]; s.since < 0 {
-				s.creditStall(s.reason, n)
-			}
-		}
-	}
+	// Every other warp keeps its verdict throughout and accrues lazily.
 }
 
 // foreseen maps tick k after sleepAt to the foreseen tick with the same
@@ -299,7 +294,7 @@ func (m *SM) restore(u *schedUnit, k int64) {
 // classify leaves unit u's listed warps as a refused tick at cycle now
 // that picked picks does.
 func (m *SM) classify(u *schedUnit, picks []int32, now int64) {
-	for _, i := range u.stand {
+	for _, i := range u.list {
 		m.slots[i].reason, m.slots[i].readyCycle = reasonReady, now
 	}
 	for _, i := range picks {

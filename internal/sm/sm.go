@@ -162,10 +162,8 @@ type schedUnit struct {
 	owned  slotSet // the slots this scheduler issues from (i % units), fixed
 	ready  []int   // scratch: the offered list minus rejected picks
 	ctx    sched.Context
-	issued int64  // instructions this unit has issued (pick distribution)
-	stand  []int  // the ready list of the last readiness pass (issueFrom)
-	seen   uint64 // SM.events when that pass began
-	stood  bool   // this tick re-offered stand
+	issued int64 // instructions this unit has issued (pick distribution)
+	list   []int // the ready list of the unit's last pass (issueFrom)
 	// arch is policy's checkpoint walk, nil if it has none (such a unit
 	// never sleeps). While the SM sleeps (sleep.go) the rest records the
 	// unit's foreseen refused ticks, k = 0 the real tick before the
@@ -205,11 +203,15 @@ type SM struct {
 	// Sets maintained at the events that change them (readiness.go);
 	// all derived from the slots, none serialized.
 	live      slotSet // valid and not finished
-	cand      slotSet // evaluated every tick: the unparked (readiness.go)
+	cand      slotSet // the unparked: fresh ∪ open ∪ lsuWait ∪ fetchWait
+	fresh     slotSet // candidates readiness runs on at their unit's next turn
+	open      slotSet // candidates that passed every check (ready)
+	gated     slotSet // of open, those whose next instruction needs the LSU
+	lsuWait   slotSet // candidates waiting on the LSU alone
+	fetchWait slotSet // candidates waiting on an I-miss's fill
 	wbPending slotSet // non-empty writeback queue
 	freeSlots int     // slots not valid
 	events    uint64  // verdict-changing events (readiness.go)
-	ticked    int64   // the last cycle ticked (or settled), not skipped through
 
 	// Sleeping through refused ticks (sleep.go). None of it is
 	// serialized: a saver settles the debt first, a loader wakes.
@@ -221,7 +223,6 @@ type SM struct {
 	sleepFills  uint64         // L1D.Fills() when the refusals last held
 	slept       int64          // ticks since sleepAt settled
 	owed        int64          // ticks since sleepAt + slept not yet settled
-	standSet    slotSet        // the slots on the units' ready lists
 	probed      slotSet        // the foreseen picks, each holding a refusal (refuses)
 	touchSeq    []cache.Ref    // their L1I hits in one tick's order
 	picks       []int64        // per slot: refused picks in the ticks a settle covers
@@ -289,6 +290,11 @@ func New(opt Options) *SM {
 	}
 	m.live = newSlotSet(len(m.slots))
 	m.cand = newSlotSet(len(m.slots))
+	m.fresh = newSlotSet(len(m.slots))
+	m.open = newSlotSet(len(m.slots))
+	m.gated = newSlotSet(len(m.slots))
+	m.lsuWait = newSlotSet(len(m.slots))
+	m.fetchWait = newSlotSet(len(m.slots))
 	m.wbPending = newSlotSet(len(m.slots))
 	m.freeSlots = len(m.slots)
 	m.sleepless = ^uint64(0)
@@ -319,7 +325,7 @@ func New(opt Options) *SM {
 	for i := range m.units {
 		m.units[i].owned = newSlotSet(len(m.slots))
 		m.units[i].ready = make([]int, 0, (len(m.slots)+len(m.units)-1)/len(m.units))
-		m.units[i].stand = make([]int, 0, cap(m.units[i].ready))
+		m.units[i].list = make([]int, 0, cap(m.units[i].ready))
 		m.units[i].arch, _ = m.units[i].policy.(state.Archiver)
 	}
 	for s := range m.slots {
@@ -383,6 +389,7 @@ func (m *SM) fetch(s *slot, now int64) bool {
 	m.l1i.Access(req) // counts the miss
 	m.l1i.Fill(req)
 	m.icBusy = now + int64(m.cfg.L2Latency)/4
+	m.open.moveTo(m.fresh) // the fill may have evicted an open warp's line
 	m.events++
 	return false
 }
@@ -409,6 +416,8 @@ func (m *SM) SetKernel(k *simt.Kernel) {
 	m.kernel = k
 	m.prog = k.Program
 	m.meta = k.Program.Meta()
+	// No warp can hold a standing verdict here: a warp finishes at an
+	// issue, which makes it fresh, so every candidate left is fresh.
 	m.events++
 }
 

@@ -46,11 +46,11 @@ func newBackprop(p Params) *backprop {
 	}
 	w.in = make([]float64, nIn)
 	for i := range w.in {
-		w.in[i] = rng.Float64()*2 - 1
+		w.in[i] = float64(rng.Float64())*2 - 1
 	}
 	w.weights = make([]float64, nIn*nHid)
 	for i := range w.weights {
-		w.weights[i] = rng.Float64()*0.2 - 0.1
+		w.weights[i] = float64(rng.Float64()*0.2) - 0.1
 	}
 	m := w.mem
 	w.inA = m.Alloc(nIn)
@@ -140,7 +140,7 @@ func (w *backprop) Verify() error {
 		for t := 0; t < w.blockDim; t++ {
 			acc := 0.0
 			for i := t; i < w.nIn; i += w.blockDim {
-				acc = w.in[i]*w.weights[i*w.nHid+j] + acc
+				acc = float64(w.in[i]*w.weights[i*w.nHid+j]) + acc
 			}
 			partial[t] = acc
 		}

@@ -198,7 +198,7 @@ func (w *heartwall) Verify() error {
 						iy := py + dy + ty
 						ix := px + dx + tx
 						d := w.img[iy*w.imgW+ix] - w.tmpl[ty*w.tmplW+tx]
-						acc += d * d
+						acc += float64(d * d)
 						if acc >= best {
 							early = true
 							break

@@ -186,7 +186,7 @@ func (w *kmeans) reference() []int {
 				d := 0.0
 				for ff := 0; ff < w.f; ff++ {
 					diff := w.points[ff*w.n+i] - cent[c*w.f+ff]
-					d += diff * diff
+					d += float64(diff * diff)
 				}
 				if d < bestD {
 					best, bestD = c, d

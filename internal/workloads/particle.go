@@ -168,7 +168,7 @@ func (w *particle) Verify() error {
 		acc := 0.0
 		for _, o := range w.obs {
 			d := o - w.pos[i]
-			acc = d*d + acc
+			acc = float64(d*d) + acc
 		}
 		weights[i] = math.Exp(acc * (-0.5 / float64(w.nObs)))
 		if got := w.mem.LoadF(w.wA + int64(i)*8); got != weights[i] {

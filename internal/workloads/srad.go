@@ -207,10 +207,10 @@ func (w *srad) Verify() error {
 			dS := w.img[iS*cols+j] - jc
 			dW := w.img[i*cols+jW] - jc
 			dE := w.img[i*cols+jE] - jc
-			g2 := (dN*dN + dS*dS + dW*dW + dE*dE) / (jc * jc)
+			g2 := (float64(dN*dN) + float64(dS*dS) + float64(dW*dW) + float64(dE*dE)) / (jc * jc)
 			l := (dN + dS + dW + dE) / jc
-			num := 0.5*g2 - (1.0/16.0)*(l*l)
-			den := 1 + 0.25*l
+			num := float64(0.5*g2) - float64((1.0/16.0)*(l*l))
+			den := 1 + float64(0.25*l)
 			qsqr := num / (den * den)
 			den2 := (qsqr - w.q0sqr) / (w.q0sqr * (1 + w.q0sqr))
 			c := 1 / (1 + den2)

@@ -54,7 +54,7 @@ func newStreamcluster(p Params, name string, sensitive bool, n, dim, k int) *str
 	}
 	w.weights = make([]float64, n)
 	for i := range w.weights {
-		w.weights[i] = 0.5 + rng.Float64()
+		w.weights[i] = 0.5 + float64(rng.Float64())
 	}
 	w.centers = make([][]float64, rounds)
 	for r := range w.centers {
@@ -170,7 +170,7 @@ func (w *streamcluster) Verify() error {
 				d := 0.0
 				for f := 0; f < w.dim; f++ {
 					diff := w.points[f*w.n+i] - cent[c*w.dim+f]
-					d += diff * diff
+					d += float64(diff * diff)
 				}
 				cost := d * w.weights[i]
 				if cost < bestCost[i] {

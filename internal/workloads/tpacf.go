@@ -45,8 +45,8 @@ func newTPACF(p Params) *tpacf {
 		// Random unit vectors.
 		var x, y, z, s float64
 		for {
-			x, y, z = rng.Float64()*2-1, rng.Float64()*2-1, rng.Float64()*2-1
-			s = x*x + y*y + z*z
+			x, y, z = float64(rng.Float64())*2-1, float64(rng.Float64())*2-1, float64(rng.Float64())*2-1
+			s = float64(x*x) + float64(y*y) + float64(z*z)
 			if s > 1e-6 && s <= 1 {
 				break
 			}
@@ -56,7 +56,7 @@ func newTPACF(p Params) *tpacf {
 	w.edges = make([]float64, tpacfBins-1)
 	for i := range w.edges {
 		// Descending thresholds in (-1, 1).
-		w.edges[i] = 1 - float64(i+1)*(2.0/float64(tpacfBins))
+		w.edges[i] = 1 - float64(float64(i+1)*(2.0/float64(tpacfBins)))
 	}
 	m := w.mem
 	w.ptsA = m.Alloc(n * 3)
@@ -144,9 +144,9 @@ func (w *tpacf) Verify() error {
 	for i := 0; i < w.n; i++ {
 		for j := 0; j < w.n; j++ {
 			dot := 0.0
-			dot = w.pts[i*3]*w.pts[j*3] + dot
-			dot = w.pts[i*3+1]*w.pts[j*3+1] + dot
-			dot = w.pts[i*3+2]*w.pts[j*3+2] + dot
+			dot = float64(w.pts[i*3]*w.pts[j*3]) + dot
+			dot = float64(w.pts[i*3+1]*w.pts[j*3+1]) + dot
+			dot = float64(w.pts[i*3+2]*w.pts[j*3+2]) + dot
 			bin := 0
 			for bin < tpacfBins-1 && dot < w.edges[bin] {
 				bin++
