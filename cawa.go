@@ -93,9 +93,6 @@ type Session = harness.Session
 // matrix.
 type RunKey = harness.RunKey
 
-// RunTiming is the recorded wall-clock cost of one simulation.
-type RunTiming = harness.RunTiming
-
 // NewSession builds an experiment session sized to runtime.NumCPU
 // workers.
 func NewSession(cfg Config, p Params) *Session { return harness.NewSession(cfg, p) }

@@ -20,14 +20,15 @@
 //
 // The -scale and -sms flags trade fidelity for speed; EXPERIMENTS.md
 // records the reference results at the default settings. -timing FILE
-// writes a JSON summary: seconds per experiment, summed simulation
-// seconds, the invocation's total, and the session manifest (workers,
-// cache counters and every simulated run with its full design-point key
-// and seconds), so sweep-throughput regressions are trackable. -perf
-// FILE additionally profiles the engine's own wall-clock phases (domain
-// compute, barrier wait, staged commit, memsys drain, dispatch, horizon
-// planning) across every simulation in the sweep and writes the
-// aggregated PerfReport JSON — results stay byte-identical with it on.
+// writes the sweep's one timing document: seconds per experiment,
+// summed simulation seconds, the invocation's total, the session
+// manifest (workers, cache counters and every simulated run with its
+// full design-point key and seconds), and the engine's own wall-clock
+// phases (domain compute, barrier wait, staged commit, memsys drain,
+// dispatch, horizon planning) summed over every simulation as a
+// PerfReport, so sweep-throughput regressions are trackable and
+// decompose. -timing turns that profiling on, which costs about 2 % of
+// the sweep's wall time; simulated results stay byte-identical.
 package main
 
 import (
@@ -44,6 +45,7 @@ import (
 	"cawa/internal/config"
 	"cawa/internal/harness"
 	"cawa/internal/obs"
+	"cawa/internal/obs/perf"
 	"cawa/internal/workloads"
 )
 
@@ -51,12 +53,14 @@ import (
 // Manifest carries the session's run manifest: the worker count, the
 // run-cache hit/miss counters, and the full design-point key, outcome
 // and seconds of every simulation, so two sweeps can be compared
-// mechanically.
+// mechanically. Perf is the engine profile summed over those
+// simulations.
 type timingSummary struct {
 	Experiments  []experimentTiming `json:"experiments"`
 	SimSeconds   float64            `json:"sim_seconds"`   // summed simulation time across workers
 	TotalSeconds float64            `json:"total_seconds"` // wall-clock of the whole invocation
 	Manifest     *obs.Manifest      `json:"manifest"`
+	Perf         *perf.Report       `json:"perf"`
 }
 
 type experimentTiming struct {
@@ -89,9 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers = fl.Int("j", 0, "max concurrent simulations (0 = all cores)")
 		smpar   = fl.Int("smpar", 1, "domains sharing each run's spans, budgeted from the -j pool (byte-identical results; <=1 = the run's own goroutine only)")
 		asJSON  = fl.Bool("json", false, "emit tables as JSON documents")
-		timing  = fl.String("timing", "", "write a JSON timing summary to this file (\"-\" = stderr)")
-
-		perfOut = fl.String("perf", "", "profile the engine's wall-clock phases across the sweep and write the PerfReport JSON to this file (\"-\" = stderr)")
+		timing  = fl.String("timing", "", "profile the sweep and write its JSON timing summary, engine profile included, to this file (\"-\" = stderr)")
 
 		cpuprofile = fl.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile = fl.String("memprofile", "", "write a pprof heap profile to this file")
@@ -162,7 +164,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	session := harness.NewSession(cfg, workloads.Params{Scale: *scale, Seed: *seed}).
 		SetWorkers(*workers).SMParallel(*smpar)
-	if *perfOut != "" {
+	if *timing != "" {
 		session.EnableProfiling()
 	}
 
@@ -193,19 +195,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "(%s in %.1fs)\n\n", id, elapsed)
 	}
 
-	if *perfOut != "" {
-		rep := session.PerfReport()
-		if err := writeArtifact(*perfOut, stderr, rep.WriteJSON); err != nil {
-			return fail(fmt.Errorf("perf: %w", err))
-		}
-		if len(rep.Shards) > 0 {
-			fmt.Fprintf(stderr, "cawabench: engine profile %d barriers, barrier wait %.1f%%, shard spread %.2fx\n",
-				rep.Epochs, rep.BarrierWaitFrac()*100, rep.Spread())
-		}
-	}
-
 	if *timing != "" {
 		summary.Manifest = session.Manifest()
+		summary.Perf = session.PerfReport()
 		for _, r := range summary.Manifest.Runs {
 			summary.SimSeconds += r.Seconds
 		}

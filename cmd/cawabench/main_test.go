@@ -12,7 +12,8 @@ import (
 )
 
 // TestListAndUsage pins the runs that never simulate: -list names the
-// experiments, no -exp is a usage error (2), an unknown id fails (1).
+// experiments, no -exp or the removed -perf is a usage error (2), an
+// unknown id fails (1).
 func TestListAndUsage(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
@@ -27,6 +28,7 @@ func TestListAndUsage(t *testing.T) {
 	}{
 		{nil, 2},
 		{[]string{"-scale", "0", "-exp", "tab1"}, 2},
+		{[]string{"-perf", "x", "-exp", "tab1"}, 2},
 		{[]string{"-exp", "nosuch"}, 1},
 	} {
 		if code := run(c.args, &stdout, &stderr); code != c.want {
@@ -36,21 +38,20 @@ func TestListAndUsage(t *testing.T) {
 }
 
 // TestTimingAndPerfArtifacts runs one small experiment with -timing and
-// -perf and checks the shape of both files: the timing summary leaves
+// checks the shape of its one document: the timing summary leaves
 // workers, runs and cache counters to its embedded manifest, and the
-// engine profile's phases are totals only.
+// embedded engine profile's phases are totals only.
 func TestTimingAndPerfArtifacts(t *testing.T) {
-	dir := t.TempDir()
-	timingPath, perfPath := filepath.Join(dir, "timing.json"), filepath.Join(dir, "perf.json")
+	timingPath := filepath.Join(t.TempDir(), "timing.json")
 	var stdout, stderr bytes.Buffer
-	args := []string{"-exp", "fig1", "-scale", "0.05", "-sms", "2", "-j", "2", "-timing", timingPath, "-perf", perfPath}
+	args := []string{"-exp", "fig1", "-scale", "0.05", "-sms", "2", "-j", "2", "-timing", timingPath}
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("cawabench %v: exit %d\n%s", args, code, stderr.String())
 	}
 
 	var timing map[string]json.RawMessage
 	readJSON(t, timingPath, &timing)
-	for _, key := range []string{"experiments", "sim_seconds", "total_seconds", "manifest"} {
+	for _, key := range []string{"experiments", "sim_seconds", "total_seconds", "manifest", "perf"} {
 		if _, ok := timing[key]; !ok {
 			t.Errorf("timing summary has no %q", key)
 		}
@@ -81,7 +82,9 @@ func TestTimingAndPerfArtifacts(t *testing.T) {
 		SchemaVersion int                          `json:"schema_version"`
 		Phases        []map[string]json.RawMessage `json:"phases"`
 	}
-	readJSON(t, perfPath, &rep)
+	if err := json.Unmarshal(timing["perf"], &rep); err != nil {
+		t.Fatal(err)
+	}
 	if rep.SchemaVersion != 3 {
 		t.Errorf("perf schema_version %d, want 3", rep.SchemaVersion)
 	}

@@ -11,11 +11,10 @@
 // Observability (see README "Observability"):
 //
 //	-trace-json out.json   Chrome trace-event file: per-warp spans with
-//	                       stall slices plus counter tracks (open in
-//	                       Perfetto or chrome://tracing)
-//	-obs-dir DIR           write trace.json, metrics.csv, metrics.json
-//	                       and manifest.json into DIR
-//	-sample-every N        metric sampling cadence in cycles
+//	                       stall slices, kernel spans and the sampled
+//	                       metrics as counter tracks (open in Perfetto
+//	                       or chrome://tracing)
+//	-sample-every N        counter-track sampling cadence in cycles
 //	-hotpcs N              print the N PCs with the most stall time,
 //	                       from the same event stream as the trace
 //
@@ -34,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -77,8 +75,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		smpar     = fl.Int("smpar", 1, "domains sharing each span of the engine: 1 runs on this goroutine alone, N adds N-1 helper goroutines, 0 = one per core (byte-identical results; always 1 when tracing attaches observers)")
 
 		traceJSON   = fl.String("trace-json", "", "write a Chrome trace-event file (Perfetto / chrome://tracing)")
-		obsDir      = fl.String("obs-dir", "", "write observability artifacts (trace.json, metrics.csv, metrics.json, manifest.json) into this directory")
-		sampleEvery = fl.Int64("sample-every", 0, fmt.Sprintf("metric sampling interval in cycles (0 = %d when observability is on)", obs.DefaultSampleEvery))
+		sampleEvery = fl.Int64("sample-every", 0, fmt.Sprintf("counter-track sampling interval in cycles (0 = %d when -trace-json is set)", obs.DefaultSampleEvery))
 
 		perfJSON = fl.String("perf", "", "profile the engine's wall-clock phases and write the PerfReport JSON to this file")
 
@@ -146,19 +143,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Observability wiring. The collector decorates every SM's
-	// criticality provider with a trace recorder (one event stream for
+	// criticality provider with an issue recorder (one event stream for
 	// the Chrome trace and the hot-PC report); the sampler polls the
-	// metric registry on a cycle cadence for counter tracks and time
-	// series. Neither is attached unless requested, so plain runs are
+	// metric registry on a cycle cadence for the trace's counter
+	// tracks. Neither is attached unless requested, so plain runs are
 	// bit-identical to pre-observability builds.
-	wantTrace := *traceJSON != "" || *obsDir != ""
-	sysKey, err := sc.Key()
-	if err != nil {
-		sysKey = sc.Label()
-	}
 	var collector *obs.Collector
 	var sampler *obs.Sampler
-	if wantTrace || *hotpcs > 0 {
+	if *traceJSON != "" || *hotpcs > 0 {
 		// Decorate exactly the providers the untraced run gets, bound to
 		// their L1Ds the same way.
 		collector = obs.NewCollector(1 << 20)
@@ -166,7 +158,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opt.System.ProviderOverride = collector.Wrap(providers)
 		opt.AttachL1 = attach
 	}
-	if wantTrace {
+	if *traceJSON != "" {
 		sampler = obs.NewSampler(nil, *sampleEvery)
 		opt.PerCycle = sampler.OnCycle
 		// The wake hint keeps spans effective with sampling on: they end
@@ -174,9 +166,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opt.PerCycleWake = sampler.NextWake
 	}
 
-	start := time.Now()
 	res, err := harness.Run(opt)
-	elapsed := time.Since(start)
 	if err != nil {
 		return fail(err)
 	}
@@ -212,8 +202,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if wantTrace {
-		if err := writeObsArtifacts(stdout, stderr, res, collector, sampler, elapsed, *traceJSON, *obsDir, cfg, opt.Params, sysKey); err != nil {
+	if *traceJSON != "" {
+		if err := writeTrace(stdout, stderr, res, collector, sampler, *traceJSON); err != nil {
 			return fail(err)
 		}
 	}
@@ -265,10 +255,8 @@ func writePerfReport(stdout io.Writer, rep *perf.Report, path string) error {
 	return nil
 }
 
-// writeObsArtifacts renders the Chrome trace and, under -obs-dir, the
-// metric time series and the run manifest.
-func writeObsArtifacts(stdout, stderr io.Writer, res *harness.Result, collector *obs.Collector, sampler *obs.Sampler,
-	elapsed time.Duration, traceJSON, obsDir string, cfg config.Config, params workloads.Params, sysKey string) error {
+// writeTrace renders the run's one Chrome trace to path.
+func writeTrace(stdout, stderr io.Writer, res *harness.Result, collector *obs.Collector, sampler *obs.Sampler, path string) error {
 	events := collector.Events()
 	if total := collector.Total(); total > uint64(len(events)) {
 		fmt.Fprintf(stderr, "cawasim: trace rings overwrote %d of %d events; only the most recent are exported\n",
@@ -280,63 +268,9 @@ func writeObsArtifacts(stdout, stderr io.Writer, res *harness.Result, collector 
 		Series: sampler.Series(),
 		Spans:  res.Spans,
 	})
-	if traceJSON != "" {
-		if err := ct.WriteFile(traceJSON); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "trace          %s (open in Perfetto or chrome://tracing)\n", traceJSON)
-	}
-	if obsDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(obsDir, 0o755); err != nil {
+	if err := ct.WriteFile(path); err != nil {
 		return err
 	}
-	if err := ct.WriteFile(filepath.Join(obsDir, "trace.json")); err != nil {
-		return err
-	}
-	if err := writeSeries(filepath.Join(obsDir, "metrics.csv"), sampler, obs.WriteSeriesCSV); err != nil {
-		return err
-	}
-	if err := writeSeries(filepath.Join(obsDir, "metrics.json"), sampler, obs.WriteSeriesJSON); err != nil {
-		return err
-	}
-	m := &obs.Manifest{
-		Architecture: cfg.Name,
-		NumSMs:       cfg.NumSMs,
-		Scale:        params.Scale,
-		Seed:         params.Seed,
-		Workers:      1,
-		CacheMisses:  1,
-		WallSeconds:  elapsed.Seconds(),
-		Runs: []obs.RunRecord{{
-			App:       res.Workload,
-			System:    res.System,
-			SystemKey: sysKey,
-			Seconds:   elapsed.Seconds(),
-			Launches:  res.Launches,
-			Cycles:    res.Agg.Cycles,
-			Instrs:    res.Agg.Instructions,
-			IPC:       res.Agg.IPC(),
-			Warps:     len(res.Agg.Warps),
-		}},
-	}
-	if err := m.WriteFile(filepath.Join(obsDir, "manifest.json")); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "observability  %s (trace.json, metrics.csv, metrics.json, manifest.json)\n", obsDir)
+	fmt.Fprintf(stdout, "trace          %s (open in Perfetto or chrome://tracing)\n", path)
 	return nil
-}
-
-// writeSeries streams the sampler's series through one exporter.
-func writeSeries(path string, sampler *obs.Sampler, export func(w io.Writer, series []*obs.Series) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := export(f, sampler.Series()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

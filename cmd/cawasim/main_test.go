@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -73,13 +75,74 @@ func TestTracingKeepsTheDesignPoint(t *testing.T) {
 	}
 }
 
+// tracedGoldenStdout is the summary and hot-PC table of the traced
+// bfs run in TestTracedRunGolden, without the line naming the trace
+// file (its path is a temporary directory).
+const tracedGoldenStdout = `workload       bfs (verified against Go reference)
+design point   cawa
+launches       14
+cycles         63008
+warp instrs    84082
+thread instrs  472302
+IPC            7.496
+L1D accesses   31585
+L1D misses     15144 (47.95% miss rate, 180.11 MPKI)
+L2 accesses    14918 (misses 1936)
+coalescing     1.89 transactions per memory instruction
+warps          896
+max disparity  0.991
+mean disparity 0.655
+
+hottest PCs by accumulated stall (last kernel's retained trace):
+  pc    op          issues      stall_cycles
+  38    cbra            5097        258606
+  35    mul             5097        202359
+  34    ld.global       5097        135675
+  8     cbraz            728         93697
+  37    ld.global       5097         76939
+`
+
+// TestTracedRunGolden pins what a traced run writes: the SHA-256 of
+// the Chrome trace (warp spans, stall slices, kernel spans and the
+// sampler's counter tracks) and the exact stdout, hot-PC table
+// included. Both were recorded before the trace recorder moved into
+// internal/obs; a change to how a traced run is wired or rendered must
+// leave them byte-identical.
+func TestTracedRunGolden(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	var stdout, stderr bytes.Buffer
+	args := []string{"-workload", "bfs", "-scheduler", "gcaws", "-cpl", "-cacp", "-scale", "0.05", "-sms", "2",
+		"-sample-every", "200", "-trace-json", path, "-hotpcs", "5"}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("cawasim %v: exit %d\n%s", args, code, stderr.String())
+	}
+	var kept []string
+	for _, line := range strings.SplitAfter(stdout.String(), "\n") {
+		if !strings.Contains(line, path) {
+			kept = append(kept, line)
+		}
+	}
+	if got := strings.Join(kept, ""); got != tracedGoldenStdout {
+		t.Errorf("stdout changed:\n%s\nwant:\n%s", got, tracedGoldenStdout)
+	}
+	doc, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(doc)
+	if got, want := hex.EncodeToString(sum[:]), "d7898e58feb1cf7e80a655c285d98af9718ee5f7651a2f21c66913be126e9ec6"; got != want {
+		t.Errorf("trace.json sha256 %s, want %s", got, want)
+	}
+}
+
 // TestUsageErrors pins the exit codes of the two ways a run fails
-// before simulating: a usage error (2) — an unknown flag, or a -scale
+// before simulating: a usage error (2) — an unknown flag (among them
+// the removed -obs-dir), or a -scale
 // that is not a positive finite number — and an unknown workload (1,
 // naming it on stderr).
 func TestUsageErrors(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	for _, args := range [][]string{{"-fastforward"}, {"-sample-interval", "4"}, {"-perf-trace", "x"},
+	for _, args := range [][]string{{"-fastforward"}, {"-sample-interval", "4"}, {"-perf-trace", "x"}, {"-obs-dir", "x"},
 		{"-scale", "0"}, {"-scale", "-1"}, {"-scale", "NaN"}} {
 		if code := run(args, &stdout, &stderr); code != 2 {
 			t.Errorf("cawasim %v: exit %d, want 2", args, code)
@@ -94,17 +157,17 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
-// TestArtifacts runs the full CAWA design point with -perf and -obs-dir
-// and checks what each artifact holds: the engine profile at schema 3
-// with time in its compute and drain phases, the four observability
-// files, and a manifest naming the full design-point key and carrying
-// no engine profile of its own.
+// TestArtifacts runs the full CAWA design point with -perf and
+// -trace-json and checks what each artifact holds: the engine profile
+// at schema 3 with time in its compute and drain phases, and one Chrome
+// trace carrying warp spans, stall slices, kernel spans and the
+// sampler's gpu/ipc counter track.
 func TestArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	perfPath, obsDir := filepath.Join(dir, "perf.json"), filepath.Join(dir, "obs")
+	perfPath, tracePath := filepath.Join(dir, "perf.json"), filepath.Join(dir, "trace.json")
 	var stdout, stderr bytes.Buffer
 	args := []string{"-workload", "bfs", "-scheduler", "gcaws", "-cpl", "-cacp",
-		"-scale", "0.05", "-sms", "2", "-perf", perfPath, "-obs-dir", obsDir}
+		"-scale", "0.05", "-sms", "2", "-perf", perfPath, "-trace-json", tracePath}
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("cawasim %v: exit %d\n%s", args, code, stderr.String())
 	}
@@ -120,24 +183,34 @@ func TestArtifacts(t *testing.T) {
 		}
 	}
 
-	for _, name := range []string{"trace.json", "metrics.csv", "metrics.json", "manifest.json"} {
-		if _, err := os.Stat(filepath.Join(obsDir, name)); err != nil {
-			t.Error(err)
+	var doc struct {
+		TraceEvents []struct {
+			Name  string `json:"name"`
+			Phase string `json:"ph"`
+			Cat   string `json:"cat"`
+		} `json:"traceEvents"`
+	}
+	readJSON(t, tracePath, &doc)
+	seen := map[string]bool{}
+	for _, e := range doc.TraceEvents {
+		switch {
+		case e.Phase == "X":
+			seen[e.Cat] = true
+		case e.Phase == "C" && e.Name == "gpu/ipc":
+			seen["gpu/ipc"] = true
 		}
 	}
-	var manifest map[string]json.RawMessage
-	readJSON(t, filepath.Join(obsDir, "manifest.json"), &manifest)
-	if _, ok := manifest["perf"]; ok {
-		t.Error("manifest carries a perf key")
+	for _, want := range []string{"warp", "stall", "kernel", "gpu/ipc"} {
+		if !seen[want] {
+			t.Errorf("trace has no %s events", want)
+		}
 	}
-	var runs []struct {
-		SystemKey string `json:"system_key"`
-	}
-	if err := json.Unmarshal(manifest["runs"], &runs); err != nil {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(runs) != 1 || runs[0].SystemKey != "gcaws|cpl=true|cacp=true" {
-		t.Errorf("manifest runs %+v, want one run keyed gcaws|cpl=true|cacp=true", runs)
+	if len(entries) != 2 {
+		t.Errorf("run wrote %d files, want perf.json and trace.json only", len(entries))
 	}
 }
 

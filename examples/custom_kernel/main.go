@@ -1,6 +1,6 @@
 // custom_kernel shows the text-assembly and tracing APIs: a kernel
 // written in mini-ISA assembly is parsed, launched on the simulated
-// GPU with an execution recorder attached, and profiled for its
+// GPU with an issue-event collector attached, and profiled for its
 // hottest (stalliest) program counters.
 package main
 
@@ -14,9 +14,9 @@ import (
 	"cawa/internal/gpu"
 	"cawa/internal/isa"
 	"cawa/internal/memory"
+	"cawa/internal/obs"
 	"cawa/internal/simt"
 	"cawa/internal/sm"
-	"cawa/internal/trace"
 )
 
 // A histogram kernel in textual mini-ISA assembly: each thread walks a
@@ -80,15 +80,11 @@ func main() {
 		Params:   []int64{input, hist, perThread, bins},
 	}
 
-	var recorders []*trace.Recorder
+	collector := obs.NewCollector(1 << 16)
 	g, err := gpu.New(gpu.Options{
-		Config: config.GTX480(),
-		Memory: mem,
-		Criticality: func() sm.CriticalityProvider {
-			r := trace.NewRecorder(core.NewCPL(), 1<<16)
-			recorders = append(recorders, r)
-			return r
-		},
+		Config:      config.GTX480(),
+		Memory:      mem,
+		Criticality: collector.Wrap(func() sm.CriticalityProvider { return core.NewCPL() }),
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -116,11 +112,8 @@ func main() {
 		launch.Cycles, launch.IPC(), launch.CoalescingFactor())
 	fmt.Printf("bins: %v (total %d)\n", counts, total)
 
-	fmt.Println("\nhottest PCs on SM 0 (by accumulated stall):")
-	for i, p := range recorders[0].HotPCs() {
-		if i == 5 {
-			break
-		}
+	fmt.Println("\nhottest PCs across all SMs (by accumulated stall):")
+	for _, p := range collector.HotPCs(5) {
 		fmt.Printf("  pc=%-3d %-10s issues=%-7d stall=%d\n", p.PC, p.Op, p.Issues, p.Stall)
 	}
 }

@@ -1,7 +1,6 @@
 package gpu_test
 
 import (
-	"runtime"
 	"testing"
 
 	"cawa/internal/config"
@@ -131,16 +130,13 @@ func TestDesignPointsAllocFree(t *testing.T) {
 			}
 			issued, hits, misses := counters()
 			settled := gpu.SettledTicks(g)
-			// Collect first: the run's first GC cycle starting inside the window
-			// would count its mark workers' goroutines as mallocs.
-			runtime.GC()
-			mallocs := testing.AllocsPerRun(1, func() {
+			mallocs := gpu.SimAllocs(func() {
 				for i := 0; i < 2000; i++ {
 					step()
 				}
 			})
 			if mallocs != 0 {
-				t.Errorf("%.0f mallocs in a 2000-span steady-state window, want 0", mallocs)
+				t.Errorf("%d mallocs in a 2000-span steady-state window, want 0", mallocs)
 			}
 			// Guard against a vacuous pass: the window must have issued,
 			// hit and missed in the L1D, and retired no block.

@@ -55,10 +55,11 @@ package gpu
 // Waiting is a hybrid spin/park design: a helper yield-spins for
 // barrierSpins rounds between spans and the engine as long at a span's
 // end, then each parks on a buffered signal channel (cheap when the
-// machine is oversubscribed). The channels have capacity 1 and are
-// written with non-blocking sends: a stale token costs one spurious
-// wakeup — the waiter re-checks its atomic and parks again — and never
-// a lost one.
+// machine is oversubscribed). When GOMAXPROCS exceeds the CPUs the
+// process may use, both park at once (spinBudget). The channels have
+// capacity 1 and are written with non-blocking sends: a stale token
+// costs one spurious wakeup — the waiter re-checks its atomic and parks
+// again — and never a lost one.
 //
 // A panic inside an SM that a helper runs would otherwise kill the
 // process: every claimed SM runs under a recover that keeps the first
@@ -95,6 +96,17 @@ import (
 // stops producing spans still parks within a millisecond.
 const barrierSpins = 4096
 
+// spinBudget is the yields a launch's waiters burn before parking:
+// barrierSpins, or none when GOMAXPROCS exceeds the CPUs the process
+// may use. There a yielding helper holds an OS thread that the
+// engine's serial replay needs (EXPERIMENTS.md "Claimed SMs").
+func spinBudget() int {
+	if runtime.GOMAXPROCS(0) > runtime.NumCPU() {
+		return 0
+	}
+	return barrierSpins
+}
+
 // Claim word layout: the span's epoch above claimShift, the index of
 // the next unclaimed SM (at most the SM count) below it.
 const (
@@ -125,6 +137,8 @@ type domainRunner struct {
 	// step takes one SM across a span: stepSM, or a test's wrapper of
 	// it (GPU.PanicInSpanAt, the runner tests' run counts).
 	step func(s *sm.SM, from, to int64)
+	// spins is the launch's spinBudget, fixed when its helpers start.
+	spins int
 
 	epoch    uint32        // the current span's epoch (wraps); engine-owned
 	claim    atomic.Uint64 // epoch<<claimShift | next unclaimed index
@@ -156,6 +170,7 @@ func newDomainRunner(sms []*sm.SM, workers int, prof *perf.Profiler) *domainRunn
 	if workers == 1 {
 		return r
 	}
+	r.spins = spinBudget()
 	if prof != nil {
 		prof.EnsureShards(workers)
 	}
@@ -197,7 +212,7 @@ func (r *domainRunner) stepSpan(from, to int64) {
 	}
 	r.work(0, r.epoch)
 	for spins := 0; r.finished.Load() != n; {
-		if spins < barrierSpins {
+		if spins < r.spins {
 			spins++
 			runtime.Gosched()
 			continue
@@ -307,7 +322,7 @@ func (r *domainRunner) help(d int) {
 			if r.stopped.Load() {
 				return
 			}
-			if spins < barrierSpins {
+			if spins < r.spins {
 				spins++
 				runtime.Gosched()
 				continue

@@ -166,6 +166,41 @@ func TestDomainRunnerRunsEverySMOnce(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
+// TestDomainRunnerSpinBudget: a runner started while GOMAXPROCS
+// exceeds the usable CPUs parks its waiters without spinning, and its
+// spans still take every SM; at the default GOMAXPROCS the budget is
+// barrierSpins.
+func TestDomainRunnerSpinBudget(t *testing.T) {
+	g := newIdleGPU(t, 4)
+	base := runtime.NumGoroutine()
+	r := newDomainRunner(g.sms, 4, nil)
+	if want := barrierSpins; runtime.GOMAXPROCS(0) > runtime.NumCPU() {
+		t.Logf("GOMAXPROCS %d above %d CPUs: default budget not checked", runtime.GOMAXPROCS(0), runtime.NumCPU())
+	} else if r.spins != want {
+		t.Errorf("default GOMAXPROCS: spin budget %d, want %d", r.spins, want)
+	}
+	r.stop()
+
+	// Raise GOMAXPROCS past the CPUs; the deferred call restores it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(runtime.NumCPU() + 1))
+	r = newDomainRunner(g.sms, 4, nil)
+	if r.spins != 0 {
+		t.Errorf("GOMAXPROCS above the CPUs: spin budget %d, want 0", r.spins)
+	}
+	to := g.sms[0].Now()
+	for span := 0; span < 50; span++ {
+		r.stepSpan(to+1, to+1)
+		to++
+		for i, s := range g.sms {
+			if s.Now() != to {
+				t.Fatalf("span %d returned with SM %d at cycle %d", to, i, s.Now())
+			}
+		}
+	}
+	r.stop()
+	waitGoroutines(t, base)
+}
+
 // TestDomainRunnerRecoversHelperPanic: an SM that panics on any domain
 // is recovered there, the span still ends, and the first panic comes
 // back out of stepSpan on the caller's goroutine; the helpers stay

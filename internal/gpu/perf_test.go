@@ -3,7 +3,6 @@ package gpu
 import (
 	"context"
 	"reflect"
-	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -87,21 +86,18 @@ func TestProfilerOffZeroCost(t *testing.T) {
 		}
 		before, start := issued(), g.cycle
 		const spans = 2000
-		// Collect first: the run's first GC cycle starting inside the window
-		// would count its mark workers' goroutines as mallocs.
-		runtime.GC()
-		allocs := testing.AllocsPerRun(1, func() {
+		allocs := simAllocs(func() {
 			for i := 0; i < spans; i++ {
 				g.runSpan(ls)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("%s with profiling off allocated %.0f objects in a %d-span window, want 0", mode, allocs, spans)
+			t.Errorf("%s with profiling off allocated %d objects in a %d-span window, want 0", mode, allocs, spans)
 		}
 		if issued() == before {
 			t.Errorf("%s: no instructions issued during the measured window (vacuous)", mode)
 		}
-		// AllocsPerRun makes one warm-up call on top of the measured run.
+		// simAllocs makes one warm-up call on top of the measured run.
 		if multi := g.cycle-start > 2*spans; multi != (g.PerCycle == nil) {
 			t.Errorf("%s: %d spans covered %d cycles", mode, 2*spans, g.cycle-start)
 		}

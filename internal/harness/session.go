@@ -60,15 +60,6 @@ type RunKey struct {
 	System core.SystemConfig
 }
 
-// RunTiming records the wall-clock cost of one simulation the session's
-// worker pool executed (cache hits and singleflight waiters are not
-// recorded — each simulation appears exactly once).
-type RunTiming struct {
-	App     string  `json:"app"`
-	System  string  `json:"system"`
-	Seconds float64 `json:"seconds"`
-}
-
 // Session is a concurrent run scheduler: it executes application runs
 // on a bounded worker pool (default runtime.NumCPU), caches results,
 // and deduplicates concurrent requests for the same (app, design
@@ -97,11 +88,11 @@ type Session struct {
 	sem      chan struct{}
 	smpar    int // target span domains per run (<=1: the caller's goroutine only)
 	profile  bool
-	perfAgg  *perf.Profiler // merged profile across runs; nil until profiling enabled
-	records  []obs.RunRecord
-	hits     uint64 // Run requests served from the in-memory cache
-	misses   uint64 // Run requests that missed the in-memory cache
-	diskHits uint64 // misses answered by the disk cache without simulating
+	perfAgg  *perf.Profiler  // merged profile across runs; nil until profiling enabled
+	records  []obs.RunRecord // one per simulation; append-only, so views of it stay valid (runs)
+	hits     uint64          // Run requests served from the in-memory cache
+	misses   uint64          // Run requests that missed the in-memory cache
+	diskHits uint64          // misses answered by the disk cache without simulating
 	// diskWriteErrors counts result write-throughs the disk cache
 	// refused (a full or vanished directory): the run still succeeds.
 	diskWriteErrors uint64
@@ -563,16 +554,22 @@ func (s *Session) Fanout(n int, fn func(i int) error) error {
 	return nil
 }
 
-// Timings returns a copy of the per-simulation wall-clock records, in
-// completion order.
-func (s *Session) Timings() []RunTiming {
+// Timings returns the record of every simulation the session's worker
+// pool executed, in completion order (cache hits and singleflight
+// waiters are not recorded — each simulation appears exactly once).
+// The slice is a read-only view of the session's log: callers must
+// not modify its elements.
+func (s *Session) Timings() []obs.RunRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]RunTiming, len(s.records))
-	for i, r := range s.records {
-		out[i] = RunTiming{App: r.App, System: r.System, Seconds: r.Seconds}
-	}
-	return out
+	return s.runs()
+}
+
+// runs returns the records as a view capped at their current length,
+// so the session's later appends never show through it. Callers hold
+// s.mu.
+func (s *Session) runs() []obs.RunRecord {
+	return s.records[:len(s.records):len(s.records)]
 }
 
 // CacheStats returns how many Session.Run requests were served from
@@ -610,7 +607,9 @@ func (s *Session) WarmResumes() uint64 {
 
 // Manifest snapshots the session — architecture, workload scaling,
 // worker count, cache effectiveness, and every simulation executed so
-// far — as one observability document.
+// far — as one observability document. Its Runs is the read-only view
+// Timings returns, not a copy, so a caller that reads only the counters
+// pays nothing for a long session.
 func (s *Session) Manifest() *obs.Manifest {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -625,7 +624,7 @@ func (s *Session) Manifest() *obs.Manifest {
 		DiskHits:        s.diskHits,
 		DiskWriteErrors: s.diskWriteErrors,
 		WallSeconds:     time.Since(s.started).Seconds(),
-		Runs:            append([]obs.RunRecord(nil), s.records...),
+		Runs:            s.runs(),
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"cawa/internal/gpu"
 	"cawa/internal/stats"
-	"cawa/internal/trace"
 )
 
 // TraceEvent is one event of the Chrome Trace Event Format ("JSON
@@ -44,7 +43,7 @@ type TraceInput struct {
 	Warps []stats.WarpRecord
 	// Events is the merged per-warp issue stream; stall-segment slices
 	// are derived from each event's Stall prefix.
-	Events []trace.Event
+	Events []Event
 	// Series are sampled metric series rendered as counter tracks.
 	Series []*Series
 	// Spans are kernel-launch windows (top-level spans on the GPU row).

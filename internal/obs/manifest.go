@@ -1,11 +1,5 @@
 package obs
 
-import (
-	"encoding/json"
-	"io"
-	"os"
-)
-
 // RunRecord is the manifest entry of one simulated application run:
 // enough identity (the full design-point key) and outcome to compare
 // two sweeps mechanically.
@@ -49,28 +43,4 @@ type Manifest struct {
 	DiskWriteErrors uint64      `json:"disk_write_errors,omitempty"`
 	WallSeconds     float64     `json:"wall_seconds"`
 	Runs            []RunRecord `json:"runs"`
-}
-
-// Write emits the manifest as JSON.
-func (m *Manifest) Write(w io.Writer) error {
-	doc, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	doc = append(doc, '\n')
-	_, err = w.Write(doc)
-	return err
-}
-
-// WriteFile writes the manifest to path.
-func (m *Manifest) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := m.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -1,11 +1,11 @@
 // Package obs is the simulator's observability layer on the
 // simulated-cycle axis: a registry of named metric probes sampled on a
-// cycle cadence, exporters that turn the sampled series and per-warp
-// issue events into Chrome trace-event JSON (loadable in Perfetto or
-// chrome://tracing) or CSV/JSON time series, and run manifests that
-// make whole harness sessions mechanically comparable. Wall-clock
-// service metrics are not here: cawaserve renders its own /metrics
-// (internal/serve).
+// cycle cadence, a collector that records every SM's per-warp issue
+// events, one exporter that renders both into a Chrome trace-event
+// document (loadable in Perfetto or chrome://tracing), and the run
+// manifest that makes whole harness sessions mechanically comparable.
+// Wall-clock service metrics are not here: cawaserve renders its own
+// /metrics (internal/serve).
 //
 // The layer is strictly read-only with respect to the simulation:
 // every probe observes counters the pipeline already maintains, so

@@ -246,44 +246,9 @@ func TestRegistryKinds(t *testing.T) {
 	}
 }
 
-// TestSeriesExports checks both exporter shapes.
-func TestSeriesExports(t *testing.T) {
-	series := []*obs.Series{
-		{Name: "gpu/ipc", SM: obs.GPUScope, Samples: []obs.Sample{{Cycle: 10, Value: 1.5}, {Cycle: 20, Value: 2}}},
-		{Name: "sm0/mshr_occupancy", SM: 0, Samples: []obs.Sample{{Cycle: 10, Value: 3}, {Cycle: 20, Value: 0}}},
-	}
-	var csvBuf bytes.Buffer
-	if err := obs.WriteSeriesCSV(&csvBuf, series); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(csvBuf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("csv rows = %d: %q", len(lines), csvBuf.String())
-	}
-	if lines[0] != "cycle,gpu/ipc,sm0/mshr_occupancy" {
-		t.Fatalf("csv header = %q", lines[0])
-	}
-	if lines[1] != "10,1.5,3" || lines[2] != "20,2,0" {
-		t.Fatalf("csv rows = %q", lines[1:])
-	}
-
-	var jsonBuf bytes.Buffer
-	if err := obs.WriteSeriesJSON(&jsonBuf, series); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Series []*obs.Series `json:"series"`
-	}
-	if err := json.Unmarshal(jsonBuf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Series) != 2 || doc.Series[0].Name != "gpu/ipc" || doc.Series[1].Samples[0].Value != 3 {
-		t.Fatalf("json round trip lost data: %+v", doc)
-	}
-}
-
-// TestManifestRoundTrip checks the manifest document survives a
-// write/read cycle with the full design-point key intact.
+// TestManifestRoundTrip checks the manifest document (embedded in
+// cawabench's -timing summary) survives a JSON encode/decode cycle with
+// the full design-point key intact.
 func TestManifestRoundTrip(t *testing.T) {
 	key, err := core.CAWA().Key()
 	if err != nil {
@@ -297,12 +262,12 @@ func TestManifestRoundTrip(t *testing.T) {
 			Seconds: 1.25, Launches: 16, Cycles: 87514, Instrs: 169235, IPC: 11.1, Warps: 1792,
 		}},
 	}
-	var buf bytes.Buffer
-	if err := m.Write(&buf); err != nil {
+	doc, err := json.Marshal(m)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var got obs.Manifest
-	if err := json.NewDecoder(&buf).Decode(&got); err != nil {
+	if err := json.Unmarshal(doc, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Runs[0].SystemKey != key || got.CacheMisses != 9 || got.Runs[0].Cycles != 87514 {

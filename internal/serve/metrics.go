@@ -91,6 +91,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	count("cawa_session_disk_hits_total", s.sess.DiskHits())
 	count("cawa_session_disk_write_errors_total", s.sess.DiskWriteErrors())
 	count("cawa_session_warm_resumes_total", s.sess.WarmResumes())
+	// Manifest shares the session's run log instead of copying it, so
+	// a scrape costs the same however many runs the server has served.
 	m := s.sess.Manifest()
 	count("cawa_session_runs_total", uint64(len(m.Runs)))
 	sample("cawa_session_wall_seconds_total", "counter", m.WallSeconds)

@@ -3,14 +3,17 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"cawa/internal/core"
 	"cawa/internal/harness"
 )
 
@@ -91,6 +94,55 @@ func TestServeMetricsSkeleton(t *testing.T) {
 	}
 	if g, w := strings.Join(got, "\n"), strings.Join(want, "\n"); g != w {
 		t.Errorf("/metrics skeleton:\n%s\nwant:\n%s", g, w)
+	}
+}
+
+// TestScrapeCostIndependentOfRuns: the session keeps one record per
+// simulation for the server's whole life, and a /metrics scrape reads
+// only their count, so a scrape after 1,000 recorded runs allocates no
+// more than one after 10.
+func TestScrapeCostIndependentOfRuns(t *testing.T) {
+	sess := testSession()
+	sess.SetRunFunc(func(ctx context.Context, opt harness.RunOptions) (*harness.Result, error) {
+		return &harness.Result{Workload: opt.Workload}, nil
+	})
+	srv := New(Config{Session: sess, Workers: 1})
+	defer srv.Drain(context.Background())
+	h := srv.Handler()
+	recordRuns := func(from, to int) {
+		for i := from; i < to; i++ {
+			if _, err := sess.Run(fmt.Sprintf("app-%d", i), core.Baseline()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// bytesPerScrape is the least mean heap allocation of one scrape
+	// over five batches, which drops the runtime's own allocations.
+	bytesPerScrape := func() uint64 {
+		const scrapes = 20
+		least := ^uint64(0)
+		for batch := 0; batch < 5; batch++ {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for i := 0; i < scrapes; i++ {
+				h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/metrics", nil))
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, (after.TotalAlloc-before.TotalAlloc)/scrapes)
+		}
+		return least
+	}
+	recordRuns(0, 10)
+	small := bytesPerScrape()
+	recordRuns(10, 1000)
+	if n := len(sess.Timings()); n != 1000 {
+		t.Fatalf("session recorded %d runs, want 1000", n)
+	}
+	// The slack covers the longer numbers the text holds after more
+	// runs; copying the records would add over 100 kB.
+	if large := bytesPerScrape(); large > small+1024 {
+		t.Errorf("a scrape allocates %d bytes after 1,000 runs, %d after 10", large, small)
 	}
 }
 

@@ -1,7 +1,6 @@
 package sm
 
 import (
-	"runtime"
 	"testing"
 
 	"cawa/internal/isa"
@@ -48,8 +47,8 @@ func streamKernel(t *testing.T, r *rig, iters int64) *simt.Kernel {
 // heap and MSHR pools have warmed up, driving the SM and memory system
 // forward must not allocate at all. This is what keeps the simulator's
 // throughput GC-free at steady state (see BenchmarkSimulatorThroughput).
-// The 2000-cycle window is counted as one run (AllocsPerRun divides by
-// its run count), so an allocation on even one cycle in it fails.
+// simAllocs counts the 2000-cycle window as a whole, so an allocation on
+// even one cycle in it fails.
 func TestCyclePathAllocFree(t *testing.T) {
 	r := newRig(t, nil)
 	k := streamKernel(t, r, 1<<20)
@@ -70,10 +69,7 @@ func TestCyclePathAllocFree(t *testing.T) {
 
 	issued := r.sm.SchedulerIssued(0) + r.sm.SchedulerIssued(1)
 	misses := r.sm.L1D().LoadMisses
-	// Collect first: the run's first GC cycle starting inside the window
-	// would count its mark workers' goroutines as mallocs.
-	runtime.GC()
-	allocs := testing.AllocsPerRun(1, func() {
+	allocs := simAllocs(func() {
 		for i := 0; i < 2000; i++ {
 			now++
 			r.sys.Cycle(now)
@@ -81,7 +77,7 @@ func TestCyclePathAllocFree(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("cycle path allocated %.0f objects in a 2000-cycle steady-state window, want 0", allocs)
+		t.Errorf("cycle path allocated %d objects in a 2000-cycle steady-state window, want 0", allocs)
 	}
 	// Guard against a vacuous pass: the measured window must have kept
 	// issuing instructions and missing in the L1D.
@@ -175,10 +171,7 @@ func TestCyclePathAllocFreeFullOccupancy(t *testing.T) {
 	stalls := barrierStalls()
 	parkedSeen := 0
 	const window = 2000
-	// Collect first: the run's first GC cycle starting inside the window
-	// would count its mark workers' goroutines as mallocs.
-	runtime.GC()
-	allocs := testing.AllocsPerRun(1, func() {
+	allocs := simAllocs(func() {
 		for i := 0; i < window; i++ {
 			now++
 			r.sys.Cycle(now)
@@ -192,7 +185,7 @@ func TestCyclePathAllocFreeFullOccupancy(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("cycle path allocated %.0f objects in a %d-cycle window at full occupancy, want 0", allocs, window)
+		t.Errorf("cycle path allocated %d objects in a %d-cycle window at full occupancy, want 0", allocs, window)
 	}
 	// Guard against a vacuous pass: the window must have issued, missed,
 	// waited at barriers, and kept a good share of the slots parked (the
@@ -206,7 +199,7 @@ func TestCyclePathAllocFreeFullOccupancy(t *testing.T) {
 	if d := barrierStalls() - stalls; d == 0 {
 		t.Error("no barrier stalls accrued during the measured window")
 	}
-	// AllocsPerRun makes one warm-up call on top of the measured run.
+	// simAllocs makes one warm-up call on top of the measured run.
 	if avg := parkedSeen / (2 * window); avg < r.cfg.MaxWarpsPerSM/4 {
 		t.Errorf("on average %d of %d warps parked; the kernel is not barrier-bound", avg, r.cfg.MaxWarpsPerSM)
 	}

@@ -63,7 +63,9 @@
 #                 re-run under -race at GOMAXPROCS=2 (forced goroutine
 #                 multiplexing — exercises the barrier park path) and
 #                 GOMAXPROCS=8 (real interleaving on CI's multi-core
-#                 runners).
+#                 runners; on a host with fewer than 8 CPUs GOMAXPROCS
+#                 exceeds them, so every waiter parks without spinning
+#                 and this pass takes the park path too).
 set -e
 cd "$(dirname "$0")/.."
 
