@@ -222,6 +222,19 @@ func (c *Cache) Touch(set, way int, req Request) {
 	c.policy.OnHit(c, set, way, req)
 }
 
+// TouchLRU is Touch for a read hit under the LRU policy, without the
+// policy interface: the same counters, Refs and clock tick. The caller
+// must know the cache is LRU, as TouchRepeat does (an SM's L1I always
+// is).
+func (c *Cache) TouchLRU(set, way int) {
+	c.Accesses++
+	c.Hits++
+	l := &c.sets[set][way]
+	l.Refs++
+	c.tick++
+	l.LRU = c.tick
+}
+
 // Ref names a resident line by its position in the tag array.
 type Ref struct{ Set, Way int32 }
 

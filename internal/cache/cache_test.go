@@ -1,11 +1,13 @@
 package cache
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"cawa/internal/config"
+	"cawa/internal/state"
 )
 
 func smallCfg() config.CacheConfig {
@@ -277,3 +279,35 @@ func (badPolicy) OnFill(*Cache, int, int, Request)    {}
 func (badPolicy) OnHit(*Cache, int, int, Request)     {}
 func (badPolicy) Victim(*Cache, int, Request) int     { return -7 }
 func (badPolicy) OnEvict(*Cache, int, int, *Eviction) {}
+
+// TestTouchLRUMatchesTouch replays one random read stream on two LRU
+// caches, hits through Touch on one and TouchLRU on the other: the tag
+// arrays, counters and clocks must stay byte-identical.
+func TestTouchLRUMatchesTouch(t *testing.T) {
+	a, b := New(smallCfg(), LRU{}), New(smallCfg(), LRU{})
+	rng := rand.New(rand.NewSource(3))
+	hits := 0
+	for i := 0; i < 5000; i++ {
+		req := Request{Addr: int64(rng.Intn(24)) * 128}
+		set, way, hit := a.Probe(req.Addr)
+		if hit {
+			hits++
+			a.Touch(set, way, req)
+			b.TouchLRU(set, way)
+			continue
+		}
+		for _, c := range []*Cache{a, b} {
+			c.Access(req)
+			c.Fill(req)
+		}
+	}
+	sa, sb := state.NewSaver(0), state.NewSaver(0)
+	a.Archive(sa)
+	b.Archive(sb)
+	if !bytes.Equal(sa.Bytes(), sb.Bytes()) {
+		t.Fatal("TouchLRU diverged from Touch under LRU")
+	}
+	if hits == 0 || a.Hits != b.Hits || a.Accesses != b.Accesses {
+		t.Fatalf("%d hits; counters %d/%d vs %d/%d", hits, a.Hits, a.Accesses, b.Hits, b.Accesses)
+	}
+}

@@ -22,8 +22,9 @@ func slotted[T any](fields func(*T, *state.Archive)) func(**T, *state.Archive) {
 	}
 }
 
-// Archive walks the predictor: the clock and each slot's counters. The
-// blocks index is not archived — a loader rebuilds it from the slot
+// Archive walks the predictor: the clock and each slot's counters. A
+// warp's stored criticality is not archived (a loader recomputes it),
+// nor is the blocks index — a loader rebuilds it from the slot
 // array in slot order, which is equivalent for every CPL query (peer
 // scans only count strict comparisons, never positions).
 func (c *CPL) Archive(a *state.Archive) {
@@ -38,6 +39,7 @@ func (c *CPL) Archive(a *state.Archive) {
 		a.Float64(&wc.nStall)
 		state.Int(a, &wc.issues, &wc.arrive, &wc.lastSeen)
 		if a.Loading() {
+			wc.crit = wc.criticality()
 			c.blocks[wc.block] = append(c.blocks[wc.block], wc)
 		}
 	}))

@@ -20,6 +20,8 @@ type warpCrit struct {
 	issues   int64   // committed warp instructions
 	arrive   int64   // dispatch cycle
 	lastSeen int64   // cycle of the latest issue
+
+	crit float64 // criticality(), stored whenever an input above changes
 }
 
 // criticality evaluates Equation 1: nInst * CPI_avg + nStall. The
@@ -28,8 +30,9 @@ type warpCrit struct {
 // ranking turned gCAWS into longest-wait-first (round-robin-like
 // fairness) and destroyed the greedy concentration that produces the
 // paper's cache benefits, so the lagging update is kept deliberately.
-func (w *warpCrit) criticality(now int64) float64 {
-	_ = now
+// Its inputs change only at arrival and at an issue, which store the
+// result in crit; queries read crit.
+func (w *warpCrit) criticality() float64 {
 	cpi := 1.0
 	if w.issues > 0 && w.lastSeen > w.arrive {
 		cpi = float64(w.lastSeen-w.arrive) / float64(w.issues)
@@ -74,6 +77,7 @@ func (c *CPL) OnWarpArrived(slot int, w *simt.Warp) {
 		c.slots = append(c.slots, nil)
 	}
 	wc := &warpCrit{gid: w.GID, block: w.Block, lastSeen: c.now}
+	wc.crit = wc.criticality()
 	c.slots[slot] = wc
 	c.blocks[w.Block] = append(c.blocks[w.Block], wc)
 }
@@ -118,17 +122,17 @@ func (c *CPL) OnIssue(slot int, st *simt.Step, stallCycles, cycle int64) {
 	if !c.DisableStallTerm {
 		wc.nStall += float64(stallCycles)
 	}
-	if c.DisableInstTerm {
-		return
+	if !c.DisableInstTerm {
+		// Commit balancing: every committed instruction reduces the
+		// predicted remaining disparity.
+		if wc.nInst > 0 {
+			wc.nInst--
+		}
+		if st.CondBranch {
+			wc.nInst += branchPathLength(st)
+		}
 	}
-	// Commit balancing: every committed instruction reduces the
-	// predicted remaining disparity.
-	if wc.nInst > 0 {
-		wc.nInst--
-	}
-	if st.CondBranch {
-		wc.nInst += branchPathLength(st)
-	}
+	wc.crit = wc.criticality()
 }
 
 // branchPathLength infers, from the branch outcome, how many
@@ -164,7 +168,7 @@ func (c *CPL) Criticality(slot int) float64 {
 	if wc == nil {
 		return 0
 	}
-	return wc.criticality(c.now)
+	return wc.crit
 }
 
 // IsCritical implements sm.CriticalityProvider: a warp is predicted
@@ -179,10 +183,10 @@ func (c *CPL) IsCritical(slot int) bool {
 	if len(blk) <= 1 {
 		return true // lone warp dominates its block
 	}
-	mine := wc.criticality(c.now)
+	mine := wc.crit
 	below := 0
 	for _, peer := range blk {
-		if peer != wc && peer.criticality(c.now) < mine {
+		if peer != wc && peer.crit < mine {
 			below++
 		}
 	}
@@ -208,10 +212,10 @@ func (c *CPL) Rank(slot int) (rank, peers int) {
 		return 0, 0
 	}
 	blk := c.blocks[wc.block]
-	mine := wc.criticality(c.now)
+	mine := wc.crit
 	below := 0
 	for _, peer := range blk {
-		if peer != wc && peer.criticality(c.now) < mine {
+		if peer != wc && peer.crit < mine {
 			below++
 		}
 	}

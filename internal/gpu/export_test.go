@@ -21,3 +21,6 @@ func SettledTicks(g *GPU) int64 {
 	}
 	return n
 }
+
+// ReplayedCycles counts the cycles g's span replays visited.
+func ReplayedCycles(g *GPU) int64 { return g.replayed }

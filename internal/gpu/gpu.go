@@ -95,6 +95,10 @@ type GPU struct {
 	claimOrder []int
 	panicAt    int64
 
+	// replayed counts the cycles the span replay visited (tests: the
+	// replay skips the cycles where nothing is due).
+	replayed int64
+
 	// Perf, when non-nil, self-profiles the engine: every span brackets
 	// its seams (memsys drain, dispatch, horizon planning, SM stepping,
 	// staged replay) with reads of the profiler's injected clock, and
@@ -267,12 +271,15 @@ type l1Snapshot struct {
 // from a checkpoint, so it can be captured (checkpoint.Capture) or
 // continued (Resume).
 func (g *GPU) Launch(ctx context.Context, k *simt.Kernel) (*stats.Launch, error) {
-	if err := k.Validate(); err != nil {
+	if err := k.CheckGeometry(); err != nil {
 		return nil, err
 	}
-	// Re-verify with the launch context only the GPU knows: the warp
+	// Verify once, with the launch context only the GPU knows: the warp
 	// size sharpens the affine %warp/%lane ranges and the memory size
-	// enables the global out-of-bounds check.
+	// enables the global out-of-bounds check. At warp size 32, which
+	// every shipped configuration uses, Kernel.Validate's own pass
+	// differs from this one only in the unknown memory size, which
+	// merely skips that check: it would reject nothing this one accepts.
 	launch := k.AnalysisLaunch()
 	launch.WarpSize = g.cfg.WarpSize
 	launch.GlobalBytes = g.mem.Size()

@@ -49,6 +49,43 @@ func TestLaunchValidation(t *testing.T) {
 	}
 }
 
+// TestLaunchRejectsWhatValidateRejects: Launch runs the static verifier
+// once, with its own launch context, instead of also running
+// Kernel.Validate's pass. Kernels that pass CheckGeometry but fail
+// Validate's verifier must still be refused by Launch, before a cycle
+// runs.
+func TestLaunchRejectsWhatValidateRejects(t *testing.T) {
+	mem := memory.New(1 << 16)
+	g, err := New(Options{Config: config.Small(), Memory: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	undef := isa.NewBuilder("undef")
+	undef.Add(isa.R1, isa.R2, isa.R3) // r2, r3 read before any write
+	undef.Exit()
+	oob := isa.NewBuilder("shared_oob")
+	oob.MovI(isa.R1, 64*8) // one word past the block's 64 shared words
+	oob.StS(isa.R1, 0, isa.R1)
+	oob.Exit()
+	for _, k := range []*simt.Kernel{
+		{Name: "undef", Program: undef.MustBuild(), GridDim: 2, BlockDim: 32},
+		{Name: "shared_oob", Program: oob.MustBuild(), GridDim: 2, BlockDim: 32, SharedWords: 64},
+	} {
+		if err := k.CheckGeometry(); err != nil {
+			t.Fatalf("%s: geometry %v", k.Name, err)
+		}
+		if err := k.Validate(); err == nil {
+			t.Fatalf("%s: Validate accepted it; the test needs a kernel its verifier rejects", k.Name)
+		}
+		if _, err := g.Launch(context.Background(), k); err == nil {
+			t.Errorf("%s: Launch accepted a kernel Validate rejects", k.Name)
+		}
+	}
+	if g.Cycle() != 0 {
+		t.Errorf("a rejected launch simulated %d cycles", g.Cycle())
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{Config: config.Small()}); err == nil {
 		t.Fatal("missing memory accepted")

@@ -24,10 +24,15 @@ package gpu
 //     outbound traffic with per-cycle stamps and skipping each SM's
 //     dead cycles on that SM's own wake bound — an SM with nothing to
 //     issue costs one tick per span, not one per cycle.
-//  4. Replay. For each cycle t of the span the engine drains the due
-//     memory events (System.Cycle) and commits every SM's staged
-//     accesses and deferred stores emitted at t, in SM-id order. That
-//     reproduces cycle → SM-id → program order exactly, so the event
+//  4. Replay. The engine walks the span's due cycles in order: a
+//     cycle is due when a memory event falls due at it
+//     (System.NextEventTime) or an SM staged an access or deferred a
+//     store at it (StageBuffer.NextStamp, StoreLog.NextStamp). At each
+//     due cycle t it drains the memory events due at t (System.Cycle)
+//     and flushes and commits, in SM-id order, the SMs whose oldest
+//     stamp is t. A cycle that is not due would drain nothing and
+//     commit nothing, so skipping it changes nothing, and the replay
+//     reproduces cycle → SM-id → program order exactly: the event
 //     heap's sequence numbers — the determinism linchpin that
 //     tie-breaks same-time events and thereby decides every
 //     bank/channel contention outcome — evolve bit-identically to
@@ -50,6 +55,7 @@ package gpu
 
 import (
 	"fmt"
+	"math"
 
 	"cawa/internal/obs/perf"
 )
@@ -142,8 +148,9 @@ func (g *GPU) lap(ph perf.Phase, t0 *int64) {
 // replay merges what the domains staged across cycles from..end back
 // into the shared state in cycle → SM-id → program order, draining the
 // memory events due at each cycle first (the head already drained
-// from's), and lands the cycle counter. planned says the span had
-// fills planned onto the L1s.
+// from's), and lands the cycle counter. It visits only the cycles where
+// an event or a staged stamp is due. planned says the span had fills
+// planned onto the L1s.
 func (g *GPU) replay(ls *launchState, from, end int64, planned bool) {
 	if ls.retired() >= ls.total {
 		// The kernel finished inside the span: replay only to the last
@@ -155,14 +162,28 @@ func (g *GPU) replay(ls *launchState, from, end int64, planned bool) {
 			}
 		}
 	}
-	for t := from; t <= end; t++ {
+	for t := from; t <= end; {
 		if t > from {
 			g.sys.Cycle(t)
 		}
-		for i := range g.sms {
-			g.logs[i].FlushThrough(t)
-			g.sys.CommitThrough(g.stages[i], t)
+		g.replayed++
+		next := int64(math.MaxInt64)
+		for i, l := range g.logs {
+			b := g.stages[i]
+			if l.NextStamp() <= t {
+				l.FlushThrough(t)
+			}
+			if b.NextStamp() <= t {
+				g.sys.CommitThrough(b, t)
+			}
+			next = min(next, l.NextStamp(), b.NextStamp())
 		}
+		if e := g.sys.NextEventTime(); e >= 0 && e < next {
+			next = e
+		}
+		// An event already due (a zero-latency hop) drains at the next
+		// cycle, as a ticked loop would drain it.
+		t = max(t+1, next)
 	}
 	g.cycle = end
 	if !planned {

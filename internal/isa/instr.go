@@ -91,6 +91,7 @@ type Program struct {
 	Instrs []Instr
 	labels map[string]int32
 	meta   []InstrMeta // precomputed issue metadata, index-parallel with Instrs
+	rows   int         // one more than the highest register any operand field names
 }
 
 // Len returns the number of instructions.

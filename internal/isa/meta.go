@@ -40,14 +40,24 @@ func metaFor(in Instr) InstrMeta {
 	}
 }
 
-// precompute fills the metadata side table. Every Program constructor
-// calls it; the table is index-parallel with Instrs.
+// precompute fills the metadata side table and the register row
+// count. Every Program constructor calls it; the table is
+// index-parallel with Instrs.
 func (p *Program) precompute() {
 	p.meta = make([]InstrMeta, len(p.Instrs))
+	p.rows = 0
 	for i, in := range p.Instrs {
 		p.meta[i] = metaFor(in)
+		p.rows = max(p.rows, int(in.Dst)+1, int(in.A)+1, int(in.B)+1)
 	}
 }
+
+// Rows returns one more than the highest register any instruction's
+// Dst, A or B field names, whether or not its opcode reads the field:
+// the register rows a warp running the program can touch (the executor
+// streams all three operand rows). A warp's register file needs no
+// more.
+func (p *Program) Rows() int { return p.rows }
 
 // Meta returns the precomputed metadata table, index-parallel with
 // Instrs. The caller must not modify it.

@@ -1,11 +1,13 @@
 package memory
 
+import "math"
+
 // StoreLog defers one SM's global-memory stores until the span engine's
 // replay. Every SM gets a private log: while a span runs, SMs only
 // *read* the shared Memory (concurrent reads are safe), stores append
 // here stamped with the emitting cycle, and the replay flushes the logs
-// cycle by cycle, in SM-id order (FlushThrough) — the cycle → SM-id →
-// program write order of a tick-every-cycle run.
+// in cycle order, in SM-id order within a cycle (FlushThrough) — the
+// cycle → SM-id → program write order of a tick-every-cycle run.
 //
 // Loads forward from the log (newest entry first) before falling back
 // to the backing Memory, so a warp observes its own SM's earlier
@@ -21,6 +23,19 @@ type StoreLog struct {
 	vals   []int64
 	cycles []int64 // emitting cycle per entry, non-decreasing
 	head   int     // entries below head are flushed, awaiting reset
+	// stored has bit storedBit(a) set for every word a in addrs: a load
+	// whose bit is clear cannot forward and skips the scan. Words that
+	// share a bit share it harmlessly (the scan decides).
+	stored [storedWords]uint64
+}
+
+// storedWords sizes a log's bitmap: 4096 bits, one per word modulo 4096.
+const storedWords = 64
+
+// storedBit returns the bitmap word and bit of word-aligned address a.
+func storedBit(a int64) (int, uint64) {
+	w := uint64(a/WordBytes) % (storedWords * 64)
+	return int(w / 64), 1 << (w % 64)
 }
 
 // NewStoreLog builds a store log backed by mem.
@@ -37,7 +52,10 @@ func (l *StoreLog) SetCycle(c int64) { l.cycle = c }
 // word like Memory.Store would, so forwarding matches on the same
 // cells a direct store would have written.
 func (l *StoreLog) Store(addr, v int64) {
-	l.addrs = append(l.addrs, addr&^(WordBytes-1))
+	a := addr &^ (WordBytes - 1)
+	i, bit := storedBit(a)
+	l.stored[i] |= bit
+	l.addrs = append(l.addrs, a)
 	l.vals = append(l.vals, v)
 	l.cycles = append(l.cycles, l.cycle)
 }
@@ -47,9 +65,12 @@ func (l *StoreLog) Store(addr, v int64) {
 // scan covers the whole log including the flushed prefix — those
 // entries already equal the backing memory, so forwarding from them is
 // harmless — and stays cheap: a log holds at most one span's stores
-// from one SM.
+// from one SM, and a load of a word whose bitmap bit is clear skips it.
 func (l *StoreLog) Load(addr int64) int64 {
 	a := addr &^ (WordBytes - 1)
+	if i, bit := storedBit(a); l.stored[i]&bit == 0 {
+		return l.mem.Load(addr)
+	}
 	for i := len(l.addrs) - 1; i >= 0; i-- {
 		if l.addrs[i] == a {
 			return l.vals[i]
@@ -60,8 +81,9 @@ func (l *StoreLog) Load(addr int64) int64 {
 
 // FlushThrough applies the deferred stores emitted at cycles <= c to
 // the backing memory in store order and leaves later ones pending. The
-// span replay calls it per simulated cycle, per SM in id order. Once
-// the log drains completely its storage is reset for reuse.
+// span replay calls it at each cycle the log's NextStamp is due, per SM
+// in id order. Once the log drains completely its storage is reset for
+// reuse.
 func (l *StoreLog) FlushThrough(c int64) {
 	for l.head < len(l.addrs) {
 		if l.cycles[l.head] > c {
@@ -78,6 +100,17 @@ func (l *StoreLog) reset() {
 	l.vals = l.vals[:0]
 	l.cycles = l.cycles[:0]
 	l.head = 0
+	clear(l.stored[:])
+}
+
+// NextStamp returns the emitting cycle of the oldest unflushed store,
+// or math.MaxInt64 when none is pending: the first cycle at which the
+// span replay has to flush this log.
+func (l *StoreLog) NextStamp() int64 {
+	if l.head < len(l.cycles) {
+		return l.cycles[l.head]
+	}
+	return math.MaxInt64
 }
 
 // Len reports the number of deferred, unflushed stores.

@@ -49,7 +49,7 @@ func (s *System) Archive(a *state.Archive) {
 	events := s.events
 	if !a.Loading() {
 		events = append(eventHeap(nil), s.events...)
-		sort.Slice(events, events.less)
+		sort.Slice(events, func(i, j int) bool { return events[i].before(&events[j]) })
 	}
 	state.Slice(a, (*[]event)(&events), func(e *event, a *state.Archive) {
 		state.Int(a, &e.time, &e.addr)

@@ -67,48 +67,54 @@ type event struct {
 // container/heap would box every event into an interface value on Push
 // and Pop — one allocation per memory-system event — so the sift
 // operations are written out here and the backing array is recycled.
+// The sifts move a hole instead of swapping: an event is large, and a
+// swap copies two per level where a move copies one.
 type eventHeap []event
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
+// before reports whether a pops before b. seq is unique, so the order
+// is total and any correct heap pops events in the same sequence.
+func (a *event) before(b *event) bool {
+	return a.time < b.time || a.time == b.time && a.seq < b.seq
 }
 
-func (h eventHeap) up(i int) {
+// up places e, which belongs at index i, by moving the hole at i
+// towards the root past every parent e pops before.
+func (h eventHeap) up(i int, e event) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			return
+		if !e.before(&h[parent]) {
+			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = e
 }
 
-func (h eventHeap) down(i int) {
+// down places e, which belongs at index i, by moving the hole at i
+// towards the leaves past every child that pops before e.
+func (h eventHeap) down(i int, e event) {
 	n := len(h)
 	for {
-		l := 2*i + 1
-		if l >= n {
-			return
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		c := l
-		if r := l + 1; r < n && h.less(r, l) {
+		if r := c + 1; r < n && h[r].before(&h[c]) {
 			c = r
 		}
-		if !h.less(c, i) {
-			return
+		if !h[c].before(&e) {
+			break
 		}
-		h[i], h[c] = h[c], h[i]
+		h[i] = h[c]
 		i = c
 	}
+	h[i] = e
 }
 
 func (h *eventHeap) push(e event) {
 	*h = append(*h, e)
-	h.up(len(*h) - 1)
+	h.up(len(*h)-1, e)
 }
 
 // popMin removes and returns the earliest event. The caller must have
@@ -117,11 +123,11 @@ func (h *eventHeap) popMin() event {
 	old := *h
 	e := old[0]
 	n := len(old) - 1
-	old[0] = old[n]
+	last := old[n]
 	old[n] = event{} // drop the stale L1D pointer
 	*h = old[:n]
 	if n > 0 {
-		old[:n].down(0)
+		old[:n].down(0, last)
 	}
 	return e
 }

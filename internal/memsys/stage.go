@@ -1,6 +1,10 @@
 package memsys
 
-import "cawa/internal/cache"
+import (
+	"math"
+
+	"cawa/internal/cache"
+)
 
 // The span engine's two-phase memory interface.
 //
@@ -15,12 +19,14 @@ import "cawa/internal/cache"
 // cycles before the next SM, possibly on another goroutine, so SMs
 // cannot touch the shared event heap while they run. Each SM *stages*
 // its outbound requests into a private StageBuffer, stamped with the
-// emitting cycle, and the engine replays the span cycle by cycle:
-// System.Cycle(t), then CommitThrough(buf, t) per SM in id order. An SM
-// stages its own requests in program order, so the replay assigns
-// exactly the sequence numbers a tick-every-cycle loop would have — the
-// heaps evolve identically, bit for bit (TestStagedCommitEquivalence
-// and the harness engine-equivalence matrix).
+// emitting cycle, and the engine replays the span in cycle order:
+// System.Cycle(t), then CommitThrough(buf, t) per SM in id order, at
+// every cycle where an event or a stamp is due (a cycle with neither
+// would do nothing). An SM stages its own requests in program order, so
+// the replay assigns exactly the sequence numbers a tick-every-cycle
+// loop would have — the heaps evolve identically, bit for bit
+// (TestStagedCommitEquivalence and the harness engine-equivalence
+// matrix).
 //
 // Only SM-originated accesses stage. Fill-side traffic — dirty-victim
 // writebacks scheduled by handleFill — runs inside the engine's serial
@@ -50,6 +56,16 @@ type StageBuffer struct {
 
 // Len reports the number of staged, uncommitted accesses.
 func (b *StageBuffer) Len() int { return len(b.pending) - b.head }
+
+// NextStamp returns the emitting cycle of the oldest uncommitted
+// access, or math.MaxInt64 when none is pending: the first cycle at
+// which the span replay has to commit this buffer.
+func (b *StageBuffer) NextStamp() int64 {
+	if b.head < len(b.pending) {
+		return b.pending[b.head].cycle
+	}
+	return math.MaxInt64
+}
 
 // reset drops the (fully committed) backlog, keeping capacity.
 func (b *StageBuffer) reset() {
@@ -82,9 +98,9 @@ func (l *L1D) emitL2(now int64, addr int64, req cache.Request) {
 
 // CommitThrough replays the staged accesses emitted at SM cycles <= c
 // into the event system in capture order and leaves later ones pending.
-// The caller walks the span cycle by cycle and the per-SM buffers in
-// SM-id order. Once the buffer drains completely its storage is reset
-// for reuse.
+// The caller walks the span's due cycles in order and the per-SM
+// buffers in SM-id order. Once the buffer drains completely its storage
+// is reset for reuse.
 func (s *System) CommitThrough(buf *StageBuffer, c int64) {
 	for buf.head < len(buf.pending) {
 		a := &buf.pending[buf.head]

@@ -40,6 +40,20 @@ type Kernel struct {
 // divergent barriers, reconvergence consistency, and launch-dependent
 // affine bounds all fail the launch before a single cycle simulates.
 func (k *Kernel) Validate() error {
+	if err := k.CheckGeometry(); err != nil {
+		return err
+	}
+	if err := analysis.Verify(k.Program, analysis.Options{Launch: k.AnalysisLaunch()}); err != nil {
+		return fmt.Errorf("simt: kernel %s: %w", k.Name, err)
+	}
+	return nil
+}
+
+// CheckGeometry is Validate without the static verifier: the kernel has
+// a program, a positive grid and block, and no negative shared memory.
+// A GPU launch checks this and then verifies the program once, against
+// the launch context only it knows.
+func (k *Kernel) CheckGeometry() error {
 	switch {
 	case k.Program == nil:
 		return errors.New("simt: kernel has no program")
@@ -49,9 +63,6 @@ func (k *Kernel) Validate() error {
 		return fmt.Errorf("simt: kernel %s: BlockDim %d must be positive", k.Name, k.BlockDim)
 	case k.SharedWords < 0:
 		return fmt.Errorf("simt: kernel %s: negative shared memory", k.Name)
-	}
-	if err := analysis.Verify(k.Program, analysis.Options{Launch: k.AnalysisLaunch()}); err != nil {
-		return fmt.Errorf("simt: kernel %s: %w", k.Name, err)
 	}
 	return nil
 }

@@ -29,7 +29,9 @@ type Warp struct {
 	// Size is the warp width in threads.
 	Size int
 
-	// regs is register-major, regs[r*Size+lane]: an instruction streams three contiguous rows.
+	// regs is register-major, regs[r*Size+lane]: an instruction streams
+	// three contiguous rows. It holds the rows the program names
+	// (isa.Program.Rows), not all isa.NumRegs.
 	regs    []int64
 	stack   []StackEntry
 	exited  uint64 // lanes that have executed OpExit
@@ -40,24 +42,42 @@ type Warp struct {
 	AtBarrier bool
 }
 
-// NewWarp creates a warp with lanes [0,lanes) active at PC 0. The
-// reconvergence PC of the bottom stack entry is the program length
-// (thread exit).
+// NewWarp creates a warp with lanes [0,lanes) active at PC 0 and a
+// register file of all isa.NumRegs registers. The reconvergence PC of
+// the bottom stack entry is the program length (thread exit).
 func NewWarp(gid, block, indexInBlock, lanes, size int, progLen int32) *Warp {
-	if lanes <= 0 || lanes > size || size > MaxWarpSize {
-		panic(fmt.Sprintf("simt: bad warp geometry lanes=%d size=%d", lanes, size))
+	w := &Warp{}
+	w.Reset(gid, block, indexInBlock, lanes, size, progLen, isa.NumRegs)
+	return w
+}
+
+// Reset re-initialises w in place as NewWarp's fresh warp, with a
+// register file of rows registers (the kernel's isa.Program.Rows), all
+// zero: registers are architecturally zero at launch. The previous
+// occupant's register and stack storage is reused when large enough,
+// so an SM that recycles its warps dispatches without allocating.
+func (w *Warp) Reset(gid, block, indexInBlock, lanes, size int, progLen int32, rows int) {
+	if lanes <= 0 || lanes > size || size > MaxWarpSize || rows > isa.NumRegs {
+		panic(fmt.Sprintf("simt: bad warp geometry lanes=%d size=%d rows=%d", lanes, size, rows))
 	}
 	mask := uint64(1)<<uint(lanes) - 1
 	if lanes == 64 {
 		mask = ^uint64(0)
 	}
-	return &Warp{
+	regs := w.regs
+	if n := rows * size; cap(regs) >= n {
+		regs = regs[:n]
+		clear(regs)
+	} else {
+		regs = make([]int64, n)
+	}
+	*w = Warp{
 		GID:          gid,
 		Block:        block,
 		IndexInBlock: indexInBlock,
 		Size:         size,
-		regs:         make([]int64, isa.NumRegs*size),
-		stack:        []StackEntry{{PC: 0, RPC: progLen, Mask: mask}},
+		regs:         regs,
+		stack:        append(w.stack[:0], StackEntry{PC: 0, RPC: progLen, Mask: mask}),
 		initial:      mask,
 	}
 }

@@ -207,3 +207,57 @@ func TestCyclePathAllocFreeFullOccupancy(t *testing.T) {
 		t.Fatal("a block retired during the measurement; full occupancy was not sustained")
 	}
 }
+
+// TestDispatchAllocFree pins the per-block budget: once a launch of a
+// kernel has warmed the SM, a second launch of it — every dispatch,
+// every retirement and every cycle between them — must not allocate.
+// Each slot re-initialises its last occupant's warp in place, with a
+// register file of the kernel's rows, and a retired block's state and
+// shared memory serve the next block.
+func TestDispatchAllocFree(t *testing.T) {
+	r := newRig(t, nil)
+	k := barrierKernel(t, r, 3)
+	k.GridDim, k.BlockDim, k.SharedWords = 24, 256, 256 // 4× the 6 resident blocks
+	perBlock := k.WarpsPerBlock(r.cfg.WarpSize)
+	var now int64
+	launch := func() {
+		r.sm.SetKernel(k)
+		r.done = 0
+		next := 0
+		for r.done < k.GridDim {
+			for next < k.GridDim && r.sm.CanAcceptBlock() {
+				r.sm.DispatchBlock(next, next*perBlock, now)
+				next++
+			}
+			now++
+			r.sys.Cycle(now)
+			r.sm.Cycle(now)
+			if now > 1e7 {
+				t.Fatalf("launch did not finish: %d of %d blocks retired", r.done, k.GridDim)
+			}
+		}
+		r.sm.Finished = r.sm.Finished[:0]
+	}
+
+	gens := make([]int64, len(r.sm.slots))
+	allocs := simAllocs(func() {
+		for i := range r.sm.slots {
+			gens[i] = r.sm.slots[i].gen
+		}
+		launch()
+	})
+	if allocs != 0 {
+		t.Errorf("a warm launch of %d blocks allocated %d objects, want 0", k.GridDim, allocs)
+	}
+	// Guard against a vacuous pass: every slot hosted at least two warps
+	// in the measured launch (a dispatch and a retirement each move the
+	// slot's generation by one).
+	for i := range r.sm.slots {
+		if n := (r.sm.slots[i].gen - gens[i]) / 2; n < 2 {
+			t.Errorf("slot %d hosted %d warps in the measured launch, want at least 2", i, n)
+		}
+	}
+	if got := k.Program.Rows(); got >= isa.NumRegs {
+		t.Errorf("kernel names %d register rows; the gate needs a compact file", got)
+	}
+}

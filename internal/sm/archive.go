@@ -96,7 +96,7 @@ func (m *SM) Archive(a *state.Archive, k *simt.Kernel) {
 		if loading {
 			s.block, s.warp = blocks[bi], &simt.Warp{}
 		}
-		s.warp.Archive(a)
+		s.warp.Archive(a, m.prog.Rows())
 		s.atBarrier = s.warp.AtBarrier
 		s.rec.Archive(a)
 		state.Int(a, &s.busyALU, &s.busyMem)

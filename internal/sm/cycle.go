@@ -268,7 +268,7 @@ func (m *SM) issueFrom(u *schedUnit, now int64) bool {
 				s.setVerdict(reasonReady, now) // refused at its last tick
 			}
 			s.readyCycle = now
-			m.l1i.Touch(int(s.icSet), int(s.icWay), cache.Request{Addr: int64(s.pc) * instrBytes})
+			m.l1i.TouchLRU(int(s.icSet), int(s.icWay))
 			u.list = append(u.list, i)
 		}
 	}
@@ -583,8 +583,7 @@ func (m *SM) retireBlock(blk *blockState, now int64) {
 		}
 		s.valid = false
 		s.gen++
-		s.warp = nil
-		s.block = nil
+		s.block = nil // s.warp stays: the next occupant re-initialises it
 		s.busyALU, s.busyMem = 0, 0
 		s.wb = s.wb[:0] // keep the backing array for the next occupant
 		m.wbPending.remove(i)
@@ -598,6 +597,7 @@ func (m *SM) retireBlock(blk *blockState, now int64) {
 	if m.OnBlockDone != nil {
 		m.OnBlockDone(blk.id, now)
 	}
+	m.freeBlocks = append(m.freeBlocks, blk)
 }
 
 // Occupancy returns resident warps over capacity (statistics).

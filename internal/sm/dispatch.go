@@ -49,20 +49,22 @@ func (m *SM) blockContext(blk *blockState) simt.ExecContext {
 // SM. gidBase numbers the block's warps globally. The caller must have
 // checked CanAcceptBlock. The block's warps start as candidates: their
 // first evaluation classifies them.
+//
+// Dispatch allocates nothing once the SM is warm: each slot keeps its
+// last occupant's *simt.Warp and re-initialises it in place with a
+// cleared file of the kernel's register rows, and a retired block's
+// state and shared memory are recycled (retireBlock).
 func (m *SM) DispatchBlock(blockID, gidBase int, now int64) {
 	k := m.kernel
 	if k == nil || !m.CanAcceptBlock() {
 		panic(fmt.Sprintf("sm %d: DispatchBlock without capacity", m.ID))
 	}
 	m.wakeUp()
-	blk := &blockState{
-		id:     blockID,
-		shared: make([]int64, k.SharedWords),
-	}
-	blk.ctx = m.blockContext(blk)
+	blk := m.newBlock(blockID, k.SharedWords)
 
 	warps := k.WarpsPerBlock(m.cfg.WarpSize)
 	progLen := int32(k.Program.Len())
+	rows := k.Program.Rows()
 	placed := 0
 	for i := range m.slots {
 		if placed == warps {
@@ -77,7 +79,11 @@ func (m *SM) DispatchBlock(blockID, gidBase int, now int64) {
 			lanes = m.cfg.WarpSize
 		}
 		m.ageSeq++
-		w := simt.NewWarp(gidBase+placed, blockID, placed, lanes, m.cfg.WarpSize, progLen)
+		w := s.warp
+		if w == nil {
+			w = new(simt.Warp)
+		}
+		w.Reset(gidBase+placed, blockID, placed, lanes, m.cfg.WarpSize, progLen, rows)
 		*s = slot{
 			valid:     true,
 			gen:       s.gen + 1,
@@ -115,4 +121,27 @@ func (m *SM) DispatchBlock(blockID, gidBase int, now int64) {
 	if k.RegsPerThread > 0 {
 		m.regsInUse += k.RegsPerThread * k.BlockDim
 	}
+}
+
+// newBlock returns the state of block id with a cleared shared memory
+// of words words, bound to the SM's wiring: a retired block's state and
+// storage when one is free, a new one otherwise.
+func (m *SM) newBlock(id, words int) *blockState {
+	var blk *blockState
+	if n := len(m.freeBlocks); n > 0 {
+		blk = m.freeBlocks[n-1]
+		m.freeBlocks = m.freeBlocks[:n-1]
+	} else {
+		blk = &blockState{}
+	}
+	shared := blk.shared
+	if cap(shared) >= words {
+		shared = shared[:words]
+		clear(shared)
+	} else {
+		shared = make([]int64, words)
+	}
+	*blk = blockState{id: id, shared: shared, slots: blk.slots[:0]}
+	blk.ctx = m.blockContext(blk)
+	return blk
 }

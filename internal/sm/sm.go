@@ -240,6 +240,7 @@ type SM struct {
 	residentBlocks int
 	sharedInUse    int
 	regsInUse      int
+	freeBlocks     []*blockState // retired blocks, recycled by DispatchBlock
 
 	// Finished accumulates warp records; the GPU drains it.
 	Finished []stats.WarpRecord
@@ -382,7 +383,7 @@ func (m *SM) fetch(s *slot, now int64) bool {
 	}
 	req := cache.Request{Addr: int64(s.pc) * instrBytes}
 	if set, way, hit := m.l1i.Probe(req.Addr); hit {
-		m.l1i.Touch(set, way, req)
+		m.l1i.TouchLRU(set, way)
 		s.icSet, s.icWay = int32(set), int32(way)
 		return true
 	}

@@ -112,7 +112,7 @@ echo "== go test -race (harness, serve, workloads) =="
 go test -race -short ./internal/harness/... ./internal/serve/... ./internal/workloads/...
 echo "== go test -race span engine domains (GOMAXPROCS=2, GOMAXPROCS=8) =="
 race_pkgs="./internal/gpu/... ./internal/memsys/... ./internal/harness/... ./internal/checkpoint/... ./internal/sm/..."
-race_run='TestParallel|TestDomain|TestStaged|TestStaging|TestLookahead|TestSpanFill|TestSessionSharedWorkerBudget|TestSharedObservers|TestEngineEquivalenceMatrix|TestRoundTrip|TestReadinessOracle|TestBarrierWake|TestFillWakes|TestWritebackWakes|TestMemDataReparks|TestStaleFill|TestCyclePathAllocFree|TestDesignPointsAllocFree|TestStanding|TestRefusalStandsUntilFills|TestRejectMemoFollowsL1DFills|TestClaimOrderIndependence|TestSessionSurvivesDomainPanic'
+race_run='TestParallel|TestDomain|TestStaged|TestStaging|TestLookahead|TestSpanFill|TestSessionSharedWorkerBudget|TestSharedObservers|TestEngineEquivalenceMatrix|TestRoundTrip|TestReadinessOracle|TestBarrierWake|TestFillWakes|TestWritebackWakes|TestMemDataReparks|TestStaleFill|TestCyclePathAllocFree|TestDispatchAllocFree|TestDesignPointsAllocFree|TestReplayVisitsOnlyDueCycles|TestStanding|TestRefusalStandsUntilFills|TestRejectMemoFollowsL1DFills|TestClaimOrderIndependence|TestSessionSurvivesDomainPanic'
 # A -run alternative that matches nothing passes silently: a renamed or
 # deleted test would drop out of the matrix unnoticed.
 listed=$(go test -list "$race_run" $race_pkgs)
