@@ -306,21 +306,6 @@ func (c *Cache) Fill(req Request) Eviction {
 	return ev
 }
 
-// InvalidateAll clears the cache contents (used between kernel launches
-// in tests; real runs keep caches warm).
-func (c *Cache) InvalidateAll() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			c.sets[s][w] = Line{}
-		}
-	}
-}
-
-// ResetStats zeroes the access counters.
-func (c *Cache) ResetStats() {
-	c.Accesses, c.Hits, c.Misses, c.Evictions = 0, 0, 0, 0
-}
-
 // HitRate returns hits/accesses (0 for an untouched cache).
 func (c *Cache) HitRate() float64 {
 	if c.Accesses == 0 {

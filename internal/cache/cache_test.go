@@ -246,20 +246,6 @@ func TestCacheInvariants(t *testing.T) {
 	}
 }
 
-func TestInvalidateAllAndResetStats(t *testing.T) {
-	c := New(smallCfg(), LRU{})
-	c.Fill(Request{Addr: 0})
-	c.Access(Request{Addr: 0})
-	c.InvalidateAll()
-	if c.Access(Request{Addr: 0}) {
-		t.Fatal("hit after invalidate")
-	}
-	c.ResetStats()
-	if c.Accesses != 0 || c.Hits != 0 || c.Misses != 0 || c.Evictions != 0 {
-		t.Fatal("stats not reset")
-	}
-}
-
 func TestBadPolicyVictimPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

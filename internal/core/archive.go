@@ -1,6 +1,9 @@
 package core
 
-import "cawa/internal/state"
+import (
+	"cawa/internal/sm"
+	"cawa/internal/state"
+)
 
 // Archive walks of the CAWA state machines. Configuration (CACPConfig,
 // the CPL ablation flags, the oracle's static profile table) is not
@@ -22,27 +25,41 @@ func slotted[T any](fields func(*T, *state.Archive)) func(**T, *state.Archive) {
 	}
 }
 
-// Archive walks the predictor: the clock and each slot's counters. A
-// warp's stored criticality is not archived (a loader recomputes it),
-// nor is the blocks index — a loader rebuilds it from the slot
-// array in slot order, which is equivalent for every CPL query (peer
-// scans only count strict comparisons, never positions).
+// Archive walks the predictor: the clock, then each slot up to the
+// highest ever occupied: whether it is live and, if so, its warp and
+// counters. A warp's criticality is not archived (a loader recomputes
+// it), nor are the block peer sets — a loader rebuilds them in slot
+// order, which is equivalent for every query (peer scans only count
+// strict comparisons, never positions).
 func (c *CPL) Archive(a *state.Archive) {
 	a.Tag("cpl")
 	state.Int(a, &c.now)
+	n := a.Len(len(c.slots))
 	if a.Loading() {
-		c.blocks = make(map[int][]*warpCrit)
+		if n > sm.MaxSlots {
+			a.Failf("core: CPL walks %d slots, an SM has at most %d", n, sm.MaxSlots)
+			return
+		}
+		c.reset(n)
 	}
-	state.Slice(a, &c.slots, slotted(func(wc *warpCrit, a *state.Archive) {
-		state.Int(a, &wc.gid, &wc.block)
+	for slot := 0; slot < n && a.Err() == nil; slot++ {
+		live := c.live(slot)
+		if a.Bool(&live); !live {
+			continue
+		}
+		var e slotEntry
+		var wc warpCrit
+		if !a.Loading() {
+			e, wc = c.slots[slot], c.warps[slot]
+		}
+		state.Int(a, &e.gid, &e.block)
 		a.Float64(&wc.nInst)
 		a.Float64(&wc.nStall)
 		state.Int(a, &wc.issues, &wc.arrive, &wc.lastSeen)
 		if a.Loading() {
-			wc.crit = wc.criticality()
-			c.blocks[wc.block] = append(c.blocks[wc.block], wc)
+			c.admit(slot, e.gid, e.block, wc)
 		}
-	}))
+	}
 }
 
 // Archive walks the CCBP and SHiP tables, the partition controller, the
@@ -56,33 +73,40 @@ func (c *CACP) Archive(a *state.Archive) {
 		&c.PredCritical, &c.PredNonCritical, &c.CCBPDemotions, &c.SHiPDemotions)
 }
 
-// Archive walks the provider's resident-warp index by slot; a loader
-// rebuilds the per-block peer sets as the pairs arrive.
+// Archive walks the provider's resident warps: their count, then each
+// one's slot, in ascending order, with its warp and criticality. A
+// loader rejects a slot out of order or beyond an SM's.
 func (o *Oracle) Archive(a *state.Archive) {
 	a.Tag("oracle")
-	if a.Loading() {
-		o.blocks = make(map[int]map[int]*oracleWarp)
+	live := 0
+	for _, e := range o.slots {
+		if e.live {
+			live++
+		}
 	}
-	var slot int // the key of the pair being walked
-	state.Map(a, &o.slots,
-		func(k *int, a *state.Archive) {
-			state.Int(a, k)
-			slot = *k
-		},
-		func(p **oracleWarp, a *state.Archive) {
-			if a.Loading() {
-				*p = &oracleWarp{}
+	n := a.Len(live)
+	if a.Loading() {
+		o.reset(0)
+	}
+	for i, slot := 0, -1; i < n && a.Err() == nil; i++ {
+		prev := slot
+		var e slotEntry
+		if !a.Loading() {
+			for slot++; !o.live(slot); slot++ {
 			}
-			ow := *p
-			state.Int(a, &ow.gid, &ow.block)
-			a.Float64(&ow.crit)
-			if a.Loading() {
-				if o.blocks[ow.block] == nil {
-					o.blocks[ow.block] = make(map[int]*oracleWarp)
-				}
-				o.blocks[ow.block][slot] = ow
-			}
-		})
+			e = o.slots[slot]
+		}
+		state.Int(a, &slot, &e.gid, &e.block)
+		a.Float64(&e.crit)
+		if !a.Loading() {
+			continue
+		}
+		if slot <= prev || slot >= sm.MaxSlots {
+			a.Failf("core: oracle slot %d after %d (an SM has %d)", slot, prev, sm.MaxSlots)
+			return
+		}
+		o.arrive(slot, e.gid, e.block, e.crit)
+	}
 }
 
 // Archive walks the lost-locality scores and victim tag arrays by slot;

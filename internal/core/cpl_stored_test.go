@@ -22,15 +22,15 @@ func TestCPLStoredCriticalityMatchesRecomputed(t *testing.T) {
 		gid := 0
 		check := func(op string) {
 			t.Helper()
-			for s, wc := range c.slots {
-				if wc == nil {
+			for s := range c.slots {
+				if !c.live(s) {
 					continue
 				}
-				if got, want := wc.crit, wc.criticality(); math.Float64bits(got) != math.Float64bits(want) {
+				if got, want := c.slots[s].crit, c.warps[s].criticality(); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%+v after %s: slot %d stores %v (%#x), recomputed %v (%#x)",
 						ab, op, s, got, math.Float64bits(got), want, math.Float64bits(want))
 				}
-				if c.Criticality(s) != wc.crit {
+				if c.Criticality(s) != c.slots[s].crit {
 					t.Fatalf("%+v after %s: Criticality(%d) does not read the stored value", ab, op, s)
 				}
 			}
@@ -39,7 +39,7 @@ func TestCPLStoredCriticalityMatchesRecomputed(t *testing.T) {
 		for i := 0; i < 20000; i++ {
 			s := rng.Intn(slots)
 			switch r := rng.Intn(100); {
-			case c.at(s) == nil:
+			case !c.live(s):
 				c.OnWarpArrived(s, mkWarp(gid, s/4, s%4))
 				gid++
 				check("arrive")
@@ -61,12 +61,12 @@ func TestCPLStoredCriticalityMatchesRecomputed(t *testing.T) {
 		}
 
 		restored := roundTripCPL(t, c)
-		for s, wc := range c.slots {
-			if wc == nil {
+		for s, e := range c.slots {
+			if !e.live {
 				continue
 			}
-			if got := restored.slots[s].crit; math.Float64bits(got) != math.Float64bits(wc.crit) {
-				t.Fatalf("%+v: restored slot %d stores %v, saved %v", ab, s, got, wc.crit)
+			if got := restored.slots[s].crit; math.Float64bits(got) != math.Float64bits(e.crit) {
+				t.Fatalf("%+v: restored slot %d stores %v, saved %v", ab, s, got, e.crit)
 			}
 		}
 	}

@@ -7,83 +7,22 @@ import "cawa/internal/simt"
 // profiling run of the same workload) instead of predicted. It
 // implements sm.CriticalityProvider.
 type Oracle struct {
+	slotTable
+
 	// values maps global warp id to its profiled criticality (the
 	// warp's execution time from a baseline run).
 	values map[int]float64
-
-	slots  map[int]*oracleWarp
-	blocks map[int]map[int]*oracleWarp
-}
-
-type oracleWarp struct {
-	gid   int
-	block int
-	crit  float64
 }
 
 // NewOracle builds a provider around profiled per-warp execution times.
 func NewOracle(values map[int]float64) *Oracle {
-	return &Oracle{
-		values: values,
-		slots:  make(map[int]*oracleWarp),
-		blocks: make(map[int]map[int]*oracleWarp),
-	}
+	return &Oracle{values: values}
 }
 
 // OnWarpArrived implements sm.CriticalityProvider.
 func (o *Oracle) OnWarpArrived(slot int, w *simt.Warp) {
-	ow := &oracleWarp{gid: w.GID, block: w.Block, crit: o.values[w.GID]}
-	o.slots[slot] = ow
-	blk := o.blocks[w.Block]
-	if blk == nil {
-		blk = make(map[int]*oracleWarp)
-		o.blocks[w.Block] = blk
-	}
-	blk[slot] = ow
-}
-
-// OnWarpFinished implements sm.CriticalityProvider.
-func (o *Oracle) OnWarpFinished(slot int) {
-	ow, ok := o.slots[slot]
-	if !ok {
-		return
-	}
-	delete(o.slots, slot)
-	if blk := o.blocks[ow.block]; blk != nil {
-		delete(blk, slot)
-		if len(blk) == 0 {
-			delete(o.blocks, ow.block)
-		}
-	}
+	o.arrive(slot, w.GID, w.Block, o.values[w.GID])
 }
 
 // OnIssue implements sm.CriticalityProvider (oracle state is static).
 func (o *Oracle) OnIssue(int, *simt.Step, int64, int64) {}
-
-// Criticality implements sm.CriticalityProvider.
-func (o *Oracle) Criticality(slot int) float64 {
-	if ow, ok := o.slots[slot]; ok {
-		return ow.crit
-	}
-	return 0
-}
-
-// IsCritical implements sm.CriticalityProvider.
-func (o *Oracle) IsCritical(slot int) bool {
-	ow, ok := o.slots[slot]
-	if !ok {
-		return false
-	}
-	blk := o.blocks[ow.block]
-	if len(blk) <= 1 {
-		return true
-	}
-	below := 0
-	//cawalint:ignore order-insensitive integer count over peers
-	for _, peer := range blk {
-		if peer != ow && peer.crit < ow.crit {
-			below++
-		}
-	}
-	return below*2 >= len(blk)
-}

@@ -24,7 +24,12 @@ import (
 // allocation has no cawa/internal/ frame, so it is not counted here.
 // internal/sm's gates use a copy of this helper; SimAllocs exports it
 // to the external tests.
-func simAllocs(f func()) int64 {
+func simAllocs(f func()) int64 { return simAllocsUnder("cawa/internal/", f) }
+
+// simAllocsUnder is simAllocs counting only the allocations whose
+// stacks pass through a function whose name starts with under (a
+// package path and its dot, say, to count one package's own).
+func simAllocsUnder(under string, f func()) int64 {
 	// One P, as AllocsPerRun: a helper domain parking on a channel on a
 	// second P draws a sudog from that P's cache, which can run dry and
 	// refill by allocating.
@@ -32,14 +37,14 @@ func simAllocs(f func()) int64 {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	f()
 	runtime.MemProfileRate = 1
-	before := simAllocProfile()
+	before := simAllocProfile(under)
 	f()
-	return simAllocProfile() - before
+	return simAllocProfile(under) - before
 }
 
 // simAllocProfile returns the objects allocated so far by stacks that
-// pass through cawa/internal/, except its own.
-func simAllocProfile() int64 {
+// pass through a function named under..., except its own.
+func simAllocProfile(under string) int64 {
 	// A record is published two GC cycles after its allocation.
 	for i := 0; i < 3; i++ {
 		runtime.GC()
@@ -61,7 +66,7 @@ func simAllocProfile() int64 {
 				sim = false
 				break
 			}
-			sim = sim || strings.HasPrefix(fr.Function, "cawa/internal/")
+			sim = sim || strings.HasPrefix(fr.Function, under)
 		}
 		if sim {
 			objects += r.AllocObjects
@@ -70,5 +75,6 @@ func simAllocProfile() int64 {
 	return objects
 }
 
-// SimAllocs is simAllocs for the external test package.
-var SimAllocs = simAllocs
+// SimAllocs and SimAllocsUnder are simAllocs and simAllocsUnder for the
+// external test package.
+var SimAllocs, SimAllocsUnder = simAllocs, simAllocsUnder

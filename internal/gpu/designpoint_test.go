@@ -1,6 +1,7 @@
 package gpu_test
 
 import (
+	"context"
 	"testing"
 
 	"cawa/internal/config"
@@ -10,14 +11,16 @@ import (
 	"cawa/internal/memory"
 	"cawa/internal/memsys"
 	"cawa/internal/simt"
+	"cawa/internal/sm"
 )
 
-// reuseKernel loops every thread over a strided global-load sweep that
-// wraps a 1 MiB window (L1D misses) and re-reads one word of its own on
-// every iteration (L1D hits), so a steady-state window drives both the
-// fill path and the hit path of every L1D policy.
-func reuseKernel(mem *memory.Memory, iters int64) *simt.Kernel {
-	const threads = 8 * 128
+// reuseKernel loops every thread of blocks 128-thread blocks over a
+// strided global-load sweep that wraps a 1 MiB window (L1D misses) and
+// re-reads one word of its own on every iteration (L1D hits), so a
+// steady-state window drives both the fill path and the hit path of
+// every L1D policy.
+func reuseKernel(mem *memory.Memory, blocks int, iters int64) *simt.Kernel {
+	threads := blocks * 128
 	stream := mem.Alloc(1 << 17) // 2^17 words = 1 MiB of byte addresses
 	own := mem.Alloc(threads)
 	b := isa.NewBuilder("reuse")
@@ -44,7 +47,7 @@ func reuseKernel(mem *memory.Memory, iters int64) *simt.Kernel {
 	b.Exit()
 	return &simt.Kernel{
 		Name: "reuse", Program: b.MustBuild(),
-		GridDim: 8, BlockDim: threads / 8,
+		GridDim: blocks, BlockDim: 128,
 		Params: []int64{stream, own},
 	}
 }
@@ -95,7 +98,7 @@ func TestDesignPointsAllocFree(t *testing.T) {
 				t.Skip("subset under -short")
 			}
 			mem := memory.New(1 << 21)
-			k := reuseKernel(mem, 1<<20)
+			k := reuseKernel(mem, 8, 1<<20)
 			// Two MSHRs: the strided loads keep most warps refused, so
 			// the window also sleeps through refused ticks and settles.
 			cfg := config.Small()
@@ -157,5 +160,55 @@ func TestDesignPointsAllocFree(t *testing.T) {
 				t.Fatalf("%d blocks retired during the measured window", n)
 			}
 		})
+	}
+}
+
+// TestProvidersAllocNothingPerWarp pins what a warm launch costs the
+// criticality providers and CACP: a second launch of 32 four-warp
+// blocks on SmallConfig, whose two SMs dispatch and retire 128 warps,
+// allocates nothing in internal/core. A CPL or an oracle that
+// allocated per warp, or grew peer storage per block, would count once
+// per dispatch. The whole launch's count is logged beside lrr's: it
+// also holds the launch's own program analysis and memory-system
+// buffers, which move by a few objects with the schedule.
+func TestProvidersAllocNothingPerWarp(t *testing.T) {
+	oracle := map[int]float64{}
+	for gid := 0; gid < 32*4; gid++ {
+		oracle[gid] = float64(gid % 7)
+	}
+	warmLaunch := func(sc core.SystemConfig, under string) (int64, sm.CriticalityProvider) {
+		mem := memory.New(1 << 21)
+		k := reuseKernel(mem, 32, 8)
+		g, err := sc.NewGPU(config.Small(), mem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		launch := func() {
+			if _, err := g.Launch(context.Background(), k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// SimAllocsUnder measures the second of its two calls.
+		return gpu.SimAllocsUnder(under, launch), g.SMs()[0].Crit()
+	}
+	lrr, _ := warmLaunch(core.SystemConfig{Scheduler: "lrr"}, "cawa/internal/")
+	for _, c := range []struct {
+		name string
+		sc   core.SystemConfig
+	}{
+		{"gcaws+cpl", core.SystemConfig{Scheduler: "gcaws", CPL: true}},
+		{"caws+oracle", core.SystemConfig{Scheduler: "caws", Oracle: oracle}},
+		{"cawa", core.CAWA()},
+	} {
+		n, crit := warmLaunch(c.sc, "cawa/internal/core.")
+		if n != 0 {
+			t.Errorf("%s: a warm launch allocated %d objects in internal/core, want 0", c.name, n)
+		}
+		// Guard against a vacuous pass: the launch ranked its warps.
+		if _, ok := crit.(interface{ Rank(int) (int, int) }); !ok {
+			t.Errorf("%s: provider %T ranks no warps", c.name, crit)
+		}
+		all, _ := warmLaunch(c.sc, "cawa/internal/")
+		t.Logf("%s: %d objects per warm launch (lrr %d)", c.name, all, lrr)
 	}
 }

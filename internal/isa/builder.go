@@ -3,7 +3,6 @@ package isa
 import (
 	"fmt"
 	"maps"
-	"sort"
 )
 
 // Builder assembles a Program. Emit instructions through the typed
@@ -318,14 +317,4 @@ func (b *Builder) MustBuild() *Program {
 		panic(err)
 	}
 	return p
-}
-
-// Labels returns the defined labels in PC order, for tooling.
-func (b *Builder) Labels() []string {
-	names := make([]string, 0, len(b.labels))
-	for n := range b.labels {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool { return b.labels[names[i]] < b.labels[names[j]] })
-	return names
 }

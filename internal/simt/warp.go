@@ -2,7 +2,6 @@ package simt
 
 import (
 	"fmt"
-	"math/bits"
 
 	"cawa/internal/isa"
 )
@@ -101,9 +100,6 @@ func (w *Warp) ActiveMask() uint64 {
 	return w.top().Mask
 }
 
-// ActiveCount returns the number of lanes executing the next instruction.
-func (w *Warp) ActiveCount() int { return bits.OnesCount64(w.ActiveMask()) }
-
 // StackDepth exposes the reconvergence-stack depth (tests, stats).
 func (w *Warp) StackDepth() int { return len(w.stack) }
 
@@ -144,7 +140,3 @@ func (w *Warp) exitLanes(mask uint64) {
 
 // ExitedMask returns lanes that have terminated.
 func (w *Warp) ExitedMask() uint64 { return w.exited }
-
-// LaneExists reports whether the lane was populated at launch (the last
-// warp of a block may be partial).
-func (w *Warp) LaneExists(lane int) bool { return w.initial&(1<<uint(lane)) != 0 }

@@ -599,8 +599,3 @@ func (m *SM) retireBlock(blk *blockState, now int64) {
 	}
 	m.freeBlocks = append(m.freeBlocks, blk)
 }
-
-// Occupancy returns resident warps over capacity (statistics).
-func (m *SM) Occupancy() float64 {
-	return float64(m.ResidentWarps()) / float64(len(m.slots))
-}

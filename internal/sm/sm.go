@@ -147,6 +147,10 @@ const (
 	tokenGenShift = tokenRegBits + tokenSlotBits
 )
 
+// MaxSlots bounds the warp slots of an SM: a load token holds the slot
+// in tokenSlotBits bits.
+const MaxSlots = 1 << tokenSlotBits
+
 func makeToken(slot int, gen int64, reg isa.Reg) int64 {
 	return gen<<tokenGenShift | int64(slot)<<tokenRegBits | int64(reg)
 }
@@ -432,14 +436,6 @@ func (m *SM) Idle() bool { return m.residentBlocks == 0 }
 // occupancy statistics).
 func (m *SM) ResidentWarps() int { return len(m.slots) - m.freeSlots }
 
-// Slot gives providers access to a slot's warp (nil when free).
-func (m *SM) Slot(i int) *simt.Warp {
-	if !m.slots[i].valid {
-		return nil
-	}
-	return m.slots[i].warp
-}
-
 // ObsState is a point-in-time classification of the SM's warp
 // population for the observability sampler: how many warps are
 // resident, what each was doing at the sampled cycle, and the live
@@ -521,6 +517,3 @@ func (m *SM) Schedulers() int { return len(m.units) }
 // SchedulerIssued returns the cumulative instructions issued by one
 // scheduler unit — the scheduler-pick distribution (sampling hook).
 func (m *SM) SchedulerIssued(unit int) int64 { return m.units[unit].issued }
-
-// classLatency maps a functional-unit class to its latency.
-func (m *SM) classLatency(c isa.Class) int64 { return m.classLat[c] }

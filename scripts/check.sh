@@ -35,9 +35,13 @@
 #                 decoder of cawaserve request bodies (a 4xx or an
 #                 accepted job with a keyable design point), the isa
 #                 text assembler (an error or a program whose
-#                 disassembly parses back to it) and simt's warp-wide
+#                 disassembly parses back to it), simt's warp-wide
 #                 execute against the per-lane interpreter it replaced,
-#                 ten seconds each beyond their committed seeds; a
+#                 and core's slot table (CPL's and the CAWS oracle's
+#                 criticality, rank and slower-half verdict per slot,
+#                 across a checkpoint round trip) against a scan of the
+#                 live warps, ten seconds each beyond their committed
+#                 seeds; a
 #                 crasher is written under the package's testdata/fuzz
 #   go test -race the concurrency audit of the session scheduler:
 #                 harness (worker pool, parallel experiments, the one
@@ -59,7 +63,8 @@
 #                 in-span deliveries; the directed wake and standing-
 #                 verdict cases; the refusal contract; the allocation
 #                 budgets at full occupancy and, for a subset of the
-#                 design points, over the span loop)
+#                 design points, over the span loop; a warm launch's
+#                 under each criticality provider)
 #                 re-run under -race at GOMAXPROCS=2 (forced goroutine
 #                 multiplexing — exercises the barrier park path) and
 #                 GOMAXPROCS=8 (real interleaving on CI's multi-core
@@ -108,11 +113,12 @@ go test -run '^$' -fuzz '^FuzzDecodeEntry$' -fuzztime 10s -fuzzminimizetime 1s .
 go test -run '^$' -fuzz '^FuzzRunRequest$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
 go test -run '^$' -fuzz '^FuzzExecAgainstPerLane$' -fuzztime 10s -fuzzminimizetime 1s ./internal/simt
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 1s ./internal/isa
+go test -run '^$' -fuzz '^FuzzCriticalityPeers$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core
 echo "== go test -race (harness, serve, workloads) =="
 go test -race -short ./internal/harness/... ./internal/serve/... ./internal/workloads/...
 echo "== go test -race span engine domains (GOMAXPROCS=2, GOMAXPROCS=8) =="
 race_pkgs="./internal/gpu/... ./internal/memsys/... ./internal/harness/... ./internal/checkpoint/... ./internal/sm/..."
-race_run='TestParallel|TestDomain|TestStaged|TestStaging|TestLookahead|TestSpanFill|TestSessionSharedWorkerBudget|TestSharedObservers|TestEngineEquivalenceMatrix|TestRoundTrip|TestReadinessOracle|TestBarrierWake|TestFillWakes|TestWritebackWakes|TestMemDataReparks|TestStaleFill|TestCyclePathAllocFree|TestDispatchAllocFree|TestDesignPointsAllocFree|TestReplayVisitsOnlyDueCycles|TestStanding|TestRefusalStandsUntilFills|TestRejectMemoFollowsL1DFills|TestClaimOrderIndependence|TestSessionSurvivesDomainPanic'
+race_run='TestParallel|TestDomain|TestStaged|TestStaging|TestLookahead|TestSpanFill|TestSessionSharedWorkerBudget|TestSharedObservers|TestEngineEquivalenceMatrix|TestRoundTrip|TestReadinessOracle|TestBarrierWake|TestFillWakes|TestWritebackWakes|TestMemDataReparks|TestStaleFill|TestCyclePathAllocFree|TestDispatchAllocFree|TestDesignPointsAllocFree|TestProvidersAllocNothingPerWarp|TestReplayVisitsOnlyDueCycles|TestStanding|TestRefusalStandsUntilFills|TestRejectMemoFollowsL1DFills|TestClaimOrderIndependence|TestSessionSurvivesDomainPanic'
 # A -run alternative that matches nothing passes silently: a renamed or
 # deleted test would drop out of the matrix unnoticed.
 listed=$(go test -list "$race_run" $race_pkgs)
