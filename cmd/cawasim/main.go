@@ -151,12 +151,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var collector *obs.Collector
 	var sampler *obs.Sampler
 	if *traceJSON != "" || *hotpcs > 0 {
-		// Decorate exactly the providers the untraced run gets, bound to
-		// their L1Ds the same way.
+		// Decorate exactly the providers the untraced run gets.
 		collector = obs.NewCollector(1 << 20)
-		providers, attach := sc.Providers()
-		opt.System.ProviderOverride = collector.Wrap(providers)
-		opt.AttachL1 = attach
+		opt.System.ProviderOverride = collector.Wrap(sc.Providers())
 	}
 	if *traceJSON != "" {
 		sampler = obs.NewSampler(nil, *sampleEvery)

@@ -135,11 +135,11 @@ func TestTracedRunGolden(t *testing.T) {
 	}
 }
 
-// TestUsageErrors pins the exit codes of the two ways a run fails
-// before simulating: a usage error (2) — an unknown flag (among them
-// the removed -obs-dir), or a -scale
-// that is not a positive finite number — and an unknown workload (1,
-// naming it on stderr).
+// TestUsageErrors pins the exit codes of the ways a run fails before
+// simulating: a usage error (2) — an unknown flag (among them the
+// removed -obs-dir), or a -scale that is not a positive finite number —
+// and an unknown workload or scheduler (1, naming it on stderr; ccws
+// was a scheduler once).
 func TestUsageErrors(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	for _, args := range [][]string{{"-fastforward"}, {"-sample-interval", "4"}, {"-perf-trace", "x"}, {"-obs-dir", "x"},
@@ -148,12 +148,14 @@ func TestUsageErrors(t *testing.T) {
 			t.Errorf("cawasim %v: exit %d, want 2", args, code)
 		}
 	}
-	stderr.Reset()
-	if code := run([]string{"-workload", "nosuch"}, &stdout, &stderr); code != 1 {
-		t.Errorf("unknown workload: exit %d, want 1", code)
-	}
-	if !strings.Contains(stderr.String(), "nosuch") {
-		t.Errorf("unknown workload not named on stderr: %q", stderr.String())
+	for _, args := range [][]string{{"-workload", "nosuch"}, {"-scheduler", "ccws", "-scale", "0.05", "-sms", "2"}} {
+		stderr.Reset()
+		if code := run(args, &stdout, &stderr); code != 1 {
+			t.Errorf("cawasim %v: exit %d, want 1", args, code)
+		}
+		if name := args[1]; !strings.Contains(stderr.String(), name) {
+			t.Errorf("cawasim %v: %q not named on stderr: %q", args, name, stderr.String())
+		}
 	}
 }
 

@@ -128,11 +128,32 @@ func hostileCases(t testing.TB, real *Snapshot) []hostileCase {
 		{"wrong memory size", realCheckpoint(t, hostileConfig(), workloads.Params{Scale: 0.1, Seed: 3}).payload, "memory: size mismatch"},
 		{"trailing bytes", append(append([]byte(nil), real.payload...), 0), "left over"},
 	}
-	for tag, at := range sectionOffsets(t, real.payload) {
+	offs := sectionOffsets(t, real.payload)
+	for tag, at := range offs {
 		if tag != "meta" { // a payload cut inside Meta fails Decode instead
 			cases = append(cases, hostileCase{"cut at " + tag, real.payload[:at], ""})
 			cases = append(cases, hostileCase{"cut inside " + tag, real.payload[:at+2], ""})
 		}
+	}
+	// CACP's six partition-controller words follow its two predictor
+	// tables and are always 0; a 1 there is a checkpoint of the retired
+	// dynamic partition (dynpart), or crafted bytes.
+	l := state.NewLoader(real.payload[offs["cacp"]:])
+	var table [256]uint8
+	l.Tag("cacp")
+	state.Table(l, "CCBP entry", table[:], state.IntElem[uint8])
+	state.Table(l, "SHiP entry", table[:], state.IntElem[uint8])
+	if l.Err() != nil {
+		t.Fatalf("walking the fixture's CACP tables: %v", l.Err())
+	}
+	for word := range 6 {
+		at := len(real.payload) - len(l.Bytes()) + word
+		if real.payload[at] != 0 {
+			t.Fatalf("CACP partition controller word %d is %#x in the fixture, want 0", word, real.payload[at])
+		}
+		b := append([]byte(nil), real.payload...)
+		b[at] = 2 // the zigzag varint of 1
+		cases = append(cases, hostileCase{fmt.Sprint("CACP partition controller word ", word), b, "only a static partition exists"})
 	}
 	return cases
 }
@@ -294,18 +315,19 @@ func TestPlainStructsArchiveEveryField(t *testing.T) {
 // resume-on-one-domain-per-SM round trip over the providers and
 // policies TestRoundTrip's three systems do not reach: the two-level
 // scheduler's active and pending sets, the oracle provider's slot
-// index, and CACP's partition controller.
+// index, and a CACP configuration other than the default (abl-partition's
+// 4 of 16 critical ways).
 func TestRoundTripOtherDesignPoints(t *testing.T) {
 	oracle := map[int]float64{}
 	for gid := 0; gid < 4096; gid++ {
 		oracle[gid] = float64((gid * 7919) % 1000)
 	}
-	dyn := core.DefaultCACPConfig()
-	dyn.DynamicPartition = true
+	ways4 := core.DefaultCACPConfig()
+	ways4.CriticalWays = 4
 	systems := map[string]core.SystemConfig{
-		"2lvl":         {Scheduler: "2lvl"},
-		"caws-oracle":  {Scheduler: "caws", Oracle: oracle},
-		"cawa-dynpart": {Scheduler: "gcaws", CPL: true, CACP: true, CACPConfig: &dyn},
+		"2lvl":        {Scheduler: "2lvl"},
+		"caws-oracle": {Scheduler: "caws", Oracle: oracle},
+		"cawa-ways4":  {Scheduler: "gcaws", CPL: true, CACP: true, CACPConfig: &ways4},
 	}
 	for name, sc := range systems {
 		t.Run(name, func(t *testing.T) {

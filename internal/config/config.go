@@ -10,6 +10,11 @@ import (
 	"fmt"
 )
 
+// MaxSlots bounds MaxWarpsPerSM: an SM names a warp slot in 8 bits of
+// each in-flight load's token (internal/sm), so slot 256 would alias
+// slot 0.
+const MaxSlots = 256
+
 // Config describes one simulated GPU. The zero value is not usable; start
 // from GTX480() or Small() and override fields as needed, then Validate.
 type Config struct {
@@ -18,7 +23,8 @@ type Config struct {
 
 	// NumSMs is the number of streaming multiprocessors.
 	NumSMs int
-	// MaxWarpsPerSM bounds concurrent warps resident on one SM.
+	// MaxWarpsPerSM bounds concurrent warps resident on one SM (at
+	// most MaxSlots).
 	MaxWarpsPerSM int
 	// MaxBlocksPerSM bounds concurrent thread-blocks resident on one SM.
 	MaxBlocksPerSM int
@@ -148,8 +154,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.NumSMs <= 0:
 		return errors.New("config: NumSMs must be positive")
-	case c.MaxWarpsPerSM <= 0:
-		return errors.New("config: MaxWarpsPerSM must be positive")
+	case c.MaxWarpsPerSM <= 0 || c.MaxWarpsPerSM > MaxSlots:
+		return fmt.Errorf("config: MaxWarpsPerSM %d out of range (1..%d)", c.MaxWarpsPerSM, MaxSlots)
 	case c.MaxBlocksPerSM <= 0:
 		return errors.New("config: MaxBlocksPerSM must be positive")
 	case c.SchedulersPerSM <= 0:

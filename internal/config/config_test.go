@@ -67,6 +67,7 @@ func TestValidateRejects(t *testing.T) {
 	bad := []Config{
 		break_(func(c *Config) { c.NumSMs = 0 }),
 		break_(func(c *Config) { c.MaxWarpsPerSM = -1 }),
+		break_(func(c *Config) { c.MaxWarpsPerSM = 300 }), // beyond MaxSlots
 		break_(func(c *Config) { c.MaxBlocksPerSM = 0 }),
 		break_(func(c *Config) { c.SchedulersPerSM = 0 }),
 		break_(func(c *Config) { c.WarpSize = 0 }),
@@ -85,6 +86,9 @@ func TestValidateRejects(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
+	}
+	if err := break_(func(c *Config) { c.MaxWarpsPerSM = MaxSlots }).Validate(); err != nil {
+		t.Errorf("%d warps per SM rejected: %v", MaxSlots, err)
 	}
 }
 

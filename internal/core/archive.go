@@ -1,7 +1,7 @@
 package core
 
 import (
-	"cawa/internal/sm"
+	"cawa/internal/config"
 	"cawa/internal/state"
 )
 
@@ -9,21 +9,6 @@ import (
 // the CPL ablation flags, the oracle's static profile table) is not
 // archived: the restoring side builds the providers from the same
 // SystemConfig and the walk overlays the dynamic state.
-
-// slotted walks one entry of a slot-indexed table of pointers: whether
-// the slot is occupied, then the occupant, which a loader allocates.
-func slotted[T any](fields func(*T, *state.Archive)) func(**T, *state.Archive) {
-	return func(p **T, a *state.Archive) {
-		valid := *p != nil
-		if a.Bool(&valid); !valid {
-			return
-		}
-		if a.Loading() {
-			*p = new(T)
-		}
-		fields(*p, a)
-	}
-}
 
 // Archive walks the predictor: the clock, then each slot up to the
 // highest ever occupied: whether it is live and, if so, its warp and
@@ -36,8 +21,8 @@ func (c *CPL) Archive(a *state.Archive) {
 	state.Int(a, &c.now)
 	n := a.Len(len(c.slots))
 	if a.Loading() {
-		if n > sm.MaxSlots {
-			a.Failf("core: CPL walks %d slots, an SM has at most %d", n, sm.MaxSlots)
+		if n > config.MaxSlots {
+			a.Failf("core: CPL walks %d slots, an SM has at most %d", n, config.MaxSlots)
 			return
 		}
 		c.reset(n)
@@ -62,15 +47,23 @@ func (c *CPL) Archive(a *state.Archive) {
 	}
 }
 
-// Archive walks the CCBP and SHiP tables, the partition controller, the
-// bimodal fill counter and the prediction statistics.
+// Archive walks the CCBP and SHiP tables, six zero words, the bimodal
+// fill counter and the prediction statistics. The zeros stand where a
+// runtime partition controller, since retired, kept its boundary and
+// counters; they keep checkpoint format 2 unchanged, and a loader
+// refuses a checkpoint in which that controller had run.
 func (c *CACP) Archive(a *state.Archive) {
 	a.Tag("cacp")
 	state.Table(a, "CCBP entry", c.ccbp[:], state.IntElem[uint8])
 	state.Table(a, "SHiP entry", c.ship[:], state.IntElem[uint8])
-	state.Int(a, &c.dyn.ways, &c.dyn.totalWays)
-	state.Int(a, &c.dyn.fills, &c.dyn.hitsCrit, &c.dyn.hitsNon, &c.dyn.Adjustments, &c.fills,
-		&c.PredCritical, &c.PredNonCritical, &c.CCBPDemotions, &c.SHiPDemotions)
+	var retired [6]int64
+	for i := range retired {
+		if state.Int(a, &retired[i]); retired[i] != 0 {
+			a.Failf("core: CACP partition controller word %d is %d; only a static partition exists", i, retired[i])
+			return
+		}
+	}
+	state.Int(a, &c.fills, &c.PredCritical, &c.PredNonCritical, &c.CCBPDemotions, &c.SHiPDemotions)
 }
 
 // Archive walks the provider's resident warps: their count, then each
@@ -101,33 +94,10 @@ func (o *Oracle) Archive(a *state.Archive) {
 		if !a.Loading() {
 			continue
 		}
-		if slot <= prev || slot >= sm.MaxSlots {
-			a.Failf("core: oracle slot %d after %d (an SM has %d)", slot, prev, sm.MaxSlots)
+		if slot <= prev || slot >= config.MaxSlots {
+			a.Failf("core: oracle slot %d after %d (an SM has %d)", slot, prev, config.MaxSlots)
 			return
 		}
 		o.arrive(slot, e.gid, e.block, e.crit)
 	}
-}
-
-// Archive walks the lost-locality scores and victim tag arrays by slot;
-// a loader rebuilds the by-GID index.
-func (p *CCWSProvider) Archive(a *state.Archive) {
-	a.Tag("ccws")
-	if a.Loading() {
-		p.byGID = make(map[int]*ccwsWarp)
-	}
-	state.Slice(a, &p.slots, slotted(func(w *ccwsWarp, a *state.Archive) {
-		state.Int(a, &w.gid)
-		a.Float64(&w.lls)
-		state.Slice(a, &w.victims, state.IntElem[int64])
-		if a.Loading() {
-			p.byGID[w.gid] = w
-		}
-	}))
-}
-
-// Archive walks the policy's round-robin pointer (topK is scratch).
-func (p *CCWSPolicy) Archive(a *state.Archive) {
-	a.Tag("ccws-policy")
-	p.lrr.Archive(a)
 }

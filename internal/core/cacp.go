@@ -41,11 +41,6 @@ type CACPConfig struct {
 	// LineBytes must match the L1D line size (for the address region
 	// bits of the signature).
 	LineBytes int
-	// DynamicPartition enables the UCP-style runtime tuning of the
-	// critical-way count the paper suggests as an extension
-	// (internal/core/dynpart.go); CriticalWays becomes the initial
-	// boundary.
-	DynamicPartition bool
 }
 
 // DefaultCACPConfig returns the paper's configuration for a 16-way L1D
@@ -67,7 +62,6 @@ type CACP struct {
 	cfg    CACPConfig
 	ccbp   [sigEntries]uint8
 	ship   [sigEntries]uint8
-	dyn    dynPartState
 	fills  uint64 // bimodal-insertion counter
 	wayBuf []int  // scratch for waysOf (valid until the next call)
 
@@ -88,10 +82,6 @@ func NewCACP(cfg CACPConfig) *CACP {
 		cfg.LineBytes = 128
 	}
 	c := &CACP{cfg: cfg}
-	if cfg.DynamicPartition {
-		c.dyn.enabled = true
-		c.dyn.ways = cfg.CriticalWays
-	}
 	// SHiP counters start weakly reusing so cold signatures insert at
 	// "long" rather than "distant", as in the SHiP paper.
 	for i := range c.ship {
@@ -99,18 +89,6 @@ func NewCACP(cfg CACPConfig) *CACP {
 	}
 	return c
 }
-
-// CriticalWays reports the current critical partition size (dynamic
-// when DynamicPartition is enabled).
-func (c *CACP) CriticalWays() int {
-	if c.dyn.enabled {
-		return c.dyn.ways
-	}
-	return c.cfg.CriticalWays
-}
-
-// PartitionAdjustments reports how often the dynamic boundary moved.
-func (c *CACP) PartitionAdjustments() uint64 { return c.dyn.Adjustments }
 
 // Name implements cache.Policy.
 func (c *CACP) Name() string { return "CACP" }
@@ -134,10 +112,6 @@ func (c *CACP) signature(pc int32, addr int64) uint16 {
 // critical and non-critical partitions of a W-way cache.
 func (c *CACP) partitions(ways int) (critEnd int) {
 	k := c.cfg.CriticalWays
-	if c.dyn.enabled {
-		c.dyn.totalWays = ways
-		k = c.dyn.ways
-	}
 	if k > ways {
 		k = ways
 	}
@@ -204,7 +178,6 @@ func (c *CACP) FillWay(ca *cache.Cache, set int, req cache.Request) int {
 // and the SHiP-guided insertion age (re-reference interval "long" when
 // the signature has shown reuse, "distant" otherwise).
 func (c *CACP) OnFill(ca *cache.Cache, set, way int, req cache.Request) {
-	c.dyn.onFill()
 	l := ca.Line(set, way)
 	sig := c.signature(req.PC, req.Addr)
 	l.Sig = sig
@@ -230,7 +203,6 @@ func (c *CACP) OnFill(ca *cache.Cache, set, way int, req cache.Request) {
 // hitting warp is predicted critical.
 func (c *CACP) OnHit(ca *cache.Cache, set, way int, req cache.Request) {
 	l := ca.Line(set, way)
-	c.dyn.onHit(l.InCritical)
 	l.RRPV = cache.RRPVNear
 	l.LRU = ca.NextTick()
 	if req.Critical {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"cawa/internal/config"
 	"cawa/internal/sm"
 	"cawa/internal/state"
 )
@@ -185,9 +186,9 @@ func TestOracleLoadRejectsSlotsBeyondAnSM(t *testing.T) {
 		slots []int
 		ok    bool
 	}{
-		{[]int{0, 5, sm.MaxSlots - 1}, true},
+		{[]int{0, 5, config.MaxSlots - 1}, true},
 		{[]int{-1}, false},
-		{[]int{sm.MaxSlots}, false},
+		{[]int{config.MaxSlots}, false},
 		{[]int{3, 1 << 30}, false},
 		{[]int{4, 4}, false},
 		{[]int{4, 2}, false},
@@ -200,8 +201,8 @@ func TestOracleLoadRejectsSlotsBeyondAnSM(t *testing.T) {
 		} else if err != nil && !strings.Contains(err.Error(), "oracle slot") {
 			t.Errorf("slots %v: %v does not name the slot", c.slots, err)
 		}
-		if c.ok && len(o.slots) != sm.MaxSlots {
-			t.Errorf("slots %v: table of %d slots, want %d", c.slots, len(o.slots), sm.MaxSlots)
+		if c.ok && len(o.slots) != config.MaxSlots {
+			t.Errorf("slots %v: table of %d slots, want %d", c.slots, len(o.slots), config.MaxSlots)
 		}
 	}
 	// The CPL walk's slot count is bounded the same way.
@@ -209,15 +210,15 @@ func TestOracleLoadRejectsSlotsBeyondAnSM(t *testing.T) {
 	a.Tag("cpl")
 	now := int64(0)
 	state.Int(a, &now)
-	a.Len(sm.MaxSlots + 1)
-	for i := 0; i <= sm.MaxSlots; i++ {
+	a.Len(config.MaxSlots + 1)
+	for i := 0; i <= config.MaxSlots; i++ {
 		free := false
 		a.Bool(&free)
 	}
 	load := state.NewLoader(a.Bytes())
 	NewCPL().Archive(load)
 	if load.Err() == nil {
-		t.Errorf("a CPL walk of %d slots loaded", sm.MaxSlots+1)
+		t.Errorf("a CPL walk of %d slots loaded", config.MaxSlots+1)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"cawa/internal/config"
 	"cawa/internal/gpu"
 	"cawa/internal/memory"
-	"cawa/internal/memsys"
 	"cawa/internal/sched"
 	"cawa/internal/sm"
 )
@@ -91,10 +90,10 @@ func (sc SystemConfig) Key() (string, error) {
 	fmt.Fprintf(&b, "%s|cpl=%v|cacp=%v", sc.Scheduler, sc.CPL, sc.CACP)
 	if sc.CACPConfig != nil {
 		c := sc.CACPConfig
-		// "noship", "nopart" and "srrip" name options that no longer
-		// exist; they stay so that no disk-cache key moves.
-		fmt.Fprintf(&b, "|ways=%d|sig=%d|line=%d|noship=false|nopart=false|dyn=%v|srrip=false",
-			c.CriticalWays, c.Signature, c.LineBytes, c.DynamicPartition)
+		// "noship", "nopart", "dyn" and "srrip" name options that no
+		// longer exist; they stay so that no disk-cache key moves.
+		fmt.Fprintf(&b, "|ways=%d|sig=%d|line=%d|noship=false|nopart=false|dyn=false|srrip=false",
+			c.CriticalWays, c.Signature, c.LineBytes)
 	}
 	if sc.Oracle != nil {
 		fmt.Fprintf(&b, "|oracle=%016x", oracleFingerprint(sc.Oracle))
@@ -130,31 +129,15 @@ func oracleFingerprint(oracle map[int]float64) uint64 {
 	return h
 }
 
-// Providers returns the design point's criticality providers: the
-// per-SM factory, nil for a criticality-oblivious point, and — for the
-// ccws scheduler, whose providers observe their SM's L1D — the function
-// that binds SM smID's provider to l1 once the GPU is built. It is the
-// one place a provider is chosen: NewGPU installs and binds these
-// unless ProviderOverride replaces them, and a tracer decorates the
-// factory and binds through RunOptions.AttachL1.
-func (sc SystemConfig) Providers() (func() sm.CriticalityProvider, func(smID int, l1 *memsys.L1D)) {
+// Providers returns the design point's per-SM criticality provider
+// factory, nil for a criticality-oblivious point. It is the one place a
+// provider is chosen: NewGPU installs it unless ProviderOverride
+// replaces it, and a tracer decorates it.
+func (sc SystemConfig) Providers() func() sm.CriticalityProvider {
 	switch {
-	case sc.Scheduler == "ccws":
-		var providers []*CCWSProvider // in SM order: gpu.New builds one per SM
-		factory := func() sm.CriticalityProvider {
-			p := NewCCWSProvider()
-			providers = append(providers, p)
-			return p
-		}
-		attach := func(smID int, l1 *memsys.L1D) {
-			if smID < len(providers) {
-				providers[smID].Attach(l1)
-			}
-		}
-		return factory, attach
 	case sc.Oracle != nil:
 		oracle := sc.Oracle
-		return func() sm.CriticalityProvider { return NewOracle(oracle) }, nil
+		return func() sm.CriticalityProvider { return NewOracle(oracle) }
 	case sc.CPL || sc.CACP || sc.Scheduler == "gcaws" || sc.Scheduler == "caws":
 		tweak := sc.CPLTweak
 		return func() sm.CriticalityProvider {
@@ -163,24 +146,22 @@ func (sc SystemConfig) Providers() (func() sm.CriticalityProvider, func(smID int
 				tweak(c)
 			}
 			return c
-		}, nil
+		}
 	}
-	return nil, nil
+	return nil
 }
 
 // NewGPU builds a ready-to-launch GPU for the design point. Its
-// criticality providers are ProviderOverride when set, and binding them
-// is then the caller's; otherwise they are Providers', bound to their
-// L1Ds here.
+// criticality providers are ProviderOverride when set, Providers'
+// otherwise.
 func (sc SystemConfig) NewGPU(cfg config.Config, mem *memory.Memory) (*gpu.GPU, error) {
 	factory, ok := sched.Lookup(sc.Scheduler)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown scheduler %q (have %v)", sc.Scheduler, sched.Names())
 	}
 	opt := gpu.Options{Config: cfg, Memory: mem, Policy: factory, Criticality: sc.ProviderOverride}
-	var attach func(smID int, l1 *memsys.L1D)
 	if opt.Criticality == nil {
-		opt.Criticality, attach = sc.Providers()
+		opt.Criticality = sc.Providers()
 	}
 	if sc.CACP {
 		ccfg := DefaultCACPConfig()
@@ -196,14 +177,5 @@ func (sc SystemConfig) NewGPU(cfg config.Config, mem *memory.Memory) (*gpu.GPU, 
 		}
 		opt.L1Policy = func() cache.Policy { return NewCACP(ccfg) }
 	}
-	g, err := gpu.New(opt)
-	if err != nil {
-		return nil, err
-	}
-	if attach != nil {
-		for i, s := range g.SMs() {
-			attach(i, s.L1D())
-		}
-	}
-	return g, nil
+	return gpu.New(opt)
 }

@@ -43,17 +43,14 @@ func TestSystemConfigKeyStable(t *testing.T) {
 		t.Fatal("distinct CACP configurations collided")
 	}
 
-	// The ablation's "dynamic (UCP-style)" point, built as the harness's
-	// cacpWith builds it: its key, and so its disk-cache entries, must
-	// not move when CACP options come and go.
-	dyn := DefaultCACPConfig()
-	dyn.DynamicPartition = true
-	k4, err := SystemConfig{Scheduler: "gcaws", CPL: true, CACP: true, CACPConfig: &dyn}.Key()
-	if err != nil {
-		t.Fatal(err)
+	// Every CACPConfig key spells out the retired options as false, so
+	// that no disk-cache entry moves when CACP options come and go: the
+	// 4-way point above is abl-partition's "4/16" column.
+	if want := "gcaws|cpl=true|cacp=true|ways=4|sig=0|line=128|noship=false|nopart=false|dyn=false|srrip=false"; k1 != want {
+		t.Fatalf("ablation key moved:\n got %s\nwant %s", k1, want)
 	}
-	if want := "gcaws|cpl=true|cacp=true|ways=8|sig=0|line=128|noship=false|nopart=false|dyn=true|srrip=false"; k4 != want {
-		t.Fatalf("ablation key moved:\n got %s\nwant %s", k4, want)
+	if !strings.Contains(k3, "|dyn=false|") {
+		t.Fatalf("key %s lost the retired dyn=false word", k3)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"cawa/internal/gpu"
 	"cawa/internal/isa"
 	"cawa/internal/memory"
-	"cawa/internal/memsys"
 	"cawa/internal/simt"
 	"cawa/internal/sm"
 )
@@ -53,18 +52,15 @@ func reuseKernel(mem *memory.Memory, blocks int, iters int64) *simt.Kernel {
 }
 
 // designPoint is one row of the allocation gate: a scheduler/provider/
-// L1D-policy combination, its L1D attach hook if it has one, and its
-// domain count.
+// L1D-policy combination and its domain count.
 type designPoint struct {
 	name    string
 	sc      core.SystemConfig
-	attach  func(smID int, l1 *memsys.L1D)
 	domains int
 	short   bool // also run under -short (the race matrix)
 }
 
 func designPoints() []designPoint {
-	ccws, attach := core.CCWSSystem()
 	oracle := map[int]float64{}
 	for gid := 0; gid < 32; gid++ {
 		oracle[gid] = float64(gid % 7)
@@ -77,7 +73,6 @@ func designPoints() []designPoint {
 		{name: "cawa", sc: core.CAWA()},
 		{name: "gto+cpl+cacp", sc: core.SystemConfig{Scheduler: "gto", CPL: true, CACP: true}},
 		{name: "caws+oracle", sc: core.SystemConfig{Scheduler: "caws", Oracle: oracle}},
-		{name: "ccws", sc: ccws, attach: attach},
 		{name: "cawa/2domains", sc: core.CAWA(), domains: 2, short: true},
 	}
 }
@@ -108,11 +103,6 @@ func TestDesignPointsAllocFree(t *testing.T) {
 				t.Fatal(err)
 			}
 			g.SMWorkers = dp.domains
-			if dp.attach != nil {
-				for i, s := range g.SMs() {
-					dp.attach(i, s.L1D())
-				}
-			}
 			step, retired, stop := g.BeginLaunch(k)
 			defer stop()
 			for g.Cycle() < 20000 {

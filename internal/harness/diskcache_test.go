@@ -452,56 +452,6 @@ func FuzzDiskCacheArtifacts(f *testing.F) {
 	})
 }
 
-// TestDiskBackedSessionRunsCCWS: the CCWS baseline's providers are wired
-// into the design point by setupRun, after which it has no stable key —
-// the checkpoint identity must be read before that, or every disk-backed
-// ccws run fails. The run completes and is served from disk afterwards;
-// and since the CCWS provider and policy archive their state like every
-// other design point's, a run cut mid-flight resumes to the
-// uninterrupted aggregate.
-func TestDiskBackedSessionRunsCCWS(t *testing.T) {
-	d, err := OpenDiskCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ccws := core.SystemConfig{Scheduler: "ccws"}
-	want, err := Run(RunOptions{Workload: "bfs", Params: resumeParams, System: ccws, Config: resumeConfig()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, wantHits := range []uint64{0, 1} {
-		s := NewSession(resumeConfig(), resumeParams)
-		s.Disk = d
-		got, err := s.Run("bfs", ccws)
-		if err != nil {
-			t.Fatalf("session %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(got.Agg, want.Agg) {
-			t.Fatalf("session %d: disk-backed ccws run differs from the direct one", i)
-		}
-		if s.DiskHits() != wantHits {
-			t.Fatalf("session %d: DiskHits = %d, want %d", i, s.DiskHits(), wantHits)
-		}
-	}
-
-	opt := RunOptions{Workload: "bfs", Params: resumeParams, System: ccws, Config: resumeConfig()}
-	hooked, ctx := cancelAt(opt, want.Agg.Cycles/2)
-	_, last, err := RunCheckpointed(ctx, hooked, 0, nil)
-	if err == nil || last == nil {
-		t.Fatalf("cut ccws run: err=%v checkpoint=%v", err, last != nil)
-	}
-	if at := last.Snap.Meta.Cycle; at != want.Agg.Cycles/2 {
-		t.Fatalf("ccws checkpoint at cycle %d, want the cut cycle %d", at, want.Agg.Cycles/2)
-	}
-	got, _, err := RunCheckpointed(context.Background(), opt, 0, last)
-	if err != nil {
-		t.Fatalf("resumed ccws run: %v", err)
-	}
-	if !reflect.DeepEqual(got.Agg, want.Agg) {
-		t.Fatalf("resumed ccws run differs from the uninterrupted one:\n got %+v\nwant %+v", got.Agg, want.Agg)
-	}
-}
-
 // TestEntryKeyCoversEveryConfigField: changing any one field of
 // config.Config, or of one of its CacheConfigs, changes the entry key,
 // so sessions that differ only there never serve each other's results

@@ -13,6 +13,7 @@ import (
 	"cawa/internal/core"
 	"cawa/internal/gpu"
 	"cawa/internal/memsys"
+	"cawa/internal/sm"
 )
 
 // waitGoroutines polls until the process goroutine count drops back to
@@ -258,21 +259,33 @@ func TestSharedObserversRunOnInlineDomain(t *testing.T) {
 	}
 	compareResults(t, "tapped", tr, want)
 
-	// The ccws scheduler auto-wires per-SM providers through shared
-	// closures (a ProviderOverride): one inline domain too.
-	ccws := opt
-	ccws.System = core.SystemConfig{Scheduler: "ccws"}
-	cr, err := Run(ccws)
+	// A ProviderOverride: its providers, built one per SM in SM order,
+	// are the run's, and they may share state through the closure, so
+	// one inline domain too.
+	var built []sm.CriticalityProvider
+	over := opt
+	over.System.ProviderOverride = func() sm.CriticalityProvider {
+		c := core.NewCPL()
+		built = append(built, c)
+		return c
+	}
+	over.System.Variant = "cpl-recorder"
+	or, err := Run(over)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cr.GPU.SMWorkers > 1 {
-		t.Errorf("ccws run: GPU.SMWorkers = %d, want one domain", cr.GPU.SMWorkers)
+	if or.GPU.SMWorkers > 1 {
+		t.Errorf("override run: GPU.SMWorkers = %d, want one domain", or.GPU.SMWorkers)
 	}
-	ccws.tickedOracle = true
-	cw, err := Run(ccws)
+	for i, m := range or.GPU.SMs() {
+		if m.Crit() != built[i] {
+			t.Fatalf("SM %d has provider %T, not the override's", i, m.Crit())
+		}
+	}
+	over.tickedOracle = true
+	ow, err := Run(over)
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareResults(t, "ccws", cr, cw)
+	compareResults(t, "override", or, ow)
 }

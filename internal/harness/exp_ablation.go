@@ -19,8 +19,6 @@ func init() {
 		"CACP critical ways sweep (GMEAN speedup over RR, Sens apps)", "critical_ways", ablPartitionCols()))
 	registerGrid(ablation("abl-signature", "Ablation: CACP signature composition",
 		"CACP signature composition (GMEAN speedup over RR, Sens apps)", "signature", ablSignatureCols()))
-	registerGrid(ablation("abl-dynpart", "Extension: UCP-style dynamic partition tuning (Section 3.3)",
-		"Static vs dynamic CACP partition (GMEAN speedup over RR, Sens apps)", "variant", ablDynPartCols()))
 }
 
 func ablation(id, title, caption, labelColumn string, cols []gridCol) *grid {
@@ -72,15 +70,6 @@ func ablPartitionCols() []gridCol {
 		})
 	}
 	return cols
-}
-
-// ablDynPartCols compares the paper's static 8/16 split against the
-// runtime utility-driven boundary the paper suggests as future work.
-func ablDynPartCols() []gridCol {
-	return []gridCol{
-		{label: "static 8/16 (paper)", sc: core.CAWA()},
-		{label: "dynamic (UCP-style)", sc: cacpWith(func(cfg *core.CACPConfig) { cfg.DynamicPartition = true })},
-	}
 }
 
 // ablSignatureCols compares the paper's PC-xor-address signature with

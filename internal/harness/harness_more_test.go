@@ -127,7 +127,6 @@ func TestExperimentRegistryComplete(t *testing.T) {
 		"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
 		"fig16", "fig17", "tab1", "tab2", "sec552",
 		"abl-cpl", "abl-greedy", "abl-partition", "abl-signature",
-		"abl-dynpart", "ext-ccws",
 	}
 	ids := ExperimentIDs()
 	have := make(map[string]bool, len(ids))

@@ -116,52 +116,6 @@ func TestPrewarmExperiments(t *testing.T) {
 	}
 }
 
-// TestCCWSAutoWiringPrecedence documents the provider precedence of the
-// ccws scheduler in harness.Run: an explicit ProviderOverride always
-// wins and suppresses the auto-wiring entirely; without one, only the
-// provider factory and L1 attachment are filled in, and every other
-// System field (here CACP) keeps the caller's semantics.
-func TestCCWSAutoWiringPrecedence(t *testing.T) {
-	p := workloads.Params{Scale: 0.05, Seed: 3}
-
-	// Auto-wiring path: ccws with no override gets CCWS providers, and
-	// the caller's CACP request survives untouched.
-	res, err := Run(RunOptions{
-		Workload: "needle", Params: p, Config: config.Small(),
-		System: core.SystemConfig{Scheduler: "ccws", CPL: true, CACP: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range res.GPU.SMs() {
-		if _, ok := m.Crit().(*core.CCWSProvider); !ok {
-			t.Fatalf("auto-wired ccws run has provider %T, want *core.CCWSProvider", m.Crit())
-		}
-		if _, ok := m.L1D().Cache().Policy().(*core.CACP); !ok {
-			t.Fatalf("auto-wiring dropped the caller's CACP policy (got %T)", m.L1D().Cache().Policy())
-		}
-	}
-
-	// Override path: the caller's factory is used verbatim; no CCWS
-	// provider is injected.
-	res, err = Run(RunOptions{
-		Workload: "needle", Params: p, Config: config.Small(),
-		System: core.SystemConfig{
-			Scheduler:        "ccws",
-			ProviderOverride: func() sm.CriticalityProvider { return core.NewCPL() },
-			Variant:          "cpl-under-ccws",
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range res.GPU.SMs() {
-		if _, ok := m.Crit().(*core.CPL); !ok {
-			t.Fatalf("explicit ProviderOverride ignored: provider %T, want *core.CPL", m.Crit())
-		}
-	}
-}
-
 // TestDeclaredMatrixCoversRun: for every experiment, the declared run
 // matrix covers everything the table pass reads from the session cache —
 // after Prewarm(Requests), Run adds not one cache miss. A cell missing

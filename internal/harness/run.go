@@ -43,9 +43,8 @@ type RunOptions struct {
 	// engine (see gpu.GPU.SMWorkers): values above 1 run all but the
 	// first on goroutines of their own. Results are byte-identical at
 	// any value. Runs that attach observers which may share state
-	// between SMs (AttachL1 taps, a ProviderOverride, the ccws
-	// scheduler's L1D-bound providers) always run on one domain — the
-	// caller's goroutine — whatever this says.
+	// between SMs (AttachL1 taps, a ProviderOverride) always run on one
+	// domain — the caller's goroutine — whatever this says.
 	SMWorkers int
 	// Profiler, when non-nil, self-profiles the engine's wall-clock
 	// phases into the given accumulator (see gpu.GPU.Perf and
@@ -246,9 +245,6 @@ func setupRun(opt *RunOptions) (workloads.Workload, *gpu.GPU, *Result, error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// NewGPU binds the CCWS baseline's providers to their L1Ds unless
-	// the caller's ProviderOverride replaces them, before any AttachL1
-	// tap (TestCCWSAutoWiringPrecedence).
 	g, err := opt.System.NewGPU(opt.Config, wl.Mem())
 	if err != nil {
 		return nil, nil, nil, err
@@ -262,9 +258,8 @@ func setupRun(opt *RunOptions) (workloads.Workload, *gpu.GPU, *Result, error) {
 	g.PerCycleWake = opt.PerCycleWake
 	g.Perf = opt.Profiler
 	// Observers attached through caller closures may share state between
-	// SMs, so those runs keep every SM on the caller's goroutine, and so
-	// do the CCWS baseline's providers, bound the same way.
-	if opt.AttachL1 == nil && opt.System.ProviderOverride == nil && opt.System.Scheduler != "ccws" {
+	// SMs, so those runs keep every SM on the caller's goroutine.
+	if opt.AttachL1 == nil && opt.System.ProviderOverride == nil {
 		g.SMWorkers = opt.SMWorkers
 	}
 	if opt.tickedOracle {

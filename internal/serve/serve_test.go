@@ -467,6 +467,7 @@ func TestServeValidation(t *testing.T) {
 	for name, req := range map[string]RunRequest{
 		"unknown app":       {App: "no-such-app"},
 		"unknown scheduler": {App: "bfs", Scheduler: "fifo"},
+		"removed scheduler": {App: "bfs", Scheduler: "ccws"},
 		"negative timeout":  {App: "bfs", TimeoutMS: -1},
 	} {
 		resp := postJSON(t, ts.Client(), ts.URL+"/v1/jobs", req)

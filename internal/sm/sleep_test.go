@@ -58,15 +58,10 @@ func newSleepRig(cfg config.Config, policy string, provider func() sm.Criticalit
 	factory, _ := sched.Lookup(policy)
 	r := &sleepRig{sys: memsys.New(cfg)}
 	opt := sm.Options{Config: cfg, Memory: mem, MemSys: r.sys, PolicyFactory: factory}
-	var crit sm.CriticalityProvider
 	if provider != nil {
-		crit = provider()
-		opt.Criticality = crit
+		opt.Criticality = provider()
 	}
 	r.sm = sm.New(opt)
-	if p, ok := crit.(*core.CCWSProvider); ok {
-		p.Attach(r.sm.L1D())
-	}
 	r.sm.OnBlockDone = func(int, int64) { r.done++ }
 	r.sm.SetKernel(kernel)
 	r.sm.DispatchBlock(0, 0, 1)
@@ -76,8 +71,8 @@ func newSleepRig(cfg config.Config, policy string, provider func() sm.Criticalit
 // TestSleepMatchesTicking drives random refused runs — warp count, lines
 // per load, MSHR table and loop length drawn per seed — on two copies
 // of one SM in lockstep, one sleeping through refused ticks and one
-// ticking every cycle, under every registered policy and the CCWS and
-// CPL design points. The sleeping copy gets its cycles as Cycle calls
+// ticking every cycle, under every registered policy and the CPL
+// design point. The sleeping copy gets its cycles as Cycle calls
 // or, inside the wake bound and with no fill due, as AccountSkipped,
 // and is read at random cycles as a checkpoint or a sampler would read
 // it: after a settle, its stall buckets, classifications, L1I counters
@@ -92,7 +87,6 @@ func TestSleepMatchesTicking(t *testing.T) {
 		points = append(points, point{name: name, policy: name})
 	}
 	points = append(points,
-		point{name: "ccws+provider", policy: "ccws", provider: func() sm.CriticalityProvider { return core.NewCCWSProvider() }},
 		point{name: "gcaws+cpl", policy: "gcaws", provider: func() sm.CriticalityProvider { return core.NewCPL() }})
 	seeds := 6
 	if testing.Short() {

@@ -143,13 +143,9 @@ type blockState struct {
 // generation (guarding stale fills) are packed into one int64.
 const (
 	tokenRegBits  = 6 // isa.NumRegs == 64
-	tokenSlotBits = 8 // MaxWarpsPerSM fits well below 256
+	tokenSlotBits = 8 // 1<<tokenSlotBits == config.MaxSlots (TestTokenHoldsEverySlot)
 	tokenGenShift = tokenRegBits + tokenSlotBits
 )
-
-// MaxSlots bounds the warp slots of an SM: a load token holds the slot
-// in tokenSlotBits bits.
-const MaxSlots = 1 << tokenSlotBits
 
 func makeToken(slot int, gen int64, reg isa.Reg) int64 {
 	return gen<<tokenGenShift | int64(slot)<<tokenRegBits | int64(reg)

@@ -331,3 +331,19 @@ func TestL1PolicyPluggable(t *testing.T) {
 		t.Fatalf("policy %s", got)
 	}
 }
+
+// TestTokenHoldsEverySlot: a load token has room for exactly the slots
+// config.Validate admits, and carries each of them, its register and
+// its generation back out unchanged.
+func TestTokenHoldsEverySlot(t *testing.T) {
+	if 1<<tokenSlotBits != config.MaxSlots {
+		t.Fatalf("tokens hold %d slots, config admits %d", 1<<tokenSlotBits, config.MaxSlots)
+	}
+	for _, slot := range []int{0, 1, config.MaxSlots - 1} {
+		for _, gen := range []int64{0, 1, 1 << 40} {
+			if s, g, r := splitToken(makeToken(slot, gen, isa.NumRegs-1)); s != slot || g != gen || r != isa.NumRegs-1 {
+				t.Errorf("token of (%d, %d, %d) splits into (%d, %d, %d)", slot, gen, isa.NumRegs-1, s, g, r)
+			}
+		}
+	}
+}

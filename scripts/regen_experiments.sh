@@ -11,10 +11,10 @@
 # The scale-4 sweep takes about 7 minutes on two cores.
 set -e
 go build -o /tmp/cawabench ./cmd/cawabench
-/tmp/cawabench -exp fig1,fig10,abl-cpl,abl-dynpart,abl-greedy,abl-partition,abl-signature \
+/tmp/cawabench -exp fig1,fig10,abl-cpl,abl-greedy,abl-partition,abl-signature \
     -scale 1 | tee experiments_raw.txt
 /tmp/cawabench -exp fig9,fig13,fig14,sec552 -scale 1 | tee experiments_headline.txt
-/tmp/cawabench -exp fig9,fig13,fig11,fig14,fig15,sec552,fig3,fig4,ext-ccws \
+/tmp/cawabench -exp fig9,fig13,fig11,fig14,fig15,sec552,fig3,fig4 \
     -scale 0.5 | tee experiments_scale05.txt
 /tmp/cawabench -exp fig2a,fig2b,fig2c,fig8,fig12,fig16,fig17,tab1,tab2 \
     -scale 0.5 | tee -a experiments_scale05.txt
