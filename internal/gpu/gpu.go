@@ -6,9 +6,11 @@ package gpu
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"cawa/internal/cache"
 	"cawa/internal/config"
+	"cawa/internal/isa"
 	"cawa/internal/isa/analysis"
 	"cawa/internal/memory"
 	"cawa/internal/memsys"
@@ -98,6 +100,13 @@ type GPU struct {
 	// replayed counts the cycles the span replay visited (tests: the
 	// replay skips the cycles where nothing is due).
 	replayed int64
+
+	// verified holds the most recent (program, launch shape) pairs
+	// analysis.Verify accepted, at most maxVerified, oldest first, so a
+	// relaunch of the same shape skips the verifier (verifyLaunch);
+	// verifies counts the verifier's runs (tests).
+	verified []verifiedLaunch
+	verifies int
 
 	// Perf, when non-nil, self-profiles the engine: every span brackets
 	// its seams (memsys drain, dispatch, horizon planning, SM stepping,
@@ -283,7 +292,7 @@ func (g *GPU) Launch(ctx context.Context, k *simt.Kernel) (*stats.Launch, error)
 	launch := k.AnalysisLaunch()
 	launch.WarpSize = g.cfg.WarpSize
 	launch.GlobalBytes = g.mem.Size()
-	if err := analysis.Verify(k.Program, analysis.Options{Launch: launch}); err != nil {
+	if err := g.verifyLaunch(k.Program, launch); err != nil {
 		return nil, fmt.Errorf("gpu: %w", err)
 	}
 	warpsPerBlock := k.WarpsPerBlock(g.cfg.WarpSize)
@@ -301,6 +310,50 @@ func (g *GPU) Launch(ctx context.Context, k *simt.Kernel) (*stats.Launch, error)
 	}
 
 	return g.run(ctx, g.initLaunch(k, warpsPerBlock))
+}
+
+// verifiedLaunch is a program and a launch shape the verifier accepted.
+// launch is a copy, Params included, so a caller reusing its slice
+// cannot change a remembered shape.
+type verifiedLaunch struct {
+	prog   *isa.Program
+	launch analysis.Launch
+}
+
+// maxVerified bounds GPU.verified. A workload relaunches a handful of
+// kernels; one that builds a new program or parameter list per launch
+// (needle, pathfinder) only cycles the oldest entries out.
+const maxVerified = 8
+
+// verifyLaunch runs analysis.Verify on prog under launch, unless this
+// GPU already accepted that exact pair: the same *isa.Program (a
+// program is immutable once built: isa caches its metadata) and a
+// launch equal in every field. Only accepted pairs are remembered, so a
+// shape that fails is verified, and refused, every time.
+func (g *GPU) verifyLaunch(prog *isa.Program, launch *analysis.Launch) error {
+	for i := range g.verified {
+		if v := &g.verified[i]; v.prog == prog && sameLaunch(&v.launch, launch) {
+			return nil
+		}
+	}
+	g.verifies++
+	if err := analysis.Verify(prog, analysis.Options{Launch: launch}); err != nil {
+		return err
+	}
+	if len(g.verified) == maxVerified {
+		g.verified = append(g.verified[:0], g.verified[1:]...)
+	}
+	v := verifiedLaunch{prog: prog, launch: *launch}
+	v.launch.Params = slices.Clone(launch.Params)
+	g.verified = append(g.verified, v)
+	return nil
+}
+
+// sameLaunch reports whether two launch shapes are equal in every field
+// (TestSameLaunchComparesEveryField keeps it so as fields are added).
+func sameLaunch(a, b *analysis.Launch) bool {
+	return a.GridDim == b.GridDim && a.BlockDim == b.BlockDim && a.WarpSize == b.WarpSize &&
+		a.SharedWords == b.SharedWords && a.GlobalBytes == b.GlobalBytes && slices.Equal(a.Params, b.Params)
 }
 
 // Resume re-enters the span loop of a launch a loading Archive

@@ -2,10 +2,13 @@ package gpu
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"testing"
 
 	"cawa/internal/config"
 	"cawa/internal/isa"
+	"cawa/internal/isa/analysis"
 	"cawa/internal/memory"
 	"cawa/internal/simt"
 )
@@ -249,5 +252,121 @@ func TestMaxCyclesGuard(t *testing.T) {
 	k := &simt.Kernel{Name: "spin", Program: b.MustBuild(), GridDim: 1, BlockDim: 32}
 	if _, err := g.Launch(context.Background(), k); err == nil {
 		t.Fatal("runaway kernel not aborted")
+	}
+}
+
+// TestLaunchVerifiesEachShapeOnce: a relaunch of a program under a
+// launch shape this GPU already accepted skips analysis.Verify; any
+// field of the shape that differs — the parameters, even when the
+// caller rewrites its slice in place, or the memory size — is verified
+// again, and a kernel the verifier refuses is refused on every launch.
+func TestLaunchVerifiesEachShapeOnce(t *testing.T) {
+	mem := memory.New(1 << 16)
+	g, err := New(Options{Config: config.Small(), Memory: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := isa.NewBuilder("store_param")
+	b.Param(isa.R1, 0)
+	b.St(isa.R1, 0, isa.R1) // every lane stores to params[0]
+	b.Exit()
+	k := &simt.Kernel{Name: "store_param", Program: b.MustBuild(), GridDim: 1, BlockDim: 32,
+		Params: []int64{memory.Base}}
+	launch := func(want int, ok bool) {
+		t.Helper()
+		_, err := g.Launch(context.Background(), k)
+		if (err == nil) != ok {
+			t.Fatalf("params %v: launch error %v, want ok=%v", k.Params, err, ok)
+		}
+		if g.verifies != want {
+			t.Fatalf("params %v: %d verifier runs, want %d", k.Params, g.verifies, want)
+		}
+	}
+	launch(1, true)
+	launch(1, true) // the same shape: skipped
+	k.Params = []int64{memory.Base + 8}
+	launch(2, true)
+	k.Params[0] = memory.Base // rewritten in place: the first shape again
+	launch(2, true)
+	k.Params[0] = mem.Size() + 1<<20 // every lane stores past the memory
+	launch(3, false)
+	launch(4, false) // refused again, not remembered
+	k.Params = []int64{memory.Base + 8}
+	launch(4, true)
+
+	// The memory size is part of the shape.
+	shape := k.AnalysisLaunch()
+	shape.WarpSize = g.cfg.WarpSize
+	shape.GlobalBytes = mem.Size()
+	if err := g.verifyLaunch(k.Program, shape); err != nil || g.verifies != 4 {
+		t.Fatalf("remembered shape: err %v, %d runs", err, g.verifies)
+	}
+	shape.GlobalBytes = 1 << 30
+	if err := g.verifyLaunch(k.Program, shape); err != nil || g.verifies != 5 {
+		t.Fatalf("new GlobalBytes: err %v, %d runs, want 5", err, g.verifies)
+	}
+
+	// A program the verifier rejects is rejected on every launch.
+	undef := isa.NewBuilder("undef")
+	undef.Add(isa.R1, isa.R2, isa.R3)
+	undef.Exit()
+	bad := &simt.Kernel{Name: "undef", Program: undef.MustBuild(), GridDim: 1, BlockDim: 32}
+	for i := 0; i < 2; i++ {
+		if _, err := g.Launch(context.Background(), bad); err == nil {
+			t.Fatalf("launch %d accepted a kernel the verifier rejects", i)
+		}
+	}
+	if g.verifies != 7 {
+		t.Fatalf("%d verifier runs, want 7", g.verifies)
+	}
+}
+
+// TestVerifyMemoIsBounded: a GPU keeps at most maxVerified accepted
+// shapes, dropping the oldest, and one that cycled out is verified again.
+func TestVerifyMemoIsBounded(t *testing.T) {
+	g, err := New(Options{Config: config.Small(), Memory: memory.New(1 << 16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := trivialKernel(t, 1, 32)
+	for i := 0; i <= maxVerified; i++ {
+		k.Params = []int64{int64(i)}
+		if _, err := g.Launch(context.Background(), k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(g.verified) != maxVerified || g.verifies != maxVerified+1 {
+		t.Fatalf("%d remembered, %d runs; want %d, %d", len(g.verified), g.verifies, maxVerified, maxVerified+1)
+	}
+	k.Params = []int64{0} // the oldest, dropped
+	if _, err := g.Launch(context.Background(), k); err != nil || g.verifies != maxVerified+2 {
+		t.Fatalf("err %v, %d runs; want %d", err, g.verifies, maxVerified+2)
+	}
+}
+
+// TestSameLaunchComparesEveryField: changing any one field of an
+// analysis.Launch makes it a different shape, so a field added to the
+// struct must be added to sameLaunch too.
+func TestSameLaunchComparesEveryField(t *testing.T) {
+	base := analysis.Launch{GridDim: 2, BlockDim: 64, WarpSize: 32, SharedWords: 16, Params: []int64{1, 2}, GlobalBytes: 1 << 16}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		changed := base
+		changed.Params = slices.Clone(base.Params)
+		f := reflect.ValueOf(&changed).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + 1)
+		case reflect.Slice:
+			f.Index(0).SetInt(f.Index(0).Int() + 1)
+		default:
+			t.Fatalf("field %s: kind %s not covered by this test", typ.Field(i).Name, f.Kind())
+		}
+		if sameLaunch(&base, &changed) {
+			t.Errorf("sameLaunch ignores %s", typ.Field(i).Name)
+		}
+	}
+	if !sameLaunch(&base, &analysis.Launch{GridDim: 2, BlockDim: 64, WarpSize: 32, SharedWords: 16, Params: []int64{1, 2}, GlobalBytes: 1 << 16}) {
+		t.Error("sameLaunch rejects an equal shape")
 	}
 }

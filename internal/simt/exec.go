@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 
 	"cawa/internal/isa"
 )
@@ -75,9 +76,12 @@ func ExecInto(w *Warp, prog *isa.Program, ctx *ExecContext, out *Step) {
 	mask := e.Mask
 	in := prog.At(pc)
 
+	// Every field of the record, set in place: a composite literal would
+	// be built on the stack and copied over.
 	st := out
-	*st = Step{PC: pc, Instr: in, Mask: mask, Lanes: bits.OnesCount64(mask), Kind: StepCompute,
-		Accesses: st.Accesses[:0]}
+	st.PC, st.Instr, st.Kind, st.Mask, st.Lanes = pc, in, StepCompute, mask, bits.OnesCount64(mask)
+	st.IsLoad, st.Accesses = false, st.Accesses[:0]
+	st.CondBranch, st.Divergent, st.TakenMask, st.NextPC = false, false, 0, 0
 
 	switch in.Op {
 	case isa.OpBra:
@@ -85,13 +89,13 @@ func ExecInto(w *Warp, prog *isa.Program, ctx *ExecContext, out *Step) {
 
 	case isa.OpCBra, isa.OpCBraZ:
 		st.CondBranch = true
-		a := w.row(in.A)
-		var taken uint64
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			if (a[l] != 0) == (in.Op == isa.OpCBra) {
-				taken |= 1 << uint(l)
-			}
+		var nonzero uint64 // the whole row's predicate bits; the mask applies once
+		for i, v := range w.row(in.A) {
+			nonzero |= uint64(b2i(v != 0)) << uint(i)
+		}
+		taken := mask & nonzero
+		if in.Op == isa.OpCBraZ {
+			taken = mask &^ nonzero
 		}
 		st.TakenMask = taken
 		switch {
@@ -123,12 +127,26 @@ func ExecInto(w *Warp, prog *isa.Program, ctx *ExecContext, out *Step) {
 		st.IsLoad = in.Op == isa.OpLd
 		// Ascending lanes: Accesses order is the L1D access order, and the last lane wins a store collision.
 		a, acc := w.row(in.A), st.Accesses
+		uniform := true // every active lane names one address
 		for m := mask; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
-			acc = append(acc, MemAccess{Lane: l, Addr: a[l] + in.Imm})
+			addr := a[l] + in.Imm
+			acc = append(acc, MemAccess{Lane: l, Addr: addr})
+			uniform = uniform && addr == acc[0].Addr
 		}
 		st.Accesses = acc
 		switch d, b := w.row(in.Dst), w.row(in.B); {
+		case st.IsLoad && uniform:
+			// One read, broadcast: every lane would read this word.
+			var v int64
+			if ctx.Log != nil {
+				v = ctx.Log.Load(acc[0].Addr)
+			} else {
+				v = ctx.Mem.Load(acc[0].Addr)
+			}
+			for _, x := range acc {
+				d[x.Lane] = v
+			}
 		case st.IsLoad && ctx.Log != nil:
 			for _, x := range acc {
 				d[x.Lane] = ctx.Log.Load(x.Addr)
@@ -184,29 +202,44 @@ func ExecInto(w *Warp, prog *isa.Program, ctx *ExecContext, out *Step) {
 	}
 }
 
-// execALU computes a non-memory, non-control instruction: one opcode dispatch, then
-// one loop over the set bits of mask, so a lane outside it is never written.
+// execALU computes a non-memory, non-control instruction: one opcode
+// dispatch, then one loop over the row, and the mask applied once, at
+// write-back. Under a full mask the loop covers the whole row and writes
+// the destination row itself. Under any other it covers lanes lo..hi-1,
+// from the lowest lane in mask to the highest, into a work row of ctx,
+// and only the lanes in mask are copied out, so a lane outside it is
+// never written. Computing the inactive lanes in between is safe because
+// every kernel below is total on any int64 (division by zero and shift
+// counts are guarded, cvtFI is pinned, floats do not trap) and reads
+// nothing but its rows.
 func execALU(w *Warp, mask uint64, in isa.Instr, ctx *ExecContext) {
+	if in.Op == isa.OpNop {
+		return
+	}
 	a, b, d := w.row(in.A), w.row(in.B), w.row(in.Dst)
+	out, lo := d, 0
+	full := mask == w.fullMask()
+	if !full {
+		hi := MaxWarpSize - bits.LeadingZeros64(mask)
+		lo = bits.TrailingZeros64(mask)
+		a, b, d, out = a[lo:hi], b[lo:hi], d[lo:hi], ctx.work[0][lo:hi]
+	}
 	if in.BImm {
-		var imm [MaxWarpSize]int64 // a broadcast row gives the immediate form the register form's loop
-		b = imm[:w.Size]
+		b = ctx.work[1][:len(out)] // a broadcast row gives the immediate form the register form's loop
 		for i := range b {
 			b[i] = in.Imm
 		}
 	}
+	a, b, d = a[:len(out)], b[:len(out)], d[:len(out)]
 
 	switch in.Op {
-	case isa.OpNop:
 	case isa.OpMov:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = a[l]
+		for i := range out {
+			out[i] = a[i]
 		}
 	case isa.OpMovI:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = in.Imm
+		for i := range out {
+			out[i] = in.Imm
 		}
 	case isa.OpSReg:
 		var base, step int64 // every special register is base + step*lane
@@ -228,9 +261,9 @@ func execALU(w *Warp, mask uint64, in isa.Instr, ctx *ExecContext) {
 		default:
 			panic(fmt.Sprintf("simt: unknown special register %d", int64(sr)))
 		}
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = base + step*int64(l)
+		base += step * int64(lo) // out[0] is lane lo
+		for i := range out {
+			out[i] = base + step*int64(i)
 		}
 	case isa.OpParam:
 		idx := int(in.Imm)
@@ -238,224 +271,197 @@ func execALU(w *Warp, mask uint64, in isa.Instr, ctx *ExecContext) {
 			panic(fmt.Sprintf("simt: parameter index %d out of range (have %d)", idx, len(ctx.Params)))
 		}
 		v := ctx.Params[idx]
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = v
+		for i := range out {
+			out[i] = v
 		}
 	case isa.OpAdd:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = a[l] + b[l]
+		for i := range out {
+			out[i] = a[i] + b[i]
 		}
 	case isa.OpSub:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = a[l] - b[l]
+		for i := range out {
+			out[i] = a[i] - b[i]
 		}
 	case isa.OpMul:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = a[l] * b[l]
+		for i := range out {
+			out[i] = a[i] * b[i]
 		}
 	case isa.OpMad:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = a[l]*b[l] + d[l]
+		for i := range out {
+			out[i] = a[i]*b[i] + d[i]
 		}
 	case isa.OpDiv:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
+		for i := range out {
 			var v int64
-			if y := b[l]; y != 0 {
-				v = a[l] / y
+			if y := b[i]; y != 0 {
+				v = a[i] / y
 			}
-			d[l] = v
+			out[i] = v
 		}
 	case isa.OpRem:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
+		for i := range out {
 			var v int64
-			if y := b[l]; y != 0 {
-				v = a[l] % y
+			if y := b[i]; y != 0 {
+				v = a[i] % y
 			}
-			d[l] = v
+			out[i] = v
 		}
 	case isa.OpMin:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = min(a[l], b[l])
+		for i := range out {
+			out[i] = min(a[i], b[i])
 		}
 	case isa.OpMax:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = max(a[l], b[l])
+		for i := range out {
+			out[i] = max(a[i], b[i])
 		}
 	case isa.OpAnd:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = a[l] & b[l]
+		for i := range out {
+			out[i] = a[i] & b[i]
 		}
 	case isa.OpOr:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = a[l] | b[l]
+		for i := range out {
+			out[i] = a[i] | b[i]
 		}
 	case isa.OpXor:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = a[l] ^ b[l]
+		for i := range out {
+			out[i] = a[i] ^ b[i]
 		}
 	case isa.OpShl:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = a[l] << clampShift(b[l])
+		for i := range out {
+			out[i] = a[i] << clampShift(b[i])
 		}
 	case isa.OpShr:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = a[l] >> clampShift(b[l])
+		for i := range out {
+			out[i] = a[i] >> clampShift(b[i])
 		}
 	case isa.OpAbs:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = max(a[l], -a[l])
+		for i := range out {
+			out[i] = max(a[i], -a[i])
 		}
 	case isa.OpSetLT:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = b2i(a[l] < b[l])
+		for i := range out {
+			out[i] = b2i(a[i] < b[i])
 		}
 	case isa.OpSetLE:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = b2i(a[l] <= b[l])
+		for i := range out {
+			out[i] = b2i(a[i] <= b[i])
 		}
 	case isa.OpSetEQ:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = b2i(a[l] == b[l])
+		for i := range out {
+			out[i] = b2i(a[i] == b[i])
 		}
 	case isa.OpSetNE:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = b2i(a[l] != b[l])
+		for i := range out {
+			out[i] = b2i(a[i] != b[i])
 		}
 	case isa.OpSetGT:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = b2i(a[l] > b[l])
+		for i := range out {
+			out[i] = b2i(a[i] > b[i])
 		}
 	case isa.OpSetGE:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = b2i(a[l] >= b[l])
+		for i := range out {
+			out[i] = b2i(a[i] >= b[i])
 		}
 	case isa.OpSel:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			if d[l] != 0 {
-				d[l] = a[l]
+		for i := range out {
+			if d[i] != 0 {
+				out[i] = a[i]
 			} else {
-				d[l] = b[l]
+				out[i] = b[i]
 			}
 		}
 	case isa.OpFAdd:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = isa.F2B(isa.B2F(a[l]) + isa.B2F(b[l]))
+		for i := range out {
+			x, y := isa.B2F(a[i]), isa.B2F(b[i])
+			out[i] = isa.F2B(pinNaN(x+y, x, y))
 		}
 	case isa.OpFSub:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = isa.F2B(isa.B2F(a[l]) - isa.B2F(b[l]))
+		for i := range out {
+			out[i] = isa.F2B(isa.B2F(a[i]) - isa.B2F(b[i]))
 		}
 	case isa.OpFMul:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = isa.F2B(isa.B2F(a[l]) * isa.B2F(b[l]))
+		for i := range out {
+			x, y := isa.B2F(a[i]), isa.B2F(b[i])
+			if fmulNaNFirst {
+				out[i] = isa.F2B(pinNaN(x*y, x, y))
+			} else {
+				out[i] = isa.F2B(pinNaN(x*y, y, x))
+			}
 		}
 	case isa.OpFMad:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = isa.F2B(float64(isa.B2F(a[l])*isa.B2F(b[l])) + isa.B2F(d[l]))
+		for i := range out {
+			x, y := isa.B2F(a[i]), isa.B2F(b[i])
+			p := pinNaN(float64(x*y), y, x)
+			out[i] = isa.F2B(pinNaN(p+isa.B2F(d[i]), p, isa.B2F(d[i])))
 		}
 	case isa.OpFDiv:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = isa.F2B(isa.B2F(a[l]) / isa.B2F(b[l]))
+		for i := range out {
+			out[i] = isa.F2B(isa.B2F(a[i]) / isa.B2F(b[i]))
 		}
 	case isa.OpFSqrt:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = isa.F2B(math.Sqrt(isa.B2F(a[l])))
+		for i := range out {
+			out[i] = isa.F2B(math.Sqrt(isa.B2F(a[i])))
 		}
 	case isa.OpFMin:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = isa.F2B(math.Min(isa.B2F(a[l]), isa.B2F(b[l])))
+		for i := range out {
+			out[i] = isa.F2B(math.Min(isa.B2F(a[i]), isa.B2F(b[i])))
 		}
 	case isa.OpFMax:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = isa.F2B(math.Max(isa.B2F(a[l]), isa.B2F(b[l])))
+		for i := range out {
+			out[i] = isa.F2B(math.Max(isa.B2F(a[i]), isa.B2F(b[i])))
 		}
 	case isa.OpFAbs:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = isa.F2B(math.Abs(isa.B2F(a[l])))
+		for i := range out {
+			out[i] = isa.F2B(math.Abs(isa.B2F(a[i])))
 		}
 	case isa.OpFNeg:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = isa.F2B(-isa.B2F(a[l]))
+		for i := range out {
+			out[i] = isa.F2B(-isa.B2F(a[i]))
 		}
 	case isa.OpFExp:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = isa.F2B(math.Exp(isa.B2F(a[l])))
+		for i := range out {
+			out[i] = isa.F2B(math.Exp(isa.B2F(a[i])))
 		}
 	case isa.OpFLog:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = isa.F2B(math.Log(isa.B2F(a[l])))
+		for i := range out {
+			out[i] = isa.F2B(math.Log(isa.B2F(a[i])))
 		}
 	case isa.OpCvtIF:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = isa.F2B(float64(a[l]))
+		for i := range out {
+			out[i] = isa.F2B(float64(a[i]))
 		}
 	case isa.OpCvtFI:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = cvtFI(isa.B2F(a[l]))
+		for i := range out {
+			out[i] = cvtFI(isa.B2F(a[i]))
 		}
 	case isa.OpFSetLT:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = b2i(isa.B2F(a[l]) < isa.B2F(b[l]))
+		for i := range out {
+			out[i] = b2i(isa.B2F(a[i]) < isa.B2F(b[i]))
 		}
 	case isa.OpFSetLE:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = b2i(isa.B2F(a[l]) <= isa.B2F(b[l]))
+		for i := range out {
+			out[i] = b2i(isa.B2F(a[i]) <= isa.B2F(b[i]))
 		}
 	case isa.OpFSetGT:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = b2i(isa.B2F(a[l]) > isa.B2F(b[l]))
+		for i := range out {
+			out[i] = b2i(isa.B2F(a[i]) > isa.B2F(b[i]))
 		}
 	case isa.OpFSetGE:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = b2i(isa.B2F(a[l]) >= isa.B2F(b[l]))
+		for i := range out {
+			out[i] = b2i(isa.B2F(a[i]) >= isa.B2F(b[i]))
 		}
 	case isa.OpFSetEQ:
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			d[l] = b2i(isa.B2F(a[l]) == isa.B2F(b[l]))
+		for i := range out {
+			out[i] = b2i(isa.B2F(a[i]) == isa.B2F(b[i]))
 		}
 	default:
 		panic(fmt.Sprintf("simt: unimplemented opcode %s", in.Op))
+	}
+	if !full {
+		for m := mask >> uint(lo); m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			d[i] = out[i]
+		}
 	}
 }
 
@@ -468,6 +474,34 @@ func cvtFI(f float64) int64 {
 		return math.MinInt64
 	}
 	return int64(f)
+}
+
+// fmulNaNFirst is true where fmul keeps its first operand's NaN (pinNaN).
+const fmulNaNFirst = runtime.GOARCH == "386"
+
+// pinNaN returns r, the result of a commutative float op, unless r is a
+// NaN: then first's NaN if first is one, else second's, quieted. amd64
+// returns the NaN of whichever operand sits in the destination register,
+// and Go leaves that choice to the register allocator, which may swap a
+// commutative op's operands in one compilation of a loop and not in
+// another (a coverage-instrumented build of the row kernels did). The
+// order each caller passes is the per-lane reference's, as each host's
+// compiler built it before the row kernels: fmad's product prefers the
+// second operand, fadd and fmad's sum the first, and fmul the second
+// on amd64 but the first on 386 (fmulNaNFirst). A NaN made from numbers
+// (Inf-Inf, 0*Inf) is left as computed.
+func pinNaN(r, first, second float64) float64 {
+	if r == r {
+		return r
+	}
+	const quiet = 1 << 51
+	switch {
+	case first != first:
+		return isa.B2F(isa.F2B(first) | quiet)
+	case second != second:
+		return isa.B2F(isa.F2B(second) | quiet)
+	}
+	return r
 }
 
 func b2i(b bool) int64 {

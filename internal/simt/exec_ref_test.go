@@ -427,14 +427,15 @@ func diffExec(c execCase) string {
 
 // edgeValues are the operand words the differential table is built from:
 // integer extremes, shift counts below 0 and at or past 64, divisors 0
-// and -1, and the bit patterns of NaN, the infinities, -0 and floats at
-// and beyond the int64 range.
+// and -1, and the bit patterns of NaN (quiet, and signaling with a
+// payload), the infinities, -0 and floats at and beyond the int64 range.
 var edgeValues = []int64{
 	0, -1, 1, 2, 7, -5, 63, 64, 65, 200, -64,
 	math.MinInt64, math.MaxInt64, math.MinInt64 + 1, 1 << 32, -(1 << 31),
 	isa.F2B(math.NaN()), isa.F2B(math.Inf(1)), isa.F2B(math.Inf(-1)), isa.F2B(math.Copysign(0, -1)),
 	isa.F2B(1.5), isa.F2B(-2.9), isa.F2B(1e19), isa.F2B(-1e19), isa.F2B(0x1p63), isa.F2B(-0x1p63),
 	isa.F2B(math.Nextafter(0x1p63, 0)), isa.F2B(math.SmallestNonzeroFloat64), isa.F2B(math.MaxFloat64),
+	0x7ff0_0000_0000_0abc,
 }
 
 func edge(i int) int64 { return edgeValues[((i%len(edgeValues))+len(edgeValues))%len(edgeValues)] }
@@ -461,6 +462,25 @@ var refMasks = []refMask{
 }
 
 var refSizes = []int{8, 32, 64}
+
+// refAddrPatterns are the address rows the memory cases and the fuzz
+// seeds are built from: word returns the word a lane names, counted from
+// the first valid one, for a warp of size lanes (the callers wrap it to
+// the memory's size). With 8-byte words a 128-byte line holds 16 of them.
+var refAddrPatterns = []struct {
+	name string
+	word func(lane, size int) int64
+}{
+	// Every lane one word: a load reads it once; a store collides.
+	{"uniform", func(int, int) int64 { return 1 }},
+	{"unit", func(lane, _ int) int64 { return int64(lane) }},
+	{"descending", func(lane, size int) int64 { return int64(size - 1 - lane) }},
+	// Distinct words of one line, out of order.
+	{"one-line", func(lane, _ int) int64 { return int64(lane*5) % 16 }},
+	// Two lines, alternating lane by lane.
+	{"two-lines", func(lane, _ int) int64 { return int64(lane&1)*16 + int64(lane>>1)%16 }},
+	{"scattered", func(lane, _ int) int64 { return int64(lane) * 5 }},
+}
 
 // aluOps are the opcodes execALU handles (everything below the memory
 // and control-flow group).
@@ -623,11 +643,11 @@ func TestExecMatchesPerLaneReference(t *testing.T) {
 		}
 	}
 
-	// Memory: unit-stride, uniform (every lane one address: the store
-	// collision the last lane must win), scattered, unaligned, and one
-	// lane out of range (the panic names it); global traffic direct and
-	// through a store log; address, data and destination registers
-	// aliased.
+	// Memory: every address pattern of refAddrPatterns (among them the
+	// uniform row a load reads once and a store collides on, which the
+	// last lane must win), plus unaligned and one lane out of range (the
+	// panic names it); global traffic direct and through a store log;
+	// address, data and destination registers aliased.
 	type memShape struct {
 		op    isa.Op
 		base  int64 // first valid byte address
@@ -640,17 +660,17 @@ func TestExecMatchesPerLaneReference(t *testing.T) {
 	for _, sh := range shapes {
 		for _, m := range refMasks {
 			for _, size := range refSizes {
-				for _, stride := range []int64{1, 0, 5} {
+				for _, pat := range refAddrPatterns {
 					for _, al := range refAliasings {
 						for _, variant := range []string{"", "log", "unaligned", "oob"} {
 							const imm = 24
-							check(m.name+"/"+al.name+"/"+variant, execCase{
+							check(m.name+"/"+pat.name+"/"+al.name+"/"+variant, execCase{
 								in:   isa.Instr{Op: sh.op, Dst: al.dst, A: al.a, B: al.b, Imm: imm},
 								size: size, lanes: m.lanes(size), mask: m.mask(size), useLog: variant == "log",
 								reg: func(lane int, r isa.Reg) int64 {
 									switch {
 									case r == al.a:
-										addr := sh.base + (int64(lane)*stride%sh.words)*memory.WordBytes - imm
+										addr := sh.base + pat.word(lane, size)%sh.words*memory.WordBytes - imm
 										if variant == "unaligned" {
 											addr += 3
 										}
@@ -692,6 +712,45 @@ func FuzzExecAgainstPerLane(f *testing.F) {
 		f.Add(uint8(op), uint8(9), uint8(9), uint8(9), true, int64(-1), uint64(0x8421_a5c3_8421_a5c3), uint8(62), all) // 21 of 64, sparse, all aliased
 		f.Add(uint8(op), uint8(63), uint8(4), uint8(63), true, int64(math.MinInt64), uint64(1)<<63, uint8(191), words(math.MinInt64, -1, 0))
 	}
+	// Memory: every address pattern, and unit stride with one lane out of
+	// range, under a full, a partial and a sparse mask at every width,
+	// with and without a store log. Operands are (A, B, Dst) per lane,
+	// with A = 8 * the folded word index.
+	geomFor := func(size int, log bool) uint8 { // the geom with the most lanes that width and log allow
+		best := -1
+		for g := 0; g < 256; g++ {
+			if refSizes[g%3] == size && (g >= 128) == log && (best < 0 || g/3%size > best/3%size) {
+				best = g
+			}
+		}
+		return uint8(best)
+	}
+	for _, op := range []isa.Op{isa.OpLd, isa.OpSt, isa.OpLdS, isa.OpStS} {
+		valid, first := int64(refGlobalWords), int64(0) // valid words, and the fold index of the first
+		if op == isa.OpLdS || op == isa.OpStS {
+			valid, first = refSharedWords, 1
+		}
+		for _, size := range refSizes {
+			for p := 0; p <= len(refAddrPatterns); p++ {
+				var row []int64
+				for lane := 0; lane < size; lane++ {
+					idx := first + int64(lane)%valid
+					switch {
+					case p < len(refAddrPatterns):
+						idx = first + refAddrPatterns[p].word(lane, size)%valid
+					case lane == size/2+1:
+						idx = first + valid // one past the last valid word
+					}
+					row = append(row, 8*idx, 9000+int64(lane), filler(lane, 9))
+				}
+				for _, mask := range []uint64{^uint64(0), ^uint64(0) >> (64 - size/2), 0x8421_a5c3_8421_a5c3} {
+					for _, log := range []bool{false, true} {
+						f.Add(uint8(op), uint8(9), uint8(4), uint8(61), false, int64(24), mask, geomFor(size, log), words(row...))
+					}
+				}
+			}
+		}
+	}
 	for sel := int64(-1); sel <= 7; sel++ { // every selector, and one past each end
 		f.Add(uint8(isa.OpSReg), uint8(5), uint8(0), uint8(0), false, sel, uint64(0xa5c3), uint8(62), all)
 		f.Add(uint8(isa.OpParam), uint8(5), uint8(0), uint8(0), false, sel, uint64(0xa5c3), uint8(62), all)
@@ -714,16 +773,19 @@ func FuzzExecAgainstPerLane(f *testing.F) {
 			return int64(v)
 		}
 		// Memory opcodes get their address words folded to just around the
-		// valid range, so most lanes hit memory and some fall off it.
+		// valid range, so most lanes hit memory and some fall off it: bits
+		// 3 and up pick the word (two past the valid ones, or one below
+		// and one past for shared memory), the low three a byte in it, so
+		// an operand of 8*i names word i and equal operands one address.
 		fold := func(v int64) int64 { return v }
 		switch c.in.Op {
 		case isa.OpLd, isa.OpSt:
 			fold = func(v int64) int64 {
-				return memory.Base - imm + ((v%(refGlobalWords+2))+refGlobalWords+2)%(refGlobalWords+2)*memory.WordBytes + v&7
+				return memory.Base - imm + ((v>>3)%(refGlobalWords+2)+refGlobalWords+2)%(refGlobalWords+2)*memory.WordBytes + v&7
 			}
 		case isa.OpLdS, isa.OpStS:
 			fold = func(v int64) int64 {
-				return -imm + (((v%(refSharedWords+2))+refSharedWords+2)%(refSharedWords+2)-1)*memory.WordBytes + v&7
+				return -imm + (((v>>3)%(refSharedWords+2)+refSharedWords+2)%(refSharedWords+2)-1)*memory.WordBytes + v&7
 			}
 		}
 		c.reg = func(lane int, r isa.Reg) int64 {

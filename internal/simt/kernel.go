@@ -107,4 +107,10 @@ type ExecContext struct {
 	BlockID  int
 	GridDim  int
 	BlockDim int
+
+	// work holds execute's two scratch rows, a partial-mask result and a
+	// broadcast immediate, so that no instruction clears a fresh pair on
+	// its stack. Every lane an instruction reads from them it wrote first.
+	// A context therefore serves one executing warp at a time.
+	work [2][MaxWarpSize]int64
 }

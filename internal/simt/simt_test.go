@@ -1,6 +1,7 @@
 package simt
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -384,5 +385,44 @@ func TestSelConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExecIntoOverwritesEveryStepField: ExecInto sets the fields of the
+// recycled Step one by one, so a field it missed would carry the last
+// instruction's value into the next record. Every field is made
+// non-zero first and must come out as a fresh Exec leaves it.
+func TestExecIntoOverwritesEveryStepField(t *testing.T) {
+	var poison func(v reflect.Value)
+	poison = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			v.SetInt(3)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			v.SetUint(3)
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Slice:
+			v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+			poison(v.Index(0))
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				poison(v.Field(i))
+			}
+		default:
+			t.Fatalf("kind %s: extend poison", v.Kind())
+		}
+	}
+	prog := &isa.Program{Name: "nop", Instrs: []isa.Instr{{Op: isa.OpNop}, {Op: isa.OpExit}}}
+	want := Exec(NewWarp(0, 0, 0, 32, 32, 2), prog, &ExecContext{})
+	var got Step
+	poison(reflect.ValueOf(&got).Elem())
+	ExecInto(NewWarp(0, 0, 0, 32, 32, 2), prog, &ExecContext{}, &got)
+	if len(got.Accesses) != 0 {
+		t.Fatalf("Accesses %v, want none", got.Accesses)
+	}
+	got.Accesses = nil
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("recycled Step %+v, fresh %+v", got, want)
 	}
 }

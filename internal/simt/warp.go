@@ -112,6 +112,13 @@ func (w *Warp) SetReg(lane int, r isa.Reg, v int64) { w.row(r)[lane] = v }
 // row returns the Size lanes of register r.
 func (w *Warp) row(r isa.Reg) []int64 { return w.regs[int(r)*w.Size:][:w.Size] }
 
+// Row returns register r's Size lanes, lane l at index l. The slice
+// aliases the register file: callers read it and must not write it.
+func (w *Warp) Row(r isa.Reg) []int64 { return w.row(r) }
+
+// fullMask is the mask with all Size lanes set.
+func (w *Warp) fullMask() uint64 { return ^uint64(0) >> (MaxWarpSize - uint(w.Size)) }
+
 func (w *Warp) top() *StackEntry { return &w.stack[len(w.stack)-1] }
 
 func (w *Warp) popReconverged() {

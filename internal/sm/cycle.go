@@ -393,26 +393,35 @@ func (m *SM) tryIssue(i int, now int64) bool {
 // is occupied for one cycle per maximum bank-conflict degree across the
 // 32 banks.
 func (m *SM) issueShared(i int, s *slot, st *simt.Step, now int64) {
-	const banks = 32
-	var bankWord [banks]int64
-	var bankCnt [banks]int
-	degree := 1
-	for _, a := range st.Accesses {
-		word := a.Addr / 8
-		b := int(word % banks)
-		if bankCnt[b] == 0 || bankWord[b] != word {
-			bankWord[b] = word
-			bankCnt[b]++
-			if bankCnt[b] > degree {
-				degree = bankCnt[b]
-			}
-		}
-	}
-	m.lsuBusyUntil = now + int64(degree)
+	degree := int64(bankConflictDegree(st.Accesses))
+	m.lsuBusyUntil = now + degree
 	if st.IsLoad {
 		s.busyALU |= 1 << st.Instr.Dst
-		m.pushWB(i, s, now+int64(m.cfg.SharedMemLatency)+int64(degree)-1, st.Instr.Dst)
+		m.pushWB(i, s, now+int64(m.cfg.SharedMemLatency)+degree-1, st.Instr.Dst)
 	}
+}
+
+// bankConflictDegree is the most distinct words any one of the 32 banks
+// must serve for the accesses (at least 1): lanes reading one word share
+// it, so words w1, w2, w1 in one bank cost two, not three. A bank's
+// first word is new without a search; a later one is compared against
+// the distinct words seen so far.
+func bankConflictDegree(accesses []simt.MemAccess) int {
+	const banks = 32
+	var bankCnt [banks]int
+	var seen [simt.MaxWarpSize]int64
+	n, degree := 0, 1
+	for _, a := range accesses {
+		word := a.Addr / 8
+		b := int(word % banks)
+		if bankCnt[b] > 0 && slices.Contains(seen[:n], word) {
+			continue
+		}
+		seen[n], n = word, n+1
+		bankCnt[b]++
+		degree = max(degree, bankCnt[b])
+	}
+	return degree
 }
 
 // loadRefused reports whether the L1D would refuse slot s's global load
@@ -428,7 +437,8 @@ func (m *SM) loadRefused(s *slot) bool {
 		}
 		m.lineBuf = append(m.lineBuf[:0], s.peekBuf...)
 	} else {
-		m.peekLines(s, m.prog.At(s.pc))
+		in := m.prog.At(s.pc)
+		m.coalesce(s.warp.Row(in.A), s.warp.ActiveMask(), in.Imm)
 		s.peekPC = s.pc
 		s.peekInstr = s.rec.Instructions
 		s.peekBuf = append(s.peekBuf[:0], m.lineBuf...)
@@ -441,38 +451,40 @@ func (m *SM) loadRefused(s *slot) bool {
 	return false
 }
 
-// peekLines fills m.lineBuf with the distinct cache lines the next
-// memory instruction of slot s will access, without executing it.
-func (m *SM) peekLines(s *slot, in isa.Instr) {
-	w := s.warp
-	lineSize := int64(m.cfg.L1D.LineBytes)
-	m.lineBuf = m.lineBuf[:0]
-	for mask := w.ActiveMask(); mask != 0; mask &= mask - 1 {
-		addr := (w.Reg(bits.TrailingZeros64(mask), in.A) + in.Imm) &^ (lineSize - 1)
-		// Fast path: consecutive lanes usually touch the same line.
-		if n := len(m.lineBuf); n > 0 && m.lineBuf[n-1] == addr {
-			continue
-		}
-		if !slices.Contains(m.lineBuf, addr) {
-			m.lineBuf = append(m.lineBuf, addr)
+// coalesce sets m.lineBuf to the distinct cache lines that register
+// row addr plus imm names under mask: lanes in ascending order, each
+// line where its first lane is. That order is the L1D access order, and
+// it equals the distinct lines of the executed Step.Accesses, so the
+// lines a load is checked against before it issues (loadRefused) are the
+// ones it sends. A line equal to the previous lane's, or above every
+// line so far while they ascend, is settled by one compare; only lanes
+// that go backwards search the list, so uniform and strided rows cost
+// one pass.
+func (m *SM) coalesce(addr []int64, mask uint64, imm int64) {
+	lineMask := ^(int64(m.cfg.L1D.LineBytes) - 1)
+	lines, ascending := m.lineBuf[:0], true
+	for ; mask != 0; mask &= mask - 1 {
+		la := (addr[bits.TrailingZeros64(mask)] + imm) & lineMask
+		n := len(lines)
+		switch {
+		case n > 0 && lines[n-1] == la:
+		case ascending && (n == 0 || la > lines[n-1]):
+			lines = append(lines, la)
+		case !slices.Contains(lines, la):
+			lines, ascending = append(lines, la), false
 		}
 	}
+	m.lineBuf = lines
 }
 
-// issueGlobal coalesces a global access into line transactions and
-// sends them to the L1D. For loads, m.lineBuf was just filled by
-// tryIssue and acceptance verified; stores recompute their lines (they
-// never reject).
+// issueGlobal sends a global access's line transactions to the L1D.
+// For loads, m.lineBuf was filled before the load executed (its
+// destination may overwrite the address row) and acceptance verified;
+// stores coalesce now, from the address row they left alone (they never
+// reject).
 func (m *SM) issueGlobal(slotIdx int, s *slot, st *simt.Step, now int64) {
 	if !st.IsLoad {
-		lineSize := int64(m.cfg.L1D.LineBytes)
-		m.lineBuf = m.lineBuf[:0]
-		for _, a := range st.Accesses {
-			la := a.Addr &^ (lineSize - 1)
-			if !slices.Contains(m.lineBuf, la) {
-				m.lineBuf = append(m.lineBuf, la)
-			}
-		}
+		m.coalesce(s.warp.Row(st.Instr.A), st.Mask, st.Instr.Imm)
 	}
 	m.lsuBusyUntil = now + int64(len(m.lineBuf))
 	m.MemInstrs++

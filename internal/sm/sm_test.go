@@ -347,3 +347,37 @@ func TestTokenHoldsEverySlot(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedBankConflictCountsDistinctWords: a shared-memory access
+// occupies the LSU for as many cycles as the most distinct words one of
+// the 32 banks serves. Lanes reading one word share it, in any order: a
+// bank whose lanes touch words w1, w2, w1 serves two words, not three.
+func TestSharedBankConflictCountsDistinctWords(t *testing.T) {
+	const banks = 32
+	cases := []struct {
+		name  string
+		words []int64
+		want  int64
+	}{
+		{"one word", []int64{5, 5, 5, 5}, 1},
+		{"a word per bank", []int64{0, 1, 2, 3, 31}, 1},
+		{"two words one bank", []int64{1, 1 + banks}, 2},
+		{"w1 w2 w1", []int64{1, 1 + banks, 1}, 2},
+		{"w1 w2 w1 w2", []int64{1, 1 + banks, 1, 1 + banks}, 2},
+		{"three words one bank", []int64{1, 1 + banks, 1 + 2*banks, 1 + banks}, 3},
+		{"two banks interleaved", []int64{0, 1, banks, 1 + banks, 0, 1, 2 * banks}, 3},
+	}
+	r := newRig(t, nil)
+	m := r.sm
+	for _, c := range cases {
+		st := &simt.Step{Kind: simt.StepSMem}
+		for lane, w := range c.words {
+			st.Accesses = append(st.Accesses, simt.MemAccess{Lane: lane, Addr: 8 * w})
+		}
+		const now = 100
+		m.issueShared(0, &m.slots[0], st, now)
+		if got := m.lsuBusyUntil - now; got != c.want {
+			t.Errorf("%s: words %v occupy the LSU %d cycles, want %d", c.name, c.words, got, c.want)
+		}
+	}
+}
