@@ -42,6 +42,5 @@ func (r *Request) Archive(a *state.Archive) {
 	a.Bool(&r.Critical, &r.Write)
 }
 
-// LRU and SRRIP keep all their state in the lines.
-func (LRU) Archive(a *state.Archive)   { a.Tag("lru") }
-func (SRRIP) Archive(a *state.Archive) { a.Tag("srrip") }
+// LRU keeps all its state in the lines.
+func (LRU) Archive(a *state.Archive) { a.Tag("lru") }

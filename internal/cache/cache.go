@@ -1,6 +1,6 @@
 // Package cache models set-associative caches with pluggable replacement
-// policies. It provides the tag/state arrays and the LRU and SRRIP
-// policies used by the baseline L1/L2 caches; the paper's
+// policies. It provides the tag/state arrays and the LRU policy used by
+// the baseline L1/L2 caches; the paper's
 // criticality-aware prioritization (CACP) is a policy implemented in
 // internal/core on top of the hooks exposed here (per-line user state,
 // policy-chosen victims, eviction callbacks).
@@ -11,6 +11,7 @@ import (
 	"math/bits"
 
 	"cawa/internal/config"
+	"cawa/internal/state"
 )
 
 // Request carries the information replacement policies may condition on.
@@ -36,7 +37,7 @@ type Line struct {
 	Tag   int64
 
 	// Replacement state.
-	RRPV uint8  // re-reference prediction value (SRRIP family)
+	RRPV uint8  // CACP's SHiP insertion age (written, never read: checkpoints carry it)
 	LRU  uint64 // global timestamp of last touch (LRU family)
 
 	// CACP training state (Algorithm 4 of the paper).
@@ -66,8 +67,9 @@ type Eviction struct {
 
 // Policy decides victim selection and maintains per-line replacement
 // state. Implementations receive the owning cache so they can inspect
-// whole sets.
+// whole sets; Archive walks whatever state they keep outside the lines.
 type Policy interface {
+	state.Archiver
 	// Name identifies the policy in reports.
 	Name() string
 	// OnFill initializes replacement state of a just-filled line.

@@ -120,47 +120,6 @@ func TestEvictListener(t *testing.T) {
 	}
 }
 
-func TestSRRIPInsertPromoteEvict(t *testing.T) {
-	c := New(smallCfg(), SRRIP{})
-	c.Fill(Request{Addr: 0})
-	set, way, _ := c.Probe(0)
-	if got := c.Line(set, way).RRPV; got != RRPVLong {
-		t.Fatalf("insert RRPV = %d, want %d", got, RRPVLong)
-	}
-	c.Access(Request{Addr: 0})
-	if got := c.Line(set, way).RRPV; got != RRPVNear {
-		t.Fatalf("promoted RRPV = %d, want %d", got, RRPVNear)
-	}
-	// Fill a second line; evicting a third time must pick the non-promoted one.
-	c.Fill(Request{Addr: 4 * 128})
-	ev := c.Fill(Request{Addr: 8 * 128})
-	if !ev.Valid || ev.Addr != 4*128 {
-		t.Fatalf("SRRIP evicted %#x, want %#x", ev.Addr, int64(4*128))
-	}
-}
-
-func TestSRRIPVictimAmongRestriction(t *testing.T) {
-	cfg := config.CacheConfig{Sets: 1, Ways: 4, LineBytes: 128}
-	c := New(cfg, SRRIP{})
-	for i := int64(0); i < 4; i++ {
-		c.Fill(Request{Addr: i * 128})
-	}
-	// Promote everything, then restrict victims to ways {2,3}.
-	for i := int64(0); i < 4; i++ {
-		c.Access(Request{Addr: i * 128})
-	}
-	v := SRRIPVictimAmong(c, 0, []int{2, 3})
-	if v != 2 && v != 3 {
-		t.Fatalf("victim %d outside restriction", v)
-	}
-	// Ways 0,1 must not have been aged past max by the scan.
-	for w := 0; w < 2; w++ {
-		if c.Line(0, w).RRPV > RRPVMax {
-			t.Fatalf("way %d RRPV overflow", w)
-		}
-	}
-}
-
 // lruRef is a straightforward reference model of a set-associative LRU
 // cache for property testing.
 type lruRef struct {
@@ -215,7 +174,7 @@ func TestLRUMatchesReference(t *testing.T) {
 func TestCacheInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c := New(smallCfg(), SRRIP{})
+		c := New(smallCfg(), LRU{})
 		for i := 0; i < 300; i++ {
 			addr := int64(rng.Intn(64)) * 128
 			req := Request{Addr: addr, Write: rng.Intn(4) == 0}
@@ -265,6 +224,7 @@ func (badPolicy) OnFill(*Cache, int, int, Request)    {}
 func (badPolicy) OnHit(*Cache, int, int, Request)     {}
 func (badPolicy) Victim(*Cache, int, Request) int     { return -7 }
 func (badPolicy) OnEvict(*Cache, int, int, *Eviction) {}
+func (badPolicy) Archive(*state.Archive)              {}
 
 // TestTouchLRUMatchesTouch replays one random read stream on two LRU
 // caches, hits through Touch on one and TouchLRU on the other: the tag

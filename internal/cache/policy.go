@@ -32,41 +32,6 @@ func (LRU) Victim(c *Cache, set int, _ Request) int {
 // OnEvict implements Policy.
 func (LRU) OnEvict(*Cache, int, int, *Eviction) {}
 
-// RRPV constants for the 2-bit SRRIP policy family (Jaleel et al.,
-// ISCA'10), which the paper's modified SHiP predictor steers.
-const (
-	RRPVMax      uint8 = 3 // distant re-reference
-	RRPVLong     uint8 = 2 // long re-reference
-	RRPVNear     uint8 = 0 // near-immediate re-reference (promotion)
-	RRPVInterval       = RRPVMax
-)
-
-// SRRIP is static re-reference interval prediction with hit-promotion to
-// RRPV 0 and insertion at "long" (RRPV 2).
-type SRRIP struct{}
-
-// Name implements Policy.
-func (SRRIP) Name() string { return "SRRIP" }
-
-// OnFill implements Policy.
-func (SRRIP) OnFill(c *Cache, set, way int, _ Request) {
-	c.Line(set, way).RRPV = RRPVLong
-}
-
-// OnHit implements Policy.
-func (SRRIP) OnHit(c *Cache, set, way int, _ Request) {
-	c.Line(set, way).RRPV = RRPVNear
-}
-
-// Victim implements Policy: find a line with RRPV==max, aging the whole
-// set until one appears.
-func (SRRIP) Victim(c *Cache, set int, _ Request) int {
-	return SRRIPVictimAmong(c, set, nil)
-}
-
-// OnEvict implements Policy.
-func (SRRIP) OnEvict(*Cache, int, int, *Eviction) {}
-
 // LRUVictimAmong picks the least-recently-used valid line restricted to
 // the given ways (nil means all ways), for partitioned LRU policies.
 func LRUVictimAmong(c *Cache, set int, ways []int) int {
@@ -81,41 +46,4 @@ func LRUVictimAmong(c *Cache, set int, ways []int) int {
 		}
 	}
 	return victim
-}
-
-// SRRIPVictimAmong runs the SRRIP victim scan restricted to the given
-// ways (nil means all ways). It is exported for partitioned policies
-// (the paper's CACP restricts replacement to the critical or the
-// non-critical partition).
-func SRRIPVictimAmong(c *Cache, set int, ways []int) int {
-	lines := c.Set(set)
-	if ways == nil {
-		// Unrestricted scan: iterate the set directly rather than
-		// materializing an index slice — this runs on the per-fill hot
-		// path, which must not allocate.
-		for {
-			for w := range lines {
-				if lines[w].RRPV >= RRPVMax {
-					return w
-				}
-			}
-			for w := range lines {
-				if lines[w].RRPV < RRPVMax {
-					lines[w].RRPV++
-				}
-			}
-		}
-	}
-	for {
-		for _, w := range ways {
-			if lines[w].RRPV >= RRPVMax {
-				return w
-			}
-		}
-		for _, w := range ways {
-			if lines[w].RRPV < RRPVMax {
-				lines[w].RRPV++
-			}
-		}
-	}
 }

@@ -1,15 +1,16 @@
 // Package checkpoint serializes the full simulated-GPU state at a
 // cycle boundary and restores it byte-identically: SM pipelines and
-// per-warp reconvergence stacks, L1/L2 tag arrays with CACP/SRRIP
+// per-warp reconvergence stacks, L1/L2 tag arrays with LRU and CACP
 // metadata, MSHRs, in-flight memory-system events, scheduler state
-// (GTO/age, CAWA criticality counters), and the functional memory.
+// (the greedy hold, CAWA criticality counters), and the functional memory.
 //
 // The byte stream is the only representation of that state besides the
 // live one. Every component walks its own fields through a state.Archive
 // (one Archive method serving both directions); Capture runs the walk
 // over the live GPU in save mode, Restore in load mode over a freshly
-// built one. Providers and policies take part by being state.Archivers;
-// one that is not fails the capture, nothing is dropped silently.
+// built one. Scheduler and cache policies and criticality providers
+// take part through the Archive method their interfaces require, so
+// every design point checkpoints and nothing is dropped silently.
 //
 // Wire format (Encode/Decode):
 //

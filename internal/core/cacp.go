@@ -30,6 +30,16 @@ const (
 	shipMax       = 7 // 3-bit SHCT counters, per the SHiP paper
 )
 
+// SHiP's insertion ages on the 2-bit RRIP scale (Jaleel et al.,
+// ISCA'10), kept in cache.Line.RRPV. Partitions evict in LRU order
+// (DESIGN.md, CACP deviation 2), so nothing reads them; checkpoint
+// format 2 carries them.
+const (
+	rrpvDistant uint8 = 3 // predicted dead
+	rrpvLong    uint8 = 2 // inserted with predicted reuse
+	rrpvNear    uint8 = 0 // re-referenced
+)
+
 // CACPConfig parameterizes the cache prioritization scheme.
 type CACPConfig struct {
 	// CriticalWays is the number of L1D ways reserved for
@@ -190,10 +200,10 @@ func (c *CACP) OnFill(ca *cache.Cache, set, way int, req cache.Request) {
 	// and recover — dead-inserted lines are evicted too fast to ever
 	// retrain the predictor on their own.
 	if predictedDead && c.fills%8 != 0 {
-		l.RRPV = cache.RRPVMax
+		l.RRPV = rrpvDistant
 		l.LRU = 0
 	} else {
-		l.RRPV = cache.RRPVLong
+		l.RRPV = rrpvLong
 		l.LRU = ca.NextTick()
 	}
 }
@@ -203,7 +213,7 @@ func (c *CACP) OnFill(ca *cache.Cache, set, way int, req cache.Request) {
 // hitting warp is predicted critical.
 func (c *CACP) OnHit(ca *cache.Cache, set, way int, req cache.Request) {
 	l := ca.Line(set, way)
-	l.RRPV = cache.RRPVNear
+	l.RRPV = rrpvNear
 	l.LRU = ca.NextTick()
 	if req.Critical {
 		l.CReuse = true
@@ -221,10 +231,10 @@ func (c *CACP) OnHit(ca *cache.Cache, set, way int, req cache.Request) {
 	}
 }
 
-// Victim implements cache.Policy; FillWay normally supersedes it, so it
-// only serves as a safety net.
+// Victim implements cache.Policy. FillWay always returns a way, so the
+// cache never asks; it answers as the partitions do, in LRU order.
 func (c *CACP) Victim(ca *cache.Cache, set int, _ cache.Request) int {
-	return cache.SRRIPVictimAmong(ca, set, nil)
+	return cache.LRUVictimAmong(ca, set, nil)
 }
 
 // OnEvict implements cache.Policy: EvictLine of Algorithm 4. Lines that

@@ -262,20 +262,20 @@ func TestCACPSHiPInsertionAge(t *testing.T) {
 	// Default SHiP counter (1) inserts at "long".
 	c.Fill(req)
 	set, way, _ := c.Probe(req.Addr)
-	if got := c.Line(set, way).RRPV; got != cache.RRPVLong {
-		t.Fatalf("warm-signature insertion RRPV %d, want %d", got, cache.RRPVLong)
+	if got := c.Line(set, way).RRPV; got != rrpvLong {
+		t.Fatalf("warm-signature insertion RRPV %d, want %d", got, rrpvLong)
 	}
 	// Drive the signature to zero: insert at distant.
 	p.ship[sig] = 0
 	req2 := cache.Request{Addr: 0x3000 + 256*128, PC: 9}
 	c.Fill(req2)
 	set2, way2, _ := c.Probe(req2.Addr)
-	if got := c.Line(set2, way2).RRPV; got != cache.RRPVMax {
-		t.Fatalf("dead-signature insertion RRPV %d, want %d", got, cache.RRPVMax)
+	if got := c.Line(set2, way2).RRPV; got != rrpvDistant {
+		t.Fatalf("dead-signature insertion RRPV %d, want %d", got, rrpvDistant)
 	}
 	// A hit promotes to near and records reuse class.
 	c.Access(cache.Request{Addr: req2.Addr, PC: 9})
-	if got := c.Line(set2, way2).RRPV; got != cache.RRPVNear {
+	if got := c.Line(set2, way2).RRPV; got != rrpvNear {
 		t.Fatalf("post-hit RRPV %d", got)
 	}
 	if !c.Line(set2, way2).NCReuse || c.Line(set2, way2).CReuse {

@@ -35,11 +35,9 @@ type WarmCheckpoint struct {
 // existing callers keep compiling.
 //
 // Capture is best-effort: a stop inside a functional launch (the
-// prefix a resume replays), a design point with a provider or policy
-// that is not a state.Archiver (none in this repository), or a capture
-// that finds an engine invariant broken (an unflushed store log,
-// undrained span fills) yields no checkpoint; the run's error is
-// unaffected. Resume is exact: the round-trip tests
+// prefix a resume replays) or a capture that finds an engine invariant
+// broken (an unflushed store log, undrained span fills) yields no
+// checkpoint; the run's error is unaffected. Resume is exact: the round-trip tests
 // prove a restored run is byte-identical to an uninterrupted one at
 // every domain count.
 func RunCheckpointed(ctx context.Context, opt RunOptions, every int64, warm *WarmCheckpoint) (*Result, *WarmCheckpoint, error) {

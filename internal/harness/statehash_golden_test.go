@@ -8,6 +8,7 @@ import (
 	"cawa/internal/config"
 	"cawa/internal/core"
 	"cawa/internal/gpu"
+	"cawa/internal/obs"
 	"cawa/internal/state"
 	"cawa/internal/workloads"
 )
@@ -26,40 +27,58 @@ import (
 // from a version-2 payload hashes to the version-1 golden at all four
 // points (the run is in CHANGES.md).
 //
-// The oracle entry pins the CAWS baseline's provider walk, which full
-// CAWA never archives: kmeans under caws with the oracle profiled from
-// the session's baseline run of the same workload.
+// The caws+oracle entry pins the CAWS baseline's provider walk, which
+// full CAWA never archives: kmeans under caws with the oracle profiled
+// from the session's baseline run of the same workload. The gto entry
+// pins GTO's policy walk, the greedy hold without criticality. The
+// traced entry is full CAWA with every provider wrapped by an issue
+// recorder (obs.Collector.Wrap, as cawasim's traced runs are): it
+// checkpoints, and to the untraced run's hash.
 var stateHashGoldens = []struct {
 	workload string
-	oracle   bool // caws+oracle instead of full CAWA
+	point    string // "cawa", "cawa+traced", "caws+oracle" or "gto"
 	cycle    int64
 	hash     string
 }{
-	{"kmeans", false, 5000, "9f55aacd5b78f6866391fdd11da54d535e17814f5eda54888ed733380c3dfae0"},
-	{"kmeans", false, 15000, "d3a5f245af1fea549262f2dc651d82ae10c4ce18c3c2284a59cd2629fb3a21c4"},
-	{"backprop", false, 3000, "cdb19d52a94d3342ba169f5c7e5374f01fabf2413fa19a3dc5eb83af30641157"},
-	{"backprop", false, 9000, "0bc48fab3ae4138b872b4eb32a4e0eff9c1d33e24dc9af3130ac19153700b6b5"},
-	{"kmeans", true, 5000, "e5f59f703f8e8efff35efb3726691eaa290cba695da5a409bcb1e1ca4dc7abbf"},
+	{"kmeans", "cawa", 5000, "9f55aacd5b78f6866391fdd11da54d535e17814f5eda54888ed733380c3dfae0"},
+	{"kmeans", "cawa+traced", 5000, "9f55aacd5b78f6866391fdd11da54d535e17814f5eda54888ed733380c3dfae0"},
+	{"kmeans", "cawa", 15000, "d3a5f245af1fea549262f2dc651d82ae10c4ce18c3c2284a59cd2629fb3a21c4"},
+	{"backprop", "cawa", 3000, "cdb19d52a94d3342ba169f5c7e5374f01fabf2413fa19a3dc5eb83af30641157"},
+	{"backprop", "cawa", 9000, "0bc48fab3ae4138b872b4eb32a4e0eff9c1d33e24dc9af3130ac19153700b6b5"},
+	{"kmeans", "caws+oracle", 5000, "e5f59f703f8e8efff35efb3726691eaa290cba695da5a409bcb1e1ca4dc7abbf"},
+	{"kmeans", "gto", 5000, "67f1cbfeef826a8d40718d5d7370ad326429d85448e42540139fa1231ae738fe"},
 }
 
-// stateHashAt runs workload under full CAWA (or, with oracle, under caws
-// with the baseline-profiled oracle) and returns the StateHash of a
-// checkpoint captured at the given global cycle, with the device's walk
-// by a saver of its own for state.Diff.
-func stateHashAt(t *testing.T, workload string, oracle bool, at int64, smWorkers int) (string, *state.Archive) {
+// stateHashAt runs workload at the design point (full CAWA, traced or
+// not, caws with the baseline-profiled oracle, or plain gto) and
+// returns the StateHash
+// of a checkpoint captured at the given global cycle, with the device's
+// walk by a saver of its own for state.Diff.
+func stateHashAt(t *testing.T, workload, point string, at int64, smWorkers int) (string, *state.Archive) {
 	t.Helper()
 	params := workloads.Params{Scale: 0.05, Seed: 7}
 	wl, err := workloads.New(workload, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := core.CAWA()
-	if oracle {
+	var sc core.SystemConfig
+	var traced *obs.Collector
+	switch point {
+	case "cawa":
+		sc = core.CAWA()
+	case "cawa+traced":
+		sc, traced = core.CAWA(), obs.NewCollector(64)
+		sc.ProviderOverride, sc.Variant = traced.Wrap(sc.Providers()), "traced"
+	case "caws+oracle":
 		prof, err := NewSession(config.GTX480(), params).OracleFor(workload)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sc = core.SystemConfig{Scheduler: "caws", Oracle: prof}
+	case "gto":
+		sc = core.SystemConfig{Scheduler: "gto"}
+	default:
+		t.Fatalf("unknown design point %q", point)
 	}
 	g, err := sc.NewGPU(config.GTX480(), wl.Mem())
 	if err != nil {
@@ -93,6 +112,9 @@ func stateHashAt(t *testing.T, workload string, oracle bool, at int64, smWorkers
 			t.Fatal(err)
 		}
 	}
+	if traced != nil && traced.Total() == 0 {
+		t.Fatal("the traced run recorded no issue")
+	}
 	return hash, walk
 }
 
@@ -109,8 +131,8 @@ func TestStateHashGoldens(t *testing.T) {
 	// other domain count's capture: where the two differ, or that they
 	// agree and the change moved the state itself.
 	for _, gold := range stateHashGoldens {
-		one, oneWalk := stateHashAt(t, gold.workload, gold.oracle, gold.cycle, 1)
-		two, twoWalk := stateHashAt(t, gold.workload, gold.oracle, gold.cycle, 2)
+		one, oneWalk := stateHashAt(t, gold.workload, gold.point, gold.cycle, 1)
+		two, twoWalk := stateHashAt(t, gold.workload, gold.point, gold.cycle, 2)
 		if one == gold.hash && two == gold.hash {
 			continue
 		}
@@ -118,7 +140,7 @@ func TestStateHashGoldens(t *testing.T) {
 		if d := state.Diff(oneWalk, twoWalk); d != "" {
 			where = "one domain vs two: " + d
 		}
-		t.Errorf("%s (oracle %v) @%d: StateHash %s (one domain), %s (two), want %s; %s",
-			gold.workload, gold.oracle, gold.cycle, one, two, gold.hash, where)
+		t.Errorf("%s (%s) @%d: StateHash %s (one domain), %s (two), want %s; %s",
+			gold.workload, gold.point, gold.cycle, one, two, gold.hash, where)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"cawa/internal/isa"
 	"cawa/internal/simt"
 	"cawa/internal/sm"
+	"cawa/internal/state"
 )
 
 // Event is one issued warp instruction.
@@ -169,6 +170,11 @@ func (r *recorder) Criticality(slot int) float64 { return r.inner.Criticality(sl
 
 // IsCritical implements sm.CriticalityProvider.
 func (r *recorder) IsCritical(slot int) bool { return r.inner.IsCritical(slot) }
+
+// Archive implements sm.CriticalityProvider: the wrapped provider's walk
+// alone, so a traced run checkpoints as the untraced one does (the
+// ring is an observation, not simulated state).
+func (r *recorder) Archive(a *state.Archive) { r.inner.Archive(a) }
 
 // appendEvents appends the retained events, oldest first, to out.
 func (r *recorder) appendEvents(out []Event) []Event {

@@ -4,24 +4,20 @@ import "cawa/internal/state"
 
 // Every policy archives its cross-cycle state behind a tag naming its
 // kind, so a checkpoint restored onto a differently configured scheduler
-// stops there. Scratch buffers are not state; CAWS keeps none at all.
+// stops there. Scratch buffers are not state; CAWS holds no warp, so
+// its walk is the tag alone.
 
 func (p *LRR) Archive(a *state.Archive) {
 	a.Tag("lrr")
 	state.Int(a, &p.last)
 }
 
-func (p *GTO) Archive(a *state.Archive) {
-	a.Tag("gto")
-	state.Int(a, &p.current)
+func (p *priority) Archive(a *state.Archive) {
+	a.Tag(p.tag)
+	if p.greedy {
+		state.Int(a, &p.current)
+	}
 }
-
-func (p *GCAWS) Archive(a *state.Archive) {
-	a.Tag("gcaws")
-	state.Int(a, &p.current)
-}
-
-func (*CAWS) Archive(a *state.Archive) { a.Tag("caws") }
 
 func (p *TwoLevel) Archive(a *state.Archive) {
 	a.Tag("2lvl")

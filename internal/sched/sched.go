@@ -1,14 +1,17 @@
 // Package sched implements the warp scheduling policies evaluated in the
-// paper: the loose round-robin baseline (LRR), greedy-then-oldest (GTO,
-// Rogers et al. MICRO'12), the two-level scheduler (Narasiman et al.
-// MICRO'11), the oracle criticality-aware scheduler CAWS (Lee & Wu
-// PACT'14), and the paper's greedy criticality-aware scheduler gCAWS,
-// which consumes the CPL criticality counters from internal/core.
+// paper: the loose round-robin baseline (LRR), the two-level scheduler
+// (Narasiman et al. MICRO'11), and one greedy-then-priority policy that
+// serves greedy-then-oldest (GTO, Rogers et al. MICRO'12), the oracle
+// criticality-aware scheduler CAWS (Lee & Wu PACT'14) and the paper's
+// greedy criticality-aware scheduler gCAWS, which consumes the CPL
+// criticality counters from internal/core.
 package sched
 
 import (
 	"fmt"
 	"sort"
+
+	"cawa/internal/state"
 )
 
 // Context is the per-cycle view a policy selects from. Slots identify
@@ -33,8 +36,11 @@ type Context struct {
 
 // Policy selects which ready warp issues each cycle on one scheduler.
 // A Policy instance is private to a single scheduler unit; it may keep
-// state across cycles.
+// state across cycles, and Archive walks all of it: a checkpoint
+// restores a policy from it, and a sleeping SM compares its bytes to
+// find the period of its refused ticks.
 type Policy interface {
+	state.Archiver
 	// Name identifies the policy in reports.
 	Name() string
 	// Select returns the chosen slot, or -1 to issue nothing.
@@ -78,10 +84,12 @@ func Names() []string {
 
 func init() {
 	Register("lrr", func() Policy { return NewLRR() })
-	Register("gto", func() Policy { return NewGTO() })
 	Register("2lvl", func() Policy { return NewTwoLevel(DefaultActiveGroup) })
-	Register("gcaws", func() Policy { return NewGCAWS() })
-	Register("caws", func() Policy { return NewCAWS() })
+	Register("gto", func() Policy { return &priority{tag: "gto", name: "GTO", greedy: true, current: -1} })
+	Register("gcaws", func() Policy {
+		return &priority{tag: "gcaws", name: "gCAWS", greedy: true, byCrit: true, current: -1}
+	})
+	Register("caws", func() Policy { return &priority{tag: "caws", name: "CAWS", byCrit: true, current: -1} })
 }
 
 // LRR is the loose round-robin baseline: warps issue in rotating slot
@@ -118,48 +126,6 @@ func (*LRR) OnWarpArrived(int) {}
 
 // OnWarpFinished implements Policy.
 func (*LRR) OnWarpFinished(int) {}
-
-// GTO is greedy-then-oldest: keep issuing from the same warp until it
-// stalls, then switch to the oldest ready warp.
-type GTO struct {
-	current int
-}
-
-// NewGTO returns a greedy-then-oldest policy.
-func NewGTO() *GTO { return &GTO{current: -1} }
-
-// Name implements Policy.
-func (*GTO) Name() string { return "GTO" }
-
-// Select implements Policy.
-func (p *GTO) Select(ctx *Context) int {
-	if len(ctx.Ready) == 0 {
-		return -1
-	}
-	for _, s := range ctx.Ready {
-		if s == p.current {
-			return s
-		}
-	}
-	best, bestAge := -1, int64(0)
-	for _, s := range ctx.Ready {
-		if a := ctx.Age(s); best == -1 || a < bestAge {
-			best, bestAge = s, a
-		}
-	}
-	p.current = best
-	return best
-}
-
-// OnWarpArrived implements Policy.
-func (*GTO) OnWarpArrived(int) {}
-
-// OnWarpFinished implements Policy.
-func (p *GTO) OnWarpFinished(slot int) {
-	if p.current == slot {
-		p.current = -1
-	}
-}
 
 // DefaultActiveGroup is the two-level scheduler's active-set size
 // (fetch group of 8 warps, following Narasiman et al.).
@@ -277,84 +243,60 @@ func remove(s []int, v int) []int {
 	return out
 }
 
-// GCAWS is the paper's greedy criticality-aware warp scheduler
-// (Section 3.2): issue from the most-critical ready warp, break ties by
-// age (GTO), and keep issuing from the selected warp greedily until it
-// has no issuable instruction.
-type GCAWS struct {
-	current int
+// priority is greedy-then-priority selection (GPGPU-sim's
+// order_by_priority): rank the ready warps by criticality when byCrit,
+// then by age, oldest first, and when greedy keep issuing from the
+// current warp while it is ready. GTO is greedy by age alone and never
+// reads criticality; gCAWS (Section 3.2) is greedy by criticality, then
+// age; CAWS ranks the same way every cycle with no hold.
+type priority struct {
+	tag, name      string
+	greedy, byCrit bool
+	current        int // the greedy hold, -1 for none
 }
 
-// NewGCAWS returns a gCAWS policy; the SM supplies CPL criticality
-// through Context.Criticality.
-func NewGCAWS() *GCAWS { return &GCAWS{current: -1} }
-
 // Name implements Policy.
-func (*GCAWS) Name() string { return "gCAWS" }
+func (p *priority) Name() string { return p.name }
 
 // Select implements Policy.
-func (p *GCAWS) Select(ctx *Context) int {
+func (p *priority) Select(ctx *Context) int {
 	if len(ctx.Ready) == 0 {
 		return -1
 	}
-	// Greedy: stick with the current warp while it can issue.
-	for _, s := range ctx.Ready {
-		if s == p.current {
-			return s
+	if p.greedy {
+		for _, s := range ctx.Ready {
+			if s == p.current {
+				return s
+			}
 		}
 	}
 	best := -1
 	var bestCrit float64
 	var bestAge int64
 	for _, s := range ctx.Ready {
+		if !p.byCrit { // age alone: GTO never reads criticality
+			if a := ctx.Age(s); best == -1 || a < bestAge {
+				best, bestAge = s, a
+			}
+			continue
+		}
 		c, a := ctx.Criticality(s), ctx.Age(s)
 		if best == -1 || c > bestCrit || (c == bestCrit && a < bestAge) {
 			best, bestCrit, bestAge = s, c, a
 		}
 	}
-	p.current = best
+	if p.greedy {
+		p.current = best
+	}
 	return best
 }
 
 // OnWarpArrived implements Policy.
-func (*GCAWS) OnWarpArrived(int) {}
+func (*priority) OnWarpArrived(int) {}
 
 // OnWarpFinished implements Policy.
-func (p *GCAWS) OnWarpFinished(slot int) {
+func (p *priority) OnWarpFinished(slot int) {
 	if p.current == slot {
 		p.current = -1
 	}
 }
-
-// CAWS is the PACT'14 criticality-aware warp scheduler with oracle
-// criticality: always issue the ready warp with the highest (oracle)
-// criticality, tie-broken by age. It is not greedy and does not limit
-// the active warp count.
-type CAWS struct{}
-
-// NewCAWS returns a CAWS policy; the harness supplies oracle criticality
-// through Context.Criticality (profiled warp execution times).
-func NewCAWS() *CAWS { return &CAWS{} }
-
-// Name implements Policy.
-func (*CAWS) Name() string { return "CAWS" }
-
-// Select implements Policy.
-func (*CAWS) Select(ctx *Context) int {
-	best := -1
-	var bestCrit float64
-	var bestAge int64
-	for _, s := range ctx.Ready {
-		c, a := ctx.Criticality(s), ctx.Age(s)
-		if best == -1 || c > bestCrit || (c == bestCrit && a < bestAge) {
-			best, bestCrit, bestAge = s, c, a
-		}
-	}
-	return best
-}
-
-// OnWarpArrived implements Policy.
-func (*CAWS) OnWarpArrived(int) {}
-
-// OnWarpFinished implements Policy.
-func (*CAWS) OnWarpFinished(int) {}

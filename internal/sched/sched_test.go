@@ -22,6 +22,12 @@ func mkCtx(ready []int, crit map[int]float64, waiting map[int]bool) *Context {
 	}
 }
 
+// newPolicy returns a fresh instance of the registered policy name.
+func newPolicy(name string) Policy {
+	f, _ := Lookup(name)
+	return f()
+}
+
 func TestRegistry(t *testing.T) {
 	names := Names()
 	want := []string{"2lvl", "caws", "gcaws", "gto", "lrr"}
@@ -76,7 +82,7 @@ func TestLRRSkipsNotReady(t *testing.T) {
 }
 
 func TestGTOGreedyThenOldest(t *testing.T) {
-	p := NewGTO()
+	p := newPolicy("gto")
 	// First pick: oldest ready = 2.
 	if got := p.Select(mkCtx([]int{5, 2, 9}, nil, nil)); got != 2 {
 		t.Fatalf("first pick %d", got)
@@ -133,7 +139,7 @@ func TestTwoLevelFinishCleanup(t *testing.T) {
 }
 
 func TestGCAWSCriticalityFirst(t *testing.T) {
-	p := NewGCAWS()
+	p := newPolicy("gcaws")
 	crit := map[int]float64{1: 5, 4: 50, 7: 20}
 	if got := p.Select(mkCtx([]int{1, 4, 7}, crit, nil)); got != 4 {
 		t.Fatalf("pick %d, want most critical 4", got)
@@ -150,7 +156,7 @@ func TestGCAWSCriticalityFirst(t *testing.T) {
 }
 
 func TestGCAWSTieBreakOldest(t *testing.T) {
-	p := NewGCAWS()
+	p := newPolicy("gcaws")
 	crit := map[int]float64{3: 10, 8: 10, 5: 10}
 	if got := p.Select(mkCtx([]int{5, 3, 8}, crit, nil)); got != 3 {
 		t.Fatalf("tie pick %d, want oldest 3", got)
@@ -158,7 +164,7 @@ func TestGCAWSTieBreakOldest(t *testing.T) {
 }
 
 func TestCAWSReRanksEveryCycle(t *testing.T) {
-	p := NewCAWS()
+	p := newPolicy("caws")
 	crit := map[int]float64{1: 5, 2: 50}
 	if got := p.Select(mkCtx([]int{1, 2}, crit, nil)); got != 2 {
 		t.Fatalf("pick %d", got)

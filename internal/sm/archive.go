@@ -32,7 +32,7 @@ import (
 //     current memory and store-log wiring (the span engine binds a log
 //     per SM, the ticked oracle none; a checkpoint restores onto either).
 
-// Archive implements state.Archiver: the null provider keeps nothing.
+// Archive implements CriticalityProvider: the null provider keeps nothing.
 func (NullCriticality) Archive(a *state.Archive) { a.Tag("null") }
 
 // Archive walks the SM. k is the mid-flight kernel a loader installs;

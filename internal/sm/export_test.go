@@ -49,7 +49,7 @@ func ViewSleep(m *SM) SleepView {
 	}
 	for u := range m.units {
 		a := state.NewSaver(64)
-		m.units[u].arch.Archive(a)
+		m.units[u].policy.Archive(a)
 		v.Policies = append(v.Policies, a.Bytes())
 	}
 	return v

@@ -43,8 +43,7 @@ package sm
 // restores it to the foreseen state of the last tick it covers,
 // multiplying out the whole periods in between. If a foreseen pick would
 // be accepted, or no state repeats within foresight ticks, the SM stays
-// awake and tries again only after an event. A policy without an
-// Archive never sleeps.
+// awake and tries again only after an event.
 //
 // Four things end the sleep, checked at every cycle it owes, at O(1)
 // unless a fill came: the event count moves (a fill wakes a warp, a
@@ -79,11 +78,6 @@ const foresight = 32
 func (m *SM) fallAsleep(now int64) bool {
 	if m.events == m.sleepless {
 		return false
-	}
-	for u := range m.units {
-		if un := &m.units[u]; len(un.list) > 0 && un.arch == nil {
-			return false
-		}
 	}
 	if m.picks == nil {
 		m.allocSleep()
@@ -147,7 +141,7 @@ func (u *schedUnit) ticks() int64 { return int64(len(u.tickAt) - 2) }
 func (m *SM) foresee(u *schedUnit) bool {
 	a := u.snap
 	a.Reset(nil)
-	u.arch.Archive(a)
+	u.policy.Archive(a)
 	u.snapAt = append(u.snapAt[:0], 0, len(a.Bytes()))
 	for t := int64(1); t <= foresight; t++ {
 		mark := len(u.pickLog)
@@ -159,7 +153,7 @@ func (m *SM) foresee(u *schedUnit) bool {
 			}
 		}
 		u.tickAt = append(u.tickAt, len(u.pickLog))
-		u.arch.Archive(a)
+		u.policy.Archive(a)
 		b := a.Bytes()
 		u.snapAt = append(u.snapAt, len(b))
 		for i := int64(0); i < t; i++ {
@@ -286,7 +280,7 @@ func (m *SM) resume(u *schedUnit, k int64) {
 // restore sets unit u's policy to its state after foreseen tick k.
 func (m *SM) restore(u *schedUnit, k int64) {
 	m.loader.Reset(u.snap.Bytes()[u.snapAt[k]:u.snapAt[k+1]])
-	if u.arch.Archive(m.loader); m.loader.Err() != nil {
+	if u.policy.Archive(m.loader); m.loader.Err() != nil {
 		panic(fmt.Sprintf("sm %d: restoring %s: %v", m.ID, u.policy.Name(), m.loader.Err()))
 	}
 }

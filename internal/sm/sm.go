@@ -23,7 +23,9 @@ import (
 // CriticalityProvider feeds warp criticality into the scheduler context
 // and into L1D requests. The CPL logic of the paper (internal/core)
 // implements it; NullCriticality is the criticality-oblivious default.
+// Archive walks the provider's dynamic state for checkpoints.
 type CriticalityProvider interface {
+	state.Archiver
 	// OnWarpArrived registers a warp occupying a slot.
 	OnWarpArrived(slot int, w *simt.Warp)
 	// OnWarpFinished unregisters the slot's warp.
@@ -164,14 +166,12 @@ type schedUnit struct {
 	ctx    sched.Context
 	issued int64 // instructions this unit has issued (pick distribution)
 	list   []int // the ready list of the unit's last pass (issueFrom)
-	// arch is policy's checkpoint walk, nil if it has none (such a unit
-	// never sleeps). While the SM sleeps (sleep.go) the rest records the
-	// unit's foreseen refused ticks, k = 0 the real tick before the
-	// sleep: the policy state after tick k in snap from snapAt[k], the
-	// picks of tick k in pickLog[tickAt[k]:tickAt[k+1]]. The state after
-	// tick loop+period is the one after tick loop, and the ticks from
-	// there repeat for ever.
-	arch         state.Archiver
+	// While the SM sleeps (sleep.go) the rest records the unit's
+	// foreseen refused ticks, k = 0 the real tick before the sleep: the
+	// policy state after tick k in snap from snapAt[k], the picks of
+	// tick k in pickLog[tickAt[k]:tickAt[k+1]]. The state after tick
+	// loop+period is the one after tick loop, and the ticks from there
+	// repeat for ever.
 	snap         *state.Archive
 	snapAt       []int
 	pickLog      []int32
@@ -327,7 +327,6 @@ func New(opt Options) *SM {
 		m.units[i].owned = newSlotSet(len(m.slots))
 		m.units[i].ready = make([]int, 0, (len(m.slots)+len(m.units)-1)/len(m.units))
 		m.units[i].list = make([]int, 0, cap(m.units[i].ready))
-		m.units[i].arch, _ = m.units[i].policy.(state.Archiver)
 	}
 	for s := range m.slots {
 		m.units[s%len(m.units)].owned.add(s)

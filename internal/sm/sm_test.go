@@ -312,7 +312,8 @@ func TestCoalescingOccupiesLSU(t *testing.T) {
 }
 
 func TestPoliciesInstalledPerUnit(t *testing.T) {
-	r := newRig(t, func() sched.Policy { return sched.NewGTO() })
+	gto, _ := sched.Lookup("gto")
+	r := newRig(t, gto)
 	ps := r.sm.Policies()
 	if len(ps) != r.cfg.SchedulersPerSM {
 		t.Fatalf("%d policies", len(ps))
@@ -322,12 +323,17 @@ func TestPoliciesInstalledPerUnit(t *testing.T) {
 	}
 }
 
+// renamedLRU is a replacement policy the SM does not default to.
+type renamedLRU struct{ cache.LRU }
+
+func (renamedLRU) Name() string { return "renamed LRU" }
+
 func TestL1PolicyPluggable(t *testing.T) {
 	cfg := config.Small()
 	mem := memory.New(1 << 20)
 	sys := memsys.New(cfg)
-	m := New(Options{Config: cfg, Memory: mem, MemSys: sys, L1Policy: cache.SRRIP{}})
-	if got := m.L1D().Cache().Policy().Name(); got != "SRRIP" {
+	m := New(Options{Config: cfg, Memory: mem, MemSys: sys, L1Policy: renamedLRU{}})
+	if got := m.L1D().Cache().Policy().Name(); got != "renamed LRU" {
 		t.Fatalf("policy %s", got)
 	}
 }

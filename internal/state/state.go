@@ -212,15 +212,10 @@ func (a *Archive) mark(name string, part bool) {
 	}
 }
 
-// Part archives a pluggable part, checkpointable iff it is an Archiver.
-func (a *Archive) Part(what string, part any) {
-	p, ok := part.(Archiver)
-	if !ok {
-		a.Failf("state: %s %T is not checkpointable", what, part)
-		return
-	}
+// Part archives a pluggable part as a section of its own, named what.
+func (a *Archive) Part(what string, part Archiver) {
 	a.mark(what, true)
-	p.Archive(a)
+	part.Archive(a)
 	a.mark("", false)
 }
 

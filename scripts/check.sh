@@ -28,6 +28,12 @@
 #                 and build it so an internal signature change cannot
 #                 break the registered benchmark unnoticed
 #   go test       full unit + experiment smoke suite
+#   go test 386   the engine's packages again as GOARCH=386 -short, so
+#                 a 64-bit assumption (an int that must hold an int64,
+#                 a slot or word count that overflows 32 bits) fails
+#                 where it runs, not only where it compiles. The
+#                 session layer (internal/harness and up) is not run
+#                 under 386
 #   go test -fuzz the decoders of disk bytes (checkpoint payloads
 #                 through Decode + Restore, disk-cache artifacts, and
 #                 the strict result-entry decoder, whose every accepted
@@ -106,6 +112,10 @@ echo "== cmd/cawaperf (benchmark module): go vet, go build =="
 (cd cmd/cawaperf && go vet ./... && go build -o /dev/null ./...)
 echo "== go test =="
 go test ./...
+echo "== go test GOARCH=386 -short (engine packages) =="
+GOARCH=386 go test -short ./internal/sched ./internal/state ./internal/core ./internal/simt \
+    ./internal/cache ./internal/memsys ./internal/memory ./internal/stats ./internal/sm \
+    ./internal/gpu ./internal/checkpoint ./internal/isa/...
 echo "== go test -fuzz (10s each) =="
 go test -run '^$' -fuzz '^FuzzDecodeRestore$' -fuzztime 10s -fuzzminimizetime 1s ./internal/checkpoint
 go test -run '^$' -fuzz '^FuzzDiskCacheArtifacts$' -fuzztime 10s -fuzzminimizetime 1s ./internal/harness
