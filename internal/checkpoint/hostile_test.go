@@ -36,15 +36,38 @@ func hostileConfig() config.Config {
 	return cfg
 }
 
+// twoLevel is the fixture's second design point: the two-level
+// scheduler's loader walks slot lists that index its bitsets.
+var twoLevel = core.SystemConfig{Scheduler: "2lvl"}
+
+// fixtureSystem is the design point a fixture checkpoint whose Meta
+// names key restores onto: 2lvl for its own key, CAWA for any other.
+func fixtureSystem(key string) core.SystemConfig {
+	if k, _ := twoLevel.Key(); key == k {
+		return twoLevel
+	}
+	return core.CAWA()
+}
+
 // realCheckpoint captures the fixture (or a variant of it on another
 // geometry) and returns the snapshot.
 func realCheckpoint(t testing.TB, cfg config.Config, p workloads.Params) *Snapshot {
+	return realCheckpointOn(t, core.CAWA(), cfg, p)
+}
+
+// realCheckpointOn captures the fixture under design point sc, its key
+// in the snapshot's Meta.
+func realCheckpointOn(t testing.TB, sc core.SystemConfig, cfg config.Config, p workloads.Params) *Snapshot {
 	t.Helper()
 	wl, err := workloads.New(hostileWorkload, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := core.CAWA().NewGPU(cfg, wl.Mem())
+	key, err := sc.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := sc.NewGPU(cfg, wl.Mem())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +82,7 @@ func realCheckpoint(t testing.TB, cfg config.Config, p workloads.Params) *Snapsh
 		if cycle < 100 || busy == 0 || g.MemSys().Drained() {
 			return
 		}
-		if snap, err = Capture(g, Meta{Workload: hostileWorkload, Scale: p.Scale, Seed: p.Seed}); err != nil {
+		if snap, err = Capture(g, Meta{Workload: hostileWorkload, Scale: p.Scale, Seed: p.Seed, SystemKey: key}); err != nil {
 			t.Fatalf("capture: %v", err)
 		}
 		cancel()
@@ -72,15 +95,16 @@ func realCheckpoint(t testing.TB, cfg config.Config, p workloads.Params) *Snapsh
 	return snap
 }
 
-// freshTarget builds what a checkpoint of the fixture restores onto.
-func freshTarget(t testing.TB) (*gpu.GPU, *simt.Kernel) {
+// freshTarget builds what a checkpoint of the fixture whose Meta names
+// key restores onto.
+func freshTarget(t testing.TB, key string) (*gpu.GPU, *simt.Kernel) {
 	t.Helper()
 	wl, err := workloads.New(hostileWorkload, testParams)
 	if err != nil {
 		t.Fatal(err)
 	}
 	k, _ := wl.Next()
-	g, err := core.CAWA().NewGPU(hostileConfig(), wl.Mem())
+	g, err := fixtureSystem(key).NewGPU(hostileConfig(), wl.Mem())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,6 +179,24 @@ func hostileCases(t testing.TB, real *Snapshot) []hostileCase {
 		b[at] = 2 // the zigzag varint of 1
 		cases = append(cases, hostileCase{fmt.Sprint("CACP partition controller word ", word), b, "only a static partition exists"})
 	}
+	// The 2lvl fixture with its first policy's pending queue, empty at
+	// the capture (a unit holds one warp), replaced by slot -5.
+	lvl := realCheckpointOn(t, twoLevel, hostileConfig(), testParams).payload
+	mark := state.NewSaver(0)
+	mark.Tag("2lvl")
+	at := bytes.Index(lvl, mark.Bytes())
+	l = state.NewLoader(lvl[at:])
+	var n int
+	var active []int
+	l.Tag("2lvl")
+	state.Int(l, &n, &n)
+	state.Slice(l, &active, state.IntElem[int])
+	if at < 0 || l.Err() != nil || l.Bytes()[0] != 0 {
+		t.Fatalf("the 2lvl fixture's first policy has no empty pending queue at %d (err %v)", at, l.Err())
+	}
+	at = len(lvl) - len(l.Bytes())
+	bad := append(append(append([]byte(nil), lvl[:at]...), 2, 9), lvl[at+1:]...) // one slot: -5
+	cases = append(cases, hostileCase{"2lvl pending slot -5", bad, "slot -5 out of range"})
 	return cases
 }
 
@@ -187,7 +229,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	if clean.Meta != real.Meta {
 		t.Errorf("decoded Meta %+v, captured %+v", clean.Meta, real.Meta)
 	}
-	g, k := freshTarget(t)
+	g, k := freshTarget(t, clean.Meta.SystemKey)
 	if err := Restore(clean, g, k); err != nil {
 		t.Fatalf("clean restore: %v", err)
 	}
@@ -223,7 +265,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 			t.Errorf("%s: digest-valid payload failed Decode: %v", c.name, err)
 			continue
 		}
-		g, k := freshTarget(t)
+		g, k := freshTarget(t, snap.Meta.SystemKey)
 		if err := Restore(snap, g, k); err == nil || !strings.Contains(err.Error(), c.errHas) {
 			t.Errorf("%s: Restore error %v, want one containing %q", c.name, err, c.errHas)
 		}
@@ -250,20 +292,29 @@ const (
 func FuzzDecodeRestore(f *testing.F) {
 	real := realCheckpoint(f, hostileConfig(), testParams)
 	f.Add(real.payload)
+	f.Add(realCheckpointOn(f, twoLevel, hostileConfig(), testParams).payload)
 	for _, c := range hostileCases(f, real) {
 		f.Add(c.payload)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		blob := wrap(payload)
-		g, k := freshTarget(t)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		snap, err := Decode(bytes.NewReader(blob))
-		if err == nil {
-			err = Restore(snap, g, k)
+		var m runtime.MemStats
+		allocated := func() uint64 {
+			runtime.ReadMemStats(&m)
+			return m.TotalAlloc
 		}
-		runtime.ReadMemStats(&after)
-		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(restoreAllocFactor*len(blob)+restoreAllocSlack); grew > limit {
+		// The restore target is built between the two windows: the
+		// decoded Meta names the design point it restores onto.
+		at := allocated()
+		snap, err := Decode(bytes.NewReader(blob))
+		grew := allocated() - at
+		if err == nil {
+			g, k := freshTarget(t, snap.Meta.SystemKey)
+			at = allocated()
+			err = Restore(snap, g, k)
+			grew += allocated() - at
+		}
+		if limit := uint64(restoreAllocFactor*len(blob) + restoreAllocSlack); grew > limit {
 			t.Fatalf("%d-byte checkpoint allocated %d bytes (limit %d), err=%v", len(blob), grew, limit, err)
 		}
 	})

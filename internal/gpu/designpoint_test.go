@@ -9,6 +9,7 @@ import (
 	"cawa/internal/gpu"
 	"cawa/internal/isa"
 	"cawa/internal/memory"
+	"cawa/internal/sched"
 	"cawa/internal/simt"
 	"cawa/internal/sm"
 )
@@ -81,7 +82,8 @@ func designPoints() []designPoint {
 // every design point the experiments evaluate: once a long kernel is in
 // steady state, a window of 2000 spans — head drain, planning, SM
 // stepping with its scheduler, criticality provider and L1D policy,
-// sleeping through refused ticks and settling them, and replay — must
+// sleeping through refused ticks and settling them (every policy but a
+// restless one), and replay — must
 // not allocate once. The window is counted as one run, so
 // an allocation that fires on only some spans still fails. Per-block
 // work (dispatch, retirement) is outside the budget: the window retires
@@ -143,8 +145,11 @@ func TestDesignPointsAllocFree(t *testing.T) {
 			if m2 == misses {
 				t.Error("no L1D misses during the measured window")
 			}
-			if gpu.SettledTicks(g) == settled {
-				t.Error("no SM slept through and settled a refused tick during the measured window")
+			// A restless policy (2lvl) ticks its refused ticks instead.
+			factory, _ := sched.Lookup(dp.sc.Scheduler)
+			_, restless := factory().(interface{ Restless() })
+			if slept := gpu.SettledTicks(g) != settled; slept == restless {
+				t.Errorf("SMs settled refused ticks during the measured window: %v, policy restless: %v", slept, restless)
 			}
 			if n := retired(); n > 0 {
 				t.Fatalf("%d blocks retired during the measured window", n)

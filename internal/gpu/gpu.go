@@ -118,6 +118,9 @@ type GPU struct {
 	// the only cost is one predictable branch per seam and the cycle
 	// path stays allocation-free (TestProfilerOffZeroCost).
 	Perf *perf.Profiler
+	// sleepFolded is the SMs' summed sleep work at the last launch's
+	// end: the profiler gets each launch's share (foldSleepCounts).
+	sleepFolded sm.SleepCounts
 
 	// Span plumbing: per-SM staging for outbound memory requests and
 	// global stores, allocated on the first launch and installed on the
@@ -312,6 +315,25 @@ func (g *GPU) Launch(ctx context.Context, k *simt.Kernel) (*stats.Launch, error)
 	return g.run(ctx, g.initLaunch(k, warpsPerBlock))
 }
 
+// foldSleepCounts adds the SMs' sleep work since the last launch ended
+// to the profiler's counts (sm.SleepCounts).
+func (g *GPU) foldSleepCounts() {
+	var now sm.SleepCounts
+	for _, s := range g.sms {
+		now.Add(s.SleepCounts())
+	}
+	last := g.sleepFolded
+	g.sleepFolded = now
+	if p := g.Perf; p != nil {
+		p.AddCount("sm.sleep.gated", now.Gated-last.Gated)
+		p.AddCount("sm.sleep.accepted", now.Accepted-last.Accepted)
+		p.AddCount("sm.sleep.no_period", now.NoPeriod-last.NoPeriod)
+		p.AddCount("sm.sleep.slept", now.Slept-last.Slept)
+		p.AddCount("sm.sleep.replayed_ticks", now.Replayed-last.Replayed)
+		p.AddCount("sm.sleep.settled_ticks", now.Settled-last.Settled)
+	}
+}
+
 // verifiedLaunch is a program and a launch shape the verifier accepted.
 // launch is a copy, Params included, so a caller reusing its slice
 // cannot change a remembered shape.
@@ -430,6 +452,7 @@ func (g *GPU) run(ctx context.Context, ls *launchState) (*stats.Launch, error) {
 	}
 
 	g.launch = nil
+	g.foldSleepCounts()
 	if g.Perf != nil {
 		g.Perf.AddSimCycles(g.cycle - ls.startCycle)
 	}

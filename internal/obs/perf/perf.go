@@ -132,6 +132,7 @@ type Profiler struct {
 	simCycles int64
 	phases    [NumPhases]total
 	shards    []shard
+	counts    map[string]int64
 }
 
 // New builds a profiler over the injected clock. The clock is read
@@ -210,6 +211,9 @@ func (p *Profiler) Merge(o *Profiler) {
 	}
 	p.epochs += o.epochs
 	p.simCycles += o.simCycles
+	for name, n := range o.counts {
+		p.AddCount(name, n)
+	}
 }
 
 // Epochs returns how many span barriers the profiler has folded.
@@ -222,6 +226,15 @@ func (p *Profiler) AddSimCycles(n int64) {
 	if n > 0 {
 		p.simCycles += n
 	}
+}
+
+// AddCount adds n to the named work count (Report.Counts). The engine
+// adds its counts once per launch.
+func (p *Profiler) AddCount(name string, n int64) {
+	if p.counts == nil {
+		p.counts = map[string]int64{}
+	}
+	p.counts[name] += n
 }
 
 // SimCycles returns the simulated cycles accounted so far.

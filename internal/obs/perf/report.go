@@ -3,6 +3,7 @@ package perf
 import (
 	"encoding/json"
 	"io"
+	"maps"
 )
 
 // ReportSchemaVersion stamps PerfReport JSON so downstream tooling
@@ -65,6 +66,10 @@ type Report struct {
 	Phases            []PhaseStats `json:"phases"`
 	Shards            []ShardStats `json:"shards,omitempty"`
 	Imbalance         *Imbalance   `json:"imbalance,omitempty"`
+	// Counts are the engine's work counts by name (Profiler.AddCount):
+	// exact, and the same on every host, so two runs' counts diff to the
+	// layer whose work changed.
+	Counts map[string]int64 `json:"counts,omitempty"`
 }
 
 // Report snapshots the profiler into its serializable artifact. Phases
@@ -76,6 +81,9 @@ func (p *Profiler) Report() *Report {
 		WallNS:        p.clock() - p.startNS,
 		Epochs:        p.epochs,
 		SimCycles:     p.simCycles,
+	}
+	if len(p.counts) > 0 {
+		r.Counts = maps.Clone(p.counts)
 	}
 	if p.simCycles > 0 {
 		r.BarriersPerKcycle = float64(p.epochs) * 1000 / float64(p.simCycles)

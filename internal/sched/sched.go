@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 
+	"cawa/internal/config"
 	"cawa/internal/state"
 )
 
@@ -28,9 +29,15 @@ type Context struct {
 	// Criticality returns the slot's current criticality estimate
 	// (CPL counter for gCAWS, oracle value for CAWS, 0 otherwise).
 	Criticality func(slot int) float64
-	// WaitingMem reports whether the slot is blocked on a long-latency
-	// event — an outstanding global-memory access or a block barrier —
-	// (used by the two-level scheduler to demote warps).
+	// Waiting holds, one bit per slot (slot s in word s>>6), the slots
+	// blocked on a long-latency event: an outstanding global-memory
+	// access or a block barrier. The two-level scheduler demotes and
+	// promotes by it; the SM keeps it in step with every verdict it
+	// records, so reading it costs no call. A slot past its end is not
+	// waiting.
+	Waiting []uint64
+	// WaitingMem is not read by any policy (Waiting replaced it); it
+	// remains so that callers that still set it compile.
 	WaitingMem func(slot int) bool
 }
 
@@ -137,15 +144,18 @@ const DefaultActiveGroup = 8
 type TwoLevel struct {
 	groupSize int
 	active    []int
-	// member holds slot s's bit while s is in active, so Select's
-	// ready∩active filter tests membership in O(1); a loading Archive
-	// rebuilds it.
-	member  []uint64
-	pending []int
-	// ready is the reused scratch buffer for the per-cycle
-	// ready∩active filter; Select would otherwise allocate every call.
-	ready []int
-	rr    LRR
+	// pending is a FIFO ring: n slots from ring[head], wrapping. A warp
+	// rotated to the back costs two index moves, not a copy of the
+	// queue.
+	ring    []int
+	head, n int
+	// member and queued hold slot s's bit while s is in active and in
+	// pending: Select's ready∩active filter and its "is any pending warp
+	// not waiting" test cost a word operation per 64 slots. A loading
+	// Archive rebuilds them.
+	member, queued [config.MaxSlots / 64]uint64
+	words          int // the bitset words any arrived slot uses
+	rr             LRR
 }
 
 // NewTwoLevel returns a two-level policy with the given active-set size.
@@ -159,43 +169,89 @@ func NewTwoLevel(groupSize int) *TwoLevel {
 // Name implements Policy.
 func (*TwoLevel) Name() string { return "2LVL" }
 
+// Restless tells an SM to tick through refused ticks instead of
+// sleeping through them (internal/sm/sleep.go). Each refused pick is
+// demoted at the next Select, which rotates the pending queue, so the
+// policy's state often repeats only after more refused ticks than a
+// sleeping SM replays looking for the period; finding it cost more
+// than the sleep saved (EXPERIMENTS.md, "2lvl without the rescan").
+func (*TwoLevel) Restless() {}
+
+// waiting reports whether the context marks slot s waiting.
+func waiting(ctx *Context, s int) bool {
+	w := s >> 6
+	return w < len(ctx.Waiting) && ctx.Waiting[w]&(1<<(uint(s)&63)) != 0
+}
+
 // Select implements Policy.
 func (p *TwoLevel) Select(ctx *Context) int {
-	// Demote active warps blocked on long-latency events, promote
-	// pending ones. The promote scan is bounded by the pending length
-	// so blocked warps rotate to the back without spinning forever.
-	kept := p.active[:0]
-	for _, s := range p.active {
-		if ctx.WaitingMem(s) {
-			p.pending = append(p.pending, s)
-			p.mark(s, false)
-		} else {
-			kept = append(kept, s)
+	// Demote active warps blocked on long-latency events, in active
+	// order, to the back of the pending queue.
+	demote := false
+	for w, bits := range ctx.Waiting[:min(p.words, len(ctx.Waiting))] {
+		if p.member[w]&bits != 0 {
+			demote = true
+			break
 		}
 	}
-	p.active = kept
-	for scan := len(p.pending); scan > 0 && len(p.active) < p.groupSize && len(p.pending) > 0; scan-- {
-		s := p.pending[0]
-		p.pending = p.pending[:copy(p.pending, p.pending[1:])] // keep the front capacity
-		if ctx.WaitingMem(s) {
-			p.pending = append(p.pending, s)
+	if demote {
+		kept := p.active[:0]
+		for _, s := range p.active {
+			if waiting(ctx, s) {
+				p.push(s)
+				p.member[s>>6] &^= 1 << (uint(s) & 63)
+			} else {
+				kept = append(kept, s)
+			}
+		}
+		p.active = kept
+	}
+	// Promote pending warps that are not waiting, front first, rotating
+	// the waiting ones to the back; the scan is bounded by the queue's
+	// length so blocked warps do not spin. When every pending warp waits
+	// the scan is a full rotation, which leaves the queue as it was.
+	if len(p.active) < p.groupSize && p.promotable(ctx) {
+		for scan := p.n; scan > 0 && len(p.active) < p.groupSize; scan-- {
+			s := p.pop()
+			if waiting(ctx, s) {
+				p.push(s)
+				continue
+			}
+			p.active = append(p.active, s)
+			p.member[s>>6] |= 1 << (uint(s) & 63)
+		}
+	}
+	// Round-robin (LRR) among the ready warps of the active set.
+	first := -1
+	for _, s := range ctx.Ready {
+		if !p.inActive(s) {
 			continue
 		}
-		p.active = append(p.active, s)
-		p.mark(s, true)
-	}
-	// Round-robin among ready warps restricted to the active set,
-	// collected into the policy's reused scratch buffer.
-	readyActive := p.ready[:0]
-	for _, s := range ctx.Ready {
-		if p.inActive(s) {
-			readyActive = append(readyActive, s)
+		if s > p.rr.last {
+			p.rr.last = s
+			return s
+		}
+		if first < 0 {
+			first = s
 		}
 	}
-	p.ready = readyActive
-	sub := *ctx
-	sub.Ready = readyActive
-	return p.rr.Select(&sub)
+	if first >= 0 {
+		p.rr.last = first
+	}
+	return first
+}
+
+// promotable reports whether some pending warp is not waiting.
+func (p *TwoLevel) promotable(ctx *Context) bool {
+	for w, q := range p.queued[:p.words] {
+		if w < len(ctx.Waiting) {
+			q &^= ctx.Waiting[w]
+		}
+		if q != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 func (p *TwoLevel) inActive(slot int) bool {
@@ -203,34 +259,67 @@ func (p *TwoLevel) inActive(slot int) bool {
 	return w < len(p.member) && p.member[w]&(1<<(uint(slot)&63)) != 0
 }
 
-// mark records whether slot is in the active set.
-func (p *TwoLevel) mark(slot int, in bool) {
-	w := slot >> 6
-	for w >= len(p.member) {
-		p.member = append(p.member, 0)
+// push appends slot to the back of the pending queue, growing the ring
+// (in queue order, from index 0) when it is full.
+func (p *TwoLevel) push(slot int) {
+	if p.n == len(p.ring) {
+		grown := make([]int, max(2*len(p.ring), DefaultActiveGroup))
+		p.n = p.copyPending(grown)
+		p.ring, p.head = grown, 0
 	}
-	if in {
-		p.member[w] |= 1 << (uint(slot) & 63)
-	} else {
-		p.member[w] &^= 1 << (uint(slot) & 63)
+	i := p.head + p.n
+	if i >= len(p.ring) {
+		i -= len(p.ring)
 	}
+	p.ring[i] = slot
+	p.n++
+	p.queued[slot>>6] |= 1 << (uint(slot) & 63)
+}
+
+// pop removes and returns the front of the pending queue, which must
+// not be empty.
+func (p *TwoLevel) pop() int {
+	s := p.ring[p.head]
+	if p.head++; p.head == len(p.ring) {
+		p.head = 0
+	}
+	p.n--
+	p.queued[s>>6] &^= 1 << (uint(s) & 63)
+	return s
+}
+
+// copyPending copies the pending queue, front first, to dst and
+// returns its length.
+func (p *TwoLevel) copyPending(dst []int) int {
+	k := copy(dst, p.ring[p.head:min(p.head+p.n, len(p.ring))])
+	return k + copy(dst[k:], p.ring[:p.n-k])
 }
 
 // OnWarpArrived implements Policy.
 func (p *TwoLevel) OnWarpArrived(slot int) {
+	p.words = max(p.words, slot>>6+1)
 	if len(p.active) < p.groupSize {
 		p.active = append(p.active, slot)
-		p.mark(slot, true)
+		p.member[slot>>6] |= 1 << (uint(slot) & 63)
 	} else {
-		p.pending = append(p.pending, slot)
+		p.push(slot)
 	}
 }
 
 // OnWarpFinished implements Policy.
 func (p *TwoLevel) OnWarpFinished(slot int) {
-	p.active = remove(p.active, slot)
-	p.pending = remove(p.pending, slot)
-	p.mark(slot, false)
+	bit := uint64(1) << (uint(slot) & 63)
+	if p.member[slot>>6]&bit != 0 {
+		p.active = remove(p.active, slot)
+		p.member[slot>>6] &^= bit
+	}
+	if p.queued[slot>>6]&bit != 0 {
+		for k := p.n; k > 0; k-- { // one rotation, dropping slot
+			if s := p.pop(); s != slot {
+				p.push(s)
+			}
+		}
+	}
 }
 
 func remove(s []int, v int) []int {

@@ -12,13 +12,22 @@ import (
 // mkCtx builds a selection context with fixed ages (slot index = age)
 // and criticality values.
 func mkCtx(ready []int, crit map[int]float64, waiting map[int]bool) *Context {
+	var set []uint64
+	for s, w := range waiting {
+		for w && s>>6 >= len(set) {
+			set = append(set, 0)
+		}
+		if w {
+			set[s>>6] |= 1 << (s & 63)
+		}
+	}
 	return &Context{
 		Ready: ready,
 		Age:   func(s int) int64 { return int64(s) },
 		Criticality: func(s int) float64 {
 			return crit[s]
 		},
-		WaitingMem: func(s int) bool { return waiting[s] },
+		Waiting: set,
 	}
 }
 
@@ -267,7 +276,7 @@ func TestTwoLevelMembershipTracksActive(t *testing.T) {
 	ctx := &Context{
 		Age:         func(s int) int64 { return int64(s) },
 		Criticality: func(int) float64 { return 0 },
-		WaitingMem:  func(s int) bool { return waiting[s] },
+		Waiting:     make([]uint64, 2),
 	}
 	check := func(q *TwoLevel, step int) {
 		for s := 0; s < 80; s++ {
@@ -287,6 +296,7 @@ func TestTwoLevelMembershipTracksActive(t *testing.T) {
 			p.OnWarpFinished(s)
 		case r == 2:
 			waiting[s] = !waiting[s]
+			ctx.Waiting[s>>6] ^= 1 << (s & 63)
 		default:
 			ctx.Ready = ctx.Ready[:0]
 			for i := 0; i < 80; i++ {

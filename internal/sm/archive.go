@@ -69,7 +69,7 @@ func (m *SM) Archive(a *state.Archive, k *simt.Kernel) {
 		a.Words(blk.shared)
 	})
 	if loading {
-		for _, set := range []slotSet{m.live, m.cand, m.fresh, m.open, m.gated, m.lsuWait, m.fetchWait, m.wbPending} {
+		for _, set := range []slotSet{m.live, m.cand, m.fresh, m.open, m.gated, m.lsuWait, m.fetchWait, m.wbPending, m.waiting} {
 			set.clear()
 		}
 		m.freeSlots = len(m.slots)
@@ -102,7 +102,9 @@ func (m *SM) Archive(a *state.Archive, k *simt.Kernel) {
 		state.Int(a, &s.busyALU, &s.busyMem)
 		state.Int(a, &s.age, &s.lastIssue, &s.readyCycle, &s.issuedCycle)
 		state.Int(a, &s.pc)
-		state.Int(a, &s.reason)
+		if state.Int(a, &s.reason); loading {
+			m.setReason(i, s, s.reason)
+		}
 		a.Bool(&s.done)
 		state.Table(a, "register", s.loadRem[:], state.IntElem[int32])
 		state.Slice(a, &s.wb, func(e *wbEvent, a *state.Archive) {

@@ -196,7 +196,7 @@ func (m *SM) readiness(i int, now int64) bool {
 		// The warp finished at its last issue. It leaves the set here,
 		// one tick later, because this is where its classification
 		// clears — and a checkpoint in between serializes the old one.
-		s.reason = reasonNone
+		m.setReason(i, s, reasonNone)
 		m.cand.remove(i)
 		m.events++
 		return false
@@ -215,16 +215,16 @@ func (m *SM) readiness(i int, now int64) bool {
 		return false
 	}
 	if md.LSUGated && m.lsuBusyUntil > now {
-		s.setVerdict(reasonMemStruct, now)
+		m.setVerdict(i, s, reasonMemStruct, now)
 		m.lsuWait.add(i)
 		return false
 	}
 	if !m.fetch(s, now) {
-		s.setVerdict(reasonMemStruct, now)
+		m.setVerdict(i, s, reasonMemStruct, now)
 		m.fetchWait.add(i)
 		return false
 	}
-	s.setVerdict(reasonReady, now)
+	m.setVerdict(i, s, reasonReady, now)
 	s.readyCycle = now
 	m.open.add(i)
 	if md.LSUGated {
@@ -259,13 +259,13 @@ func (m *SM) issueFrom(u *schedUnit, now int64) bool {
 			}
 			s := &m.slots[i]
 			if lsuBusy && m.gated[w]&bit != 0 {
-				s.setVerdict(reasonMemStruct, now)
+				m.setVerdict(i, s, reasonMemStruct, now)
 				m.open[w] &^= bit
 				m.lsuWait[w] |= bit
 				continue
 			}
 			if s.reason != reasonReady {
-				s.setVerdict(reasonReady, now) // refused at its last tick
+				m.setVerdict(i, s, reasonReady, now) // refused at its last tick
 			}
 			s.readyCycle = now
 			m.l1i.TouchLRU(int(s.icSet), int(s.icWay))
@@ -308,9 +308,9 @@ func (m *SM) offer(u *schedUnit, now int64, replay bool) {
 		}
 		s := &m.slots[pick]
 		if replay {
-			s.reason = reasonMemStruct
+			m.setReason(pick, s, reasonMemStruct)
 		} else {
-			s.setVerdict(reasonMemStruct, now)
+			m.setVerdict(pick, s, reasonMemStruct, now)
 		}
 		s.readyCycle = -1
 		if rejects == 0 {

@@ -102,6 +102,7 @@ func (m *SM) DispatchBlock(blockID, gidBase int, now int64) {
 				DispatchCycle: now,
 			},
 		}
+		m.waiting.remove(i) // the slot's reason is reasonNone again
 		blk.slots = append(blk.slots, i)
 		blk.live++
 		m.live.add(i)

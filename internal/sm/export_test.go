@@ -13,6 +13,10 @@ func SetSettleSlack(m *SM, n int64) { m.settleSlack = n }
 // it has a store log.
 func SetSleeps(m *SM, on bool) { m.sleeps = on }
 
+// LetSleep makes m sleep through refused ticks in span-engine launches
+// even if its policy is restless.
+func LetSleep(m *SM) { m.restless = false }
+
 // Owed reports the refused ticks m has slept through and not settled.
 func Owed(m *SM) int64 { return m.owed }
 

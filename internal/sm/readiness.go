@@ -108,16 +108,32 @@ func (s *slot) settleDebt(now int64) {
 	}
 }
 
-// setVerdict settles s's debt and records the verdict reason from now on.
-func (s *slot) setVerdict(reason stallReason, now int64) {
+// setVerdict settles slot i's debt and records the verdict reason from
+// now on.
+func (m *SM) setVerdict(i int, s *slot, reason stallReason, now int64) {
 	s.settleDebt(now)
-	s.reason, s.since = reason, now
+	m.setReason(i, s, reason)
+	s.since = now
 }
+
+// setReason records slot i's classification, keeping the waiting set
+// (the policies' Context.Waiting) in step: every write of slot.reason
+// goes through here, or clears the slot's bit along with the slot.
+func (m *SM) setReason(i int, s *slot, reason stallReason) {
+	s.reason = reason
+	bit := uint64(1) << (uint(i) & 63)
+	w := &m.waiting[i>>6]
+	*w = *w&^bit | bit&-(waitingReasons>>reason&1)
+}
+
+// waitingReasons has bit r set for each verdict r that blocks a warp on
+// a long-latency event: a global-memory access or a block barrier.
+const waitingReasons uint64 = 1<<reasonMemData | 1<<reasonMemStruct | 1<<reasonBarrier
 
 // park takes slot i, blocked at cycle now for reason, out of the
 // candidate set until an event wakes it.
 func (m *SM) park(i int, s *slot, reason stallReason, now int64) {
-	s.setVerdict(reason, now)
+	m.setVerdict(i, s, reason, now)
 	s.parked = true
 	m.cand.remove(i)
 	m.events++
@@ -155,7 +171,8 @@ func (m *SM) settleStalls() {
 		for ; word != 0; word &= word - 1 {
 			s := &m.slots[w<<6|bits.TrailingZeros64(word)]
 			if s.since >= 0 {
-				s.setVerdict(s.reason, next)
+				s.settleDebt(next)
+				s.since = next
 			}
 		}
 	}

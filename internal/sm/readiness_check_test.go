@@ -126,6 +126,9 @@ func (c *ReadinessChecker) Invariants() error {
 		if err := c.checkSets(i); err != nil {
 			return err
 		}
+		if m.waiting.has(i) != (waitingReasons>>s.reason&1 != 0) {
+			return fmt.Errorf("sm %d slot %d: waiting set says %v, reason %d", m.ID, i, m.waiting.has(i), s.reason)
+		}
 		if len(s.wb) > 0 {
 			first := NoWake
 			for _, e := range s.wb {

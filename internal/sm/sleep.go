@@ -69,14 +69,62 @@ import (
 	"cawa/internal/state"
 )
 
+// restless is implemented by a scheduler policy whose SM ticks through
+// refused ticks instead of sleeping through them: its state takes too
+// long to repeat for foresight to pay (sched.TwoLevel).
+type restless interface{ Restless() }
+
 // foresight bounds the refused ticks a falling-asleep SM replays
 // looking for its policies' period.
 const foresight = 32
+
+// sleepGate is the shortest sleep worth trying: an SM whose own next
+// known wake is at most this many ticks after the real tick does not
+// foresee, because finding the period replays at least one tick per
+// unit and a sleep cut short by that wake settles fewer than sleepGate.
+const sleepGate = 8
+
+// SleepCounts is the work of the sleep through refused ticks: how each
+// attempt to fall asleep ended, and the ticks foresight replayed and
+// settles covered. They are engine statistics, not simulated state:
+// never archived, the same on every host, and all 0 on the ticked
+// reference loop.
+type SleepCounts struct {
+	Gated    int64 // attempts not made: the SM's next wake was within sleepGate ticks
+	Accepted int64 // attempts that foresaw a pick the MSHRs would accept
+	NoPeriod int64 // attempts that found no period within foresight ticks
+	Slept    int64 // attempts that fell asleep
+	Replayed int64 // refused ticks replayed by foresight
+	Settled  int64 // refused ticks settled in bulk
+}
+
+// Add adds o to c.
+func (c *SleepCounts) Add(o SleepCounts) {
+	c.Gated += o.Gated
+	c.Accepted += o.Accepted
+	c.NoPeriod += o.NoPeriod
+	c.Slept += o.Slept
+	c.Replayed += o.Replayed
+	c.Settled += o.Settled
+}
+
+// SleepCounts returns the SM's sleep work so far.
+func (m *SM) SleepCounts() SleepCounts { return m.counts }
 
 // fallAsleep decides, after the real tick at now, whether the SM may
 // sleep, and if so starts owing the ticks after it.
 func (m *SM) fallAsleep(now int64) bool {
 	if m.events == m.sleepless {
+		return false
+	}
+	wake := m.nextWake(now)
+	if f := m.l1d.NextSpanFill(); f >= 0 && f < wake {
+		wake = f
+	}
+	if wake-now <= sleepGate {
+		// The wake ends any sleep within sleepGate ticks; the next tick
+		// asks again.
+		m.counts.Gated++
 		return false
 	}
 	if m.picks == nil {
@@ -112,6 +160,7 @@ func (m *SM) fallAsleep(now int64) bool {
 	}
 	m.asleep = true
 	m.sleepEvents, m.sleepFills = m.events, m.l1d.Fills()
+	m.counts.Slept++
 	return true
 }
 
@@ -146,9 +195,11 @@ func (m *SM) foresee(u *schedUnit) bool {
 	for t := int64(1); t <= foresight; t++ {
 		mark := len(u.pickLog)
 		m.replayTick(u, m.sleepAt+t)
+		m.counts.Replayed++
 		for _, i := range u.pickLog[mark:] {
 			if !m.refuses(int(i)) {
 				u.pickLog = u.pickLog[:mark]
+				m.counts.Accepted++
 				return false
 			}
 		}
@@ -163,6 +214,7 @@ func (m *SM) foresee(u *schedUnit) bool {
 			}
 		}
 	}
+	m.counts.NoPeriod++
 	return false
 }
 
@@ -214,7 +266,7 @@ func (m *SM) settle() {
 	}
 	from := m.slept
 	m.slept += m.owed
-	m.settled += m.owed
+	m.counts.Settled += m.owed
 	m.owed = 0
 	to := m.slept - m.settleSlack
 	if to <= from {
@@ -289,10 +341,12 @@ func (m *SM) restore(u *schedUnit, k int64) {
 // that picked picks does.
 func (m *SM) classify(u *schedUnit, picks []int32, now int64) {
 	for _, i := range u.list {
-		m.slots[i].reason, m.slots[i].readyCycle = reasonReady, now
+		m.setReason(i, &m.slots[i], reasonReady)
+		m.slots[i].readyCycle = now
 	}
 	for _, i := range picks {
-		m.slots[i].reason, m.slots[i].readyCycle = reasonMemStruct, -1
+		m.setReason(int(i), &m.slots[i], reasonMemStruct)
+		m.slots[i].readyCycle = -1
 	}
 }
 
@@ -306,4 +360,4 @@ func (m *SM) replayTick(u *schedUnit, now int64) {
 // SettledTicks counts the refused ticks this SM slept through and
 // settled in bulk: engine statistics, not simulated state (never
 // archived, and 0 on the ticked reference loop).
-func (m *SM) SettledTicks() int64 { return m.settled }
+func (m *SM) SettledTicks() int64 { return m.counts.Settled }

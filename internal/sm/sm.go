@@ -210,12 +210,14 @@ type SM struct {
 	lsuWait   slotSet // candidates waiting on the LSU alone
 	fetchWait slotSet // candidates waiting on an I-miss's fill
 	wbPending slotSet // non-empty writeback queue
+	waiting   slotSet // reason is MemData, MemStruct or Barrier (setReason)
 	freeSlots int     // slots not valid
 	events    uint64  // verdict-changing events (readiness.go)
 
 	// Sleeping through refused ticks (sleep.go). None of it is
 	// serialized: a saver settles the debt first, a loader wakes.
 	sleeps      bool           // Cycle may sleep: a span-engine launch runs (SetStoreLog)
+	restless    bool           // the policy declines to sleep (restless)
 	asleep      bool           // the ticks since sleepAt are refused ticks
 	sleepAt     int64          // the real tick the SM fell asleep after
 	sleepless   uint64         // events at the last failed fallAsleep
@@ -227,7 +229,7 @@ type SM struct {
 	touchSeq    []cache.Ref    // their L1I hits in one tick's order
 	picks       []int64        // per slot: refused picks in the ticks a settle covers
 	loader      *state.Archive // restores a policy to a foreseen state
-	settled     int64          // refused ticks settled in bulk (SettledTicks)
+	counts      SleepCounts    // the sleep's work (SleepCounts)
 	settleSlack int64          // test hook: settle this many owed ticks short
 
 	cycle        int64
@@ -297,6 +299,7 @@ func New(opt Options) *SM {
 	m.lsuWait = newSlotSet(len(m.slots))
 	m.fetchWait = newSlotSet(len(m.slots))
 	m.wbPending = newSlotSet(len(m.slots))
+	m.waiting = newSlotSet(len(m.slots))
 	m.freeSlots = len(m.slots)
 	m.sleepless = ^uint64(0)
 	for c := range m.classLat {
@@ -317,12 +320,10 @@ func New(opt Options) *SM {
 		m.units[i].ctx = sched.Context{
 			Age:         func(s int) int64 { return m.slots[s].age },
 			Criticality: func(s int) float64 { return m.crit.Criticality(s) },
-			WaitingMem: func(s int) bool {
-				r := m.slots[s].reason
-				return r == reasonMemData || r == reasonMemStruct || r == reasonBarrier
-			},
+			Waiting:     m.waiting,
 		}
 	}
+	_, m.restless = m.units[0].policy.(restless)
 	for i := range m.units {
 		m.units[i].owned = newSlotSet(len(m.slots))
 		m.units[i].ready = make([]int, 0, (len(m.slots)+len(m.units)-1)/len(m.units))
@@ -348,12 +349,12 @@ func (m *SM) L1D() *memsys.L1D { return m.l1d }
 // of the launch that resumes them.
 //
 // Only an SM with a log sleeps through refused ticks (Cycle): the span
-// engine's. The ticked reference loop installs none, so its SMs tick
-// every cycle for real and the engine-equivalence tests compare settled
-// runs against ticked ones.
+// engine's, unless its policy is restless. The ticked reference
+// loop installs none, so its SMs tick every cycle for real and the
+// engine-equivalence tests compare settled runs against ticked ones.
 func (m *SM) SetStoreLog(l *memory.StoreLog) {
 	m.wakeUp()
-	m.sleeps = l != nil
+	m.sleeps = l != nil && !m.restless
 	m.storeLog = l
 	for i := range m.slots {
 		if m.slots[i].valid {

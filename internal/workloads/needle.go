@@ -26,7 +26,8 @@ type needle struct {
 	fA      int64
 	refA    int64
 	ref     []int64
-	diag    int // next anti-diagonal (2..2n)
+	diag    int          // next anti-diagonal (2..2n)
+	prog    *isa.Program // every diagonal's launch runs it (needleProgram)
 }
 
 const needleBlockDim = 64
@@ -55,12 +56,15 @@ func newNeedle(p Params) *needle {
 		m.Store(w.fA+int64(i*(n+1))*8, int64(i)*-w.penalty)
 		m.Store(w.fA+int64(i)*8, int64(i)*-w.penalty)
 	}
+	w.prog = needleProgram(n)
 	return w
 }
 
-// needleKernel computes all interior cells of one anti-diagonal d:
-// cell (i, d-i) for i in [lo, lo+count).
-func needleKernel(n int, fA, refA, penalty int64, d, lo, count int) *simt.Kernel {
+// needleProgram computes all interior cells of one anti-diagonal d of
+// an n x n problem: cell (i, d-i) for i in [lo, lo+count). Its
+// parameters are count, lo, d, the F and reference bases and the
+// penalty.
+func needleProgram(n int) *isa.Program {
 	b := isa.NewBuilder("needle_diag")
 	b.SReg(isa.R0, isa.SRGTid)
 	b.Param(isa.R1, 0) // count
@@ -92,9 +96,7 @@ func needleKernel(n int, fA, refA, penalty int64, d, lo, count int) *simt.Kernel
 	b.St(isa.R9, 0, isa.R10)
 	b.Label("exit")
 	b.Exit()
-	return mustKernel("needle_diag", b,
-		(count+needleBlockDim-1)/needleBlockDim, needleBlockDim,
-		[]int64{int64(count), int64(lo), int64(d), fA, refA, penalty}, 0)
+	return b.MustBuild()
 }
 
 // Next implements Workload: one launch per anti-diagonal.
@@ -112,7 +114,9 @@ func (w *needle) Next() (*simt.Kernel, bool) {
 	if hi > w.n {
 		hi = w.n
 	}
-	return needleKernel(w.n, w.fA, w.refA, w.penalty, d, lo, hi-lo+1), true
+	count := hi - lo + 1
+	return launchKernel("needle_diag", w.prog, (count+needleBlockDim-1)/needleBlockDim, needleBlockDim,
+		[]int64{int64(count), int64(lo), int64(d), w.fA, w.refA, w.penalty}), true
 }
 
 // Verify implements Workload.

@@ -26,7 +26,8 @@ type pathfinder struct {
 	wallA      int64
 	bufA       [2]int64
 	row        int
-	cur        int // index of the source buffer
+	cur        int          // index of the source buffer
+	prog       *isa.Program // every row's launch runs it (pathfinderProgram)
 }
 
 func newPathfinder(p Params) *pathfinder {
@@ -50,10 +51,13 @@ func newPathfinder(p Params) *pathfinder {
 	// Row 0 initializes the source buffer.
 	m.WriteWords(w.bufA[0], w.wall[:cols])
 	w.row = 1
+	w.prog = pathfinderProgram()
 	return w
 }
 
-func pathfinderKernel(cols int, wallA, srcA, dstA int64, row int) *simt.Kernel {
+// pathfinderProgram is the row kernel: its parameters are the column
+// count, the source row, the wall row and the destination row.
+func pathfinderProgram() *isa.Program {
 	b := isa.NewBuilder("pathfinder_row")
 	b.SReg(isa.R0, isa.SRGTid)
 	b.Param(isa.R1, 0) // cols
@@ -83,9 +87,7 @@ func pathfinderKernel(cols int, wallA, srcA, dstA int64, row int) *simt.Kernel {
 	stElem(b, isa.R10, isa.R0, isa.R4, isa.R2)
 	b.Label("exit")
 	b.Exit()
-	const blockDim = 256
-	return mustKernel("pathfinder_row", b, (cols+blockDim-1)/blockDim, blockDim,
-		[]int64{int64(cols), srcA, wallA + int64(row*cols)*8, dstA}, 0)
+	return b.MustBuild()
 }
 
 // Next implements Workload: one launch per DP row.
@@ -95,7 +97,9 @@ func (w *pathfinder) Next() (*simt.Kernel, bool) {
 	}
 	src := w.bufA[w.cur]
 	dst := w.bufA[1-w.cur]
-	k := pathfinderKernel(w.cols, w.wallA, src, dst, w.row)
+	const blockDim = 256
+	k := launchKernel("pathfinder_row", w.prog, (w.cols+blockDim-1)/blockDim, blockDim,
+		[]int64{int64(w.cols), src, w.wallA + int64(w.row*w.cols)*8, dst})
 	w.row++
 	w.cur = 1 - w.cur
 	return k, true

@@ -171,9 +171,18 @@ func guardRange(b *isa.Builder, tid, n, tmp isa.Reg) {
 	b.CBra(tmp, "exit")
 }
 
+// launchKernel is one launch of a program the workload built once and
+// runs with new parameters each time (needle, pathfinder).
+func launchKernel(name string, prog *isa.Program, grid, block int, params []int64) *simt.Kernel {
+	return &simt.Kernel{Name: name, Program: prog, GridDim: grid, BlockDim: block, Params: params}
+}
+
 // mustKernel builds the kernel or panics; workload programs are static.
+// Neither it nor launchKernel runs the static verifier: the GPU verifies
+// every launch against its parameters (gpu.verifyLaunch), and
+// `cawadis -lint -workload all` verifies every workload's kernels.
 func mustKernel(name string, b *isa.Builder, grid, block int, params []int64, sharedWords int) *simt.Kernel {
-	k := &simt.Kernel{
+	return &simt.Kernel{
 		Name:        name,
 		Program:     b.MustBuild(),
 		GridDim:     grid,
@@ -181,8 +190,4 @@ func mustKernel(name string, b *isa.Builder, grid, block int, params []int64, sh
 		Params:      params,
 		SharedWords: sharedWords,
 	}
-	if err := k.Validate(); err != nil {
-		panic(err)
-	}
-	return k
 }
